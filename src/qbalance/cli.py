@@ -224,17 +224,18 @@ def _cmd_analyze_badwords(args) -> int:
 
 def _cmd_trellis(args) -> int:
     code = _load_code(args.code)
-    gamma = trellis.gamma_counts(code)
+    report = trellis.build_and_count(code)
     if args.gamma:
-        _emit_csv(["i", "count"], [[i, c] for i, c in gamma.items()])
+        _emit_csv(["i", "count"], [[i, c] for i, c in report.gamma.items()])
         return 0
+    everything = not (args.rho or args.size)
     result = {"n": code.n, "k": code.k}
-    if args.rho or not (args.rho or args.size):
-        result["rho"] = trellis.rho_c(code)
-    if args.size or not (args.rho or args.size):
-        result["codebook_size"] = trellis.codebook_size(code)
-    if not (args.rho or args.size):
-        result["gamma"] = gamma
+    if args.rho or everything:
+        result["rho"] = report.rho
+    if args.size or everything:
+        result["codebook_size"] = report.codebook_size
+    if everything:
+        result["gamma"] = report.gamma
     _emit_json(result)
     return 0
 
@@ -254,6 +255,8 @@ def _cmd_oracle_verify(args) -> int:
             "ok": bool(ok and gamma_match),
         }
     else:
+        if args.n is None:
+            raise ValueError(f"oracle verify --scheme {args.scheme} needs -n")
         result = oracle.verify_scheme(args.scheme, args.n, args.q)
     _emit_json(result)
     return 0 if result["ok"] else 2

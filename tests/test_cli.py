@@ -1,10 +1,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from qbalance import cli, oracle
+import qbalance
+from qbalance import cli, oracle, trellis
 from qbalance.scheme_a import encode_a
 from qbalance.words import BitWord
 
@@ -145,6 +149,19 @@ class TestTrellisCommand:
         rows = run_csv(capsys, "trellis", "--code", code_file, "--gamma")
         assert [(r["i"], r["count"]) for r in rows] == [("1", "2"), ("2", "1"), ("4", "1")]
 
+    @pytest.mark.parametrize("flags", [(), ("--gamma",), ("--rho",), ("--size",), ("--rho", "--size")])
+    def test_one_pass_per_report(self, capsys, code_file, monkeypatch, flags):
+        calls = []
+        real = trellis.build_and_count
+
+        def counted(code):
+            calls.append(code)
+            return real(code)
+
+        monkeypatch.setattr(trellis, "build_and_count", counted)
+        run_cli(capsys, "trellis", "--code", code_file, *flags)
+        assert len(calls) == 1
+
 
 class TestOracleCommand:
     def test_verify_ok(self, capsys):
@@ -156,6 +173,12 @@ class TestOracleCommand:
         status, out, _ = run_cli(capsys, "oracle", "verify", "--scheme", "c", "--code", code_file)
         assert status == 0
         assert json.loads(out)["ok"] is True
+
+    @pytest.mark.parametrize("scheme", ["a", "b"])
+    def test_verify_without_n_is_a_domain_error(self, capsys, scheme):
+        status, _, err = run_cli(capsys, "oracle", "verify", "--scheme", scheme)
+        assert status == 1
+        assert err.startswith("error:") and "-n" in err
 
     def test_verify_failure_exits_2(self, capsys, monkeypatch):
         monkeypatch.setattr(
@@ -196,3 +219,11 @@ class TestStreamCommands:
             capsys, "stream", "encode", "--code", "/nonexistent", "--input", "101"
         )
         assert status == 1
+
+
+def test_cli_import_does_not_load_numpy():
+    """Every CLI start pays for what `qbalance.cli` imports; numpy alone costs more than all of it."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qbalance.__file__)))
+    probe = "import sys, qbalance.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -1,3 +1,4 @@
+import random
 import time
 
 import pytest
@@ -5,7 +6,23 @@ import pytest
 from qbalance.cyclic_code import codewords, from_generator, full_space, poly_divmod, poly_from_coeffs
 from qbalance.errors import CapacityError
 from qbalance.scheme_c import encode_c, gamma_count_fullspace, gamma_size_c
-from qbalance.trellis import build_and_count, codebook_size, gamma_counts, rho_c, state_count
+from qbalance.trellis import _Lanes, build_and_count, codebook_size, gamma_counts, rho_c, state_count
+
+# [23,12,7] Golay code, 1 + X^2 + X^4 + X^5 + X^6 + X^10 + X^11 (n - k = 11)
+GOLAY23 = (23, poly_from_coeffs([1, 0, 1, 0, 1, 1, 1, 0, 0, 0, 1, 1]))
+# [31,21,5] BCH code, generator octal 3551 (n - k = 10)
+BCH31 = (31, poly_from_coeffs([1, 0, 0, 1, 0, 1, 1, 0, 1, 1, 1]))
+
+# The figures pinned in perfbench/golden.json, recorded with the earlier per-state dict pass.
+GOLAY23_GAMMA = {1: 684, 2: 174, 3: 96, 4: 64, 5: 50, 6: 48, 7: 28, 8: 26, 9: 26, 10: 32, 11: 32, 12: 56}
+GOLAY23_SIZE = 1316
+GOLAY23_STATES = 290421
+BCH31_GAMMA = {
+    1: 302808, 2: 78380, 3: 40628, 4: 26402, 5: 19262, 6: 15290, 7: 12466, 8: 10726,
+    9: 9614, 10: 8704, 11: 8234, 12: 8084, 13: 8104, 14: 8718, 15: 10428, 16: 19000,
+}
+BCH31_SIZE = 586848
+BCH31_STATES = 584629
 
 
 def enumeration_gamma(code):
@@ -36,6 +53,10 @@ class TestAgainstEnumeration:
         fs = full_space(length)
         assert gamma_counts(fs) == enumeration_gamma(fs)
 
+    def test_golay23(self):
+        golay = from_generator(*GOLAY23)
+        assert gamma_counts(golay) == enumeration_gamma(golay)
+
     def test_final_states_split_by_weight(self, hamming):
         final = build_and_count(hamming)
         m = 4
@@ -44,6 +65,52 @@ class TestAgainstEnumeration:
         for (wt, idx), cnt in final.items():
             merged[idx] = merged.get(idx, 0) + cnt
         assert merged == gamma_counts(hamming)
+
+
+class TestPinnedCodes:
+    def test_golay23(self):
+        report = build_and_count(from_generator(*GOLAY23))
+        assert report.gamma == GOLAY23_GAMMA
+        assert report.codebook_size == GOLAY23_SIZE
+        assert report.states == GOLAY23_STATES
+
+    def test_bch31(self):
+        report = build_and_count(from_generator(*BCH31))
+        assert report.gamma == BCH31_GAMMA
+        assert report.codebook_size == BCH31_SIZE
+        assert report.states == BCH31_STATES
+
+    @pytest.mark.parametrize("spec", [(7, 1), (15, 1), GOLAY23, BCH31], ids=["full7", "full15", "golay23", "bch31"])
+    def test_report_views_agree(self, spec):
+        code = from_generator(*spec)
+        report = build_and_count(code)
+        assert len(report.level_states) == (code.n + 1) // 2 + 1  # root, m-1 pair levels, final
+        assert sum(report.level_states) == report.states == state_count(code)
+        assert report.gamma == gamma_counts(code)
+        assert report.codebook_size == codebook_size(code) == sum(report.gamma.values())
+        assert report.rho == rho_c(code)
+        assert dict(report) == report.final
+
+
+class TestLanes:
+    """Lane-vector arithmetic against plain per-syndrome lists."""
+
+    @staticmethod
+    def pack(counts, width):
+        return sum(c << (s * width) for s, c in enumerate(counts))
+
+    @pytest.mark.parametrize("r", [0, 1, 3, 5])
+    def test_permutation_is_xor_of_the_index(self, r):
+        rng = random.Random(r)
+        width = 9
+        lanes = _Lanes(r, width)
+        for _ in range(20):
+            counts = [rng.choice((0, 0, 1, rng.getrandbits(width))) for _ in range(1 << r)]
+            mask = rng.getrandbits(r) if r else 0
+            moved = lanes.permute(self.pack(counts, width), lanes.permutation(mask))
+            assert moved == self.pack([counts[s ^ mask] for s in range(1 << r)], width)
+            assert lanes.nonzero(moved) == sum(1 for c in counts if c)
+            assert [lanes.lane(moved, s) for s in range(1 << r)] == [counts[s ^ mask] for s in range(1 << r)]
 
 
 class TestClosedFormEquivalence:
@@ -74,6 +141,11 @@ class TestRho:
 
 
 class TestScaling:
+    def test_capacity_guard_at_20(self):
+        repetition21 = from_generator(21, (1 << 21) - 1)  # n - k = 20
+        with pytest.raises(CapacityError):
+            gamma_counts(repetition21)
+
     def test_capacity_guard(self):
         g, rem = poly_divmod((1 << 31) | 1, poly_from_coeffs([1, 0, 1, 0, 0, 1]))
         assert rem == 0
