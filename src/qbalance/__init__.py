@@ -24,7 +24,6 @@ from .scheme_a import (
     rho_a_bound,
 )
 from .scheme_b import (
-    SchemeBParams,
     classify_b,
     count_bad_b,
     decode_b,

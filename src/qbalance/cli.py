@@ -264,6 +264,8 @@ def _cmd_oracle_verify(args) -> int:
 
 def _cmd_stream_encode(args) -> int:
     code = _load_code(args.code)
+    if not 0 <= args.flip_per_block <= code.n + 1:
+        raise ValueError(f"--flip-per-block {args.flip_per_block} out of range 0..{code.n + 1}")
     enc = scheme_c.stream_encode(code, _bits(args.input))
     if args.flip_per_block:
         rng = random.Random(args.seed)

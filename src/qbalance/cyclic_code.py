@@ -236,13 +236,13 @@ def parse_code_file(text: str) -> CyclicCode:
     g = poly_from_coeffs([int(c) for c in fields.pop("generator").split(",")])
     k_declared = int(fields.pop("k")) if "k" in fields else None
 
-    row_keys = sorted(key for key in fields if key.startswith("parity_row_"))
+    row_keys = {key for key in fields if key.startswith("parity_row_")}
     parity = None
     if row_keys:
         k = n - poly_deg(g)
         expect = [f"parity_row_{j}" for j in range(1, n - k + 1)]
-        if row_keys != expect:
-            raise ValueError(f"need all of {expect}, got {row_keys}")
+        if row_keys != set(expect):
+            raise ValueError(f"need all of {expect}, got {sorted(row_keys)}")
         parity = [[int(c) for c in fields.pop(key).split(",")] for key in expect]
     if fields:
         raise ValueError(f"unknown keys in code spec: {sorted(fields)}")

@@ -10,6 +10,7 @@ never the other way round.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -42,6 +43,45 @@ def _guard(k: int) -> None:
         raise CapacityError(f"message space 2^{k} exceeds guard 2^22")
 
 
+def _codec(scheme: str, n: int, q: int, code: Optional[CyclicCode]):
+    """One scheme's row of the oracle table ("a", "b", or "c" with a code).
+
+    Returns (k, messages, encode, decode, size, appended, tail): the 2^k
+    messages, encode(x) -> EncodeResult, decode(res) -> message,
+    size(res) = |Gamma| of the emitted codeword, the bits appended to
+    every codeword, and the tail bits a bad word adds to its prefix.
+    """
+    if scheme == "a":
+        return (
+            n,
+            all_words(n),
+            lambda x: scheme_a.encode_a(x, q),
+            lambda res: scheme_a.decode_a(res.codeword, res.prefix, n, q),
+            lambda res: len(scheme_a.gamma_set_a(res.codeword, q)),
+            0,
+            2 * q,
+        )
+    if scheme == "b":
+        return (
+            n - 1,
+            all_words(n - 1),
+            lambda x: scheme_b.encode_b(x, q),
+            lambda res: scheme_b.decode_b(res.codeword, res.prefix, n, q),
+            lambda res: len(scheme_b.gamma_set_b(res.codeword.prefix(n - 1), q)),
+            1,
+            2 * q - 2,
+        )
+    return (
+        code.k,
+        codewords(code),
+        lambda x: scheme_c.encode_c(code, x),
+        lambda res: scheme_c.decode_c(code, res.codeword, res.prefix),
+        lambda res: scheme_c.gamma_size_c(res.codeword.prefix(code.n)),
+        1,
+        0,
+    )
+
+
 def exhaustive_redundancy(
     scheme: str, n: int, q: int = 0, code: Optional[CyclicCode] = None
 ) -> RedundancyReport:
@@ -51,116 +91,52 @@ def exhaustive_redundancy(
     Analytical counts log2 |Gamma| per codeword plus the scheme's
     constant bits; operational counts the emitted prefix lengths.
     """
-    if scheme == "a":
-        return _exhaustive_a(n, q)
-    if scheme == "b":
-        return _exhaustive_b(n, q)
     if scheme == "c-fullspace":
         from .cyclic_code import full_space
 
-        return _exhaustive_c(n, full_space(n - 1), label="c-fullspace")
-    if scheme == "c-code":
-        if code is None:
-            raise ValueError("scheme 'c-code' needs a code")
-        return _exhaustive_c(code.n + 1, code, label="c-code")
-    raise ValueError(f"unknown scheme {scheme!r}")
-
-
-def _exhaustive_a(n: int, q: int) -> RedundancyReport:
-    _guard(n)
+        code = full_space(n - 1)
+    elif scheme == "c-code" and code is None:
+        raise ValueError("scheme 'c-code' needs a code")
+    elif scheme not in ("a", "b", "c-code"):
+        raise ValueError(f"unknown scheme {scheme!r}")
+    family = scheme[0]  # "a", "b", or "c" for both c-fullspace and c-code
+    if family == "c":
+        n, q = code.n + 1, 0
+    k, messages, encode, _, size_of, appended, tail = _codec(family, n, q, code)
+    _guard(k)
     gamma_by_cw: Dict[BitWord, int] = {}
     op_total = 0
     an_total = 0.0
     bad = 0
-    for x in all_words(n):
-        res = scheme_a.encode_a(x, q)
-        size = len(scheme_a.gamma_set_a(res.codeword, q))
+    for x in messages:
+        res = encode(x)
+        size = size_of(res)
         gamma_by_cw[res.codeword] = size
-        op_total += res.prefix.length
-        an = math.log2(size)
+        op_total += appended + res.prefix.length
+        an = appended + math.log2(size)
         if q > 0:
             an += 2.0
             if res.classification.is_bad:
-                an += 2 * q
+                an += tail
                 bad += 1
         an_total += an
-    hist: Dict[int, int] = {}
-    for size in gamma_by_cw.values():
-        hist[size] = hist.get(size, 0) + 1
+    analytical = an_total / (1 << k)
+    if scheme == "a":
+        parts = scheme_a.rho_a_parts(n, q)
+    elif scheme == "b":
+        parts = scheme_b.rho_b_parts(n, q)
+    else:
+        parts = {"flag": 1.0, "good": analytical - 1.0, "bad": 0.0}
     return RedundancyReport(
-        scheme="a",
+        scheme=scheme,
         n=n,
         q=q,
-        gamma=dict(sorted(hist.items())),
-        analytical=an_total / (1 << n),
-        operational=op_total / (1 << n),
+        gamma=dict(sorted(Counter(gamma_by_cw.values()).items())),
+        analytical=analytical,
+        operational=op_total / (1 << k),
         bad_words=bad,
-        decomposition=scheme_a.rho_a_parts(n, q),
+        decomposition=parts,
         optimal=scheme_a.optimal_redundancy(n, q),
-    )
-
-
-def _exhaustive_b(n: int, q: int) -> RedundancyReport:
-    _guard(n - 1)
-    gamma_by_cw: Dict[BitWord, int] = {}
-    op_total = 0
-    an_total = 0.0
-    bad = 0
-    for x in all_words(n - 1):
-        res = scheme_b.encode_b(x, q)
-        c = res.codeword.prefix(n - 1)
-        size = len(scheme_b.gamma_set_b(c, q))
-        gamma_by_cw[c] = size
-        op_total += 1 + res.prefix.length
-        an = 1.0 + math.log2(size)
-        if q > 0:
-            an += 2.0
-            if res.classification.is_bad:
-                an += scheme_b.default_r_bad(q)
-                bad += 1
-        an_total += an
-    hist: Dict[int, int] = {}
-    for size in gamma_by_cw.values():
-        hist[size] = hist.get(size, 0) + 1
-    return RedundancyReport(
-        scheme="b",
-        n=n,
-        q=q,
-        gamma=dict(sorted(hist.items())),
-        analytical=an_total / (1 << (n - 1)),
-        operational=op_total / (1 << (n - 1)),
-        bad_words=bad,
-        decomposition=scheme_b.rho_b_parts(n, q),
-        optimal=scheme_a.optimal_redundancy(n, q),
-    )
-
-
-def _exhaustive_c(n: int, code: CyclicCode, label: str) -> RedundancyReport:
-    _guard(code.k)
-    gamma_by_cw: Dict[BitWord, int] = {}
-    op_total = 0
-    an_total = 0.0
-    for x in codewords(code):
-        res = scheme_c.encode_c(code, x)
-        c = res.codeword.prefix(n - 1)
-        size = scheme_c.gamma_size_c(c)
-        gamma_by_cw[c] = size
-        op_total += 1 + res.prefix.length
-        an_total += 1.0 + math.log2(size)
-    hist: Dict[int, int] = {}
-    for size in gamma_by_cw.values():
-        hist[size] = hist.get(size, 0) + 1
-    good = an_total / (1 << code.k) - 1.0
-    return RedundancyReport(
-        scheme=label,
-        n=n,
-        q=0,
-        gamma=dict(sorted(hist.items())),
-        analytical=an_total / (1 << code.k),
-        operational=op_total / (1 << code.k),
-        bad_words=0,
-        decomposition={"flag": 1.0, "good": good, "bad": 0.0},
-        optimal=scheme_a.optimal_redundancy(n, 0),
     )
 
 
@@ -169,17 +145,11 @@ def definitional_gamma(
 ) -> List[int]:
     """Gamma(c) straight from its definition: which indices are minimal
     for some preimage, bypassing all running-sum characterizations."""
-    if scheme == "a":
+    if scheme in ("a", "b"):
+        indices = balancing_indices if scheme == "a" else scheme_b.t_b
         out = []
         for j in range(c.length + 1):
-            t = balancing_indices(flip_prefix(c, j), q)
-            if t and t[0] == j:
-                out.append(j)
-        return out
-    if scheme == "b":
-        out = []
-        for j in range(c.length + 1):
-            t = scheme_b.t_b(flip_prefix(c, j), q)
+            t = indices(flip_prefix(c, j), q)
             if t and t[0] == j:
                 out.append(j)
         return out
@@ -207,37 +177,19 @@ def roundtrip_all(
 
     Returns (True, None) or (False, first failing message).
     """
-    if scheme == "a":
-        _guard(n)
-        for x in all_words(n):
-            res = scheme_a.encode_a(x, q)
-            if weight(res.codeword) != n // 2 + q:
-                return False, x
-            if scheme_a.decode_a(res.codeword, res.prefix, n, q) != x:
-                return False, x
-        return True, None
-    if scheme == "b":
-        _guard(n - 1)
-        for x in all_words(n - 1):
-            res = scheme_b.encode_b(x, q)
-            if weight(res.codeword) != n // 2 + q:
-                return False, x
-            if scheme_b.decode_b(res.codeword, res.prefix, n, q) != x:
-                return False, x
-        return True, None
     if scheme == "c":
         if code is None:
             raise ValueError("scheme 'c' needs a code")
-        _guard(code.k)
-        m = (code.n + 1) // 2
-        for x in codewords(code):
-            res = scheme_c.encode_c(code, x)
-            if weight(res.codeword) != m:
-                return False, x
-            if scheme_c.decode_c(code, res.codeword, res.prefix) != x:
-                return False, x
-        return True, None
-    raise ValueError(f"unknown scheme {scheme!r}")
+        n, q = code.n + 1, 0
+    elif scheme not in ("a", "b"):
+        raise ValueError(f"unknown scheme {scheme!r}")
+    k, messages, encode, decode, *_ = _codec(scheme, n, q, code)
+    _guard(k)
+    for x in messages:
+        res = encode(x)
+        if weight(res.codeword) != n // 2 + q or decode(res) != x:
+            return False, x
+    return True, None
 
 
 def count_paths_brute(
@@ -273,24 +225,18 @@ def count_paths_brute(
     return walk(start)
 
 
-def census_bad_a(n: int, q: int) -> int:
+def _census_bad(k: int, q: int, indices) -> int:
     """Bad-word count by testing every word's index sets directly."""
-    _guard(n)
-    return sum(
-        1
-        for w in all_words(n)
-        if not balancing_indices(w, q)
-        and not balancing_indices(complement(w), q)
-    )
+    _guard(k)
+    return sum(1 for w in all_words(k) if not indices(w, q) and not indices(complement(w), q))
+
+
+def census_bad_a(n: int, q: int) -> int:
+    return _census_bad(n, q, balancing_indices)
 
 
 def census_bad_b(n: int, q: int) -> int:
-    _guard(n - 1)
-    return sum(
-        1
-        for w in all_words(n - 1)
-        if not scheme_b.t_b(w, q) and not scheme_b.t_b(complement(w), q)
-    )
+    return _census_bad(n - 1, q, scheme_b.t_b)
 
 
 def verify_scheme(scheme: str, n: int, q: int = 0) -> Dict[str, object]:

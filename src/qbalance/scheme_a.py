@@ -13,7 +13,9 @@ Prefix layout, bit-exact:
     bad word:   [flag 1][type bit i][z][last 2q message bits]
     q = 0:      [z]                      (every word is Type-1-good)
 
-where z is the rank of tau in Gamma(c).  The analytical machinery
+where z is the rank of tau in Gamma(c).  Scheme B runs the same prefix
+codec (_classify, _balance, _unbalance) with its own index set and a
+(2q-2)-bit tail.  The analytical machinery
 (Gamma-size distribution, bad-word census, redundancy bound) runs on the
 exact lattice-path counts from .lattice; the trigonometric closed-form
 census is kept only as a floating cross-check.
@@ -75,31 +77,56 @@ def _check_params(n: int, q: int) -> None:
         raise ValueError(f"imbalance parameter q={q} out of range 0..{n // 2}")
 
 
-def classify(x: BitWord, q: int) -> Classification:
-    """Good/bad typing of a message for imbalance parameter q."""
-    n = x.length
-    _check_params(n, q)
-    if balancing_indices(x, q):
+def _classify(x: BitWord, q: int, indices, run: int) -> Classification:
+    """Good/bad typing under a scheme's index function and bad-word tail length."""
+    if indices(x, q):
         return Classification.TYPE1_GOOD
-    if balancing_indices(complement(x), q):
+    if indices(complement(x), q):
         return Classification.TYPE0_GOOD
-    # Replacing the last 2q bits by i^2q restores an index; i follows the
-    # truncated weight so the replacement is provably Type-1-good.
-    if weight(x.prefix(n - 2 * q)) <= n // 2 - q:
+    # Replacing the last `run` bits by i^run restores an index; i follows
+    # the truncated weight so the replacement is provably Type-1-good.
+    if weight(x.prefix(x.length - run)) <= (x.length + 1) // 2 - q:
         return Classification.TYPE0_BAD
     return Classification.TYPE1_BAD
+
+
+def classify(x: BitWord, q: int) -> Classification:
+    """Good/bad typing of a message for imbalance parameter q."""
+    _check_params(x.length, q)
+    return _classify(x, q, balancing_indices, 2 * q)
 
 
 def _run(bit: int, length: int) -> BitWord:
     return BitWord((1 << length) - 1 if bit else 0, length)
 
 
-def _substitute(x: BitWord, cls: Classification, q: int) -> BitWord:
+def _substitute(x: BitWord, cls: Classification, run: int) -> BitWord:
     if cls is Classification.TYPE1_GOOD:
         return x
     if cls is Classification.TYPE0_GOOD:
         return complement(x)
-    return x.prefix(x.length - 2 * q).concat(_run(cls.type_bit, 2 * q))
+    return x.prefix(x.length - run).concat(_run(cls.type_bit, run))
+
+
+def fresh_indices(c: BitWord, sign: int = 0) -> List[int]:
+    """Indices whose running-sum value is new, ascending.
+
+    The values seen so far form a range, so a value is new exactly when it
+    is a new maximum or minimum.  sign > 0 keeps only nonnegative new
+    values, sign < 0 only nonpositive ones.
+    """
+    out = [0]
+    lo = hi = 0
+    for i, v in enumerate(running_sum(c)):
+        if v > hi:
+            hi = v
+            if sign >= 0:
+                out.append(i)
+        elif v < lo:
+            lo = v
+            if sign <= 0:
+                out.append(i)
+    return out
 
 
 def gamma_set_a(c: BitWord, q: int) -> List[int]:
@@ -108,32 +135,58 @@ def gamma_set_a(c: BitWord, q: int) -> List[int]:
     _check_params(n, q)
     if weight(c) != n // 2 + q:
         raise ValueError(f"weight {weight(c)} != target {n // 2 + q}")
-    seen = set()
-    out = []
-    for i, v in enumerate(running_sum(c)):
-        if v not in seen:
-            seen.add(v)
-            out.append(i)
-    return out
+    return fresh_indices(c)
 
 
-def encode_a(x: BitWord, q: int) -> EncodeResult:
-    n = x.length
-    _check_params(n, q)
-    cls = classify(x, q)
-    xh = _substitute(x, cls, q)
-    t_set = balancing_indices(xh, q)
-    tau = t_set[0]
+def _balance(x: BitWord, q: int, indices, gamma_set, run: int) -> EncodeResult:
+    """The prefix scheme shared by A and B: classify, substitute, flip, rank."""
+    cls = _classify(x, q, indices, run)
+    xh = _substitute(x, cls, run)
+    tau = indices(xh, q)[0]
     c = flip_prefix(xh, tau)
-    gamma = gamma_set_a(c, q)
+    gamma = gamma_set(c, q)
     z = _encode_rank(gamma.index(tau), len(gamma))
     if q == 0:
         bits = z
     elif not cls.is_bad:
         bits = f"0{cls.type_bit}{z}"
     else:
-        bits = f"1{cls.type_bit}{z}{x.suffix(2 * q)}"
+        bits = f"1{cls.type_bit}{z}{x.suffix(run)}"
     return EncodeResult(codeword=c, prefix=BitWord.from_str(bits), classification=cls, tau=tau)
+
+
+def _unbalance(c: BitWord, p: BitWord, gamma: List[int], q: int, run: int) -> BitWord:
+    """Invert _balance given Gamma(c); with q = 0 the prefix is a bare rank
+    read as flag 0, type 1.  Every DecodeError names the field and its bit."""
+    bits = str(p)
+    pos = 0
+
+    def take(k: int, name: str) -> str:
+        nonlocal pos
+        left = len(bits) - pos
+        if left < k:
+            raise DecodeError(f"prefix too short: {name} at bit {pos} needs {k} bits, {left} left")
+        pos += k
+        return bits[pos - k : pos]
+
+    flag, type_bit = ("0", "1") if q == 0 else (take(1, "flag"), take(1, "type bit"))
+    r = rank_width(len(gamma))
+    rank = int(take(r, "rank"), 2) if r else 0
+    if rank >= len(gamma):
+        raise DecodeError(f"rank {rank} at bit {pos - r} out of range for |Gamma|={len(gamma)}")
+    xh = flip_prefix(c, gamma[rank])
+    if flag == "1":
+        xh = xh.prefix(xh.length - run).concat(BitWord.from_str(take(run, "bad-word tail")))
+    elif type_bit == "0":
+        xh = complement(xh)
+    if pos < len(bits):
+        raise DecodeError(f"trailing bits at bit {pos}: {len(bits) - pos} after the prefix")
+    return xh
+
+
+def encode_a(x: BitWord, q: int) -> EncodeResult:
+    _check_params(x.length, q)
+    return _balance(x, q, balancing_indices, gamma_set_a, 2 * q)
 
 
 def decode_a(c: BitWord, p: BitWord, n: int, q: int) -> BitWord:
@@ -141,39 +194,7 @@ def decode_a(c: BitWord, p: BitWord, n: int, q: int) -> BitWord:
     _check_params(n, q)
     if c.length != n:
         raise ValueError(f"codeword length {c.length} != {n}")
-    gamma = gamma_set_a(c, q)
-    r = rank_width(len(gamma))
-    bits = str(p)
-
-    def take(k: int) -> str:
-        nonlocal bits
-        if len(bits) < k:
-            raise DecodeError("prefix too short")
-        head, bits = bits[:k], bits[k:]
-        return head
-
-    if q == 0:
-        rank = int(take(r), 2) if r else 0
-        if rank >= len(gamma):
-            raise DecodeError(f"rank {rank} out of range for |Gamma|={len(gamma)}")
-        if bits:
-            raise DecodeError("trailing bits after rank")
-        return flip_prefix(c, gamma[rank])
-
-    flag = take(1)
-    type_bit = int(take(1))
-    rank = int(take(r), 2) if r else 0
-    if rank >= len(gamma):
-        raise DecodeError(f"rank {rank} out of range for |Gamma|={len(gamma)}")
-    xh = flip_prefix(c, gamma[rank])
-    if flag == "0":
-        if bits:
-            raise DecodeError("trailing bits after good-word prefix")
-        return xh if type_bit else complement(xh)
-    tail = take(2 * q)
-    if bits:
-        raise DecodeError("trailing bits after bad-word suffix")
-    return xh.prefix(n - 2 * q).concat(BitWord.from_str(tail))
+    return _unbalance(c, p, gamma_set_a(c, q), q, 2 * q)
 
 
 # ---------------------------------------------------------------------------

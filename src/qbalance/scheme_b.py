@@ -9,26 +9,32 @@ weight m+q.  That sign split is what makes the size distribution a plain
 difference of binomials, which in turn makes the average redundancy
 asymptotically 0.5*log2(n) + 0.526 (q = 0) analyzable.
 
-Bad words (possible only for q >= 2) are handled like Scheme A but with
-a replacement run of r_bad = 2q-2 bits: a length-(n-1) word whose
+Bad words (possible only for q >= 2) are handled by Scheme A's prefix
+codec with a replacement run of 2q-2 bits: a length-(n-1) word whose
 truncation has weight <= m-q stays Type-1-good after appending zeros
 (its path ends at offset >= q-1), and one with truncation weight
->= m-q+1 reaches weight >= m+q-1 after appending ones.  r_bad is kept as
-a parameter so nearby constants can be A/B tested; the default is the
-one proved safe above.
+>= m-q+1 reaches weight >= m+q-1 after appending ones.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from .errors import DecodeError
 from .lattice import PathBand, count_banded
-from .scheme_a import Classification, EncodeResult, _encode_rank, rank_width
-from .words import BitWord, complement, flip_prefix, running_sum, weight
+from .scheme_a import (
+    Classification,
+    EncodeResult,
+    _balance,
+    _check_params,
+    _classify,
+    _unbalance,
+    fresh_indices,
+    rank_width,
+)
+from .words import BitWord, weight
 
 EULER_MASCHERONI = 0.5772156649015329
 
@@ -36,30 +42,8 @@ EULER_MASCHERONI = 0.5772156649015329
 BETA = (2.0 - math.log(4.0) - EULER_MASCHERONI) / math.log(4.0) - 0.5
 
 
-@dataclass(frozen=True)
-class SchemeBParams:
-    """Block length, imbalance, and the bad-word replacement run length."""
-
-    n: int
-    q: int
-    r_bad: int = field(default=-1)
-
-    def __post_init__(self):
-        if self.n % 2:
-            raise ValueError(f"block length {self.n} must be even")
-        if not 0 <= self.q <= self.n // 2:
-            raise ValueError(f"q={self.q} out of range")
-        if self.r_bad < 0:
-            object.__setattr__(self, "r_bad", default_r_bad(self.q))
-        if self.r_bad > self.n - 1:
-            raise ValueError("replacement run longer than the message")
-
-    @property
-    def m(self) -> int:
-        return self.n // 2
-
-
-def default_r_bad(q: int) -> int:
+def _tail(q: int) -> int:
+    """Bits of a bad word's replacement run (and of its prefix tail)."""
     return max(0, 2 * q - 2)
 
 
@@ -80,25 +64,8 @@ def t_b(x: BitWord, q: int) -> List[int]:
     return out
 
 
-def classify_b(x: BitWord, q: int, r_bad: Optional[int] = None) -> Classification:
-    if t_b(x, q):
-        return Classification.TYPE1_GOOD
-    if t_b(complement(x), q):
-        return Classification.TYPE0_GOOD
-    r = default_r_bad(q) if r_bad is None else r_bad
-    m = (x.length + 1) // 2
-    if weight(x.prefix(x.length - r)) <= m - q:
-        return Classification.TYPE0_BAD
-    return Classification.TYPE1_BAD
-
-
-def _substitute_b(x: BitWord, cls: Classification, r_bad: int) -> BitWord:
-    if cls is Classification.TYPE1_GOOD:
-        return x
-    if cls is Classification.TYPE0_GOOD:
-        return complement(x)
-    run = (1 << r_bad) - 1 if cls.type_bit else 0
-    return x.prefix(x.length - r_bad).concat(BitWord(run, r_bad))
+def classify_b(x: BitWord, q: int) -> Classification:
+    return _classify(x, q, t_b, _tail(q))
 
 
 def gamma_set_b(c: BitWord, q: int) -> List[int]:
@@ -108,49 +75,23 @@ def gamma_set_b(c: BitWord, q: int) -> List[int]:
         raise ValueError(f"codeword length {c.length} must be odd (n-1)")
     m = n // 2
     wt = weight(c)
-    if wt == m + q - 1:
-        keep = lambda v: v >= 0
-    elif wt == m + q:
-        keep = lambda v: v <= 0
-    else:
+    if wt not in (m + q - 1, m + q):
         raise ValueError(f"weight {wt} not in target pair {{{m + q - 1}, {m + q}}}")
-    seen = set()
-    out = []
-    for i, v in enumerate(running_sum(c)):
-        if v not in seen:
-            seen.add(v)
-            if keep(v):
-                out.append(i)
-    return out
+    return fresh_indices(c, 1 if wt == m + q - 1 else -1)
 
 
-def encode_b(x: BitWord, q: int, r_bad: Optional[int] = None) -> EncodeResult:
+def encode_b(x: BitWord, q: int) -> EncodeResult:
     n = x.length + 1
-    params = SchemeBParams(n, q, default_r_bad(q) if r_bad is None else r_bad)
-    m = params.m
-    cls = classify_b(x, q, params.r_bad)
-    xh = _substitute_b(x, cls, params.r_bad)
-    t_set = t_b(xh, q)
-    if not t_set:
-        raise ValueError(f"replacement run r_bad={params.r_bad} left the word bad")
-    tau = t_set[0]
-    c = flip_prefix(xh, tau)
-    gamma = gamma_set_b(c, q)
-    z = _encode_rank(gamma.index(tau), len(gamma))
-    appended = 1 if weight(c) == m + q - 1 else 0
-    cprime = c.concat(BitWord(appended, 1))
-    if q == 0:
-        bits = z
-    elif not cls.is_bad:
-        bits = f"0{cls.type_bit}{z}"
-    else:
-        bits = f"1{cls.type_bit}{z}{x.suffix(params.r_bad)}"
-    return EncodeResult(codeword=cprime, prefix=BitWord.from_str(bits), classification=cls, tau=tau)
+    _check_params(n, q)
+    res = _balance(x, q, t_b, gamma_set_b, _tail(q))
+    appended = 1 if weight(res.codeword) == n // 2 + q - 1 else 0
+    cprime = res.codeword.concat(BitWord(appended, 1))
+    return EncodeResult(cprime, res.prefix, res.classification, res.tau)
 
 
-def decode_b(cprime: BitWord, p: BitWord, n: int, q: int, r_bad: Optional[int] = None) -> BitWord:
-    params = SchemeBParams(n, q, default_r_bad(q) if r_bad is None else r_bad)
-    m = params.m
+def decode_b(cprime: BitWord, p: BitWord, n: int, q: int) -> BitWord:
+    _check_params(n, q)
+    m = n // 2
     if cprime.length != n:
         raise ValueError(f"codeword length {cprime.length} != {n}")
     c = cprime.prefix(n - 1)
@@ -159,39 +100,7 @@ def decode_b(cprime: BitWord, p: BitWord, n: int, q: int, r_bad: Optional[int] =
         raise DecodeError(f"stripped codeword weight {wt} outside target pair")
     if cprime.bit(n) != (1 if wt == m + q - 1 else 0):
         raise DecodeError("appended balance bit inconsistent with codeword weight")
-    gamma = gamma_set_b(c, q)
-    r = rank_width(len(gamma))
-    bits = str(p)
-
-    def take(k: int) -> str:
-        nonlocal bits
-        if len(bits) < k:
-            raise DecodeError("prefix too short")
-        head, bits = bits[:k], bits[k:]
-        return head
-
-    if q == 0:
-        rank = int(take(r), 2) if r else 0
-        if rank >= len(gamma):
-            raise DecodeError(f"rank {rank} out of range for |Gamma|={len(gamma)}")
-        if bits:
-            raise DecodeError("trailing bits after rank")
-        return flip_prefix(c, gamma[rank])
-
-    flag = take(1)
-    type_bit = int(take(1))
-    rank = int(take(r), 2) if r else 0
-    if rank >= len(gamma):
-        raise DecodeError(f"rank {rank} out of range for |Gamma|={len(gamma)}")
-    xh = flip_prefix(c, gamma[rank])
-    if flag == "0":
-        if bits:
-            raise DecodeError("trailing bits after good-word prefix")
-        return xh if type_bit else complement(xh)
-    tail = take(params.r_bad)
-    if bits:
-        raise DecodeError("trailing bits after bad-word suffix")
-    return xh.prefix(xh.length - params.r_bad).concat(BitWord.from_str(tail))
+    return _unbalance(c, p, gamma_set_b(c, q), q, _tail(q))
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, log2
 from fractions import Fraction
-from typing import List, Tuple
+from typing import Iterator, List, Tuple
 
 from .cyclic_code import CyclicCode, codewords, contains, encode_systematic
 from .errors import AmbiguousBlockError, CodingError, DecodeError, StreamError
@@ -47,15 +47,16 @@ def flip_c(x: BitWord) -> BitWord:
     return flip_prefix(x, _half(x.length))
 
 
-def t_c(x: BitWord) -> List[int]:
-    """Shifts j for which flip_c(shift(x, j)) has weight m-1 or m."""
+def _balancing_shifts(x: BitWord) -> Iterator[int]:
+    """Shifts j for which flip_c(shift(x, j)) has weight m-1 or m, lazily."""
     m = _half(x.length)
     targets = (m - 1, m)
-    return [
-        j
-        for j in range(x.length + 1)
-        if weight(flip_c(cyclic_shift(x, j))) in targets
-    ]
+    return (j for j in range(x.length + 1) if weight(flip_c(cyclic_shift(x, j))) in targets)
+
+
+def t_c(x: BitWord) -> List[int]:
+    """Shifts j for which flip_c(shift(x, j)) has weight m-1 or m."""
+    return list(_balancing_shifts(x))
 
 
 def gamma_size_c(c: BitWord) -> int:
@@ -81,7 +82,7 @@ def encode_c(code: CyclicCode, x: BitWord) -> EncodeResult:
     if not contains(code, x):
         raise ValueError(f"{x} is not a codeword")
     m = _half(code.n)
-    tau = t_c(x)[0]
+    tau = next(_balancing_shifts(x))
     c = flip_c(cyclic_shift(x, tau))
     appended = 1 if weight(c) == m - 1 else 0
     cprime = c.concat(BitWord(appended, 1))

@@ -214,6 +214,15 @@ class TestStreamCommands:
         )
         assert dec["payload"] == "110100101101"
 
+    @pytest.mark.parametrize("flips", ["-1", "9"])
+    def test_flip_per_block_out_of_range(self, capsys, code_file, flips):
+        status, _, err = run_cli(
+            capsys, "stream", "encode", "--code", code_file, "--input", "101",
+            "--flip-per-block", flips,
+        )
+        assert status == 1
+        assert err.startswith("error:") and "--flip-per-block" in err and "0..8" in err
+
     def test_missing_code_file(self, capsys):
         status, _, err = run_cli(
             capsys, "stream", "encode", "--code", "/nonexistent", "--input", "101"

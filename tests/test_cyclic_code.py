@@ -144,13 +144,21 @@ class TestCodeFile:
         assert code == simplex
 
     def test_parity_override_round_trips(self):
-        lines = ["n = 7", "generator = 1,1,0,1"]
-        for j, row in enumerate(EXAMPLE_H, start=1):
-            lines.append(f"parity_row_{j} = {','.join(map(str, row))}")
-        code = parse_code_file("\n".join(lines))
-        rows = [[(code.parity_cols[i] >> j) & 1 for i in range(7)] for j in range(3)]
-        assert rows == EXAMPLE_H
-
+        bch31 = from_generator(31, poly_from_coeffs([1, 0, 0, 1, 0, 1, 1, 0, 1, 1, 1]))
+        bch31_rows = [[(col >> j) & 1 for col in bch31.parity_cols] for j in range(bch31.r)]
+        cases = [
+            (7, "1,1,0,1", EXAMPLE_H),
+            # BCH[31,21]: ten rows, and "parity_row_10" sorts before "parity_row_2"
+            (31, "1,0,0,1,0,1,1,0,1,1,1", bch31_rows),
+        ]
+        for n, generator, expect in cases:
+            lines = [f"n = {n}", f"generator = {generator}"]
+            for j, row in enumerate(expect, start=1):
+                lines.append(f"parity_row_{j} = {','.join(map(str, row))}")
+            code = parse_code_file("\n".join(lines))
+            rows = [[(code.parity_cols[i] >> j) & 1 for i in range(n)] for j in range(len(expect))]
+            assert rows == expect
+        assert code.parity_cols == bch31.parity_cols
     def test_parity_override_must_annihilate_code(self):
         lines = ["n = 7", "generator = 1,1,0,1",
                  "parity_row_1 = 1,0,0,0,0,0,0",

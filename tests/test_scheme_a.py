@@ -15,8 +15,10 @@ from qbalance.scheme_a import (
     gamma_counts_a,
     gamma_set_a,
     optimal_redundancy,
+    rank_width,
     rho_a_bound,
 )
+from qbalance.scheme_b import encode_b, gamma_set_b
 from qbalance.words import BitWord, all_words, balancing_indices, weight
 
 
@@ -116,16 +118,35 @@ class TestDecode:
 
     def test_malformed_rank(self):
         # |Gamma(10011111)| = 6 -> ranks 6 and 7 are unused codepoints
-        with pytest.raises(DecodeError):
+        with pytest.raises(DecodeError, match="rank 7 at bit 2"):
             decode_a(W("10011111"), W("00111"), 8, 2)
 
     def test_short_read(self):
-        with pytest.raises(DecodeError):
+        with pytest.raises(DecodeError, match="bad-word tail at bit 5"):
             decode_a(W("10011111"), W("10101"), 8, 2)
+        with pytest.raises(DecodeError, match="type bit at bit 1"):
+            decode_a(W("10011111"), W("0"), 8, 2)
 
     def test_trailing_garbage(self):
-        with pytest.raises(DecodeError):
+        with pytest.raises(DecodeError, match="trailing bits at bit 5"):
             decode_a(W("10011111"), W("000010"), 8, 2)
+
+
+@pytest.mark.parametrize("q", [0, 1, 2, 3])
+def test_prefix_layout_is_bit_exact(q):
+    """Prefix = [flag][type] when q > 0, rank on rank_width(|Gamma|) bits,
+    then the replaced tail (2q bits for A, 2q-2 for B) of a bad word."""
+    n = 10
+    for x in all_words(n):
+        res = encode_a(x, q)
+        size = len(gamma_set_a(res.codeword, q))
+        tail = 2 * q if res.classification.is_bad else 0
+        assert res.prefix.length == 2 * (q > 0) + rank_width(size) + tail
+    for x in all_words(n - 1):
+        res = encode_b(x, q)
+        size = len(gamma_set_b(res.codeword.prefix(n - 1), q))
+        tail = 2 * q - 2 if res.classification.is_bad else 0
+        assert res.prefix.length == 2 * (q > 0) + rank_width(size) + tail
 
 
 class TestCountBad:

@@ -4,10 +4,9 @@ import pytest
 
 from qbalance.errors import DecodeError
 from qbalance.oracle import census_bad_b, definitional_gamma, roundtrip_all
-from qbalance.scheme_a import Classification, count_bad
+from qbalance.scheme_a import Classification, _substitute, count_bad
 from qbalance.scheme_b import (
     BETA,
-    SchemeBParams,
     classify_b,
     count_bad_b,
     decode_b,
@@ -17,7 +16,6 @@ from qbalance.scheme_b import (
     rho_b,
     rho_b_asymptote,
     t_b,
-    _substitute_b,
 )
 from qbalance.words import BitWord, all_words, weight
 
@@ -64,7 +62,7 @@ class TestClassifyB:
         for w in all_words(n - 1):
             cls = classify_b(w, q)
             if cls.is_bad:
-                replaced = _substitute_b(w, cls, r)
+                replaced = _substitute(w, cls, r)
                 assert t_b(replaced, q), (w, replaced)
 
 
@@ -131,14 +129,35 @@ class TestEncodeDecodeB:
 
     def test_decode_rejects_unused_rank(self):
         res = encode_b(W("1010110"), 0)  # |Gamma| = 1: empty rank field
-        with pytest.raises(DecodeError):
+        with pytest.raises(DecodeError, match="trailing bits at bit 0"):
             decode_b(res.codeword, W("1"), 8, 0)
+
+    @pytest.mark.parametrize(
+        "codeword,prefix,where",
+        [
+            # bad word 0101010 at q=2 encodes to 10101111 | 1 0 11 10
+            ("10101111", "", "flag at bit 0"),
+            ("10101111", "1", "type bit at bit 1"),
+            ("10101111", "10", "rank at bit 2"),
+            ("10101111", "10111", "bad-word tail at bit 4"),
+            ("10101111", "1011100", "trailing bits at bit 6"),
+            # |Gamma(1111001)| = 5: ranks 5..7 are unused codepoints
+            ("11110011", "01111", "rank 7 at bit 2"),
+        ],
+    )
+    def test_malformed_prefix_names_field(self, codeword, prefix, where):
+        with pytest.raises(DecodeError, match=where):
+            decode_b(W(codeword), W(prefix), 8, 2)
 
     def test_params_validation(self):
         with pytest.raises(ValueError):
-            SchemeBParams(7, 0)
+            encode_b(W("000000"), 0)
         with pytest.raises(ValueError):
-            SchemeBParams(8, 5)
+            decode_b(W("0000000"), W(""), 7, 0)
+        with pytest.raises(ValueError):
+            encode_b(W("0000000"), 5)
+        with pytest.raises(ValueError):
+            decode_b(W("00001111"), W(""), 8, 5)
 
 
 class TestGammaCountB:
