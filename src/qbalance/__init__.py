@@ -9,8 +9,8 @@ lattice-path counts, closed formulas, and a syndrome trellis, all
 cross-checked by brute-force oracles.
 """
 
-from .words import BitWord, all_words, balancing_indices, complement, cyclic_running_sum, cyclic_shift, flip_prefix, imbalance, running_sum, weight
-from .lattice import PathBand, count_above_diagonal, count_banded, count_banded_trig, count_free, path_of_word, width
+from .words import BitWord, all_words, balancing_indices, complement, cyclic_running_sum, cyclic_shift, flip_indices, flip_prefix, imbalance, running_sum, weight
+from .lattice import PathBand, count_banded, count_banded_trig, count_free
 from .scheme_a import (
     Classification,
     EncodeResult,

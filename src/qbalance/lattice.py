@@ -1,23 +1,17 @@
-"""Exact enumeration of monotone lattice paths and the word-to-path map.
+"""Exact enumeration of monotone lattice paths.
 
 A simple path takes unit steps -> and ^ in the positive quadrant
-directions.  Three counts are provided:
+directions.  Two counts are provided:
 
   * free paths between two points (a binomial);
   * paths confined weakly between the lines Y = X + s and Y = X + t
     (touching either line is allowed), via the alternating reflection
-    sum, plus a trigonometric closed form used only as a cross-check;
-  * paths weakly above the diagonal Y = X (the ballot/Catalan count).
+    sum, plus a trigonometric closed form used only as a cross-check.
 
 Counts are exact Python integers; binomial path counts overflow 64 bits
 long before the sizes used here, so nothing is ever done in floating
 point on the counting side.  The cosine closed form amplifies rounding
 at large exponents and is documented as unstable past ~64 steps.
-
-A length-n binary word maps to a path by reading 0 as ^ and 1 as ->,
-starting from (0, wt - m) for a reference half-length m.  The "width" of
-a path is the spread max(Y-X) - min(Y-X); it is the statistic that
-controls prefix lengths in the balancing schemes.
 """
 
 from __future__ import annotations
@@ -25,9 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, Tuple
-
-from .words import BitWord
+from typing import Tuple
 
 LatticePoint = Tuple[int, int]
 
@@ -124,39 +116,3 @@ def count_banded_trig(start: LatticePoint, end: LatticePoint, band: PathBand) ->
             * math.sin(math.pi * k * (c - d + band.t + 1) / dh)
         )
     return total
-
-
-def count_above_diagonal(start: LatticePoint, end: LatticePoint) -> BigCount:
-    """Paths from start to end staying weakly above Y = X."""
-    a, b = start
-    c, d = end
-    if a > b or c > d:
-        raise ValueError(f"endpoints must satisfy x <= y: {start} -> {end}")
-    dx, dy = c - a, d - b
-    if dx < 0 or dy < 0:
-        raise ValueError(f"negative displacement {start} -> {end}")
-    n = dx + dy
-    return _binom(n, dx) - _binom(n, d - a + 1)
-
-
-def path_of_word(w: BitWord, m: int) -> List[LatticePoint]:
-    """Path of w relative to half-length m: start (0, wt-m), 0 steps ^, 1 steps ->."""
-    from .words import weight
-
-    x, y = 0, weight(w) - m
-    points = [(x, y)]
-    for bit in w:
-        if bit:
-            x += 1
-        else:
-            y += 1
-        points.append((x, y))
-    return points
-
-
-def width(path: List[LatticePoint]) -> int:
-    """Spread of Y - X along the path."""
-    if not path:
-        raise ValueError("width of an empty path is undefined")
-    offsets = [y - x for x, y in path]
-    return max(offsets) - min(offsets)

@@ -196,16 +196,11 @@ def count_paths_brute(
     start: LatticePoint,
     end: LatticePoint,
     band: Optional[PathBand] = None,
-    above_diagonal: bool = False,
 ) -> int:
     """Count monotone paths by explicit depth-first walking (exponential)."""
 
     def ok(p: LatticePoint) -> bool:
-        if band is not None and not band.s <= p[1] - p[0] <= band.t:
-            return False
-        if above_diagonal and p[0] > p[1]:
-            return False
-        return True
+        return band is None or band.s <= p[1] - p[0] <= band.t
 
     if not (ok(start) and ok(end)):
         return 0

@@ -15,7 +15,10 @@ Prefix layout, bit-exact:
 
 where z is the rank of tau in Gamma(c).  Scheme B runs the same prefix
 codec (_classify, _balance, _unbalance) with its own index set and a
-(2q-2)-bit tail.  The analytical machinery
+(2q-2)-bit tail.  Both index sets are words.flip_indices, one walk of the
+running sum, with the scheme's target weights; _classify hands the set it
+found for the message (or its complement) on to _balance, so only a bad
+word's replacement is scanned again.  The analytical machinery
 (Gamma-size distribution, bad-word census, redundancy bound) runs on the
 exact lattice-path counts from .lattice; the trigonometric closed-form
 census is kept only as a floating cross-check.
@@ -26,9 +29,8 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from .errors import DecodeError
 from .lattice import PathBand, count_banded, count_banded_trig
@@ -77,23 +79,29 @@ def _check_params(n: int, q: int) -> None:
         raise ValueError(f"imbalance parameter q={q} out of range 0..{n // 2}")
 
 
-def _classify(x: BitWord, q: int, indices, run: int) -> Classification:
-    """Good/bad typing under a scheme's index function and bad-word tail length."""
-    if indices(x, q):
-        return Classification.TYPE1_GOOD
-    if indices(complement(x), q):
-        return Classification.TYPE0_GOOD
+def _classify(x: BitWord, q: int, indices, run: int) -> Tuple[Classification, List[int]]:
+    """Good/bad typing under a scheme's index function and bad-word tail length.
+
+    A good word comes with the index set of the word it is replaced by
+    (x or its complement); a bad word with an empty list.
+    """
+    found = indices(x, q)
+    if found:
+        return Classification.TYPE1_GOOD, found
+    found = indices(complement(x), q)
+    if found:
+        return Classification.TYPE0_GOOD, found
     # Replacing the last `run` bits by i^run restores an index; i follows
     # the truncated weight so the replacement is provably Type-1-good.
     if weight(x.prefix(x.length - run)) <= (x.length + 1) // 2 - q:
-        return Classification.TYPE0_BAD
-    return Classification.TYPE1_BAD
+        return Classification.TYPE0_BAD, found
+    return Classification.TYPE1_BAD, found
 
 
 def classify(x: BitWord, q: int) -> Classification:
     """Good/bad typing of a message for imbalance parameter q."""
     _check_params(x.length, q)
-    return _classify(x, q, balancing_indices, 2 * q)
+    return _classify(x, q, balancing_indices, 2 * q)[0]
 
 
 def _run(bit: int, length: int) -> BitWord:
@@ -140,9 +148,9 @@ def gamma_set_a(c: BitWord, q: int) -> List[int]:
 
 def _balance(x: BitWord, q: int, indices, gamma_set, run: int) -> EncodeResult:
     """The prefix scheme shared by A and B: classify, substitute, flip, rank."""
-    cls = _classify(x, q, indices, run)
+    cls, found = _classify(x, q, indices, run)
     xh = _substitute(x, cls, run)
-    tau = indices(xh, q)[0]
+    tau = (found or indices(xh, q))[0]
     c = flip_prefix(xh, tau)
     gamma = gamma_set(c, q)
     z = _encode_rank(gamma.index(tau), len(gamma))
@@ -261,7 +269,7 @@ def gamma_count_a(i: int, n: int, q: int) -> int:
 
 
 def _ratio(num: int, log2_den: int) -> float:
-    return float(Fraction(num, 1 << log2_den))
+    return num / (1 << log2_den)
 
 
 def rho_a_parts(n: int, q: int, operational: bool = False) -> Dict[str, float]:

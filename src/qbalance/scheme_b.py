@@ -19,7 +19,6 @@ truncation has weight <= m-q stays Type-1-good after appending zeros
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Dict, List
 
 from .errors import DecodeError
@@ -34,7 +33,7 @@ from .scheme_a import (
     fresh_indices,
     rank_width,
 )
-from .words import BitWord, weight
+from .words import BitWord, flip_indices, weight
 
 EULER_MASCHERONI = 0.5772156649015329
 
@@ -52,20 +51,11 @@ def t_b(x: BitWord, q: int) -> List[int]:
     n = x.length + 1
     if n % 2:
         raise ValueError(f"message length {x.length} must be odd (n-1)")
-    targets = {n // 2 + q - 1, n // 2 + q}
-    out = []
-    wt = weight(x)
-    if wt in targets:
-        out.append(0)
-    for j, b in enumerate(x, start=1):
-        wt += -1 if b else 1
-        if wt in targets:
-            out.append(j)
-    return out
+    return flip_indices(x, (n // 2 + q - 1, n // 2 + q))
 
 
 def classify_b(x: BitWord, q: int) -> Classification:
-    return _classify(x, q, t_b, _tail(q))
+    return _classify(x, q, t_b, _tail(q))[0]
 
 
 def gamma_set_b(c: BitWord, q: int) -> List[int]:
@@ -115,8 +105,7 @@ def gamma_count_b(i: int, n: int, q: int) -> int:
     branches are swapped relative to its own proof, and the oracle
     histogram confirms this orientation.
     """
-    if n % 2:
-        raise ValueError(f"block length {n} must be even")
+    _check_params(n, q)
     m = n // 2
     if not 1 <= i <= m + q:
         raise ValueError(f"i={i} out of range 1..{m + q}")
@@ -136,8 +125,7 @@ def count_bad_b(n: int, q: int) -> int:
     [1-q, q-2], unlike the even-length census of Scheme A.  Verified
     against the exhaustive census (first nonzero value is 2, at q = 2).
     """
-    if n % 2:
-        raise ValueError(f"block length {n} must be even")
+    _check_params(n, q)
     if q <= 1:
         return 0
     m = n // 2
@@ -161,7 +149,7 @@ def _good_sum_b(n: int, q: int, method: str, operational: bool = False) -> float
         for i in range(2, m + q + 1):
             g = gamma_count_b(i, n, q)
             if g:
-                total += i * logw(i) * float(Fraction(g, 1 << (n - 1)))
+                total += i * logw(i) * (g / (1 << (n - 1)))
         return total
     ln2 = math.log(2.0)
     total = 0.0
@@ -186,6 +174,7 @@ def rho_b_parts(n: int, q: int, method: str = "auto", operational: bool = False)
     operational=True swaps real log2 widths for the ceil widths sent on
     the wire.
     """
+    _check_params(n, q)
     if method == "auto":
         method = "exact" if n <= 4096 else "logspace"
     if method not in ("exact", "logspace"):
@@ -195,7 +184,7 @@ def rho_b_parts(n: int, q: int, method: str = "auto", operational: bool = False)
         return {"flag": 1.0, "good": good, "bad": 0.0}
     bad_words = count_bad_b(n, q)
     log_n = float(rank_width(n)) if operational else math.log2(n)
-    bad = float(Fraction(bad_words, 1 << (n - 1))) * (2 * q - 2 + log_n)
+    bad = bad_words / (1 << (n - 1)) * (2 * q - 2 + log_n)
     return {"flag": 3.0, "good": good, "bad": bad}
 
 

@@ -25,7 +25,6 @@ import struct
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, log2
-from fractions import Fraction
 from typing import Iterator, List, Tuple
 
 from .cyclic_code import CyclicCode, codewords, contains, encode_systematic
@@ -76,16 +75,19 @@ def gamma_set_c(c: BitWord) -> List[int]:
     return list(range(gamma_size_c(c)))
 
 
+def _append_balance_bit(c: BitWord) -> BitWord:
+    """c plus the bit that lifts weight m-1 to m (a 0 when c already weighs m)."""
+    return c.concat(BitWord(1 if weight(c) == _half(c.length) - 1 else 0, 1))
+
+
 def encode_c(code: CyclicCode, x: BitWord) -> EncodeResult:
     if x.length != code.n:
         raise ValueError(f"word length {x.length} != code length {code.n}")
     if not contains(code, x):
         raise ValueError(f"{x} is not a codeword")
-    m = _half(code.n)
     tau = next(_balancing_shifts(x))
     c = flip_c(cyclic_shift(x, tau))
-    appended = 1 if weight(c) == m - 1 else 0
-    cprime = c.concat(BitWord(appended, 1))
+    cprime = _append_balance_bit(c)
     r = rank_width(gamma_size_c(c))
     prefix = BitWord.from_str(format(tau, f"0{r}b") if r else "")
     return EncodeResult(codeword=cprime, prefix=prefix, classification=None, tau=tau)
@@ -116,8 +118,15 @@ def decode_c(code: CyclicCode, cprime: BitWord, p: BitWord) -> BitWord:
 
 @lru_cache(maxsize=None)
 def build_balanced_code(code: CyclicCode) -> Tuple[BitWord, ...]:
-    """C*: the distinct balanced blocks the encoder can emit, sorted."""
-    book = {encode_c(code, x).codeword for x in codewords(code)}
+    """C*: the distinct balanced blocks the encoder can emit, sorted.
+
+    A codeword whose own half-flip weighs m-1 or m encodes with tau = 0,
+    and the encoder's shift of any codeword is such a codeword, so C* is
+    exactly those half-flips plus their balance bit; no encoding runs.
+    """
+    m = _half(code.n)
+    halves = (flip_c(x) for x in codewords(code))
+    book = [_append_balance_bit(c) for c in halves if weight(c) in (m - 1, m)]
     return tuple(sorted(book, key=lambda w: w.value))
 
 
@@ -170,7 +179,7 @@ def rho_c_fullspace(n: int) -> float:
         total += (
             2.0
             * log2(i)
-            * float(Fraction(comb(2 * i - 2, i - 1) * comb(2 * m - 2 * i, m - i), 1 << (n - 1)))
+            * (comb(2 * i - 2, i - 1) * comb(2 * m - 2 * i, m - i) / (1 << (n - 1)))
         )
     return 1.0 + total
 

@@ -61,7 +61,6 @@ enumeration.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from fractions import Fraction
 from math import log2
 from typing import Dict, Iterator, List, Tuple
 
@@ -182,7 +181,7 @@ class TrellisReport(Mapping):
         total = 0.0
         for j, g in self.gamma.items():
             if j > 1:
-                total += j * log2(j) * float(Fraction(g, 1 << self.k))
+                total += j * log2(j) * (g / (1 << self.k))
         return 1.0 + total
 
     @property

@@ -8,10 +8,19 @@ equals 2q.
 
 Everything here is pure and allocation-light: a word is an (int, length)
 pair where the textual string is read as a binary numeral.
+
+Every flip-index set is one walk.  Complementing the first j bits moves
+the weight by -R_j, where R is the running sum, so the indices whose flip
+lands on a target weight form a level set of running_sum (flip_indices).
+Scheme A's balancing_indices and Scheme B's t_b are that walk with one
+and two targets.  Running sums are accumulated over the bit string in C,
+not bit by bit in Python.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
+from operator import add
 from typing import Iterator, List
 
 
@@ -131,14 +140,17 @@ def cyclic_shift(w: BitWord, i: int) -> BitWord:
     return BitWord(((w.value >> i) | (w.value << (n - i))) & ((1 << n) - 1), n)
 
 
+_STEP = {"0": -1, "1": 1}
+
+
+def _steps(w: BitWord) -> Iterator[int]:
+    """+1 per 1 bit, -1 per 0 bit, left to right, read off the bit string."""
+    return map(_STEP.__getitem__, str(w))
+
+
 def running_sum(w: BitWord) -> List[int]:
     """R_0 = 0, R_i = R_{i-1} +/- 1 per bit i (1 -> +1); final entry = imbalance."""
-    out = [0] * (w.length + 1)
-    r = 0
-    for i, b in enumerate(w, start=1):
-        r += 1 if b else -1
-        out[i] = r
-    return out
+    return list(accumulate(_steps(w), initial=0))
 
 
 def cyclic_running_sum(w: BitWord) -> List[int]:
@@ -151,13 +163,18 @@ def cyclic_running_sum(w: BitWord) -> List[int]:
     if w.length % 2 == 0:
         raise ValueError(f"length {w.length} is even; need odd length 2m-1")
     m = (w.length + 1) // 2
-    out = [0] * m
-    r = 0
-    for i in range(1, m):
-        r += 1 if w.bit(i) else -1
-        r += 1 if w.bit(i + m) else -1
-        out[i] = r
-    return out
+    steps = list(_steps(w))
+    return list(accumulate(map(add, steps[: m - 1], steps[m:]), initial=0))
+
+
+def flip_indices(w: BitWord, targets) -> List[int]:
+    """All j in 0..n with weight(flip_prefix(w, j)) in targets, ascending.
+
+    Flipping the first j bits moves the weight by -R_j, so this is one
+    walk of the running sum.
+    """
+    wt = weight(w)
+    return [j for j, r in enumerate(running_sum(w)) if wt - r in targets]
 
 
 def balancing_indices(w: BitWord, q: int) -> List[int]:
@@ -168,13 +185,4 @@ def balancing_indices(w: BitWord, q: int) -> List[int]:
     n = w.length
     if n % 2:
         raise ValueError(f"length {n} is odd; balancing needs even length")
-    target = n // 2 + q
-    out = []
-    wt = weight(w)
-    if wt == target:
-        out.append(0)
-    for j, b in enumerate(w, start=1):
-        wt += -1 if b else 1
-        if wt == target:
-            out.append(j)
-    return out
+    return flip_indices(w, (n // 2 + q,))

@@ -137,6 +137,13 @@ class TestAnalyze:
         assert obj["scheme_a_bad"] == 32
         assert obj["scheme_b_bad"] == 2
 
+    @pytest.mark.parametrize("command", ["gamma", "redundancy"])
+    @pytest.mark.parametrize("q", ["-1", "9"])
+    def test_scheme_b_q_out_of_range(self, capsys, command, q):
+        status, out, err = run_cli(capsys, "analyze", command, "--scheme", "b", "-n", "8", "-q", q)
+        assert status == 1 and out == ""
+        assert err.startswith("error:") and f"q={q}" in err and "0..4" in err
+
 
 class TestTrellisCommand:
     def test_default_json(self, capsys, code_file):

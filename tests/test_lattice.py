@@ -1,18 +1,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qbalance.lattice import (
-    PathBand,
-    count_above_diagonal,
-    count_banded,
-    count_banded_trig,
-    count_free,
-    path_of_word,
-    width,
-)
+from qbalance.lattice import PathBand, count_banded, count_banded_trig, count_free
 from qbalance.oracle import count_paths_brute
-from qbalance.scheme_a import gamma_set_a
-from qbalance.words import BitWord, all_words, weight
 
 
 class TestCountFree:
@@ -85,63 +75,3 @@ class TestCountBandedTrig:
         exact = count_banded((0, y0), (dx, y0 + dy), band)
         approx = count_banded_trig((0, y0), (dx, y0 + dy), band)
         assert approx == pytest.approx(exact, rel=1e-9, abs=1e-9)
-
-
-class TestCountAboveDiagonal:
-    def test_catalan_numbers(self):
-        assert count_above_diagonal((0, 0), (2, 2)) == 2
-        assert count_above_diagonal((0, 0), (3, 3)) == 5
-
-    def test_shifted(self):
-        assert count_above_diagonal((0, 1), (1, 2)) == 2
-        assert count_above_diagonal((0, 1), (1, 2)) == count_paths_brute(
-            (0, 1), (1, 2), above_diagonal=True
-        )
-
-    def test_precondition(self):
-        with pytest.raises(ValueError):
-            count_above_diagonal((1, 0), (2, 2))
-
-
-class TestPathOfWord:
-    def test_offset_start_and_end(self):
-        path = path_of_word(BitWord.from_str("10011111"), m=4)
-        assert path[0] == (0, 2)
-        assert path[-1] == (6, 4)
-
-    def test_all_zeros_is_vertical(self):
-        path = path_of_word(BitWord.from_str("0000"), m=2)
-        assert path == [(0, -2), (0, -1), (0, 0), (0, 1), (0, 2)]
-
-    def test_step_by_step(self):
-        path = path_of_word(BitWord.from_str("0101"), m=2)
-        assert path == [(0, 0), (0, 1), (1, 1), (1, 2), (2, 2)]
-
-    @pytest.mark.parametrize("n", [4, 8, 12])
-    def test_flip_imbalance_reads_off_the_path(self, n):
-        from qbalance.words import flip_prefix, imbalance
-
-        m = n // 2
-        for w in all_words(n):
-            path = path_of_word(w, m)
-            for j in (0, 1, n // 2, n):
-                x, y = path[j]
-                assert imbalance(flip_prefix(w, j)) == 2 * (y - x)
-
-
-class TestWidth:
-    def test_small(self):
-        assert width(path_of_word(BitWord.from_str("0101"), m=2)) == 1
-
-    def test_single_point(self):
-        assert width([(3, 5)]) == 0
-
-    def test_wide_word(self):
-        assert width(path_of_word(BitWord.from_str("10011111"), m=4)) == 5
-
-    @pytest.mark.parametrize("n,q", [(4, 0), (8, 0), (8, 2), (12, 0), (12, 1), (12, 2)])
-    def test_width_is_gamma_size_minus_one(self, n, q):
-        m = n // 2
-        for w in all_words(n):
-            if weight(w) == m + q:
-                assert width(path_of_word(w, m)) == len(gamma_set_a(w, q)) - 1

@@ -81,9 +81,6 @@ class TestBrutePathCounts:
     def test_free(self):
         assert count_paths_brute((0, 0), (3, 3)) == 20
 
-    def test_above_diagonal_catalan(self):
-        assert count_paths_brute((0, 0), (4, 4), above_diagonal=True) == 14
-
     def test_band_excludes_endpoint(self):
         from qbalance.lattice import PathBand
 

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from qbalance import scheme_a
 from qbalance.errors import DecodeError
 from qbalance.oracle import census_bad_a, definitional_gamma, roundtrip_all
 from qbalance.scheme_a import (
@@ -91,6 +92,28 @@ class TestEncode:
         for q in (0, 1, 2):
             for w in all_words(8):
                 assert weight(encode_a(w, q).codeword) == 4 + q
+
+    @pytest.mark.parametrize(
+        "word,q,cls,scans",
+        [
+            ("0110100111010001", 0, Classification.TYPE1_GOOD, 1),
+            ("01100000", 2, Classification.TYPE1_GOOD, 1),
+            ("11100000", 2, Classification.TYPE0_GOOD, 2),
+            ("01100110", 2, Classification.TYPE0_BAD, 3),
+        ],
+    )
+    def test_index_scans_per_class(self, monkeypatch, word, q, cls, scans):
+        # a good word's index set, found while classifying, is the one tau is read from
+        calls = []
+
+        def counted(w, q):
+            calls.append(w)
+            return balancing_indices(w, q)
+
+        monkeypatch.setattr(scheme_a, "balancing_indices", counted)
+        res = encode_a(W(word), q)
+        assert res.classification is cls
+        assert len(calls) == scans
 
 
 class TestDecode:

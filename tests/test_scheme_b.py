@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from qbalance import scheme_b
 from qbalance.errors import DecodeError
 from qbalance.oracle import census_bad_b, definitional_gamma, roundtrip_all
 from qbalance.scheme_a import Classification, _substitute, count_bad
@@ -159,6 +160,28 @@ class TestEncodeDecodeB:
         with pytest.raises(ValueError):
             decode_b(W("00001111"), W(""), 8, 5)
 
+    @pytest.mark.parametrize(
+        "word,q,cls,scans",
+        [
+            ("0000000", 0, Classification.TYPE1_GOOD, 1),
+            ("1111100", 2, Classification.TYPE1_GOOD, 1),
+            ("0111000", 2, Classification.TYPE0_GOOD, 2),
+            ("0101010", 2, Classification.TYPE0_BAD, 3),
+        ],
+    )
+    def test_index_scans_per_class(self, monkeypatch, word, q, cls, scans):
+        # a good word's index set, found while classifying, is the one tau is read from
+        calls = []
+
+        def counted(w, q):
+            calls.append(w)
+            return t_b(w, q)
+
+        monkeypatch.setattr(scheme_b, "t_b", counted)
+        res = encode_b(W(word), q)
+        assert res.classification is cls
+        assert len(calls) == scans
+
 
 class TestGammaCountB:
     def test_n8_q0_distribution(self):
@@ -187,6 +210,22 @@ class TestGammaCountB:
             if gamma_count_b(i, n, q)
         }
         assert hist == formula
+
+
+class TestAnalysisParams:
+    @pytest.mark.parametrize("q", [-1, 5, 9])
+    def test_q_out_of_range(self, q):
+        with pytest.raises(ValueError, match=f"q={q} out of range 0..4"):
+            gamma_count_b(1, 8, q)
+        with pytest.raises(ValueError, match=f"q={q} out of range 0..4"):
+            count_bad_b(8, q)
+        with pytest.raises(ValueError, match=f"q={q} out of range 0..4"):
+            rho_b(8, q)
+
+    def test_odd_n(self):
+        for call in (lambda: gamma_count_b(1, 7, 0), lambda: count_bad_b(7, 2), lambda: rho_b(7, 0)):
+            with pytest.raises(ValueError, match="must be even"):
+                call()
 
 
 class TestCountBadB:

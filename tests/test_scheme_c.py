@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from qbalance.cyclic_code import codewords, encode_systematic
+from qbalance.cyclic_code import codewords, encode_systematic, from_generator, full_space, poly_from_coeffs
 from qbalance.errors import AmbiguousBlockError, DecodeError, StreamError
 from qbalance.oracle import definitional_gamma
 from qbalance.scheme_c import (
@@ -184,6 +184,26 @@ class TestBalancedBook:
     def test_all_balanced(self, hamming15):
         m = (hamming15.n + 1) // 2
         assert all(weight(b) == m for b in build_balanced_code(hamming15))
+
+    @pytest.mark.parametrize(
+        "n,generator",
+        [
+            (7, [1, 0, 1, 1, 1]),  # [7,3] simplex
+            (7, [1, 1, 0, 1]),  # [7,4] Hamming
+            (15, [1, 0, 0, 0, 1, 0, 1, 1, 1]),  # [15,7] BCH
+            (23, [1, 0, 1, 0, 1, 1, 1, 0, 0, 0, 1, 1]),  # [23,12] Golay
+            (7, None),
+            (9, None),
+            (11, None),
+            (13, None),
+        ],
+    )
+    def test_book_is_every_encoder_output(self, n, generator):
+        code = full_space(n) if generator is None else from_generator(n, poly_from_coeffs(generator))
+        book = build_balanced_code(code)
+        encoded = {encode_c(code, x).codeword for x in codewords(code)}
+        assert set(book) == encoded and len(book) == len(encoded)
+        assert list(book) == sorted(book, key=lambda w: w.value)
 
 
 class TestFullspaceDistribution:

@@ -8,6 +8,7 @@ from qbalance.words import (
     complement,
     cyclic_running_sum,
     cyclic_shift,
+    flip_indices,
     flip_prefix,
     imbalance,
     running_sum,
@@ -145,6 +146,16 @@ class TestCyclicRunningSum:
         with pytest.raises(ValueError):
             cyclic_running_sum(W("0110"))
 
+    @pytest.mark.parametrize("length", [1, 3, 5, 7, 9, 11])
+    def test_pairs_positions_i_and_i_plus_m(self, length):
+        m = (length + 1) // 2
+        for w in all_words(length):
+            step = [0] + [1 if b else -1 for b in w]
+            want = [0]
+            for i in range(1, m):
+                want.append(want[-1] + step[i] + step[i + m])
+            assert cyclic_running_sum(w) == want
+
 
 class TestBalancingIndices:
     def test_minimum_index(self):
@@ -165,3 +176,20 @@ class TestBalancingIndices:
     @pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12, 14, 16])
     def test_zero_balancing_index_always_exists(self, n):
         assert all(balancing_indices(w, 0) for w in all_words(n))
+
+
+class TestFlipIndices:
+    @pytest.mark.parametrize("n", range(13))
+    def test_flip_moves_weight_by_minus_running_sum(self, n):
+        for w in all_words(n):
+            sums = running_sum(w)
+            for j in range(n + 1):
+                assert weight(flip_prefix(w, j)) == weight(w) - sums[j]
+
+    @pytest.mark.parametrize("n", range(13))
+    def test_matches_definition(self, n):
+        targets = [(t,) for t in range(-1, n + 2)] + [(t, t + 1) for t in range(-1, n + 1)]
+        for w in all_words(n):
+            flipped = [weight(flip_prefix(w, j)) for j in range(n + 1)]
+            for ts in targets:
+                assert flip_indices(w, ts) == [j for j, wt in enumerate(flipped) if wt in ts]
