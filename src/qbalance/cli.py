@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -163,7 +164,7 @@ def _cmd_analyze_redundancy(args) -> int:
     elif args.scheme == "b":
         parts = scheme_b.rho_b_parts(n, q)
         value = sum(parts.values())
-        operational = None
+        operational = scheme_b.rho_b(n, q, operational=True)
     else:  # scheme c over the full space
         value = scheme_c.rho_c_fullspace(n)
         parts = {"flag": 1.0, "good": value - 1.0, "bad": 0.0}
@@ -274,19 +275,8 @@ def _cmd_stream_encode(args) -> int:
             value = frame.codeword.value
             for pos in rng.sample(range(frame.codeword.length), args.flip_per_block):
                 value ^= 1 << pos
-            frames.append(
-                scheme_c.StreamFrame(
-                    payload=frame.payload,
-                    codeword=BitWord(value, frame.codeword.length),
-                    prefix=frame.prefix,
-                )
-            )
-        enc = scheme_c.StreamEncoding(
-            frames=tuple(frames),
-            payload_frames=enc.payload_frames,
-            final_pad=enc.final_pad,
-            n=enc.n,
-        )
+            frames.append(dataclasses.replace(frame, codeword=BitWord(value, frame.codeword.length)))
+        enc = dataclasses.replace(enc, frames=tuple(frames))
     if args.out:
         with open(args.out, "wb") as fh:
             fh.write(scheme_c.pack_stream(enc))

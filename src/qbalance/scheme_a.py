@@ -72,9 +72,15 @@ def _encode_rank(rank: int, size: int) -> str:
     return format(rank, f"0{r}b") if r else ""
 
 
-def _check_params(n: int, q: int) -> None:
+def _check_length(n: int) -> None:
+    if n < 2:
+        raise ValueError(f"block length n={n} must be at least 2")
     if n % 2:
         raise ValueError(f"block length {n} must be even")
+
+
+def _check_params(n: int, q: int) -> None:
+    _check_length(n)
     if not 0 <= q <= n // 2:
         raise ValueError(f"imbalance parameter q={q} out of range 0..{n // 2}")
 

@@ -14,14 +14,22 @@ of frame t+1's packet, so decoding runs back to front.  The final
 frame's own prefix has no successor to ride, so the encoder flushes it
 into zero-filled pad frames until the tail frame is self-decodable (its
 shift index is the unique candidate whose decoded packet ends in the
-known zero fill).  A small container header records the block length,
-the number of payload-bearing frames, and how many filler zeros the
-last payload frame absorbed.
+known zero fill).  A pad frame depends only on the prefix it carries, so
+the flush fails as soon as a carried prefix repeats.
+
+The QBS2 container is the magic b"QBS2", then the header fields (block
+length n, total frames, payload frames, final pad) twice, each copy
+followed by its CRC-32, then one ceil(n/8)-byte block per frame.  The
+container's size depends only on the header.  A single flipped bit in
+either header copy is harmless (the decoder reads the first copy whose
+CRC matches), one in the magic is a StreamError, and one in a block is
+corrected like any other channel error.
 """
 
 from __future__ import annotations
 
 import struct
+import zlib
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, log2
@@ -29,10 +37,8 @@ from typing import Iterator, List, Tuple
 
 from .cyclic_code import CyclicCode, codewords, contains, encode_systematic
 from .errors import AmbiguousBlockError, CodingError, DecodeError, StreamError
-from .scheme_a import EncodeResult, rank_width
+from .scheme_a import EncodeResult, _check_length, rank_width
 from .words import BitWord, cyclic_running_sum, cyclic_shift, flip_prefix, weight
-
-_FLUSH_CAP = 64
 
 
 def _half(length: int) -> int:
@@ -161,8 +167,7 @@ def correct_block(code: CyclicCode, received: BitWord) -> BitWord:
 
 def gamma_count_fullspace(i: int, n: int) -> int:
     """Number of length-(n-1) target-weight words with |Gamma| = i."""
-    if n % 2:
-        raise ValueError(f"block length {n} must be even")
+    _check_length(n)
     m = n // 2
     if not 1 <= i <= m:
         raise ValueError(f"i={i} out of range 1..{m}")
@@ -171,8 +176,7 @@ def gamma_count_fullspace(i: int, n: int) -> int:
 
 def rho_c_fullspace(n: int) -> float:
     """Average redundancy over all of {0,1}^(n-1): 1 + mean log2 |Gamma|."""
-    if n % 2:
-        raise ValueError(f"block length {n} must be even")
+    _check_length(n)
     m = n // 2
     total = 0.0
     for i in range(2, m + 1):
@@ -228,58 +232,50 @@ def stream_encode(code: CyclicCode, payload: BitWord) -> StreamEncoding:
     frame's shift index is recoverable without a successor.
     """
     k = code.k
-    n = code.n + 1
     if rank_width(_half(code.n)) > k:
         raise CodingError(f"prefix can exceed packet size for k={k}; code too small")
     bits = str(payload)
     frames: List[StreamFrame] = []
+    payload_frames = final_pad = pos = 0
     carry = ""
-    pos = 0
-    final_pad = 0
-    while pos < len(bits):
+    flushed = set()  # carries that have started a pad frame
+    while pos < len(bits) or (frames and carry):
+        pad = pos >= len(bits)
+        if pad:
+            if carry in flushed:
+                raise CodingError(
+                    f"stream flush cycles: carried prefix {carry} repeats after {len(flushed)} pad frames"
+                )
+            flushed.add(carry)
         room = k - len(carry)
         take = bits[pos : pos + room]
         pos += len(take)
         fill = room - len(take)
-        packet = BitWord.from_str(carry + take + "0" * fill)
-        res = encode_c(code, encode_systematic(code, packet))
-        frames.append(
-            StreamFrame(payload=BitWord.from_str(take), codeword=res.codeword, prefix=res.prefix)
-        )
+        res = encode_c(code, encode_systematic(code, BitWord.from_str(carry + take + "0" * fill)))
+        frames.append(StreamFrame(payload=BitWord.from_str(take), codeword=res.codeword, prefix=res.prefix))
         carry = str(res.prefix)
-        if pos >= len(bits):
-            final_pad = fill
-    payload_frames = len(frames)
-
-    # Flush: the dangling prefix rides zero-filled pad frames until the
-    # tail frame decodes on its own (unique zero-tail candidate).
-    for _ in range(_FLUSH_CAP):
-        if not frames or not carry:
-            break
-        fill = k - len(carry)
-        packet = BitWord.from_str(carry + "0" * fill)
-        res = encode_c(code, encode_systematic(code, packet))
-        frames.append(StreamFrame(payload=BitWord(0, 0), codeword=res.codeword, prefix=res.prefix))
-        carry = str(res.prefix)
-        c = res.codeword.prefix(code.n)
-        if len(_tail_zero_candidates(code, c, fill)) == 1:
-            carry = ""  # tail frame self-decodes; its own prefix is dropped
-            break
-    if carry:
-        raise CodingError(f"stream flush did not converge within {_FLUSH_CAP} pad frames")
-    return StreamEncoding(frames=tuple(frames), payload_frames=payload_frames, final_pad=final_pad, n=n)
+        if not pad:
+            payload_frames, final_pad = len(frames), fill
+        elif len(_tail_zero_candidates(code, res.codeword.prefix(code.n), fill)) == 1:
+            carry = ""  # the tail frame self-decodes; its own prefix is dropped
+    return StreamEncoding(frames=tuple(frames), payload_frames=payload_frames, final_pad=final_pad, n=code.n + 1)
 
 
 def stream_decode(code: CyclicCode, enc: StreamEncoding) -> BitWord:
     """Invert stream_encode, correcting each block against C* first."""
+    if enc.n != code.n + 1:
+        raise StreamError(f"container block length {enc.n} != code block length {code.n + 1}")
     if not enc.frames:
         return BitWord(0, 0)
     book = set(build_balanced_code(code))
     blocks = []
-    for frame in enc.frames:
+    for t, frame in enumerate(enc.frames):
         cw = frame.codeword
         if cw not in book:
-            cw = correct_block(code, cw)
+            try:
+                cw = correct_block(code, cw)
+            except DecodeError as exc:
+                raise type(exc)(f"frame {t}: {exc}") from exc
         blocks.append(cw)
     k = code.k
     total = len(blocks)
@@ -294,13 +290,13 @@ def stream_decode(code: CyclicCode, enc: StreamEncoding) -> BitWord:
     last = total - 1
     if total == enc.payload_frames:
         if widths[last] != 0:
-            raise StreamError("terminal frame carries an unrecoverable prefix")
+            raise StreamError(f"terminal frame {last} carries an unrecoverable prefix")
         tau = 0
     else:
         fill = k - widths[last - 1]
         cands = _tail_zero_candidates(code, stripped[last], fill)
         if len(cands) != 1:
-            raise StreamError(f"terminal frame is ambiguous ({len(cands)} candidates)")
+            raise StreamError(f"terminal frame {last} is ambiguous ({len(cands)} candidates)")
         tau = cands[0]
     packets[last] = _packet_of(code, stripped[last], tau)
 
@@ -325,39 +321,41 @@ def stream_decode(code: CyclicCode, enc: StreamEncoding) -> BitWord:
 # ---------------------------------------------------------------------------
 # Binary container
 
-_MAGIC = b"QBS1"
+_MAGIC = b"QBS2"
+_FIELDS = struct.Struct(">HIIH")  # n, total frames, payload frames, final pad
+_COPY = _FIELDS.size + 4  # fields + CRC-32
 
 
 def pack_stream(enc: StreamEncoding) -> bytes:
-    """Header (magic, n, payload frames, final pad) + length-prefixed blocks."""
-    out = [_MAGIC, struct.pack(">HIH", enc.n, enc.payload_frames, enc.final_pad)]
+    """Magic, the header twice (each copy with its CRC-32), fixed-size blocks."""
+    fields = _FIELDS.pack(enc.n, len(enc.frames), enc.payload_frames, enc.final_pad)
+    copy = fields + zlib.crc32(fields).to_bytes(4, "big")
+    nbytes = (enc.n + 7) // 8
+    blocks = []
     for frame in enc.frames:
-        nbits = frame.codeword.length
-        nbytes = (nbits + 7) // 8
-        out.append(struct.pack(">H", nbits))
-        out.append((frame.codeword.value << (8 * nbytes - nbits)).to_bytes(nbytes, "big"))
-    return b"".join(out)
+        if frame.codeword.length != enc.n:
+            raise ValueError(f"block length {frame.codeword.length} != header n {enc.n}")
+        blocks.append((frame.codeword.value << (8 * nbytes - enc.n)).to_bytes(nbytes, "big"))
+    return b"".join([_MAGIC, copy, copy, *blocks])
 
 
 def unpack_stream(blob: bytes) -> StreamEncoding:
     if blob[:4] != _MAGIC:
         raise StreamError("bad container magic")
-    if len(blob) < 12:
-        raise StreamError("truncated container header")
-    n, payload_frames, final_pad = struct.unpack(">HIH", blob[4:12])
-    pos = 12
-    frames = []
-    while pos < len(blob):
-        if pos + 2 > len(blob):
-            raise StreamError("truncated frame length")
-        (nbits,) = struct.unpack(">H", blob[pos : pos + 2])
-        pos += 2
-        nbytes = (nbits + 7) // 8
-        if pos + nbytes > len(blob):
-            raise StreamError("truncated frame body")
-        value = int.from_bytes(blob[pos : pos + nbytes], "big") >> (8 * nbytes - nbits)
-        pos += nbytes
-        frames.append(
-            StreamFrame(payload=BitWord(0, 0), codeword=BitWord(value, nbits), prefix=BitWord(0, 0))
-        )
-    return StreamEncoding(frames=tuple(frames), payload_frames=payload_frames, final_pad=final_pad, n=n)
+    for start in (4, 4 + _COPY):
+        fields, crc = blob[start : start + _FIELDS.size], blob[start + _FIELDS.size : start + _COPY]
+        if len(crc) == 4 and zlib.crc32(fields) == int.from_bytes(crc, "big"):
+            break
+    else:
+        raise StreamError("no container header copy passes its CRC (damaged or truncated)")
+    n, total, payload_frames, final_pad = _FIELDS.unpack(fields)
+    if n < 2 or n % 2:
+        raise StreamError(f"header block length {n} is not an even number >= 2")
+    nbytes = (n + 7) // 8
+    body = blob[4 + 2 * _COPY :]
+    if len(body) != total * nbytes:
+        raise StreamError(f"container body is {len(body)} bytes, header says {total} blocks of {nbytes}")
+    values = (int.from_bytes(body[i : i + nbytes], "big") >> (8 * nbytes - n) for i in range(0, len(body), nbytes))
+    empty = BitWord(0, 0)
+    frames = tuple(StreamFrame(payload=empty, codeword=BitWord(v, n), prefix=empty) for v in values)
+    return StreamEncoding(frames=frames, payload_frames=payload_frames, final_pad=final_pad, n=n)

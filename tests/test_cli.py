@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import qbalance
-from qbalance import cli, oracle, trellis
+from qbalance import cli, oracle, scheme_b, trellis
 from qbalance.scheme_a import encode_a
 from qbalance.words import BitWord
 
@@ -143,6 +143,19 @@ class TestAnalyze:
         status, out, err = run_cli(capsys, "analyze", command, "--scheme", "b", "-n", "8", "-q", q)
         assert status == 1 and out == ""
         assert err.startswith("error:") and f"q={q}" in err and "0..4" in err
+
+    @pytest.mark.parametrize("scheme", ["a", "b", "c", "optimal"])
+    @pytest.mark.parametrize("n", ["0", "-4"])
+    def test_block_length_below_two(self, capsys, scheme, n):
+        status, out, err = run_cli(capsys, "analyze", "redundancy", "--scheme", scheme, "-n", n, "-q", "0")
+        assert status == 1 and out == ""
+        assert err.startswith("error:") and f"n={n}" in err
+
+    @pytest.mark.parametrize("n,q", [(8, 0), (16, 6)])
+    def test_scheme_b_operational(self, capsys, n, q):
+        obj = run_json(capsys, "analyze", "redundancy", "--scheme", "b", "-n", str(n), "-q", str(q))
+        assert obj["operational"] == scheme_b.rho_b(n, q, operational=True)
+        assert obj["operational"] >= obj["value"]
 
 
 class TestTrellisCommand:

@@ -259,3 +259,9 @@ class TestOptimal:
 
     def test_q6_baseline(self):
         assert optimal_redundancy(16, 6) == pytest.approx(9.09, abs=0.005)
+
+    @pytest.mark.parametrize("n", [0, 1, -4])
+    def test_block_length_below_two(self, n):
+        for call in (lambda: optimal_redundancy(n, 0), lambda: rho_a_bound(n, 0), lambda: count_bad(n, 0)):
+            with pytest.raises(ValueError, match=f"n={n} must be at least 2"):
+                call()

@@ -227,6 +227,12 @@ class TestAnalysisParams:
             with pytest.raises(ValueError, match="must be even"):
                 call()
 
+    @pytest.mark.parametrize("n", [0, 1, -4])
+    def test_block_length_below_two(self, n):
+        for call in (lambda: gamma_count_b(1, n, 0), lambda: count_bad_b(n, 0), lambda: rho_b(n, 0)):
+            with pytest.raises(ValueError, match=f"n={n} must be at least 2"):
+                call()
+
 
 class TestCountBadB:
     @pytest.mark.parametrize("n", [8, 16, 32])

@@ -1,11 +1,14 @@
+import dataclasses
 import math
 import random
 
 import pytest
 
+from qbalance import scheme_c
 from qbalance.cyclic_code import codewords, encode_systematic, from_generator, full_space, poly_from_coeffs
-from qbalance.errors import AmbiguousBlockError, DecodeError, StreamError
+from qbalance.errors import AmbiguousBlockError, CodingError, DecodeError, StreamError
 from qbalance.oracle import definitional_gamma
+from qbalance.scheme_a import rank_width
 from qbalance.scheme_c import (
     StreamEncoding,
     StreamFrame,
@@ -41,8 +44,38 @@ SIMPLEX_ENCODINGS = [
 SIMPLEX_BOOK = {"11110000", "10101100", "01100110", "00111010"}
 
 
+# QBS2 header copy: n (2 bytes), total frames (4), payload frames (4), final pad (2), CRC-32 (4).
+HEADER_COPY_BYTES = 16
+
+
 def W(s):
     return BitWord.from_str(s)
+
+
+@pytest.fixture(scope="module")
+def bch15():
+    """[15,7,5] BCH code generated by 1 + X^4 + X^6 + X^7 + X^8."""
+    return from_generator(15, poly_from_coeffs([1, 0, 0, 0, 1, 0, 1, 1, 1]))
+
+
+@pytest.fixture(scope="module")
+def full9():
+    """The [9,9] full space: 10-bit blocks, so each block byte pair carries 6 unused bits."""
+    return full_space(9)
+
+
+def encodable_payloads(code, count, seed=8):
+    """`count` seeded random payloads whose flush closes, with their encodings."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        nbits = rng.randrange(1, 120)
+        payload = BitWord(rng.getrandbits(nbits), nbits)
+        try:
+            out.append((payload, stream_encode(code, payload)))
+        except CodingError:
+            continue
+    return out
 
 
 class TestFlipC:
@@ -230,6 +263,12 @@ class TestFullspaceDistribution:
         }
         assert hist == formula
 
+    @pytest.mark.parametrize("n", [0, 1, -4])
+    def test_block_length_below_two(self, n):
+        for call in (lambda: rho_c_fullspace(n), lambda: gamma_count_fullspace(1, n)):
+            with pytest.raises(ValueError, match=f"n={n} must be at least 2"):
+                call()
+
     def test_rho_table_values(self):
         assert rho_c_fullspace(16) == pytest.approx(2.81, abs=0.01)
         assert rho_c_fullspace(8) == pytest.approx(2.11, abs=0.02)
@@ -330,3 +369,86 @@ class TestStream:
             unpack_stream(blob[:-1])
         with pytest.raises(StreamError):
             unpack_stream(b"XXXX" + blob[4:])
+
+    def test_decode_error_names_frame(self, simplex):
+        enc = stream_encode(simplex, W("0001011"))
+        frames = list(enc.frames)
+        frames[1] = dataclasses.replace(frames[1], codeword=W("00110000"))  # equidistant from two C* words
+        with pytest.raises(AmbiguousBlockError, match="^frame 1: "):
+            stream_decode(simplex, dataclasses.replace(enc, frames=tuple(frames)))
+
+    def test_flush_cycle_stops_at_repeated_carry(self, bch15, monkeypatch):
+        """A pad frame depends only on the prefix it carries, so a cycling flush
+        stops within the 2^(w+1) - 2 nonempty prefixes of at most w bits."""
+        calls = []
+        real = scheme_c.encode_c
+
+        def counting(code, x):
+            res = real(code, x)
+            calls.append(res.prefix.length)
+            return res
+
+        monkeypatch.setattr(scheme_c, "encode_c", counting)
+        rng = random.Random(3)
+        for _ in range(50):
+            payload = BitWord(rng.getrandbits(64), 64)
+            calls.clear()
+            try:
+                stream_encode(bch15, payload)
+            except CodingError as exc:
+                assert "flush" in str(exc)
+                break
+        else:
+            pytest.fail("no payload hit the flush cycle")
+        # Replay the prefix chain: payload frames are the calls made until every payload bit is taken.
+        consumed = payload_frames = carry = 0
+        while consumed < payload.length:
+            consumed += bch15.k - carry
+            carry = calls[payload_frames]
+            payload_frames += 1
+        w = rank_width(8)
+        assert 0 < len(calls) - payload_frames <= 2 ** (w + 1) - 2
+
+
+class TestContainer:
+    @pytest.mark.parametrize("name", ["simplex", "bch15"])
+    def test_flips_before_first_block(self, request, name):
+        """A flip in either header copy decodes; only a flip in the magic is an error."""
+        code = request.getfixturevalue(name)
+        header_bits = 8 * (4 + 2 * HEADER_COPY_BYTES)
+        for payload, enc in encodable_payloads(code, 3):
+            blob = pack_stream(enc)
+            value = int.from_bytes(blob, "big")
+            for bit in range(header_bits):
+                damaged = (value ^ (1 << (8 * len(blob) - 1 - bit))).to_bytes(len(blob), "big")
+                try:
+                    out = stream_decode(code, unpack_stream(damaged))
+                except StreamError:
+                    assert bit < 32, bit
+                else:
+                    assert out == payload, bit
+
+    @pytest.mark.parametrize("name", ["simplex", "bch15", "full9"])
+    def test_size_is_header_plus_fixed_blocks(self, request, name):
+        code = request.getfixturevalue(name)
+        for payload, enc in encodable_payloads(code, 3):
+            blob = pack_stream(enc)
+            assert len(blob) == 4 + 2 * HEADER_COPY_BYTES + len(enc.frames) * -(-enc.n // 8)
+            assert [f.codeword for f in unpack_stream(blob).frames] == [f.codeword for f in enc.frames]
+            assert stream_decode(code, unpack_stream(blob)) == payload
+
+    def test_container_of_another_code(self, simplex, bch15):
+        (payload, enc), = encodable_payloads(bch15, 1)
+        with pytest.raises(StreamError, match="16 != code block length 8"):
+            stream_decode(simplex, unpack_stream(pack_stream(enc)))
+
+    def test_rejects_inconsistent_header(self, simplex):
+        enc = stream_encode(simplex, W("0001011"))
+        blob = pack_stream(enc)
+        with pytest.raises(StreamError, match="body"):
+            unpack_stream(blob + b"\0")
+        for n in (0, 7):
+            with pytest.raises(StreamError, match=f"header block length {n} "):
+                unpack_stream(pack_stream(dataclasses.replace(enc, n=n, frames=())))
+        with pytest.raises(ValueError):
+            pack_stream(dataclasses.replace(enc, n=16))
