@@ -35,10 +35,6 @@ def _load_code(path: Optional[str]) -> CyclicCode:
         return parse_code_file(fh.read())
 
 
-def _bits(text: str) -> BitWord:
-    return BitWord.from_str(text)
-
-
 def _emit_json(obj) -> None:
     print(json.dumps(obj, indent=2))
 
@@ -56,7 +52,7 @@ def _emit_csv(header: List[str], rows: List[List[object]]) -> None:
 
 
 def _cmd_encode(args) -> int:
-    x = _bits(args.input)
+    x = BitWord.from_str(args.input)
     if args.scheme == "a":
         res = scheme_a.encode_a(x, args.q)
     elif args.scheme == "b":
@@ -79,8 +75,8 @@ def _cmd_encode(args) -> int:
 
 
 def _cmd_decode(args) -> int:
-    c = _bits(args.codeword)
-    p = _bits(args.prefix) if args.prefix else BitWord(0, 0)
+    c = BitWord.from_str(args.codeword)
+    p = BitWord.from_str(args.prefix) if args.prefix else BitWord(0, 0)
     if args.scheme == "a":
         n = args.n if args.n is not None else c.length
         msg = scheme_a.decode_a(c, p, n, args.q)
@@ -159,22 +155,19 @@ def _cmd_analyze_redundancy(args) -> int:
         return 0
     if args.scheme == "a":
         parts = scheme_a.rho_a_parts(n, q)
-        value = sum(parts.values())
         operational = scheme_a.rho_a_bound(n, q, operational=True)
     elif args.scheme == "b":
         parts = scheme_b.rho_b_parts(n, q)
-        value = sum(parts.values())
         operational = scheme_b.rho_b(n, q, operational=True)
     else:  # scheme c over the full space
-        value = scheme_c.rho_c_fullspace(n)
-        parts = {"flag": 1.0, "good": value - 1.0, "bad": 0.0}
+        parts = scheme_c.rho_c_parts(n)
         operational = None
     _emit_json(
         {
             "scheme": args.scheme,
             "n": n,
             "q": q,
-            "value": value,
+            "value": sum(parts.values()),
             "decomposition": parts,
             "operational": operational,
             "optimal": scheme_a.optimal_redundancy(n, q),
@@ -186,23 +179,12 @@ def _cmd_analyze_redundancy(args) -> int:
 
 def _cmd_analyze_gamma(args) -> int:
     n, q = args.n, args.q
-    rows = []
-    if args.scheme == "a":
-        counts = scheme_a.gamma_counts_a(n, q)
-        rows = [[i, counts[i]] for i in range(1, len(counts)) if counts[i]]
-    elif args.scheme == "b":
-        rows = [
-            [i, scheme_b.gamma_count_b(i, n, q)]
-            for i in range(1, n // 2 + q + 1)
-            if scheme_b.gamma_count_b(i, n, q)
-        ]
-    else:
-        rows = [
-            [i, scheme_c.gamma_count_fullspace(i, n)]
-            for i in range(1, n // 2 + 1)
-            if scheme_c.gamma_count_fullspace(i, n)
-        ]
-    _emit_csv(["i", "count"], rows)
+    counts = {
+        "a": lambda: scheme_a.gamma_counts_a(n, q),
+        "b": lambda: scheme_b.gamma_counts_b(n, q),
+        "c": lambda: scheme_c.gamma_counts_fullspace(n),
+    }[args.scheme]()
+    _emit_csv(["i", "count"], [[i, g] for i, g in enumerate(counts) if g])
     return 0
 
 
@@ -267,7 +249,7 @@ def _cmd_stream_encode(args) -> int:
     code = _load_code(args.code)
     if not 0 <= args.flip_per_block <= code.n + 1:
         raise ValueError(f"--flip-per-block {args.flip_per_block} out of range 0..{code.n + 1}")
-    enc = scheme_c.stream_encode(code, _bits(args.input))
+    enc = scheme_c.stream_encode(code, BitWord.from_str(args.input))
     if args.flip_per_block:
         rng = random.Random(args.seed)
         frames = []

@@ -126,7 +126,7 @@ def exhaustive_redundancy(
     elif scheme == "b":
         parts = scheme_b.rho_b_parts(n, q)
     else:
-        parts = {"flag": 1.0, "good": analytical - 1.0, "bad": 0.0}
+        parts = scheme_a.rho_parts(1, analytical - 1.0)
     return RedundancyReport(
         scheme=scheme,
         n=n,
@@ -234,8 +234,17 @@ def census_bad_b(n: int, q: int) -> int:
     return _census_bad(n - 1, q, scheme_b.t_b)
 
 
+# scheme -> (|Gamma| histogram formula, bad-word census formula)
+_CENSUS = {
+    "a": (scheme_a.gamma_counts_a, scheme_a.count_bad),
+    "b": (scheme_b.gamma_counts_b, scheme_b.count_bad_b),
+}
+
+
 def verify_scheme(scheme: str, n: int, q: int = 0) -> Dict[str, object]:
     """Round-trip + formula-vs-census cross-checks; CLI `oracle verify`."""
+    if scheme not in _CENSUS:
+        raise ValueError("oracle verify covers schemes 'a' and 'b'")
     ok, witness = roundtrip_all(scheme, n, q)
     out: Dict[str, object] = {
         "scheme": scheme,
@@ -245,23 +254,8 @@ def verify_scheme(scheme: str, n: int, q: int = 0) -> Dict[str, object]:
         "counterexample": str(witness) if witness is not None else None,
     }
     report = exhaustive_redundancy(scheme, n, q)
-    if scheme == "a":
-        formula = {
-            i: scheme_a.gamma_count_a(i, n, q)
-            for i in range(1, n + 2)
-            if scheme_a.gamma_count_a(i, n, q)
-        }
-        out["gamma_match"] = formula == report.gamma
-        out["bad_match"] = report.bad_words == scheme_a.count_bad(n, q)
-    elif scheme == "b":
-        formula = {
-            i: scheme_b.gamma_count_b(i, n, q)
-            for i in range(1, n // 2 + q + 1)
-            if scheme_b.gamma_count_b(i, n, q)
-        }
-        out["gamma_match"] = formula == report.gamma
-        out["bad_match"] = report.bad_words == scheme_b.count_bad_b(n, q)
-    else:
-        raise ValueError("oracle verify covers schemes 'a' and 'b'")
+    gamma_counts, count_bad = _CENSUS[scheme]
+    out["gamma_match"] = {i: g for i, g in enumerate(gamma_counts(n, q)) if g} == report.gamma
+    out["bad_match"] = report.bad_words == count_bad(n, q)
     out["ok"] = bool(ok and out["gamma_match"] and out["bad_match"])
     return out

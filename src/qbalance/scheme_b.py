@@ -29,9 +29,11 @@ from .scheme_a import (
     _balance,
     _check_params,
     _classify,
+    _entry,
     _unbalance,
     fresh_indices,
-    rank_width,
+    histogram_sum,
+    rho_parts,
 )
 from .words import BitWord, flip_indices, weight
 
@@ -97,24 +99,34 @@ def decode_b(cprime: BitWord, p: BitWord, n: int, q: int) -> BitWord:
 # Census and redundancy analysis
 
 
-def gamma_count_b(i: int, n: int, q: int) -> int:
-    """Exact size-i count over both target weights (three-branch closed form).
+def _branches(n: int, q: int):
+    """(i, a) pairs: size i counts C(n-1, a-1) - C(n-1, a) words from each.
 
-    The weight-(m+q-1) branch contributes for 2q <= i <= m+q, the
-    weight-(m+q) branch for 1 <= i <= m-q; the printed statement's outer
-    branches are swapped relative to its own proof, and the oracle
-    histogram confirms this orientation.
+    The weight-(m+q-1) branch (a = m+i-q) contributes for 2q <= i <= m+q,
+    the weight-(m+q) branch (a = m+i+q) for 1 <= i <= m-q; the printed
+    statement's outer branches are swapped relative to its own proof, and
+    the oracle histogram confirms this orientation.
     """
-    _check_params(n, q)
     m = n // 2
-    if not 1 <= i <= m + q:
-        raise ValueError(f"i={i} out of range 1..{m + q}")
-    total = 0
-    if max(1, 2 * q) <= i <= m + q:
-        total += math.comb(n - 1, m + i - q - 1) - math.comb(n - 1, m + i - q)
-    if i <= m - q:
-        total += math.comb(n - 1, m + i + q - 1) - math.comb(n - 1, m + i + q)
-    return total
+    for i in range(1, m + q + 1):
+        if i >= 2 * q:
+            yield i, m + i - q
+        if i <= m - q:
+            yield i, m + i + q
+
+
+def gamma_counts_b(n: int, q: int) -> tuple:
+    """gamma[i] = number of stripped codewords with |Gamma| = i, i <= m+q,
+    over both target weights."""
+    _check_params(n, q)
+    out = [0] * (n // 2 + q + 1)
+    for i, a in _branches(n, q):
+        out[i] += math.comb(n - 1, a - 1) - math.comb(n - 1, a)
+    return tuple(out)
+
+
+def gamma_count_b(i: int, n: int, q: int) -> int:
+    return _entry(gamma_counts_b(n, q), i)
 
 
 def count_bad_b(n: int, q: int) -> int:
@@ -137,55 +149,39 @@ def _ln_comb(n: int, k: int) -> float:
     return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
 
 
-def _good_sum_b(n: int, q: int, method: str, operational: bool = False) -> float:
-    """(1/2^(n-1)) * sum_i i * gamma(i) * log2(i) over both branches."""
+def _shares_b(n: int, q: int) -> List[float]:
+    """gamma_counts_b(n, q)[i] / 2^(n-1) in lgamma form, which stays fast
+    past n ~ 2^12 where the big-integer binomials do not."""
     m = n // 2
-
-    def logw(i: int) -> float:
-        return float(rank_width(i)) if operational else math.log2(i)
-
-    if method == "exact":
-        total = 0.0
-        for i in range(2, m + q + 1):
-            g = gamma_count_b(i, n, q)
-            if g:
-                total += i * logw(i) * (g / (1 << (n - 1)))
-        return total
-    ln2 = math.log(2.0)
-    total = 0.0
-    for i in range(2, m + q + 1):
-        w = i * logw(i)
-        if max(1, 2 * q) <= i <= m + q:
-            # gamma_low = C(n-1, m+i-q-1) * (2i-2q)/(m+i-q)
-            ln_g = _ln_comb(n - 1, m + i - q - 1) + math.log(2 * i - 2 * q) - math.log(m + i - q)
-            total += w * math.exp(ln_g - (n - 1) * ln2)
-        if i <= m - q:
-            ln_g = _ln_comb(n - 1, m + i + q - 1) + math.log(2 * i + 2 * q) - math.log(m + i + q)
-            total += w * math.exp(ln_g - (n - 1) * ln2)
-    return total
+    k_ln2 = (n - 1) * math.log(2.0)
+    out = [0.0] * (m + q + 1)
+    for i, a in _branches(n, q):
+        # C(n-1, a-1) - C(n-1, a) = C(n-1, a-1) * 2(a-m)/a
+        out[i] += math.exp(_ln_comb(n - 1, a - 1) + math.log(2 * (a - m)) - math.log(a) - k_ln2)
+    return out
 
 
 def rho_b_parts(n: int, q: int, method: str = "auto", operational: bool = False) -> Dict[str, float]:
-    """Decomposition of the redundancy bound: constant + good term + bad term.
+    """Scheme B's redundancy estimate: constant + good term + bad term.
 
     The constant is 1 appended balance bit, plus 2 flag/type bits when
     q > 0.  method "exact" uses big-integer binomials, "logspace" uses
     lgamma (needed past n ~ 2^12 to stay fast); "auto" picks by size.
     operational=True swaps real log2 widths for the ceil widths sent on
-    the wire.
+    the wire.  Exact at q = 0; at q > 0 it is low by the same terms as
+    scheme_a.rho_a_parts (4.634 against the exhaustive 5.037 for n = 8,
+    q = 2).
     """
     _check_params(n, q)
     if method == "auto":
         method = "exact" if n <= 4096 else "logspace"
-    if method not in ("exact", "logspace"):
+    if method == "exact":
+        good = histogram_sum(gamma_counts_b(n, q), n - 1, operational)
+    elif method == "logspace":
+        good = histogram_sum(_shares_b(n, q), 0, operational)
+    else:
         raise ValueError(f"unknown method {method!r}")
-    good = _good_sum_b(n, q, method, operational)
-    if q == 0:
-        return {"flag": 1.0, "good": good, "bad": 0.0}
-    bad_words = count_bad_b(n, q)
-    log_n = float(rank_width(n)) if operational else math.log2(n)
-    bad = bad_words / (1 << (n - 1)) * (2 * q - 2 + log_n)
-    return {"flag": 3.0, "good": good, "bad": bad}
+    return rho_parts(1, good, q, n, count_bad_b(n, q), _tail(q), operational)
 
 
 def rho_b(n: int, q: int, method: str = "auto", operational: bool = False) -> float:

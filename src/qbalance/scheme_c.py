@@ -32,12 +32,12 @@ import struct
 import zlib
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, log2
-from typing import Iterator, List, Tuple
+from math import comb
+from typing import Dict, Iterator, List, Tuple
 
 from .cyclic_code import CyclicCode, codewords, contains, encode_systematic
 from .errors import AmbiguousBlockError, CodingError, DecodeError, StreamError
-from .scheme_a import EncodeResult, _check_length, rank_width
+from .scheme_a import EncodeResult, _check_length, _entry, histogram_sum, rank_width, rho_parts
 from .words import BitWord, cyclic_running_sum, cyclic_shift, flip_prefix, weight
 
 
@@ -74,11 +74,6 @@ def gamma_size_c(c: BitWord) -> int:
         if cr[i] == 0:
             return i
     return m
-
-
-def gamma_set_c(c: BitWord) -> List[int]:
-    """The receivable shift set; always the contiguous range {0..size-1}."""
-    return list(range(gamma_size_c(c)))
 
 
 def _append_balance_bit(c: BitWord) -> BitWord:
@@ -165,27 +160,28 @@ def correct_block(code: CyclicCode, received: BitWord) -> BitWord:
 # Full-space distribution (no code constraint)
 
 
-def gamma_count_fullspace(i: int, n: int) -> int:
-    """Number of length-(n-1) target-weight words with |Gamma| = i."""
+def gamma_counts_fullspace(n: int) -> tuple:
+    """gamma[i] = number of length-(n-1) target-weight words with |Gamma| = i,
+    i <= n/2: twice a Catalan number times a central binomial."""
     _check_length(n)
     m = n // 2
-    if not 1 <= i <= m:
-        raise ValueError(f"i={i} out of range 1..{m}")
-    return 2 * (comb(2 * i - 2, i - 1) // i) * comb(2 * m - 2 * i, m - i)
+    return (0,) + tuple(
+        2 * (comb(2 * i - 2, i - 1) // i) * comb(2 * m - 2 * i, m - i) for i in range(1, m + 1)
+    )
+
+
+def gamma_count_fullspace(i: int, n: int) -> int:
+    return _entry(gamma_counts_fullspace(n), i)
+
+
+def rho_c_parts(n: int) -> Dict[str, float]:
+    """Redundancy over all of {0,1}^(n-1): 1 appended bit + mean log2 |Gamma|."""
+    return rho_parts(1, histogram_sum(gamma_counts_fullspace(n), n - 1))
 
 
 def rho_c_fullspace(n: int) -> float:
     """Average redundancy over all of {0,1}^(n-1): 1 + mean log2 |Gamma|."""
-    _check_length(n)
-    m = n // 2
-    total = 0.0
-    for i in range(2, m + 1):
-        total += (
-            2.0
-            * log2(i)
-            * (comb(2 * i - 2, i - 1) * comb(2 * m - 2 * i, m - i) / (1 << (n - 1)))
-        )
-    return 1.0 + total
+    return sum(rho_c_parts(n).values())
 
 
 # ---------------------------------------------------------------------------

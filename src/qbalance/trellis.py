@@ -61,11 +61,11 @@ enumeration.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from math import log2
 from typing import Dict, Iterator, List, Tuple
 
 from .cyclic_code import CyclicCode
 from .errors import CapacityError
+from .scheme_a import histogram_sum, rho_parts
 
 SYNDROME_GUARD = 18
 
@@ -178,11 +178,9 @@ class TrellisReport(Mapping):
     @property
     def rho(self) -> float:
         """Average redundancy 1 + 2^-k * sum_j j*gamma[j]*log2(j)."""
-        total = 0.0
-        for j, g in self.gamma.items():
-            if j > 1:
-                total += j * log2(j) * (g / (1 << self.k))
-        return 1.0 + total
+        gamma = self.gamma
+        counts = [gamma.get(j, 0) for j in range(max(gamma, default=0) + 1)]
+        return sum(rho_parts(1, histogram_sum(counts, self.k)).values())
 
     @property
     def states(self) -> int:

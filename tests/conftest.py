@@ -19,3 +19,15 @@ def hamming():
 def hamming15():
     """[15,11,3] Hamming code generated by 1 + X + X^4."""
     return from_generator(15, poly_from_coeffs([1, 1, 0, 0, 1]))
+
+
+@pytest.fixture(scope="session")
+def bch15():
+    """[15,7,5] BCH code generated by 1 + X^4 + X^6 + X^7 + X^8."""
+    return from_generator(15, poly_from_coeffs([1, 0, 0, 0, 1, 0, 1, 1, 1]))
+
+
+@pytest.fixture(scope="session")
+def golay23():
+    """[23,12,7] binary Golay code generated by 1 + X^2 + X^4 + X^5 + X^6 + X^10 + X^11."""
+    return from_generator(23, poly_from_coeffs([1, 0, 1, 0, 1, 1, 1, 0, 0, 0, 1, 1]))

@@ -144,10 +144,14 @@ class TestAnalyze:
         assert status == 1 and out == ""
         assert err.startswith("error:") and f"q={q}" in err and "0..4" in err
 
-    @pytest.mark.parametrize("scheme", ["a", "b", "c", "optimal"])
+    @pytest.mark.parametrize(
+        "analysis,scheme",
+        [pytest.param("redundancy", s, id=s) for s in ("a", "b", "c", "optimal")]
+        + [pytest.param("gamma", s, id=f"gamma-{s}") for s in ("a", "b", "c")],
+    )
     @pytest.mark.parametrize("n", ["0", "-4"])
-    def test_block_length_below_two(self, capsys, scheme, n):
-        status, out, err = run_cli(capsys, "analyze", "redundancy", "--scheme", scheme, "-n", n, "-q", "0")
+    def test_block_length_below_two(self, capsys, analysis, scheme, n):
+        status, out, err = run_cli(capsys, "analyze", analysis, "--scheme", scheme, "-n", n, "-q", "0")
         assert status == 1 and out == ""
         assert err.startswith("error:") and f"n={n}" in err
 

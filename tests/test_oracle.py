@@ -1,5 +1,8 @@
+import math
+
 import pytest
 
+from qbalance import trellis
 from qbalance.errors import CapacityError
 from qbalance.oracle import (
     census_bad_a,
@@ -9,9 +12,10 @@ from qbalance.oracle import (
     roundtrip_all,
     verify_scheme,
 )
-from qbalance.scheme_a import count_bad, rho_a_bound
-from qbalance.scheme_b import rho_b
-from qbalance.words import BitWord
+from qbalance.scheme_a import Classification, count_bad, encode_a, gamma_set_a, rank_width, rho_a_bound
+from qbalance.scheme_b import encode_b, gamma_set_b, rho_b
+from qbalance.scheme_c import rho_c_fullspace
+from qbalance.words import BitWord, all_words
 
 
 class TestExhaustiveRedundancy:
@@ -45,6 +49,60 @@ class TestExhaustiveRedundancy:
     def test_capacity_guard(self):
         with pytest.raises(CapacityError):
             exhaustive_redundancy("a", 30, 0)
+
+
+def _estimate_gap(scheme, n, q, operational):
+    """What the A/B estimates leave out of the mean at q > 0, in bits per message.
+
+    The good term charges w(|Gamma|) to Type-1-good words only, so each
+    Type-0-good word's w(|Gamma|) is missing, and a bad word is charged
+    w(n) where it sends w(|Gamma|); w = log2, or ceil(log2) when
+    operational.  Every word is Type-1-good at q = 0, so the gap is 0.
+    """
+    k = n if scheme == "a" else n - 1
+    w = rank_width if operational else math.log2
+    total = 0.0
+    for x in all_words(k):
+        if scheme == "a":
+            res = encode_a(x, q)
+            size = len(gamma_set_a(res.codeword, q))
+        else:
+            res = encode_b(x, q)
+            size = len(gamma_set_b(res.codeword.prefix(n - 1), q))
+        if res.classification is Classification.TYPE0_GOOD:
+            total += w(size)
+        elif res.classification.is_bad:
+            total += w(size) - w(n)
+    return total / (1 << k)
+
+
+def _fold_cases():
+    for scheme in ("a", "b"):
+        for n, q in ((8, 0), (10, 0), (12, 0), (8, 2), (10, 2), (12, 3)):
+            for op in (False, True):
+                yield pytest.param(scheme, n, q, op, id=f"{scheme}-{n}-{q}-{'ceil' if op else 'log2'}")
+    for code in ("simplex", "hamming", "bch15", "golay23"):
+        yield pytest.param(code, 0, 0, False, id=f"trellis-{code}")
+    for n in range(8, 17, 2):
+        yield pytest.param("c-fullspace", n, 0, False, id=f"c-fullspace-{n}")
+
+
+@pytest.mark.parametrize("scheme,n,q,operational", _fold_cases())
+def test_histogram_formula_matches_exhaustive(request, scheme, n, q, operational):
+    """Every rho read off a |Gamma| histogram equals the mean over all messages."""
+    if scheme in ("a", "b"):
+        report = exhaustive_redundancy(scheme, n, q)
+        estimate = rho_a_bound(n, q, operational) if scheme == "a" else rho_b(n, q, operational=operational)
+        formula = estimate + _estimate_gap(scheme, n, q, operational)
+    elif scheme == "c-fullspace":
+        report = exhaustive_redundancy(scheme, n)
+        formula = rho_c_fullspace(n)
+    else:
+        code = request.getfixturevalue(scheme)
+        report = exhaustive_redundancy("c-code", code.n + 1, code=code)
+        formula = trellis.rho_c(code)
+    measured = report.operational if operational else report.analytical
+    assert measured == pytest.approx(formula, rel=0, abs=1e-12)
 
 
 class TestRoundtrip:

@@ -18,7 +18,6 @@ from qbalance.scheme_c import (
     encode_c,
     flip_c,
     gamma_count_fullspace,
-    gamma_set_c,
     gamma_size_c,
     pack_stream,
     rho_c_fullspace,
@@ -117,15 +116,18 @@ class TestGammaC:
         assert gamma_size_c(W("1111000")) == 1
 
     def test_set_is_contiguous_range(self):
-        assert gamma_set_c(W("1010110")) == [0, 1, 2, 3]
+        assert list(range(gamma_size_c(W("1010110")))) == [0, 1, 2, 3]
 
     @pytest.mark.parametrize("length", [7, 9, 11, 13, 15])
     def test_contiguity_exhaustive(self, length):
+        # every shift below |Gamma(c)| is one the encoder emits with block c
         m = (length + 1) // 2
+        space = full_space(length)
         for w in all_words(length):
             if weight(w) in (m - 1, m):
-                size = gamma_size_c(w)
-                assert gamma_set_c(w) == list(range(size))
+                for tau in range(gamma_size_c(w)):
+                    res = encode_c(space, cyclic_shift(flip_c(w), -tau))
+                    assert res.tau == tau and res.codeword.prefix(length) == w
 
     def test_wrong_weight(self):
         with pytest.raises(ValueError):
@@ -135,14 +137,14 @@ class TestGammaC:
         m = 4
         for w in all_words(7):
             if weight(w) in (m - 1, m):
-                assert gamma_set_c(w) == definitional_gamma("c", w)
+                assert list(range(gamma_size_c(w))) == definitional_gamma("c", w)
 
     @pytest.mark.parametrize("fixture", ["simplex", "hamming"])
     def test_matches_definitional_gamma_under_code(self, fixture, request):
         code = request.getfixturevalue(fixture)
         seen = {encode_c(code, x).codeword.prefix(7) for x in codewords(code)}
         for c in seen:
-            assert gamma_set_c(c) == definitional_gamma("c", c, code=code)
+            assert list(range(gamma_size_c(c))) == definitional_gamma("c", c, code=code)
 
 
 class TestEncodeDecodeC:
