@@ -206,6 +206,8 @@ def _cmd_analyze_badwords(args) -> int:
 
 
 def _cmd_trellis(args) -> int:
+    if args.gamma and (args.rho or args.size):
+        raise ValueError("trellis --gamma prints the CSV alone; drop --rho and --size")
     code = _load_code(args.code)
     report = trellis.build_and_count(code)
     if args.gamma:
@@ -224,23 +226,10 @@ def _cmd_trellis(args) -> int:
 
 
 def _cmd_oracle_verify(args) -> int:
-    if args.scheme == "c":
-        code = _load_code(args.code)
-        ok, witness = oracle.roundtrip_all("c", code.n + 1, 0, code=code)
-        enum = oracle.exhaustive_redundancy("c-code", code.n + 1, code=code)
-        gamma_match = trellis.gamma_counts(code) == enum.gamma
-        result = {
-            "scheme": "c",
-            "n": code.n + 1,
-            "roundtrip": ok,
-            "counterexample": str(witness) if witness is not None else None,
-            "gamma_match": gamma_match,
-            "ok": bool(ok and gamma_match),
-        }
-    else:
-        if args.n is None:
-            raise ValueError(f"oracle verify --scheme {args.scheme} needs -n")
-        result = oracle.verify_scheme(args.scheme, args.n, args.q)
+    code = _load_code(args.code) if args.scheme == "c" else None
+    if code is None and args.n is None:
+        raise ValueError(f"oracle verify --scheme {args.scheme} needs -n")
+    result = oracle.verify_scheme(args.scheme, args.n, args.q, code)
     _emit_json(result)
     return 0 if result["ok"] else 2
 
@@ -314,8 +303,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scheme", choices=("a", "b", "c", "optimal"), default="b")
     p.add_argument("-n", type=int, default=None)
     p.add_argument("-q", type=int, default=0)
-    p.add_argument("--table1", action="store_true", help="balanced comparison table (q=0)")
-    p.add_argument("--table2", action="store_true", help="q=6 comparison table")
+    tables = p.add_mutually_exclusive_group()
+    tables.add_argument("--table1", action="store_true", help="balanced comparison table (q=0)")
+    tables.add_argument("--table2", action="store_true", help="q=6 comparison table")
     p.set_defaults(func=_cmd_analyze_redundancy)
 
     p = asub.add_parser("gamma")
@@ -371,6 +361,8 @@ def run(argv: Optional[List[str]] = None) -> int:
         # verification failures, so remap.
         return 0 if exc.code == 0 else 1
     try:
+        if getattr(args, "scheme", None) == "c" and args.q:
+            raise ValueError(f"q={args.q}: scheme c has no imbalance parameter q")
         return args.func(args)
     except (ValueError, CodingError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,31 +1,42 @@
 """Brute-force ground truth for every closed formula at small sizes.
 
-Nothing here knows about lattice paths, running-sum characterizations,
-or trellises: sets are computed from their definitions (minimum over all
-preimages), redundancy by encoding every message, and path counts by
-walking every path.  Formula modules are tested against these results,
-never the other way round.
+`exhaustive_redundancy` is the one walk over a scheme's message space:
+it encodes every message once, checks the codeword weight and the
+decode round trip, and sizes |Gamma| of each codeword with the
+receiver-side set its codec decodes by (`gamma_set_a`, `gamma_set_b`,
+`gamma_size_c`).  `definitional_gamma` checks those sets against the
+definition (minimum over all preimages), and path counts walk every
+path.  The formulas (lattice censuses, |Gamma| histograms, the trellis)
+are only compared against the walk's output, in `verify_scheme`, never
+called to build it.
+
+Schemes are "a", "b" and "c"; for "c", code=None means the full space
+of length n - 1.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from . import scheme_a, scheme_b, scheme_c
-from .cyclic_code import CyclicCode, codewords
+from . import scheme_a, scheme_b, scheme_c, trellis
+from .cyclic_code import CyclicCode, codewords, contains, full_space
 from .errors import CapacityError
 from .lattice import LatticePoint, PathBand
-from .words import BitWord, all_words, balancing_indices, complement, flip_prefix, weight
+from .words import BitWord, all_words, balancing_indices, complement, cyclic_shift, flip_prefix, weight
 
 MESSAGE_SPACE_GUARD = 1 << 22
 
 
 @dataclass
 class RedundancyReport:
-    """Per-scheme redundancy summary; means are over the full message space."""
+    """Per-scheme redundancy summary; means are over the full message space.
+
+    A walk that stops at a counterexample leaves the other fields
+    covering only the messages before it.
+    """
 
     scheme: str
     n: int
@@ -34,8 +45,7 @@ class RedundancyReport:
     analytical: float  # mean redundancy with real log2 index widths
     operational: float  # mean redundancy with the ceil bit widths actually sent
     bad_words: int
-    decomposition: Dict[str, float] = field(default_factory=dict)
-    optimal: float = 0.0
+    counterexample: Optional[BitWord] = None  # first message with a wrong weight or round trip
 
 
 def _guard(k: int) -> None:
@@ -43,8 +53,19 @@ def _guard(k: int) -> None:
         raise CapacityError(f"message space 2^{k} exceeds guard 2^22")
 
 
+def _resolve(scheme: str, n: Optional[int], q: int, code: Optional[CyclicCode]):
+    """(n, q, code) as the walk uses them: Scheme C has q = 0, n = code.n + 1,
+    and code=None stands for the full space of length n - 1."""
+    if scheme == "c":
+        code = code if code is not None else full_space(n - 1)
+        return code.n + 1, 0, code
+    if scheme not in ("a", "b"):
+        raise ValueError(f"unknown scheme {scheme!r}")
+    return n, q, code
+
+
 def _codec(scheme: str, n: int, q: int, code: Optional[CyclicCode]):
-    """One scheme's row of the oracle table ("a", "b", or "c" with a code).
+    """One scheme's row of the oracle table, for resolved (n, q, code).
 
     Returns (k, messages, encode, decode, size, appended, tail): the 2^k
     messages, encode(x) -> EncodeResult, decode(res) -> message,
@@ -83,33 +104,31 @@ def _codec(scheme: str, n: int, q: int, code: Optional[CyclicCode]):
 
 
 def exhaustive_redundancy(
-    scheme: str, n: int, q: int = 0, code: Optional[CyclicCode] = None
+    scheme: str, n: Optional[int], q: int = 0, code: Optional[CyclicCode] = None
 ) -> RedundancyReport:
-    """Encode every message and tabulate redundancy exactly.
+    """Encode every message once: round trip, weight, and exact redundancy.
 
-    scheme: "a", "b", "c-fullspace", or "c-code" (requires code).
-    Analytical counts log2 |Gamma| per codeword plus the scheme's
-    constant bits; operational counts the emitted prefix lengths.
+    The walk stops at the first message whose codeword has the wrong
+    weight or does not decode back to it, and names it in
+    `counterexample`; the weight is checked first, so a |Gamma| set never
+    sees a wrong-weight word.  Analytical counts log2 |Gamma| per codeword
+    plus the scheme's constant bits; operational counts the emitted
+    prefix lengths.
     """
-    if scheme == "c-fullspace":
-        from .cyclic_code import full_space
-
-        code = full_space(n - 1)
-    elif scheme == "c-code" and code is None:
-        raise ValueError("scheme 'c-code' needs a code")
-    elif scheme not in ("a", "b", "c-code"):
-        raise ValueError(f"unknown scheme {scheme!r}")
-    family = scheme[0]  # "a", "b", or "c" for both c-fullspace and c-code
-    if family == "c":
-        n, q = code.n + 1, 0
-    k, messages, encode, _, size_of, appended, tail = _codec(family, n, q, code)
+    n, q, code = _resolve(scheme, n, q, code)
+    k, messages, encode, decode, size_of, appended, tail = _codec(scheme, n, q, code)
     _guard(k)
+    target = n // 2 + q
     gamma_by_cw: Dict[BitWord, int] = {}
     op_total = 0
     an_total = 0.0
     bad = 0
+    counterexample = None
     for x in messages:
         res = encode(x)
+        if weight(res.codeword) != target or decode(res) != x:
+            counterexample = x
+            break
         size = size_of(res)
         gamma_by_cw[res.codeword] = size
         op_total += appended + res.prefix.length
@@ -120,23 +139,15 @@ def exhaustive_redundancy(
                 an += tail
                 bad += 1
         an_total += an
-    analytical = an_total / (1 << k)
-    if scheme == "a":
-        parts = scheme_a.rho_a_parts(n, q)
-    elif scheme == "b":
-        parts = scheme_b.rho_b_parts(n, q)
-    else:
-        parts = scheme_a.rho_parts(1, analytical - 1.0)
     return RedundancyReport(
         scheme=scheme,
         n=n,
         q=q,
         gamma=dict(sorted(Counter(gamma_by_cw.values()).items())),
-        analytical=analytical,
+        analytical=an_total / (1 << k),
         operational=op_total / (1 << k),
         bad_words=bad,
-        decomposition=parts,
-        optimal=scheme_a.optimal_redundancy(n, q),
+        counterexample=counterexample,
     )
 
 
@@ -154,9 +165,6 @@ def definitional_gamma(
                 out.append(j)
         return out
     if scheme == "c":
-        from .cyclic_code import contains, full_space
-        from .words import cyclic_shift
-
         code = code if code is not None else full_space(c.length)
         out = []
         for j in range(c.length):
@@ -171,25 +179,14 @@ def definitional_gamma(
 
 
 def roundtrip_all(
-    scheme: str, n: int, q: int = 0, code: Optional[CyclicCode] = None
+    scheme: str, n: Optional[int], q: int = 0, code: Optional[CyclicCode] = None
 ) -> Tuple[bool, Optional[BitWord]]:
     """decode(encode(x)) == x plus the weight invariant, every message.
 
     Returns (True, None) or (False, first failing message).
     """
-    if scheme == "c":
-        if code is None:
-            raise ValueError("scheme 'c' needs a code")
-        n, q = code.n + 1, 0
-    elif scheme not in ("a", "b"):
-        raise ValueError(f"unknown scheme {scheme!r}")
-    k, messages, encode, decode, *_ = _codec(scheme, n, q, code)
-    _guard(k)
-    for x in messages:
-        res = encode(x)
-        if weight(res.codeword) != n // 2 + q or decode(res) != x:
-            return False, x
-    return True, None
+    witness = exhaustive_redundancy(scheme, n, q, code).counterexample
+    return witness is None, witness
 
 
 def count_paths_brute(
@@ -234,28 +231,33 @@ def census_bad_b(n: int, q: int) -> int:
     return _census_bad(n - 1, q, scheme_b.t_b)
 
 
-# scheme -> (|Gamma| histogram formula, bad-word census formula)
-_CENSUS = {
-    "a": (scheme_a.gamma_counts_a, scheme_a.count_bad),
-    "b": (scheme_b.gamma_counts_b, scheme_b.count_bad_b),
+def _nonzero(counts) -> Dict[int, int]:
+    return {i: g for i, g in enumerate(counts) if g}
+
+
+# scheme -> (n, q, code) -> the formulas' (|Gamma| histogram, bad-word count)
+_FORMULAS = {
+    "a": lambda n, q, code: (_nonzero(scheme_a.gamma_counts_a(n, q)), scheme_a.count_bad(n, q)),
+    "b": lambda n, q, code: (_nonzero(scheme_b.gamma_counts_b(n, q)), scheme_b.count_bad_b(n, q)),
+    "c": lambda n, q, code: (trellis.build_and_count(code).gamma, 0),  # Scheme C has no bad words
 }
 
 
-def verify_scheme(scheme: str, n: int, q: int = 0) -> Dict[str, object]:
-    """Round-trip + formula-vs-census cross-checks; CLI `oracle verify`."""
-    if scheme not in _CENSUS:
-        raise ValueError("oracle verify covers schemes 'a' and 'b'")
-    ok, witness = roundtrip_all(scheme, n, q)
+def verify_scheme(
+    scheme: str, n: Optional[int], q: int = 0, code: Optional[CyclicCode] = None
+) -> Dict[str, object]:
+    """One walk, checked against the formulas; CLI `oracle verify`."""
+    n, q, code = _resolve(scheme, n, q, code)
+    report = exhaustive_redundancy(scheme, n, q, code)
+    gamma, bad_words = _FORMULAS[scheme](n, q, code)
     out: Dict[str, object] = {
         "scheme": scheme,
         "n": n,
         "q": q,
-        "roundtrip": ok,
-        "counterexample": str(witness) if witness is not None else None,
+        "roundtrip": report.counterexample is None,
+        "counterexample": None if report.counterexample is None else str(report.counterexample),
+        "gamma_match": gamma == report.gamma,
+        "bad_match": bad_words == report.bad_words,
     }
-    report = exhaustive_redundancy(scheme, n, q)
-    gamma_counts, count_bad = _CENSUS[scheme]
-    out["gamma_match"] = {i: g for i, g in enumerate(gamma_counts(n, q)) if g} == report.gamma
-    out["bad_match"] = report.bad_words == count_bad(n, q)
-    out["ok"] = bool(ok and out["gamma_match"] and out["bad_match"])
+    out["ok"] = out["roundtrip"] and out["gamma_match"] and out["bad_match"]
     return out

@@ -155,6 +155,10 @@ class TestAnalyze:
         assert status == 1 and out == ""
         assert err.startswith("error:") and f"n={n}" in err
 
+    def test_one_table_at_a_time(self, capsys):
+        status, out, _ = run_cli(capsys, "analyze", "redundancy", "--table1", "--table2")
+        assert status == 1 and out == ""
+
     @pytest.mark.parametrize("n,q", [(8, 0), (16, 6)])
     def test_scheme_b_operational(self, capsys, n, q):
         obj = run_json(capsys, "analyze", "redundancy", "--scheme", "b", "-n", str(n), "-q", str(q))
@@ -172,6 +176,12 @@ class TestTrellisCommand:
     def test_gamma_csv(self, capsys, code_file):
         rows = run_csv(capsys, "trellis", "--code", code_file, "--gamma")
         assert [(r["i"], r["count"]) for r in rows] == [("1", "2"), ("2", "1"), ("4", "1")]
+
+    @pytest.mark.parametrize("extra", ["--rho", "--size"])
+    def test_gamma_csv_takes_no_other_report(self, capsys, code_file, extra):
+        status, out, err = run_cli(capsys, "trellis", "--code", code_file, "--gamma", extra)
+        assert status == 1 and out == ""
+        assert err.startswith("error:") and extra in err
 
     @pytest.mark.parametrize("flags", [(), ("--gamma",), ("--rho",), ("--size",), ("--rho", "--size")])
     def test_one_pass_per_report(self, capsys, code_file, monkeypatch, flags):
@@ -198,6 +208,12 @@ class TestOracleCommand:
         assert status == 0
         assert json.loads(out)["ok"] is True
 
+    def test_verify_prints_the_same_keys_for_every_scheme(self, capsys, code_file):
+        c = run_json(capsys, "oracle", "verify", "--scheme", "c", "--code", code_file)
+        a = run_json(capsys, "oracle", "verify", "--scheme", "a", "-n", "8", "-q", "2")
+        assert list(c) == list(a)
+        assert c["q"] == 0 and c["bad_match"] is True and c["n"] == 8
+
     @pytest.mark.parametrize("scheme", ["a", "b"])
     def test_verify_without_n_is_a_domain_error(self, capsys, scheme):
         status, _, err = run_cli(capsys, "oracle", "verify", "--scheme", scheme)
@@ -210,6 +226,24 @@ class TestOracleCommand:
         )
         status, out, _ = run_cli(capsys, "oracle", "verify", "--scheme", "a", "-n", "8", "-q", "0")
         assert status == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(("encode", "--code", None, "--input", "1011100"), id="encode"),
+        pytest.param(("decode", "--code", None, "--codeword", "10101100", "--prefix", "01"), id="decode"),
+        pytest.param(("analyze", "redundancy", "-n", "8"), id="analyze-redundancy"),
+        pytest.param(("analyze", "gamma", "-n", "8"), id="analyze-gamma"),
+        pytest.param(("oracle", "verify", "--code", None), id="oracle-verify"),
+    ],
+)
+def test_scheme_c_rejects_q(capsys, code_file, argv):
+    """Scheme C has no imbalance parameter; a nonzero -q is an error, not ignored."""
+    argv = [code_file if a is None else a for a in argv]
+    status, out, err = run_cli(capsys, *argv, "--scheme", "c", "-q", "2")
+    assert status == 1 and out == ""
+    assert err.startswith("error:") and "q=2" in err
 
 
 class TestStreamCommands:

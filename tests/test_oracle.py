@@ -1,8 +1,9 @@
+import dataclasses
 import math
 
 import pytest
 
-from qbalance import trellis
+from qbalance import scheme_a, scheme_b, trellis
 from qbalance.errors import CapacityError
 from qbalance.oracle import (
     census_bad_a,
@@ -33,12 +34,12 @@ class TestExhaustiveRedundancy:
         assert report.analytical == pytest.approx(rho_a_bound(10, 0), abs=1e-12)
 
     def test_simplex_histogram(self, simplex):
-        report = exhaustive_redundancy("c-code", 8, code=simplex)
+        report = exhaustive_redundancy("c", 8, code=simplex)
         assert report.gamma == {1: 2, 2: 1, 4: 1}
         assert report.analytical == pytest.approx(2.25)
 
     def test_fullspace_gamma(self):
-        report = exhaustive_redundancy("c-fullspace", 8)
+        report = exhaustive_redundancy("c", 8)
         assert report.gamma == {1: 40, 2: 12, 3: 8, 4: 10}
 
     def test_operational_dominates_analytical(self):
@@ -84,7 +85,7 @@ def _fold_cases():
     for code in ("simplex", "hamming", "bch15", "golay23"):
         yield pytest.param(code, 0, 0, False, id=f"trellis-{code}")
     for n in range(8, 17, 2):
-        yield pytest.param("c-fullspace", n, 0, False, id=f"c-fullspace-{n}")
+        yield pytest.param("fullspace", n, 0, False, id=f"c-fullspace-{n}")
 
 
 @pytest.mark.parametrize("scheme,n,q,operational", _fold_cases())
@@ -94,12 +95,12 @@ def test_histogram_formula_matches_exhaustive(request, scheme, n, q, operational
         report = exhaustive_redundancy(scheme, n, q)
         estimate = rho_a_bound(n, q, operational) if scheme == "a" else rho_b(n, q, operational=operational)
         formula = estimate + _estimate_gap(scheme, n, q, operational)
-    elif scheme == "c-fullspace":
-        report = exhaustive_redundancy(scheme, n)
+    elif scheme == "fullspace":
+        report = exhaustive_redundancy("c", n)
         formula = rho_c_fullspace(n)
     else:
         code = request.getfixturevalue(scheme)
-        report = exhaustive_redundancy("c-code", code.n + 1, code=code)
+        report = exhaustive_redundancy("c", code.n + 1, code=code)
         formula = trellis.rho_c(code)
     measured = report.operational if operational else report.analytical
     assert measured == pytest.approx(formula, rel=0, abs=1e-12)
@@ -133,6 +134,55 @@ class TestVerify:
     def test_scheme_b_passes(self):
         result = verify_scheme("b", 10, 1)
         assert result["ok"]
+
+    @pytest.mark.parametrize("n", [None, 8])
+    def test_scheme_c_prints_the_same_keys(self, simplex, n):
+        result = verify_scheme("c", n, code=simplex)
+        assert list(result) == list(verify_scheme("a", 8, 2))
+        assert result["ok"] and result["n"] == 8 and result["q"] == 0 and result["bad_match"]
+
+    def test_scheme_c_full_space(self):
+        result = verify_scheme("c", 10)
+        assert result["ok"] and result["n"] == 10
+
+
+BROKEN = BitWord.from_str("01100110")
+
+
+def _break(monkeypatch, module, name, corrupt):
+    """Replace module.name by a wrapper that passes `corrupt` the call and its result."""
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: corrupt(args, real(*args)))
+
+
+class TestVerifyCatchesBrokenCodec:
+    def test_wrong_decode(self, monkeypatch):
+        flip_last = lambda args, msg: BitWord(msg.value ^ 1, msg.length) if msg == BROKEN else msg
+        _break(monkeypatch, scheme_a, "decode_a", flip_last)
+        result = verify_scheme("a", 8, 2)
+        assert result["roundtrip"] is False and result["ok"] is False
+        assert result["counterexample"] == str(BROKEN)
+
+    @pytest.mark.parametrize("scheme,broken", [("a", BROKEN), ("b", BROKEN.prefix(7))], ids=["a", "b"])
+    def test_wrong_weight_codeword(self, monkeypatch, scheme, broken):
+        def heavier(args, res):
+            if args[0] != broken:
+                return res
+            return dataclasses.replace(res, codeword=BitWord((1 << res.codeword.length) - 1, res.codeword.length))
+
+        module, encoder = (scheme_a, "encode_a") if scheme == "a" else (scheme_b, "encode_b")
+        _break(monkeypatch, module, encoder, heavier)
+        result = verify_scheme(scheme, 8, 2)  # no ValueError from gamma_set_*
+        assert result["roundtrip"] is False and result["ok"] is False
+        assert result["counterexample"] == str(broken)
+
+    @pytest.mark.parametrize("scheme,k", [("a", 8), ("b", 7)])
+    def test_one_encode_per_message(self, monkeypatch, scheme, k):
+        module, encoder = (scheme_a, "encode_a") if scheme == "a" else (scheme_b, "encode_b")
+        calls = []
+        _break(monkeypatch, module, encoder, lambda args, res: calls.append(args) or res)
+        assert verify_scheme(scheme, 8, 2)["ok"]
+        assert len(calls) == 1 << k
 
 
 class TestBrutePathCounts:
