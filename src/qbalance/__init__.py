@@ -18,7 +18,6 @@ from .scheme_a import (
     count_bad,
     decode_a,
     encode_a,
-    gamma_count_a,
     gamma_set_a,
     optimal_redundancy,
     rho_a_bound,
@@ -28,7 +27,6 @@ from .scheme_b import (
     count_bad_b,
     decode_b,
     encode_b,
-    gamma_count_b,
     gamma_set_b,
     rho_b,
     rho_b_asymptote,
@@ -38,17 +36,16 @@ from .cyclic_code import CyclicCode, encode_systematic, from_generator, full_spa
 from .scheme_c import (
     StreamEncoding,
     StreamFrame,
+    balancing_shifts,
     build_balanced_code,
     correct_block,
     decode_c,
     encode_c,
     flip_c,
-    gamma_count_fullspace,
     gamma_size_c,
     rho_c_fullspace,
     stream_decode,
     stream_encode,
-    t_c,
 )
 from . import trellis, oracle
 

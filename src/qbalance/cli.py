@@ -16,7 +16,7 @@ import json
 import math
 import random
 import sys
-from typing import List, Optional
+from typing import Iterable, List, Optional
 
 from . import oracle, scheme_a, scheme_b, scheme_c, trellis
 from .cyclic_code import CyclicCode, parse_code_file
@@ -28,18 +28,23 @@ TABLE2_N = (16, 32, 64, 128, 256, 512, 1000)
 TABLE2_Q = 6
 
 
-def _load_code(path: Optional[str]) -> CyclicCode:
-    if path is None:
+def _load_code(args) -> CyclicCode:
+    """The --code file's code; a given -n must be its block length n + 1."""
+    if args.code is None:
         raise ValueError("this command needs --code FILE")
-    with open(path) as fh:
-        return parse_code_file(fh.read())
+    with open(args.code) as fh:
+        code = parse_code_file(fh.read())
+    n = getattr(args, "n", None)
+    if n is not None and n != code.n + 1:
+        raise ValueError(f"-n {n} does not match the code's block length {code.n + 1}")
+    return code
 
 
 def _emit_json(obj) -> None:
     print(json.dumps(obj, indent=2))
 
 
-def _emit_csv(header: List[str], rows: List[List[object]]) -> None:
+def _emit_csv(header: List[str], rows: Iterable[Iterable[object]]) -> None:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(header)
@@ -58,7 +63,7 @@ def _cmd_encode(args) -> int:
     elif args.scheme == "b":
         res = scheme_b.encode_b(x, args.q)
     else:
-        code = _load_code(args.code)
+        code = _load_code(args)
         res = scheme_c.encode_c(code, x)
     if args.n is not None and res.codeword.length != args.n:
         raise ValueError(f"-n {args.n} inconsistent with codeword length {res.codeword.length}")
@@ -84,7 +89,7 @@ def _cmd_decode(args) -> int:
         n = args.n if args.n is not None else c.length
         msg = scheme_b.decode_b(c, p, n, args.q)
     else:
-        code = _load_code(args.code)
+        code = _load_code(args)
         msg = scheme_c.decode_c(code, c, p)
     _emit_json({"scheme": args.scheme, "message": str(msg)})
     return 0
@@ -149,14 +154,14 @@ def _cmd_analyze_redundancy(args) -> int:
         return 0
     if args.n is None:
         raise ValueError("analyze redundancy needs -n (or --table1/--table2)")
-    n, q = args.n, args.q
-    if args.scheme == "optimal":
+    n, q, scheme = args.n, args.q, args.scheme or "b"
+    if scheme == "optimal":
         _emit_json({"scheme": "optimal", "n": n, "q": q, "value": scheme_a.optimal_redundancy(n, q)})
         return 0
-    if args.scheme == "a":
+    if scheme == "a":
         parts = scheme_a.rho_a_parts(n, q)
         operational = scheme_a.rho_a_bound(n, q, operational=True)
-    elif args.scheme == "b":
+    elif scheme == "b":
         parts = scheme_b.rho_b_parts(n, q)
         operational = scheme_b.rho_b(n, q, operational=True)
     else:  # scheme c over the full space
@@ -164,7 +169,7 @@ def _cmd_analyze_redundancy(args) -> int:
         operational = None
     _emit_json(
         {
-            "scheme": args.scheme,
+            "scheme": scheme,
             "n": n,
             "q": q,
             "value": sum(parts.values()),
@@ -179,12 +184,12 @@ def _cmd_analyze_redundancy(args) -> int:
 
 def _cmd_analyze_gamma(args) -> int:
     n, q = args.n, args.q
-    counts = {
+    gamma = {
         "a": lambda: scheme_a.gamma_counts_a(n, q),
         "b": lambda: scheme_b.gamma_counts_b(n, q),
         "c": lambda: scheme_c.gamma_counts_fullspace(n),
     }[args.scheme]()
-    _emit_csv(["i", "count"], [[i, g] for i, g in enumerate(counts) if g])
+    _emit_csv(["i", "count"], gamma.items())
     return 0
 
 
@@ -208,10 +213,10 @@ def _cmd_analyze_badwords(args) -> int:
 def _cmd_trellis(args) -> int:
     if args.gamma and (args.rho or args.size):
         raise ValueError("trellis --gamma prints the CSV alone; drop --rho and --size")
-    code = _load_code(args.code)
+    code = _load_code(args)
     report = trellis.build_and_count(code)
     if args.gamma:
-        _emit_csv(["i", "count"], [[i, c] for i, c in report.gamma.items()])
+        _emit_csv(["i", "count"], report.gamma.items())
         return 0
     everything = not (args.rho or args.size)
     result = {"n": code.n, "k": code.k}
@@ -226,7 +231,7 @@ def _cmd_trellis(args) -> int:
 
 
 def _cmd_oracle_verify(args) -> int:
-    code = _load_code(args.code) if args.scheme == "c" else None
+    code = _load_code(args) if args.scheme == "c" else None
     if code is None and args.n is None:
         raise ValueError(f"oracle verify --scheme {args.scheme} needs -n")
     result = oracle.verify_scheme(args.scheme, args.n, args.q, code)
@@ -235,7 +240,7 @@ def _cmd_oracle_verify(args) -> int:
 
 
 def _cmd_stream_encode(args) -> int:
-    code = _load_code(args.code)
+    code = _load_code(args)
     if not 0 <= args.flip_per_block <= code.n + 1:
         raise ValueError(f"--flip-per-block {args.flip_per_block} out of range 0..{code.n + 1}")
     enc = scheme_c.stream_encode(code, BitWord.from_str(args.input))
@@ -263,7 +268,7 @@ def _cmd_stream_encode(args) -> int:
 
 
 def _cmd_stream_decode(args) -> int:
-    code = _load_code(args.code)
+    code = _load_code(args)
     with open(args.infile, "rb") as fh:
         enc = scheme_c.unpack_stream(fh.read())
     payload = scheme_c.stream_decode(code, enc)
@@ -300,7 +305,7 @@ def _build_parser() -> argparse.ArgumentParser:
     asub = analyze.add_subparsers(dest="analysis", required=True)
 
     p = asub.add_parser("redundancy")
-    p.add_argument("--scheme", choices=("a", "b", "c", "optimal"), default="b")
+    p.add_argument("--scheme", choices=("a", "b", "c", "optimal"), default=None, help="default b")
     p.add_argument("-n", type=int, default=None)
     p.add_argument("-q", type=int, default=0)
     tables = p.add_mutually_exclusive_group()
@@ -352,6 +357,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _reject_unused_flags(args) -> None:
+    """A flag the command would ignore is an error, not a silent no-op."""
+    scheme = getattr(args, "scheme", None)
+    if scheme in ("a", "b") and getattr(args, "code", None) is not None:
+        raise ValueError(f"--code is for scheme c; scheme {scheme} reads no code file")
+    if scheme == "c" and args.q:
+        raise ValueError(f"q={args.q}: scheme c has no imbalance parameter q")
+    table = "--table1" if getattr(args, "table1", False) else "--table2" if getattr(args, "table2", False) else None
+    if table:
+        for flag, value in (("--scheme", scheme), ("-n", args.n), ("-q", args.q or None)):
+            if value is not None:
+                raise ValueError(f"{table} prints a fixed table; drop {flag}")
+
+
 def run(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
     try:
@@ -361,8 +380,7 @@ def run(argv: Optional[List[str]] = None) -> int:
         # verification failures, so remap.
         return 0 if exc.code == 0 else 1
     try:
-        if getattr(args, "scheme", None) == "c" and args.q:
-            raise ValueError(f"q={args.q}: scheme c has no imbalance parameter q")
+        _reject_unused_flags(args)
         return args.func(args)
     except (ValueError, CodingError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -54,10 +54,13 @@ def _guard(k: int) -> None:
 
 
 def _resolve(scheme: str, n: Optional[int], q: int, code: Optional[CyclicCode]):
-    """(n, q, code) as the walk uses them: Scheme C has q = 0, n = code.n + 1,
-    and code=None stands for the full space of length n - 1."""
+    """(n, q, code) as the walk uses them: Scheme C has q = 0, n = code.n + 1
+    (a given n must agree), and code=None stands for the full space of
+    length n - 1."""
     if scheme == "c":
         code = code if code is not None else full_space(n - 1)
+        if n is not None and n != code.n + 1:
+            raise ValueError(f"n={n} does not match the code's block length {code.n + 1}")
         return code.n + 1, 0, code
     if scheme not in ("a", "b"):
         raise ValueError(f"unknown scheme {scheme!r}")
@@ -171,8 +174,7 @@ def definitional_gamma(
             x = cyclic_shift(scheme_c.flip_c(c), -j)
             if not contains(code, x):
                 continue
-            t = scheme_c.t_c(x)
-            if t and t[0] == j:
+            if next(scheme_c.balancing_shifts(x), None) == j:
                 out.append(j)
         return out
     raise ValueError(f"unknown scheme {scheme!r}")
@@ -231,14 +233,10 @@ def census_bad_b(n: int, q: int) -> int:
     return _census_bad(n - 1, q, scheme_b.t_b)
 
 
-def _nonzero(counts) -> Dict[int, int]:
-    return {i: g for i, g in enumerate(counts) if g}
-
-
 # scheme -> (n, q, code) -> the formulas' (|Gamma| histogram, bad-word count)
 _FORMULAS = {
-    "a": lambda n, q, code: (_nonzero(scheme_a.gamma_counts_a(n, q)), scheme_a.count_bad(n, q)),
-    "b": lambda n, q, code: (_nonzero(scheme_b.gamma_counts_b(n, q)), scheme_b.count_bad_b(n, q)),
+    "a": lambda n, q, code: (scheme_a.gamma_counts_a(n, q), scheme_a.count_bad(n, q)),
+    "b": lambda n, q, code: (scheme_b.gamma_counts_b(n, q), scheme_b.count_bad_b(n, q)),
     "c": lambda n, q, code: (trellis.build_and_count(code).gamma, 0),  # Scheme C has no bad words
 }
 

@@ -32,7 +32,7 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from .errors import DecodeError
 from .lattice import PathBand, count_banded, count_banded_trig
@@ -243,8 +243,10 @@ def count_bad_trig(n: int, q: int) -> float:
 
 
 @lru_cache(maxsize=64)
-def gamma_counts_a(n: int, q: int) -> tuple:
-    """gamma[i] = number of q-balanced length-n words with |Gamma| = i, i <= n+1."""
+def gamma_counts_a(n: int, q: int) -> Dict[int, int]:
+    """{i: number of q-balanced length-n words with |Gamma| = i} over the
+    sizes i with a nonzero count, ascending.  The dict is cached and
+    shared between callers: read it, do not modify it."""
     _check_params(n, q)
     m = n // 2
     start = (0, q)
@@ -261,24 +263,14 @@ def gamma_counts_a(n: int, q: int) -> tuple:
             cache[key] = count_banded(start, end, PathBand(upper - j, upper))
         return cache[key]
 
-    out = [0] * (n + 2)
+    out: Dict[int, int] = {}
     for i in range(1, m + q + 2):
         total = 0
         for t in range(i):
             total += g(i - 1, t) - g(i - 2, t) - g(i - 2, t - 1) + g(i - 3, t - 1)
-        out[i] = total
-    return tuple(out)
-
-
-def _entry(counts: tuple, i: int) -> int:
-    """counts[i] of a |Gamma| histogram, for sizes 1..len(counts)-1."""
-    if not 1 <= i < len(counts):
-        raise ValueError(f"i={i} out of range 1..{len(counts) - 1}")
-    return counts[i]
-
-
-def gamma_count_a(i: int, n: int, q: int) -> int:
-    return _entry(gamma_counts_a(n, q), i)
+        if total:
+            out[i] = total
+    return out
 
 
 def _width(i: int, operational: bool) -> float:
@@ -286,18 +278,20 @@ def _width(i: int, operational: bool) -> float:
     return float(rank_width(i)) if operational else math.log2(i)
 
 
-def histogram_sum(gamma: Sequence, k: int, operational: bool = False) -> float:
+def histogram_sum(gamma: Mapping[int, float], k: int, operational: bool = False) -> float:
     """sum_{i>=2} i * w(i) * gamma[i] / 2^k over a |Gamma| histogram gamma.
 
-    gamma[i] counts the codewords with |Gamma| = i among the outputs for
-    2^k messages; each has i preimages whose index costs w(i) bits, with
-    w(i) = log2 i, or ceil(log2 i) when operational.  The logspace
-    Scheme B sum passes shares gamma[i] / 2^k with k = 0.
+    gamma is a {size: count} dict with ascending sizes, as every histogram
+    source returns it: gamma[i] counts the codewords with |Gamma| = i
+    among the outputs for 2^k messages; each has i preimages whose index
+    costs w(i) bits, with w(i) = log2 i, or ceil(log2 i) when
+    operational.  The logspace Scheme B sum passes shares gamma[i] / 2^k
+    with k = 0.
     """
     total = 0.0
-    for i in range(2, len(gamma)):
-        if gamma[i]:
-            total += i * _width(i, operational) * (gamma[i] / (1 << k))
+    for i, g in gamma.items():
+        if i >= 2 and g:
+            total += i * _width(i, operational) * (g / (1 << k))
     return total
 
 

@@ -29,7 +29,6 @@ from .scheme_a import (
     _balance,
     _check_params,
     _classify,
-    _entry,
     _unbalance,
     fresh_indices,
     histogram_sum,
@@ -115,18 +114,14 @@ def _branches(n: int, q: int):
             yield i, m + i + q
 
 
-def gamma_counts_b(n: int, q: int) -> tuple:
-    """gamma[i] = number of stripped codewords with |Gamma| = i, i <= m+q,
-    over both target weights."""
+def gamma_counts_b(n: int, q: int) -> Dict[int, int]:
+    """{i: number of stripped codewords with |Gamma| = i} over both target
+    weights, for the sizes i <= m+q with a nonzero count, ascending."""
     _check_params(n, q)
-    out = [0] * (n // 2 + q + 1)
+    out: Dict[int, int] = {}
     for i, a in _branches(n, q):
-        out[i] += math.comb(n - 1, a - 1) - math.comb(n - 1, a)
-    return tuple(out)
-
-
-def gamma_count_b(i: int, n: int, q: int) -> int:
-    return _entry(gamma_counts_b(n, q), i)
+        out[i] = out.get(i, 0) + math.comb(n - 1, a - 1) - math.comb(n - 1, a)
+    return out
 
 
 def count_bad_b(n: int, q: int) -> int:
@@ -149,43 +144,40 @@ def _ln_comb(n: int, k: int) -> float:
     return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
 
 
-def _shares_b(n: int, q: int) -> List[float]:
-    """gamma_counts_b(n, q)[i] / 2^(n-1) in lgamma form, which stays fast
-    past n ~ 2^12 where the big-integer binomials do not."""
+def _shares_b(n: int, q: int) -> Dict[int, float]:
+    """gamma_counts_b(n, q) divided by 2^(n-1), in lgamma form, which stays
+    fast past n ~ 2^12 where the big-integer binomials do not."""
     m = n // 2
     k_ln2 = (n - 1) * math.log(2.0)
-    out = [0.0] * (m + q + 1)
+    out: Dict[int, float] = {}
     for i, a in _branches(n, q):
         # C(n-1, a-1) - C(n-1, a) = C(n-1, a-1) * 2(a-m)/a
-        out[i] += math.exp(_ln_comb(n - 1, a - 1) + math.log(2 * (a - m)) - math.log(a) - k_ln2)
+        share = math.exp(_ln_comb(n - 1, a - 1) + math.log(2 * (a - m)) - math.log(a) - k_ln2)
+        out[i] = out.get(i, 0.0) + share
     return out
 
 
-def rho_b_parts(n: int, q: int, method: str = "auto", operational: bool = False) -> Dict[str, float]:
+def rho_b_parts(n: int, q: int, operational: bool = False) -> Dict[str, float]:
     """Scheme B's redundancy estimate: constant + good term + bad term.
 
     The constant is 1 appended balance bit, plus 2 flag/type bits when
-    q > 0.  method "exact" uses big-integer binomials, "logspace" uses
-    lgamma (needed past n ~ 2^12 to stay fast); "auto" picks by size.
+    q > 0.  The good term sums big-integer binomials up to n = 4096 and
+    lgamma shares (_shares_b) above, where the binomials get slow.
     operational=True swaps real log2 widths for the ceil widths sent on
     the wire.  Exact at q = 0; at q > 0 it is low by the same terms as
     scheme_a.rho_a_parts (4.634 against the exhaustive 5.037 for n = 8,
     q = 2).
     """
     _check_params(n, q)
-    if method == "auto":
-        method = "exact" if n <= 4096 else "logspace"
-    if method == "exact":
+    if n <= 4096:
         good = histogram_sum(gamma_counts_b(n, q), n - 1, operational)
-    elif method == "logspace":
-        good = histogram_sum(_shares_b(n, q), 0, operational)
     else:
-        raise ValueError(f"unknown method {method!r}")
+        good = histogram_sum(_shares_b(n, q), 0, operational)
     return rho_parts(1, good, q, n, count_bad_b(n, q), _tail(q), operational)
 
 
-def rho_b(n: int, q: int, method: str = "auto", operational: bool = False) -> float:
-    return sum(rho_b_parts(n, q, method, operational).values())
+def rho_b(n: int, q: int, operational: bool = False) -> float:
+    return sum(rho_b_parts(n, q, operational).values())
 
 
 def rho_b_asymptote(n: int, q: int) -> float:

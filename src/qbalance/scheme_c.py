@@ -37,7 +37,7 @@ from typing import Dict, Iterator, List, Tuple
 
 from .cyclic_code import CyclicCode, codewords, contains, encode_systematic
 from .errors import AmbiguousBlockError, CodingError, DecodeError, StreamError
-from .scheme_a import EncodeResult, _check_length, _entry, histogram_sum, rank_width, rho_parts
+from .scheme_a import EncodeResult, _check_length, histogram_sum, rank_width, rho_parts
 from .words import BitWord, cyclic_running_sum, cyclic_shift, flip_prefix, weight
 
 
@@ -52,16 +52,12 @@ def flip_c(x: BitWord) -> BitWord:
     return flip_prefix(x, _half(x.length))
 
 
-def _balancing_shifts(x: BitWord) -> Iterator[int]:
-    """Shifts j for which flip_c(shift(x, j)) has weight m-1 or m, lazily."""
+def balancing_shifts(x: BitWord) -> Iterator[int]:
+    """Shifts j for which flip_c(shift(x, j)) has weight m-1 or m, lazily
+    and ascending; the first is the encoder's tau."""
     m = _half(x.length)
     targets = (m - 1, m)
     return (j for j in range(x.length + 1) if weight(flip_c(cyclic_shift(x, j))) in targets)
-
-
-def t_c(x: BitWord) -> List[int]:
-    """Shifts j for which flip_c(shift(x, j)) has weight m-1 or m."""
-    return list(_balancing_shifts(x))
 
 
 def gamma_size_c(c: BitWord) -> int:
@@ -86,7 +82,7 @@ def encode_c(code: CyclicCode, x: BitWord) -> EncodeResult:
         raise ValueError(f"word length {x.length} != code length {code.n}")
     if not contains(code, x):
         raise ValueError(f"{x} is not a codeword")
-    tau = next(_balancing_shifts(x))
+    tau = next(balancing_shifts(x))
     c = flip_c(cyclic_shift(x, tau))
     cprime = _append_balance_bit(c)
     r = rank_width(gamma_size_c(c))
@@ -160,18 +156,12 @@ def correct_block(code: CyclicCode, received: BitWord) -> BitWord:
 # Full-space distribution (no code constraint)
 
 
-def gamma_counts_fullspace(n: int) -> tuple:
-    """gamma[i] = number of length-(n-1) target-weight words with |Gamma| = i,
-    i <= n/2: twice a Catalan number times a central binomial."""
+def gamma_counts_fullspace(n: int) -> Dict[int, int]:
+    """{i: number of length-(n-1) target-weight words with |Gamma| = i} for
+    i = 1..n/2, ascending: twice a Catalan number times a central binomial."""
     _check_length(n)
     m = n // 2
-    return (0,) + tuple(
-        2 * (comb(2 * i - 2, i - 1) // i) * comb(2 * m - 2 * i, m - i) for i in range(1, m + 1)
-    )
-
-
-def gamma_count_fullspace(i: int, n: int) -> int:
-    return _entry(gamma_counts_fullspace(n), i)
+    return {i: 2 * (comb(2 * i - 2, i - 1) // i) * comb(2 * m - 2 * i, m - i) for i in range(1, m + 1)}
 
 
 def rho_c_parts(n: int) -> Dict[str, float]:

@@ -164,7 +164,7 @@ class TrellisReport(Mapping):
 
     @property
     def gamma(self) -> Dict[int, int]:
-        """gamma[j] = number of receivable blocks with |Gamma| = j."""
+        """{j: number of receivable blocks with |Gamma| = j}, ascending in j."""
         out: Dict[int, int] = {}
         for (wt, idx), cnt in self.final.items():
             out[idx] = out.get(idx, 0) + cnt
@@ -178,9 +178,7 @@ class TrellisReport(Mapping):
     @property
     def rho(self) -> float:
         """Average redundancy 1 + 2^-k * sum_j j*gamma[j]*log2(j)."""
-        gamma = self.gamma
-        counts = [gamma.get(j, 0) for j in range(max(gamma, default=0) + 1)]
-        return sum(rho_parts(1, histogram_sum(counts, self.k)).values())
+        return sum(rho_parts(1, histogram_sum(self.gamma, self.k)).values())
 
     @property
     def states(self) -> int:
@@ -241,18 +239,3 @@ def build_and_count(code: CyclicCode) -> TrellisReport:
 def state_count(code: CyclicCode) -> int:
     """Number of materialized (reachable, weight-feasible) states."""
     return build_and_count(code).states
-
-
-def gamma_counts(code: CyclicCode) -> Dict[int, int]:
-    """gamma[j] = number of receivable blocks with |Gamma| = j."""
-    return build_and_count(code).gamma
-
-
-def codebook_size(code: CyclicCode) -> int:
-    """|C*| = total receivable blocks = sum of the gamma counts."""
-    return build_and_count(code).codebook_size
-
-
-def rho_c(code: CyclicCode) -> float:
-    """Average redundancy 1 + 2^-k * sum_j j*gamma[j]*log2(j)."""
-    return build_and_count(code).rho

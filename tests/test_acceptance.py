@@ -18,19 +18,19 @@ from qbalance.cyclic_code import (
 from qbalance.lattice import PathBand, count_banded, count_banded_trig
 from qbalance.oracle import census_bad_a, census_bad_b, count_paths_brute, roundtrip_all
 from qbalance.scheme_a import count_bad, gamma_counts_a, gamma_set_a, optimal_redundancy, rho_a_bound
-from qbalance.scheme_b import BETA, count_bad_b, gamma_count_b, gamma_set_b, rho_b
+from qbalance.scheme_b import BETA, count_bad_b, gamma_counts_b, gamma_set_b, rho_b
 from qbalance.scheme_c import (
     StreamEncoding,
     StreamFrame,
     build_balanced_code,
     encode_c,
-    gamma_count_fullspace,
+    gamma_counts_fullspace,
     gamma_size_c,
     rho_c_fullspace,
     stream_decode,
     stream_encode,
 )
-from qbalance.trellis import gamma_counts, rho_c
+from qbalance.trellis import build_and_count
 from qbalance.words import BitWord, all_words, weight
 
 TABLE_N = (8, 16, 32, 64, 128, 256, 512)
@@ -79,10 +79,10 @@ def test_criterion_05_scheme_b_asymptote():
     start = time.perf_counter()
     deviations = []
     for e in (8, 10, 12, 14, 16):
-        value = rho_b(1 << e, 0, method="logspace")
+        value = rho_b(1 << e, 0)
         deviations.append(abs((value - 0.5 * e) - (1 + BETA)))
     elapsed = time.perf_counter() - start
-    final = rho_b(1 << 16, 0, method="logspace") - 8.0
+    final = rho_b(1 << 16, 0) - 8.0
     ok = (
         abs(final - 0.526) <= 0.02
         and deviations == sorted(deviations, reverse=True)
@@ -131,27 +131,14 @@ def test_criterion_06_oracle_equivalence():
         for q in range(0, 4):
             if q > n // 2:
                 continue
-            formula_a = {
-                i: c for i, c in enumerate(gamma_counts_a(n, q)) if c
-            }
-            checks.append(("gamma_a", n, q, formula_a == _gamma_hist_a(n, q)))
+            checks.append(("gamma_a", n, q, gamma_counts_a(n, q) == _gamma_hist_a(n, q)))
             if q <= n // 2 - 1:
-                formula_b = {
-                    i: gamma_count_b(i, n, q)
-                    for i in range(1, n // 2 + q + 1)
-                    if gamma_count_b(i, n, q)
-                }
-                checks.append(("gamma_b", n, q, formula_b == _gamma_hist_b(n, q)))
+                checks.append(("gamma_b", n, q, gamma_counts_b(n, q) == _gamma_hist_b(n, q)))
             checks.append(("badA", n, q, count_bad(n, q) == census_bad_a(n, q)))
             checks.append(("badB", n, q, count_bad_b(n, q) == census_bad_b(n, q)))
             checks.append(("rtA", n, q, roundtrip_all("a", n, q)[0]))
             checks.append(("rtB", n, q, roundtrip_all("b", n, q)[0]))
-        formula_c = {
-            i: c
-            for i in range(1, n // 2 + 1)
-            if (c := gamma_count_fullspace(i, n))
-        }
-        checks.append(("gamma_c", n, 0, formula_c == _gamma_hist_c(n)))
+        checks.append(("gamma_c", n, 0, gamma_counts_fullspace(n) == _gamma_hist_c(n)))
     halving = all(
         2 * count_bad_b(n, q) <= count_bad(n, q)
         for n in range(4, 66, 2)
@@ -230,15 +217,16 @@ def test_criterion_08_trellis():
 
     ok = True
     for code in (simplex, hamming, full_space(7), full_space(11)):
-        ok &= gamma_counts(code) == enum_gamma(code)
-    ok &= gamma_counts(hamming) == {1: 4, 2: 2, 4: 2}
-    ok &= abs(rho_c(hamming) - 2.25) < 1e-12
-    ok &= abs(rho_c(simplex) - 2.25) < 1e-12
+        ok &= build_and_count(code).gamma == enum_gamma(code)
+    simplex_report, hamming_report = build_and_count(simplex), build_and_count(hamming)
+    ok &= hamming_report.gamma == {1: 4, 2: 2, 4: 2}
+    ok &= abs(hamming_report.rho - 2.25) < 1e-12
+    ok &= abs(simplex_report.rho - 2.25) < 1e-12
     report(
         8,
         ok,
-        f"trellis==enumeration for 4 codes; hamming gamma {gamma_counts(hamming)}, "
-        f"rho {rho_c(simplex):.2f}/{rho_c(hamming):.2f}",
+        f"trellis==enumeration for 4 codes; hamming gamma {hamming_report.gamma}, "
+        f"rho {simplex_report.rho:.2f}/{hamming_report.rho:.2f}",
     )
 
 

@@ -246,6 +246,41 @@ def test_scheme_c_rejects_q(capsys, code_file, argv):
     assert err.startswith("error:") and "q=2" in err
 
 
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        pytest.param(("oracle", "verify", "--scheme", "c", "--code", None, "-n", "99"), "-n", id="verify-c-n"),
+        pytest.param(
+            ("decode", "--scheme", "c", "--code", None, "--codeword", "10101100", "--prefix", "01", "-n", "99"),
+            "-n",
+            id="decode-c-n",
+        ),
+        pytest.param(("oracle", "verify", "--scheme", "a", "-n", "8", "--code", "/nonexistent"), "--code", id="verify-a-code"),
+        pytest.param(("encode", "--scheme", "a", "--input", "11100000", "--code", "/nonexistent"), "--code", id="encode-a-code"),
+        pytest.param(
+            ("decode", "--scheme", "a", "-q", "2", "--codeword", "10011111", "--prefix", "00001", "--code", "/nonexistent"),
+            "--code",
+            id="decode-a-code",
+        ),
+        pytest.param(
+            ("decode", "--scheme", "b", "--codeword", "11100001", "--code", "/nonexistent"), "--code", id="decode-b-code"
+        ),
+        pytest.param(
+            ("analyze", "redundancy", "--table1", "--scheme", "a", "-n", "8", "-q", "3"), "--scheme", id="table1-all"
+        ),
+        pytest.param(("analyze", "redundancy", "--table1", "--scheme", "a"), "--scheme", id="table1-scheme"),
+        pytest.param(("analyze", "redundancy", "--table1", "-n", "8"), "-n", id="table1-n"),
+        pytest.param(("analyze", "redundancy", "--table2", "-q", "3"), "-q", id="table2-q"),
+    ],
+)
+def test_flag_the_command_would_ignore_is_an_error(capsys, code_file, argv, flag):
+    """A flag that does not apply fails with an error naming it, instead of being dropped."""
+    argv = [code_file if a is None else a for a in argv]
+    status, out, err = run_cli(capsys, *argv)
+    assert status == 1 and out == ""
+    assert err.startswith("error:") and flag in err
+
+
 class TestStreamCommands:
     def test_roundtrip_via_container(self, capsys, code_file, tmp_path):
         container = tmp_path / "frames.bin"

@@ -3,7 +3,8 @@ import math
 
 import pytest
 
-from qbalance import scheme_a, scheme_b, trellis
+from qbalance import oracle, scheme_a, scheme_b, scheme_c, trellis
+from qbalance.cyclic_code import full_space
 from qbalance.errors import CapacityError
 from qbalance.oracle import (
     census_bad_a,
@@ -101,7 +102,7 @@ def test_histogram_formula_matches_exhaustive(request, scheme, n, q, operational
     else:
         code = request.getfixturevalue(scheme)
         report = exhaustive_redundancy("c", code.n + 1, code=code)
-        formula = trellis.rho_c(code)
+        formula = trellis.build_and_count(code).rho
     measured = report.operational if operational else report.analytical
     assert measured == pytest.approx(formula, rel=0, abs=1e-12)
 
@@ -144,6 +145,40 @@ class TestVerify:
     def test_scheme_c_full_space(self):
         result = verify_scheme("c", 10)
         assert result["ok"] and result["n"] == 10
+
+    def test_scheme_c_rejects_an_n_the_code_does_not_have(self, simplex):
+        with pytest.raises(ValueError, match="n=99"):
+            verify_scheme("c", 99, code=simplex)
+
+
+def _histogram_sources():
+    for n in range(2, 13, 2):
+        for q in range(n // 2 + 1):
+            for scheme in ("a", "b"):
+                yield pytest.param(scheme, n, q, id=f"{scheme}-{n}-{q}")
+    for n in range(8, 17, 2):
+        yield pytest.param("c", n, 0, id=f"c-fullspace-{n}")
+
+
+@pytest.mark.parametrize("scheme,n,q", _histogram_sources())
+def test_every_histogram_has_one_shape(monkeypatch, scheme, n, q):
+    """Every |Gamma| histogram, formula or walk, is a dict of the nonzero
+    counts in ascending size, so verify_scheme compares them as they are."""
+    walks = []
+    walk = oracle.exhaustive_redundancy
+    monkeypatch.setattr(oracle, "exhaustive_redundancy", lambda *args: walks.append(walk(*args)) or walks[-1])
+    result = verify_scheme(scheme, n, q)
+    if scheme == "c":
+        formulas = [scheme_c.gamma_counts_fullspace(n), trellis.build_and_count(full_space(n - 1)).gamma]
+    else:
+        formulas = [scheme_a.gamma_counts_a(n, q) if scheme == "a" else scheme_b.gamma_counts_b(n, q)]
+    (report,) = walks
+    for gamma in formulas + [report.gamma]:
+        assert type(gamma) is dict
+        assert list(gamma) == sorted(gamma) and all(gamma.values())
+    assert result["gamma_match"]
+    for gamma in formulas:
+        assert list(gamma.items()) == list(report.gamma.items())
 
 
 BROKEN = BitWord.from_str("01100110")

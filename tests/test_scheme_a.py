@@ -12,7 +12,6 @@ from qbalance.scheme_a import (
     count_bad_trig,
     decode_a,
     encode_a,
-    gamma_count_a,
     gamma_counts_a,
     gamma_set_a,
     optimal_redundancy,
@@ -201,13 +200,14 @@ class TestCountBad:
 
 class TestGammaCounts:
     def test_tiny_exact(self):
-        assert gamma_count_a(2, 4, 0) == 2  # 0101, 1010
-        assert gamma_count_a(3, 4, 0) == 4
+        counts = gamma_counts_a(4, 0)
+        assert counts[2] == 2  # 0101, 1010
+        assert counts[3] == 4
 
     @pytest.mark.parametrize("n,q", [(4, 0), (8, 0), (8, 2), (10, 1), (12, 3)])
     def test_total_is_binomial(self, n, q):
         counts = gamma_counts_a(n, q)
-        assert sum(counts) == math.comb(n, n // 2 + q)
+        assert sum(counts.values()) == math.comb(n, n // 2 + q)
 
     @pytest.mark.parametrize("n,q", [(8, 0), (8, 2), (10, 1), (12, 2)])
     def test_matches_histogram_oracle(self, n, q):
@@ -216,8 +216,7 @@ class TestGammaCounts:
             if weight(w) == n // 2 + q:
                 size = len(gamma_set_a(w, q))
                 hist[size] = hist.get(size, 0) + 1
-        counts = gamma_counts_a(n, q)
-        assert hist == {i: c for i, c in enumerate(counts) if c}
+        assert hist == gamma_counts_a(n, q)
 
     @pytest.mark.parametrize("n,q", [(8, 0), (10, 2), (12, 1)])
     def test_matches_definitional_gamma(self, n, q):
@@ -237,7 +236,7 @@ def _gamma_q0_trig(i, n):
 def test_prior_trig_distribution_agrees_at_q0(n):
     counts = gamma_counts_a(n, 0)
     for i in range(1, n // 2 + 2):
-        assert _gamma_q0_trig(i, n) == pytest.approx(counts[i], rel=1e-6, abs=1e-3)
+        assert _gamma_q0_trig(i, n) == pytest.approx(counts.get(i, 0), rel=1e-6, abs=1e-3)
 
 
 class TestRhoBound:

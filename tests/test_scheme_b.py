@@ -5,14 +5,15 @@ import pytest
 from qbalance import scheme_b
 from qbalance.errors import DecodeError
 from qbalance.oracle import census_bad_b, definitional_gamma, roundtrip_all
-from qbalance.scheme_a import Classification, _substitute, count_bad
+from qbalance.scheme_a import Classification, _substitute, count_bad, histogram_sum
 from qbalance.scheme_b import (
     BETA,
     classify_b,
     count_bad_b,
     decode_b,
     encode_b,
-    gamma_count_b,
+    _shares_b,
+    gamma_counts_b,
     gamma_set_b,
     rho_b,
     rho_b_asymptote,
@@ -185,12 +186,12 @@ class TestEncodeDecodeB:
 
 class TestGammaCountB:
     def test_n8_q0_distribution(self):
-        assert [gamma_count_b(i, 8, 0) for i in range(1, 5)] == [28, 28, 12, 2]
+        assert gamma_counts_b(8, 0) == {1: 28, 2: 28, 3: 12, 4: 2}
 
     @pytest.mark.parametrize("n,q", [(8, 0), (8, 2), (12, 1), (12, 3), (14, 2)])
     def test_total_counts_both_weights(self, n, q):
         m = n // 2
-        total = sum(gamma_count_b(i, n, q) for i in range(1, m + q + 1))
+        total = sum(gamma_counts_b(n, q).values())
         assert total == math.comb(n - 1, m + q - 1) + math.comb(n - 1, m + q)
 
     @pytest.mark.parametrize("n", [6, 8, 10, 12, 14])
@@ -204,32 +205,27 @@ class TestGammaCountB:
             if weight(w) in (m + q - 1, m + q):
                 size = len(gamma_set_b(w, q))
                 hist[size] = hist.get(size, 0) + 1
-        formula = {
-            i: gamma_count_b(i, n, q)
-            for i in range(1, m + q + 1)
-            if gamma_count_b(i, n, q)
-        }
-        assert hist == formula
+        assert hist == gamma_counts_b(n, q)
 
 
 class TestAnalysisParams:
     @pytest.mark.parametrize("q", [-1, 5, 9])
     def test_q_out_of_range(self, q):
         with pytest.raises(ValueError, match=f"q={q} out of range 0..4"):
-            gamma_count_b(1, 8, q)
+            gamma_counts_b(8, q)
         with pytest.raises(ValueError, match=f"q={q} out of range 0..4"):
             count_bad_b(8, q)
         with pytest.raises(ValueError, match=f"q={q} out of range 0..4"):
             rho_b(8, q)
 
     def test_odd_n(self):
-        for call in (lambda: gamma_count_b(1, 7, 0), lambda: count_bad_b(7, 2), lambda: rho_b(7, 0)):
+        for call in (lambda: gamma_counts_b(7, 0), lambda: count_bad_b(7, 2), lambda: rho_b(7, 0)):
             with pytest.raises(ValueError, match="must be even"):
                 call()
 
     @pytest.mark.parametrize("n", [0, 1, -4])
     def test_block_length_below_two(self, n):
-        for call in (lambda: gamma_count_b(1, n, 0), lambda: count_bad_b(n, 0), lambda: rho_b(n, 0)):
+        for call in (lambda: gamma_counts_b(n, 0), lambda: count_bad_b(n, 0), lambda: rho_b(n, 0)):
             with pytest.raises(ValueError, match=f"n={n} must be at least 2"):
                 call()
 
@@ -257,8 +253,8 @@ class TestRhoB:
 
     def test_exact_and_logspace_agree(self):
         for n, q in [(64, 0), (128, 2), (256, 3)]:
-            assert rho_b(n, q, method="exact") == pytest.approx(
-                rho_b(n, q, method="logspace"), rel=1e-9
+            assert histogram_sum(gamma_counts_b(n, q), n - 1) == pytest.approx(
+                histogram_sum(_shares_b(n, q), 0), rel=1e-9
             )
 
     def test_asymptote_constant(self):
@@ -268,7 +264,7 @@ class TestRhoB:
 
     def test_converges_to_asymptote(self):
         devs = [
-            abs((rho_b(1 << e, 0, method="logspace") - 0.5 * e) - (1 + BETA))
+            abs((rho_b(1 << e, 0) - 0.5 * e) - (1 + BETA))
             for e in (8, 10, 12, 14)
         ]
         assert devs == sorted(devs, reverse=True)

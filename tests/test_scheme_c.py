@@ -12,18 +12,18 @@ from qbalance.scheme_a import rank_width
 from qbalance.scheme_c import (
     StreamEncoding,
     StreamFrame,
+    balancing_shifts,
     build_balanced_code,
     correct_block,
     decode_c,
     encode_c,
     flip_c,
-    gamma_count_fullspace,
+    gamma_counts_fullspace,
     gamma_size_c,
     pack_stream,
     rho_c_fullspace,
     stream_decode,
     stream_encode,
-    t_c,
     unpack_stream,
 )
 from qbalance.words import BitWord, all_words, cyclic_shift, weight
@@ -96,17 +96,17 @@ class TestFlipC:
 
 class TestTc:
     def test_shift_index_of_simplex_word(self):
-        assert t_c(W("1011100"))[0] == 1
+        assert next(balancing_shifts(W("1011100"))) == 1
 
     def test_zero_word(self):
-        assert t_c(W("0000000"))[0] == 0
+        assert next(balancing_shifts(W("0000000"))) == 0
 
     @pytest.mark.parametrize("length", [7, 9, 11])
     def test_min_shift_below_half(self, length):
         m = (length + 1) // 2
         for w in all_words(length):
-            ts = t_c(w)
-            assert ts and ts[0] <= m - 1
+            tau = next(balancing_shifts(w), None)
+            assert tau is not None and tau <= m - 1
 
 
 class TestGammaC:
@@ -243,10 +243,10 @@ class TestBalancedBook:
 
 class TestFullspaceDistribution:
     def test_n8_values(self):
-        assert [gamma_count_fullspace(i, 8) for i in range(1, 5)] == [40, 12, 8, 10]
+        assert gamma_counts_fullspace(8) == {1: 40, 2: 12, 3: 8, 4: 10}
 
     def test_total(self):
-        assert sum(gamma_count_fullspace(i, 8) for i in range(1, 5)) == math.comb(
+        assert sum(gamma_counts_fullspace(8).values()) == math.comb(
             7, 3
         ) + math.comb(7, 4)
 
@@ -258,16 +258,11 @@ class TestFullspaceDistribution:
             if weight(w) in (m - 1, m):
                 size = gamma_size_c(w)
                 hist[size] = hist.get(size, 0) + 1
-        formula = {
-            i: gamma_count_fullspace(i, n)
-            for i in range(1, m + 1)
-            if gamma_count_fullspace(i, n)
-        }
-        assert hist == formula
+        assert hist == gamma_counts_fullspace(n)
 
     @pytest.mark.parametrize("n", [0, 1, -4])
     def test_block_length_below_two(self, n):
-        for call in (lambda: rho_c_fullspace(n), lambda: gamma_count_fullspace(1, n)):
+        for call in (lambda: rho_c_fullspace(n), lambda: gamma_counts_fullspace(n)):
             with pytest.raises(ValueError, match=f"n={n} must be at least 2"):
                 call()
 

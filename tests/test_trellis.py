@@ -5,8 +5,8 @@ import pytest
 
 from qbalance.cyclic_code import codewords, from_generator, full_space, poly_divmod, poly_from_coeffs
 from qbalance.errors import CapacityError
-from qbalance.scheme_c import encode_c, gamma_count_fullspace, gamma_size_c
-from qbalance.trellis import _Lanes, build_and_count, codebook_size, gamma_counts, rho_c, state_count
+from qbalance.scheme_c import encode_c, gamma_counts_fullspace, gamma_size_c
+from qbalance.trellis import _Lanes, build_and_count, state_count
 
 # [23,12,7] Golay code, 1 + X^2 + X^4 + X^5 + X^6 + X^10 + X^11 (n - k = 11)
 GOLAY23 = (23, poly_from_coeffs([1, 0, 1, 0, 1, 1, 1, 0, 0, 0, 1, 1]))
@@ -38,24 +38,26 @@ def enumeration_gamma(code):
 
 class TestAgainstEnumeration:
     def test_simplex(self, simplex):
-        assert gamma_counts(simplex) == {1: 2, 2: 1, 4: 1}
-        assert gamma_counts(simplex) == enumeration_gamma(simplex)
+        gamma = build_and_count(simplex).gamma
+        assert gamma == {1: 2, 2: 1, 4: 1}
+        assert gamma == enumeration_gamma(simplex)
 
     def test_hamming_tally(self, hamming):
-        assert gamma_counts(hamming) == {1: 4, 2: 2, 4: 2}
-        assert gamma_counts(hamming) == enumeration_gamma(hamming)
+        gamma = build_and_count(hamming).gamma
+        assert gamma == {1: 4, 2: 2, 4: 2}
+        assert gamma == enumeration_gamma(hamming)
 
     def test_hamming15(self, hamming15):
-        assert gamma_counts(hamming15) == enumeration_gamma(hamming15)
+        assert build_and_count(hamming15).gamma == enumeration_gamma(hamming15)
 
     @pytest.mark.parametrize("length", [7, 11, 15])
     def test_full_space(self, length):
         fs = full_space(length)
-        assert gamma_counts(fs) == enumeration_gamma(fs)
+        assert build_and_count(fs).gamma == enumeration_gamma(fs)
 
     def test_golay23(self):
         golay = from_generator(*GOLAY23)
-        assert gamma_counts(golay) == enumeration_gamma(golay)
+        assert build_and_count(golay).gamma == enumeration_gamma(golay)
 
     def test_final_states_split_by_weight(self, hamming):
         final = build_and_count(hamming)
@@ -64,7 +66,7 @@ class TestAgainstEnumeration:
         merged = {}
         for (wt, idx), cnt in final.items():
             merged[idx] = merged.get(idx, 0) + cnt
-        assert merged == gamma_counts(hamming)
+        assert merged == final.gamma
 
 
 class TestPinnedCodes:
@@ -86,9 +88,7 @@ class TestPinnedCodes:
         report = build_and_count(code)
         assert len(report.level_states) == (code.n + 1) // 2 + 1  # root, m-1 pair levels, final
         assert sum(report.level_states) == report.states == state_count(code)
-        assert report.gamma == gamma_counts(code)
-        assert report.codebook_size == codebook_size(code) == sum(report.gamma.values())
-        assert report.rho == rho_c(code)
+        assert report.codebook_size == sum(report.gamma.values()) == sum(report.final.values())
         assert dict(report) == report.final
 
 
@@ -116,42 +116,36 @@ class TestLanes:
 class TestClosedFormEquivalence:
     @pytest.mark.parametrize("n", [4, 8, 12, 16, 20, 24])
     def test_full_space_matches_closed_form(self, n):
-        fs = full_space(n - 1)
-        formula = {
-            i: gamma_count_fullspace(i, n)
-            for i in range(1, n // 2 + 1)
-            if gamma_count_fullspace(i, n)
-        }
-        assert gamma_counts(fs) == formula
+        assert build_and_count(full_space(n - 1)).gamma == gamma_counts_fullspace(n)
 
 
 class TestRho:
     def test_hamming(self, hamming):
-        assert rho_c(hamming) == pytest.approx(2.25)
+        assert build_and_count(hamming).rho == pytest.approx(2.25)
 
     def test_simplex(self, simplex):
-        assert rho_c(simplex) == pytest.approx(2.25)
+        assert build_and_count(simplex).rho == pytest.approx(2.25)
 
     def test_full_space_16_matches_table(self):
-        assert rho_c(full_space(15)) == pytest.approx(2.81, abs=0.01)
+        assert build_and_count(full_space(15)).rho == pytest.approx(2.81, abs=0.01)
 
     def test_codebook_sizes(self, simplex, hamming):
-        assert codebook_size(simplex) == 4
-        assert codebook_size(hamming) == 8
+        assert build_and_count(simplex).codebook_size == 4
+        assert build_and_count(hamming).codebook_size == 8
 
 
 class TestScaling:
     def test_capacity_guard_at_20(self):
         repetition21 = from_generator(21, (1 << 21) - 1)  # n - k = 20
         with pytest.raises(CapacityError):
-            gamma_counts(repetition21)
+            build_and_count(repetition21)
 
     def test_capacity_guard(self):
         g, rem = poly_divmod((1 << 31) | 1, poly_from_coeffs([1, 0, 1, 0, 0, 1]))
         assert rem == 0
         simplex31 = from_generator(31, g)  # n - k = 26
         with pytest.raises(CapacityError):
-            gamma_counts(simplex31)
+            build_and_count(simplex31)
 
     def test_state_count_within_product_bound(self):
         for n in (16, 32, 64):
