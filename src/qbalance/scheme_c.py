@@ -32,7 +32,6 @@ import struct
 import zlib
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
 from typing import Dict, Iterator, List, Tuple
 
 from .cyclic_code import CyclicCode, codewords, contains, encode_systematic
@@ -158,10 +157,16 @@ def correct_block(code: CyclicCode, received: BitWord) -> BitWord:
 
 def gamma_counts_fullspace(n: int) -> Dict[int, int]:
     """{i: number of length-(n-1) target-weight words with |Gamma| = i} for
-    i = 1..n/2, ascending: twice a Catalan number times a central binomial."""
+    i = 1..n/2, ascending: 2 Cat(i-1) C(2m-2i, m-i), twice a Catalan number
+    times a central binomial.  Both come from one list of the central
+    binomials C(2r, r), r < m, stepped by C(2r+2, r+1) = C(2r, r) 2(2r+1)/(r+1),
+    with Cat(r) = C(2r, r)/(r+1)."""
     _check_length(n)
     m = n // 2
-    return {i: 2 * (comb(2 * i - 2, i - 1) // i) * comb(2 * m - 2 * i, m - i) for i in range(1, m + 1)}
+    central = [1]
+    for r in range(m - 1):
+        central.append(central[r] * 2 * (2 * r + 1) // (r + 1))
+    return {i: 2 * (central[i - 1] // i) * central[m - i] for i in range(1, m + 1)}
 
 
 def rho_c_parts(n: int) -> Dict[str, float]:

@@ -115,6 +115,16 @@ class TestAnalyze:
         assert float(rows[2]["scheme_a"]) == pytest.approx(8.03, abs=0.05)
         assert float(rows[0]["prior_lower_bound"]) == pytest.approx(0.18, abs=0.01)
 
+    @pytest.mark.parametrize("flag", ["--table1", "--table2"])
+    def test_table_is_byte_identical_to_golden(self, capsys, flag):
+        # the benchmark's recorded tables; criteria 01-04 check them only to +-0.005
+        path = os.path.join(os.path.dirname(__file__), "..", "perfbench", "golden.json")
+        with open(path) as fh:
+            golden = json.load(fh)["tables"][flag]
+        status, out, err = run_cli(capsys, "analyze", "redundancy", flag)
+        assert status == 0, err
+        assert out == golden
+
     def test_optimal_single_value(self, capsys):
         obj = run_json(
             capsys, "analyze", "redundancy", "--scheme", "optimal", "-n", "8", "-q", "0"

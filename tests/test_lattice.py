@@ -1,8 +1,43 @@
+import itertools
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qbalance.lattice import PathBand, count_banded, count_banded_trig, count_free
+from qbalance.lattice import (
+    PathBand,
+    _binom_row,
+    count_banded,
+    count_banded_sweep,
+    count_banded_trig,
+    count_free,
+)
 from qbalance.oracle import count_paths_brute
+from qbalance.scheme_a import count_bad
+from qbalance.scheme_b import count_bad_b
+
+
+def banded_dp(start, end, band):
+    """Banded path count, one column x at a time: O(steps * band height).
+
+    col[y] counts the in-band paths from start to (x, y); a point is
+    reached from its left neighbour (the previous column) or from the
+    point below it (this column).
+    """
+    a, b = start
+    c, d = end
+    if not (band.s <= b - a <= band.t and band.s <= d - c <= band.t):
+        return 0
+    col = {}
+    for x in range(a, c + 1):
+        new = {}
+        for y in range(max(b, x + band.s), min(d, x + band.t) + 1):
+            if (x, y) == (a, b):
+                new[y] = 1
+            else:
+                new[y] = col.get(y, 0) + new.get(y - 1, 0)
+        col = new
+    return col.get(d, 0)
 
 
 class TestCountFree:
@@ -75,3 +110,79 @@ class TestCountBandedTrig:
         exact = count_banded((0, y0), (dx, y0 + dy), band)
         approx = count_banded_trig((0, y0), (dx, y0 + dy), band)
         assert approx == pytest.approx(exact, rel=1e-9, abs=1e-9)
+
+
+class TestBinomRow:
+    def test_small_rows_match_math_comb(self):
+        for n in range(301):
+            assert list(_binom_row(n)) == [math.comb(n, j) for j in range(n + 1)], n
+
+    @pytest.mark.parametrize("n", [1000, 4095])
+    def test_large_rows_match_math_comb(self, n):
+        assert list(_binom_row(n)) == [math.comb(n, j) for j in range(n + 1)]
+
+
+class TestCountBandedSweep:
+    def test_exhaustive_small_instances(self):
+        # the sweep is the sum of count_banded over every band position
+        for span in range(-1, 7):
+            for y0 in range(-3, 4):
+                for dx in range(0, 7):
+                    for dy in range(0, 7):
+                        start, end = (0, y0), (dx, y0 + dy)
+                        bands = [PathBand(t - span, t) for t in range(-10, 20)] if span >= 0 else []
+                        want = sum(count_banded(start, end, band) for band in bands)
+                        assert count_banded_sweep(start, end, span) == want
+
+    @pytest.mark.parametrize("y0,dx,dy", [(0, 6, 6), (2, 7, 3), (-1, 4, 8)])
+    def test_counts_each_path_once_per_band_position(self, y0, dx, dy):
+        # a path whose offsets Y - X have range r fits max(0, span + 1 - r) positions
+        ranges = []
+        for ups in itertools.combinations(range(dx + dy), dy):
+            offsets = [y0]
+            for step in range(dx + dy):
+                offsets.append(offsets[-1] + (1 if step in ups else -1))
+            ranges.append(max(offsets) - min(offsets))
+        for span in range(0, dx + dy + 2):
+            want = sum(max(0, span + 1 - r) for r in ranges)
+            assert count_banded_sweep((0, y0), (dx, y0 + dy), span) == want
+
+
+class TestBandedDP:
+    """count_banded and the bad-word censuses at n ~ 2000 against banded_dp."""
+
+    def test_dp_matches_brute_force(self):
+        for s in (-2, 0):
+            for t in (0, 3):
+                band = PathBand(s, t)
+                for y0 in range(s, t + 1):
+                    for dx in range(0, 5):
+                        for dy in range(0, 5):
+                            start, end = (0, y0), (dx, y0 + dy)
+                            assert banded_dp(start, end, band) == count_paths_brute(start, end, band=band)
+
+    @pytest.mark.parametrize(
+        "start,end,band",
+        [
+            ((0, 0), (1000, 1000), PathBand(-3, 4)),
+            ((0, 2), (1003, 999), PathBand(-5, 3)),
+            ((0, 0), (990, 1010), PathBand(0, 25)),
+            ((5, 0), (1005, 1001), PathBand(-12, -1)),
+        ],
+    )
+    def test_count_banded(self, start, end, band):
+        assert count_banded(start, end, band) == banded_dp(start, end, band) > 0
+
+    @pytest.mark.parametrize("q", [2, 3, 6])
+    def test_count_bad(self, q):
+        n, m = 2000, 1000
+        band = PathBand(1 - q, q - 1)
+        want = sum(banded_dp((0, y), (m + y, m), band) for y in range(1 - q, q))
+        assert count_bad(n, q) == want > 0
+
+    @pytest.mark.parametrize("q", [2, 3, 6])
+    def test_count_bad_b(self, q):
+        n, m = 2000, 1000
+        band = PathBand(1 - q, q - 2)
+        want = sum(banded_dp((0, y), (m + y, m - 1), band) for y in range(1 - q, q - 1))
+        assert count_bad_b(n, q) == want > 0

@@ -2,8 +2,9 @@ import math
 
 import pytest
 
-from qbalance import scheme_a
+from qbalance import lattice, scheme_a
 from qbalance.errors import DecodeError
+from qbalance.lattice import PathBand
 from qbalance.oracle import census_bad_a, definitional_gamma, roundtrip_all
 from qbalance.scheme_a import (
     Classification,
@@ -223,6 +224,62 @@ class TestGammaCounts:
         for w in all_words(n):
             if weight(w) == n // 2 + q:
                 assert gamma_set_a(w, q) == definitional_gamma("a", w, q)
+
+
+def _gamma_counts_a_reference(n, q):
+    """The O(n^3) band sum gamma_counts_a is checked against: g(j, t) counts
+    the bridges in the band of span j whose upper line has offset t - q,
+    one count_banded call per (j, t), and size i takes the inclusion-exclusion
+    of the bands of span i-1 and i-2 over every band position t < i."""
+    m = n // 2
+    start = (0, q)
+    end = (m + q, m)
+    cache = {}
+
+    def g(j, t):
+        if j < 0:
+            return 0
+        if (j, t) not in cache:
+            upper = t - q
+            cache[j, t] = lattice.count_banded(start, end, PathBand(upper - j, upper))
+        return cache[j, t]
+
+    out = {}
+    for i in range(1, m + q + 2):
+        total = 0
+        for t in range(i):
+            total += g(i - 1, t) - g(i - 2, t) - g(i - 2, t - 1) + g(i - 3, t - 1)
+        if total:
+            out[i] = total
+    return out
+
+
+class TestGammaCountsAgainstReference:
+    @pytest.mark.parametrize("n", range(2, 65, 2))
+    def test_every_q_small_n(self, n):
+        for q in range(n // 2 + 1):
+            want = _gamma_counts_a_reference(n, q)
+            got = gamma_counts_a(n, q)
+            assert list(got.items()) == list(want.items()), (n, q)
+
+    @pytest.mark.parametrize("n", [128, 256, 512])
+    @pytest.mark.parametrize("q", [0, 1, 2, 6])
+    def test_large_n(self, n, q):
+        assert list(gamma_counts_a(n, q).items()) == list(_gamma_counts_a_reference(n, q).items())
+
+    def test_no_banded_count_per_band_position(self, monkeypatch):
+        calls = []
+        real = lattice.count_banded
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(lattice, "count_banded", counting)
+        monkeypatch.setattr(scheme_a, "count_banded", counting)
+        counts = gamma_counts_a.__wrapped__(1000, 6)
+        assert sum(counts.values()) == math.comb(1000, 506)
+        assert len(calls) == 0
 
 
 def _gamma_q0_trig(i, n):

@@ -260,6 +260,14 @@ class TestFullspaceDistribution:
                 hist[size] = hist.get(size, 0) + 1
         assert hist == gamma_counts_fullspace(n)
 
+    @pytest.mark.parametrize("ns", [range(2, 401, 2), [4096]], ids=["even-n-to-400", "4096"])
+    def test_matches_closed_form(self, ns):
+        # 2 Cat(i-1) C(2m-2i, m-i), each binomial from math.comb
+        for n in ns:
+            m = n // 2
+            want = {i: 2 * (math.comb(2 * i - 2, i - 1) // i) * math.comb(2 * m - 2 * i, m - i) for i in range(1, m + 1)}
+            assert list(gamma_counts_fullspace(n).items()) == list(want.items()), n
+
     @pytest.mark.parametrize("n", [0, 1, -4])
     def test_block_length_below_two(self, n):
         for call in (lambda: rho_c_fullspace(n), lambda: gamma_counts_fullspace(n)):
