@@ -11,8 +11,9 @@ row j holds the reversed check polynomial shifted j places.  An explicit
 row override is accepted (and validated against the code) because the
 shift-tracking trellis depends on the exact column order of H.
 
-Enumeration, minimum distance, and nearest-codeword work are guarded to
-k <= 24; larger codes still construct and encode fine.
+Enumeration and minimum distance are guarded to k <= 24; larger codes
+still construct and encode fine, and scheme_c corrects their blocks by
+syndrome within the code's radius.
 """
 
 from __future__ import annotations

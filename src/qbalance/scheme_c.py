@@ -9,6 +9,18 @@ distinct outputs C* form a balanced codebook with minimum distance
 ceil(log2 |Gamma(c)|) bits, where Gamma(c) is always a contiguous range
 {0..size-1} read off the cyclic running sum of c.
 
+Correction is syndrome (standard-array) decoding.  Stripped of its
+balance bit and with its first half flipped back, a C* block is a
+codeword, so the syndrome of that word names the error pattern through
+a coset-leader table built once per code, and no codeword is
+enumerated.  This holds within radius t = floor((d-1)/2), which is also
+the radius of C*.  Beyond it, correct_block scans C*, which enumerates
+the 2^k codewords and needs k <= 24.
+
+Per-frame work (encode, decode, correction, streaming) runs on the
+plain int values of the words, position 1 being the top bit; BitWords
+are built only for what a function returns.
+
 Streaming chains the prefixes: frame t's shift index rides at the head
 of frame t+1's packet, so decoding runs back to front.  The final
 frame's own prefix has no successor to ride, so the encoder flushes it
@@ -31,19 +43,50 @@ from __future__ import annotations
 import struct
 import zlib
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Dict, Iterator, List, Tuple
+from functools import lru_cache, reduce
+from itertools import combinations
+from operator import xor
+from typing import Dict, Iterator, List, Optional, Tuple
 
-from .cyclic_code import CyclicCode, codewords, contains, encode_systematic
+from .cyclic_code import CyclicCode, _syndrome_int, codewords, contains, encode_systematic
 from .errors import AmbiguousBlockError, CodingError, DecodeError, StreamError
 from .scheme_a import EncodeResult, _check_length, histogram_sum, rank_width, rho_parts
-from .words import BitWord, cyclic_running_sum, cyclic_shift, flip_prefix, weight
+from .trellis import SYNDROME_GUARD
+from .words import BitWord, flip_prefix, weight
 
 
 def _half(length: int) -> int:
     if length % 2 == 0:
         raise ValueError(f"length {length} is even; cyclic balancing needs 2m-1")
     return (length + 1) // 2
+
+
+def _half_mask(m: int) -> int:
+    """The first m of the 2m-1 positions, as an int (position 1 is the top bit)."""
+    return ((1 << m) - 1) << (m - 1)
+
+
+def _rotate(v: int, j: int, n: int) -> int:
+    """cyclic_shift of the n-bit int v: rotate right by j, 0 <= j <= n."""
+    return ((v >> j) | (v << (n - j))) & ((1 << n) - 1)
+
+
+def _block(c: int, m: int) -> Optional[int]:
+    """The (2m-1)-bit c plus the bit that lifts weight m-1 to m (a 0 when c
+    already weighs m); None when c weighs neither."""
+    excess = c.bit_count() - m
+    return (c << 1) | 1 if excess == -1 else c << 1 if excess == 0 else None
+
+
+def _gamma_size(c: int, m: int) -> int:
+    """|Gamma| of the (2m-1)-bit c, from one walk of its bit pairs (i, i+m):
+    CR_i is zero at the first i where as many of the 2i bits are 1 as are 0."""
+    run = 0
+    for i in range(1, m):
+        run += (c >> (2 * m - 1 - i) & 1) + (c >> (m - 1 - i) & 1) - 1
+        if not run:
+            return i
+    return m
 
 
 def flip_c(x: BitWord) -> BitWord:
@@ -54,9 +97,10 @@ def flip_c(x: BitWord) -> BitWord:
 def balancing_shifts(x: BitWord) -> Iterator[int]:
     """Shifts j for which flip_c(shift(x, j)) has weight m-1 or m, lazily
     and ascending; the first is the encoder's tau."""
-    m = _half(x.length)
-    targets = (m - 1, m)
-    return (j for j in range(x.length + 1) if weight(flip_c(cyclic_shift(x, j))) in targets)
+    n, v = x.length, x.value
+    m = _half(n)
+    half = _half_mask(m)
+    return (j for j in range(n + 1) if (_rotate(v, j, n) ^ half).bit_count() in (m - 1, m))
 
 
 def gamma_size_c(c: BitWord) -> int:
@@ -64,52 +108,44 @@ def gamma_size_c(c: BitWord) -> int:
     m = _half(c.length)
     if weight(c) not in (m - 1, m):
         raise ValueError(f"weight {weight(c)} not in {{{m - 1}, {m}}}")
-    cr = cyclic_running_sum(c)
-    for i in range(1, m):
-        if cr[i] == 0:
-            return i
-    return m
-
-
-def _append_balance_bit(c: BitWord) -> BitWord:
-    """c plus the bit that lifts weight m-1 to m (a 0 when c already weighs m)."""
-    return c.concat(BitWord(1 if weight(c) == _half(c.length) - 1 else 0, 1))
+    return _gamma_size(c.value, m)
 
 
 def encode_c(code: CyclicCode, x: BitWord) -> EncodeResult:
-    if x.length != code.n:
-        raise ValueError(f"word length {x.length} != code length {code.n}")
+    n = code.n
+    if x.length != n:
+        raise ValueError(f"word length {x.length} != code length {n}")
     if not contains(code, x):
         raise ValueError(f"{x} is not a codeword")
     tau = next(balancing_shifts(x))
-    c = flip_c(cyclic_shift(x, tau))
-    cprime = _append_balance_bit(c)
-    r = rank_width(gamma_size_c(c))
-    prefix = BitWord.from_str(format(tau, f"0{r}b") if r else "")
-    return EncodeResult(codeword=cprime, prefix=prefix, classification=None, tau=tau)
+    m = _half(n)
+    c = _rotate(x.value, tau, n) ^ _half_mask(m)
+    prefix = BitWord(tau, rank_width(_gamma_size(c, m)))
+    return EncodeResult(codeword=BitWord(_block(c, m), n + 1), prefix=prefix, classification=None, tau=tau)
 
 
 def decode_c(code: CyclicCode, cprime: BitWord, p: BitWord) -> BitWord:
-    if cprime.length != code.n + 1:
-        raise ValueError(f"block length {cprime.length} != {code.n + 1}")
-    m = _half(code.n)
-    c = cprime.prefix(code.n)
-    wt = weight(c)
+    n = code.n
+    if cprime.length != n + 1:
+        raise ValueError(f"block length {cprime.length} != {n + 1}")
+    m = _half(n)
+    c = cprime.value >> 1
+    wt = c.bit_count()
     if wt not in (m - 1, m):
         raise DecodeError(f"stripped block weight {wt} outside {{{m - 1}, {m}}}")
-    if cprime.bit(code.n + 1) != (1 if wt == m - 1 else 0):
+    if _block(c, m) != cprime.value:
         raise DecodeError("appended balance bit inconsistent with block weight")
-    size = gamma_size_c(c)
+    size = _gamma_size(c, m)
     r = rank_width(size)
     if p.length != r:
         raise DecodeError(f"prefix length {p.length} != expected {r}")
     tau = p.value
     if tau >= size:
         raise DecodeError(f"shift index {tau} out of range for |Gamma|={size}")
-    x = cyclic_shift(flip_c(c), -tau)
-    if not contains(code, x):
+    x = _rotate(c ^ _half_mask(m), n - tau, n)
+    if _syndrome_int(code, x):
         raise DecodeError("recovered word is not a codeword")
-    return x
+    return BitWord(x, n)
 
 
 @lru_cache(maxsize=None)
@@ -121,20 +157,65 @@ def build_balanced_code(code: CyclicCode) -> Tuple[BitWord, ...]:
     exactly those half-flips plus their balance bit; no encoding runs.
     """
     m = _half(code.n)
-    halves = (flip_c(x) for x in codewords(code))
-    book = [_append_balance_bit(c) for c in halves if weight(c) in (m - 1, m)]
-    return tuple(sorted(book, key=lambda w: w.value))
+    blocks = (_block(x.value ^ _half_mask(m), m) for x in codewords(code))
+    return tuple(BitWord(b, 2 * m) for b in sorted(b for b in blocks if b is not None))
+
+
+@lru_cache(maxsize=None)
+def _coset_leaders(code: CyclicCode) -> Optional[Tuple[Dict[int, int], int]]:
+    """({syndrome: error pattern}, t) over the patterns of weight <= t, where
+    t is the largest weight at which every pattern has its own syndrome;
+    None when n-k exceeds the trellis guard.
+
+    Patterns are taken by rising weight, and the table stops at the first
+    repeated syndrome, so it computes at most 2^(n-k)+1 of them.  A repeat
+    at weight w means two patterns of weight <= w differ by a codeword, so
+    d <= 2w; none below it means d >= 2w-1.  Hence t = w-1 = floor((d-1)/2),
+    the radius of C* as well, found without enumerating a codeword.
+    """
+    if code.r > SYNDROME_GUARD:
+        return None
+    n, cols = code.n, code.parity_cols
+    leaders: Dict[int, int] = {}
+    for w in range(n + 1):
+        level: Dict[int, int] = {}
+        for pos in combinations(range(n), w):
+            syn = reduce(xor, (cols[p] for p in pos), 0)
+            if syn in leaders or syn in level:
+                return leaders, w - 1
+            level[syn] = sum(1 << (n - 1 - p) for p in pos)
+        leaders.update(level)
+    return leaders, n
 
 
 def correct_block(code: CyclicCode, received: BitWord) -> BitWord:
-    """Nearest word of C* (complete decoding, lexicographic scan order).
+    """Nearest word of C*: syndrome decoding within radius t, the scan beyond it.
 
-    Raises AmbiguousBlockError when two codebook words are equally near;
-    within radius floor((d'-1)/2) the nearest word is always unique.
+    Stripped of its balance bit and with its first half flipped back, a C*
+    block is a codeword.  So the received block is stripped and flipped
+    back, its syndrome names the coset leader e, and the C* block whose
+    half-flip is e away is returned when it is balanced and lies within
+    t = floor((d'-1)/2) of the received block, d' = 2*ceil(d/2).  Such a
+    block is the unique nearest word, so no C* enumeration is needed.
+
+    Beyond t (or when n-k exceeds the trellis guard, so there is no leader
+    table) this falls back to a lexicographic scan of C*, which needs
+    k <= 24 and raises AmbiguousBlockError when two codebook words are
+    equally near.
     """
+    n = code.n
+    if received.length != n + 1:
+        raise ValueError(f"block length {received.length} != {n + 1}")
+    table = _coset_leaders(code)
+    if table is not None:
+        leaders, t = table
+        m, y = _half(n), received.value
+        e = leaders.get(_syndrome_int(code, (y >> 1) ^ _half_mask(m)))
+        if e is not None:
+            block = _block((y >> 1) ^ e, m)
+            if block is not None and (block ^ y).bit_count() <= t:
+                return BitWord(block, n + 1)
     book = build_balanced_code(code)
-    if received.length != code.n + 1:
-        raise ValueError(f"block length {received.length} != {code.n + 1}")
     best = None
     best_dist = received.length + 1
     ties = 0
@@ -202,17 +283,15 @@ class StreamEncoding:
     n: int
 
 
-def _packet_of(code: CyclicCode, c: BitWord, tau: int) -> BitWord:
-    return cyclic_shift(flip_c(c), -tau).prefix(code.k)
+def _packet_of(code: CyclicCode, c: int, tau: int) -> int:
+    """The k-bit packet whose codeword shifted by tau half-flips to the n-bit c."""
+    n = code.n
+    return _rotate(c ^ _half_mask(_half(n)), n - tau, n) >> (n - code.k)
 
 
-def _tail_zero_candidates(code: CyclicCode, c: BitWord, fill: int) -> List[int]:
-    out = []
-    for tau in range(gamma_size_c(c)):
-        packet = _packet_of(code, c, tau)
-        if fill == 0 or packet.suffix(fill).value == 0:
-            out.append(tau)
-    return out
+def _tail_zero_candidates(code: CyclicCode, c: int, fill: int) -> List[int]:
+    zeros = (1 << fill) - 1
+    return [tau for tau in range(_gamma_size(c, _half(code.n))) if not _packet_of(code, c, tau) & zeros]
 
 
 def stream_encode(code: CyclicCode, payload: BitWord) -> StreamEncoding:
@@ -228,7 +307,7 @@ def stream_encode(code: CyclicCode, payload: BitWord) -> StreamEncoding:
     bits = str(payload)
     frames: List[StreamFrame] = []
     payload_frames = final_pad = pos = 0
-    carry = ""
+    carry = BitWord(0, 0)
     flushed = set()  # carries that have started a pad frame
     while pos < len(bits) or (frames and carry):
         pad = pos >= len(bits)
@@ -238,46 +317,51 @@ def stream_encode(code: CyclicCode, payload: BitWord) -> StreamEncoding:
                     f"stream flush cycles: carried prefix {carry} repeats after {len(flushed)} pad frames"
                 )
             flushed.add(carry)
-        room = k - len(carry)
+        room = k - carry.length
         take = bits[pos : pos + room]
         pos += len(take)
         fill = room - len(take)
-        res = encode_c(code, encode_systematic(code, BitWord.from_str(carry + take + "0" * fill)))
-        frames.append(StreamFrame(payload=BitWord.from_str(take), codeword=res.codeword, prefix=res.prefix))
-        carry = str(res.prefix)
+        fresh = BitWord(int(take, 2) if take else 0, len(take))
+        packet = ((carry.value << fresh.length) | fresh.value) << fill
+        res = encode_c(code, encode_systematic(code, BitWord(packet, k)))
+        frames.append(StreamFrame(payload=fresh, codeword=res.codeword, prefix=res.prefix))
+        carry = res.prefix
         if not pad:
             payload_frames, final_pad = len(frames), fill
-        elif len(_tail_zero_candidates(code, res.codeword.prefix(code.n), fill)) == 1:
-            carry = ""  # the tail frame self-decodes; its own prefix is dropped
+        elif len(_tail_zero_candidates(code, res.codeword.value >> 1, fill)) == 1:
+            carry = BitWord(0, 0)  # the tail frame self-decodes; its own prefix is dropped
     return StreamEncoding(frames=tuple(frames), payload_frames=payload_frames, final_pad=final_pad, n=code.n + 1)
 
 
 def stream_decode(code: CyclicCode, enc: StreamEncoding) -> BitWord:
-    """Invert stream_encode, correcting each block against C* first."""
-    if enc.n != code.n + 1:
-        raise StreamError(f"container block length {enc.n} != code block length {code.n + 1}")
+    """Invert stream_encode, correcting each block that is not in C* first."""
+    n = code.n
+    if enc.n != n + 1:
+        raise StreamError(f"container block length {enc.n} != code block length {n + 1}")
     if not enc.frames:
         return BitWord(0, 0)
-    book = set(build_balanced_code(code))
-    blocks = []
+    m = _half(n)
+    half = _half_mask(m)
+    stripped = []
     for t, frame in enumerate(enc.frames):
         cw = frame.codeword
-        if cw not in book:
+        c = cw.value >> 1
+        # In C* exactly when balanced, with its balance bit, and a codeword once flipped back.
+        if cw.length != n + 1 or _block(c, m) != cw.value or _syndrome_int(code, c ^ half):
             try:
                 cw = correct_block(code, cw)
             except DecodeError as exc:
                 raise type(exc)(f"frame {t}: {exc}") from exc
-        blocks.append(cw)
+        stripped.append(cw.value >> 1)
     k = code.k
-    total = len(blocks)
+    total = len(stripped)
     if enc.payload_frames > total or enc.payload_frames < 1:
         raise StreamError("payload frame count inconsistent with container")
 
-    stripped = [cw.prefix(code.n) for cw in blocks]
-    sizes = [gamma_size_c(c) for c in stripped]
+    sizes = [_gamma_size(c, m) for c in stripped]
     widths = [rank_width(s) for s in sizes]
 
-    packets: List[BitWord] = [None] * total  # type: ignore[list-item]
+    packets = [0] * total
     last = total - 1
     if total == enc.payload_frames:
         if widths[last] != 0:
@@ -292,15 +376,14 @@ def stream_decode(code: CyclicCode, enc: StreamEncoding) -> BitWord:
     packets[last] = _packet_of(code, stripped[last], tau)
 
     for t in range(last - 1, -1, -1):
-        head = str(packets[t + 1])[: widths[t]]
-        tau = int(head, 2) if head else 0
+        tau = packets[t + 1] >> (k - widths[t])
         if tau >= sizes[t]:
             raise StreamError(f"frame {t}: shift index {tau} out of range")
         packets[t] = _packet_of(code, stripped[t], tau)
 
-    out = str(packets[0])
-    for t in range(1, enc.payload_frames):
-        out += str(packets[t])[widths[t - 1] :]
+    out = "".join(
+        format(packets[t], f"0{k}b")[widths[t - 1] if t else 0 :] for t in range(enc.payload_frames)
+    )
     if enc.final_pad:
         body, pad = out[: len(out) - enc.final_pad], out[len(out) - enc.final_pad :]
         if pad.strip("0"):

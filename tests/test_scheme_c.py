@@ -1,14 +1,17 @@
 import dataclasses
+import itertools
 import math
 import random
+import time
+from functools import lru_cache
 
 import pytest
 
 from qbalance import scheme_c
-from qbalance.cyclic_code import codewords, encode_systematic, from_generator, full_space, poly_from_coeffs
-from qbalance.errors import AmbiguousBlockError, CodingError, DecodeError, StreamError
+from qbalance.cyclic_code import codewords, contains, encode_systematic, from_generator, full_space, poly_from_coeffs, poly_mul
+from qbalance.errors import AmbiguousBlockError, CapacityError, CodingError, DecodeError, StreamError
 from qbalance.oracle import definitional_gamma
-from qbalance.scheme_a import rank_width
+from qbalance.scheme_a import EncodeResult, rank_width
 from qbalance.scheme_c import (
     StreamEncoding,
     StreamFrame,
@@ -26,7 +29,7 @@ from qbalance.scheme_c import (
     stream_encode,
     unpack_stream,
 )
-from qbalance.words import BitWord, all_words, cyclic_shift, weight
+from qbalance.words import BitWord, all_words, cyclic_running_sum, cyclic_shift, flip_prefix, weight
 
 SIMPLEX_ENCODINGS = [
     # message, codeword, tau, balanced block, |Gamma|, prefix
@@ -61,6 +64,25 @@ def bch15():
 def full9():
     """The [9,9] full space: 10-bit blocks, so each block byte pair carries 6 unused bits."""
     return full_space(9)
+
+
+@pytest.fixture(scope="module")
+def bch31():
+    """[31,21,5] BCH code generated by 1 + X^3 + X^5 + X^6 + X^8 + X^9 + X^10."""
+    return from_generator(31, poly_from_coeffs([1, 0, 0, 1, 0, 1, 1, 0, 1, 1, 1]))
+
+
+@pytest.fixture(scope="module")
+def hamming63():
+    """[63,57,3] Hamming code generated by the primitive 1 + X + X^6."""
+    return from_generator(63, poly_from_coeffs([1, 1, 0, 0, 0, 0, 1]))
+
+
+@pytest.fixture(scope="module")
+def bch63():
+    """[63,51,5] BCH code: (1 + X + X^6)(1 + X + X^2 + X^4 + X^6), the minimal
+    polynomials of alpha and alpha^3."""
+    return from_generator(63, poly_mul(poly_from_coeffs([1, 1, 0, 0, 0, 0, 1]), poly_from_coeffs([1, 1, 1, 0, 1, 0, 1])))
 
 
 def encodable_payloads(code, count, seed=8):
@@ -457,3 +479,215 @@ class TestContainer:
                 unpack_stream(pack_stream(dataclasses.replace(enc, n=n, frames=())))
         with pytest.raises(ValueError):
             pack_stream(dataclasses.replace(enc, n=16))
+
+
+# ---------------------------------------------------------------------------
+# References: the BitWord bodies of the Scheme C codec, and the plain C* scan.
+
+
+def _shifts_reference(x):
+    m = (x.length + 1) // 2
+    return (j for j in range(x.length + 1) if weight(flip_prefix(cyclic_shift(x, j), m)) in (m - 1, m))
+
+
+def _gamma_size_c_reference(c):
+    m = (c.length + 1) // 2
+    if weight(c) not in (m - 1, m):
+        raise ValueError(f"weight {weight(c)} not in {{{m - 1}, {m}}}")
+    cr = cyclic_running_sum(c)
+    for i in range(1, m):
+        if cr[i] == 0:
+            return i
+    return m
+
+
+def _balance_bit_reference(c):
+    return c.concat(BitWord(1 if weight(c) == (c.length + 1) // 2 - 1 else 0, 1))
+
+
+def _encode_c_reference(code, x):
+    if x.length != code.n:
+        raise ValueError(f"word length {x.length} != code length {code.n}")
+    if not contains(code, x):
+        raise ValueError(f"{x} is not a codeword")
+    tau = next(_shifts_reference(x))
+    c = flip_c(cyclic_shift(x, tau))
+    cprime = _balance_bit_reference(c)
+    r = rank_width(_gamma_size_c_reference(c))
+    prefix = BitWord.from_str(format(tau, f"0{r}b") if r else "")
+    return EncodeResult(codeword=cprime, prefix=prefix, classification=None, tau=tau)
+
+
+def _decode_c_reference(code, cprime, p):
+    if cprime.length != code.n + 1:
+        raise ValueError(f"block length {cprime.length} != {code.n + 1}")
+    m = (code.n + 1) // 2
+    c = cprime.prefix(code.n)
+    wt = weight(c)
+    if wt not in (m - 1, m):
+        raise DecodeError(f"stripped block weight {wt} outside {{{m - 1}, {m}}}")
+    if cprime.bit(code.n + 1) != (1 if wt == m - 1 else 0):
+        raise DecodeError("appended balance bit inconsistent with block weight")
+    size = _gamma_size_c_reference(c)
+    r = rank_width(size)
+    if p.length != r:
+        raise DecodeError(f"prefix length {p.length} != expected {r}")
+    tau = p.value
+    if tau >= size:
+        raise DecodeError(f"shift index {tau} out of range for |Gamma|={size}")
+    x = cyclic_shift(flip_c(c), -tau)
+    if not contains(code, x):
+        raise DecodeError("recovered word is not a codeword")
+    return x
+
+
+@lru_cache(maxsize=None)
+def _book_reference(code):
+    """C* as the reference encoder's distinct outputs, sorted."""
+    return tuple(sorted({_encode_c_reference(code, x).codeword for x in codewords(code)}, key=lambda w: w.value))
+
+
+def _nearest_by_scan(code, received):
+    """Complete decoding by a lexicographic scan of C*."""
+    book = _book_reference(code)
+    if received.length != code.n + 1:
+        raise ValueError(f"block length {received.length} != {code.n + 1}")
+    best = None
+    best_dist = received.length + 1
+    ties = 0
+    for cw in book:
+        dist = (cw.value ^ received.value).bit_count()
+        if dist < best_dist:
+            best, best_dist, ties = cw, dist, 1
+        elif dist == best_dist:
+            ties += 1
+    if ties > 1:
+        raise AmbiguousBlockError(f"{ties} codebook words at distance {best_dist} from {received}")
+    return best
+
+
+def outcome(call, *args):
+    """The value returned, or the class of the exception raised."""
+    try:
+        return call(*args)
+    except (ValueError, CodingError) as exc:
+        return type(exc)
+
+
+def seeded_blocks(code, count, seed):
+    """C* blocks of `count` seeded random codewords, from encode_c."""
+    rng = random.Random(seed)
+    return [encode_c(code, encode_systematic(code, BitWord(rng.getrandbits(code.k), code.k))).codeword for _ in range(count)]
+
+
+def with_errors(block, positions):
+    value = block.value
+    for p in positions:
+        value ^= 1 << p
+    return BitWord(value, block.length)
+
+
+REFERENCE_CODES = ["simplex", "hamming", "bch15"]
+
+
+class TestAgainstReferences:
+    @pytest.mark.parametrize("fixture", REFERENCE_CODES)
+    def test_correct_block_every_received_word(self, fixture, request):
+        code = request.getfixturevalue(fixture)
+        outcomes = {}
+        for y in all_words(code.n + 1):
+            got = outcome(correct_block, code, y)
+            assert got == outcome(_nearest_by_scan, code, y), y
+            outcomes[y] = got
+        if fixture == "simplex":
+            assert outcomes[W("00110000")] is AmbiguousBlockError
+
+    def test_correct_block_golay_within_three_errors(self, golay23):
+        blocks = seeded_blocks(golay23, 32, seed=23)
+        for block in blocks:
+            for w in range(4):
+                for positions in itertools.combinations(range(24), w):
+                    y = with_errors(block, positions)
+                    assert correct_block(golay23, y) == _nearest_by_scan(golay23, y) == block, (block, positions)
+
+    @pytest.mark.parametrize("fixture", REFERENCE_CODES)
+    def test_decode_c_every_received_word(self, fixture, request):
+        # Every prefix of width 0..3 on a block of balanced weight with its
+        # balance bit; both bodies reject the other blocks before the prefix.
+        code = request.getfixturevalue(fixture)
+        m = (code.n + 1) // 2
+        prefixes = [BitWord(v, r) for r in range(4) for v in range(1 << r)]
+        for y in all_words(code.n + 1):
+            c = y.prefix(code.n)
+            clean = weight(c) in (m - 1, m) and y.bit(code.n + 1) == (weight(c) == m - 1)
+            for p in prefixes if clean else prefixes[:1]:
+                assert outcome(decode_c, code, y, p) == outcome(_decode_c_reference, code, y, p), (y, p)
+
+    @pytest.mark.parametrize("fixture", REFERENCE_CODES + ["golay23"])
+    def test_codec_every_codeword(self, fixture, request):
+        self.check_codec(request.getfixturevalue(fixture))
+
+    @pytest.mark.parametrize("length", [7, 9, 11, 13, 15])
+    def test_codec_full_space(self, length):
+        self.check_codec(full_space(length))
+
+    @staticmethod
+    def check_codec(code):
+        for x in codewords(code):
+            res, want = encode_c(code, x), _encode_c_reference(code, x)
+            assert res == want, x
+            block = res.codeword.prefix(code.n)
+            assert gamma_size_c(block) == _gamma_size_c_reference(block)
+            assert decode_c(code, res.codeword, res.prefix) == _decode_c_reference(code, res.codeword, res.prefix) == x
+        assert build_balanced_code(code) == _book_reference(code)
+
+    @pytest.mark.parametrize("length", [7, 9, 11, 13, 15])
+    def test_gamma_size_every_word(self, length):
+        for w in all_words(length):
+            assert outcome(gamma_size_c, w) == outcome(_gamma_size_c_reference, w), w
+
+
+class TestSyndromeCorrection:
+    def test_wrong_length_checked_before_enumerating(self, bch31, hamming63, monkeypatch):
+        def enumerate_book(code):
+            raise AssertionError("C* enumerated")
+
+        monkeypatch.setattr(scheme_c, "build_balanced_code", enumerate_book)
+        for code in (bch31, hamming63):
+            for length in (code.n, code.n + 2):
+                with pytest.raises(ValueError, match=f"block length {length} != {code.n + 1}"):
+                    correct_block(code, BitWord(0, length))
+
+    def test_hamming63_corrects_every_single_error(self, hamming63):
+        assert hamming63.k > 24
+        for block in seeded_blocks(hamming63, 4, seed=63):
+            for p in range(64):
+                assert correct_block(hamming63, with_errors(block, [p])) == block, p
+
+    def test_bch63_corrects_every_double_error(self, bch63):
+        assert bch63.k > 24
+        for block in seeded_blocks(bch63, 2, seed=51):
+            for positions in itertools.combinations(range(64), 2):
+                assert correct_block(bch63, with_errors(block, positions)) == block, positions
+
+    def test_beyond_radius_needs_the_enumeration_guard(self, hamming63):
+        # One flip in the balance bit and one beside it: distance 2 > t = 1, so the scan runs.
+        (block,) = seeded_blocks(hamming63, 1, seed=7)
+        with pytest.raises(CapacityError):
+            correct_block(hamming63, with_errors(block, [0, 1]))
+
+    def test_bch31_stream_with_two_errors_per_block(self, bch31, monkeypatch):
+        calls = []
+        real = scheme_c.build_balanced_code
+        monkeypatch.setattr(scheme_c, "build_balanced_code", lambda code: calls.append(code) or real(code))
+        rng = random.Random(31)
+        payload = BitWord(rng.getrandbits(600), 600)
+        start = time.perf_counter()
+        enc = stream_encode(bch31, payload)
+        frames = tuple(
+            dataclasses.replace(f, codeword=with_errors(f.codeword, rng.sample(range(32), 2))) for f in enc.frames
+        )
+        assert stream_decode(bch31, dataclasses.replace(enc, frames=frames)) == payload
+        elapsed = time.perf_counter() - start
+        assert calls == []
+        assert elapsed < 10, elapsed  # the C* enumeration alone takes about 19 s
