@@ -117,14 +117,13 @@ def _table2_rows() -> List[List[object]]:
     for n in TABLE2_N:
         good_fraction = 1.0 - scheme_a.count_bad(n, q) / 2.0**n
         prior = good_fraction * math.log2(n)
+        # scheme_a, scheme_a_ceil, scheme_b, scheme_b_ceil
+        parts = (*scheme_a.rho_a_parts(n, q), *scheme_b.rho_b_parts(n, q))
         rows.append(
             [
                 n,
                 f"{prior:.2f}",
-                f"{scheme_a.rho_a_bound(n, q):.2f}",
-                f"{scheme_a.rho_a_bound(n, q, operational=True):.2f}",
-                f"{scheme_b.rho_b(n, q):.2f}",
-                f"{scheme_b.rho_b(n, q, operational=True):.2f}",
+                *(f"{sum(p.values()):.2f}" for p in parts),
                 f"{scheme_a.optimal_redundancy(n, q):.2f}",
             ]
         )
@@ -159,14 +158,11 @@ def _cmd_analyze_redundancy(args) -> int:
         _emit_json({"scheme": "optimal", "n": n, "q": q, "value": scheme_a.optimal_redundancy(n, q)})
         return 0
     if scheme == "a":
-        parts = scheme_a.rho_a_parts(n, q)
-        operational = scheme_a.rho_a_bound(n, q, operational=True)
+        parts, ceil = scheme_a.rho_a_parts(n, q)
     elif scheme == "b":
-        parts = scheme_b.rho_b_parts(n, q)
-        operational = scheme_b.rho_b(n, q, operational=True)
+        parts, ceil = scheme_b.rho_b_parts(n, q)
     else:  # scheme c over the full space
-        parts = scheme_c.rho_c_parts(n)
-        operational = None
+        parts, ceil = scheme_c.rho_c_parts(n)
     _emit_json(
         {
             "scheme": scheme,
@@ -174,7 +170,7 @@ def _cmd_analyze_redundancy(args) -> int:
             "q": q,
             "value": sum(parts.values()),
             "decomposition": parts,
-            "operational": operational,
+            "operational": sum(ceil.values()),
             "optimal": scheme_a.optimal_redundancy(n, q),
             "convention": "analytical",
         }

@@ -41,9 +41,10 @@ LatticePoint = Tuple[int, int]
 BigCount = int
 
 # Rows kept by _binom_row and _binom_prefix: Scheme A reads C(n, .) and
-# Scheme B C(n-1, .) at the same n.  Tables 1 and 2 build 28 rows keeping
-# 1 to 4 and 16 keeping all; the 12 rebuilt rows (n <= 1000) take under
-# 1 ms together, while one row of length 2^16 holds about 200 MB.
+# Scheme B's bad-word census C(n-1, .) at the same n; rho_b's good term
+# reads no row.  Tables 1 and 2 build 21 rows keeping 2 and 15 keeping
+# all; the 6 rebuilt rows (n <= 1000) take under 1 ms together, while one
+# row of length 2^16 holds about 200 MB.
 ROW_CACHE = 2
 
 

@@ -27,7 +27,9 @@ band sweeps (count_banded_sweep), each O(n / span) prefix-sum windows of
 that row, so gamma_counts_a(1000, 6) takes about 10 ms.  The
 trigonometric closed-form census is kept only as a floating cross-check.
 Every scheme's rho, here and in scheme_b, scheme_c and trellis, is one
-histogram_sum over its |Gamma| histogram composed by rho_parts.
+histogram_sum over its |Gamma| histogram composed by rho_parts; the one
+pass gives both the analytical (log2) and the operational (ceil width)
+figure.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from .errors import DecodeError
@@ -246,11 +247,9 @@ def count_bad_trig(n: int, q: int) -> float:
     return sum(count_banded_trig((0, y), (m + y, m), band) for y in range(1 - q, q))
 
 
-@lru_cache(maxsize=64)
 def gamma_counts_a(n: int, q: int) -> Dict[int, int]:
     """{i: number of q-balanced length-n words with |Gamma| = i} over the
-    sizes i with a nonzero count, ascending.  The dict is cached and
-    shared between callers: read it, do not modify it.
+    sizes i with a nonzero count, ascending.
 
     |Gamma(c)| is 1 plus the range r = max - min of the running sum of c,
     a lattice bridge from (0, q) to (m+q, m).  A bridge of range r lies in
@@ -271,49 +270,53 @@ def gamma_counts_a(n: int, q: int) -> Dict[int, int]:
     return out
 
 
-def _width(i: int, operational: bool) -> float:
-    """Bits charged for one of i indices: log2 i, or the ceil width on the wire."""
-    return float(rank_width(i)) if operational else math.log2(i)
-
-
-def histogram_sum(gamma: Mapping[int, float], k: int, operational: bool = False) -> float:
-    """sum_{i>=2} i * w(i) * gamma[i] / 2^k over a |Gamma| histogram gamma.
+def histogram_sum(gamma: Mapping[int, float], k: int) -> Tuple[float, float]:
+    """(analytical, operational) sums of i * w(i) * gamma[i] / 2^k, i >= 2,
+    over a |Gamma| histogram gamma, in one loop.
 
     gamma is a {size: count} dict with ascending sizes, as every histogram
     source returns it: gamma[i] counts the codewords with |Gamma| = i
     among the outputs for 2^k messages; each has i preimages whose index
-    costs w(i) bits, with w(i) = log2 i, or ceil(log2 i) when
-    operational.  The logspace Scheme B sum passes shares gamma[i] / 2^k
-    with k = 0.
+    costs w(i) bits, with w(i) = log2 i (analytical), or the ceil width
+    rank_width(i) sent on the wire (operational).  Scheme B's float
+    shares pass gamma[i] / 2^k with k = 0.
     """
-    total = 0.0
+    analytical = operational = 0.0
     for i, g in gamma.items():
         if i >= 2 and g:
-            total += i * _width(i, operational) * (g / (1 << k))
-    return total
+            share = g / (1 << k)
+            analytical += i * math.log2(i) * share
+            operational += i * rank_width(i) * share
+    return analytical, operational
+
+
+Parts = Dict[str, float]  # {"flag", "good", "bad"} bits of one rho
 
 
 def rho_parts(
-    appended: int, good: float, q: int = 0, n: int = 0, bad_words: int = 0, tail: int = 0, operational: bool = False
-) -> Dict[str, float]:
-    """Redundancy in bits split into {"flag", "good", "bad"}; their sum is rho.
+    appended: int, good: Tuple[float, float], q: int = 0, n: int = 0, bad_words: int = 0, tail: int = 0
+) -> Tuple[Parts, Parts]:
+    """Redundancy in bits split into {"flag", "good", "bad"}, whose sum is
+    rho, once with real log2 index widths (analytical) and once with the
+    ceil widths sent on the wire (operational).
 
     flag is the bits appended to every codeword (A 0, B and C 1) plus the
-    flag and type bits when q > 0; good is a histogram_sum.  With q > 0
-    each of the bad_words messages (of n - appended bits) also sends its
-    tail and an index of w(n) bits.
+    flag and type bits when q > 0; good is a histogram_sum pair.  With
+    q > 0 each of the bad_words messages (of n - appended bits) also
+    sends its tail and an index of log2 n, or ceil(log2 n), bits.
     """
     if q == 0:
-        return {"flag": float(appended), "good": good, "bad": 0.0}
-    bad = bad_words / (1 << (n - appended)) * (tail + _width(n, operational))
-    return {"flag": appended + 2.0, "good": good, "bad": bad}
+        return tuple({"flag": float(appended), "good": g, "bad": 0.0} for g in good)
+    bad = bad_words / (1 << (n - appended))
+    widths = (math.log2(n), rank_width(n))
+    return tuple({"flag": appended + 2.0, "good": g, "bad": bad * (tail + w)} for g, w in zip(good, widths))
 
 
-def rho_a_parts(n: int, q: int, operational: bool = False) -> Dict[str, float]:
-    """Scheme A's redundancy estimate: flag bits + good-word term + bad-word term.
+def rho_a_parts(n: int, q: int) -> Tuple[Parts, Parts]:
+    """Scheme A's redundancy estimate: flag bits + good-word term + bad-word
+    term, analytical (real log2 widths, the tables' convention) and
+    operational (ceil(log2 .) widths).
 
-    Analytical convention uses real-valued log2 throughout (the tables'
-    convention); operational=True switches to ceil(log2 .) bit widths.
     Exact at q = 0.  At q > 0 it falls short of the mean over all
     messages: the good term charges log2 |Gamma| only to the Type-1-good
     preimages of each codeword, so each Type-0-good word's log2 |Gamma|
@@ -321,14 +324,14 @@ def rho_a_parts(n: int, q: int, operational: bool = False) -> Dict[str, float]:
     sends log2 |Gamma|.  For n = 8, q = 2 it gives 4.422 against the
     exhaustive 4.994.
     """
-    good = histogram_sum(gamma_counts_a(n, q), n, operational)
-    return rho_parts(0, good, q, n, count_bad(n, q), 2 * q, operational)
+    good = histogram_sum(gamma_counts_a(n, q), n)
+    return rho_parts(0, good, q, n, count_bad(n, q), 2 * q)
 
 
-def rho_a_bound(n: int, q: int, operational: bool = False) -> float:
-    """Scheme A's redundancy estimate in bits; exact at q = 0, low at q > 0
-    (see rho_a_parts)."""
-    return sum(rho_a_parts(n, q, operational).values())
+def rho_a_bound(n: int, q: int) -> float:
+    """Scheme A's analytical redundancy estimate in bits; exact at q = 0,
+    low at q > 0 (see rho_a_parts)."""
+    return sum(rho_a_parts(n, q)[0].values())
 
 
 def optimal_redundancy(n: int, q: int = 0) -> float:

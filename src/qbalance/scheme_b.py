@@ -7,9 +7,10 @@ splits by the codeword weight: only fresh nonnegative running-sum values
 can be minimal indices at weight m+q-1, only fresh nonpositive ones at
 weight m+q.  That sign split is what makes the size distribution a plain
 difference of binomials, which in turn makes the average redundancy
-asymptotically 0.5*log2(n) + 0.526 (q = 0) analyzable.  The differences
-and the bad-word census both read the binomial row C(n-1, .) that
-.lattice builds once by recurrence.
+asymptotically 0.5*log2(n) + 0.526 (q = 0) analyzable.  The exact
+differences (gamma_counts_b) and the bad-word census read the binomial
+row C(n-1, .) that .lattice builds once by recurrence; rho_b's good term
+steps float shares of that row instead (_shares_b).
 
 Bad words (possible only for q >= 2) are handled by Scheme A's prefix
 codec with a replacement run of 2q-2 bits: a length-(n-1) word whose
@@ -21,13 +22,14 @@ truncation has weight <= m-q stays Type-1-good after appending zeros
 from __future__ import annotations
 
 import math
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from .errors import DecodeError
 from .lattice import PathBand, _binom, count_banded
 from .scheme_a import (
     Classification,
     EncodeResult,
+    Parts,
     _balance,
     _check_params,
     _classify,
@@ -142,49 +144,49 @@ def count_bad_b(n: int, q: int) -> int:
     return sum(count_banded((0, y), (m + y, m - 1), band) for y in range(1 - q, q - 1))
 
 
-def _ln_comb(n: int, k: int) -> float:
-    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
-
-
 def _shares_b(n: int, q: int) -> Dict[int, float]:
-    """gamma_counts_b(n, q) divided by 2^(n-1), in lgamma form, which stays
-    fast past n ~ 2^12 where the big-integer binomials do not."""
+    """gamma_counts_b(n, q) divided by 2^(n-1), as floats, in O(n) float
+    operations at any n.  Each branch of _branches starts from one lgamma
+    value of C(n-1, a-1) / 2^(n-1) and steps it up in a by the exact ratio
+    C(n-1, a) / C(n-1, a-1) = (n-a)/a; its size-i share is
+    C(n-1, a-1) - C(n-1, a) = C(n-1, a-1) * 2(a-m)/a over 2^(n-1).
+    """
     m = n // 2
-    k_ln2 = (n - 1) * math.log(2.0)
     out: Dict[int, float] = {}
-    for i, a in _branches(n, q):
-        # C(n-1, a-1) - C(n-1, a) = C(n-1, a-1) * 2(a-m)/a
-        share = math.exp(_ln_comb(n - 1, a - 1) + math.log(2 * (a - m)) - math.log(a) - k_ln2)
-        out[i] = out.get(i, 0.0) + share
+    # The weight-(m+q) branch goes first: its sizes 1..m-q all precede the
+    # sizes the other branch adds, so the keys come out ascending.
+    for first, offset in ((1, m + q), (max(1, 2 * q), m - q)):
+        start = first + offset
+        if start > n:
+            continue
+        c = math.exp(math.lgamma(n) - math.lgamma(start) - math.lgamma(n - start + 1) - (n - 1) * math.log(2.0))
+        for a in range(start, n + 1):
+            out[a - offset] = out.get(a - offset, 0.0) + c * 2 * (a - m) / a
+            c = c * (n - a) / a
     return out
 
 
-def rho_b_parts(n: int, q: int, operational: bool = False) -> Dict[str, float]:
-    """Scheme B's redundancy estimate: constant + good term + bad term.
+def rho_b_parts(n: int, q: int) -> Tuple[Parts, Parts]:
+    """Scheme B's redundancy estimate: constant + good term + bad term,
+    analytical (real log2 widths) and operational (the ceil widths sent on
+    the wire).
 
     The constant is 1 appended balance bit, plus 2 flag/type bits when
-    q > 0.  The good term sums the exact binomials of the shared row up
-    to n = 4096 and lgamma shares (_shares_b) above.  In process at
-    n = 4096 the exact sum takes about 14 ms and the shares 8 ms; at
-    n = 65536 the exact sum takes 1.4 s and peaks at 414 MB of big
-    integers, the shares 85 ms and 19 MB.  The two agree to about 1e-12
-    relative, not bit for bit, so the switch stays where Tables 1 and 2
-    and the n = 65536 point were recorded.
-    operational=True swaps real log2 widths for the ceil widths sent on
-    the wire.  Exact at q = 0; at q > 0 it is low by the same terms as
+    q > 0.  The good term sums the float shares of _shares_b at every n;
+    they agree with the exact binomials of gamma_counts_b to within 1e-11
+    relative (7.3e-12 at worst over n <= 4096, q in {0, 2, 6}), and take
+    about 30 ms at n = 65536, where the big-integer binomials grow with n.
+    Exact at q = 0; at q > 0 it is low by the same terms as
     scheme_a.rho_a_parts (4.634 against the exhaustive 5.037 for n = 8,
     q = 2).
     """
     _check_params(n, q)
-    if n <= 4096:
-        good = histogram_sum(gamma_counts_b(n, q), n - 1, operational)
-    else:
-        good = histogram_sum(_shares_b(n, q), 0, operational)
-    return rho_parts(1, good, q, n, count_bad_b(n, q), _tail(q), operational)
+    good = histogram_sum(_shares_b(n, q), 0)
+    return rho_parts(1, good, q, n, count_bad_b(n, q), _tail(q))
 
 
-def rho_b(n: int, q: int, operational: bool = False) -> float:
-    return sum(rho_b_parts(n, q, operational).values())
+def rho_b(n: int, q: int) -> float:
+    return sum(rho_b_parts(n, q)[0].values())
 
 
 def rho_b_asymptote(n: int, q: int) -> float:

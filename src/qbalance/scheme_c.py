@@ -50,7 +50,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from .cyclic_code import CyclicCode, _syndrome_int, codewords, contains, encode_systematic
 from .errors import AmbiguousBlockError, CodingError, DecodeError, StreamError
-from .scheme_a import EncodeResult, _check_length, histogram_sum, rank_width, rho_parts
+from .scheme_a import EncodeResult, Parts, _check_length, histogram_sum, rank_width, rho_parts
 from .trellis import SYNDROME_GUARD
 from .words import BitWord, flip_prefix, weight
 
@@ -250,14 +250,16 @@ def gamma_counts_fullspace(n: int) -> Dict[int, int]:
     return {i: 2 * (central[i - 1] // i) * central[m - i] for i in range(1, m + 1)}
 
 
-def rho_c_parts(n: int) -> Dict[str, float]:
-    """Redundancy over all of {0,1}^(n-1): 1 appended bit + mean log2 |Gamma|."""
+def rho_c_parts(n: int) -> Tuple[Parts, Parts]:
+    """Redundancy over all of {0,1}^(n-1): 1 appended bit + mean index
+    width, with log2 |Gamma| (analytical) and ceil(log2 |Gamma|) bits
+    (operational)."""
     return rho_parts(1, histogram_sum(gamma_counts_fullspace(n), n - 1))
 
 
 def rho_c_fullspace(n: int) -> float:
     """Average redundancy over all of {0,1}^(n-1): 1 + mean log2 |Gamma|."""
-    return sum(rho_c_parts(n).values())
+    return sum(rho_c_parts(n)[0].values())
 
 
 # ---------------------------------------------------------------------------
@@ -266,11 +268,9 @@ def rho_c_fullspace(n: int) -> float:
 
 @dataclass(frozen=True)
 class StreamFrame:
-    """One transmitted block: fresh payload consumed, block, carried prefix."""
+    """One transmitted block."""
 
-    payload: BitWord
     codeword: BitWord
-    prefix: BitWord
 
 
 @dataclass(frozen=True)
@@ -321,10 +321,9 @@ def stream_encode(code: CyclicCode, payload: BitWord) -> StreamEncoding:
         take = bits[pos : pos + room]
         pos += len(take)
         fill = room - len(take)
-        fresh = BitWord(int(take, 2) if take else 0, len(take))
-        packet = ((carry.value << fresh.length) | fresh.value) << fill
+        packet = ((carry.value << len(take)) | (int(take, 2) if take else 0)) << fill
         res = encode_c(code, encode_systematic(code, BitWord(packet, k)))
-        frames.append(StreamFrame(payload=fresh, codeword=res.codeword, prefix=res.prefix))
+        frames.append(StreamFrame(codeword=res.codeword))
         carry = res.prefix
         if not pad:
             payload_frames, final_pad = len(frames), fill
@@ -430,6 +429,5 @@ def unpack_stream(blob: bytes) -> StreamEncoding:
     if len(body) != total * nbytes:
         raise StreamError(f"container body is {len(body)} bytes, header says {total} blocks of {nbytes}")
     values = (int.from_bytes(body[i : i + nbytes], "big") >> (8 * nbytes - n) for i in range(0, len(body), nbytes))
-    empty = BitWord(0, 0)
-    frames = tuple(StreamFrame(payload=empty, codeword=BitWord(v, n), prefix=empty) for v in values)
+    frames = tuple(StreamFrame(codeword=BitWord(v, n)) for v in values)
     return StreamEncoding(frames=frames, payload_frames=payload_frames, final_pad=final_pad, n=n)

@@ -60,8 +60,7 @@ enumeration.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, List, Tuple
 
 from .cyclic_code import CyclicCode
 from .errors import CapacityError
@@ -139,28 +138,20 @@ class _Lanes:
         return (x >> (s * self.width)) & self.lane_mask
 
 
-class TrellisReport(Mapping):
-    """One forward pass: (final weight, shift-set size) -> exact path count.
+class TrellisReport:
+    """One forward pass: `final` maps (final weight, shift-set size) to the
+    exact path count.
 
-    Reads as the final-state mapping; also carries the derived gamma
-    histogram, |C*|, rho and the number of materialized states per level
-    (root first, final level last).  A plain class: a dataclass would add
-    more to the import than the rest of this module.
+    Also carries the derived gamma histogram, |C*|, rho and the number of
+    materialized states per level (root first, final level last).  A plain
+    class: a dataclass would add more to the import than the rest of this
+    module.
     """
 
     def __init__(self, final: Dict[FinalState, int], k: int, level_states: Tuple[int, ...]) -> None:
         self.final = final
         self.k = k
         self.level_states = level_states
-
-    def __getitem__(self, key: FinalState) -> int:
-        return self.final[key]
-
-    def __iter__(self) -> Iterator[FinalState]:
-        return iter(self.final)
-
-    def __len__(self) -> int:
-        return len(self.final)
 
     @property
     def gamma(self) -> Dict[int, int]:
@@ -178,7 +169,7 @@ class TrellisReport(Mapping):
     @property
     def rho(self) -> float:
         """Average redundancy 1 + 2^-k * sum_j j*gamma[j]*log2(j)."""
-        return sum(rho_parts(1, histogram_sum(self.gamma, self.k)).values())
+        return sum(rho_parts(1, histogram_sum(self.gamma, self.k))[0].values())
 
     @property
     def states(self) -> int:
@@ -187,10 +178,11 @@ class TrellisReport(Mapping):
 
 
 def build_and_count(code: CyclicCode) -> TrellisReport:
-    """Map (final weight, shift-set size) -> exact path count.
+    """One pass: the report's `final` maps (final weight, shift-set size)
+    to the exact path count.
 
-    The returned report also carries gamma, |C*|, rho and the per-level
-    state counts, so one pass answers every question about the code.
+    The report also carries gamma, |C*|, rho and the per-level state
+    counts, so one pass answers every question about the code.
     """
     m = _check(code)
     h = code.parity_cols

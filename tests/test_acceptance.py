@@ -180,11 +180,7 @@ def test_criterion_07_scheme_c_worked_example():
 
     corrupted = StreamEncoding(
         frames=tuple(
-            StreamFrame(
-                payload=f.payload,
-                codeword=BitWord(f.codeword.value ^ (1 << (i % 8)), 8),
-                prefix=f.prefix,
-            )
+            StreamFrame(codeword=BitWord(f.codeword.value ^ (1 << (i % 8)), 8))
             for i, f in enumerate(enc.frames)
         ),
         payload_frames=enc.payload_frames,

@@ -172,7 +172,7 @@ class TestAnalyze:
     @pytest.mark.parametrize("n,q", [(8, 0), (16, 6)])
     def test_scheme_b_operational(self, capsys, n, q):
         obj = run_json(capsys, "analyze", "redundancy", "--scheme", "b", "-n", str(n), "-q", str(q))
-        assert obj["operational"] == scheme_b.rho_b(n, q, operational=True)
+        assert obj["operational"] == sum(scheme_b.rho_b_parts(n, q)[1].values())
         assert obj["operational"] >= obj["value"]
 
 

@@ -14,9 +14,19 @@ from qbalance.oracle import (
     roundtrip_all,
     verify_scheme,
 )
-from qbalance.scheme_a import Classification, count_bad, encode_a, gamma_set_a, rank_width, rho_a_bound
-from qbalance.scheme_b import encode_b, gamma_set_b, rho_b
-from qbalance.scheme_c import rho_c_fullspace
+from qbalance.scheme_a import (
+    Classification,
+    count_bad,
+    encode_a,
+    gamma_set_a,
+    histogram_sum,
+    rank_width,
+    rho_a_bound,
+    rho_a_parts,
+    rho_parts,
+)
+from qbalance.scheme_b import encode_b, gamma_set_b, rho_b, rho_b_parts
+from qbalance.scheme_c import rho_c_parts
 from qbalance.words import BitWord, all_words
 
 
@@ -83,10 +93,17 @@ def _fold_cases():
         for n, q in ((8, 0), (10, 0), (12, 0), (8, 2), (10, 2), (12, 3)):
             for op in (False, True):
                 yield pytest.param(scheme, n, q, op, id=f"{scheme}-{n}-{q}-{'ceil' if op else 'log2'}")
-    for code in ("simplex", "hamming", "bch15", "golay23"):
-        yield pytest.param(code, 0, 0, False, id=f"trellis-{code}")
-    for n in range(8, 17, 2):
-        yield pytest.param("fullspace", n, 0, False, id=f"c-fullspace-{n}")
+    for op in (False, True):
+        suffix = "-ceil" if op else ""
+        for code in ("simplex", "hamming", "bch15", "golay23"):
+            yield pytest.param(code, 0, 0, op, id=f"trellis-{code}{suffix}")
+        for n in range(8, 17, 2):
+            yield pytest.param("fullspace", n, 0, op, id=f"c-fullspace-{n}{suffix}")
+
+
+def _total(parts, operational):
+    """The analytical or operational total of an (analytical, operational) parts pair."""
+    return sum(parts[1 if operational else 0].values())
 
 
 @pytest.mark.parametrize("scheme,n,q,operational", _fold_cases())
@@ -94,15 +111,18 @@ def test_histogram_formula_matches_exhaustive(request, scheme, n, q, operational
     """Every rho read off a |Gamma| histogram equals the mean over all messages."""
     if scheme in ("a", "b"):
         report = exhaustive_redundancy(scheme, n, q)
-        estimate = rho_a_bound(n, q, operational) if scheme == "a" else rho_b(n, q, operational=operational)
+        estimate = _total((rho_a_parts if scheme == "a" else rho_b_parts)(n, q), operational)
         formula = estimate + _estimate_gap(scheme, n, q, operational)
     elif scheme == "fullspace":
         report = exhaustive_redundancy("c", n)
-        formula = rho_c_fullspace(n)
+        formula = _total(rho_c_parts(n), operational)
     else:
         code = request.getfixturevalue(scheme)
         report = exhaustive_redundancy("c", code.n + 1, code=code)
-        formula = trellis.build_and_count(code).rho
+        counted = trellis.build_and_count(code)
+        formula = _total(rho_parts(1, histogram_sum(counted.gamma, counted.k)), operational)
+        if not operational:
+            assert formula == counted.rho
     measured = report.operational if operational else report.analytical
     assert measured == pytest.approx(formula, rel=0, abs=1e-12)
 

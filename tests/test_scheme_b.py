@@ -252,9 +252,9 @@ class TestRhoB:
         assert rho_b(16, 0) == pytest.approx(2.52, abs=0.01)
 
     def test_exact_and_logspace_agree(self):
-        for n, q in [(64, 0), (128, 2), (256, 3)]:
+        for n, q in [(64, 0), (128, 2), (256, 3), (1000, 6), (4096, 0)]:
             assert histogram_sum(gamma_counts_b(n, q), n - 1) == pytest.approx(
-                histogram_sum(_shares_b(n, q), 0), rel=1e-9
+                histogram_sum(_shares_b(n, q), 0), rel=1e-11
             )
 
     def test_asymptote_constant(self):

@@ -358,11 +358,7 @@ class TestStream:
             payload = BitWord(rng.getrandbits(nbits), nbits)
             enc = stream_encode(simplex, payload)
             frames = tuple(
-                StreamFrame(
-                    payload=f.payload,
-                    codeword=BitWord(f.codeword.value ^ (1 << rng.randrange(8)), 8),
-                    prefix=f.prefix,
-                )
+                StreamFrame(codeword=BitWord(f.codeword.value ^ (1 << rng.randrange(8)), 8))
                 for f in enc.frames
             )
             corrupted = StreamEncoding(
@@ -463,6 +459,12 @@ class TestContainer:
             assert len(blob) == 4 + 2 * HEADER_COPY_BYTES + len(enc.frames) * -(-enc.n // 8)
             assert [f.codeword for f in unpack_stream(blob).frames] == [f.codeword for f in enc.frames]
             assert stream_decode(code, unpack_stream(blob)) == payload
+
+    @pytest.mark.parametrize("name", ["simplex", "bch15", "golay23"])
+    def test_roundtrip_is_lossless(self, request, name):
+        code = request.getfixturevalue(name)
+        for _, enc in encodable_payloads(code, 3):
+            assert unpack_stream(pack_stream(enc)) == enc
 
     def test_container_of_another_code(self, simplex, bch15):
         (payload, enc), = encodable_payloads(bch15, 1)

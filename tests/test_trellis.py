@@ -60,13 +60,13 @@ class TestAgainstEnumeration:
         assert build_and_count(golay).gamma == enumeration_gamma(golay)
 
     def test_final_states_split_by_weight(self, hamming):
-        final = build_and_count(hamming)
+        report = build_and_count(hamming)
         m = 4
-        assert set(wt for wt, _ in final) <= {m - 1, m}
+        assert set(wt for wt, _ in report.final) <= {m - 1, m}
         merged = {}
-        for (wt, idx), cnt in final.items():
+        for (wt, idx), cnt in report.final.items():
             merged[idx] = merged.get(idx, 0) + cnt
-        assert merged == final.gamma
+        assert merged == report.gamma
 
 
 class TestPinnedCodes:
@@ -89,7 +89,6 @@ class TestPinnedCodes:
         assert len(report.level_states) == (code.n + 1) // 2 + 1  # root, m-1 pair levels, final
         assert sum(report.level_states) == report.states == state_count(code)
         assert report.codebook_size == sum(report.gamma.values()) == sum(report.final.values())
-        assert dict(report) == report.final
 
 
 class TestLanes:
