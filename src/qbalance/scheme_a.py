@@ -14,11 +14,16 @@ Prefix layout, bit-exact:
     q = 0:      [z]                      (every word is Type-1-good)
 
 where z is the rank of tau in Gamma(c).  Scheme B runs the same prefix
-codec (_classify, _balance, _unbalance) with its own index set and a
-(2q-2)-bit tail.  Both index sets are words.flip_indices, one walk of the
-running sum, with the scheme's target weights; _classify hands the set it
-found for the message (or its complement) on to _balance, so only a bad
-word's replacement is scanned again.  The analytical machinery
+codec (_classify, _balance, _unbalance) with its own target weights and a
+(2q-2)-bit tail.  The codec works on the words' integers and builds
+BitWords only for what it returns.  Each flip-index set is one
+words.level_walk over the message's (or its complement's) integer, at
+the levels its target weights put on the running sum, and Gamma(c) is
+one words.fresh_walk; both read the word 8 bits at a time.  _classify
+hands the index set it found for the message or its complement on to
+_balance, so only a bad word's replacement is walked again: at most
+three level walks and one fresh walk per encode, and one fresh walk per
+decode.  The analytical machinery
 (Gamma-size distribution, bad-word census, redundancy estimate) runs on
 the exact lattice-path counts from .lattice, all read off one binomial
 row C(n, .) built by recurrence: the bad-word census is 2q-1 reflection
@@ -37,11 +42,11 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from .errors import DecodeError
 from .lattice import PathBand, count_banded, count_banded_sweep, count_banded_trig
-from .words import BitWord, balancing_indices, complement, flip_prefix, running_sum, weight
+from .words import BitWord, fresh_walk, level_walk, weight
 
 
 class Classification(enum.Enum):
@@ -74,11 +79,6 @@ def rank_width(size: int) -> int:
     return (size - 1).bit_length()
 
 
-def _encode_rank(rank: int, size: int) -> str:
-    r = rank_width(size)
-    return format(rank, f"0{r}b") if r else ""
-
-
 def _check_length(n: int) -> None:
     if n < 2:
         raise ValueError(f"block length n={n} must be at least 2")
@@ -92,21 +92,29 @@ def _check_params(n: int, q: int) -> None:
         raise ValueError(f"imbalance parameter q={q} out of range 0..{n // 2}")
 
 
-def _classify(x: BitWord, q: int, indices, run: int) -> Tuple[Classification, List[int]]:
-    """Good/bad typing under a scheme's index function and bad-word tail length.
+def _indices(v: int, n: int, targets: Iterable[int]) -> List[int]:
+    """Flip indices of the length-n word v onto the target weights: the
+    level walk at the levels weight(v) - t."""
+    wt = v.bit_count()
+    return level_walk(v, n, [wt - t for t in targets])
 
-    A good word comes with the index set of the word it is replaced by
-    (x or its complement); a bad word with an empty list.
+
+def _classify(v: int, n: int, q: int, targets: Iterable[int], run: int) -> Tuple[Classification, List[int]]:
+    """Good/bad typing of the length-n message v under a scheme's target
+    weights and bad-word tail length.
+
+    A good word comes with the flip-index set of the word it is replaced
+    by (v or its complement); a bad word with an empty list.
     """
-    found = indices(x, q)
+    found = _indices(v, n, targets)
     if found:
         return Classification.TYPE1_GOOD, found
-    found = indices(complement(x), q)
+    found = _indices(v ^ ((1 << n) - 1), n, targets)
     if found:
         return Classification.TYPE0_GOOD, found
     # Replacing the last `run` bits by i^run restores an index; i follows
     # the truncated weight so the replacement is provably Type-1-good.
-    if weight(x.prefix(x.length - run)) <= (x.length + 1) // 2 - q:
+    if (v >> run).bit_count() <= (n + 1) // 2 - q:
         return Classification.TYPE0_BAD, found
     return Classification.TYPE1_BAD, found
 
@@ -114,19 +122,22 @@ def _classify(x: BitWord, q: int, indices, run: int) -> Tuple[Classification, Li
 def classify(x: BitWord, q: int) -> Classification:
     """Good/bad typing of a message for imbalance parameter q."""
     _check_params(x.length, q)
-    return _classify(x, q, balancing_indices, 2 * q)[0]
+    return _classify(x.value, x.length, q, (x.length // 2 + q,), 2 * q)[0]
 
 
-def _run(bit: int, length: int) -> BitWord:
-    return BitWord((1 << length) - 1 if bit else 0, length)
+def _substitute_int(v: int, n: int, cls: Classification, run: int) -> int:
+    """The word a length-n message v is balanced as: v, its complement, or
+    v with its last `run` bits replaced by the run of its type bit."""
+    if cls is Classification.TYPE1_GOOD:
+        return v
+    if cls is Classification.TYPE0_GOOD:
+        return v ^ ((1 << n) - 1)
+    return (v >> run << run) | ((1 << run) - 1 if cls.type_bit else 0)
 
 
 def _substitute(x: BitWord, cls: Classification, run: int) -> BitWord:
-    if cls is Classification.TYPE1_GOOD:
-        return x
-    if cls is Classification.TYPE0_GOOD:
-        return complement(x)
-    return x.prefix(x.length - run).concat(_run(cls.type_bit, run))
+    """BitWord form of _substitute_int."""
+    return BitWord(_substitute_int(x.value, x.length, cls, run), x.length)
 
 
 def fresh_indices(c: BitWord, sign: int = 0) -> List[int]:
@@ -136,18 +147,7 @@ def fresh_indices(c: BitWord, sign: int = 0) -> List[int]:
     is a new maximum or minimum.  sign > 0 keeps only nonnegative new
     values, sign < 0 only nonpositive ones.
     """
-    out = [0]
-    lo = hi = 0
-    for i, v in enumerate(running_sum(c)):
-        if v > hi:
-            hi = v
-            if sign >= 0:
-                out.append(i)
-        elif v < lo:
-            lo = v
-            if sign <= 0:
-                out.append(i)
-    return out
+    return fresh_walk(c.value, c.length, sign)
 
 
 def gamma_set_a(c: BitWord, q: int) -> List[int]:
@@ -159,63 +159,76 @@ def gamma_set_a(c: BitWord, q: int) -> List[int]:
     return fresh_indices(c)
 
 
-def _balance(x: BitWord, q: int, indices, gamma_set, run: int) -> EncodeResult:
-    """The prefix scheme shared by A and B: classify, substitute, flip, rank."""
-    cls, found = _classify(x, q, indices, run)
-    xh = _substitute(x, cls, run)
-    tau = (found or indices(xh, q))[0]
-    c = flip_prefix(xh, tau)
-    gamma = gamma_set(c, q)
-    z = _encode_rank(gamma.index(tau), len(gamma))
+def _balance(v: int, n: int, q: int, targets: Dict[int, int], run: int):
+    """The prefix scheme shared by A and B: classify, substitute, flip, rank.
+
+    targets maps each codeword weight the scheme aims at to the sign of
+    its Gamma walk.  Returns (codeword, prefix, prefix length,
+    classification, tau), the words as ints.
+    """
+    cls, found = _classify(v, n, q, targets, run)
+    xh = _substitute_int(v, n, cls, run)
+    tau = (found or _indices(xh, n, targets))[0]
+    c = xh ^ (((1 << tau) - 1) << (n - tau))
+    gamma = fresh_walk(c, n, targets[c.bit_count()])
+    r = rank_width(len(gamma))
+    z = gamma.index(tau)
     if q == 0:
-        bits = z
-    elif not cls.is_bad:
-        bits = f"0{cls.type_bit}{z}"
-    else:
-        bits = f"1{cls.type_bit}{z}{x.suffix(run)}"
-    return EncodeResult(codeword=c, prefix=BitWord.from_str(bits), classification=cls, tau=tau)
+        return c, z, r, cls, tau
+    prefix = (cls.is_bad << 1 | cls.type_bit) << r | z
+    if cls.is_bad:
+        return c, prefix << run | v & ((1 << run) - 1), r + 2 + run, cls, tau
+    return c, prefix, r + 2, cls, tau
 
 
-def _unbalance(c: BitWord, p: BitWord, gamma: List[int], q: int, run: int) -> BitWord:
-    """Invert _balance given Gamma(c); with q = 0 the prefix is a bare rank
-    read as flag 0, type 1.  Every DecodeError names the field and its bit."""
-    bits = str(p)
+def _unbalance(c: int, n: int, p: BitWord, gamma: List[int], q: int, run: int) -> int:
+    """Invert _balance on the length-n codeword c given Gamma(c); with q = 0
+    the prefix is a bare rank read as flag 0, type 1.  Every DecodeError
+    names the field and its bit."""
+    bits, length = p.value, p.length
     pos = 0
 
-    def take(k: int, name: str) -> str:
+    def take(k: int, name: str) -> int:
         nonlocal pos
-        left = len(bits) - pos
+        left = length - pos
         if left < k:
             raise DecodeError(f"prefix too short: {name} at bit {pos} needs {k} bits, {left} left")
         pos += k
-        return bits[pos - k : pos]
+        return bits >> (left - k) & ((1 << k) - 1)
 
-    flag, type_bit = ("0", "1") if q == 0 else (take(1, "flag"), take(1, "type bit"))
+    flag, type_bit = (0, 1) if q == 0 else (take(1, "flag"), take(1, "type bit"))
     r = rank_width(len(gamma))
-    rank = int(take(r, "rank"), 2) if r else 0
+    rank = take(r, "rank") if r else 0
     if rank >= len(gamma):
         raise DecodeError(f"rank {rank} at bit {pos - r} out of range for |Gamma|={len(gamma)}")
-    xh = flip_prefix(c, gamma[rank])
-    if flag == "1":
-        xh = xh.prefix(xh.length - run).concat(BitWord.from_str(take(run, "bad-word tail")))
-    elif type_bit == "0":
-        xh = complement(xh)
-    if pos < len(bits):
-        raise DecodeError(f"trailing bits at bit {pos}: {len(bits) - pos} after the prefix")
+    tau = gamma[rank]
+    xh = c ^ (((1 << tau) - 1) << (n - tau))
+    if flag:
+        xh = (xh >> run << run) | take(run, "bad-word tail")
+    elif not type_bit:
+        xh ^= (1 << n) - 1
+    if pos < length:
+        raise DecodeError(f"trailing bits at bit {pos}: {length - pos} after the prefix")
     return xh
 
 
 def encode_a(x: BitWord, q: int) -> EncodeResult:
-    _check_params(x.length, q)
-    return _balance(x, q, balancing_indices, gamma_set_a, 2 * q)
+    n = x.length
+    _check_params(n, q)
+    c, p, plen, cls, tau = _balance(x.value, n, q, {n // 2 + q: 0}, 2 * q)
+    return EncodeResult(BitWord(c, n), BitWord(p, plen), cls, tau)
 
 
 def decode_a(c: BitWord, p: BitWord, n: int, q: int) -> BitWord:
-    """Invert encode_a; raises DecodeError on any malformed prefix."""
+    """Invert encode_a; raises DecodeError on a wrong-weight codeword or a
+    malformed prefix."""
     _check_params(n, q)
     if c.length != n:
         raise ValueError(f"codeword length {c.length} != {n}")
-    return _unbalance(c, p, gamma_set_a(c, q), q, 2 * q)
+    wt = c.value.bit_count()
+    if wt != n // 2 + q:
+        raise DecodeError(f"codeword weight {wt} != target {n // 2 + q}")
+    return BitWord(_unbalance(c.value, n, p, fresh_walk(c.value, n, 0), q, 2 * q), n)
 
 
 # ---------------------------------------------------------------------------

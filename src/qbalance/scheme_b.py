@@ -38,7 +38,7 @@ from .scheme_a import (
     histogram_sum,
     rho_parts,
 )
-from .words import BitWord, flip_indices, weight
+from .words import BitWord, flip_indices, fresh_walk, weight
 
 EULER_MASCHERONI = 0.5772156649015329
 
@@ -51,16 +51,25 @@ def _tail(q: int) -> int:
     return max(0, 2 * q - 2)
 
 
+def _targets_b(k: int, q: int) -> Dict[int, int]:
+    """Scheme B's target weights m+q-1 and m+q for length-k messages, each
+    mapped to the sign of its Gamma walk (fresh nonnegative values at
+    m+q-1, fresh nonpositive ones at m+q)."""
+    n = k + 1
+    if n % 2:
+        raise ValueError(f"message length {k} must be odd (n-1)")
+    return {n // 2 + q - 1: 1, n // 2 + q: -1}
+
+
 def t_b(x: BitWord, q: int) -> List[int]:
     """All j with weight(flip_prefix(x, j)) in {m+q-1, m+q}, ascending."""
-    n = x.length + 1
-    if n % 2:
-        raise ValueError(f"message length {x.length} must be odd (n-1)")
-    return flip_indices(x, (n // 2 + q - 1, n // 2 + q))
+    return flip_indices(x, _targets_b(x.length, q))
 
 
 def classify_b(x: BitWord, q: int) -> Classification:
-    return _classify(x, q, t_b, _tail(q))[0]
+    targets = _targets_b(x.length, q)
+    _check_params(x.length + 1, q)
+    return _classify(x.value, x.length, q, targets, _tail(q))[0]
 
 
 def gamma_set_b(c: BitWord, q: int) -> List[int]:
@@ -78,10 +87,9 @@ def gamma_set_b(c: BitWord, q: int) -> List[int]:
 def encode_b(x: BitWord, q: int) -> EncodeResult:
     n = x.length + 1
     _check_params(n, q)
-    res = _balance(x, q, t_b, gamma_set_b, _tail(q))
-    appended = 1 if weight(res.codeword) == n // 2 + q - 1 else 0
-    cprime = res.codeword.concat(BitWord(appended, 1))
-    return EncodeResult(cprime, res.prefix, res.classification, res.tau)
+    c, p, plen, cls, tau = _balance(x.value, n - 1, q, _targets_b(n - 1, q), _tail(q))
+    appended = 1 if c.bit_count() == n // 2 + q - 1 else 0
+    return EncodeResult(BitWord(c << 1 | appended, n), BitWord(p, plen), cls, tau)
 
 
 def decode_b(cprime: BitWord, p: BitWord, n: int, q: int) -> BitWord:
@@ -89,13 +97,14 @@ def decode_b(cprime: BitWord, p: BitWord, n: int, q: int) -> BitWord:
     m = n // 2
     if cprime.length != n:
         raise ValueError(f"codeword length {cprime.length} != {n}")
-    c = cprime.prefix(n - 1)
-    wt = weight(c)
+    c = cprime.value >> 1
+    wt = c.bit_count()
     if wt not in (m + q - 1, m + q):
         raise DecodeError(f"stripped codeword weight {wt} outside target pair")
-    if cprime.bit(n) != (1 if wt == m + q - 1 else 0):
+    if cprime.value & 1 != (1 if wt == m + q - 1 else 0):
         raise DecodeError("appended balance bit inconsistent with codeword weight")
-    return _unbalance(c, p, gamma_set_b(c, q), q, _tail(q))
+    gamma = fresh_walk(c, n - 1, 1 if wt == m + q - 1 else -1)
+    return BitWord(_unbalance(c, n - 1, p, gamma, q, _tail(q)), n - 1)
 
 
 # ---------------------------------------------------------------------------

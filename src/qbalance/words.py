@@ -11,17 +11,27 @@ pair where the textual string is read as a binary numeral.
 
 Every flip-index set is one walk.  Complementing the first j bits moves
 the weight by -R_j, where R is the running sum, so the indices whose flip
-lands on a target weight form a level set of running_sum (flip_indices).
-Scheme A's balancing_indices and Scheme B's t_b are that walk with one
-and two targets.  Running sums are accumulated over the bit string in C,
-not bit by bit in Python.
+lands on a target weight form a level set of the running sum
+(level_walk; flip_indices is its BitWord form).  Scheme A's
+balancing_indices and Scheme B's t_b are that walk with one and two
+targets, and the receiver-side sets Gamma(c) are the indices of new
+running-sum extremes (fresh_walk).  Both walks read the word's integer
+8 bits at a time through one lazily built 256-row table (Sarwate's
+table-driven CRC idea, applied to prefix sums): each row holds a
+chunk's prefix sums, their min and max and its net step, plus the
+positions where they hit each level or set a new extreme.  A walk adds
+the net step of every chunk whose [min, max] window cannot hold a level
+or a new extreme and reads positions only from the others; a length
+that is not a multiple of 8 starts with a short chunk.  running_sum and
+cyclic_running_sum stay as per-bit references.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import accumulate
 from operator import add
-from typing import Iterator, List
+from typing import Dict, Iterator, List, Tuple
 
 
 class BitWord:
@@ -149,12 +159,15 @@ def _steps(w: BitWord) -> Iterator[int]:
 
 
 def running_sum(w: BitWord) -> List[int]:
-    """R_0 = 0, R_i = R_{i-1} +/- 1 per bit i (1 -> +1); final entry = imbalance."""
+    """R_0 = 0, R_i = R_{i-1} +/- 1 per bit i (1 -> +1); final entry = imbalance.
+
+    Per-bit reference for level_walk and fresh_walk, which read 8 bits at a time.
+    """
     return list(accumulate(_steps(w), initial=0))
 
 
 def cyclic_running_sum(w: BitWord) -> List[int]:
-    """Paired running sum of an odd-length word, indexed 0..m-1.
+    """Paired running sum of an odd-length word, indexed 0..m-1; a per-bit reference.
 
     For length 2m-1, entry i adds the +/-1 contributions of positions i
     and i+m to entry i-1.  Entry 0 is 0 and position m itself is never
@@ -167,14 +180,122 @@ def cyclic_running_sum(w: BitWord) -> List[int]:
     return list(accumulate(map(add, steps[: m - 1], steps[m:]), initial=0))
 
 
+@lru_cache(maxsize=None)
+def _chunk_table() -> Tuple[Tuple[tuple, ...], Tuple[Tuple[int, ...], ...]]:
+    """(rows, offsets), built on first use.
+
+    rows[b] describes the 8-bit chunk b read left to right as (lo, hi,
+    net, hits, ups, downs, sums): sums are its 8 prefix sums, lo and hi
+    their min and max, net the last one.  The other fields are position
+    masks, bit k-1 standing for the chunk's k-th bit: hits[r] marks the
+    sums equal to r; ups[t] the sums that set a new maximum when the
+    maximum so far is t (0 <= t < 8), downs[t] a new minimum when the
+    minimum so far is -t.  offsets[mask] lists the positions k of a mask,
+    ascending.
+    """
+    rows = []
+    shared: Dict[tuple, tuple] = {}  # equal mask tuples are stored once
+    for b in range(256):
+        sums = tuple(accumulate(1 if b >> (7 - k) & 1 else -1 for k in range(8)))
+        hits: Dict[int, int] = {}
+        ups, downs = [0] * 8, [0] * 8
+        top = bottom = 0
+        for k, s in enumerate(sums):
+            hits[s] = hits.get(s, 0) | 1 << k
+            if s > top:  # a new maximum above every threshold t < s
+                top = s
+                for t in range(s):
+                    ups[t] |= 1 << k
+            elif s < bottom:
+                bottom = s
+                for t in range(-s):
+                    downs[t] |= 1 << k
+        ups, downs = (shared.setdefault(tuple(masks), tuple(masks)) for masks in (ups, downs))
+        rows.append((min(sums), max(sums), sums[-1], hits, ups, downs, sums))
+    offsets = tuple(tuple(k + 1 for k in range(8) if m >> k & 1) for m in range(256))
+    return tuple(rows), offsets
+
+
+def level_walk(value: int, length: int, levels) -> List[int]:
+    """All j in 0..length whose running sum R_j is in levels, ascending.
+
+    value is a word's integer, as BitWord.value; levels a small collection
+    of ints.  A chunk whose window of sums holds no level is skipped.
+    """
+    out = [0] if 0 in levels else []
+    if not levels or not length:
+        return out
+    rows, offsets = _chunk_table()
+    low, high = min(levels), max(levels)
+    data = value.to_bytes((length + 7) >> 3, "big")
+    size = length & 7 or 8  # the first chunk, read as the leading bits of a row
+    _, _, _, hits, _, _, sums = rows[data[0] << (8 - size)]
+    mask = 0
+    for level in levels:
+        mask |= hits.get(level, 0)
+    out.extend(offsets[mask & ((1 << size) - 1)])
+    base, j = sums[size - 1], size
+    for b in data[1:]:
+        lo, hi, net, hits, _, _, _ = rows[b]
+        if base + lo <= high and base + hi >= low:
+            mask = 0
+            for level in levels:
+                mask |= hits.get(level - base, 0)
+            for k in offsets[mask]:
+                out.append(j + k)
+        base += net
+        j += 8
+    return out
+
+
+def fresh_walk(value: int, length: int, sign: int = 0) -> List[int]:
+    """Indices whose running-sum value is new, ascending.
+
+    The values seen so far form a range, so a value is new exactly when it
+    is a new maximum or minimum.  sign > 0 keeps only nonnegative new
+    values (the new maxima), sign < 0 only nonpositive ones (the new
+    minima).  A chunk that sets no kept extreme is skipped.
+    """
+    if not length:
+        return [0]
+    rows, offsets = _chunk_table()
+    data = value.to_bytes((length + 7) >> 3, "big")
+    size = length & 7 or 8
+    _, _, _, _, ups, downs, sums = rows[data[0] << (8 - size)]
+    head = sums[:size]
+    # An extreme the sign filter drops starts out of reach (|R_j| <= length).
+    top = 0 if sign >= 0 else length
+    bottom = 0 if sign <= 0 else -length
+    mask = 0
+    if max(head) > top:
+        mask, top = ups[0], max(head)
+    if min(head) < bottom:
+        mask, bottom = mask | downs[0], min(head)
+    out = [0, *offsets[mask & ((1 << size) - 1)]]
+    base, j = head[-1], size
+    for b in data[1:]:
+        lo, hi, net, _, ups, downs, _ = rows[b]
+        mask = 0
+        if base + hi > top:
+            mask, top = ups[top - base], base + hi
+        if base + lo < bottom:
+            mask, bottom = mask | downs[base - bottom], base + lo
+        if mask:
+            for k in offsets[mask]:
+                out.append(j + k)
+        base += net
+        j += 8
+    return out
+
+
 def flip_indices(w: BitWord, targets) -> List[int]:
     """All j in 0..n with weight(flip_prefix(w, j)) in targets, ascending.
 
-    Flipping the first j bits moves the weight by -R_j, so this is one
-    walk of the running sum.
+    Flipping the first j bits moves the weight by -R_j, so this is the
+    level walk at the levels weight(w) - t.
     """
     wt = weight(w)
-    return [j for j, r in enumerate(running_sum(w)) if wt - r in targets]
+    return level_walk(w.value, w.length, {wt - t for t in targets})
 
 
 def balancing_indices(w: BitWord, q: int) -> List[int]:
@@ -186,3 +307,4 @@ def balancing_indices(w: BitWord, q: int) -> List[int]:
     if n % 2:
         raise ValueError(f"length {n} is odd; balancing needs even length")
     return flip_indices(w, (n // 2 + q,))
+

@@ -92,6 +92,11 @@ class TestEncodeDecode:
         assert status == 1
         assert "error" in err
 
+    def test_wrong_weight_codeword_exit_1(self, capsys):
+        status, _, err = run_cli(capsys, "decode", "--scheme", "a", "-q", "2", "--codeword", "10111111", "--prefix", "00001")
+        assert status == 1
+        assert "codeword weight 7 != target 6" in err
+
     def test_unknown_flag_exit_1(self, capsys):
         status, _, _ = run_cli(capsys, "encode", "--scheme", "a", "--bogus", "1")
         assert status == 1

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import pytest
@@ -20,8 +21,8 @@ from qbalance.scheme_a import (
     rho_a_bound,
     rho_a_parts,
 )
-from qbalance.scheme_b import encode_b, gamma_set_b
-from qbalance.words import BitWord, all_words, balancing_indices, weight
+from qbalance.scheme_b import decode_b, encode_b, gamma_set_b
+from qbalance.words import BitWord, all_words, balancing_indices, complement, flip_prefix, level_walk, running_sum, weight
 
 
 def W(s):
@@ -107,11 +108,11 @@ class TestEncode:
         # a good word's index set, found while classifying, is the one tau is read from
         calls = []
 
-        def counted(w, q):
-            calls.append(w)
-            return balancing_indices(w, q)
+        def counted(value, length, levels):
+            calls.append(value)
+            return level_walk(value, length, levels)
 
-        monkeypatch.setattr(scheme_a, "balancing_indices", counted)
+        monkeypatch.setattr(scheme_a, "level_walk", counted)
         res = encode_a(W(word), q)
         assert res.classification is cls
         assert len(calls) == scans
@@ -155,6 +156,13 @@ class TestDecode:
         with pytest.raises(DecodeError, match="trailing bits at bit 5"):
             decode_a(W("10011111"), W("000010"), 8, 2)
 
+    def test_wrong_weight_codeword(self):
+        # a corrupted codeword is malformed transmitted data, as in decode_b
+        with pytest.raises(DecodeError, match="codeword weight 7 != target 6"):
+            decode_a(W("10111111"), W("00001"), 8, 2)
+        with pytest.raises(DecodeError, match="codeword weight 5 != target 6"):
+            decode_a(W("00011111"), W("00001"), 8, 2)
+
 
 @pytest.mark.parametrize("q", [0, 1, 2, 3])
 def test_prefix_layout_is_bit_exact(q):
@@ -171,6 +179,120 @@ def test_prefix_layout_is_bit_exact(q):
         size = len(gamma_set_b(res.codeword.prefix(n - 1), q))
         tail = 2 * q - 2 if res.classification.is_bad else 0
         assert res.prefix.length == 2 * (q > 0) + rank_width(size) + tail
+
+
+def _reference_codec(scheme, n, q):
+    """encode(x) -> (codeword, prefix, classification, tau) and
+    decode(c, p) -> message, one bit at a time on running_sum and bit
+    strings, as Schemes A and B ran before their walks read 8-bit chunks."""
+    m = n // 2
+    run = 2 * q if scheme == "a" else max(0, 2 * q - 2)
+    k = n if scheme == "a" else n - 1
+    targets = (m + q,) if scheme == "a" else (m + q - 1, m + q)
+
+    def indices(w):
+        wt = weight(w)
+        return [j for j, r in enumerate(running_sum(w)) if wt - r in targets]
+
+    @functools.lru_cache(maxsize=None)
+    def gamma(c):
+        sign = 0 if scheme == "a" else (1 if weight(c) == m + q - 1 else -1)
+        out, lo, hi = [0], 0, 0
+        for i, v in enumerate(running_sum(c)):
+            if v > hi:
+                hi = v
+                if sign >= 0:
+                    out.append(i)
+            elif v < lo:
+                lo = v
+                if sign <= 0:
+                    out.append(i)
+        return out
+
+    def encode(x):
+        found = indices(x)
+        if found:
+            cls, xh = Classification.TYPE1_GOOD, x
+        elif indices(complement(x)):
+            cls, xh = Classification.TYPE0_GOOD, complement(x)
+            found = indices(xh)
+        else:
+            low = weight(x.prefix(k - run)) <= (k + 1) // 2 - q
+            cls = Classification.TYPE0_BAD if low else Classification.TYPE1_BAD
+            xh = x.prefix(k - run).concat(BitWord.from_str(("0" if low else "1") * run))
+            found = indices(xh)
+        tau = found[0]
+        c = flip_prefix(xh, tau)
+        g = gamma(c)
+        z = format(g.index(tau), f"0{rank_width(len(g))}b") if len(g) > 1 else ""
+        if q == 0:
+            bits = z
+        elif not cls.is_bad:
+            bits = f"0{cls.type_bit}{z}"
+        else:
+            bits = f"1{cls.type_bit}{z}{x.suffix(run)}"
+        if scheme == "b":
+            c = c.concat(BitWord(1 if weight(c) == m + q - 1 else 0, 1))
+        return c, BitWord.from_str(bits), cls, tau
+
+    def decode(c, p):
+        if scheme == "b":
+            c = c.prefix(n - 1)
+        bits, pos = str(p), 0
+
+        def take(width, name):
+            nonlocal pos
+            left = len(bits) - pos
+            if left < width:
+                raise DecodeError(f"prefix too short: {name} at bit {pos} needs {width} bits, {left} left")
+            pos += width
+            return bits[pos - width : pos]
+
+        flag, type_bit = ("0", "1") if q == 0 else (take(1, "flag"), take(1, "type bit"))
+        g = gamma(c)
+        r = rank_width(len(g))
+        rank = int(take(r, "rank"), 2) if r else 0
+        if rank >= len(g):
+            raise DecodeError(f"rank {rank} at bit {pos - r} out of range for |Gamma|={len(g)}")
+        xh = flip_prefix(c, g[rank])
+        if flag == "1":
+            xh = xh.prefix(k - run).concat(BitWord.from_str(take(run, "bad-word tail")))
+        elif type_bit == "0":
+            xh = complement(xh)
+        if pos < len(bits):
+            raise DecodeError(f"trailing bits at bit {pos}: {len(bits) - pos} after the prefix")
+        return xh
+
+    return k, encode, decode
+
+
+def _outcome(decode, *args):
+    try:
+        return decode(*args)
+    except DecodeError as exc:
+        return f"DecodeError: {exc}"
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12])
+@pytest.mark.parametrize("scheme", ["a", "b"])
+def test_codec_matches_per_bit_reference(scheme, n):
+    """Encodes and every decode of a truncated, extended or bit-flipped
+    prefix, error texts included, equal the per-bit reference."""
+    encode, decode = (encode_a, decode_a) if scheme == "a" else (encode_b, decode_b)
+    for q in range(n // 2 + 1):
+        k, ref_encode, ref_decode = _reference_codec(scheme, n, q)
+        received = set()  # (codeword, prefix value, prefix length); many messages share a codeword
+        for x in all_words(k):
+            res = encode(x, q)
+            c, p, cls, tau = ref_encode(x)
+            assert (res.codeword, res.prefix, res.classification, res.tau) == (c, p, cls, tau), x
+            v, length = p.value, p.length
+            received.update((c, v >> j, length - j) for j in range(length + 1))  # whole and truncated
+            received.update((c, v << 1 | b, length + 1) for b in (0, 1))
+            received.update((c, v ^ 1 << i, length) for i in range(length))
+        for c, v, length in received:
+            p = BitWord(v, length)
+            assert _outcome(decode, c, p, n, q) == _outcome(ref_decode, c, p), (q, c, p)
 
 
 class TestCountBad:

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from qbalance import scheme_b
+from qbalance import scheme_a
 from qbalance.errors import DecodeError
 from qbalance.oracle import census_bad_b, definitional_gamma, roundtrip_all
 from qbalance.scheme_a import Classification, _substitute, count_bad, histogram_sum
@@ -19,7 +19,7 @@ from qbalance.scheme_b import (
     rho_b_asymptote,
     t_b,
 )
-from qbalance.words import BitWord, all_words, weight
+from qbalance.words import BitWord, all_words, level_walk, weight
 
 
 def W(s):
@@ -174,11 +174,11 @@ class TestEncodeDecodeB:
         # a good word's index set, found while classifying, is the one tau is read from
         calls = []
 
-        def counted(w, q):
-            calls.append(w)
-            return t_b(w, q)
+        def counted(value, length, levels):
+            calls.append(value)
+            return level_walk(value, length, levels)
 
-        monkeypatch.setattr(scheme_b, "t_b", counted)
+        monkeypatch.setattr(scheme_a, "level_walk", counted)
         res = encode_b(W(word), q)
         assert res.classification is cls
         assert len(calls) == scans

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -10,7 +12,9 @@ from qbalance.words import (
     cyclic_shift,
     flip_indices,
     flip_prefix,
+    fresh_walk,
     imbalance,
+    level_walk,
     running_sum,
     weight,
 )
@@ -193,3 +197,55 @@ class TestFlipIndices:
             flipped = [weight(flip_prefix(w, j)) for j in range(n + 1)]
             for ts in targets:
                 assert flip_indices(w, ts) == [j for j, wt in enumerate(flipped) if wt in ts]
+
+
+def fresh_reference(sums, sign):
+    """Indices of new running-sum extremes, one step at a time."""
+    out = [0]
+    lo = hi = 0
+    for i, v in enumerate(sums):
+        if v > hi:
+            hi = v
+            if sign >= 0:
+                out.append(i)
+        elif v < lo:
+            lo = v
+            if sign <= 0:
+                out.append(i)
+    return out
+
+
+def level_sets(sums):
+    """One- and two-value level sets on and off the path of sums."""
+    lo, hi, end = min(sums), max(sums), sums[-1]
+    return [(0,), (end,), (lo,), (hi,), (lo - 1,), (hi + 9,), (end - 1, end), (lo, hi), (lo - 2, lo - 1), (lo - 1, hi + 1)]
+
+
+def check_walks(w):
+    sums = running_sum(w)
+    for sign in (-1, 0, 1):
+        assert fresh_walk(w.value, w.length, sign) == fresh_reference(sums, sign), (w, sign)
+    for levels in level_sets(sums):
+        assert level_walk(w.value, w.length, levels) == [j for j, r in enumerate(sums) if r in levels], (w, levels)
+
+
+class TestChunkWalks:
+    """The 8-bit chunk walks against the per-bit running_sum."""
+
+    @pytest.mark.parametrize("n", range(17))
+    def test_every_word(self, n):
+        # odd lengths, and every length not a multiple of 8, start on a short chunk
+        for w in all_words(n):
+            check_walks(w)
+
+    @pytest.mark.parametrize("n", [17, 63, 64, 250, 1023, 1024, 4096])
+    def test_seeded_words(self, n):
+        rng = random.Random(n)
+        for _ in range(40):
+            check_walks(BitWord(rng.getrandbits(n), n))
+
+    def test_runs_cross_chunks(self):
+        # long monotone runs set a new extreme at every position of many chunks
+        for n in (9, 24, 31, 100):
+            for w in (BitWord((1 << n) - 1, n), BitWord(0, n), BitWord(((1 << n) - 1) >> (n // 2), n)):
+                check_walks(w)
