@@ -2,9 +2,9 @@
 
 `exhaustive_redundancy` is the one walk over a scheme's message space:
 it encodes every message once, checks the codeword weight and the
-decode round trip, and sizes |Gamma| of each codeword with the
-receiver-side set its codec decodes by (`gamma_set_a`, `gamma_set_b`,
-`gamma_size_c`).  `definitional_gamma` checks those sets against the
+decode round trip, and sizes |Gamma| of each distinct codeword once
+with the receiver-side set its codec decodes by (`gamma_set_a`,
+`gamma_set_b`, `gamma_size_c`).  `definitional_gamma` checks those sets against the
 definition (minimum over all preimages), and path counts walk every
 path.  The formulas (lattice censuses, |Gamma| histograms, the trellis)
 are only compared against the walk's output, in `verify_scheme`, never
@@ -132,8 +132,9 @@ def exhaustive_redundancy(
         if weight(res.codeword) != target or decode(res) != x:
             counterexample = x
             break
-        size = size_of(res)
-        gamma_by_cw[res.codeword] = size
+        size = gamma_by_cw.get(res.codeword)
+        if size is None:  # |Gamma| depends only on the codeword
+            size = gamma_by_cw[res.codeword] = size_of(res)
         op_total += appended + res.prefix.length
         an = appended + math.log2(size)
         if q > 0:

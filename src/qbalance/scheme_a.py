@@ -135,28 +135,13 @@ def _substitute_int(v: int, n: int, cls: Classification, run: int) -> int:
     return (v >> run << run) | ((1 << run) - 1 if cls.type_bit else 0)
 
 
-def _substitute(x: BitWord, cls: Classification, run: int) -> BitWord:
-    """BitWord form of _substitute_int."""
-    return BitWord(_substitute_int(x.value, x.length, cls, run), x.length)
-
-
-def fresh_indices(c: BitWord, sign: int = 0) -> List[int]:
-    """Indices whose running-sum value is new, ascending.
-
-    The values seen so far form a range, so a value is new exactly when it
-    is a new maximum or minimum.  sign > 0 keeps only nonnegative new
-    values, sign < 0 only nonpositive ones.
-    """
-    return fresh_walk(c.value, c.length, sign)
-
-
 def gamma_set_a(c: BitWord, q: int) -> List[int]:
     """Indices whose running-sum value is new, ascending; the receivable taus."""
     n = c.length
     _check_params(n, q)
     if weight(c) != n // 2 + q:
         raise ValueError(f"weight {weight(c)} != target {n // 2 + q}")
-    return fresh_indices(c)
+    return fresh_walk(c.value, n)
 
 
 def _balance(v: int, n: int, q: int, targets: Dict[int, int], run: int):

@@ -34,7 +34,6 @@ from .scheme_a import (
     _check_params,
     _classify,
     _unbalance,
-    fresh_indices,
     histogram_sum,
     rho_parts,
 )
@@ -77,11 +76,12 @@ def gamma_set_b(c: BitWord, q: int) -> List[int]:
     n = c.length + 1
     if n % 2:
         raise ValueError(f"codeword length {c.length} must be odd (n-1)")
+    _check_params(n, q)
     m = n // 2
     wt = weight(c)
     if wt not in (m + q - 1, m + q):
         raise ValueError(f"weight {wt} not in target pair {{{m + q - 1}, {m + q}}}")
-    return fresh_indices(c, 1 if wt == m + q - 1 else -1)
+    return fresh_walk(c.value, c.length, 1 if wt == m + q - 1 else -1)
 
 
 def encode_b(x: BitWord, q: int) -> EncodeResult:
@@ -111,20 +111,20 @@ def decode_b(cprime: BitWord, p: BitWord, n: int, q: int) -> BitWord:
 # Census and redundancy analysis
 
 
-def _branches(n: int, q: int):
-    """(i, a) pairs: size i counts C(n-1, a-1) - C(n-1, a) words from each.
+def _branches(n: int, q: int) -> Tuple[Tuple[int, int], Tuple[int, int]]:
+    """The two (offset, first) branches of the |Gamma| histogram: size
+    i = a - offset, for a from first + offset to n, counts
+    C(n-1, a-1) - C(n-1, a) stripped codewords.
 
-    The weight-(m+q-1) branch (a = m+i-q) contributes for 2q <= i <= m+q,
-    the weight-(m+q) branch (a = m+i+q) for 1 <= i <= m-q; the printed
-    statement's outer branches are swapped relative to its own proof, and
-    the oracle histogram confirms this orientation.
+    The weight-(m+q) branch (offset m+q) covers 1 <= i <= m-q, the
+    weight-(m+q-1) branch (offset m-q) max(1, 2q) <= i <= m+q; the
+    printed statement's outer branches are swapped relative to its own
+    proof, and the oracle histogram confirms this orientation.  The
+    weight-(m+q) branch goes first: its sizes all precede the sizes the
+    other branch adds, so the keys come out ascending.
     """
     m = n // 2
-    for i in range(1, m + q + 1):
-        if i >= 2 * q:
-            yield i, m + i - q
-        if i <= m - q:
-            yield i, m + i + q
+    return (m + q, 1), (m - q, max(1, 2 * q))
 
 
 def gamma_counts_b(n: int, q: int) -> Dict[int, int]:
@@ -132,8 +132,9 @@ def gamma_counts_b(n: int, q: int) -> Dict[int, int]:
     weights, for the sizes i <= m+q with a nonzero count, ascending."""
     _check_params(n, q)
     out: Dict[int, int] = {}
-    for i, a in _branches(n, q):
-        out[i] = out.get(i, 0) + _binom(n - 1, a - 1) - _binom(n - 1, a)
+    for offset, first in _branches(n, q):
+        for a in range(first + offset, n + 1):
+            out[a - offset] = out.get(a - offset, 0) + _binom(n - 1, a - 1) - _binom(n - 1, a)
     return out
 
 
@@ -162,9 +163,7 @@ def _shares_b(n: int, q: int) -> Dict[int, float]:
     """
     m = n // 2
     out: Dict[int, float] = {}
-    # The weight-(m+q) branch goes first: its sizes 1..m-q all precede the
-    # sizes the other branch adds, so the keys come out ascending.
-    for first, offset in ((1, m + q), (max(1, 2 * q), m - q)):
+    for offset, first in _branches(n, q):
         start = first + offset
         if start > n:
             continue

@@ -18,12 +18,13 @@ targets, and the receiver-side sets Gamma(c) are the indices of new
 running-sum extremes (fresh_walk).  Both walks read the word's integer
 8 bits at a time through one lazily built 256-row table (Sarwate's
 table-driven CRC idea, applied to prefix sums): each row holds a
-chunk's prefix sums, their min and max and its net step, plus the
-positions where they hit each level or set a new extreme.  A walk adds
-the net step of every chunk whose [min, max] window cannot hold a level
-or a new extreme and reads positions only from the others; a length
-that is not a multiple of 8 starts with a short chunk.  running_sum and
-cyclic_running_sum stay as per-bit references.
+chunk's min and max prefix sum and its net step, plus the positions
+where its sums hit each level or set a new extreme.  A walk adds the
+net step of every chunk whose [min, max] window cannot hold a level or
+a new extreme and reads positions only from the others.  A length that
+is not a multiple of 8 is read with zero bits filling the last chunk,
+and the at most 7 indices the fill adds are dropped from the tail.
+running_sum and cyclic_running_sum stay as per-bit references.
 """
 
 from __future__ import annotations
@@ -185,33 +186,28 @@ def _chunk_table() -> Tuple[Tuple[tuple, ...], Tuple[Tuple[int, ...], ...]]:
     """(rows, offsets), built on first use.
 
     rows[b] describes the 8-bit chunk b read left to right as (lo, hi,
-    net, hits, ups, downs, sums): sums are its 8 prefix sums, lo and hi
-    their min and max, net the last one.  The other fields are position
-    masks, bit k-1 standing for the chunk's k-th bit: hits[r] marks the
-    sums equal to r; ups[t] the sums that set a new maximum when the
-    maximum so far is t (0 <= t < 8), downs[t] a new minimum when the
-    minimum so far is -t.  offsets[mask] lists the positions k of a mask,
-    ascending.
+    net, hits, ups, downs): lo and hi are the min and max of its 8 prefix
+    sums, net the last one.  The other fields are position masks, bit k-1
+    standing for the chunk's k-th bit: hits[r] marks the sums equal to r;
+    ups[t] the sums that set a new maximum when the maximum so far is t
+    (0 <= t < 8), downs[t] a new minimum when the minimum so far is -t.
+    Steps are +/-1, so ups[t] is the first hit of each sum above t, and
+    downs[t] of each sum below -t.  offsets[mask] lists the positions k
+    of a mask, ascending.  The walks read a word whose length is not a
+    multiple of 8 with zero bits filling its last chunk.
     """
     rows = []
     shared: Dict[tuple, tuple] = {}  # equal mask tuples are stored once
     for b in range(256):
         sums = tuple(accumulate(1 if b >> (7 - k) & 1 else -1 for k in range(8)))
         hits: Dict[int, int] = {}
-        ups, downs = [0] * 8, [0] * 8
-        top = bottom = 0
         for k, s in enumerate(sums):
             hits[s] = hits.get(s, 0) | 1 << k
-            if s > top:  # a new maximum above every threshold t < s
-                top = s
-                for t in range(s):
-                    ups[t] |= 1 << k
-            elif s < bottom:
-                bottom = s
-                for t in range(-s):
-                    downs[t] |= 1 << k
-        ups, downs = (shared.setdefault(tuple(masks), tuple(masks)) for masks in (ups, downs))
-        rows.append((min(sums), max(sums), sums[-1], hits, ups, downs, sums))
+        first = {s: mask & -mask for s, mask in hits.items()}
+        ups = tuple(sum(first.get(s, 0) for s in range(t + 1, 9)) for t in range(8))
+        downs = tuple(sum(first.get(-s, 0) for s in range(t + 1, 9)) for t in range(8))
+        ups, downs = (shared.setdefault(masks, masks) for masks in (ups, downs))
+        rows.append((min(sums), max(sums), sums[-1], hits, ups, downs))
     offsets = tuple(tuple(k + 1 for k in range(8) if m >> k & 1) for m in range(256))
     return tuple(rows), offsets
 
@@ -220,23 +216,17 @@ def level_walk(value: int, length: int, levels) -> List[int]:
     """All j in 0..length whose running sum R_j is in levels, ascending.
 
     value is a word's integer, as BitWord.value; levels a small collection
-    of ints.  A chunk whose window of sums holds no level is skipped.
+    of ints.  A chunk whose window of sums holds no level is skipped; the
+    hits in the fill bits past length are dropped at the end.
     """
     out = [0] if 0 in levels else []
-    if not levels or not length:
+    if not levels:
         return out
     rows, offsets = _chunk_table()
     low, high = min(levels), max(levels)
-    data = value.to_bytes((length + 7) >> 3, "big")
-    size = length & 7 or 8  # the first chunk, read as the leading bits of a row
-    _, _, _, hits, _, _, sums = rows[data[0] << (8 - size)]
-    mask = 0
-    for level in levels:
-        mask |= hits.get(level, 0)
-    out.extend(offsets[mask & ((1 << size) - 1)])
-    base, j = sums[size - 1], size
-    for b in data[1:]:
-        lo, hi, net, hits, _, _, _ = rows[b]
+    base = j = 0
+    for b in (value << (-length & 7)).to_bytes((length + 7) >> 3, "big"):
+        lo, hi, net, hits, _, _ = rows[b]
         if base + lo <= high and base + hi >= low:
             mask = 0
             for level in levels:
@@ -245,6 +235,8 @@ def level_walk(value: int, length: int, levels) -> List[int]:
                 out.append(j + k)
         base += net
         j += 8
+    while out and out[-1] > length:
+        out.pop()
     return out
 
 
@@ -254,27 +246,20 @@ def fresh_walk(value: int, length: int, sign: int = 0) -> List[int]:
     The values seen so far form a range, so a value is new exactly when it
     is a new maximum or minimum.  sign > 0 keeps only nonnegative new
     values (the new maxima), sign < 0 only nonpositive ones (the new
-    minima).  A chunk that sets no kept extreme is skipped.
+    minima); the extreme the filter drops starts out of reach, at
+    +/-8 * ceil(length / 8).  A chunk that sets no kept extreme is
+    skipped; the extremes in the fill bits past length are dropped at
+    the end.
     """
-    if not length:
-        return [0]
     rows, offsets = _chunk_table()
-    data = value.to_bytes((length + 7) >> 3, "big")
-    size = length & 7 or 8
-    _, _, _, _, ups, downs, sums = rows[data[0] << (8 - size)]
-    head = sums[:size]
-    # An extreme the sign filter drops starts out of reach (|R_j| <= length).
-    top = 0 if sign >= 0 else length
-    bottom = 0 if sign <= 0 else -length
-    mask = 0
-    if max(head) > top:
-        mask, top = ups[0], max(head)
-    if min(head) < bottom:
-        mask, bottom = mask | downs[0], min(head)
-    out = [0, *offsets[mask & ((1 << size) - 1)]]
-    base, j = head[-1], size
-    for b in data[1:]:
-        lo, hi, net, _, ups, downs, _ = rows[b]
+    data = (value << (-length & 7)).to_bytes((length + 7) >> 3, "big")
+    reach = 8 * len(data)
+    top = 0 if sign >= 0 else reach
+    bottom = 0 if sign <= 0 else -reach
+    out = [0]
+    base = j = 0
+    for b in data:
+        lo, hi, net, _, ups, downs = rows[b]
         mask = 0
         if base + hi > top:
             mask, top = ups[top - base], base + hi
@@ -285,6 +270,8 @@ def fresh_walk(value: int, length: int, sign: int = 0) -> List[int]:
                 out.append(j + k)
         base += net
         j += 8
+    while out[-1] > length:
+        out.pop()
     return out
 
 

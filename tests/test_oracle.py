@@ -239,6 +239,15 @@ class TestVerifyCatchesBrokenCodec:
         assert verify_scheme(scheme, 8, 2)["ok"]
         assert len(calls) == 1 << k
 
+    @pytest.mark.parametrize("scheme", ["a", "b"])
+    def test_one_gamma_walk_per_codeword(self, monkeypatch, scheme):
+        module, sizer = (scheme_a, "gamma_set_a") if scheme == "a" else (scheme_b, "gamma_set_b")
+        calls = []
+        _break(monkeypatch, module, sizer, lambda args, res: calls.append(args) or res)
+        assert verify_scheme(scheme, 8, 2)["ok"]  # so the walk's histogram is the formula's
+        gamma = scheme_a.gamma_counts_a(8, 2) if scheme == "a" else scheme_b.gamma_counts_b(8, 2)
+        assert len(calls) == sum(gamma.values())  # one per distinct codeword: 28 for A
+
 
 class TestBrutePathCounts:
     def test_free(self):

@@ -5,7 +5,7 @@ import pytest
 from qbalance import scheme_a
 from qbalance.errors import DecodeError
 from qbalance.oracle import census_bad_b, definitional_gamma, roundtrip_all
-from qbalance.scheme_a import Classification, _substitute, count_bad, histogram_sum
+from qbalance.scheme_a import Classification, _substitute_int, count_bad, histogram_sum
 from qbalance.scheme_b import (
     BETA,
     classify_b,
@@ -64,7 +64,7 @@ class TestClassifyB:
         for w in all_words(n - 1):
             cls = classify_b(w, q)
             if cls.is_bad:
-                replaced = _substitute(w, cls, r)
+                replaced = BitWord(_substitute_int(w.value, w.length, cls, r), w.length)
                 assert t_b(replaced, q), (w, replaced)
 
 
@@ -81,6 +81,11 @@ class TestGammaSetB:
     def test_wrong_weight(self):
         with pytest.raises(ValueError):
             gamma_set_b(W("1111100"), 0)
+
+    @pytest.mark.parametrize("word,q", [("0", -1), ("111", 3)])
+    def test_q_out_of_range(self, word, q):
+        with pytest.raises(ValueError, match="out of range"):
+            gamma_set_b(W(word), q)
 
     @pytest.mark.parametrize("n,q", [(8, 0), (10, 1), (12, 2)])
     def test_matches_definitional_gamma(self, n, q):
