@@ -115,10 +115,10 @@ def _table2_rows() -> List[List[object]]:
     rows = []
     q = TABLE2_Q
     for n in TABLE2_N:
-        good_fraction = 1.0 - scheme_a.count_bad(n, q) / 2.0**n
-        prior = good_fraction * math.log2(n)
-        # scheme_a, scheme_a_ceil, scheme_b, scheme_b_ceil
-        parts = (*scheme_a.rho_a_parts(n, q), *scheme_b.rho_b_parts(n, q))
+        bad = scheme_a.count_bad(n, q)  # one census for the prior and Scheme A's bad term
+        prior = (1.0 - bad / 2.0**n) * math.log2(n)
+        a = scheme_a.rho_parts(0, scheme_a.histogram_sum(scheme_a.gamma_counts_a(n, q), n), q, n, bad, 2 * q)
+        parts = (*a, *scheme_b.rho_b_parts(n, q))  # scheme_a, scheme_a_ceil, scheme_b, scheme_b_ceil
         rows.append(
             [
                 n,

@@ -16,14 +16,14 @@ Prefix layout, bit-exact:
 where z is the rank of tau in Gamma(c).  Scheme B runs the same prefix
 codec (_classify, _balance, _unbalance) with its own target weights and a
 (2q-2)-bit tail.  The codec works on the words' integers and builds
-BitWords only for what it returns.  Each flip-index set is one
-words.level_walk over the message's (or its complement's) integer, at
-the levels its target weights put on the running sum, and Gamma(c) is
-one words.fresh_walk; both read the word 8 bits at a time.  _classify
-hands the index set it found for the message or its complement on to
-_balance, so only a bad word's replacement is walked again: at most
-three level walks and one fresh walk per encode, and one fresh walk per
-decode.  The analytical machinery
+BitWords only for what it returns.  tau is one words.level_walk over
+the message's (or its complement's) integer, at the levels its target
+weights put on the running sum, which stops at its first hit; Gamma(c)
+is one words.fresh_walk; both read the word 8 bits at a time.
+_classify hands the tau it found for the message or its complement on
+to _balance (a bad word hands on None), so only a bad word's
+replacement is walked again: at most three level walks and one fresh
+walk per encode, and one fresh walk per decode.  The analytical machinery
 (Gamma-size distribution, bad-word census, redundancy estimate) runs on
 the exact lattice-path counts from .lattice, all read off one binomial
 row C(n, .) built by recurrence: the bad-word census is 2q-1 reflection
@@ -92,31 +92,29 @@ def _check_params(n: int, q: int) -> None:
         raise ValueError(f"imbalance parameter q={q} out of range 0..{n // 2}")
 
 
-def _indices(v: int, n: int, targets: Iterable[int]) -> List[int]:
-    """Flip indices of the length-n word v onto the target weights: the
-    level walk at the levels weight(v) - t."""
+def _tau(v: int, n: int, targets: Iterable[int]) -> Optional[int]:
+    """Least flip index of the length-n word v onto the target weights, or
+    None: the level walk at the levels weight(v) - t."""
     wt = v.bit_count()
     return level_walk(v, n, [wt - t for t in targets])
 
 
-def _classify(v: int, n: int, q: int, targets: Iterable[int], run: int) -> Tuple[Classification, List[int]]:
+def _classify(v: int, n: int, q: int, targets: Iterable[int], run: int) -> Tuple[Classification, Optional[int]]:
     """Good/bad typing of the length-n message v under a scheme's target
     weights and bad-word tail length.
 
-    A good word comes with the flip-index set of the word it is replaced
-    by (v or its complement); a bad word with an empty list.
+    A good word comes with the least flip index tau of the word it is
+    replaced by (v or its complement); a bad word with None.
     """
-    found = _indices(v, n, targets)
-    if found:
-        return Classification.TYPE1_GOOD, found
-    found = _indices(v ^ ((1 << n) - 1), n, targets)
-    if found:
-        return Classification.TYPE0_GOOD, found
+    for cls, u in ((Classification.TYPE1_GOOD, v), (Classification.TYPE0_GOOD, v ^ ((1 << n) - 1))):
+        tau = _tau(u, n, targets)
+        if tau is not None:
+            return cls, tau
     # Replacing the last `run` bits by i^run restores an index; i follows
     # the truncated weight so the replacement is provably Type-1-good.
     if (v >> run).bit_count() <= (n + 1) // 2 - q:
-        return Classification.TYPE0_BAD, found
-    return Classification.TYPE1_BAD, found
+        return Classification.TYPE0_BAD, None
+    return Classification.TYPE1_BAD, None
 
 
 def classify(x: BitWord, q: int) -> Classification:
@@ -151,9 +149,10 @@ def _balance(v: int, n: int, q: int, targets: Dict[int, int], run: int):
     its Gamma walk.  Returns (codeword, prefix, prefix length,
     classification, tau), the words as ints.
     """
-    cls, found = _classify(v, n, q, targets, run)
+    cls, tau = _classify(v, n, q, targets, run)
     xh = _substitute_int(v, n, cls, run)
-    tau = (found or _indices(xh, n, targets))[0]
+    if tau is None:
+        tau = _tau(xh, n, targets)
     c = xh ^ (((1 << tau) - 1) << (n - tau))
     gamma = fresh_walk(c, n, targets[c.bit_count()])
     r = rank_width(len(gamma))

@@ -79,31 +79,32 @@ def gamma_set_b(c: BitWord, q: int) -> List[int]:
     _check_params(n, q)
     m = n // 2
     wt = weight(c)
-    if wt not in (m + q - 1, m + q):
+    sign = _targets_b(c.length, q).get(wt)
+    if sign is None:
         raise ValueError(f"weight {wt} not in target pair {{{m + q - 1}, {m + q}}}")
-    return fresh_walk(c.value, c.length, 1 if wt == m + q - 1 else -1)
+    return fresh_walk(c.value, c.length, sign)
 
 
 def encode_b(x: BitWord, q: int) -> EncodeResult:
     n = x.length + 1
     _check_params(n, q)
-    c, p, plen, cls, tau = _balance(x.value, n - 1, q, _targets_b(n - 1, q), _tail(q))
-    appended = 1 if c.bit_count() == n // 2 + q - 1 else 0
-    return EncodeResult(BitWord(c << 1 | appended, n), BitWord(p, plen), cls, tau)
+    targets = _targets_b(n - 1, q)
+    c, p, plen, cls, tau = _balance(x.value, n - 1, q, targets, _tail(q))
+    return EncodeResult(BitWord(c << 1 | (targets[c.bit_count()] > 0), n), BitWord(p, plen), cls, tau)
 
 
 def decode_b(cprime: BitWord, p: BitWord, n: int, q: int) -> BitWord:
     _check_params(n, q)
-    m = n // 2
     if cprime.length != n:
         raise ValueError(f"codeword length {cprime.length} != {n}")
     c = cprime.value >> 1
     wt = c.bit_count()
-    if wt not in (m + q - 1, m + q):
+    sign = _targets_b(n - 1, q).get(wt)
+    if sign is None:
         raise DecodeError(f"stripped codeword weight {wt} outside target pair")
-    if cprime.value & 1 != (1 if wt == m + q - 1 else 0):
+    if cprime.value & 1 != (sign > 0):
         raise DecodeError("appended balance bit inconsistent with codeword weight")
-    gamma = fresh_walk(c, n - 1, 1 if wt == m + q - 1 else -1)
+    gamma = fresh_walk(c, n - 1, sign)
     return BitWord(_unbalance(c, n - 1, p, gamma, q, _tail(q)), n - 1)
 
 

@@ -359,6 +359,9 @@ def stream_decode(code: CyclicCode, enc: StreamEncoding) -> BitWord:
 
     sizes = [_gamma_size(c, m) for c in stripped]
     widths = [rank_width(s) for s in sizes]
+    room = k - (widths[enc.payload_frames - 2] if enc.payload_frames > 1 else 0)
+    if enc.final_pad >= room:  # the last payload frame takes at least one fresh bit
+        raise StreamError(f"header final_pad {enc.final_pad} >= {room} fresh bits of the last payload frame")
 
     packets = [0] * total
     last = total - 1

@@ -9,22 +9,21 @@ equals 2q.
 Everything here is pure and allocation-light: a word is an (int, length)
 pair where the textual string is read as a binary numeral.
 
-Every flip-index set is one walk.  Complementing the first j bits moves
-the weight by -R_j, where R is the running sum, so the indices whose flip
-lands on a target weight form a level set of the running sum
-(level_walk; flip_indices is its BitWord form).  Scheme A's
-balancing_indices and Scheme B's t_b are that walk with one and two
-targets, and the receiver-side sets Gamma(c) are the indices of new
+Complementing the first j bits moves the weight by -R_j, where R is the
+running sum, so the indices whose flip lands on a target weight form a
+level set of the running sum.  An encoder sends only the least of them,
+tau, which level_walk returns.  The whole sets (flip_indices, Scheme A's
+balancing_indices, Scheme B's t_b) are per-bit references read off
+running_sum, sharing no walk with the codec the oracle checks them
+against.  The receiver-side sets Gamma(c) are the indices of new
 running-sum extremes (fresh_walk).  Both walks read the word's integer
 8 bits at a time through one lazily built 256-row table (Sarwate's
-table-driven CRC idea, applied to prefix sums): each row holds a
-chunk's min and max prefix sum and its net step, plus the positions
-where its sums hit each level or set a new extreme.  A walk adds the
-net step of every chunk whose [min, max] window cannot hold a level or
-a new extreme and reads positions only from the others.  A length that
-is not a multiple of 8 is read with zero bits filling the last chunk,
-and the at most 7 indices the fill adds are dropped from the tail.
-running_sum and cyclic_running_sum stay as per-bit references.
+table-driven CRC idea, applied to prefix sums), skip every chunk whose
+[min, max] window of sums cannot hold a level or a new extreme, and read
+positions only from the others.  A length that is not a multiple of 8
+is read with zero bits filling the last chunk, and what the fill adds
+is dropped.  running_sum and cyclic_running_sum stay as per-bit
+references.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import accumulate
 from operator import add
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 
 class BitWord:
@@ -193,8 +192,7 @@ def _chunk_table() -> Tuple[Tuple[tuple, ...], Tuple[Tuple[int, ...], ...]]:
     (0 <= t < 8), downs[t] a new minimum when the minimum so far is -t.
     Steps are +/-1, so ups[t] is the first hit of each sum above t, and
     downs[t] of each sum below -t.  offsets[mask] lists the positions k
-    of a mask, ascending.  The walks read a word whose length is not a
-    multiple of 8 with zero bits filling its last chunk.
+    of a mask, ascending.
     """
     rows = []
     shared: Dict[tuple, tuple] = {}  # equal mask tuples are stored once
@@ -212,17 +210,16 @@ def _chunk_table() -> Tuple[Tuple[tuple, ...], Tuple[Tuple[int, ...], ...]]:
     return tuple(rows), offsets
 
 
-def level_walk(value: int, length: int, levels) -> List[int]:
-    """All j in 0..length whose running sum R_j is in levels, ascending.
+def level_walk(value: int, length: int, levels) -> Optional[int]:
+    """The least j in 0..length whose running sum R_j is in levels, or None.
 
-    value is a word's integer, as BitWord.value; levels a small collection
-    of ints.  A chunk whose window of sums holds no level is skipped; the
-    hits in the fill bits past length are dropped at the end.
+    value is a word's integer, as BitWord.value; levels a few ints.  The
+    walk skips each chunk whose window of sums holds no level and stops at
+    the first chunk with a hit, which is no hit if it lies past length.
     """
-    out = [0] if 0 in levels else []
-    if not levels:
-        return out
-    rows, offsets = _chunk_table()
+    if 0 in levels:
+        return 0
+    rows = _chunk_table()[0]
     low, high = min(levels), max(levels)
     base = j = 0
     for b in (value << (-length & 7)).to_bytes((length + 7) >> 3, "big"):
@@ -231,13 +228,12 @@ def level_walk(value: int, length: int, levels) -> List[int]:
             mask = 0
             for level in levels:
                 mask |= hits.get(level - base, 0)
-            for k in offsets[mask]:
-                out.append(j + k)
+            if mask:
+                j += (mask & -mask).bit_length()
+                return j if j <= length else None
         base += net
         j += 8
-    while out and out[-1] > length:
-        out.pop()
-    return out
+    return None
 
 
 def fresh_walk(value: int, length: int, sign: int = 0) -> List[int]:
@@ -278,11 +274,11 @@ def fresh_walk(value: int, length: int, sign: int = 0) -> List[int]:
 def flip_indices(w: BitWord, targets) -> List[int]:
     """All j in 0..n with weight(flip_prefix(w, j)) in targets, ascending.
 
-    Flipping the first j bits moves the weight by -R_j, so this is the
-    level walk at the levels weight(w) - t.
+    Flipping the first j bits moves the weight by -R_j; a per-bit
+    reference, read off running_sum.
     """
     wt = weight(w)
-    return level_walk(w.value, w.length, {wt - t for t in targets})
+    return [j for j, r in enumerate(running_sum(w)) if wt - r in targets]
 
 
 def balancing_indices(w: BitWord, q: int) -> List[int]:

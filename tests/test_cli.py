@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import qbalance
-from qbalance import cli, oracle, scheme_b, trellis
+from qbalance import cli, oracle, scheme_a, scheme_b, trellis
 from qbalance.scheme_a import encode_a
 from qbalance.words import BitWord
 
@@ -119,6 +119,13 @@ class TestAnalyze:
         assert [r["n"] for r in rows] == ["16", "32", "64", "128", "256", "512", "1000"]
         assert float(rows[2]["scheme_a"]) == pytest.approx(8.03, abs=0.05)
         assert float(rows[0]["prior_lower_bound"]) == pytest.approx(0.18, abs=0.01)
+
+    def test_table2_counts_each_census_once(self, capsys, monkeypatch):
+        calls = []
+        real = scheme_a.count_bad
+        monkeypatch.setattr(scheme_a, "count_bad", lambda n, q: calls.append(n) or real(n, q))
+        rows = run_csv(capsys, "analyze", "redundancy", "--table2")
+        assert calls == [int(r["n"]) for r in rows]
 
     @pytest.mark.parametrize("flag", ["--table1", "--table2"])
     def test_table_is_byte_identical_to_golden(self, capsys, flag):

@@ -3,11 +3,12 @@ import math
 
 import pytest
 
-from qbalance import oracle, scheme_a, scheme_b, scheme_c, trellis
+from qbalance import oracle, scheme_a, scheme_b, scheme_c, trellis, words
 from qbalance.cyclic_code import full_space
 from qbalance.errors import CapacityError
 from qbalance.oracle import (
     census_bad_a,
+    census_bad_b,
     count_paths_brute,
     definitional_gamma,
     exhaustive_redundancy,
@@ -25,9 +26,9 @@ from qbalance.scheme_a import (
     rho_a_parts,
     rho_parts,
 )
-from qbalance.scheme_b import encode_b, gamma_set_b, rho_b, rho_b_parts
+from qbalance.scheme_b import count_bad_b, encode_b, gamma_set_b, rho_b, rho_b_parts
 from qbalance.scheme_c import rho_c_parts
-from qbalance.words import BitWord, all_words
+from qbalance.words import BitWord, all_words, weight
 
 
 class TestExhaustiveRedundancy:
@@ -145,6 +146,31 @@ class TestDefinitionalGamma:
 
     def test_scheme_a_small(self):
         assert definitional_gamma("a", BitWord.from_str("10011111"), 2) == [0, 1, 3, 6, 7, 8]
+
+    @pytest.mark.parametrize("scheme", ["a", "b"])
+    def test_references_share_no_walk_with_the_codec(self, monkeypatch, scheme):
+        """With the 8-bit chunk walks broken, the definitional Gamma sets and the
+        bad-word censuses still run and agree with the codec's, n <= 10, every q."""
+        if scheme == "a":
+            gamma_set, count, census, k = gamma_set_a, count_bad, census_bad_a, 0
+        else:
+            gamma_set, count, census, k = gamma_set_b, count_bad_b, census_bad_b, 1
+        want = {}
+        for n in range(2, 11, 2):
+            for q in range(n // 2 + 1):
+                weights = (n // 2 + q - k, n // 2 + q)
+                gammas = {c: gamma_set(c, q) for c in all_words(n - k) if weight(c) in weights}
+                want[n, q] = count(n, q), gammas
+
+        def broken(*args):
+            raise AssertionError("a reference reached an 8-bit chunk walk")
+
+        monkeypatch.setattr(words, "level_walk", broken)
+        monkeypatch.setattr(words, "fresh_walk", broken)
+        for (n, q), (bad, gammas) in want.items():
+            assert census(n, q) == bad, (n, q)
+            for c, gamma in gammas.items():
+                assert definitional_gamma(scheme, c, q) == gamma, (c, q)
 
 
 class TestVerify:

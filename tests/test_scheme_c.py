@@ -482,6 +482,22 @@ class TestContainer:
         with pytest.raises(ValueError):
             pack_stream(dataclasses.replace(enc, n=16))
 
+    @pytest.mark.parametrize(
+        "payload,room",  # room: fresh bits of the last payload frame, k minus the prefix it carries
+        [("0" * 5, 12), ("0" * 30, 12), ("1" + "0" * 24, 8)],
+        ids=["one-payload-frame", "empty-carry", "4-bit-carry"],
+    )
+    def test_rejects_final_pad_past_the_fresh_bits(self, golay23, payload, room):
+        """A final_pad covering all fresh bits of the last payload frame would
+        drop zero payload bits silently; one less is a shorter payload's header."""
+        enc = stream_encode(golay23, W(payload))
+        for pad in (room, room + 1, 1000):
+            blob = pack_stream(dataclasses.replace(enc, final_pad=pad))
+            with pytest.raises(StreamError, match=f"^header final_pad {pad} >= {room} "):
+                stream_decode(golay23, unpack_stream(blob))
+        shorter = payload[: len(payload) - (room - 1 - enc.final_pad)]
+        assert stream_decode(golay23, dataclasses.replace(enc, final_pad=room - 1)) == W(shorter)
+
 
 # ---------------------------------------------------------------------------
 # References: the BitWord bodies of the Scheme C codec, and the plain C* scan.
