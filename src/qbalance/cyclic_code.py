@@ -11,6 +11,12 @@ row j holds the reversed check polynomial shifted j places.  An explicit
 row override is accepted (and validated against the code) because the
 shift-tracking trellis depends on the exact column order of H.
 
+Systematic encoding and syndromes are linear, so each reads its word a
+byte at a time (zero bits filling the last) through a per-code table of
+partial XORs, built on first use as in Sarwate's table-driven CRC: a
+k-bit message takes ceil(k/8) lookups, an n-bit word ceil(n/8).  The
+per-bit loop they replace is kept in the tests as the reference.
+
 Enumeration and minimum distance are guarded to k <= 24; larger codes
 still construct and encode fine, and scheme_c corrects their blocks by
 syndrome within the code's radius.
@@ -19,7 +25,7 @@ syndrome within the code's radius.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .errors import CapacityError
@@ -79,6 +85,7 @@ class CyclicCode:
     parity_cols[i] is column h_{i+1} of H packed as an int, bit r = row r.
     gen_rows are the systematic generator rows in word form (first k
     positions form the identity), so encoding is a handful of XORs.
+    encode_rows and syndrome_rows are their byte tables (see xor_bytes).
     """
 
     n: int
@@ -90,6 +97,35 @@ class CyclicCode:
     @property
     def r(self) -> int:
         return self.n - self.k
+
+    @cached_property
+    def encode_rows(self) -> Tuple[Tuple[int, ...], ...]:
+        return _byte_table(self.gen_rows)
+
+    @cached_property
+    def syndrome_rows(self) -> Tuple[Tuple[int, ...], ...]:
+        return _byte_table(self.parity_cols)
+
+
+def _byte_table(vectors: Sequence[int]) -> Tuple[Tuple[int, ...], ...]:
+    """rows[i][b]: XOR of vectors[8i + j] over the bits of byte b, bit 7 being
+    j = 0; past the last vector a bit adds nothing."""
+    rows = []
+    for i in range(0, len(vectors), 8):
+        row = [0]
+        for v in reversed([*vectors[i : i + 8], 0, 0, 0, 0, 0, 0, 0][:8]):  # bit 0 of b first
+            row += [r ^ v for r in row]
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def xor_bytes(rows: Tuple[Tuple[int, ...], ...], value: int, length: int) -> int:
+    """XOR of the vectors at the set bits of the length-bit value (position 1
+    the top bit), read through the byte table rows."""
+    out = 0
+    for row, b in zip(rows, (value << (-length & 7)).to_bytes(len(rows), "big")):
+        out ^= row[b]
+    return out
 
 
 def _word_int_from_poly(p: Gf2Poly, n: int) -> int:
@@ -167,23 +203,11 @@ def encode_systematic(code: CyclicCode, msg: BitWord) -> BitWord:
     """Codeword whose first k positions equal msg."""
     if msg.length != code.k:
         raise ValueError(f"message length {msg.length} != k={code.k}")
-    v = 0
-    for j in range(code.k):
-        if msg.value >> (code.k - 1 - j) & 1:
-            v ^= code.gen_rows[j]
-    return BitWord(v, code.n)
+    return BitWord(xor_bytes(code.encode_rows, msg.value, code.k), code.n)
 
 
 def _syndrome_int(code: CyclicCode, value: int) -> int:
-    syn = 0
-    v = value
-    n = code.n
-    while v:
-        low = v & -v
-        pos = n - low.bit_length()  # 0-based column index
-        syn ^= code.parity_cols[pos]
-        v ^= low
-    return syn
+    return xor_bytes(code.syndrome_rows, value, code.n)
 
 
 def syndrome(code: CyclicCode, w: BitWord) -> int:
@@ -199,8 +223,9 @@ def contains(code: CyclicCode, w: BitWord) -> bool:
 def codewords(code: CyclicCode) -> Iterator[BitWord]:
     if code.k > ENUMERATION_MAX_K:
         raise CapacityError(f"k={code.k} exceeds enumeration guard {ENUMERATION_MAX_K}")
-    for v in range(1 << code.k):
-        yield encode_systematic(code, BitWord(v, code.k))
+    rows, n, k = code.encode_rows, code.n, code.k
+    for v in range(1 << k):
+        yield BitWord(xor_bytes(rows, v, k), n)
 
 
 @lru_cache(maxsize=None)

@@ -19,7 +19,9 @@ the 2^k codewords and needs k <= 24.
 
 Per-frame work (encode, decode, correction, streaming) runs on the
 plain int values of the words, position 1 being the top bit; BitWords
-are built only for what a function returns.
+and StreamFrames only for what a function returns.  Every syndrome and
+systematic encoding is read from the code's byte tables (xor_bytes),
+which a stream fetches once.
 
 Streaming chains the prefixes: frame t's shift index rides at the head
 of frame t+1's packet, so decoding runs back to front.  The final
@@ -43,12 +45,11 @@ from __future__ import annotations
 import struct
 import zlib
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import combinations
-from operator import xor
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from .cyclic_code import CyclicCode, _syndrome_int, codewords, contains, encode_systematic
+from .cyclic_code import CyclicCode, _syndrome_int, codewords, xor_bytes
 from .errors import AmbiguousBlockError, CodingError, DecodeError, StreamError
 from .scheme_a import EncodeResult, Parts, _check_length, histogram_sum, rank_width, rho_parts
 from .trellis import SYNDROME_GUARD
@@ -111,15 +112,25 @@ def gamma_size_c(c: BitWord) -> int:
     return _gamma_size(c.value, m)
 
 
+def _shift(syndrome_rows, x: int, n: int) -> Tuple[int, int]:
+    """(tau, c) for the n-bit codeword x: its least balancing shift and the
+    half-flip c of x shifted by tau, which weighs m-1 or m."""
+    if xor_bytes(syndrome_rows, x, n):
+        raise ValueError(f"{BitWord(x, n)} is not a codeword")
+    m = _half(n)
+    half, mask = _half_mask(m), (1 << n) - 1
+    for tau in range(n + 1):
+        c = (((x >> tau) | (x << (n - tau))) & mask) ^ half
+        if m - 1 <= c.bit_count() <= m:
+            return tau, c
+
+
 def encode_c(code: CyclicCode, x: BitWord) -> EncodeResult:
     n = code.n
     if x.length != n:
         raise ValueError(f"word length {x.length} != code length {n}")
-    if not contains(code, x):
-        raise ValueError(f"{x} is not a codeword")
-    tau = next(balancing_shifts(x))
+    tau, c = _shift(code.syndrome_rows, x.value, n)
     m = _half(n)
-    c = _rotate(x.value, tau, n) ^ _half_mask(m)
     prefix = BitWord(tau, rank_width(_gamma_size(c, m)))
     return EncodeResult(codeword=BitWord(_block(c, m), n + 1), prefix=prefix, classification=None, tau=tau)
 
@@ -175,17 +186,30 @@ def _coset_leaders(code: CyclicCode) -> Optional[Tuple[Dict[int, int], int]]:
     """
     if code.r > SYNDROME_GUARD:
         return None
-    n, cols = code.n, code.parity_cols
+    n, rows = code.n, code.syndrome_rows
     leaders: Dict[int, int] = {}
     for w in range(n + 1):
         level: Dict[int, int] = {}
         for pos in combinations(range(n), w):
-            syn = reduce(xor, (cols[p] for p in pos), 0)
+            e = sum(1 << (n - 1 - p) for p in pos)
+            syn = xor_bytes(rows, e, n)
             if syn in leaders or syn in level:
                 return leaders, w - 1
-            level[syn] = sum(1 << (n - 1 - p) for p in pos)
+            level[syn] = e
         leaders.update(level)
     return leaders, n
+
+
+def _fix(syndrome_rows, table: Tuple[Dict[int, int], int], y: int, n: int, m: int) -> Optional[int]:
+    """The C* block within radius t of the (n+1)-bit y, found through the
+    syndrome of y stripped and flipped back; None when there is none."""
+    leaders, t = table
+    e = leaders.get(xor_bytes(syndrome_rows, (y >> 1) ^ _half_mask(m), n))
+    if e is not None:
+        block = _block((y >> 1) ^ e, m)
+        if block is not None and (block ^ y).bit_count() <= t:
+            return block
+    return None
 
 
 def correct_block(code: CyclicCode, received: BitWord) -> BitWord:
@@ -208,13 +232,9 @@ def correct_block(code: CyclicCode, received: BitWord) -> BitWord:
         raise ValueError(f"block length {received.length} != {n + 1}")
     table = _coset_leaders(code)
     if table is not None:
-        leaders, t = table
-        m, y = _half(n), received.value
-        e = leaders.get(_syndrome_int(code, (y >> 1) ^ _half_mask(m)))
-        if e is not None:
-            block = _block((y >> 1) ^ e, m)
-            if block is not None and (block ^ y).bit_count() <= t:
-                return BitWord(block, n + 1)
+        block = _fix(code.syndrome_rows, table, received.value, n, _half(n))
+        if block is not None:
+            return BitWord(block, n + 1)
     book = build_balanced_code(code)
     best = None
     best_dist = received.length + 1
@@ -283,15 +303,15 @@ class StreamEncoding:
     n: int
 
 
-def _packet_of(code: CyclicCode, c: int, tau: int) -> int:
-    """The k-bit packet whose codeword shifted by tau half-flips to the n-bit c."""
-    n = code.n
-    return _rotate(c ^ _half_mask(_half(n)), n - tau, n) >> (n - code.k)
+def _packet_of(x: int, tau: int, n: int, k: int) -> int:
+    """The k-bit packet of the codeword that, shifted by tau, is the n-bit x."""
+    return _rotate(x, n - tau, n) >> (n - k)
 
 
 def _tail_zero_candidates(code: CyclicCode, c: int, fill: int) -> List[int]:
-    zeros = (1 << fill) - 1
-    return [tau for tau in range(_gamma_size(c, _half(code.n))) if not _packet_of(code, c, tau) & zeros]
+    n, m = code.n, _half(code.n)
+    x, zeros = c ^ _half_mask(m), (1 << fill) - 1
+    return [tau for tau in range(_gamma_size(c, m)) if not _packet_of(x, tau, n, code.k) & zeros]
 
 
 def stream_encode(code: CyclicCode, payload: BitWord) -> StreamEncoding:
@@ -301,35 +321,38 @@ def stream_encode(code: CyclicCode, payload: BitWord) -> StreamEncoding:
     filled at the stream tail.  Pad frames are appended until the last
     frame's shift index is recoverable without a successor.
     """
-    k = code.k
-    if rank_width(_half(code.n)) > k:
+    n, k = code.n, code.k
+    m = _half(n)
+    if rank_width(m) > k:
         raise CodingError(f"prefix can exceed packet size for k={k}; code too small")
-    bits = str(payload)
-    frames: List[StreamFrame] = []
-    payload_frames = final_pad = pos = 0
-    carry = BitWord(0, 0)
+    encode_rows, syndrome_rows = code.encode_rows, code.syndrome_rows
+    bits, left = payload.value, payload.length  # left: payload bits not yet taken
+    blocks: List[int] = []
+    payload_frames = final_pad = 0
+    carry = width = 0  # the carried prefix, as (value, width)
     flushed = set()  # carries that have started a pad frame
-    while pos < len(bits) or (frames and carry):
-        pad = pos >= len(bits)
+    while left or (blocks and width):
+        pad = not left
         if pad:
-            if carry in flushed:
+            if (carry, width) in flushed:
                 raise CodingError(
-                    f"stream flush cycles: carried prefix {carry} repeats after {len(flushed)} pad frames"
+                    f"stream flush cycles: carried prefix {BitWord(carry, width)} repeats after {len(flushed)} pad frames"
                 )
-            flushed.add(carry)
-        room = k - carry.length
-        take = bits[pos : pos + room]
-        pos += len(take)
-        fill = room - len(take)
-        packet = ((carry.value << len(take)) | (int(take, 2) if take else 0)) << fill
-        res = encode_c(code, encode_systematic(code, BitWord(packet, k)))
-        frames.append(StreamFrame(codeword=res.codeword))
-        carry = res.prefix
+            flushed.add((carry, width))
+        room = k - width
+        take = min(room, left)
+        left -= take
+        fill = room - take
+        packet = ((carry << take) | (bits >> left & ((1 << take) - 1))) << fill
+        carry, c = _shift(syndrome_rows, xor_bytes(encode_rows, packet, k), n)
+        width = rank_width(_gamma_size(c, m))
+        blocks.append(_block(c, m))
         if not pad:
-            payload_frames, final_pad = len(frames), fill
-        elif len(_tail_zero_candidates(code, res.codeword.value >> 1, fill)) == 1:
-            carry = BitWord(0, 0)  # the tail frame self-decodes; its own prefix is dropped
-    return StreamEncoding(frames=tuple(frames), payload_frames=payload_frames, final_pad=final_pad, n=code.n + 1)
+            payload_frames, final_pad = len(blocks), fill
+        elif len(_tail_zero_candidates(code, c, fill)) == 1:
+            carry = width = 0  # the tail frame self-decodes; its own prefix is dropped
+    frames = tuple(StreamFrame(codeword=BitWord(b, n + 1)) for b in blocks)
+    return StreamEncoding(frames=frames, payload_frames=payload_frames, final_pad=final_pad, n=n + 1)
 
 
 def stream_decode(code: CyclicCode, enc: StreamEncoding) -> BitWord:
@@ -338,20 +361,25 @@ def stream_decode(code: CyclicCode, enc: StreamEncoding) -> BitWord:
     if enc.n != n + 1:
         raise StreamError(f"container block length {enc.n} != code block length {n + 1}")
     if not enc.frames:
+        if enc.payload_frames or enc.final_pad:
+            raise StreamError(f"header payload_frames {enc.payload_frames}, final_pad {enc.final_pad} with no frames")
         return BitWord(0, 0)
     m = _half(n)
     half = _half_mask(m)
+    syndrome_rows, table = code.syndrome_rows, _coset_leaders(code)
     stripped = []
     for t, frame in enumerate(enc.frames):
         cw = frame.codeword
-        c = cw.value >> 1
+        y = cw.value
         # In C* exactly when balanced, with its balance bit, and a codeword once flipped back.
-        if cw.length != n + 1 or _block(c, m) != cw.value or _syndrome_int(code, c ^ half):
-            try:
-                cw = correct_block(code, cw)
-            except DecodeError as exc:
-                raise type(exc)(f"frame {t}: {exc}") from exc
-        stripped.append(cw.value >> 1)
+        if cw.length != n + 1 or _block(y >> 1, m) != y or xor_bytes(syndrome_rows, (y >> 1) ^ half, n):
+            y = _fix(syndrome_rows, table, y, n, m) if table and cw.length == n + 1 else None
+            if y is None:
+                try:
+                    y = correct_block(code, cw).value
+                except DecodeError as exc:
+                    raise type(exc)(f"frame {t}: {exc}") from exc
+        stripped.append(y >> 1)
     k = code.k
     total = len(stripped)
     if enc.payload_frames > total or enc.payload_frames < 1:
@@ -375,23 +403,22 @@ def stream_decode(code: CyclicCode, enc: StreamEncoding) -> BitWord:
         if len(cands) != 1:
             raise StreamError(f"terminal frame {last} is ambiguous ({len(cands)} candidates)")
         tau = cands[0]
-    packets[last] = _packet_of(code, stripped[last], tau)
+    packets[last] = _packet_of(stripped[last] ^ half, tau, n, k)
 
     for t in range(last - 1, -1, -1):
         tau = packets[t + 1] >> (k - widths[t])
         if tau >= sizes[t]:
             raise StreamError(f"frame {t}: shift index {tau} out of range")
-        packets[t] = _packet_of(code, stripped[t], tau)
+        packets[t] = _packet_of(stripped[t] ^ half, tau, n, k)
 
-    out = "".join(
-        format(packets[t], f"0{k}b")[widths[t - 1] if t else 0 :] for t in range(enc.payload_frames)
-    )
-    if enc.final_pad:
-        body, pad = out[: len(out) - enc.final_pad], out[len(out) - enc.final_pad :]
-        if pad.strip("0"):
-            raise StreamError("payload fill bits are not zero")
-        out = body
-    return BitWord.from_str(out)
+    out = length = 0
+    for t in range(enc.payload_frames):
+        fresh = k - (widths[t - 1] if t else 0)
+        out = (out << fresh) | (packets[t] & ((1 << fresh) - 1))
+        length += fresh
+    if out & ((1 << enc.final_pad) - 1):
+        raise StreamError("payload fill bits are not zero")
+    return BitWord(out >> enc.final_pad, length - enc.final_pad)
 
 
 # ---------------------------------------------------------------------------

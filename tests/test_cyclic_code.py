@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from qbalance.cyclic_code import (
@@ -32,6 +34,34 @@ EXAMPLE_H = [
 
 def W(s):
     return BitWord.from_str(s)
+
+
+def _syndrome_reference(code, value):
+    """Per bit: the XOR of the parity-check columns at the set bits of the n-bit value."""
+    syn = 0
+    for i in range(code.n):
+        if value >> (code.n - 1 - i) & 1:
+            syn ^= code.parity_cols[i]
+    return syn
+
+
+def _encode_reference(code, msg):
+    """Per bit: the XOR of the systematic generator rows at the set bits of the k-bit msg."""
+    v = 0
+    for j in range(code.k):
+        if msg >> (code.k - 1 - j) & 1:
+            v ^= code.gen_rows[j]
+    return v
+
+
+def check_tables(code, words, messages):
+    """syndrome, contains, encode_systematic and codewords against the per-bit references."""
+    for v in words:
+        w = BitWord(v, code.n)
+        want = _syndrome_reference(code, v)
+        assert (syndrome(code, w), contains(code, w)) == (want, want == 0), w
+    for v in messages:
+        assert encode_systematic(code, BitWord(v, code.k)).value == _encode_reference(code, v), v
 
 
 class TestPolyArithmetic:
@@ -159,6 +189,17 @@ class TestCodeFile:
             rows = [[(code.parity_cols[i] >> j) & 1 for i in range(n)] for j in range(len(expect))]
             assert rows == expect
         assert code.parity_cols == bch31.parity_cols
+    def test_override_with_one_entry_flipped_is_rejected(self, bch31):
+        """Every column lies in some codeword's support, so flipping any one
+        entry of H breaks annihilation, in every byte of the syndrome table."""
+        rows = [[(col >> j) & 1 for col in bch31.parity_cols] for j in range(bch31.r)]
+        for j in (0, bch31.r - 1):
+            for i in range(bch31.n):
+                bad = [row[:] for row in rows]
+                bad[j][i] ^= 1
+                with pytest.raises(ValueError, match="do not annihilate"):
+                    from_generator(bch31.n, bch31.generator, bad)
+
     def test_parity_override_must_annihilate_code(self):
         lines = ["n = 7", "generator = 1,1,0,1",
                  "parity_row_1 = 1,0,0,0,0,0,0",
@@ -174,3 +215,38 @@ class TestCodeFile:
     def test_unknown_key(self):
         with pytest.raises(ValueError):
             parse_code_file("n = 7\ngenerator = 1,0,1,1,1\nfoo = 1")
+
+
+class TestByteTables:
+    """The byte-table syndrome and systematic encoding against the per-bit loops."""
+
+    @pytest.mark.parametrize("fixture", ["simplex", "hamming", "bch15"])
+    def test_every_word_of_small_codes(self, fixture, request):
+        code = request.getfixturevalue(fixture)
+        check_tables(code, range(1 << code.n), range(1 << code.k))
+        assert [cw.value for cw in codewords(code)] == [_encode_reference(code, v) for v in range(1 << code.k)]
+
+    @pytest.mark.parametrize("n", range(1, 16))
+    def test_every_word_of_full_spaces(self, n):
+        code = full_space(n)
+        check_tables(code, range(1 << n), range(1 << n))
+
+    @pytest.mark.parametrize(
+        "fixture", ["golay23", "bch31", "hamming63", "bch63", "full127", *(f"parity{n}" for n in range(16, 24))]
+    )
+    def test_seeded_words(self, fixture, request):
+        """The even-weight codes of length 16..23 put 0..7 fill bits in the last
+        byte of both the n-bit word and the k = n - 1 bit message."""
+        if fixture.startswith("parity"):
+            code = from_generator(int(fixture[6:]), poly_from_coeffs([1, 1]))
+        elif fixture == "full127":
+            code = full_space(127)
+        else:
+            code = request.getfixturevalue(fixture)
+        rng = random.Random(code.n * 1000 + code.k)
+        words, messages = (
+            [0, (1 << w) - 1, 1 << (w - 1), 1, *(rng.getrandbits(w) for _ in range(300))] for w in (code.n, code.k)
+        )
+        check_tables(code, words, messages)
+        if fixture.startswith("parity"):
+            assert all(syndrome(code, BitWord(v, code.n)) == v.bit_count() % 2 for v in words)

@@ -8,7 +8,7 @@ from functools import lru_cache
 import pytest
 
 from qbalance import scheme_c
-from qbalance.cyclic_code import codewords, contains, encode_systematic, from_generator, full_space, poly_from_coeffs, poly_mul
+from qbalance.cyclic_code import codewords, contains, encode_systematic, from_generator, full_space, poly_from_coeffs
 from qbalance.errors import AmbiguousBlockError, CapacityError, CodingError, DecodeError, StreamError
 from qbalance.oracle import definitional_gamma
 from qbalance.scheme_a import EncodeResult, rank_width
@@ -64,25 +64,6 @@ def bch15():
 def full9():
     """The [9,9] full space: 10-bit blocks, so each block byte pair carries 6 unused bits."""
     return full_space(9)
-
-
-@pytest.fixture(scope="module")
-def bch31():
-    """[31,21,5] BCH code generated by 1 + X^3 + X^5 + X^6 + X^8 + X^9 + X^10."""
-    return from_generator(31, poly_from_coeffs([1, 0, 0, 1, 0, 1, 1, 0, 1, 1, 1]))
-
-
-@pytest.fixture(scope="module")
-def hamming63():
-    """[63,57,3] Hamming code generated by the primitive 1 + X + X^6."""
-    return from_generator(63, poly_from_coeffs([1, 1, 0, 0, 0, 0, 1]))
-
-
-@pytest.fixture(scope="module")
-def bch63():
-    """[63,51,5] BCH code: (1 + X + X^6)(1 + X + X^2 + X^4 + X^6), the minimal
-    polynomials of alpha and alpha^3."""
-    return from_generator(63, poly_mul(poly_from_coeffs([1, 1, 0, 0, 0, 0, 1]), poly_from_coeffs([1, 1, 1, 0, 1, 0, 1])))
 
 
 def encodable_payloads(code, count, seed=8):
@@ -404,14 +385,14 @@ class TestStream:
         """A pad frame depends only on the prefix it carries, so a cycling flush
         stops within the 2^(w+1) - 2 nonempty prefixes of at most w bits."""
         calls = []
-        real = scheme_c.encode_c
+        real = scheme_c._shift
 
-        def counting(code, x):
-            res = real(code, x)
-            calls.append(res.prefix.length)
-            return res
+        def counting(rows, x, n):
+            tau, c = real(rows, x, n)
+            calls.append(rank_width(gamma_size_c(BitWord(c, n))))
+            return tau, c
 
-        monkeypatch.setattr(scheme_c, "encode_c", counting)
+        monkeypatch.setattr(scheme_c, "_shift", counting)
         rng = random.Random(3)
         for _ in range(50):
             payload = BitWord(rng.getrandbits(64), 64)
@@ -481,6 +462,16 @@ class TestContainer:
                 unpack_stream(pack_stream(dataclasses.replace(enc, n=n, frames=())))
         with pytest.raises(ValueError):
             pack_stream(dataclasses.replace(enc, n=16))
+
+    @pytest.mark.parametrize("fields", [{"payload_frames": 3}, {"final_pad": 5}, {"payload_frames": 3, "final_pad": 5}])
+    def test_rejects_header_fields_without_frames(self, golay23, fields):
+        """A container with no frames carries no payload frame and no fill."""
+        enc = dataclasses.replace(stream_encode(golay23, W("")), **fields)
+        received = unpack_stream(pack_stream(enc))
+        assert received == enc
+        want = f"^header payload_frames {enc.payload_frames}, final_pad {enc.final_pad} with no frames$"
+        with pytest.raises(StreamError, match=want):
+            stream_decode(golay23, received)
 
     @pytest.mark.parametrize(
         "payload,room",  # room: fresh bits of the last payload frame, k minus the prefix it carries
@@ -559,6 +550,103 @@ def _decode_c_reference(code, cprime, p):
     return x
 
 
+def _packet_reference(code, c, tau):
+    """The k-bit packet, as a bit string, of the block c decoded with shift index tau."""
+    return str(cyclic_shift(flip_c(c), -tau).prefix(code.k))
+
+
+def _tail_candidates_reference(code, c, fill):
+    packets = (_packet_reference(code, c, tau) for tau in range(_gamma_size_c_reference(c)))
+    return [tau for tau, packet in enumerate(packets) if not packet[code.k - fill :].strip("0")]
+
+
+def _stream_encode_reference(code, payload):
+    """stream_encode on bit strings, one encode_c reference call per frame."""
+    k = code.k
+    if rank_width((code.n + 1) // 2) > k:
+        raise CodingError(f"prefix can exceed packet size for k={k}; code too small")
+    bits = str(payload)
+    frames = []
+    payload_frames = final_pad = pos = 0
+    carry = BitWord(0, 0)
+    flushed = set()
+    while pos < len(bits) or (frames and carry):
+        pad = pos >= len(bits)
+        if pad:
+            if carry in flushed:
+                raise CodingError(
+                    f"stream flush cycles: carried prefix {carry} repeats after {len(flushed)} pad frames"
+                )
+            flushed.add(carry)
+        take = bits[pos : pos + k - carry.length]
+        pos += len(take)
+        fill = k - carry.length - len(take)
+        res = _encode_c_reference(code, encode_systematic(code, W(str(carry) + take + "0" * fill)))
+        frames.append(StreamFrame(codeword=res.codeword))
+        carry = res.prefix
+        if not pad:
+            payload_frames, final_pad = len(frames), fill
+        elif len(_tail_candidates_reference(code, res.codeword.prefix(code.n), fill)) == 1:
+            carry = BitWord(0, 0)
+    return StreamEncoding(frames=tuple(frames), payload_frames=payload_frames, final_pad=final_pad, n=code.n + 1)
+
+
+def _in_book_reference(code, cw):
+    """Balanced, with its balance bit, and a codeword once flipped back."""
+    c, m = cw.prefix(code.n), (code.n + 1) // 2
+    return weight(c) in (m - 1, m) and _balance_bit_reference(c) == cw and contains(code, flip_c(c))
+
+
+def _stream_decode_reference(code, enc):
+    """stream_decode on bit strings: packets and payload are assembled as text."""
+    n, k = code.n, code.k
+    if enc.n != n + 1:
+        raise StreamError(f"container block length {enc.n} != code block length {n + 1}")
+    if not enc.frames:
+        if enc.payload_frames or enc.final_pad:
+            raise StreamError(f"header payload_frames {enc.payload_frames}, final_pad {enc.final_pad} with no frames")
+        return BitWord(0, 0)
+    stripped = []
+    for t, frame in enumerate(enc.frames):
+        cw = frame.codeword
+        if cw.length != n + 1 or not _in_book_reference(code, cw):
+            try:
+                cw = correct_block(code, cw)
+            except DecodeError as exc:
+                raise type(exc)(f"frame {t}: {exc}") from exc
+        stripped.append(cw.prefix(n))
+    total = len(stripped)
+    if enc.payload_frames > total or enc.payload_frames < 1:
+        raise StreamError("payload frame count inconsistent with container")
+    sizes = [_gamma_size_c_reference(c) for c in stripped]
+    widths = [rank_width(size) for size in sizes]
+    room = k - (widths[enc.payload_frames - 2] if enc.payload_frames > 1 else 0)
+    if enc.final_pad >= room:
+        raise StreamError(f"header final_pad {enc.final_pad} >= {room} fresh bits of the last payload frame")
+    packets = [""] * total
+    last = total - 1
+    if total == enc.payload_frames:
+        if widths[last] != 0:
+            raise StreamError(f"terminal frame {last} carries an unrecoverable prefix")
+        tau = 0
+    else:
+        cands = _tail_candidates_reference(code, stripped[last], k - widths[last - 1])
+        if len(cands) != 1:
+            raise StreamError(f"terminal frame {last} is ambiguous ({len(cands)} candidates)")
+        tau = cands[0]
+    packets[last] = _packet_reference(code, stripped[last], tau)
+    for t in range(last - 1, -1, -1):
+        tau = int(packets[t + 1][: widths[t]] or "0", 2)
+        if tau >= sizes[t]:
+            raise StreamError(f"frame {t}: shift index {tau} out of range")
+        packets[t] = _packet_reference(code, stripped[t], tau)
+    out = "".join(packets[t][widths[t - 1] if t else 0 :] for t in range(enc.payload_frames))
+    body, fill = out[: len(out) - enc.final_pad], out[len(out) - enc.final_pad :]
+    if fill.strip("0"):
+        raise StreamError("payload fill bits are not zero")
+    return W(body)
+
+
 @lru_cache(maxsize=None)
 def _book_reference(code):
     """C* as the reference encoder's distinct outputs, sorted."""
@@ -590,6 +678,14 @@ def outcome(call, *args):
         return call(*args)
     except (ValueError, CodingError) as exc:
         return type(exc)
+
+
+def result(call, *args):
+    """The value returned, or the class and text of the exception raised."""
+    try:
+        return call(*args)
+    except (ValueError, CodingError) as exc:
+        return type(exc), str(exc)
 
 
 def seeded_blocks(code, count, seed):
@@ -709,3 +805,61 @@ class TestSyndromeCorrection:
         elapsed = time.perf_counter() - start
         assert calls == []
         assert elapsed < 10, elapsed  # the C* enumeration alone takes about 19 s
+
+
+# Radius t of C* for each stream code: floor((d' - 1) / 2), d' = 2 ceil(d / 2).
+STREAM_RADIUS = {"simplex": 1, "bch15": 2, "golay23": 3, "bch31": 2}
+
+
+def differential_payloads(seed):
+    """Payload lengths 0..39 plus 70 seeded lengths in 40..600, seeded bits."""
+    rng = random.Random(seed)
+    lengths = [*range(40), *(rng.randrange(40, 601) for _ in range(70))]
+    return [BitWord(rng.getrandbits(length), length) for length in lengths]
+
+
+def with_block_errors(enc, flips, rng):
+    """enc with `flips` distinct seeded positions flipped in every block."""
+    frames = tuple(StreamFrame(codeword=with_errors(f.codeword, rng.sample(range(enc.n), flips))) for f in enc.frames)
+    return dataclasses.replace(enc, frames=frames)
+
+
+class TestStreamAgainstReference:
+    @pytest.mark.parametrize("name", sorted(STREAM_RADIUS))
+    def test_int_stream_matches_string_stream(self, name, request, monkeypatch):
+        """Frames, header fields and flush errors of each encode; the decode or
+        its error text at 0, t and t+1 flips per block, with a header field one
+        off, and after one container flip."""
+        code = request.getfixturevalue(name)
+        t = STREAM_RADIUS[name]
+        assert scheme_c._coset_leaders(code)[1] == t
+        if name == "bch31":
+            # C* of BCH[31,21] takes about 19 s to enumerate; past the radius both decoders reach the scan.
+            def no_scan(code):
+                raise AmbiguousBlockError("C* scan")
+
+            monkeypatch.setattr(scheme_c, "build_balanced_code", no_scan)
+        rng = random.Random(t)
+        kinds = set()
+        for payload in differential_payloads(seed=code.n):
+            enc = result(stream_encode, code, payload)
+            assert enc == result(_stream_encode_reference, code, payload), payload
+            if not isinstance(enc, StreamEncoding):
+                continue
+            assert unpack_stream(pack_stream(enc)) == enc
+            blob = bytearray(pack_stream(enc))
+            bit = rng.randrange(8 * len(blob))
+            blob[bit >> 3] ^= 0x80 >> (bit & 7)
+            received = [with_block_errors(enc, flips, rng) for flips in (0, t, t + 1)]
+            # header fields one off, as a damaged or forged header would give them
+            received += [dataclasses.replace(enc, payload_frames=enc.payload_frames + d) for d in (-1, 1)]
+            received.append(dataclasses.replace(enc, final_pad=enc.final_pad + 1))
+            container = result(unpack_stream, bytes(blob))
+            if isinstance(container, StreamEncoding):
+                received.append(container)
+            for i, noisy in enumerate(received):
+                got = result(stream_decode, code, noisy)
+                assert got == result(_stream_decode_reference, code, noisy), (payload, i)
+                assert got == payload or i >= 2, (payload, i)
+                kinds.add("payload" if got == payload else "error" if isinstance(got, tuple) else "other")
+        assert {"payload", "error"} <= kinds, kinds
