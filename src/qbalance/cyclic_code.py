@@ -17,6 +17,13 @@ partial XORs, built on first use as in Sarwate's table-driven CRC: a
 k-bit message takes ceil(k/8) lookups, an n-bit word ceil(n/8).  The
 per-bit loop they replace is kept in the tests as the reference.
 
+Each code also owns its coset-leader table (coset_leaders): the error
+pattern of every syndrome up to the radius floor((d-1)/2), found by
+rising weight without enumerating a codeword.  It holds at most
+2^(n-k)+1 patterns, so it is guarded to n-k <= SYNDROME_GUARD, the bound
+the syndrome trellis shares; past it the table holds only the zero
+pattern, at radius 0, which still names every codeword.
+
 Enumeration and minimum distance are guarded to k <= 24; larger codes
 still construct and encode fine, and scheme_c corrects their blocks by
 syndrome within the code's radius.
@@ -26,12 +33,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterator, List, Optional, Sequence, Tuple
+from itertools import combinations
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import CapacityError
 from .words import BitWord, weight
 
 ENUMERATION_MAX_K = 24
+SYNDROME_GUARD = 18  # n-k bound of the coset-leader table and the trellis
 
 Gf2Poly = int  # bit i = coefficient of X**i
 
@@ -106,6 +115,31 @@ class CyclicCode:
     def syndrome_rows(self) -> Tuple[Tuple[int, ...], ...]:
         return _byte_table(self.parity_cols)
 
+    @cached_property
+    def coset_leaders(self) -> Tuple[Dict[int, int], int]:
+        """({syndrome: error pattern}, t) over the patterns of weight <= t, where
+        t is the largest weight at which every pattern has its own syndrome;
+        ({0: 0}, 0) when n-k exceeds SYNDROME_GUARD.
+
+        Patterns are taken by rising weight, and the table stops at the first
+        repeated syndrome, so it computes at most 2^(n-k)+1 of them.  A repeat
+        at weight w means two patterns of weight <= w differ by a codeword, so
+        d <= 2w; none below it means d >= 2w-1.  Hence t = w-1 = floor((d-1)/2),
+        found without enumerating a codeword.
+        """
+        if self.r > SYNDROME_GUARD:
+            return {0: 0}, 0
+        n, rows = self.n, self.syndrome_rows
+        leaders: Dict[int, int] = {}
+        for w in range(n + 1):
+            for pos in combinations(range(n), w):
+                e = sum(1 << (n - 1 - p) for p in pos)
+                syn = xor_bytes(rows, e, n)
+                if syn in leaders:
+                    return {s: x for s, x in leaders.items() if x.bit_count() < w}, w - 1
+                leaders[syn] = e
+        return leaders, n
+
 
 def _byte_table(vectors: Sequence[int]) -> Tuple[Tuple[int, ...], ...]:
     """rows[i][b]: XOR of vectors[8i + j] over the bits of byte b, bit 7 being
@@ -137,6 +171,16 @@ def _word_int_from_poly(p: Gf2Poly, n: int) -> int:
     return v
 
 
+def _parity_row(entries: Sequence[int], j: int, n: int) -> List[int]:
+    """Row j (from 1) of an H override, checked to be n bits."""
+    if len(entries) != n:
+        raise ValueError(f"parity row {j} has {len(entries)} entries, not {n}")
+    for i, c in enumerate(entries, start=1):
+        if c not in (0, 1):
+            raise ValueError(f"parity row {j} position {i}: {c} is not a bit")
+    return list(entries)
+
+
 def _default_parity_rows(n: int, k: int, h: Gf2Poly) -> List[List[int]]:
     hrev = poly_from_coeffs(list(reversed(poly_coeffs(h, k + 1))))
     rows = []
@@ -165,14 +209,14 @@ def from_generator(
     k = n - poly_deg(g)
 
     rows = (
-        [list(r) for r in parity_rows]
+        [_parity_row(r, j, n) for j, r in enumerate(parity_rows, start=1)]
         if parity_rows is not None
         else _default_parity_rows(n, k, h)
     )
-    if len(rows) != n - k or any(len(r) != n for r in rows):
+    if len(rows) != n - k:
         raise ValueError(f"parity check must be {n - k} rows of length {n}")
     cols = tuple(
-        sum((rows[j][i] & 1) << j for j in range(n - k)) for i in range(n)
+        sum(rows[j][i] << j for j in range(n - k)) for i in range(n)
     )
 
     # Row-reduce the polynomial generator matrix to systematic form.
@@ -245,9 +289,11 @@ def parse_code_file(text: str) -> CyclicCode:
 
     Required: n, generator (comma-separated coefficients g0..g_{n-k}).
     Optional: k (validated), parity_row_1 .. parity_row_{n-k} (all rows
-    or none).  '#' starts a comment.
+    or none).  '#' starts a comment.  Each key appears once; an error in
+    one key's value names that key and its line.
     """
-    fields = {}
+    fields: Dict[str, str] = {}
+    lines: Dict[str, int] = {}  # the line number of each key
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -255,12 +301,24 @@ def parse_code_file(text: str) -> CyclicCode:
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected 'key = value'")
         key, val = (part.strip() for part in line.split("=", 1))
-        fields[key] = val
+        if key in fields:
+            raise ValueError(f"line {lineno}: key '{key}' already set on line {lines[key]}")
+        fields[key], lines[key] = val, lineno
     if "n" not in fields or "generator" not in fields:
         raise ValueError("code spec needs at least 'n' and 'generator'")
-    n = int(fields.pop("n"))
-    g = poly_from_coeffs([int(c) for c in fields.pop("generator").split(",")])
-    k_declared = int(fields.pop("k")) if "k" in fields else None
+
+    def read(key: str, convert):
+        try:
+            return convert(fields.pop(key))
+        except ValueError as exc:
+            raise ValueError(f"line {lines[key]}: {key}: {exc}") from None
+
+    def ints(val: str) -> List[int]:
+        return [int(c) for c in val.split(",")]
+
+    n = read("n", int)
+    g = read("generator", lambda val: poly_from_coeffs(ints(val)))
+    k_declared = read("k", int) if "k" in fields else None
 
     row_keys = {key for key in fields if key.startswith("parity_row_")}
     parity = None
@@ -269,11 +327,11 @@ def parse_code_file(text: str) -> CyclicCode:
         expect = [f"parity_row_{j}" for j in range(1, n - k + 1)]
         if row_keys != set(expect):
             raise ValueError(f"need all of {expect}, got {sorted(row_keys)}")
-        parity = [[int(c) for c in fields.pop(key).split(",")] for key in expect]
+        parity = [read(key, lambda val, j=j: _parity_row(ints(val), j, n)) for j, key in enumerate(expect, start=1)]
     if fields:
         raise ValueError(f"unknown keys in code spec: {sorted(fields)}")
 
     code = from_generator(n, g, parity)
     if k_declared is not None and k_declared != code.k:
-        raise ValueError(f"declared k={k_declared} but generator implies k={code.k}")
+        raise ValueError(f"line {lines['k']}: declared k={k_declared} but generator implies k={code.k}")
     return code

@@ -9,19 +9,22 @@ distinct outputs C* form a balanced codebook with minimum distance
 ceil(log2 |Gamma(c)|) bits, where Gamma(c) is always a contiguous range
 {0..size-1} read off the cyclic running sum of c.
 
-Correction is syndrome (standard-array) decoding.  Stripped of its
-balance bit and with its first half flipped back, a C* block is a
-codeword, so the syndrome of that word names the error pattern through
-a coset-leader table built once per code, and no codeword is
-enumerated.  This holds within radius t = floor((d-1)/2), which is also
-the radius of C*.  Beyond it, correct_block scans C*, which enumerates
-the 2^k codewords and needs k <= 24.
+Correction is one corrector, syndrome (standard-array) decoding with a
+scan behind it.  Stripped of its balance bit and with its first half
+flipped back, a C* block is a codeword, so the syndrome of that word
+names the error pattern through the code's coset-leader table, and no
+codeword is enumerated.  This holds within radius t = floor((d-1)/2),
+which is also the radius of C*.  A clean block has syndrome 0 and
+pattern 0, so it needs neither a full table nor the scan and decodes on
+any code, past both guards.  Beyond the radius the corrector scans C*,
+which enumerates the 2^k codewords and needs k <= 24.  correct_block and
+the stream both call it.
 
 Per-frame work (encode, decode, correction, streaming) runs on the
 plain int values of the words, position 1 being the top bit; BitWords
 and StreamFrames only for what a function returns.  Every syndrome and
 systematic encoding is read from the code's byte tables (xor_bytes),
-which a stream fetches once.
+built once per code.
 
 Streaming chains the prefixes: frame t's shift index rides at the head
 of frame t+1's packet, so decoding runs back to front.  The final
@@ -46,13 +49,11 @@ import struct
 import zlib
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .cyclic_code import CyclicCode, _syndrome_int, codewords, xor_bytes
 from .errors import AmbiguousBlockError, CodingError, DecodeError, StreamError
 from .scheme_a import EncodeResult, Parts, _check_length, histogram_sum, rank_width, rho_parts
-from .trellis import SYNDROME_GUARD
 from .words import BitWord, flip_prefix, weight
 
 
@@ -172,84 +173,48 @@ def build_balanced_code(code: CyclicCode) -> Tuple[BitWord, ...]:
     return tuple(BitWord(b, 2 * m) for b in sorted(b for b in blocks if b is not None))
 
 
-@lru_cache(maxsize=None)
-def _coset_leaders(code: CyclicCode) -> Optional[Tuple[Dict[int, int], int]]:
-    """({syndrome: error pattern}, t) over the patterns of weight <= t, where
-    t is the largest weight at which every pattern has its own syndrome;
-    None when n-k exceeds the trellis guard.
-
-    Patterns are taken by rising weight, and the table stops at the first
-    repeated syndrome, so it computes at most 2^(n-k)+1 of them.  A repeat
-    at weight w means two patterns of weight <= w differ by a codeword, so
-    d <= 2w; none below it means d >= 2w-1.  Hence t = w-1 = floor((d-1)/2),
-    the radius of C* as well, found without enumerating a codeword.
-    """
-    if code.r > SYNDROME_GUARD:
-        return None
-    n, rows = code.n, code.syndrome_rows
-    leaders: Dict[int, int] = {}
-    for w in range(n + 1):
-        level: Dict[int, int] = {}
-        for pos in combinations(range(n), w):
-            e = sum(1 << (n - 1 - p) for p in pos)
-            syn = xor_bytes(rows, e, n)
-            if syn in leaders or syn in level:
-                return leaders, w - 1
-            level[syn] = e
-        leaders.update(level)
-    return leaders, n
-
-
-def _fix(syndrome_rows, table: Tuple[Dict[int, int], int], y: int, n: int, m: int) -> Optional[int]:
-    """The C* block within radius t of the (n+1)-bit y, found through the
-    syndrome of y stripped and flipped back; None when there is none."""
-    leaders, t = table
-    e = leaders.get(xor_bytes(syndrome_rows, (y >> 1) ^ _half_mask(m), n))
-    if e is not None:
-        block = _block((y >> 1) ^ e, m)
-        if block is not None and (block ^ y).bit_count() <= t:
-            return block
-    return None
-
-
-def correct_block(code: CyclicCode, received: BitWord) -> BitWord:
-    """Nearest word of C*: syndrome decoding within radius t, the scan beyond it.
+def _nearest(code: CyclicCode, received: BitWord) -> int:
+    """The C* block nearest the received block: syndrome decoding within
+    radius t, the scan of C* beyond it.
 
     Stripped of its balance bit and with its first half flipped back, a C*
     block is a codeword.  So the received block is stripped and flipped
-    back, its syndrome names the coset leader e, and the C* block whose
-    half-flip is e away is returned when it is balanced and lies within
-    t = floor((d'-1)/2) of the received block, d' = 2*ceil(d/2).  Such a
-    block is the unique nearest word, so no C* enumeration is needed.
+    back, its syndrome names the coset leader e in the code's table, and
+    the C* block whose half-flip is e away is returned when it is balanced
+    and lies within t = floor((d'-1)/2) of the received block,
+    d' = 2*ceil(d/2).  Such a block is the unique nearest word.  A C* block
+    itself has syndrome 0 and leader 0, so it returns here on any code.
 
-    Beyond t (or when n-k exceeds the trellis guard, so there is no leader
-    table) this falls back to a lexicographic scan of C*, which needs
-    k <= 24 and raises AmbiguousBlockError when two codebook words are
-    equally near.
+    Otherwise (beyond t, or past the table's guard, where t = 0) a
+    lexicographic scan of C*, which needs k <= 24, returns the nearest
+    block or raises AmbiguousBlockError when two are equally near.
     """
-    n = code.n
+    n, y = code.n, received.value
     if received.length != n + 1:
         raise ValueError(f"block length {received.length} != {n + 1}")
-    table = _coset_leaders(code)
-    if table is not None:
-        block = _fix(code.syndrome_rows, table, received.value, n, _half(n))
-        if block is not None:
-            return BitWord(block, n + 1)
-    book = build_balanced_code(code)
-    best = None
-    best_dist = received.length + 1
-    ties = 0
-    for cw in book:
-        dist = (cw.value ^ received.value).bit_count()
+    m, c = _half(n), y >> 1
+    leaders, t = code.coset_leaders
+    e = leaders.get(xor_bytes(code.syndrome_rows, c ^ _half_mask(m), n))
+    if e is not None:
+        block = _block(c ^ e, m)
+        if block is not None and (block ^ y).bit_count() <= t:
+            return block
+    best, best_dist, ties = 0, n + 2, 0
+    for cw in build_balanced_code(code):
+        dist = (cw.value ^ y).bit_count()
         if dist < best_dist:
-            best, best_dist, ties = cw, dist, 1
+            best, best_dist, ties = cw.value, dist, 1
         elif dist == best_dist:
             ties += 1
     if ties > 1:
-        raise AmbiguousBlockError(
-            f"{ties} codebook words at distance {best_dist} from {received}"
-        )
+        raise AmbiguousBlockError(f"{ties} codebook words at distance {best_dist} from {received}")
     return best
+
+
+def correct_block(code: CyclicCode, received: BitWord) -> BitWord:
+    """Nearest word of C*: syndrome decoding within radius t, the scan of C*
+    beyond it, which raises AmbiguousBlockError on a tie (see _nearest)."""
+    return BitWord(_nearest(code, received), code.n + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +321,7 @@ def stream_encode(code: CyclicCode, payload: BitWord) -> StreamEncoding:
 
 
 def stream_decode(code: CyclicCode, enc: StreamEncoding) -> BitWord:
-    """Invert stream_encode, correcting each block that is not in C* first."""
+    """Invert stream_encode, each block taken as its nearest C* block."""
     n = code.n
     if enc.n != n + 1:
         raise StreamError(f"container block length {enc.n} != code block length {n + 1}")
@@ -366,20 +331,12 @@ def stream_decode(code: CyclicCode, enc: StreamEncoding) -> BitWord:
         return BitWord(0, 0)
     m = _half(n)
     half = _half_mask(m)
-    syndrome_rows, table = code.syndrome_rows, _coset_leaders(code)
     stripped = []
     for t, frame in enumerate(enc.frames):
-        cw = frame.codeword
-        y = cw.value
-        # In C* exactly when balanced, with its balance bit, and a codeword once flipped back.
-        if cw.length != n + 1 or _block(y >> 1, m) != y or xor_bytes(syndrome_rows, (y >> 1) ^ half, n):
-            y = _fix(syndrome_rows, table, y, n, m) if table and cw.length == n + 1 else None
-            if y is None:
-                try:
-                    y = correct_block(code, cw).value
-                except DecodeError as exc:
-                    raise type(exc)(f"frame {t}: {exc}") from exc
-        stripped.append(y >> 1)
+        try:
+            stripped.append(_nearest(code, frame.codeword) >> 1)
+        except DecodeError as exc:
+            raise type(exc)(f"frame {t}: {exc}") from exc
     k = code.k
     total = len(stripped)
     if enc.payload_frames > total or enc.payload_frames < 1:

@@ -54,19 +54,18 @@ x86-64; peak RSS from getrusage, about 17 MB before the pass):
 
 Time and memory grow about 4x per two syndrome bits and again with n, so
 r = 20 already needs over 400 MB at the shortest length it admits.
-Builds are therefore guarded to n-k <= 18; beyond that use exhaustive
-enumeration.
+Builds are therefore guarded to n-k <= 18 (cyclic_code.SYNDROME_GUARD,
+which also bounds each code's coset-leader table); beyond that use
+exhaustive enumeration.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from .cyclic_code import CyclicCode
+from .cyclic_code import SYNDROME_GUARD, CyclicCode
 from .errors import CapacityError
 from .scheme_a import histogram_sum, rho_parts
-
-SYNDROME_GUARD = 18
 
 FinalState = Tuple[int, int]  # (weight, index)
 

@@ -344,6 +344,21 @@ class TestStreamCommands:
         )
         assert status == 1
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "n = 7\nn = 15\ngenerator = 1\n",
+            "n = 7\ngenerator = 1,1,0,1\nparity_row_1 = 2,0,1,1,1,0,0\n"
+            "parity_row_2 = 0,1,0,1,1,1,0\nparity_row_3 = 0,0,1,0,1,1,1\n",
+        ],
+    )
+    def test_bad_code_file_says_where(self, capsys, tmp_path, spec):
+        path = tmp_path / "bad.code"
+        path.write_text(spec)
+        status, _, err = run_cli(capsys, "stream", "encode", "--code", str(path), "--input", "101")
+        assert status == 1
+        assert err.startswith("error: line ")
+
 
 def test_cli_import_does_not_load_numpy():
     """Every CLI start pays for what `qbalance.cli` imports; numpy alone costs more than all of it."""

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -215,6 +216,40 @@ class TestCodeFile:
     def test_unknown_key(self):
         with pytest.raises(ValueError):
             parse_code_file("n = 7\ngenerator = 1,0,1,1,1\nfoo = 1")
+
+    @pytest.mark.parametrize("row, pos", [(1, 1), (4, 7)])
+    @pytest.mark.parametrize("entry", [3, -1, 2])
+    def test_parity_entry_that_is_not_a_bit_is_rejected(self, simplex, row, pos, entry):
+        """3 and -1 once read as 1 through `& 1`, so row 1 built the same code."""
+        rows = [[(col >> j) & 1 for col in simplex.parity_cols] for j in range(simplex.r)]
+        assert rows[0] == [1, 1, 0, 1, 0, 0, 0]
+        rows[row - 1][pos - 1] = entry
+        error = f"parity row {row} position {pos}: {entry} is not a bit"
+        with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+            from_generator(7, simplex.generator, rows)
+        lines = ["n = 7", "generator = 1,0,1,1,1"]
+        lines += [f"parity_row_{j} = {','.join(map(str, r))}" for j, r in enumerate(rows, start=1)]
+        with pytest.raises(ValueError, match=f"^{re.escape(f'line {row + 2}: parity_row_{row}: {error}')}$"):
+            parse_code_file("\n".join(lines))
+
+    @pytest.mark.parametrize(
+        "spec, error",
+        [
+            # the second n once won: "does not divide X^15 - 1", or with generator 1 the full space
+            ("n = 7\nn = 15\ngenerator = 1,0,1,1,1", "line 2: key 'n' already set on line 1"),
+            ("n = 7\nn = 15\ngenerator = 1", "line 2: key 'n' already set on line 1"),
+            ("n = 7\nk = 3\ngenerator = 1,0,1,1,1\n\n# again\nk = 3", "line 6: key 'k' already set on line 2"),
+            ("n = 7.0\ngenerator = 1,0,1,1,1", "line 1: n: "),
+            ("n = 7\ngenerator = 1,0,x", "line 2: generator: "),
+            ("n = 7\ngenerator = 1,0,2,1,1", "line 2: generator: coefficient 2 is not a bit"),
+            ("n = 7\nk = 4\ngenerator = 1,0,1,1,1", "line 2: declared k=4 but generator implies k=3"),
+            ("n = 7\ngenerator = 1,1,0,1\nparity_row_1 = 1,0,1,1,1,0\nparity_row_2 = 0,1,0,1,1,1,0\n"
+             "parity_row_3 = 0,0,1,0,1,1,1", "line 3: parity_row_1: parity row 1 has 6 entries, not 7"),
+        ],
+    )
+    def test_value_error_says_where(self, spec, error):
+        with pytest.raises(ValueError, match=f"^{re.escape(error)}"):
+            parse_code_file(spec)
 
 
 class TestByteTables:

@@ -653,9 +653,10 @@ def _book_reference(code):
     return tuple(sorted({_encode_c_reference(code, x).codeword for x in codewords(code)}, key=lambda w: w.value))
 
 
-def _nearest_by_scan(code, received):
-    """Complete decoding by a lexicographic scan of C*."""
-    book = _book_reference(code)
+def _nearest_by_scan(code, received, book=None):
+    """Complete decoding by a lexicographic scan of C*, or of the given
+    words of C* when they hold every word as near as the nearest."""
+    book = _book_reference(code) if book is None else book
     if received.length != code.n + 1:
         raise ValueError(f"block length {received.length} != {code.n + 1}")
     best = None
@@ -719,10 +720,13 @@ class TestAgainstReferences:
     def test_correct_block_golay_within_three_errors(self, golay23):
         blocks = seeded_blocks(golay23, 32, seed=23)
         for block in blocks:
+            # A C* word c can be at least as near as block to y = block ^ e, wt(e) <= 3, only
+            # if d(c, block) <= d(c, y) + d(y, block) <= 6, so the scan needs no other word.
+            near = [cw for cw in _book_reference(golay23) if (cw.value ^ block.value).bit_count() <= 6]
             for w in range(4):
                 for positions in itertools.combinations(range(24), w):
                     y = with_errors(block, positions)
-                    assert correct_block(golay23, y) == _nearest_by_scan(golay23, y) == block, (block, positions)
+                    assert correct_block(golay23, y) == _nearest_by_scan(golay23, y, near) == block, (block, positions)
 
     @pytest.mark.parametrize("fixture", REFERENCE_CODES)
     def test_decode_c_every_received_word(self, fixture, request):
@@ -807,6 +811,43 @@ class TestSyndromeCorrection:
         assert elapsed < 10, elapsed  # the C* enumeration alone takes about 19 s
 
 
+@pytest.fixture(scope="module")
+def bch63_39():
+    """[63,39] BCH code, generator 166623567 in octal: n-k = 24 is past the
+    leader table's guard and k = 39 past the enumeration guard."""
+    return from_generator(63, 0o166623567)
+
+
+class TestPastBothGuards:
+    """A code whose leader table holds only the zero pattern and whose C*
+    cannot be scanned still passes its clean blocks, and nothing else."""
+
+    def test_table_holds_only_the_zero_pattern(self, bch63_39):
+        assert (bch63_39.r, bch63_39.k) == (24, 39)
+        assert bch63_39.coset_leaders == ({0: 0}, 0)
+
+    def test_clean_block_is_returned_unchanged(self, bch63_39):
+        for block in seeded_blocks(bch63_39, 8, seed=39):
+            assert correct_block(bch63_39, block) == block
+
+    def test_one_flip_needs_the_enumeration_guard(self, bch63_39):
+        payload = BitWord(random.Random(2).getrandbits(500), 500)
+        enc = stream_encode(bch63_39, payload)
+        for p in (0, 1, 40, 63):  # the balance bit, the last body bit, one inside, the first
+            block = enc.frames[3].codeword
+            with pytest.raises(CapacityError, match="k=39 exceeds enumeration guard 24"):
+                correct_block(bch63_39, with_errors(block, [p]))
+            frames = list(enc.frames)
+            frames[3] = StreamFrame(codeword=with_errors(block, [p]))
+            with pytest.raises(CapacityError, match="k=39 exceeds enumeration guard 24"):
+                stream_decode(bch63_39, dataclasses.replace(enc, frames=tuple(frames)))
+
+    def test_stream_round_trip(self, bch63_39):
+        payload = BitWord(random.Random(2).getrandbits(500), 500)
+        enc = stream_encode(bch63_39, payload)
+        assert stream_decode(bch63_39, unpack_stream(pack_stream(enc))) == payload
+
+
 # Radius t of C* for each stream code: floor((d' - 1) / 2), d' = 2 ceil(d / 2).
 STREAM_RADIUS = {"simplex": 1, "bch15": 2, "golay23": 3, "bch31": 2}
 
@@ -832,7 +873,7 @@ class TestStreamAgainstReference:
         off, and after one container flip."""
         code = request.getfixturevalue(name)
         t = STREAM_RADIUS[name]
-        assert scheme_c._coset_leaders(code)[1] == t
+        assert code.coset_leaders[1] == t
         if name == "bch31":
             # C* of BCH[31,21] takes about 19 s to enumerate; past the radius both decoders reach the scan.
             def no_scan(code):
