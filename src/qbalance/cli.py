@@ -198,9 +198,9 @@ def _cmd_analyze_badwords(args) -> int:
             "n": n,
             "q": q,
             "scheme_a_bad": d_a,
-            "scheme_a_fraction": d_a / 2.0**n,
+            "scheme_a_fraction": d_a / (1 << n),
             "scheme_b_bad": d_b,
-            "scheme_b_fraction": d_b / 2.0 ** (n - 1),
+            "scheme_b_fraction": d_b / (1 << (n - 1)),
         }
     )
     return 0

@@ -190,14 +190,9 @@ def _default_parity_rows(n: int, k: int, h: Gf2Poly) -> List[List[int]]:
     return rows
 
 
-def from_generator(
-    n: int, g: Gf2Poly, parity_rows: Optional[Sequence[Sequence[int]]] = None
-) -> CyclicCode:
-    """Build the [n, n - deg g] cyclic code generated by g.
-
-    Fails unless g divides X^n - 1.  parity_rows, when given, replaces
-    the derived H row-by-row; it must still annihilate the code.
-    """
+def _check_generator(n: int, g: Gf2Poly) -> Gf2Poly:
+    """(X^n - 1) / g; raises unless g is nonzero, of degree < n, and
+    divides X^n - 1."""
     if g <= 0:
         raise ValueError("generator must be a nonzero polynomial")
     if poly_deg(g) >= n:
@@ -206,6 +201,18 @@ def from_generator(
     h, rem = poly_divmod(xn1, g)
     if rem:
         raise ValueError(f"generator {bin(g)} does not divide X^{n} - 1")
+    return h
+
+
+def from_generator(
+    n: int, g: Gf2Poly, parity_rows: Optional[Sequence[Sequence[int]]] = None
+) -> CyclicCode:
+    """Build the [n, n - deg g] cyclic code generated by g.
+
+    Fails unless g divides X^n - 1.  parity_rows, when given, replaces
+    the derived H row-by-row; it must still annihilate the code.
+    """
+    h = _check_generator(n, g)
     k = n - poly_deg(g)
 
     rows = (
@@ -317,7 +324,12 @@ def parse_code_file(text: str) -> CyclicCode:
         return [int(c) for c in val.split(",")]
 
     n = read("n", int)
-    g = read("generator", lambda val: poly_from_coeffs(ints(val)))
+    def generator(val: str) -> Gf2Poly:
+        g = poly_from_coeffs(ints(val))
+        _check_generator(n, g)
+        return g
+
+    g = read("generator", generator)
     k_declared = read("k", int) if "k" in fields else None
 
     row_keys = {key for key in fields if key.startswith("parity_row_")}

@@ -12,14 +12,13 @@ directions.  Three counts are provided:
     position that holds it.
 
 Every reflection sum reads one binomial row C(n, .) per path length n,
-built once by the multiplicative recurrence C(n, j+1) = C(n, j)(n-j)/(j+1)
-over its first half and mirrored, and kept in a small cache: about 3 ms
-at n = 4095 and 10 ms at n = 8192, where one math.comb call per entry
-took 1.35 s and 8.6 s.  In the swept sum the first reflection term does
-not depend on the band position and the second slides over a contiguous
-window of the row, so one sweep is O(n / span) prefix-sum differences of
-the row, where one count_banded call per band position read O(n)
-binomials.
+built by the multiplicative recurrence C(n, j+1) = C(n, j)(n-j)/(j+1)
+over its first half and mirrored, and cached one row at a time: about
+3 ms at n = 4095 and 10 ms at n = 8192, where one math.comb call per
+entry took 1.35 s and 8.6 s.  In the swept sum the first reflection term
+does not depend on the band position and the second slides over a
+contiguous window of the row, so one sweep is O(n / span) prefix-sum
+differences of the row; count_banded is the sweep at one position.
 
 Counts are exact Python integers; binomial path counts overflow 64 bits
 long before the sizes used here, so nothing is ever done in floating
@@ -33,19 +32,12 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Tuple
+from typing import Optional, Tuple
 
 LatticePoint = Tuple[int, int]
 
 # Counts are arbitrary-precision ints; exact for any n we can enumerate.
 BigCount = int
-
-# Rows kept by _binom_row and _binom_prefix: Scheme A reads C(n, .) and
-# Scheme B's bad-word census C(n-1, .) at the same n; rho_b's good term
-# reads no row.  Tables 1 and 2 build 21 rows keeping 2 and 15 keeping
-# all; the 6 rebuilt rows (n <= 1000) take under 1 ms together, while one
-# row of length 2^16 holds about 200 MB.
-ROW_CACHE = 2
 
 
 @dataclass(frozen=True)
@@ -64,7 +56,9 @@ class PathBand:
         return self.t - self.s + 2
 
 
-@lru_cache(maxsize=ROW_CACHE)
+# One row is kept: its readers are the sweeps of one gamma_counts_a call
+# or one gamma_counts_b call, and a row of length 2^16 holds about 200 MB.
+@lru_cache(maxsize=1)
 def _binom_row(n: int) -> Tuple[int, ...]:
     """C(n, 0), ..., C(n, n), by the multiplicative recurrence."""
     row = [1] * (n + 1)
@@ -75,7 +69,7 @@ def _binom_row(n: int) -> Tuple[int, ...]:
     return tuple(row)
 
 
-@lru_cache(maxsize=ROW_CACHE)
+@lru_cache(maxsize=1)
 def _binom_prefix(n: int) -> Tuple[int, ...]:
     """Prefix sums of _binom_row(n): entry a is C(n, 0) + ... + C(n, a-1)."""
     return tuple(itertools.accumulate(_binom_row(n), initial=0))
@@ -96,6 +90,19 @@ def _binom(n: int, k: int) -> int:
     return _binom_row(n)[k]
 
 
+def _binom_class(n: int, r: int, d: int) -> int:
+    """Sum of C(n, j) over the j = r (mod d): the first half of the row is
+    stepped by the recurrence and read with its mirror, and none is kept."""
+    c, total, r = 1, 0, r % d
+    for j in range(n // 2 + 1):
+        if j % d == r:
+            total += c
+        if (n - j) % d == r and 2 * j != n:
+            total += c
+        c = c * (n - j) // (j + 1)
+    return total
+
+
 def count_free(start: LatticePoint, end: LatticePoint) -> BigCount:
     """Number of simple paths from start to end."""
     dx = end[0] - start[0]
@@ -109,39 +116,11 @@ def _in_band(p: LatticePoint, band: PathBand) -> bool:
     return band.s <= p[1] - p[0] <= band.t
 
 
-def count_banded(start: LatticePoint, end: LatticePoint, band: PathBand) -> BigCount:
-    """Paths from start to end staying weakly between Y=X+s and Y=X+t.
-
-    Endpoints outside the band yield 0 rather than an error so that
-    inclusion-exclusion callers need no case analysis.
-    """
-    a, b = start
-    c, d = end
-    dx, dy = c - a, d - b
-    if dx < 0 or dy < 0:
-        raise ValueError(f"negative displacement {start} -> {end}")
-    if not (_in_band(start, band) and _in_band(end, band)):
-        return 0
-    n = dx + dy
-    dh = band.height
-    total = 0
-    kmax = n // dh + 2
-    for k in range(-kmax, kmax + 1):
-        total += _binom(n, dx - k * dh) - _binom(n, c - b - k * dh + band.t + 1)
-    return total
-
-
-def count_banded_sweep(start: LatticePoint, end: LatticePoint, span: int) -> BigCount:
-    """Sum of count_banded(start, end, PathBand(t - span, t)) over every t.
-
-    Each path from start to end is counted once per position of a band of
-    span `span` that holds it, so a path whose offsets Y - X have range
-    max - min = r counts max(0, span + 1 - r) times.  The band must hold both
-    endpoints, so t runs over [lo, hi] = [max(u0, u1), min(u0, u1) + span]
-    for the endpoint offsets u0, u1.  In the reflection sum the first term
-    does not depend on t, and the second runs, for each k, over the
-    contiguous window of arguments c - b + 1 - k*dh + [lo, hi], where
-    dh = span + 2 is the band height.
+def _reflection_sum(start: LatticePoint, end: LatticePoint, span: int, top: Optional[int] = None) -> BigCount:
+    """count_banded summed over the band tops t in [lo, hi] = [max(u0, u1),
+    min(u0, u1) + span] that hold both endpoint offsets u0, u1, or at t =
+    top alone.  The first reflection term does not depend on t; the second
+    runs, for each k, over the window c - b + 1 - k*dh + [lo, hi], dh = span + 2.
     """
     a, b = start
     c, d = end
@@ -150,6 +129,8 @@ def count_banded_sweep(start: LatticePoint, end: LatticePoint, span: int) -> Big
         raise ValueError(f"negative displacement {start} -> {end}")
     u0, u1 = b - a, d - c
     lo, hi = max(u0, u1), min(u0, u1) + span
+    if top is not None:
+        lo, hi = max(lo, top), min(hi, top)
     if lo > hi:
         return 0
     n = dx + dy
@@ -160,6 +141,25 @@ def count_banded_sweep(start: LatticePoint, end: LatticePoint, span: int) -> Big
     free = sum(_binom(n, dx - k * dh) for k in ks)
     reflected = sum(_binom_window(n, base + lo - k * dh, base + hi - k * dh) for k in ks)
     return (hi - lo + 1) * free - reflected
+
+
+def count_banded(start: LatticePoint, end: LatticePoint, band: PathBand) -> BigCount:
+    """Paths from start to end staying weakly between Y=X+s and Y=X+t.
+
+    Endpoints outside the band yield 0 rather than an error so that
+    inclusion-exclusion callers need no case analysis.
+    """
+    return _reflection_sum(start, end, band.t - band.s, band.t)
+
+
+def count_banded_sweep(start: LatticePoint, end: LatticePoint, span: int) -> BigCount:
+    """Sum of count_banded(start, end, PathBand(t - span, t)) over every t.
+
+    Each path from start to end is counted once per position of a band of
+    span `span` that holds it, so a path whose offsets Y - X have range
+    max - min = r counts max(0, span + 1 - r) times.
+    """
+    return _reflection_sum(start, end, span)
 
 
 def count_banded_trig(start: LatticePoint, end: LatticePoint, band: PathBand) -> float:

@@ -25,12 +25,12 @@ to _balance (a bad word hands on None), so only a bad word's
 replacement is walked again: at most three level walks and one fresh
 walk per encode, and one fresh walk per decode.  The analytical machinery
 (Gamma-size distribution, bad-word census, redundancy estimate) runs on
-the exact lattice-path counts from .lattice, all read off one binomial
-row C(n, .) built by recurrence: the bad-word census is 2q-1 reflection
-sums, and the Gamma-size distribution is the second difference of m+q+1
-band sweeps (count_banded_sweep), each O(n / span) prefix-sum windows of
-that row, so gamma_counts_a(1000, 6) takes about 10 ms.  The
-trigonometric closed-form census is kept only as a floating cross-check.
+the exact lattice-path counts from .lattice.  The bad-word census is one
+residue class of the binomial row C(n, .), stepped and not kept.  The
+Gamma-size distribution is the second difference of m+q+1 band sweeps
+(count_banded_sweep), each O(n / span) prefix-sum windows of that row,
+so gamma_counts_a(1000, 6) takes about 10 ms.  The trigonometric
+closed-form census is kept only as a floating cross-check.
 Every scheme's rho, here and in scheme_b, scheme_c and trellis, is one
 histogram_sum over its |Gamma| histogram composed by rho_parts; the one
 pass gives both the analytical (log2) and the operational (ceil width)
@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from .errors import DecodeError
-from .lattice import PathBand, count_banded, count_banded_sweep, count_banded_trig
+from .lattice import PathBand, _binom_class, count_banded_sweep, count_banded_trig
 from .words import BitWord, fresh_walk, level_walk, weight
 
 
@@ -222,16 +222,14 @@ def decode_a(c: BitWord, p: BitWord, n: int, q: int) -> BitWord:
 def count_bad(n: int, q: int) -> int:
     """Exact number of length-n words with no index for x or its complement.
 
-    Bad words are the paths confined strictly between Y = X + q and
-    Y = X - q, i.e. weakly inside the band [1-q, q-1], summed over all
-    feasible start heights.
+    Bad words are the paths from heights 1-q..q-1 confined weakly inside
+    the band [1-q, q-1].  Their reflection sums telescope to
+    2^n - 2q * (sum of C(n, j) over j = m+q mod 2q).
     """
     _check_params(n, q)
     if q <= 1:
         return 0
-    m = n // 2
-    band = PathBand(1 - q, q - 1)
-    return sum(count_banded((0, y), (m + y, m), band) for y in range(1 - q, q))
+    return (1 << n) - 2 * q * _binom_class(n, n // 2 + q, 2 * q)
 
 
 def count_bad_trig(n: int, q: int) -> float:

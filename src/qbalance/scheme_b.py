@@ -8,9 +8,10 @@ can be minimal indices at weight m+q-1, only fresh nonpositive ones at
 weight m+q.  That sign split is what makes the size distribution a plain
 difference of binomials, which in turn makes the average redundancy
 asymptotically 0.5*log2(n) + 0.526 (q = 0) analyzable.  The exact
-differences (gamma_counts_b) and the bad-word census read the binomial
-row C(n-1, .) that .lattice builds once by recurrence; rho_b's good term
-steps float shares of that row instead (_shares_b).
+differences (gamma_counts_b) read the binomial row C(n-1, .) that
+.lattice builds by recurrence, and the bad-word census one residue class
+of it, not kept; rho_b's good term steps float shares of that row
+instead (_shares_b).
 
 Bad words (possible only for q >= 2) are handled by Scheme A's prefix
 codec with a replacement run of 2q-2 bits: a length-(n-1) word whose
@@ -25,7 +26,7 @@ import math
 from typing import Dict, List, Tuple
 
 from .errors import DecodeError
-from .lattice import PathBand, _binom, count_banded
+from .lattice import _binom, _binom_class
 from .scheme_a import (
     Classification,
     EncodeResult,
@@ -144,15 +145,14 @@ def count_bad_b(n: int, q: int) -> int:
 
     A message is bad iff its path stays strictly below Y = X + (q-1) and
     weakly above Y = X - (q-1); odd length makes the band asymmetric,
-    [1-q, q-2], unlike the even-length census of Scheme A.  Verified
-    against the exhaustive census (first nonzero value is 2, at q = 2).
+    [1-q, q-2], unlike the even-length census of Scheme A.  As there, the
+    reflection sums telescope, to 2^(n-1) - (2q-1) * (sum of C(n-1, j)
+    over j = m+q-1 mod 2q-1).
     """
     _check_params(n, q)
     if q <= 1:
         return 0
-    m = n // 2
-    band = PathBand(1 - q, q - 2)
-    return sum(count_banded((0, y), (m + y, m - 1), band) for y in range(1 - q, q - 1))
+    return (1 << (n - 1)) - (2 * q - 1) * _binom_class(n - 1, n // 2 + q - 1, 2 * q - 1)
 
 
 def _shares_b(n: int, q: int) -> Dict[int, float]:

@@ -159,6 +159,15 @@ class TestAnalyze:
         assert obj["scheme_a_bad"] == 32
         assert obj["scheme_b_bad"] == 2
 
+    @pytest.mark.parametrize("n", [1024, 4096])
+    def test_badwords_past_float_range(self, capsys, n):
+        """2^n overflows a float from n = 1024; the fractions are exact quotients."""
+        obj = run_json(capsys, "analyze", "badwords", "-n", str(n), "-q", "3")
+        assert obj["scheme_a_bad"] == scheme_a.count_bad(n, 3)
+        assert obj["scheme_b_bad"] == scheme_b.count_bad_b(n, 3)
+        assert obj["scheme_a_fraction"] == obj["scheme_a_bad"] / (1 << n)
+        assert obj["scheme_b_fraction"] == obj["scheme_b_bad"] / (1 << (n - 1))
+
     @pytest.mark.parametrize("command", ["gamma", "redundancy"])
     @pytest.mark.parametrize("q", ["-1", "9"])
     def test_scheme_b_q_out_of_range(self, capsys, command, q):
@@ -350,6 +359,7 @@ class TestStreamCommands:
             "n = 7\nn = 15\ngenerator = 1\n",
             "n = 7\ngenerator = 1,1,0,1\nparity_row_1 = 2,0,1,1,1,0,0\n"
             "parity_row_2 = 0,1,0,1,1,1,0\nparity_row_3 = 0,0,1,0,1,1,1\n",
+            "n = 7\ngenerator = 0\nparity_row_1 = 1,0,1,1,1,0,0\n",
         ],
     )
     def test_bad_code_file_says_where(self, capsys, tmp_path, spec):

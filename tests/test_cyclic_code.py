@@ -245,6 +245,12 @@ class TestCodeFile:
             ("n = 7\nk = 4\ngenerator = 1,0,1,1,1", "line 2: declared k=4 but generator implies k=3"),
             ("n = 7\ngenerator = 1,1,0,1\nparity_row_1 = 1,0,1,1,1,0\nparity_row_2 = 0,1,0,1,1,1,0\n"
              "parity_row_3 = 0,0,1,0,1,1,1", "line 3: parity_row_1: parity row 1 has 6 entries, not 7"),
+            # the generator's own errors, with and without the parity rows that need its degree
+            ("n = 7\ngenerator = 0", "line 2: generator: generator must be a nonzero polynomial"),
+            ("n = 7\ngenerator = 0\nparity_row_1 = 1,0,1,1,1,0,0",
+             "line 2: generator: generator must be a nonzero polynomial"),
+            ("n = 3\n\ngenerator = 1,0,1,1,1", "line 3: generator: deg(g)=4 must be < n=3"),
+            ("n = 7\ngenerator = 1,1,1", "line 2: generator: generator 0b111 does not divide X^7 - 1"),
         ],
     )
     def test_value_error_says_where(self, spec, error):

@@ -1,11 +1,16 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qbalance
 from qbalance.lattice import (
     PathBand,
+    _binom_class,
     _binom_row,
     count_banded,
     count_banded_sweep,
@@ -186,3 +191,47 @@ class TestBandedDP:
         band = PathBand(1 - q, q - 2)
         want = sum(banded_dp((0, y), (m + y, m - 1), band) for y in range(1 - q, q - 1))
         assert count_bad_b(n, q) == want > 0
+
+
+def census_by_heights(n, q, odd):
+    """The bad-word census as one count_banded call per start height y:
+    Scheme A's paths (0, y) -> (m+y, m) in the band [1-q, q-1], or with
+    odd=True Scheme B's (0, y) -> (m+y, m-1) in [1-q, q-2]."""
+    if q <= 1:
+        return 0
+    m = n // 2
+    band = PathBand(1 - q, q - 1 - odd)
+    return sum(count_banded((0, y), (m + y, m - odd), band) for y in range(1 - q, q - odd))
+
+
+class TestCensusIsOneResidueClass:
+    """count_bad and count_bad_b read one residue class of a binomial row."""
+
+    @pytest.mark.parametrize("n", range(0, 40))
+    def test_binom_class(self, n):
+        for d in range(1, 9):
+            for r in range(-d, 2 * d):
+                assert _binom_class(n, r, d) == sum(math.comb(n, j) for j in range(n + 1) if (j - r) % d == 0)
+
+    @pytest.mark.parametrize("n", range(2, 121, 2))
+    def test_equals_census_by_heights(self, n):
+        for q in range(n // 2 + 1):
+            assert count_bad(n, q) == census_by_heights(n, q, odd=False), q
+        for q in range(n // 2 + 1):
+            assert count_bad_b(n, q) == census_by_heights(n, q, odd=True), q
+
+    def test_builds_no_row(self):
+        _binom_row.cache_clear()
+        count_bad(4096, 6)
+        count_bad_b(4096, 6)
+        assert _binom_row.cache_info().misses == 0
+
+    def test_rho_b_at_65536_in_bounded_memory(self):
+        """A 2^16 binomial row holds about 200 MB; the census keeps none."""
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qbalance.__file__)))
+        probe = (
+            "import resource; from qbalance.scheme_b import rho_b; rho_b(65536, 3); "
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)"
+        )
+        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+        assert int(out.stdout) < 60 * 1024  # ru_maxrss is in KiB

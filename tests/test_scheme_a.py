@@ -399,7 +399,6 @@ class TestGammaCountsAgainstReference:
             return real(*args)
 
         monkeypatch.setattr(lattice, "count_banded", counting)
-        monkeypatch.setattr(scheme_a, "count_banded", counting)
         counts = gamma_counts_a(1000, 6)
         assert sum(counts.values()) == math.comb(1000, 506)
         assert len(calls) == 0
