@@ -6,10 +6,16 @@ position i (1-based, leftmost in the textual form) carries the
 coefficient of X**(i-1); under this convention the [7,3] simplex code
 generated by 1 + X^2 + X^3 + X^4 contains 1011100, read left to right.
 
-The parity-check matrix defaults to the standard circulant arrangement:
-row j holds the reversed check polynomial shifted j places.  An explicit
-row override is accepted (and validated against the code) because the
-shift-tracking trellis depends on the exact column order of H.
+Both matrices come from closed forms (MacWilliams & Sloane, ch. 7).
+Systematic generator row i is the word of X^i + X^k*r_i, r_i = X^(n-k+i)
+mod g: it vanishes mod g because X^n = 1 there, and it is e_i on the
+first k positions, so it is the unique systematic row; r_{i+1} = X*r_i
+mod g is one shift and at most one XOR.  The parity-check matrix
+defaults to the circulant arrangement: bit j of column i is the
+coefficient of X^(i-j) in the reversed check polynomial X^k h(1/X),
+h = (X^n - 1)/g.  An explicit row override is accepted because the
+shift-tracking trellis depends on the exact column order of H; each of
+its rows must annihilate the code, and together they must have rank n-k.
 
 Systematic encoding and syndromes are linear, so each reads its word a
 byte at a time (zero bits filling the last) through a per-code table of
@@ -81,10 +87,6 @@ def poly_from_coeffs(coeffs: Sequence[int]) -> Gf2Poly:
             raise ValueError(f"coefficient {c} is not a bit")
         p |= c << i
     return p
-
-
-def poly_coeffs(p: Gf2Poly, length: int) -> List[int]:
-    return [(p >> i) & 1 for i in range(length)]
 
 
 @dataclass(frozen=True)
@@ -162,46 +164,25 @@ def xor_bytes(rows: Tuple[Tuple[int, ...], ...], value: int, length: int) -> int
     return out
 
 
-def _word_int_from_poly(p: Gf2Poly, n: int) -> int:
-    """Poly -> word-convention int (position 1 = MSB = coeff of X^0)."""
-    v = 0
-    for i in range(n):
-        if (p >> i) & 1:
-            v |= 1 << (n - 1 - i)
-    return v
-
-
-def _parity_row(entries: Sequence[int], j: int, n: int) -> List[int]:
-    """Row j (from 1) of an H override, checked to be n bits."""
+def _parity_row(entries: Sequence[int], j: int, n: int, gen_rows: Sequence[int], basis: List[int]) -> List[int]:
+    """Row j (from 1) of an H override, checked to be n bits that annihilate
+    the generator rows and lie outside the span of the rows before it, whose
+    reduced forms basis holds; the row's own is appended."""
     if len(entries) != n:
         raise ValueError(f"parity row {j} has {len(entries)} entries, not {n}")
+    row = 0
     for i, c in enumerate(entries, start=1):
         if c not in (0, 1):
             raise ValueError(f"parity row {j} position {i}: {c} is not a bit")
+        row = (row << 1) | c
+    if any((row & x).bit_count() & 1 for x in gen_rows):
+        raise ValueError(f"parity row {j} does not annihilate the code")
+    for b in basis:  # each b clears its top bit from every later row
+        row = min(row, row ^ b)
+    if not row:
+        raise ValueError(f"parity row {j} is zero or the XOR of earlier rows, so H has rank < n-k={n - len(gen_rows)}")
+    basis.append(row)
     return list(entries)
-
-
-def _default_parity_rows(n: int, k: int, h: Gf2Poly) -> List[List[int]]:
-    hrev = poly_from_coeffs(list(reversed(poly_coeffs(h, k + 1))))
-    rows = []
-    for j in range(n - k):
-        shifted = poly_coeffs(hrev << j, n)
-        rows.append(shifted)
-    return rows
-
-
-def _check_generator(n: int, g: Gf2Poly) -> Gf2Poly:
-    """(X^n - 1) / g; raises unless g is nonzero, of degree < n, and
-    divides X^n - 1."""
-    if g <= 0:
-        raise ValueError("generator must be a nonzero polynomial")
-    if poly_deg(g) >= n:
-        raise ValueError(f"deg(g)={poly_deg(g)} must be < n={n}")
-    xn1 = (1 << n) | 1  # X^n - 1 == X^n + 1 over GF(2)
-    h, rem = poly_divmod(xn1, g)
-    if rem:
-        raise ValueError(f"generator {bin(g)} does not divide X^{n} - 1")
-    return h
 
 
 def from_generator(
@@ -209,40 +190,39 @@ def from_generator(
 ) -> CyclicCode:
     """Build the [n, n - deg g] cyclic code generated by g.
 
-    Fails unless g divides X^n - 1.  parity_rows, when given, replaces
-    the derived H row-by-row; it must still annihilate the code.
+    Fails unless g divides X^n - 1.  Systematic row i is the word of
+    X^i + X^k*r_i, r_i = X^(n-k+i) mod g; bit j of parity column i is the
+    coefficient of X^(i-j) in the reversed check polynomial.  parity_rows,
+    when given, replaces that H row by row: each row must annihilate the
+    code, and the rows must have rank n - k; the first that does not is
+    named.
     """
-    h = _check_generator(n, g)
-    k = n - poly_deg(g)
+    if g <= 0:
+        raise ValueError("generator must be a nonzero polynomial")
+    r = poly_deg(g)
+    if r >= n:
+        raise ValueError(f"deg(g)={r} must be < n={n}")
+    h, rem = poly_divmod((1 << n) | 1, g)  # X^n - 1 == X^n + 1 over GF(2)
+    if rem:
+        raise ValueError(f"generator {bin(g)} does not divide X^{n} - 1")
 
-    rows = (
-        [_parity_row(r, j, n) for j, r in enumerate(parity_rows, start=1)]
-        if parity_rows is not None
-        else _default_parity_rows(n, k, h)
-    )
-    if len(rows) != n - k:
-        raise ValueError(f"parity check must be {n - k} rows of length {n}")
-    cols = tuple(
-        sum(rows[j][i] << j for j in range(n - k)) for i in range(n)
-    )
+    k = n - r
+    # r_i on the last r positions, X^(k+j) at bit r-1-j, where X*r_i is a right shift
+    top = int(format(g, "b")[::-1], 2) >> 1  # X^r mod g
+    rows, tail = [], top
+    for i in range(k):
+        rows.append((1 << (n - 1 - i)) | tail)
+        tail = (tail >> 1) ^ (top if tail & 1 else 0)
 
-    # Row-reduce the polynomial generator matrix to systematic form.
-    raw = [_word_int_from_poly(g << j, n) for j in range(k)]
-    for col in range(k):
-        pivot_bit = 1 << (n - 1 - col)
-        pivot = next((r for r in range(col, k) if raw[r] & pivot_bit), None)
-        if pivot is None:
-            raise ValueError("generator matrix is not systematic-reducible")
-        raw[col], raw[pivot] = raw[pivot], raw[col]
-        for r in range(k):
-            if r != col and raw[r] & pivot_bit:
-                raw[r] ^= raw[col]
-
-    code = CyclicCode(n=n, k=k, generator=g, parity_cols=cols, gen_rows=tuple(raw))
-    for row in raw:
-        if _syndrome_int(code, row):
-            raise ValueError("parity-check rows do not annihilate the code")
-    return code
+    if parity_rows is None:
+        cols = tuple(((h << i) >> k) & ((1 << r) - 1) for i in range(n))
+    else:
+        if len(parity_rows) != r:
+            raise ValueError(f"parity check must be {r} rows of length {n}")
+        basis: List[int] = []
+        checked = [_parity_row(row, j, n, rows, basis) for j, row in enumerate(parity_rows, start=1)]
+        cols = tuple(sum(checked[j][i] << j for j in range(r)) for i in range(n))
+    return CyclicCode(n=n, k=k, generator=g, parity_cols=cols, gen_rows=tuple(rows))
 
 
 def full_space(n: int) -> CyclicCode:
@@ -257,14 +237,10 @@ def encode_systematic(code: CyclicCode, msg: BitWord) -> BitWord:
     return BitWord(xor_bytes(code.encode_rows, msg.value, code.k), code.n)
 
 
-def _syndrome_int(code: CyclicCode, value: int) -> int:
-    return xor_bytes(code.syndrome_rows, value, code.n)
-
-
 def syndrome(code: CyclicCode, w: BitWord) -> int:
     if w.length != code.n:
         raise ValueError(f"word length {w.length} != n={code.n}")
-    return _syndrome_int(code, w.value)
+    return xor_bytes(code.syndrome_rows, w.value, code.n)
 
 
 def contains(code: CyclicCode, w: BitWord) -> bool:
@@ -324,26 +300,23 @@ def parse_code_file(text: str) -> CyclicCode:
         return [int(c) for c in val.split(",")]
 
     n = read("n", int)
-    def generator(val: str) -> Gf2Poly:
-        g = poly_from_coeffs(ints(val))
-        _check_generator(n, g)
-        return g
-
-    g = read("generator", generator)
+    code = read("generator", lambda val: from_generator(n, poly_from_coeffs(ints(val))))
     k_declared = read("k", int) if "k" in fields else None
 
     row_keys = {key for key in fields if key.startswith("parity_row_")}
-    parity = None
     if row_keys:
-        k = n - poly_deg(g)
-        expect = [f"parity_row_{j}" for j in range(1, n - k + 1)]
+        expect = [f"parity_row_{j}" for j in range(1, code.r + 1)]
         if row_keys != set(expect):
             raise ValueError(f"need all of {expect}, got {sorted(row_keys)}")
-        parity = [read(key, lambda val, j=j: _parity_row(ints(val), j, n)) for j, key in enumerate(expect, start=1)]
+        basis: List[int] = []
+        parity = [
+            read(key, lambda val, j=j: _parity_row(ints(val), j, n, code.gen_rows, basis))
+            for j, key in enumerate(expect, start=1)
+        ]
+        code = from_generator(n, code.generator, parity)
     if fields:
         raise ValueError(f"unknown keys in code spec: {sorted(fields)}")
 
-    code = from_generator(n, g, parity)
     if k_declared is not None and k_declared != code.k:
         raise ValueError(f"line {lines['k']}: declared k={k_declared} but generator implies k={code.k}")
     return code

@@ -51,7 +51,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from .cyclic_code import CyclicCode, _syndrome_int, codewords, xor_bytes
+from .cyclic_code import CyclicCode, codewords, xor_bytes
 from .errors import AmbiguousBlockError, CodingError, DecodeError, StreamError
 from .scheme_a import EncodeResult, Parts, _check_length, histogram_sum, rank_width, rho_parts
 from .words import BitWord, flip_prefix, weight
@@ -155,7 +155,7 @@ def decode_c(code: CyclicCode, cprime: BitWord, p: BitWord) -> BitWord:
     if tau >= size:
         raise DecodeError(f"shift index {tau} out of range for |Gamma|={size}")
     x = _rotate(c ^ _half_mask(m), n - tau, n)
-    if _syndrome_int(code, x):
+    if xor_bytes(code.syndrome_rows, x, n):
         raise DecodeError("recovered word is not a codeword")
     return BitWord(x, n)
 

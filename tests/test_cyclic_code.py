@@ -1,3 +1,4 @@
+import os
 import random
 import re
 
@@ -12,7 +13,7 @@ from qbalance.cyclic_code import (
     full_space,
     min_distance,
     parse_code_file,
-    poly_coeffs,
+    poly_deg,
     poly_divmod,
     poly_from_coeffs,
     poly_mul,
@@ -20,6 +21,8 @@ from qbalance.cyclic_code import (
 )
 from qbalance.errors import CapacityError
 from qbalance.words import BitWord, cyclic_shift, weight
+
+CODES_DIR = os.path.join(os.path.dirname(__file__), "..", "perfbench", "codes")
 
 SIMPLEX_TABLE = {
     "0000000", "1011100", "0101110", "0010111",
@@ -55,6 +58,50 @@ def _encode_reference(code, msg):
     return v
 
 
+def _coeffs(p, length):
+    return [(p >> i) & 1 for i in range(length)]
+
+
+def _word_int_from_poly(p, n):
+    """Poly -> word-convention int (position 1 = MSB = coeff of X^0)."""
+    v = 0
+    for i in range(n):
+        if (p >> i) & 1:
+            v |= 1 << (n - 1 - i)
+    return v
+
+
+def _gen_rows_reference(n, g):
+    """Row reduction of the generator matrix with rows g, X*g, ..., X^(k-1)*g to
+    systematic form, in word form."""
+    k = n - poly_deg(g)
+    raw = [_word_int_from_poly(g << j, n) for j in range(k)]
+    for col in range(k):
+        pivot_bit = 1 << (n - 1 - col)
+        pivot = next(r for r in range(col, k) if raw[r] & pivot_bit)
+        raw[col], raw[pivot] = raw[pivot], raw[col]
+        for r in range(k):
+            if r != col and raw[r] & pivot_bit:
+                raw[r] ^= raw[col]
+    return tuple(raw)
+
+
+def _parity_cols_reference(n, g):
+    """Columns of the circulant H, whose row j is the reversed check
+    polynomial shifted j places, built as lists of bits."""
+    k = n - poly_deg(g)
+    h, _ = poly_divmod((1 << n) | 1, g)
+    hrev = poly_from_coeffs(list(reversed(_coeffs(h, k + 1))))
+    rows = [_coeffs(hrev << j, n) for j in range(n - k)]
+    return tuple(sum(rows[j][i] << j for j in range(n - k)) for i in range(n))
+
+
+def _divisors(n, max_deg):
+    """Every g of degree <= max_deg that divides X^n - 1 (g(0) = 1 for all of them)."""
+    xn1 = (1 << n) | 1
+    return [g for g in range(1, 2 << min(max_deg, n - 1), 2) if poly_divmod(xn1, g)[1] == 0]
+
+
 def check_tables(code, words, messages):
     """syndrome, contains, encode_systematic and codewords against the per-bit references."""
     for v in words:
@@ -77,7 +124,6 @@ class TestPolyArithmetic:
 
     def test_coeff_roundtrip(self):
         assert poly_from_coeffs([1, 0, 1, 1, 1]) == 0b11101
-        assert poly_coeffs(0b11101, 5) == [1, 0, 1, 1, 1]
 
 
 class TestConstruction:
@@ -104,6 +150,22 @@ class TestConstruction:
             [(hamming.parity_cols[i] >> j) & 1 for i in range(7)] for j in range(3)
         ]
         assert rows == EXAMPLE_H
+
+    @pytest.mark.parametrize("n, max_deg", [*((n, n) for n in range(1, 18)), (19, 12), (21, 12), (23, 12)])
+    def test_closed_forms_equal_row_reduction(self, n, max_deg):
+        """Systematic rows X^i + X^k*(X^(n-k+i) mod g) and the circulant H from
+        their closed forms are the row-reduced rows and the list-built H."""
+        for g in _divisors(n, max_deg):
+            code = from_generator(n, g)
+            assert code.gen_rows == _gen_rows_reference(n, g), g
+            assert code.parity_cols == _parity_cols_reference(n, g), g
+
+    @pytest.mark.parametrize("name", ["simplex7", "bch15", "golay23", "bch31", "full127"])
+    def test_closed_forms_of_benchmark_codes(self, name):
+        with open(os.path.join(CODES_DIR, f"{name}.code")) as fh:
+            code = parse_code_file(fh.read())
+        assert code.gen_rows == _gen_rows_reference(code.n, code.generator)
+        assert code.parity_cols == _parity_cols_reference(code.n, code.generator)
 
     def test_full_space(self):
         fs = full_space(7)
@@ -192,14 +254,29 @@ class TestCodeFile:
         assert code.parity_cols == bch31.parity_cols
     def test_override_with_one_entry_flipped_is_rejected(self, bch31):
         """Every column lies in some codeword's support, so flipping any one
-        entry of H breaks annihilation, in every byte of the syndrome table."""
+        entry of H breaks annihilation, and the error names the flipped row."""
         rows = [[(col >> j) & 1 for col in bch31.parity_cols] for j in range(bch31.r)]
         for j in (0, bch31.r - 1):
             for i in range(bch31.n):
                 bad = [row[:] for row in rows]
                 bad[j][i] ^= 1
-                with pytest.raises(ValueError, match="do not annihilate"):
+                with pytest.raises(ValueError, match=f"^parity row {j + 1} does not annihilate the code$"):
                     from_generator(bch31.n, bch31.generator, bad)
+
+    @pytest.mark.parametrize(
+        "row, make",
+        [(4, lambda rows: [a ^ b for a, b in zip(rows[0], rows[1])]), (2, lambda rows: [0] * 7)],
+        ids=["row-1-xor-row-2", "zero"],
+    )
+    def test_rank_deficient_override_is_rejected(self, simplex, row, make):
+        """Dependent rows still annihilate the code, but their null space is
+        larger: with row 4 = row 1 XOR row 2, 16 of the 128 words once passed
+        as codewords of the 8-word simplex code."""
+        rows = [[(col >> j) & 1 for col in simplex.parity_cols] for j in range(simplex.r)]
+        rows[row - 1] = make(rows)
+        error = f"parity row {row} is zero or the XOR of earlier rows, so H has rank < n-k=4"
+        with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+            from_generator(7, simplex.generator, rows)
 
     def test_parity_override_must_annihilate_code(self):
         lines = ["n = 7", "generator = 1,1,0,1",
@@ -251,6 +328,12 @@ class TestCodeFile:
              "line 2: generator: generator must be a nonzero polynomial"),
             ("n = 3\n\ngenerator = 1,0,1,1,1", "line 3: generator: deg(g)=4 must be < n=3"),
             ("n = 7\ngenerator = 1,1,1", "line 2: generator: generator 0b111 does not divide X^7 - 1"),
+            # override rows that fail on the code: the first such row, and its line
+            ("n = 7\ngenerator = 1,1,0,1\nparity_row_1 = 1,0,1,1,1,0,0\nparity_row_2 = 0,1,0,1,1,1,0\n"
+             "parity_row_3 = 0,0,1,0,1,1,0", "line 5: parity_row_3: parity row 3 does not annihilate the code"),
+            ("n = 7\ngenerator = 1,0,1,1,1\nparity_row_1 = 1,1,0,1,0,0,0\nparity_row_2 = 0,1,1,0,1,0,0\n"
+             "parity_row_3 = 0,0,1,1,0,1,0\n\nparity_row_4 = 1,0,1,1,1,0,0",
+             "line 7: parity_row_4: parity row 4 is zero or the XOR of earlier rows, so H has rank < n-k=4"),
         ],
     )
     def test_value_error_says_where(self, spec, error):
