@@ -6,16 +6,17 @@ position i (1-based, leftmost in the textual form) carries the
 coefficient of X**(i-1); under this convention the [7,3] simplex code
 generated by 1 + X^2 + X^3 + X^4 contains 1011100, read left to right.
 
-Both matrices come from closed forms (MacWilliams & Sloane, ch. 7).
-Systematic generator row i is the word of X^i + X^k*r_i, r_i = X^(n-k+i)
-mod g: it vanishes mod g because X^n = 1 there, and it is e_i on the
-first k positions, so it is the unique systematic row; r_{i+1} = X*r_i
-mod g is one shift and at most one XOR.  The parity-check matrix
-defaults to the circulant arrangement: bit j of column i is the
-coefficient of X^(i-j) in the reversed check polynomial X^k h(1/X),
-h = (X^n - 1)/g.  An explicit row override is accepted because the
-shift-tracking trellis depends on the exact column order of H; each of
-its rows must annihilate the code, and together they must have rank n-k.
+A code is the pair (n, g): g divides X^n - 1, and both matrices come
+from closed forms in g (MacWilliams & Sloane, ch. 7).  Systematic
+generator row i is the word of X^i + X^k*r_i, r_i = X^(n-k+i) mod g: it
+vanishes mod g because X^n = 1 there, and it is e_i on the first k
+positions, so it is the unique systematic row; r_{i+1} = X*r_i mod g is
+one shift and at most one XOR.  The parity-check matrix is the
+circulant one: bit j of column i is the coefficient of X^(i-j) in the
+reversed check polynomial X^k h(1/X), h = (X^n - 1)/g, and syndrome()
+reads it.  Any other H of the same code is A*H for an invertible A, so
+it would only relabel the syndromes (and the trellis states): no result
+of the library depends on the choice.
 
 Systematic encoding and syndromes are linear, so each reads its word a
 byte at a time (zero bits filling the last) through a per-code table of
@@ -32,7 +33,9 @@ pattern, at radius 0, which still names every codeword.
 
 Enumeration and minimum distance are guarded to k <= 24; larger codes
 still construct and encode fine, and scheme_c corrects their blocks by
-syndrome within the code's radius.
+syndrome within the code's radius.  The block length is guarded to
+n <= BLOCK_MAX_N = 4095: the byte tables grow as n^2, and a full-space
+stream encode peaks at 57 MB of RSS at n = 4095 and 170 MB at 8191.
 """
 
 from __future__ import annotations
@@ -40,13 +43,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from .errors import CapacityError
 from .words import BitWord, weight
 
 ENUMERATION_MAX_K = 24
 SYNDROME_GUARD = 18  # n-k bound of the coset-leader table and the trellis
+BLOCK_MAX_N = 4095  # the largest 2^j - 1 whose full-space stream encode stays under 64 MB
 
 Gf2Poly = int  # bit i = coefficient of X**i
 
@@ -55,16 +59,6 @@ def poly_deg(p: Gf2Poly) -> int:
     if p == 0:
         raise ValueError("zero polynomial has no degree")
     return p.bit_length() - 1
-
-
-def poly_mul(a: Gf2Poly, b: Gf2Poly) -> Gf2Poly:
-    out = 0
-    while b:
-        if b & 1:
-            out ^= a
-        a <<= 1
-        b >>= 1
-    return out
 
 
 def poly_divmod(a: Gf2Poly, b: Gf2Poly) -> Tuple[Gf2Poly, Gf2Poly]:
@@ -91,9 +85,10 @@ def poly_from_coeffs(coeffs: Sequence[int]) -> Gf2Poly:
 
 @dataclass(frozen=True)
 class CyclicCode:
-    """[n, k] binary cyclic code with fixed parity-check columns.
+    """[n, k] binary cyclic code generated by g.
 
-    parity_cols[i] is column h_{i+1} of H packed as an int, bit r = row r.
+    parity_cols[i] is column h_{i+1} of the circulant H packed as an int,
+    bit r = row r.
     gen_rows are the systematic generator rows in word form (first k
     positions form the identity), so encoding is a handful of XORs.
     encode_rows and syndrome_rows are their byte tables (see xor_bytes).
@@ -164,39 +159,16 @@ def xor_bytes(rows: Tuple[Tuple[int, ...], ...], value: int, length: int) -> int
     return out
 
 
-def _parity_row(entries: Sequence[int], j: int, n: int, gen_rows: Sequence[int], basis: List[int]) -> List[int]:
-    """Row j (from 1) of an H override, checked to be n bits that annihilate
-    the generator rows and lie outside the span of the rows before it, whose
-    reduced forms basis holds; the row's own is appended."""
-    if len(entries) != n:
-        raise ValueError(f"parity row {j} has {len(entries)} entries, not {n}")
-    row = 0
-    for i, c in enumerate(entries, start=1):
-        if c not in (0, 1):
-            raise ValueError(f"parity row {j} position {i}: {c} is not a bit")
-        row = (row << 1) | c
-    if any((row & x).bit_count() & 1 for x in gen_rows):
-        raise ValueError(f"parity row {j} does not annihilate the code")
-    for b in basis:  # each b clears its top bit from every later row
-        row = min(row, row ^ b)
-    if not row:
-        raise ValueError(f"parity row {j} is zero or the XOR of earlier rows, so H has rank < n-k={n - len(gen_rows)}")
-    basis.append(row)
-    return list(entries)
-
-
-def from_generator(
-    n: int, g: Gf2Poly, parity_rows: Optional[Sequence[Sequence[int]]] = None
-) -> CyclicCode:
+def from_generator(n: int, g: Gf2Poly) -> CyclicCode:
     """Build the [n, n - deg g] cyclic code generated by g.
 
-    Fails unless g divides X^n - 1.  Systematic row i is the word of
-    X^i + X^k*r_i, r_i = X^(n-k+i) mod g; bit j of parity column i is the
-    coefficient of X^(i-j) in the reversed check polynomial.  parity_rows,
-    when given, replaces that H row by row: each row must annihilate the
-    code, and the rows must have rank n - k; the first that does not is
-    named.
+    Fails unless g divides X^n - 1, and raises CapacityError past
+    n = BLOCK_MAX_N.  Systematic row i is the word of X^i + X^k*r_i,
+    r_i = X^(n-k+i) mod g; bit j of parity column i is the coefficient of
+    X^(i-j) in the reversed check polynomial.
     """
+    if n > BLOCK_MAX_N:
+        raise CapacityError(f"n={n} exceeds block-length guard {BLOCK_MAX_N}")
     if g <= 0:
         raise ValueError("generator must be a nonzero polynomial")
     r = poly_deg(g)
@@ -213,15 +185,7 @@ def from_generator(
     for i in range(k):
         rows.append((1 << (n - 1 - i)) | tail)
         tail = (tail >> 1) ^ (top if tail & 1 else 0)
-
-    if parity_rows is None:
-        cols = tuple(((h << i) >> k) & ((1 << r) - 1) for i in range(n))
-    else:
-        if len(parity_rows) != r:
-            raise ValueError(f"parity check must be {r} rows of length {n}")
-        basis: List[int] = []
-        checked = [_parity_row(row, j, n, rows, basis) for j, row in enumerate(parity_rows, start=1)]
-        cols = tuple(sum(checked[j][i] << j for j in range(r)) for i in range(n))
+    cols = tuple(((h << i) >> k) & ((1 << r) - 1) for i in range(n))
     return CyclicCode(n=n, k=k, generator=g, parity_cols=cols, gen_rows=tuple(rows))
 
 
@@ -271,9 +235,9 @@ def parse_code_file(text: str) -> CyclicCode:
     """Code-spec format: `key = value` lines.
 
     Required: n, generator (comma-separated coefficients g0..g_{n-k}).
-    Optional: k (validated), parity_row_1 .. parity_row_{n-k} (all rows
-    or none).  '#' starts a comment.  Each key appears once; an error in
-    one key's value names that key and its line.
+    Optional: k (validated).  '#' starts a comment.  Each key appears
+    once, and no other key is accepted; an error in one key's value, an
+    n past BLOCK_MAX_N and an unknown key each name their line.
     """
     fields: Dict[str, str] = {}
     lines: Dict[str, int] = {}  # the line number of each key
@@ -300,22 +264,14 @@ def parse_code_file(text: str) -> CyclicCode:
         return [int(c) for c in val.split(",")]
 
     n = read("n", int)
-    code = read("generator", lambda val: from_generator(n, poly_from_coeffs(ints(val))))
+    try:
+        code = read("generator", lambda val: from_generator(n, poly_from_coeffs(ints(val))))
+    except CapacityError as exc:  # the guard on n
+        raise CapacityError(f"line {lines['n']}: n: {exc}") from None
     k_declared = read("k", int) if "k" in fields else None
-
-    row_keys = {key for key in fields if key.startswith("parity_row_")}
-    if row_keys:
-        expect = [f"parity_row_{j}" for j in range(1, code.r + 1)]
-        if row_keys != set(expect):
-            raise ValueError(f"need all of {expect}, got {sorted(row_keys)}")
-        basis: List[int] = []
-        parity = [
-            read(key, lambda val, j=j: _parity_row(ints(val), j, n, code.gen_rows, basis))
-            for j, key in enumerate(expect, start=1)
-        ]
-        code = from_generator(n, code.generator, parity)
-    if fields:
-        raise ValueError(f"unknown keys in code spec: {sorted(fields)}")
+    if fields:  # in file order, so the first is the first unknown key
+        key = next(iter(fields))
+        raise ValueError(f"line {lines[key]}: unknown key '{key}'")
 
     if k_declared is not None and k_declared != code.k:
         raise ValueError(f"line {lines['k']}: declared k={k_declared} but generator implies k={code.k}")

@@ -57,15 +57,6 @@ class BitWord:
             raise ValueError(f"not a bit string: {text!r}")
         return cls(int(text, 2) if text else 0, len(text))
 
-    @classmethod
-    def from_bits(cls, bits) -> "BitWord":
-        value = 0
-        n = 0
-        for b in bits:
-            value = (value << 1) | (b & 1)
-            n += 1
-        return cls(value, n)
-
     def __len__(self) -> int:
         return self.length
 

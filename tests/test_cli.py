@@ -227,18 +227,6 @@ class TestTrellisCommand:
         run_cli(capsys, "trellis", "--code", code_file, *flags)
         assert len(calls) == 1
 
-    def test_dependent_parity_rows_are_rejected(self, capsys, tmp_path):
-        """Row 4 = row 1 XOR row 2 still annihilates the simplex code; once
-        accepted, --size printed 8 blocks in C* where there are 4."""
-        path = tmp_path / "dependent.code"
-        path.write_text(
-            SIMPLEX_SPEC + "parity_row_1 = 1,1,0,1,0,0,0\nparity_row_2 = 0,1,1,0,1,0,0\n"
-            "parity_row_3 = 0,0,1,1,0,1,0\nparity_row_4 = 1,0,1,1,1,0,0\n"
-        )
-        status, out, err = run_cli(capsys, "trellis", "--code", str(path), "--size")
-        assert status == 1 and out == ""
-        assert err.startswith("error: line 7: parity_row_4: ")
-
 
 class TestOracleCommand:
     def test_verify_ok(self, capsys):
@@ -372,6 +360,8 @@ class TestStreamCommands:
             "n = 7\ngenerator = 1,1,0,1\nparity_row_1 = 2,0,1,1,1,0,0\n"
             "parity_row_2 = 0,1,0,1,1,1,0\nparity_row_3 = 0,0,1,0,1,1,1\n",
             "n = 7\ngenerator = 0\nparity_row_1 = 1,0,1,1,1,0,0\n",
+            # past the block-length guard: once built, with a 57 MB byte table on the first encode
+            "generator = 1\nn = 4096\n",
         ],
     )
     def test_bad_code_file_says_where(self, capsys, tmp_path, spec):

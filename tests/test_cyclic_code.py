@@ -5,6 +5,7 @@ import re
 import pytest
 
 from qbalance.cyclic_code import (
+    BLOCK_MAX_N,
     ENUMERATION_MAX_K,
     codewords,
     contains,
@@ -16,7 +17,6 @@ from qbalance.cyclic_code import (
     poly_deg,
     poly_divmod,
     poly_from_coeffs,
-    poly_mul,
     syndrome,
 )
 from qbalance.errors import CapacityError
@@ -113,14 +113,14 @@ def check_tables(code, words, messages):
 
 
 class TestPolyArithmetic:
-    def test_mul(self):
-        # (1+X)(1+X+X^3) = 1+X^2+X^3+X^4
-        assert poly_mul(0b11, 0b1011) == 0b11101
-
     def test_divmod_exact(self):
-        q, r = poly_divmod((1 << 7) | 1, 0b11101)
-        assert r == 0
-        assert poly_mul(q, 0b11101) == (1 << 7) | 1
+        # X^7 - 1 = (1+X^2+X^3)(1+X^2+X^3+X^4)
+        assert poly_divmod((1 << 7) | 1, 0b11101) == (0b1101, 0)
+
+    def test_bch63_generator_is_the_product_of_its_minimal_polynomials(self, bch63):
+        assert poly_divmod(bch63.generator, poly_from_coeffs([1, 1, 0, 0, 0, 0, 1])) == (
+            poly_from_coeffs([1, 1, 1, 0, 1, 0, 1]), 0
+        )
 
     def test_coeff_roundtrip(self):
         assert poly_from_coeffs([1, 0, 1, 1, 1]) == 0b11101
@@ -236,78 +236,23 @@ class TestCodeFile:
         code = parse_code_file(self.SIMPLEX_SPEC)
         assert code == simplex
 
-    def test_parity_override_round_trips(self):
-        bch31 = from_generator(31, poly_from_coeffs([1, 0, 0, 1, 0, 1, 1, 0, 1, 1, 1]))
-        bch31_rows = [[(col >> j) & 1 for col in bch31.parity_cols] for j in range(bch31.r)]
-        cases = [
-            (7, "1,1,0,1", EXAMPLE_H),
-            # BCH[31,21]: ten rows, and "parity_row_10" sorts before "parity_row_2"
-            (31, "1,0,0,1,0,1,1,0,1,1,1", bch31_rows),
-        ]
-        for n, generator, expect in cases:
-            lines = [f"n = {n}", f"generator = {generator}"]
-            for j, row in enumerate(expect, start=1):
-                lines.append(f"parity_row_{j} = {','.join(map(str, row))}")
-            code = parse_code_file("\n".join(lines))
-            rows = [[(code.parity_cols[i] >> j) & 1 for i in range(n)] for j in range(len(expect))]
-            assert rows == expect
-        assert code.parity_cols == bch31.parity_cols
-    def test_override_with_one_entry_flipped_is_rejected(self, bch31):
-        """Every column lies in some codeword's support, so flipping any one
-        entry of H breaks annihilation, and the error names the flipped row."""
-        rows = [[(col >> j) & 1 for col in bch31.parity_cols] for j in range(bch31.r)]
-        for j in (0, bch31.r - 1):
-            for i in range(bch31.n):
-                bad = [row[:] for row in rows]
-                bad[j][i] ^= 1
-                with pytest.raises(ValueError, match=f"^parity row {j + 1} does not annihilate the code$"):
-                    from_generator(bch31.n, bch31.generator, bad)
-
-    @pytest.mark.parametrize(
-        "row, make",
-        [(4, lambda rows: [a ^ b for a, b in zip(rows[0], rows[1])]), (2, lambda rows: [0] * 7)],
-        ids=["row-1-xor-row-2", "zero"],
-    )
-    def test_rank_deficient_override_is_rejected(self, simplex, row, make):
-        """Dependent rows still annihilate the code, but their null space is
-        larger: with row 4 = row 1 XOR row 2, 16 of the 128 words once passed
-        as codewords of the 8-word simplex code."""
-        rows = [[(col >> j) & 1 for col in simplex.parity_cols] for j in range(simplex.r)]
-        rows[row - 1] = make(rows)
-        error = f"parity row {row} is zero or the XOR of earlier rows, so H has rank < n-k=4"
-        with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
-            from_generator(7, simplex.generator, rows)
-
-    def test_parity_override_must_annihilate_code(self):
-        lines = ["n = 7", "generator = 1,1,0,1",
-                 "parity_row_1 = 1,0,0,0,0,0,0",
-                 "parity_row_2 = 0,1,0,0,0,0,0",
-                 "parity_row_3 = 0,0,1,0,0,0,0"]
-        with pytest.raises(ValueError):
-            parse_code_file("\n".join(lines))
-
     def test_wrong_declared_k(self):
         with pytest.raises(ValueError):
             parse_code_file("n = 7\nk = 4\ngenerator = 1,0,1,1,1")
 
     def test_unknown_key(self):
-        with pytest.raises(ValueError):
-            parse_code_file("n = 7\ngenerator = 1,0,1,1,1\nfoo = 1")
+        with pytest.raises(ValueError, match="^line 3: unknown key 'foo'$"):
+            parse_code_file("n = 7\ngenerator = 1,0,1,1,1\nfoo = 1\nbar = 2")
 
-    @pytest.mark.parametrize("row, pos", [(1, 1), (4, 7)])
-    @pytest.mark.parametrize("entry", [3, -1, 2])
-    def test_parity_entry_that_is_not_a_bit_is_rejected(self, simplex, row, pos, entry):
-        """3 and -1 once read as 1 through `& 1`, so row 1 built the same code."""
-        rows = [[(col >> j) & 1 for col in simplex.parity_cols] for j in range(simplex.r)]
-        assert rows[0] == [1, 1, 0, 1, 0, 0, 0]
-        rows[row - 1][pos - 1] = entry
-        error = f"parity row {row} position {pos}: {entry} is not a bit"
-        with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
-            from_generator(7, simplex.generator, rows)
-        lines = ["n = 7", "generator = 1,0,1,1,1"]
-        lines += [f"parity_row_{j} = {','.join(map(str, r))}" for j, r in enumerate(rows, start=1)]
-        with pytest.raises(ValueError, match=f"^{re.escape(f'line {row + 2}: parity_row_{row}: {error}')}$"):
-            parse_code_file("\n".join(lines))
+    def test_block_length_guard(self):
+        """The byte tables grow as n^2: past n = 4095 a full-space stream encode
+        peaks above 64 MB of RSS (170 MB at 8191), so construction stops first."""
+        assert full_space(BLOCK_MAX_N).k == BLOCK_MAX_N
+        error = f"n={BLOCK_MAX_N + 1} exceeds block-length guard {BLOCK_MAX_N}"
+        with pytest.raises(CapacityError, match=f"^{re.escape(error)}$"):
+            from_generator(BLOCK_MAX_N + 1, 1)
+        with pytest.raises(CapacityError, match=f"^{re.escape(f'line 2: n: {error}')}$"):
+            parse_code_file(f"# full space\nn = {BLOCK_MAX_N + 1}\ngenerator = 1")
 
     @pytest.mark.parametrize(
         "spec, error",
@@ -320,20 +265,15 @@ class TestCodeFile:
             ("n = 7\ngenerator = 1,0,x", "line 2: generator: "),
             ("n = 7\ngenerator = 1,0,2,1,1", "line 2: generator: coefficient 2 is not a bit"),
             ("n = 7\nk = 4\ngenerator = 1,0,1,1,1", "line 2: declared k=4 but generator implies k=3"),
-            ("n = 7\ngenerator = 1,1,0,1\nparity_row_1 = 1,0,1,1,1,0\nparity_row_2 = 0,1,0,1,1,1,0\n"
-             "parity_row_3 = 0,0,1,0,1,1,1", "line 3: parity_row_1: parity row 1 has 6 entries, not 7"),
-            # the generator's own errors, with and without the parity rows that need its degree
+            # a file that still pins H: the parity rows are unknown keys
+            ("# stale override\nn = 7\ngenerator = 1,1,0,1\n\nparity_row_1 = 1,0,1,1,1,0,0\n"
+             "parity_row_2 = 0,1,0,1,1,1,0\nparity_row_3 = 0,0,1,0,1,1,1", "line 5: unknown key 'parity_row_1'"),
+            # the generator's own errors, also ahead of a later unknown key
             ("n = 7\ngenerator = 0", "line 2: generator: generator must be a nonzero polynomial"),
             ("n = 7\ngenerator = 0\nparity_row_1 = 1,0,1,1,1,0,0",
              "line 2: generator: generator must be a nonzero polynomial"),
             ("n = 3\n\ngenerator = 1,0,1,1,1", "line 3: generator: deg(g)=4 must be < n=3"),
             ("n = 7\ngenerator = 1,1,1", "line 2: generator: generator 0b111 does not divide X^7 - 1"),
-            # override rows that fail on the code: the first such row, and its line
-            ("n = 7\ngenerator = 1,1,0,1\nparity_row_1 = 1,0,1,1,1,0,0\nparity_row_2 = 0,1,0,1,1,1,0\n"
-             "parity_row_3 = 0,0,1,0,1,1,0", "line 5: parity_row_3: parity row 3 does not annihilate the code"),
-            ("n = 7\ngenerator = 1,0,1,1,1\nparity_row_1 = 1,1,0,1,0,0,0\nparity_row_2 = 0,1,1,0,1,0,0\n"
-             "parity_row_3 = 0,0,1,1,0,1,0\n\nparity_row_4 = 1,0,1,1,1,0,0",
-             "line 7: parity_row_4: parity row 4 is zero or the XOR of earlier rows, so H has rank < n-k=4"),
         ],
     )
     def test_value_error_says_where(self, spec, error):

@@ -54,9 +54,6 @@ class TestBitWord:
         with pytest.raises(AttributeError):
             w.value = 3
 
-    def test_from_bits(self):
-        assert BitWord.from_bits([1, 0, 1]) == W("101")
-
 
 class TestWeight:
     def test_weight_six_target(self):
