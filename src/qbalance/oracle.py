@@ -25,7 +25,7 @@ from . import scheme_a, scheme_b, scheme_c, trellis
 from .cyclic_code import CyclicCode, codewords, contains, full_space
 from .errors import CapacityError
 from .lattice import LatticePoint, PathBand
-from .words import BitWord, all_words, balancing_indices, complement, cyclic_shift, flip_prefix, weight
+from .words import BitWord, all_words, balancing_indices, complement, cyclic_shift, flip_prefix
 
 MESSAGE_SPACE_GUARD = 1 << 22
 
@@ -122,19 +122,20 @@ def exhaustive_redundancy(
     k, messages, encode, decode, size_of, appended, tail = _codec(scheme, n, q, code)
     _guard(k)
     target = n // 2 + q
-    gamma_by_cw: Dict[BitWord, int] = {}
+    gamma_by_cw: Dict[int, int] = {}  # keyed by the codeword's integer: every codeword has length n
     op_total = 0
     an_total = 0.0
     bad = 0
     counterexample = None
     for x in messages:
         res = encode(x)
-        if weight(res.codeword) != target or decode(res) != x:
+        cw = res.codeword.value
+        if cw.bit_count() != target or decode(res) != x:
             counterexample = x
             break
-        size = gamma_by_cw.get(res.codeword)
+        size = gamma_by_cw.get(cw)
         if size is None:  # |Gamma| depends only on the codeword
-            size = gamma_by_cw[res.codeword] = size_of(res)
+            size = gamma_by_cw[cw] = size_of(res)
         op_total += appended + res.prefix.length
         an = appended + math.log2(size)
         if q > 0:

@@ -23,7 +23,11 @@ is one words.fresh_walk; both read the word 8 bits at a time.
 _classify hands the tau it found for the message or its complement on
 to _balance (a bad word hands on None), so only a bad word's
 replacement is walked again: at most three level walks and one fresh
-walk per encode, and one fresh walk per decode.  The analytical machinery
+walk per encode, and one fresh walk per decode.  At n = 16 the walks
+are under half of an encode, so the fixed per-message work is kept
+small: _unbalance reads the prefix fields off its integer with shifts,
+EncodeResult is a slotted dataclass, and each Classification member
+holds is_bad and type_bit.  The analytical machinery
 (Gamma-size distribution, bad-word census, redundancy estimate) runs on
 the exact lattice-path counts from .lattice.  The bad-word census is one
 residue class of the binomial row C(n, .), stepped and not kept.  The
@@ -55,16 +59,13 @@ class Classification(enum.Enum):
     TYPE1_BAD = "type-1-bad"
     TYPE0_BAD = "type-0-bad"
 
-    @property
-    def is_bad(self) -> bool:
-        return self in (Classification.TYPE1_BAD, Classification.TYPE0_BAD)
-
-    @property
-    def type_bit(self) -> int:
-        return 1 if self in (Classification.TYPE1_GOOD, Classification.TYPE1_BAD) else 0
+    def __init__(self, label: str):
+        # read off the label once per member, not on every access
+        self.is_bad = label.endswith("-bad")
+        self.type_bit = int(label.startswith("type-1"))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class EncodeResult:
     """Codeword plus the variable-length prefix that inverts it."""
 
@@ -92,24 +93,22 @@ def _check_params(n: int, q: int) -> None:
         raise ValueError(f"imbalance parameter q={q} out of range 0..{n // 2}")
 
 
-def _tau(v: int, n: int, targets: Iterable[int]) -> Optional[int]:
-    """Least flip index of the length-n word v onto the target weights, or
-    None: the level walk at the levels weight(v) - t."""
-    wt = v.bit_count()
-    return level_walk(v, n, [wt - t for t in targets])
-
-
 def _classify(v: int, n: int, q: int, targets: Iterable[int], run: int) -> Tuple[Classification, Optional[int]]:
     """Good/bad typing of the length-n message v under a scheme's target
     weights and bad-word tail length.
 
     A good word comes with the least flip index tau of the word it is
-    replaced by (v or its complement); a bad word with None.
+    replaced by (v or its complement); a bad word with None.  tau is the
+    level walk at the levels weight - t, since a flip moves the weight by
+    -R_j.
     """
-    for cls, u in ((Classification.TYPE1_GOOD, v), (Classification.TYPE0_GOOD, v ^ ((1 << n) - 1))):
-        tau = _tau(u, n, targets)
-        if tau is not None:
-            return cls, tau
+    wt = v.bit_count()
+    tau = level_walk(v, n, [wt - t for t in targets])
+    if tau is not None:
+        return Classification.TYPE1_GOOD, tau
+    tau = level_walk(v ^ ((1 << n) - 1), n, [n - wt - t for t in targets])
+    if tau is not None:
+        return Classification.TYPE0_GOOD, tau
     # Replacing the last `run` bits by i^run restores an index; i follows
     # the truncated weight so the replacement is provably Type-1-good.
     if (v >> run).bit_count() <= (n + 1) // 2 - q:
@@ -152,7 +151,8 @@ def _balance(v: int, n: int, q: int, targets: Dict[int, int], run: int):
     cls, tau = _classify(v, n, q, targets, run)
     xh = _substitute_int(v, n, cls, run)
     if tau is None:
-        tau = _tau(xh, n, targets)
+        wt = xh.bit_count()
+        tau = level_walk(xh, n, [wt - t for t in targets])
     c = xh ^ (((1 << tau) - 1) << (n - tau))
     gamma = fresh_walk(c, n, targets[c.bit_count()])
     r = rank_width(len(gamma))
@@ -168,31 +168,34 @@ def _balance(v: int, n: int, q: int, targets: Dict[int, int], run: int):
 def _unbalance(c: int, n: int, p: BitWord, gamma: List[int], q: int, run: int) -> int:
     """Invert _balance on the length-n codeword c given Gamma(c); with q = 0
     the prefix is a bare rank read as flag 0, type 1.  Every DecodeError
-    names the field and its bit."""
+    names the field and its bit; `left` counts the bits not yet read."""
     bits, length = p.value, p.length
-    pos = 0
-
-    def take(k: int, name: str) -> int:
-        nonlocal pos
-        left = length - pos
-        if left < k:
-            raise DecodeError(f"prefix too short: {name} at bit {pos} needs {k} bits, {left} left")
-        pos += k
-        return bits >> (left - k) & ((1 << k) - 1)
-
-    flag, type_bit = (0, 1) if q == 0 else (take(1, "flag"), take(1, "type bit"))
-    r = rank_width(len(gamma))
-    rank = take(r, "rank") if r else 0
-    if rank >= len(gamma):
-        raise DecodeError(f"rank {rank} at bit {pos - r} out of range for |Gamma|={len(gamma)}")
+    if q == 0:
+        flag, type_bit, left = 0, 1, length
+    elif length < 2:
+        name, pos = ("flag", 0) if length == 0 else ("type bit", 1)
+        raise DecodeError(f"prefix too short: {name} at bit {pos} needs 1 bits, {length - pos} left")
+    else:
+        flag, type_bit, left = bits >> (length - 1), bits >> (length - 2) & 1, length - 2
+    size = len(gamma)
+    r = rank_width(size)
+    if left < r:
+        raise DecodeError(f"prefix too short: rank at bit {length - left} needs {r} bits, {left} left")
+    left -= r
+    rank = bits >> left & ((1 << r) - 1)
+    if rank >= size:
+        raise DecodeError(f"rank {rank} at bit {length - left - r} out of range for |Gamma|={size}")
     tau = gamma[rank]
     xh = c ^ (((1 << tau) - 1) << (n - tau))
     if flag:
-        xh = (xh >> run << run) | take(run, "bad-word tail")
+        if left < run:
+            raise DecodeError(f"prefix too short: bad-word tail at bit {length - left} needs {run} bits, {left} left")
+        left -= run
+        xh = (xh >> run << run) | bits >> left & ((1 << run) - 1)
     elif not type_bit:
         xh ^= (1 << n) - 1
-    if pos < length:
-        raise DecodeError(f"trailing bits at bit {pos}: {length - pos} after the prefix")
+    if left:
+        raise DecodeError(f"trailing bits at bit {length - left}: {left} after the prefix")
     return xh
 
 

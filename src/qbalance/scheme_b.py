@@ -87,9 +87,9 @@ def gamma_set_b(c: BitWord, q: int) -> List[int]:
 
 
 def encode_b(x: BitWord, q: int) -> EncodeResult:
+    targets = _targets_b(x.length, q)
     n = x.length + 1
     _check_params(n, q)
-    targets = _targets_b(n - 1, q)
     c, p, plen, cls, tau = _balance(x.value, n - 1, q, targets, _tail(q))
     return EncodeResult(BitWord(c << 1 | (targets[c.bit_count()] > 0), n), BitWord(p, plen), cls, tau)
 

@@ -44,8 +44,8 @@ class BitWord:
             raise ValueError("length must be nonnegative")
         if value < 0 or value >> length:
             raise ValueError(f"value {value} does not fit in {length} bits")
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "length", length)
+        _set_value(self, value)
+        _set_length(self, length)
 
     def __setattr__(self, name, val):
         raise AttributeError("BitWord is immutable")
@@ -100,6 +100,12 @@ class BitWord:
 
     def concat(self, other: "BitWord") -> "BitWord":
         return BitWord((self.value << other.length) | other.value, self.length + other.length)
+
+
+# The slot descriptors' own setters, which bypass the __setattr__ guard;
+# they cost about half of an object.__setattr__ call.
+_set_value = BitWord.value.__set__
+_set_length = BitWord.length.__set__
 
 
 def all_words(n: int) -> Iterator[BitWord]:

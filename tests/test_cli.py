@@ -101,6 +101,11 @@ class TestEncodeDecode:
         status, _, _ = run_cli(capsys, "encode", "--scheme", "a", "--bogus", "1")
         assert status == 1
 
+    def test_scheme_b_even_message_names_its_length(self, capsys):
+        status, out, err = run_cli(capsys, "encode", "--scheme", "b", "--input", "0110")
+        assert status == 1 and out == ""
+        assert err == "error: message length 4 must be odd (n-1)\n"
+
 
 class TestAnalyze:
     def test_table1_rows(self, capsys):

@@ -259,11 +259,14 @@ class TestVerifyCatchesBrokenCodec:
 
     @pytest.mark.parametrize("scheme,k", [("a", 8), ("b", 7)])
     def test_one_encode_per_message(self, monkeypatch, scheme, k):
-        module, encoder = (scheme_a, "encode_a") if scheme == "a" else (scheme_b, "encode_b")
-        calls = []
-        _break(monkeypatch, module, encoder, lambda args, res: calls.append(args) or res)
+        # one public encode and one public decode per message, so the walk checks the codec callers use
+        module = scheme_a if scheme == "a" else scheme_b
+        calls = {"encode": [], "decode": []}
+        for name, seen in calls.items():
+            _break(monkeypatch, module, f"{name}_{scheme}", lambda args, res, seen=seen: seen.append(args) or res)
         assert verify_scheme(scheme, 8, 2)["ok"]
-        assert len(calls) == 1 << k
+        assert {args[0] for args in calls["encode"]} == set(all_words(k))
+        assert len(calls["encode"]) == len(calls["decode"]) == 1 << k
 
     @pytest.mark.parametrize("scheme", ["a", "b"])
     def test_one_gamma_walk_per_codeword(self, monkeypatch, scheme):

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 
@@ -9,6 +10,7 @@ from qbalance.lattice import PathBand
 from qbalance.oracle import census_bad_a, definitional_gamma, roundtrip_all
 from qbalance.scheme_a import (
     Classification,
+    EncodeResult,
     classify,
     count_bad,
     count_bad_trig,
@@ -42,6 +44,24 @@ class TestClassify:
     def test_q_out_of_range(self):
         with pytest.raises(ValueError):
             classify(W("0110"), 3)
+
+
+class TestRecords:
+    def test_classification_members(self):
+        assert [(cls, cls.value, cls.is_bad, cls.type_bit) for cls in Classification] == [
+            (Classification.TYPE1_GOOD, "type-1-good", False, 1),
+            (Classification.TYPE0_GOOD, "type-0-good", False, 0),
+            (Classification.TYPE1_BAD, "type-1-bad", True, 1),
+            (Classification.TYPE0_BAD, "type-0-bad", True, 0),
+        ]
+
+    def test_encode_result_fields(self):
+        assert [f.name for f in dataclasses.fields(EncodeResult)] == ["codeword", "prefix", "classification", "tau"]
+        res = encode_a(W("11100000"), 2)
+        assert res == EncodeResult(W("10011111"), W("00001"), Classification.TYPE0_GOOD, 1)
+        assert res != EncodeResult(W("10011111"), W("00001"), Classification.TYPE0_GOOD, 2)
+        assert dataclasses.replace(res, tau=5) == EncodeResult(res.codeword, res.prefix, res.classification, 5)
+        assert res.tau == 1  # replace copies
 
 
 class TestGammaSet:

@@ -166,6 +166,13 @@ class TestEncodeDecodeB:
         with pytest.raises(ValueError):
             decode_b(W("00001111"), W(""), 8, 5)
 
+    @pytest.mark.parametrize("q", [0, 2, 9])
+    @pytest.mark.parametrize("function", [encode_b, classify_b])
+    def test_even_message_names_its_own_length(self, function, q):
+        # the message length, checked before any n derived from it
+        with pytest.raises(ValueError, match=r"^message length 4 must be odd \(n-1\)$"):
+            function(W("0110"), q)
+
     @pytest.mark.parametrize(
         "word,q,cls,scans",
         [

@@ -54,6 +54,19 @@ class TestBitWord:
         with pytest.raises(AttributeError):
             w.value = 3
 
+    @pytest.mark.parametrize(
+        "value,length,text",
+        [
+            (0, -1, "length must be nonnegative"),
+            (-1, 4, "value -1 does not fit in 4 bits"),
+            (16, 4, "value 16 does not fit in 4 bits"),
+            (1, 0, "value 1 does not fit in 0 bits"),
+        ],
+    )
+    def test_rejects_invalid(self, value, length, text):
+        with pytest.raises(ValueError, match=f"^{text}$"):
+            BitWord(value, length)
+
 
 class TestWeight:
     def test_weight_six_target(self):
