@@ -49,6 +49,7 @@ import struct
 import zlib
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .cyclic_code import CyclicCode, codewords, xor_bytes
@@ -80,14 +81,45 @@ def _block(c: int, m: int) -> Optional[int]:
     return (c << 1) | 1 if excess == -1 else c << 1 if excess == 0 else None
 
 
+@lru_cache(maxsize=None)
+def _pair_table() -> Tuple[Tuple[int, int, int, Tuple[int, ...]], ...]:
+    """rows[a << 4 | b], built on first use, describes four bit pairs
+    (i, i+m) whose first bits are the nibble a and second bits the nibble
+    b, both read high bit first, as (lo, hi, net, hits): lo and hi are the
+    min and max of the 4 paired sums, net the last one, and hits[4 + s]
+    marks the sums equal to s, bit k-1 standing for the k-th pair.  Steps
+    are -1, 0 or +1, so every s in lo..hi has a hit.
+    """
+    rows = []
+    for x in range(256):
+        sums = tuple(accumulate((x >> (7 - k) & 1) + (x >> (3 - k) & 1) - 1 for k in range(4)))
+        hits = [0] * 9
+        for k, s in enumerate(sums):
+            hits[4 + s] |= 1 << k
+        rows.append((min(sums), max(sums), sums[-1], tuple(hits)))
+    return tuple(rows)
+
+
 def _gamma_size(c: int, m: int) -> int:
-    """|Gamma| of the (2m-1)-bit c, from one walk of its bit pairs (i, i+m):
-    CR_i is zero at the first i where as many of the 2i bits are 1 as are 0."""
-    run = 0
-    for i in range(1, m):
-        run += (c >> (2 * m - 1 - i) & 1) + (c >> (m - 1 - i) & 1) - 1
-        if not run:
-            return i
+    """|Gamma| of the (2m-1)-bit c, from one walk of its bit pairs (i, i+m),
+    four pairs per table row: CR_i is zero at the first i where as many of
+    the 2i bits are 1 as are 0.  Zero pairs fill the last row, and a hit
+    among them, past pair m-1, counts as none."""
+    rows = _pair_table()
+    fill = -(m - 1) & 3
+    shift = m - 5 + fill
+    first = (c >> m) << fill  # c_1..c_{m-1}
+    second = (c & ((1 << (m - 1)) - 1)) << fill  # c_{m+1}..c_{2m-1}
+    run = i = 0
+    while shift >= 0:
+        lo, hi, net, hits = rows[(first >> shift & 15) << 4 | second >> shift & 15]
+        if lo <= -run <= hi:
+            mask = hits[4 - run]
+            i += (mask & -mask).bit_length()
+            return i if i < m else m
+        run += net
+        i += 4
+        shift -= 4
     return m
 
 

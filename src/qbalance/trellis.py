@@ -15,52 +15,73 @@ level at the first zero, and resolves to m at the final level if still
 unset.  Acceptance requires weight in {m-1, m} and zero syndrome; the
 final running sum is weight-determined and carries no information.
 
-Lane vectors.  States are grouped by (weight, index).  A group holds the
-counts of all 2^r syndromes (r = n-k) as one Python int of 2^r lanes,
-lane s at bits [s*W, (s+1)*W) holding the count of syndrome s, with
-W = n+1 bits per lane.  A level then costs a few whole-vector operations
-per group:
+Lane vectors.  States are grouped by index, and within an index group
+by weight: an index maps to (base, rows), rows[t] holding the counts of
+all 2^r syndromes (r = n-k) at weight base + t as one Python int of 2^r
+lanes, lane s at bits [s*W, (s+1)*W) holding the count of syndrome s,
+with W = n+1 bits per lane.  The level's four edges add 0, 1, 1 and 2 to
+the weight and flip the syndrome by h_lo, h_lo ^ h_hi, 0 and h_hi, so a
+level is one edge step per row of every group:
+
+- p = the rows permuted by h_lo, plus the rows one weight up: the gain-0
+  edge and the unpermuted gain-1 edge;
+- the lo^hi and hi edges are exactly p, one weight up and permuted by
+  h_hi, so the next rows are p plus p permuted by h_hi one weight up;
+- the rows are trimmed to the weights max(0, 2L-m)..m that can still end
+  at m-1 or m, and the index-0 group's row at weight L, whose running
+  sum has just hit zero, moves out as the one-row group of index L.
+
+Within a row:
 
 - the edge syn -> syn ^ mask is a lane permutation: for each set bit b
   of the mask, neighbouring blocks of 2^b lanes swap places, selected by
   the precomputed mask M_b of the lanes whose syndrome has bit b clear;
 - merging paths is int addition;
-- the states of a group are its nonzero lanes, counted by OR-folding
+- the states of a row are its nonzero lanes, counted by OR-folding
   each lane onto its lowest bit and taking `bit_count`.
 
 No lane can overflow: a state at level L is reached by at most 4^L label
 paths, and 4^L <= 4^(m-1) = 2^(n-1) < 2^W for every level L <= m-1 (the
-final level reads single lanes and adds them as plain ints).  A level holds
-O(n^2) groups and each takes O(r) whole-vector operations, so a pass
-makes O(r n^3) big-int operations on 2^r * W-bit ints: O(r 2^r n^4) bit
-operations, done inside the int arithmetic instead of one state at a
-time.
+final level reads single lanes and adds them as plain ints).  A level
+holds at most m groups of at most m+1 rows, and each row takes O(r)
+whole-vector operations for its two permutations and O(log n) for its
+state count, so a pass makes O((r + log n) n^3) big-int operations on
+2^r * W-bit ints, done inside the int arithmetic instead of one state at
+a time.  At r = 0 a row is one plain int and the list steps are the
+cost.
 
-Memory is dense in the syndrome: a group takes 2^r * (n+1) bits whether
-or not its lanes are reached, and two levels of groups are alive at
-once.  One `build_and_count` call in a fresh process (Python 3.11, Xeon
-x86-64; peak RSS from getrusage, about 17 MB before the pass):
+Memory is dense in the syndrome: a row takes 2^r * (n+1) bits whether
+or not its lanes are reached, and two levels of rows are alive at once.
+One `build_and_count` call in a fresh process (Python 3.11, 2 shared
+x86-64 CPUs, one run each; peak RSS from getrusage, about 16 MB before
+the pass; [15,3], [21,5], [21,3] and [27,9] have the generators
+(X^n + 1)/f for f = X^3 + 1, X^5 + X + 1, X^3 + X + 1 and X^9 + 1):
 
-    code                 r    time     peak RSS     states
-    [13,1] repetition    12   0.004 s    17 MB       3,761
-    [15,3]               12   0.006 s    17 MB      13,227
-    [15,1] repetition    14   0.018 s    20 MB      14,281
-    [17,1] repetition    16   0.11 s     33 MB      54,495
-    [21,5]               16   0.50 s     51 MB     582,444
-    [19,1] repetition    18   0.66 s    103 MB     208,783
-    [21,3]               18   1.6 s     149 MB     756,108
-    [27,9]               18   4.1 s     292 MB  14,067,663
-    [21,1] repetition    20   3.7 s     434 MB     802,595
+    code                    r    time      peak RSS      states
+    [127,127] full space    0   0.017 s     16 MB        46,849
+    [63,57] Hamming         6   0.04 s      16 MB       380,751
+    [127,120] Hamming       7   1.2 s       22 MB     5,905,207
+    [63,51] BCH            12   2.4 s       42 MB    22,433,703
+    [13,1] repetition      12   0.002 s     16 MB         3,761
+    [15,3]                 12   0.006 s     16 MB        13,227
+    [15,1] repetition      14   0.017 s     18 MB        14,281
+    [17,1] repetition      16   0.08 s      29 MB        54,495
+    [21,5]                 16   0.32 s      42 MB       582,444
+    [19,1] repetition      18   0.39 s      83 MB       208,783
+    [21,3]                 18   1.0 s      116 MB       756,316
+    [27,9]                 18   3.9 s      209 MB    14,067,663
+    [21,1] repetition      20   2.0 s      339 MB       802,595
 
 Time and memory grow about 4x per two syndrome bits and again with n, so
-r = 20 already needs over 400 MB at the shortest length it admits.
-Builds are therefore guarded to n-k <= 18 (cyclic_code.SYNDROME_GUARD,
-which also bounds each code's coset-leader table); beyond that use
-exhaustive enumeration.
+r = 20 already needs over 300 MB at the shortest length it admits (the
+last row ran with the guard lifted).  Builds are therefore guarded to
+n-k <= 18 (cyclic_code.SYNDROME_GUARD, which also bounds each code's
+coset-leader table); beyond that use exhaustive enumeration.
 """
 
 from __future__ import annotations
 
+from operator import add
 from typing import Dict, List, Tuple
 
 from .cyclic_code import SYNDROME_GUARD, CyclicCode
@@ -187,42 +208,45 @@ def build_and_count(code: CyclicCode) -> TrellisReport:
     h = code.parity_cols
     vec = _Lanes(code.r, code.n + 1)
     permute = vec.permute
-    # (weight, index) -> lane vector over the syndromes; index 0 = not yet fixed
-    states: Dict[FinalState, int] = {(0, 0): 1}
+    # index -> (base, rows): rows[t] is the lane vector of weight base + t;
+    # index 0 = not yet fixed
+    groups: Dict[int, Tuple[int, List[int]]] = {0: (0, [1])}
     level_states = [1]
     for level in range(1, m):
         # (c_i, c_{i+m}) -> (weight gain, syndrome mask), first half flipped:
-        # (0, h_lo), (1, h_lo ^ h_hi), (1, 0), (2, h_hi).  The lo^hi edge is
-        # the lo edge's image permuted by hi, so each source is permuted by
-        # lo once and each target by hi once, over the sum of its inputs.
+        # (0, h_lo), (1, h_lo ^ h_hi), (1, 0), (2, h_hi).  The lo and 0
+        # edges make p; the lo^hi and hi edges are p itself, one weight up
+        # and permuted by hi.
         lo = vec.permutation(h[level - 1])
         hi = vec.permutation(h[level + m - 1])
-        nxt: Dict[FinalState, int] = {}
-        via_hi = {} if hi else nxt  # inputs still to be permuted by hi
-        slack = 2 * (m - 1 - level) + 1  # weight still collectable after this level
-        low = m - 1 - slack  # lightest feasible weight after this level
-        for (wt, idx), x in states.items():
-            x_lo = permute(x, lo) if lo else x
-            for gain, y, out in ((0, x_lo, nxt), (1, x_lo, via_hi), (1, x, nxt), (2, x, via_hi)):
-                nwt = wt + gain
-                if nwt > m or nwt < low:
-                    continue
-                key = (nwt, idx if idx else (level if nwt == level else 0))
-                out[key] = out.get(key, 0) + y
-        if hi:
-            for key, y in via_hi.items():
-                nxt[key] = nxt.get(key, 0) + permute(y, hi)
-        states = nxt
-        level_states.append(sum(vec.nonzero(x) for x in states.values()))
+        low = max(0, 2 * level - m)  # lightest feasible weight after this level
+        nxt: Dict[int, Tuple[int, List[int]]] = {}
+        for idx, (base, rows) in groups.items():
+            # Rows t = cut..end-1 (weights low..m) are kept.  Row t is p[t]
+            # plus p[t-1] permuted by hi, where p[t] is row t permuted by lo
+            # plus row t-1; p below cut - 1 reaches no kept row.
+            cut, end = max(low - base, 0), m + 1 - base
+            s = max(cut - 1, 0)
+            a = [permute(v, lo) for v in rows[s:]] if lo else rows[s:]
+            p = [0] * s + list(map(add, a + [0], ([0] + rows)[s:]))
+            up = [permute(v, hi) for v in p[s : end - 1]] if hi else p[s : end - 1]  # up[j] joins row s+1+j
+            nxt[idx] = (base + cut, list(map(add, p[cut:end] + [0], up if cut else [0] + up)))
+        # the index-0 row at weight `level` has just hit a zero running sum
+        base, rows = nxt[0]
+        nxt[level] = (level, [rows[level - base]])
+        rows[level - base] = 0
+        groups = nxt
+        level_states.append(sum(sum(map(vec.nonzero, rows)) for _, rows in groups.values()))
 
     h_m = h[m - 1]
     final: Dict[FinalState, int] = {}
-    for (wt, idx), x in states.items():
-        # c_m = 0 leaves the syndrome h_m to cancel; c_m = 1 needs syndrome 0
-        for nwt, cnt in ((wt, vec.lane(x, h_m)), (wt + 1, vec.lane(x, 0))):
-            if cnt and nwt in (m - 1, m):
-                key = (nwt, idx if idx else m)
-                final[key] = final.get(key, 0) + cnt
+    for idx, (base, rows) in groups.items():
+        for wt, x in enumerate(rows, base):
+            # c_m = 0 leaves the syndrome h_m to cancel; c_m = 1 needs syndrome 0
+            for nwt, cnt in ((wt, vec.lane(x, h_m)), (wt + 1, vec.lane(x, 0))):
+                if cnt and nwt in (m - 1, m):
+                    key = (nwt, idx if idx else m)
+                    final[key] = final.get(key, 0) + cnt
     level_states.append(len(final))
     return TrellisReport(final=final, k=code.k, level_states=tuple(level_states))
 

@@ -136,6 +136,26 @@ class TestGammaC:
         with pytest.raises(ValueError):
             gamma_size_c(W("1111100"))
 
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_pair_table_every_word(self, m):
+        # every weight, not only m-1 and m: only a word that ends its m-1
+        # pairs at a sum of 2 or more can hit zero in the fill pairs
+        n = 2 * m - 1
+        for c in range(1 << n):
+            assert scheme_c._gamma_size(c, m) == _gamma_size_per_bit(c, m), format(c, f"0{n}b")
+
+    @pytest.mark.parametrize("m", [12, 16, 64, 2048])
+    def test_pair_table_seeded_words(self, m):
+        rng = random.Random(m)
+        n = 2 * m - 1
+        for _ in range(2000):
+            c, wt = rng.getrandbits(n), rng.choice((m - 1, m))
+            while c.bit_count() < wt:
+                c |= 1 << rng.randrange(n)
+            while c.bit_count() > wt:
+                c &= ~(1 << rng.randrange(n))
+            assert scheme_c._gamma_size(c, m) == _gamma_size_per_bit(c, m), hex(c)
+
     def test_matches_definitional_gamma_fullspace(self):
         m = 4
         for w in all_words(7):
@@ -506,6 +526,16 @@ def _gamma_size_c_reference(c):
     cr = cyclic_running_sum(c)
     for i in range(1, m):
         if cr[i] == 0:
+            return i
+    return m
+
+
+def _gamma_size_per_bit(c, m):
+    """|Gamma| of the (2m-1)-bit int c, one bit pair (i, i+m) at a time."""
+    run = 0
+    for i in range(1, m):
+        run += (c >> (2 * m - 1 - i) & 1) + (c >> (m - 1 - i) & 1) - 1
+        if not run:
             return i
     return m
 

@@ -6,7 +6,7 @@ import pytest
 from qbalance.cyclic_code import codewords, from_generator, full_space, poly_divmod, poly_from_coeffs
 from qbalance.errors import CapacityError
 from qbalance.scheme_c import encode_c, gamma_counts_fullspace, gamma_size_c
-from qbalance.trellis import _Lanes, build_and_count, state_count
+from qbalance.trellis import _check, _Lanes, build_and_count, state_count
 
 # [23,12,7] Golay code, 1 + X^2 + X^4 + X^5 + X^6 + X^10 + X^11 (n - k = 11)
 GOLAY23 = (23, poly_from_coeffs([1, 0, 1, 0, 1, 1, 1, 0, 0, 0, 1, 1]))
@@ -23,6 +23,67 @@ BCH31_GAMMA = {
 }
 BCH31_SIZE = 586848
 BCH31_STATES = 584629
+
+
+def _dict_pass(code):
+    """(final, level_states) from the earlier pass: one dict entry per
+    (weight, index) group, four dict updates per entry and level."""
+    m = _check(code)
+    h = code.parity_cols
+    vec = _Lanes(code.r, code.n + 1)
+    permute = vec.permute
+    states = {(0, 0): 1}
+    level_states = [1]
+    for level in range(1, m):
+        lo = vec.permutation(h[level - 1])
+        hi = vec.permutation(h[level + m - 1])
+        nxt = {}
+        via_hi = {} if hi else nxt
+        low = 2 * level - m
+        for (wt, idx), x in states.items():
+            x_lo = permute(x, lo) if lo else x
+            for gain, y, out in ((0, x_lo, nxt), (1, x_lo, via_hi), (1, x, nxt), (2, x, via_hi)):
+                nwt = wt + gain
+                if nwt > m or nwt < low:
+                    continue
+                key = (nwt, idx if idx else (level if nwt == level else 0))
+                out[key] = out.get(key, 0) + y
+        if hi:
+            for key, y in via_hi.items():
+                nxt[key] = nxt.get(key, 0) + permute(y, hi)
+        states = nxt
+        level_states.append(sum(vec.nonzero(x) for x in states.values()))
+    h_m = h[m - 1]
+    final = {}
+    for (wt, idx), x in states.items():
+        for nwt, cnt in ((wt, vec.lane(x, h_m)), (wt + 1, vec.lane(x, 0))):
+            if cnt and nwt in (m - 1, m):
+                key = (nwt, idx if idx else m)
+                final[key] = final.get(key, 0) + cnt
+    level_states.append(len(final))
+    return final, tuple(level_states)
+
+
+DIFFERENTIAL_CODES = {
+    **{f"full{n}": (n, 1) for n in range(1, 64, 2)},
+    # Hamming codes from the primitive polynomials 1 + X + X^3, 1 + X + X^4, 1 + X^2 + X^5, 1 + X + X^6
+    "hamming7": (7, poly_from_coeffs([1, 1, 0, 1])),
+    "hamming15": (15, poly_from_coeffs([1, 1, 0, 0, 1])),
+    "hamming31": (31, poly_from_coeffs([1, 0, 1, 0, 0, 1])),
+    "hamming63": (63, poly_from_coeffs([1, 1, 0, 0, 0, 0, 1])),
+    **{f"repetition{n}": (n, (1 << n) - 1) for n in (13, 15, 17)},
+    "simplex7": (7, poly_from_coeffs([1, 0, 1, 1, 1])),  # 1 + X^2 + X^3 + X^4
+    "bch15": (15, poly_from_coeffs([1, 0, 0, 0, 1, 0, 1, 1, 1])),  # 1 + X^4 + X^6 + X^7 + X^8
+    "golay23": GOLAY23,
+    "bch31": BCH31,
+}
+
+
+@pytest.mark.parametrize("spec", DIFFERENTIAL_CODES.values(), ids=DIFFERENTIAL_CODES.keys())
+def test_row_lists_match_dict_pass(spec):
+    code = from_generator(*spec)
+    report = build_and_count(code)
+    assert (report.final, report.level_states) == _dict_pass(code)
 
 
 def enumeration_gamma(code):
@@ -160,15 +221,15 @@ class TestScaling:
         assert counts[2] <= 16 * counts[1]
 
     def test_build_time_tracks_state_count(self):
-        sizes = (128, 256)
+        sizes = (256, 512)
         times = []
         states = []
         for n in sizes:
             code = full_space(n - 1)
             start = time.perf_counter()
-            build_and_count(code)
+            report = build_and_count(code)
             times.append(time.perf_counter() - start)
-            states.append(state_count(code))
+            states.append(report.states)
         if times[0] < 0.02:
             pytest.skip("too fast to measure reliably")
         # doubling n: state count grows ~8x (< n^4 bound); allow 4x noise on top
