@@ -117,7 +117,7 @@ def _table2_rows() -> List[List[object]]:
     for n in TABLE2_N:
         bad = scheme_a.count_bad(n, q)  # one census for the prior and Scheme A's bad term
         prior = (1.0 - bad / 2.0**n) * math.log2(n)
-        a = scheme_a.rho_parts(0, scheme_a.histogram_sum(scheme_a.gamma_counts_a(n, q), n), q, n, bad, 2 * q)
+        a = scheme_a.rho_parts(0, scheme_a.histogram_sum(scheme_a._shares_a(n, q), 0), q, n, bad, 2 * q)
         parts = (*a, *scheme_b.rho_b_parts(n, q))  # scheme_a, scheme_a_ceil, scheme_b, scheme_b_ceil
         rows.append(
             [
@@ -154,8 +154,9 @@ def _cmd_analyze_redundancy(args) -> int:
     if args.n is None:
         raise ValueError("analyze redundancy needs -n (or --table1/--table2)")
     n, q, scheme = args.n, args.q, args.scheme or "b"
+    optimal = scheme_a.optimal_redundancy(n, q)  # first: its guard bounds n for every scheme
     if scheme == "optimal":
-        _emit_json({"scheme": "optimal", "n": n, "q": q, "value": scheme_a.optimal_redundancy(n, q)})
+        _emit_json({"scheme": "optimal", "n": n, "q": q, "value": optimal})
         return 0
     if scheme == "a":
         parts, ceil = scheme_a.rho_a_parts(n, q)
@@ -171,7 +172,7 @@ def _cmd_analyze_redundancy(args) -> int:
             "value": sum(parts.values()),
             "decomposition": parts,
             "operational": sum(ceil.values()),
-            "optimal": scheme_a.optimal_redundancy(n, q),
+            "optimal": optimal,
             "convention": "analytical",
         }
     )

@@ -6,7 +6,7 @@ directions.  Three counts are provided:
   * free paths between two points (a binomial);
   * paths confined weakly between the lines Y = X + s and Y = X + t
     (touching either line is allowed), via the alternating reflection
-    sum, plus a trigonometric closed form used only as a cross-check;
+    sum;
   * the same banded count summed over every position of a band of fixed
     span (count_banded_sweep), which counts each path once per band
     position that holds it.
@@ -22,8 +22,9 @@ differences of the row; count_banded is the sweep at one position.
 
 Counts are exact Python integers; binomial path counts overflow 64 bits
 long before the sizes used here, so nothing is ever done in floating
-point on the counting side.  The cosine closed form amplifies rounding
-at large exponents and is documented as unstable past ~64 steps.
+point on the counting side.  The rows serve only the exact |Gamma|
+histograms of schemes A and B (a census steps one residue class and
+keeps none); no rho reads them, since every rho sums float shares.
 """
 
 from __future__ import annotations
@@ -51,13 +52,10 @@ class PathBand:
         if self.s > self.t:
             raise ValueError(f"band requires s <= t, got s={self.s}, t={self.t}")
 
-    @property
-    def height(self) -> int:
-        return self.t - self.s + 2
-
 
 # One row is kept: its readers are the sweeps of one gamma_counts_a call
-# or one gamma_counts_b call, and a row of length 2^16 holds about 200 MB.
+# or one gamma_counts_b call, and a row of length 2^16 holds about 200 MB
+# (both are guarded to n <= scheme_a.HISTOGRAM_MAX_N = 2^15).
 @lru_cache(maxsize=1)
 def _binom_row(n: int) -> Tuple[int, ...]:
     """C(n, 0), ..., C(n, n), by the multiplicative recurrence."""
@@ -112,10 +110,6 @@ def count_free(start: LatticePoint, end: LatticePoint) -> BigCount:
     return math.comb(dx + dy, dx)
 
 
-def _in_band(p: LatticePoint, band: PathBand) -> bool:
-    return band.s <= p[1] - p[0] <= band.t
-
-
 def _reflection_sum(start: LatticePoint, end: LatticePoint, span: int, top: Optional[int] = None) -> BigCount:
     """count_banded summed over the band tops t in [lo, hi] = [max(u0, u1),
     min(u0, u1) + span] that hold both endpoint offsets u0, u1, or at t =
@@ -160,32 +154,3 @@ def count_banded_sweep(start: LatticePoint, end: LatticePoint, span: int) -> Big
     max - min = r counts max(0, span + 1 - r) times.
     """
     return _reflection_sum(start, end, span)
-
-
-def count_banded_trig(start: LatticePoint, end: LatticePoint, band: PathBand) -> float:
-    """Cosine/sine closed form of count_banded; cross-check only.
-
-    Relative agreement with the exact count is ~1e-9 up to about 64
-    steps; beyond that cos**n magnifies rounding and the value is
-    unreliable.
-    """
-    a, b = start
-    c, d = end
-    dx, dy = c - a, d - b
-    if dx < 0 or dy < 0:
-        raise ValueError(f"negative displacement {start} -> {end}")
-    if not (_in_band(start, band) and _in_band(end, band)):
-        return 0.0
-    n = dx + dy
-    if n == 0:
-        return 1.0
-    dh = band.height
-    total = 0.0
-    for k in range(1, (dh - 1) // 2 + 1):
-        total += (
-            (4.0 / dh)
-            * (2.0 * math.cos(math.pi * k / dh)) ** n
-            * math.sin(math.pi * k * (a - b + band.t + 1) / dh)
-            * math.sin(math.pi * k * (c - d + band.t + 1) / dh)
-        )
-    return total

@@ -27,29 +27,60 @@ walk per encode, and one fresh walk per decode.  At n = 16 the walks
 are under half of an encode, so the fixed per-message work is kept
 small: _unbalance reads the prefix fields off its integer with shifts,
 EncodeResult is a slotted dataclass, and each Classification member
-holds is_bad and type_bit.  The analytical machinery
-(Gamma-size distribution, bad-word census, redundancy estimate) runs on
-the exact lattice-path counts from .lattice.  The bad-word census is one
-residue class of the binomial row C(n, .), stepped and not kept.  The
-Gamma-size distribution is the second difference of m+q+1 band sweeps
-(count_banded_sweep), each O(n / span) prefix-sum windows of that row,
-so gamma_counts_a(1000, 6) takes about 10 ms.  The trigonometric
-closed-form census is kept only as a floating cross-check.
-Every scheme's rho, here and in scheme_b, scheme_c and trellis, is one
-histogram_sum over its |Gamma| histogram composed by rho_parts; the one
-pass gives both the analytical (log2) and the operational (ceil width)
-figure.
+holds is_bad and type_bit.
+
+The analysis has an exact side and a float side.  The exact outputs
+run on the lattice-path counts from .lattice: the bad-word census is one
+residue class of the binomial row C(n, .), stepped and not kept, and the
+Gamma-size distribution gamma_counts_a is the second difference of
+m+q+1 band sweeps (count_banded_sweep), each O(n / span) prefix-sum
+windows of that row, so gamma_counts_a(1000, 6) takes about 10 ms.  rho
+reads the float side, _shares_a: the same distribution over 2^n, from
+a share row stepped out of its centre, with no binomial row.  Every
+scheme's rho, here and in scheme_b, scheme_c and trellis, is one
+histogram_sum over its |Gamma| histogram or shares composed by
+rho_parts; the one pass gives both the analytical (log2) and the
+operational (ceil width) figure.
+
+Analysis guards.  Each exact output in a fresh process (Python 3.11,
+2 shared x86-64 CPUs, one run each; peak RSS from getrusage, about
+16 MB before the call; the censuses at q = 3):
+
+    n        gamma_counts_a  gamma_counts_b  gamma_counts_fullspace
+    2^12     0.13 s  20 MB   0.008 s  17 MB   0.016 s  17 MB
+    2^13     0.44 s  34 MB   0.027 s  22 MB   0.087 s  22 MB
+    2^14     1.2 s   88 MB   0.10 s   41 MB   0.46 s   42 MB
+    2^15     3.4 s  304 MB   0.33 s  116 MB   3.1 s   121 MB
+    2^16     13 s  1163 MB   1.2 s   414 MB  20.7 s   434 MB
+
+    n        count_bad  count_bad_b  math.comb(n, n/2)  rho_a_bound(n, 0)
+    2^16     0.52 s     0.52 s       0.09 s             0.19 s  18 MB
+    2^17     2.0 s      2.1 s        0.27 s             0.48 s  19 MB
+    2^18     8.4 s      8.4 s        0.99 s
+    2^19     33 s       35 s         4.0 s
+    10^6     over 60 s               11.9 s
+
+The histograms keep a row of big integers, so their memory grows as
+n^2 and gamma_counts_a's prefix sums pass 1 GB at 2^16 (a CLI run);
+the censuses and math.comb keep one binomial (16 MB throughout) and
+their time grows as n^2.  The histograms therefore raise CapacityError
+past n = HISTOGRAM_MAX_N = 2^15, and count_bad, count_bad_b and every
+math.comb(n, .) (optimal_redundancy and the start of _shares_a) past
+n = STEPPED_MAX_N = 2^17, which admits every rho at n = 2^16.  The
+float sides of rho_b and rho_c_fullspace need no guard: 0.05 s and
+25 MB at 2^17.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
-from .errors import DecodeError
-from .lattice import PathBand, _binom_class, count_banded_sweep, count_banded_trig
+from .errors import CapacityError, DecodeError
+from .lattice import _binom_class, count_banded_sweep
 from .words import BitWord, fresh_walk, level_walk, weight
 
 
@@ -222,6 +253,16 @@ def decode_a(c: BitWord, p: BitWord, n: int, q: int) -> BitWord:
 # Census and redundancy analysis
 
 
+# Largest n of the exact outputs, set from the table in the module docstring.
+HISTOGRAM_MAX_N = 1 << 15  # gamma_counts_a, gamma_counts_b, gamma_counts_fullspace
+STEPPED_MAX_N = 1 << 17  # count_bad, count_bad_b, and each math.comb(n, .)
+
+
+def _guard(n: int, limit: int, what: str) -> None:
+    if n > limit:
+        raise CapacityError(f"n={n} exceeds the {what} guard {limit}")
+
+
 def count_bad(n: int, q: int) -> int:
     """Exact number of length-n words with no index for x or its complement.
 
@@ -230,19 +271,10 @@ def count_bad(n: int, q: int) -> int:
     2^n - 2q * (sum of C(n, j) over j = m+q mod 2q).
     """
     _check_params(n, q)
+    _guard(n, STEPPED_MAX_N, "bad-word census")
     if q <= 1:
         return 0
     return (1 << n) - 2 * q * _binom_class(n, n // 2 + q, 2 * q)
-
-
-def count_bad_trig(n: int, q: int) -> float:
-    """Trigonometric form of the bad-word census; cross-check only."""
-    _check_params(n, q)
-    if q <= 1:
-        return 0.0
-    m = n // 2
-    band = PathBand(1 - q, q - 1)
-    return sum(count_banded_trig((0, y), (m + y, m), band) for y in range(1 - q, q))
 
 
 def gamma_counts_a(n: int, q: int) -> Dict[int, int]:
@@ -258,6 +290,7 @@ def gamma_counts_a(n: int, q: int) -> Dict[int, int]:
     O(n log n) big-integer additions in all.
     """
     _check_params(n, q)
+    _guard(n, HISTOGRAM_MAX_N, "exact histogram")
     m = n // 2
     sweeps = [0, 0] + [count_banded_sweep((0, q), (m + q, m), span) for span in range(m + q + 1)]
     out: Dict[int, int] = {}
@@ -268,6 +301,81 @@ def gamma_counts_a(n: int, q: int) -> Dict[int, int]:
     return out
 
 
+def _shares_a(n: int, q: int) -> Dict[int, float]:
+    """gamma_counts_a(n, q) divided by 2^n, as floats, over the sizes with a
+    nonzero share.
+
+    The share row C(n, j)/2^n starts at its correctly rounded centre,
+    math.comb(n, m) / 2^n, and is stepped outwards until it falls below
+    the least normal float, which leaves about sqrt(354 n) shares a side
+    (stepped on through subnormals, a share sticks at 5e-324 until the
+    step ratio falls below 1/2, at m/3).  With F(j) the row's
+    sum below j, the swept count of gamma_counts_a over 2^n is S(s) =
+    sum over k of T_k(s) = P(s) C(n, x_k) - F(y_k) + F(x_k + 1), with
+    P(s) = s-2q+1, x_k = m+q - k(s+2) and y_k = m-q + (1-k)(s+2), exact
+    for s >= 2q-2.  N_s, the share of range s (|Gamma| = s+1), is the sum
+    over k of the second difference of each T_k alone: differencing S
+    itself would cancel almost every digit.  k = 0 gives
+    C(n, m-q+s) - C(n, m-q+s+1) and k = 1 the P term plus
+    C(n, x_1+2) - C(n, x_1+1), at every s.  The other k read F at their
+    far ends, from prefix sums taken to the centre from the left and
+    suffix sums from the right, so a tail window keeps its own digits;
+    each runs only over the spans whose terms reach a nonzero share,
+    O(sqrt(n) log n) terms in all, and at s = 2q and 2q+1 takes T_k
+    itself, a window of one or two shares, as T_k = 0 below s = 2q.
+    Each share is within 2e-16 of N_s / 2^n for n <= 80, and the good
+    term within 8e-15 relative of the exact one for n <= 4096.
+    """
+    m = n // 2
+    _guard(n, STEPPED_MAX_N, "binomial")
+    half = []
+    c = math.comb(n, m) / (1 << n)
+    while c >= sys.float_info.min and len(half) <= m:
+        d = len(half)
+        half.append(c)
+        c = c * (m - d) / (m + d + 1)
+    top = len(half)  # C(n, m + d) / 2^n is taken as 0.0 for |d| >= top
+    # row[w + d] = C(n, m + d) / 2^n; cum[w + d] = F(m + d) for d <= 0 and
+    # F(m + d) - 1 for d > 0, both summed from the far end.  No index read
+    # below lies further than w from the centre.
+    w = 5 * top + 3 * q + 16
+    row = [0.0] * (2 * w + 1)
+    cum = [0.0] * (2 * w + 1)
+    tail = 0.0
+    for d in range(top - 1, -1, -1):
+        row[w + d] = row[w - d] = half[d]
+        tail += half[d]
+        if d:
+            cum[w + d] = -tail
+            cum[w - d + 1] = tail
+    out = [0.0] * (m + q + 1)
+    base = w + q  # index of C(n, m + q)
+    for s in range(2 * q, min(m, top) + q + 1):
+        p, x = s - 2 * q + 1, base - s - 2
+        out[s] = row[w - q + s] - row[w - q + s + 1] + p * row[x] - (2 * p - 1) * row[x + 1] + (p - 1) * row[x + 2]
+    # k = j+1 and k = -j: the F(x_k + 1) and F(y_k) ends move |k| and |k-1|
+    # places per span, so neither reaches a nonzero share once j*s - q - 1 >= top
+    j = 1
+    while j * (2 * q + 2) - q - 1 < top:
+        for k in (j + 1, -j):
+            x = base - k * (2 * q + 2)
+            t = row[x] - row[x + 1]
+            out[2 * q] += t
+            if q < m:
+                x -= k
+                out[2 * q + 1] += 2 * row[x] - row[x + 1] - row[x + 2] - 2 * t
+            for s in range(2 * q + 2, min(m + q, (top + q) // j) + 1):
+                p, x0, y0 = s - 2 * q + 1, base - k * (s + 2), w - q + (1 - k) * (s + 2)
+                x1, x2, y1, y2 = x0 + k, x0 + 2 * k, y0 + k - 1, y0 + 2 * k - 2
+                out[s] += (
+                    p * row[x0] - 2 * (p - 1) * row[x1] + (p - 2) * row[x2]
+                    - cum[y0] + 2 * cum[y1] - cum[y2]
+                    + cum[x0 + 1] - 2 * cum[x1 + 1] + cum[x2 + 1]
+                )
+        j += 1
+    return {s + 1: v for s, v in enumerate(out) if v}
+
+
 def histogram_sum(gamma: Mapping[int, float], k: int) -> Tuple[float, float]:
     """(analytical, operational) sums of i * w(i) * gamma[i] / 2^k, i >= 2,
     over a |Gamma| histogram gamma, in one loop.
@@ -276,8 +384,10 @@ def histogram_sum(gamma: Mapping[int, float], k: int) -> Tuple[float, float]:
     source returns it: gamma[i] counts the codewords with |Gamma| = i
     among the outputs for 2^k messages; each has i preimages whose index
     costs w(i) bits, with w(i) = log2 i (analytical), or the ceil width
-    rank_width(i) sent on the wire (operational).  Scheme B's float
-    shares pass gamma[i] / 2^k with k = 0.
+    rank_width(i) sent on the wire (operational).  The exact histograms
+    pass their counts with k the message bits; the float shares of every
+    rho (_shares_a, scheme_b._shares_b, scheme_c.rho_c_parts) pass
+    gamma[i] / 2^k itself, with k = 0.
     """
     analytical = operational = 0.0
     for i, g in gamma.items():
@@ -322,7 +432,8 @@ def rho_a_parts(n: int, q: int) -> Tuple[Parts, Parts]:
     sends log2 |Gamma|.  For n = 8, q = 2 it gives 4.422 against the
     exhaustive 4.994.
     """
-    good = histogram_sum(gamma_counts_a(n, q), n)
+    _check_params(n, q)
+    good = histogram_sum(_shares_a(n, q), 0)
     return rho_parts(0, good, q, n, count_bad(n, q), 2 * q)
 
 
@@ -335,4 +446,5 @@ def rho_a_bound(n: int, q: int) -> float:
 def optimal_redundancy(n: int, q: int = 0) -> float:
     """Information-theoretic floor: n - log2 C(n, n/2 + q)."""
     _check_params(n, q)
+    _guard(n, STEPPED_MAX_N, "binomial")
     return n - math.log2(math.comb(n, n // 2 + q))

@@ -28,12 +28,15 @@ from typing import Dict, List, Tuple
 from .errors import DecodeError
 from .lattice import _binom, _binom_class
 from .scheme_a import (
+    HISTOGRAM_MAX_N,
+    STEPPED_MAX_N,
     Classification,
     EncodeResult,
     Parts,
     _balance,
     _check_params,
     _classify,
+    _guard,
     _unbalance,
     histogram_sum,
     rho_parts,
@@ -133,6 +136,7 @@ def gamma_counts_b(n: int, q: int) -> Dict[int, int]:
     """{i: number of stripped codewords with |Gamma| = i} over both target
     weights, for the sizes i <= m+q with a nonzero count, ascending."""
     _check_params(n, q)
+    _guard(n, HISTOGRAM_MAX_N, "exact histogram")
     out: Dict[int, int] = {}
     for offset, first in _branches(n, q):
         for a in range(first + offset, n + 1):
@@ -150,6 +154,7 @@ def count_bad_b(n: int, q: int) -> int:
     over j = m+q-1 mod 2q-1).
     """
     _check_params(n, q)
+    _guard(n, STEPPED_MAX_N, "bad-word census")
     if q <= 1:
         return 0
     return (1 << (n - 1)) - (2 * q - 1) * _binom_class(n - 1, n // 2 + q - 1, 2 * q - 1)
@@ -160,11 +165,14 @@ def _shares_b(n: int, q: int) -> Dict[int, float]:
     operations at any n.  Each branch of _branches starts from one lgamma
     value of C(n-1, a-1) / 2^(n-1) and steps it up in a by the exact ratio
     C(n-1, a) / C(n-1, a-1) = (n-a)/a; its size-i share is
-    C(n-1, a-1) - C(n-1, a) = C(n-1, a-1) * 2(a-m)/a over 2^(n-1).
+    C(n-1, a-1) - C(n-1, a) = C(n-1, a-1) * 2(a-m)/a over 2^(n-1).  At
+    q = 0 the two branches are one: it is stepped once and each share
+    doubled, which is exact, so the sum is the two-branch sum bit for bit.
     """
     m = n // 2
     out: Dict[int, float] = {}
-    for offset, first in _branches(n, q):
+    branches = _branches(n, q)
+    for offset, first in branches[:1] if q == 0 else branches:
         start = first + offset
         if start > n:
             continue
@@ -172,6 +180,9 @@ def _shares_b(n: int, q: int) -> Dict[int, float]:
         for a in range(start, n + 1):
             out[a - offset] = out.get(a - offset, 0.0) + c * 2 * (a - m) / a
             c = c * (n - a) / a
+    if q == 0:
+        for i, share in out.items():
+            out[i] = share + share
     return out
 
 
@@ -184,7 +195,8 @@ def rho_b_parts(n: int, q: int) -> Tuple[Parts, Parts]:
     q > 0.  The good term sums the float shares of _shares_b at every n;
     they agree with the exact binomials of gamma_counts_b to within 1e-11
     relative (7.3e-12 at worst over n <= 4096, q in {0, 2, 6}), and take
-    about 30 ms at n = 65536, where the big-integer binomials grow with n.
+    about 25 ms at n = 65536, q = 0, where the big-integer binomials grow
+    with n.
     Exact at q = 0; at q > 0 it is low by the same terms as
     scheme_a.rho_a_parts (4.634 against the exhaustive 5.037 for n = 8,
     q = 2).

@@ -54,7 +54,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from .cyclic_code import CyclicCode, codewords, xor_bytes
 from .errors import AmbiguousBlockError, CodingError, DecodeError, StreamError
-from .scheme_a import EncodeResult, Parts, _check_length, histogram_sum, rank_width, rho_parts
+from .scheme_a import HISTOGRAM_MAX_N, EncodeResult, Parts, _check_length, _guard, histogram_sum, rank_width, rho_parts
 from .words import BitWord, flip_prefix, weight
 
 
@@ -260,6 +260,7 @@ def gamma_counts_fullspace(n: int) -> Dict[int, int]:
     binomials C(2r, r), r < m, stepped by C(2r+2, r+1) = C(2r, r) 2(2r+1)/(r+1),
     with Cat(r) = C(2r, r)/(r+1)."""
     _check_length(n)
+    _guard(n, HISTOGRAM_MAX_N, "exact histogram")
     m = n // 2
     central = [1]
     for r in range(m - 1):
@@ -270,8 +271,19 @@ def gamma_counts_fullspace(n: int) -> Dict[int, int]:
 def rho_c_parts(n: int) -> Tuple[Parts, Parts]:
     """Redundancy over all of {0,1}^(n-1): 1 appended bit + mean index
     width, with log2 |Gamma| (analytical) and ceil(log2 |Gamma|) bits
-    (operational)."""
-    return rho_parts(1, histogram_sum(gamma_counts_fullspace(n), n - 1))
+    (operational).
+
+    The mean is taken over float shares, gamma_counts_fullspace(n) over
+    2^(n-1): the size-i share is c_{i-1} c_{m-i} / i with c_r = C(2r, r)/4^r,
+    stepped from c_0 = 1 by c_{r+1} = c_r (2r+1)/(2r+2).  Every term is
+    positive, so nothing cancels, and no big integer is built at any n.
+    """
+    _check_length(n)
+    m = n // 2
+    c = [1.0] * m
+    for r in range(m - 1):
+        c[r + 1] = c[r] * (2 * r + 1) / (2 * r + 2)
+    return rho_parts(1, histogram_sum({i: c[i - 1] * c[m - i] / i for i in range(1, m + 1)}, 0))
 
 
 def rho_c_fullspace(n: int) -> float:

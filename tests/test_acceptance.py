@@ -15,7 +15,7 @@ from qbalance.cyclic_code import (
     full_space,
     poly_from_coeffs,
 )
-from qbalance.lattice import PathBand, count_banded, count_banded_trig
+from qbalance.lattice import PathBand, count_banded
 from qbalance.oracle import census_bad_a, census_bad_b, count_paths_brute, roundtrip_all
 from qbalance.scheme_a import count_bad, gamma_counts_a, gamma_set_a, optimal_redundancy, rho_a_bound
 from qbalance.scheme_b import BETA, count_bad_b, gamma_counts_b, gamma_set_b, rho_b
@@ -32,6 +32,8 @@ from qbalance.scheme_c import (
 )
 from qbalance.trellis import build_and_count
 from qbalance.words import BitWord, all_words, weight
+
+from lattice_trig import count_banded_trig
 
 TABLE_N = (8, 16, 32, 64, 128, 256, 512)
 

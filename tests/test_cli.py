@@ -125,6 +125,23 @@ class TestAnalyze:
         assert float(rows[2]["scheme_a"]) == pytest.approx(8.03, abs=0.05)
         assert float(rows[0]["prior_lower_bound"]) == pytest.approx(0.18, abs=0.01)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["redundancy", "--scheme", "a", "-n", "1000000"],
+            ["redundancy", "--scheme", "b", "-n", "1000000"],
+            ["redundancy", "--scheme", "c", "-n", "1000000"],
+            ["gamma", "--scheme", "b", "-n", "200000"],
+            ["badwords", "-n", "4000000", "-q", "3"],
+        ],
+        ids=["rho-a", "rho-b", "rho-c", "gamma-b", "badwords"],
+    )
+    def test_past_analysis_guards(self, capsys, argv):
+        # each once ended in a MemoryError traceback or ran for minutes
+        status, out, err = run_cli(capsys, "analyze", *argv)
+        assert status == 1 and out == ""
+        assert err.startswith("error: n=") and "guard" in err
+
     def test_table2_counts_each_census_once(self, capsys, monkeypatch):
         calls = []
         real = scheme_a.count_bad

@@ -14,12 +14,14 @@ from qbalance.lattice import (
     _binom_row,
     count_banded,
     count_banded_sweep,
-    count_banded_trig,
     count_free,
 )
 from qbalance.oracle import count_paths_brute
-from qbalance.scheme_a import count_bad
-from qbalance.scheme_b import count_bad_b
+from qbalance.scheme_a import count_bad, rho_a_bound
+from qbalance.scheme_b import count_bad_b, rho_b
+from qbalance.scheme_c import rho_c_fullspace
+
+from lattice_trig import count_banded_trig
 
 
 def banded_dp(start, end, band):
@@ -235,3 +237,25 @@ class TestCensusIsOneResidueClass:
         )
         out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
         assert int(out.stdout) < 60 * 1024  # ru_maxrss is in KiB
+
+
+class TestRhoReadsNoRow:
+    """Every rho sums float shares, so none builds a binomial row."""
+
+    def test_builds_no_row(self):
+        _binom_row.cache_clear()
+        rho_a_bound(4096, 6)
+        rho_b(4096, 6)
+        rho_c_fullspace(4096)
+        assert _binom_row.cache_info().misses == 0
+
+    @pytest.mark.parametrize("call", ["scheme_a.rho_a_bound(65536, 0)", "scheme_c.rho_c_fullspace(65536)"])
+    def test_rho_at_65536_in_bounded_memory(self, call):
+        """The exact paths took 1,163 MB (A) and 434 MB (C) here."""
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qbalance.__file__)))
+        probe = (
+            f"import resource; from qbalance import scheme_a, scheme_c; {call}; "
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)"
+        )
+        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+        assert int(out.stdout) < 64 * 1024  # ru_maxrss is in KiB

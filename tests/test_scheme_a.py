@@ -5,26 +5,32 @@ import math
 import pytest
 
 from qbalance import lattice, scheme_a
-from qbalance.errors import DecodeError
+from qbalance.errors import CapacityError, DecodeError
 from qbalance.lattice import PathBand
 from qbalance.oracle import census_bad_a, definitional_gamma, roundtrip_all
 from qbalance.scheme_a import (
+    HISTOGRAM_MAX_N,
+    STEPPED_MAX_N,
     Classification,
     EncodeResult,
+    _shares_a,
     classify,
     count_bad,
-    count_bad_trig,
     decode_a,
     encode_a,
     gamma_counts_a,
     gamma_set_a,
+    histogram_sum,
     optimal_redundancy,
     rank_width,
     rho_a_bound,
     rho_a_parts,
 )
-from qbalance.scheme_b import decode_b, encode_b, gamma_set_b
+from qbalance.scheme_b import count_bad_b, decode_b, encode_b, gamma_counts_b, gamma_set_b
+from qbalance.scheme_c import gamma_counts_fullspace
 from qbalance.words import BitWord, all_words, balancing_indices, complement, flip_prefix, level_walk, running_sum, weight
+
+from lattice_trig import count_bad_trig
 
 
 def W(s):
@@ -450,6 +456,64 @@ class TestRhoBound:
         for n, q in [(16, 0), (16, 2), (64, 6)]:
             analytical, ceil = rho_a_parts(n, q)
             assert sum(ceil.values()) >= sum(analytical.values()) - 1e-9
+
+
+class TestFloatShares:
+    """rho_a sums _shares_a, gamma_counts_a over 2^n as floats."""
+
+    @pytest.mark.parametrize("n", range(2, 81, 2))
+    def test_every_share_and_good_term_small_n(self, n):
+        for q in range(n // 2 + 1):
+            exact = gamma_counts_a(n, q)
+            shares = _shares_a(n, q)
+            for i in exact.keys() | shares.keys():
+                assert abs(shares.get(i, 0.0) - exact.get(i, 0) / 2**n) <= 1e-15, (n, q, i)
+            assert histogram_sum(shares, 0) == pytest.approx(histogram_sum(exact, n), rel=1e-12, abs=0), q
+
+    @pytest.mark.parametrize("n", [256, 1000, 1024, 4096])
+    @pytest.mark.parametrize("q", [0, 2, 6])
+    def test_good_term_large_n(self, n, q):
+        exact = histogram_sum(gamma_counts_a(n, q), n)
+        assert histogram_sum(_shares_a(n, q), 0) == pytest.approx(exact, rel=1e-12, abs=0)
+
+
+class TestAsymptote:
+    """Scheme A's q = 0 redundancy is (1/2) log2 n + c_A + O(1/n)."""
+
+    def test_q0_gap_falls_fourfold_per_two_doublings(self):
+        gaps = [rho_a_bound(1 << e, 0) - e / 2 for e in range(6, 17, 2)]
+        falls = [a - b for a, b in zip(gaps, gaps[1:])]
+        assert all(fall > 0 for fall in falls), gaps
+        assert all(3.5 <= a / b <= 4.5 for a, b in zip(falls, falls[1:])), falls
+
+    def test_q2_good_term_gap_falls(self):
+        gaps = [rho_a_parts(1 << e, 2)[0]["good"] - e / 2 for e in range(6, 17, 2)]
+        assert all(a > b for a, b in zip(gaps, gaps[1:])), gaps
+
+
+class TestAnalysisGuards:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: gamma_counts_a(HISTOGRAM_MAX_N + 2, 0),
+            lambda: gamma_counts_b(HISTOGRAM_MAX_N + 2, 0),
+            lambda: gamma_counts_fullspace(HISTOGRAM_MAX_N + 2),
+            lambda: count_bad(STEPPED_MAX_N + 2, 3),
+            lambda: count_bad_b(STEPPED_MAX_N + 2, 3),
+            lambda: optimal_redundancy(STEPPED_MAX_N + 2),
+            lambda: rho_a_bound(STEPPED_MAX_N + 2, 0),
+        ],
+        ids=["gamma_a", "gamma_b", "gamma_c", "bad_a", "bad_b", "optimal", "rho_a"],
+    )
+    def test_past_the_guard(self, call):
+        with pytest.raises(CapacityError, match="guard"):
+            call()
+
+    def test_rho_admits_benchmark_sizes(self):
+        # rho_b(65536, 0) is a benchmark point, and every rho command takes n = 65536;
+        # the value is the one the exact big-int path gave
+        assert STEPPED_MAX_N >= 65536
+        assert rho_a_bound(65536, 0) == pytest.approx(8.359073021470634, rel=1e-12)
 
 
 class TestOptimal:

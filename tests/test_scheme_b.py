@@ -2,10 +2,10 @@ import math
 
 import pytest
 
-from qbalance import scheme_a
+from qbalance import scheme_a, scheme_b
 from qbalance.errors import DecodeError
 from qbalance.oracle import census_bad_b, definitional_gamma, roundtrip_all
-from qbalance.scheme_a import Classification, _substitute_int, count_bad, histogram_sum
+from qbalance.scheme_a import Classification, _substitute_int, count_bad, histogram_sum, rho_parts
 from qbalance.scheme_b import (
     BETA,
     classify_b,
@@ -258,7 +258,32 @@ class TestCountBadB:
                 assert 2 * count_bad_b(n, q) <= count_bad(n, q)
 
 
+def _shares_b_two_branches(n, q):
+    """_shares_b as it was at every q: both branches stepped, though at
+    q = 0 they are the same branch."""
+    m = n // 2
+    out = {}
+    for offset, first in scheme_b._branches(n, q):
+        start = first + offset
+        if start > n:
+            continue
+        c = math.exp(math.lgamma(n) - math.lgamma(start) - math.lgamma(n - start + 1) - (n - 1) * math.log(2.0))
+        for a in range(start, n + 1):
+            out[a - offset] = out.get(a - offset, 0.0) + c * 2 * (a - m) / a
+            c = c * (n - a) / a
+    return out
+
+
 class TestRhoB:
+    @pytest.mark.parametrize(
+        "n,q", [(n, q) for n in (2, 4, 8, 16, 64, 1000, 4096) for q in (0, 1, 2, 6) if q <= n // 2] + [(65536, 0)]
+    )
+    def test_bit_identical_to_two_branch_loop(self, n, q):
+        want = _shares_b_two_branches(n, q)
+        assert list(_shares_b(n, q).items()) == list(want.items())
+        parts = rho_parts(1, histogram_sum(want, 0), q, n, count_bad_b(n, q), max(0, 2 * q - 2))
+        assert rho_b(n, q) == sum(parts[0].values())
+
     def test_table_small_n(self):
         assert rho_b(8, 0) == pytest.approx(2.01, abs=0.01)
         assert rho_b(16, 0) == pytest.approx(2.52, abs=0.01)

@@ -11,7 +11,7 @@ from qbalance import scheme_c
 from qbalance.cyclic_code import codewords, contains, encode_systematic, from_generator, full_space, poly_from_coeffs
 from qbalance.errors import AmbiguousBlockError, CapacityError, CodingError, DecodeError, StreamError
 from qbalance.oracle import definitional_gamma
-from qbalance.scheme_a import EncodeResult, rank_width
+from qbalance.scheme_a import EncodeResult, histogram_sum, rank_width, rho_parts
 from qbalance.scheme_c import (
     StreamEncoding,
     StreamFrame,
@@ -25,6 +25,7 @@ from qbalance.scheme_c import (
     gamma_size_c,
     pack_stream,
     rho_c_fullspace,
+    rho_c_parts,
     stream_decode,
     stream_encode,
     unpack_stream,
@@ -264,6 +265,15 @@ class TestBalancedBook:
         assert list(book) == sorted(book, key=lambda w: w.value)
 
 
+@lru_cache(maxsize=1)
+def _central_and_catalan(size):
+    """C(2r, r) and Cat(r) = C(2r, r)/(r+1), r < size, as exact ints."""
+    central = [1]
+    for r in range(size - 1):
+        central.append(central[r] * 2 * (2 * r + 1) // (r + 1))
+    return central, [c // (r + 1) for r, c in enumerate(central)]
+
+
 class TestFullspaceDistribution:
     def test_n8_values(self):
         assert gamma_counts_fullspace(8) == {1: 40, 2: 12, 3: 8, 4: 10}
@@ -290,6 +300,19 @@ class TestFullspaceDistribution:
             m = n // 2
             want = {i: 2 * (math.comb(2 * i - 2, i - 1) // i) * math.comb(2 * m - 2 * i, m - i) for i in range(1, m + 1)}
             assert list(gamma_counts_fullspace(n).items()) == list(want.items()), n
+
+    @pytest.mark.parametrize("block", range(8))
+    def test_float_shares_match_exact(self, block):
+        # rho_c_parts sums float shares; every even n <= 4096, 256 per block, against
+        # gamma_counts_fullspace's 2 Cat(i-1) C(2m-2i, m-i) from one list of each
+        central, catalan = _central_and_catalan(2048)
+        top = 512 * block + 512
+        assert {i: 2 * catalan[i - 1] * central[top // 2 - i] for i in range(1, top // 2 + 1)} == gamma_counts_fullspace(top)
+        for n in range(top - 510, top + 1, 2):
+            m = n // 2
+            exact = {i: 2 * catalan[i - 1] * central[m - i] for i in range(1, m + 1)}
+            for got, want in zip(rho_c_parts(n), rho_parts(1, histogram_sum(exact, n - 1))):
+                assert got["good"] == pytest.approx(want["good"], rel=1e-12, abs=0), n
 
     @pytest.mark.parametrize("n", [0, 1, -4])
     def test_block_length_below_two(self, n):
