@@ -10,7 +10,7 @@ cross-checked by brute-force oracles.
 """
 
 from .words import BitWord, all_words, balancing_indices, complement, cyclic_running_sum, cyclic_shift, flip_indices, flip_prefix, imbalance, running_sum, weight
-from .lattice import PathBand, count_banded, count_banded_sweep, count_free
+from .lattice import PathBand, count_banded
 from .scheme_a import (
     Classification,
     EncodeResult,

@@ -29,29 +29,28 @@ small: _unbalance reads the prefix fields off its integer with shifts,
 EncodeResult is a slotted dataclass, and each Classification member
 holds is_bad and type_bit.
 
-The analysis has an exact side and a float side.  The exact outputs
-run on the lattice-path counts from .lattice: the bad-word census is one
-residue class of the binomial row C(n, .), stepped and not kept, and the
-Gamma-size distribution gamma_counts_a is the second difference of
-m+q+1 band sweeps (count_banded_sweep), each O(n / span) prefix-sum
-windows of that row, so gamma_counts_a(1000, 6) takes about 10 ms.  rho
-reads the float side, _shares_a: the same distribution over 2^n, from
-a share row stepped out of its centre, with no binomial row.  Every
+The analysis counts with exact integers and sums rho over floats.  The
+bad-word census is one residue class of the binomial row C(n, .),
+stepped and not kept (.lattice).  The Gamma-size distribution is one
+termwise reflection sum, _histogram_a, over a row stepped outwards from
+its centre: over the integers C(n, j) it is the exact gamma_counts_a,
+and over the shares C(n, j)/2^n it is _shares_a, which rho reads.  Every
 scheme's rho, here and in scheme_b, scheme_c and trellis, is one
 histogram_sum over its |Gamma| histogram or shares composed by
 rho_parts; the one pass gives both the analytical (log2) and the
 operational (ceil width) figure.
 
 Analysis guards.  Each exact output in a fresh process (Python 3.11,
-2 shared x86-64 CPUs, one run each; peak RSS from getrusage, about
-16 MB before the call; the censuses at q = 3):
+2 shared x86-64 CPUs, one run each, gamma_counts_a the median of 3 runs
+(7 at 2^15) at q = 0; peak RSS from getrusage, about 16 MB before the
+call; the censuses at q = 3):
 
     n        gamma_counts_a  gamma_counts_b  gamma_counts_fullspace
-    2^12     0.13 s  20 MB   0.008 s  17 MB   0.016 s  17 MB
-    2^13     0.44 s  34 MB   0.027 s  22 MB   0.087 s  22 MB
-    2^14     1.2 s   88 MB   0.10 s   41 MB   0.46 s   42 MB
-    2^15     3.4 s  304 MB   0.33 s  116 MB   3.1 s   121 MB
-    2^16     13 s  1163 MB   1.2 s   414 MB  20.7 s   434 MB
+    2^12     0.08 s  19 MB   0.008 s  17 MB   0.016 s  17 MB
+    2^13     0.45 s  29 MB   0.027 s  22 MB   0.087 s  22 MB
+    2^14     1.7 s   67 MB   0.10 s   41 MB   0.46 s   42 MB
+    2^15     5.4 s  218 MB   0.33 s  116 MB   3.1 s   121 MB
+    2^16     20 s   816 MB   1.2 s   414 MB  20.7 s   434 MB
 
     n        count_bad  count_bad_b  math.comb(n, n/2)  rho_a_bound(n, 0)
     2^16     0.52 s     0.52 s       0.09 s             0.19 s  18 MB
@@ -61,11 +60,11 @@ Analysis guards.  Each exact output in a fresh process (Python 3.11,
     10^6     over 60 s               11.9 s
 
 The histograms keep a row of big integers, so their memory grows as
-n^2 and gamma_counts_a's prefix sums pass 1 GB at 2^16 (a CLI run);
-the censuses and math.comb keep one binomial (16 MB throughout) and
+n^2 (gamma_counts_a at 2^16 is _histogram_a called past the guard); the
+censuses and math.comb keep one binomial (16 MB throughout) and
 their time grows as n^2.  The histograms therefore raise CapacityError
 past n = HISTOGRAM_MAX_N = 2^15, and count_bad, count_bad_b and every
-math.comb(n, .) (optimal_redundancy and the start of _shares_a) past
+math.comb(n, .) (optimal_redundancy and the start of _histogram_a) past
 n = STEPPED_MAX_N = 2^17, which admits every rho at n = 2^16.  The
 float sides of rho_b and rho_c_fullspace need no guard: 0.05 s and
 25 MB at 2^17.
@@ -77,10 +76,10 @@ import enum
 import math
 import sys
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from .errors import CapacityError, DecodeError
-from .lattice import _binom_class, count_banded_sweep
+from .lattice import _binom_class
 from .words import BitWord, fresh_walk, level_walk, weight
 
 
@@ -279,82 +278,80 @@ def count_bad(n: int, q: int) -> int:
 
 def gamma_counts_a(n: int, q: int) -> Dict[int, int]:
     """{i: number of q-balanced length-n words with |Gamma| = i} over the
-    sizes i with a nonzero count, ascending.
-
-    |Gamma(c)| is 1 plus the range r = max - min of the running sum of c,
-    a lattice bridge from (0, q) to (m+q, m).  A bridge of range r lies in
-    max(0, span + 1 - r) positions of a band of span `span`, so the swept
-    count S(span) = sum_r N_r * max(0, span + 1 - r) has the second
-    difference S(i-1) - 2 S(i-2) + S(i-3) = N_{i-1}, the number of bridges
-    with |Gamma| = i.  That is m + q + 1 sweeps over one binomial row,
-    O(n log n) big-integer additions in all.
-    """
+    sizes i with a nonzero count, ascending: _histogram_a over the
+    integers C(n, j)."""
     _check_params(n, q)
     _guard(n, HISTOGRAM_MAX_N, "exact histogram")
-    m = n // 2
-    sweeps = [0, 0] + [count_banded_sweep((0, q), (m + q, m), span) for span in range(m + q + 1)]
-    out: Dict[int, int] = {}
-    for i in range(1, m + q + 2):
-        total = sweeps[i + 1] - 2 * sweeps[i] + sweeps[i - 1]
-        if total:
-            out[i] = total
-    return out
+    return _histogram_a(n, q, True)
 
 
 def _shares_a(n: int, q: int) -> Dict[int, float]:
-    """gamma_counts_a(n, q) divided by 2^n, as floats, over the sizes with a
-    nonzero share.
+    """gamma_counts_a(n, q) divided by 2^n: _histogram_a over the float
+    shares C(n, j) / 2^n."""
+    return _histogram_a(n, q, False)
 
-    The share row C(n, j)/2^n starts at its correctly rounded centre,
-    math.comb(n, m) / 2^n, and is stepped outwards until it falls below
-    the least normal float, which leaves about sqrt(354 n) shares a side
-    (stepped on through subnormals, a share sticks at 5e-324 until the
-    step ratio falls below 1/2, at m/3).  With F(j) the row's
-    sum below j, the swept count of gamma_counts_a over 2^n is S(s) =
-    sum over k of T_k(s) = P(s) C(n, x_k) - F(y_k) + F(x_k + 1), with
-    P(s) = s-2q+1, x_k = m+q - k(s+2) and y_k = m-q + (1-k)(s+2), exact
-    for s >= 2q-2.  N_s, the share of range s (|Gamma| = s+1), is the sum
-    over k of the second difference of each T_k alone: differencing S
-    itself would cancel almost every digit.  k = 0 gives
-    C(n, m-q+s) - C(n, m-q+s+1) and k = 1 the P term plus
-    C(n, x_1+2) - C(n, x_1+1), at every s.  The other k read F at their
-    far ends, from prefix sums taken to the centre from the left and
-    suffix sums from the right, so a tail window keeps its own digits;
-    each runs only over the spans whose terms reach a nonzero share,
-    O(sqrt(n) log n) terms in all, and at s = 2q and 2q+1 takes T_k
-    itself, a window of one or two shares, as T_k = 0 below s = 2q.
-    Each share is within 2e-16 of N_s / 2^n for n <= 80, and the good
-    term within 8e-15 relative of the exact one for n <= 4096.
+
+def _histogram_a(n: int, q: int, exact: bool) -> Dict[int, Any]:
+    """Scheme A's |Gamma| histogram over the sizes with a nonzero entry,
+    ascending, as exact counts or (exact=False) as float shares of 2^n.
+
+    |Gamma(c)| is 1 plus the range r = max - min of the running sum of c,
+    a lattice bridge from (0, q) to (m+q, m).  A bridge of range r lies in
+    max(0, s + 1 - r) positions of a band of span s, so the count swept
+    over every position, S(s), has the second difference N_s, the number
+    of bridges of range s (|Gamma| = s+1).  The row, C(n, j) or its share
+    C(n, j)/2^n, starts at its centre, math.comb(n, m) or that over 2^n
+    correctly rounded, and is stepped outwards until an entry is 0 or a
+    share falls below the least normal float, which leaves about
+    sqrt(354 n) shares a side (stepped on through subnormals, a share
+    sticks at 5e-324 until the step ratio falls below 1/2, at m/3).  With
+    F(j) the row's sum below j, S(s) = sum over k of T_k(s) = P(s) C(n, x_k)
+    - F(y_k) + F(x_k + 1), with P(s) = s-2q+1, x_k = m+q - k(s+2) and y_k =
+    m-q + (1-k)(s+2), for s >= 2q-2.  N_s is the sum over k of the second
+    difference of each T_k alone: differencing S itself would cancel
+    almost every digit of a share.  k = 0 gives C(n, m-q+s) - C(n, m-q+s+1)
+    and k = 1 the P term plus C(n, x_1+2) - C(n, x_1+1), at every s.  The
+    other k read F at their far ends, from prefix sums taken to the centre
+    from the left and suffix sums from the right, so a tail window keeps
+    its own digits; each runs only over the spans whose terms reach a
+    nonzero entry, and at s = 2q and 2q+1 takes T_k itself, a window of
+    one or two entries, as T_k = 0 below s = 2q.  Over the integers every
+    step is exact, O(n log n) terms in all; each share is within 2e-16 of
+    N_s / 2^n for n <= 80, and the good term within 8e-15 relative of the
+    exact one for n <= 4096, in O(sqrt(n) log n) terms.
     """
     m = n // 2
     _guard(n, STEPPED_MAX_N, "binomial")
+    if exact:
+        c, least, zero = math.comb(n, m), 1, 0
+    else:
+        c, least, zero = math.comb(n, m) / (1 << n), sys.float_info.min, 0.0
     half = []
-    c = math.comb(n, m) / (1 << n)
-    while c >= sys.float_info.min and len(half) <= m:
+    while c >= least:
         d = len(half)
         half.append(c)
-        c = c * (m - d) / (m + d + 1)
-    top = len(half)  # C(n, m + d) / 2^n is taken as 0.0 for |d| >= top
-    # row[w + d] = C(n, m + d) / 2^n; cum[w + d] = F(m + d) for d <= 0 and
-    # F(m + d) - 1 for d > 0, both summed from the far end.  No index read
-    # below lies further than w from the centre.
+        c = c * (m - d) // (m + d + 1) if exact else c * (m - d) / (m + d + 1)
+    top = len(half)  # C(n, m + d) is taken as 0 for |d| >= top
+    # row[w + d] = C(n, m + d); cum[w + d] = F(m + d) for d <= 0 and
+    # F(m + d) - F(n + 1) for d > 0, both summed from the far end.  No
+    # index read below lies further than w from the centre.
     w = 5 * top + 3 * q + 16
-    row = [0.0] * (2 * w + 1)
-    cum = [0.0] * (2 * w + 1)
-    tail = 0.0
+    row = [zero] * (2 * w + 1)
+    cum = [zero] * (2 * w + 1)
+    tail = zero
     for d in range(top - 1, -1, -1):
         row[w + d] = row[w - d] = half[d]
         tail += half[d]
         if d:
             cum[w + d] = -tail
             cum[w - d + 1] = tail
-    out = [0.0] * (m + q + 1)
+    out = [zero] * (m + q + 1)
     base = w + q  # index of C(n, m + q)
     for s in range(2 * q, min(m, top) + q + 1):
         p, x = s - 2 * q + 1, base - s - 2
         out[s] = row[w - q + s] - row[w - q + s + 1] + p * row[x] - (2 * p - 1) * row[x + 1] + (p - 1) * row[x + 2]
     # k = j+1 and k = -j: the F(x_k + 1) and F(y_k) ends move |k| and |k-1|
-    # places per span, so neither reaches a nonzero share once j*s - q - 1 >= top
+    # places per span, so neither reaches a nonzero entry once j*s - q - 1 >= top
     j = 1
     while j * (2 * q + 2) - q - 1 < top:
         for k in (j + 1, -j):

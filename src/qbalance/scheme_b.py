@@ -23,6 +23,7 @@ truncation has weight <= m-q stays Type-1-good after appending zeros
 from __future__ import annotations
 
 import math
+import sys
 from typing import Dict, List, Tuple
 
 from .errors import DecodeError
@@ -164,10 +165,11 @@ def _shares_b(n: int, q: int) -> Dict[int, float]:
     """gamma_counts_b(n, q) divided by 2^(n-1), as floats, in O(n) float
     operations at any n.  Each branch of _branches starts from one lgamma
     value of C(n-1, a-1) / 2^(n-1) and steps it up in a by the exact ratio
-    C(n-1, a) / C(n-1, a-1) = (n-a)/a; its size-i share is
-    C(n-1, a-1) - C(n-1, a) = C(n-1, a-1) * 2(a-m)/a over 2^(n-1).  At
-    q = 0 the two branches are one: it is stepped once and each share
-    doubled, which is exact, so the sum is the two-branch sum bit for bit.
+    C(n-1, a) / C(n-1, a-1) = (n-a)/a, until it falls below the least
+    normal float; its size-i share is C(n-1, a-1) - C(n-1, a) =
+    C(n-1, a-1) * 2(a-m)/a over 2^(n-1), and each share left out is below
+    the least normal float.  At q = 0 the two branches are one: it is
+    stepped once and each share doubled, which is exact.
     """
     m = n // 2
     out: Dict[int, float] = {}
@@ -178,6 +180,8 @@ def _shares_b(n: int, q: int) -> Dict[int, float]:
             continue
         c = math.exp(math.lgamma(n) - math.lgamma(start) - math.lgamma(n - start + 1) - (n - 1) * math.log(2.0))
         for a in range(start, n + 1):
+            if c < sys.float_info.min:
+                break
             out[a - offset] = out.get(a - offset, 0.0) + c * 2 * (a - m) / a
             c = c * (n - a) / a
     if q == 0:
@@ -195,7 +199,7 @@ def rho_b_parts(n: int, q: int) -> Tuple[Parts, Parts]:
     q > 0.  The good term sums the float shares of _shares_b at every n;
     they agree with the exact binomials of gamma_counts_b to within 1e-11
     relative (7.3e-12 at worst over n <= 4096, q in {0, 2, 6}), and take
-    about 25 ms at n = 65536, q = 0, where the big-integer binomials grow
+    about 2.5 ms at n = 65536, q = 0, where the big-integer binomials grow
     with n.
     Exact at q = 0; at q > 0 it is low by the same terms as
     scheme_a.rho_a_parts (4.634 against the exhaustive 5.037 for n = 8,

@@ -1,4 +1,3 @@
-import itertools
 import math
 import os
 import subprocess
@@ -13,8 +12,6 @@ from qbalance.lattice import (
     _binom_class,
     _binom_row,
     count_banded,
-    count_banded_sweep,
-    count_free,
 )
 from qbalance.oracle import count_paths_brute
 from qbalance.scheme_a import count_bad, rho_a_bound
@@ -47,22 +44,6 @@ def banded_dp(start, end, band):
     return col.get(d, 0)
 
 
-class TestCountFree:
-    def test_square(self):
-        assert count_free((0, 0), (2, 2)) == 6
-
-    def test_line(self):
-        assert count_free((0, 0), (9, 0)) == 1
-
-    def test_offset(self):
-        assert count_free((0, 2), (6, 4)) == 28
-        assert count_free((0, 2), (6, 4)) == count_paths_brute((0, 2), (6, 4))
-
-    def test_negative_displacement(self):
-        with pytest.raises(ValueError):
-            count_free((2, 2), (0, 0))
-
-
 class TestCountBanded:
     def test_narrow_band(self):
         # brute force over the 6 free paths: hvhv, hvvh, vhhv, vhvh stay in band
@@ -71,6 +52,7 @@ class TestCountBanded:
 
     def test_wide_band_equals_free(self):
         assert count_banded((0, 0), (2, 2), PathBand(-2, 2)) == 6
+        assert count_paths_brute((0, 2), (6, 4)) == math.comb(8, 2)
 
     def test_half_band_is_catalan(self):
         assert count_banded((0, 0), (2, 2), PathBand(0, 2)) == 2
@@ -127,32 +109,6 @@ class TestBinomRow:
     @pytest.mark.parametrize("n", [1000, 4095])
     def test_large_rows_match_math_comb(self, n):
         assert list(_binom_row(n)) == [math.comb(n, j) for j in range(n + 1)]
-
-
-class TestCountBandedSweep:
-    def test_exhaustive_small_instances(self):
-        # the sweep is the sum of count_banded over every band position
-        for span in range(-1, 7):
-            for y0 in range(-3, 4):
-                for dx in range(0, 7):
-                    for dy in range(0, 7):
-                        start, end = (0, y0), (dx, y0 + dy)
-                        bands = [PathBand(t - span, t) for t in range(-10, 20)] if span >= 0 else []
-                        want = sum(count_banded(start, end, band) for band in bands)
-                        assert count_banded_sweep(start, end, span) == want
-
-    @pytest.mark.parametrize("y0,dx,dy", [(0, 6, 6), (2, 7, 3), (-1, 4, 8)])
-    def test_counts_each_path_once_per_band_position(self, y0, dx, dy):
-        # a path whose offsets Y - X have range r fits max(0, span + 1 - r) positions
-        ranges = []
-        for ups in itertools.combinations(range(dx + dy), dy):
-            offsets = [y0]
-            for step in range(dx + dy):
-                offsets.append(offsets[-1] + (1 if step in ups else -1))
-            ranges.append(max(offsets) - min(offsets))
-        for span in range(0, dx + dy + 2):
-            want = sum(max(0, span + 1 - r) for r in ranges)
-            assert count_banded_sweep((0, y0), (dx, y0 + dy), span) == want
 
 
 class TestBandedDP:
