@@ -44,6 +44,15 @@ def banded_dp(start, end, band):
     return col.get(d, 0)
 
 
+class TestCountFree:
+    """With no band, the path count is the binomial math.comb(dx + dy, dy)."""
+
+    def test_offset(self):
+        # every path from (0, 2) to (6, 4) keeps y - x within [-4, 4]
+        assert count_paths_brute((0, 2), (6, 4)) == math.comb(8, 2) == 28
+        assert count_banded((0, 2), (6, 4), PathBand(-4, 4)) == 28
+
+
 class TestCountBanded:
     def test_narrow_band(self):
         # brute force over the 6 free paths: hvhv, hvvh, vhhv, vhvh stay in band
@@ -52,7 +61,6 @@ class TestCountBanded:
 
     def test_wide_band_equals_free(self):
         assert count_banded((0, 0), (2, 2), PathBand(-2, 2)) == 6
-        assert count_paths_brute((0, 2), (6, 4)) == math.comb(8, 2)
 
     def test_half_band_is_catalan(self):
         assert count_banded((0, 0), (2, 2), PathBand(0, 2)) == 2
