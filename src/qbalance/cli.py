@@ -115,10 +115,10 @@ def _table2_rows() -> List[List[object]]:
     rows = []
     q = TABLE2_Q
     for n in TABLE2_N:
-        bad = scheme_a.count_bad(n, q)  # one census for the prior and Scheme A's bad term
-        prior = (1.0 - bad / 2.0**n) * math.log2(n)
-        a = scheme_a.rho_parts(0, scheme_a.histogram_sum(scheme_a._shares_a(n, q), 0), q, n, bad, 2 * q)
-        parts = (*a, *scheme_b.rho_b_parts(n, q))  # scheme_a, scheme_a_ceil, scheme_b, scheme_b_ceil
+        a, a_ceil = scheme_a.rho_a_parts(n, q)
+        # the prior reads the bad-word share off rho_A's bad term, bad/2^n * (2q + log2 n)
+        prior = (1.0 - a["bad"] / (2 * q + math.log2(n))) * math.log2(n)
+        parts = (a, a_ceil, *scheme_b.rho_b_parts(n, q))  # scheme_a, scheme_a_ceil, scheme_b, scheme_b_ceil
         rows.append(
             [
                 n,
@@ -376,12 +376,20 @@ def run(argv: Optional[List[str]] = None) -> int:
         # argparse exits 2 on usage errors; the contract reserves 2 for
         # verification failures, so remap.
         return 0 if exc.code == 0 else 1
+    # the exact counts run past the 4,300 digits that str(int) takes by
+    # default (Python 3.10.7+); the old limit comes back for in-process callers
+    digits = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
     try:
+        if digits is not None:
+            sys.set_int_max_str_digits(0)
         _reject_unused_flags(args)
         return args.func(args)
     except (ValueError, CodingError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if digits is not None:
+            sys.set_int_max_str_digits(digits)
 
 
 def main() -> None:

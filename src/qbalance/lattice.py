@@ -15,7 +15,8 @@ Counts are exact Python integers; binomial path counts overflow 64 bits
 long before the sizes used here, so nothing is ever done in floating
 point on the counting side.  Besides count_banded the row serves only
 Scheme B's exact |Gamma| histogram; a census steps one residue class
-and keeps none, Scheme A's histogram steps its row out of the centre,
+and keeps none, Scheme A's histogram steps the half of its row at or
+below the centre out of it, one term per mirrored pair of reflections,
 and no rho reads a row, since every rho sums float shares.
 """
 

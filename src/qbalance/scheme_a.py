@@ -32,25 +32,26 @@ holds is_bad and type_bit.
 The analysis counts with exact integers and sums rho over floats.  The
 bad-word census is one residue class of the binomial row C(n, .),
 stepped and not kept (.lattice).  The Gamma-size distribution is one
-termwise reflection sum, _histogram_a, over a row stepped outwards from
-its centre: over the integers C(n, j) it is the exact gamma_counts_a,
-and over the shares C(n, j)/2^n it is _shares_a, which rho reads.  Every
-scheme's rho, here and in scheme_b, scheme_c and trellis, is one
-histogram_sum over its |Gamma| histogram or shares composed by
-rho_parts; the one pass gives both the analytical (log2) and the
-operational (ceil width) figure.
+termwise reflection sum, _histogram_a, with one term per mirrored pair
+of reflections, over the half of a binomial row at or below its centre,
+stepped outwards: over the integers C(n, j) it is the exact
+gamma_counts_a, and over the shares C(n, j)/2^n it is _shares_a, which
+rho reads.  Every scheme's rho, here and in scheme_b, scheme_c and
+trellis, is one histogram_sum over its |Gamma| histogram or shares
+composed by rho_parts; the one pass gives both the analytical (log2)
+and the operational (ceil width) figure.
 
 Analysis guards.  Each exact output in a fresh process (Python 3.11,
 2 shared x86-64 CPUs, one run each, gamma_counts_a the median of 3 runs
-(7 at 2^15) at q = 0; peak RSS from getrusage, about 16 MB before the
-call; the censuses at q = 3):
+(7 at 2^15) at q = 0, re-measured for its pair form; peak RSS from
+getrusage, about 16 MB before the call; the censuses at q = 3):
 
     n        gamma_counts_a  gamma_counts_b  gamma_counts_fullspace
-    2^12     0.08 s  19 MB   0.008 s  17 MB   0.016 s  17 MB
-    2^13     0.45 s  29 MB   0.027 s  22 MB   0.087 s  22 MB
-    2^14     1.7 s   67 MB   0.10 s   41 MB   0.46 s   42 MB
-    2^15     5.4 s  218 MB   0.33 s  116 MB   3.1 s   121 MB
-    2^16     20 s   816 MB   1.2 s   414 MB  20.7 s   434 MB
+    2^12     0.05 s  18 MB   0.008 s  17 MB   0.016 s  17 MB
+    2^13     0.20 s  25 MB   0.027 s  22 MB   0.087 s  22 MB
+    2^14     0.64 s  54 MB   0.10 s   41 MB   0.46 s   42 MB
+    2^15     2.5 s  167 MB   0.33 s  116 MB   3.1 s   121 MB
+    2^16     9.4 s  615 MB   1.2 s   414 MB  20.7 s   434 MB
 
     n        count_bad  count_bad_b  math.comb(n, n/2)  rho_a_bound(n, 0)
     2^16     0.52 s     0.52 s       0.09 s             0.19 s  18 MB
@@ -59,6 +60,8 @@ call; the censuses at q = 3):
     2^19     33 s       35 s         4.0 s
     10^6     over 60 s               11.9 s
 
+Printing costs more than computing: at 2^15 the `analyze gamma --scheme
+a` CSV took 22.8 s and 402 MB in all, against 2.5 s for the histogram.
 The histograms keep a row of big integers, so their memory grows as
 n^2 (gamma_counts_a at 2^16 is _histogram_a called past the guard); the
 censuses and math.comb keep one binomial (16 MB throughout) and
@@ -76,6 +79,7 @@ import enum
 import math
 import sys
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from .errors import CapacityError, DecodeError
@@ -299,26 +303,38 @@ def _histogram_a(n: int, q: int, exact: bool) -> Dict[int, Any]:
     a lattice bridge from (0, q) to (m+q, m).  A bridge of range r lies in
     max(0, s + 1 - r) positions of a band of span s, so the count swept
     over every position, S(s), has the second difference N_s, the number
-    of bridges of range s (|Gamma| = s+1).  The row, C(n, j) or its share
-    C(n, j)/2^n, starts at its centre, math.comb(n, m) or that over 2^n
-    correctly rounded, and is stepped outwards until an entry is 0 or a
-    share falls below the least normal float, which leaves about
-    sqrt(354 n) shares a side (stepped on through subnormals, a share
-    sticks at 5e-324 until the step ratio falls below 1/2, at m/3).  With
-    F(j) the row's sum below j, S(s) = sum over k of T_k(s) = P(s) C(n, x_k)
-    - F(y_k) + F(x_k + 1), with P(s) = s-2q+1, x_k = m+q - k(s+2) and y_k =
-    m-q + (1-k)(s+2), for s >= 2q-2.  N_s is the sum over k of the second
-    difference of each T_k alone: differencing S itself would cancel
-    almost every digit of a share.  k = 0 gives C(n, m-q+s) - C(n, m-q+s+1)
-    and k = 1 the P term plus C(n, x_1+2) - C(n, x_1+1), at every s.  The
-    other k read F at their far ends, from prefix sums taken to the centre
-    from the left and suffix sums from the right, so a tail window keeps
-    its own digits; each runs only over the spans whose terms reach a
-    nonzero entry, and at s = 2q and 2q+1 takes T_k itself, a window of
-    one or two entries, as T_k = 0 below s = 2q.  Over the integers every
-    step is exact, O(n log n) terms in all; each share is within 2e-16 of
-    N_s / 2^n for n <= 80, and the good term within 8e-15 relative of the
-    exact one for n <= 4096, in O(sqrt(n) log n) terms.
+    of bridges of range s (|Gamma| = s+1).  With F(j) the row's sum below
+    j, reflection gives S(s) = sum over all k of T_k(s) = P C(n, x_k) -
+    F(y_k) + F(x_k + 1), with P = s-2q+1, x_k = m+q - k(s+2) and y_k = m-q
+    + (1-k)(s+2), for s >= 2q-2; T_k = 0 at s = 2q-2 and 2q-1.
+
+    The mirror C(n, j) = C(n, n-j), F(j) = 2^n - F(n+1-j) turns T_{1-u}
+    into P C(n, y_u) + F(x_u + 1) - F(y_u), so each pair u >= 1 is one term
+
+        G_u(s) = T_u + T_{1-u} = P [C(n, x_u) + C(n, y_u)] - 2 W_u(s),
+
+    with W_u = F(y_u) - F(x_u + 1) the P entries strictly between x_u and
+    y_u = x_u + P + 1 = m-q - (u-1)(s+2), the window.  Every read lies at
+    or below the centre m, so the row keeps one side only.  N_s is the sum
+    over u of the second difference of each G_u alone, G_u(s) - 2 G_u(s-1)
+    + G_u(s-2): differencing S itself would cancel almost every digit of a
+    share.  For u = 1, y_1 = m-q stays put, so F(y_1) drops out and the
+    second difference is P [C(n, x_1) - 2 C(n, x_1+1) + C(n, x_1+2)] at
+    every s.  For u >= 2, G_u is formed once per span, starting from
+    G_u(2q-2) = G_u(2q-1) = 0, with the window read from prefix sums taken
+    from the far end, so a tail window keeps its own digits; G_u is 0 once
+    y_u falls below the row's last nonzero entry, so each u runs only over
+    the spans that reach one.
+
+    The row, C(n, j) or its share C(n, j)/2^n, starts at its centre,
+    math.comb(n, m) or that over 2^n correctly rounded, and is stepped
+    outwards until an entry is 0 or a share falls below the least normal
+    float, which leaves about sqrt(354 n) shares (stepped on through
+    subnormals, a share sticks at 5e-324 until the step ratio falls below
+    1/2, at m/3).  Over the integers every step is exact, O(n log n) terms
+    in all; in O(sqrt(n) log n) float terms each share is within 4e-16 of
+    N_s / 2^n, and the good term within 5e-15 relative of the exact one
+    (measured at every q for n <= 200, and at q <= 17 up to n = 4096).
     """
     m = n // 2
     _guard(n, STEPPED_MAX_N, "binomial")
@@ -331,45 +347,26 @@ def _histogram_a(n: int, q: int, exact: bool) -> Dict[int, Any]:
         d = len(half)
         half.append(c)
         c = c * (m - d) // (m + d + 1) if exact else c * (m - d) / (m + d + 1)
-    top = len(half)  # C(n, m + d) is taken as 0 for |d| >= top
-    # row[w + d] = C(n, m + d); cum[w + d] = F(m + d) for d <= 0 and
-    # F(m + d) - F(n + 1) for d > 0, both summed from the far end.  No
-    # index read below lies further than w from the centre.
-    w = 5 * top + 3 * q + 16
-    row = [zero] * (2 * w + 1)
-    cum = [zero] * (2 * w + 1)
-    tail = zero
-    for d in range(top - 1, -1, -1):
-        row[w + d] = row[w - d] = half[d]
-        tail += half[d]
-        if d:
-            cum[w + d] = -tail
-            cum[w - d + 1] = tail
+    top = len(half)  # C(n, m - d) is taken as 0 for d >= top
+    # row[w - d] = C(n, m - d) and cum[w - d] = F(m - d), summed from the far
+    # end.  No index read below lies further than w below the centre.
+    w = 3 * top + 2
+    row = [zero] * (w - top + 1) + half[::-1]
+    cum = list(accumulate(row, initial=zero))
     out = [zero] * (m + q + 1)
     base = w + q  # index of C(n, m + q)
     for s in range(2 * q, min(m, top) + q + 1):
-        p, x = s - 2 * q + 1, base - s - 2
-        out[s] = row[w - q + s] - row[w - q + s + 1] + p * row[x] - (2 * p - 1) * row[x + 1] + (p - 1) * row[x + 2]
-    # k = j+1 and k = -j: the F(x_k + 1) and F(y_k) ends move |k| and |k-1|
-    # places per span, so neither reaches a nonzero entry once j*s - q - 1 >= top
-    j = 1
-    while j * (2 * q + 2) - q - 1 < top:
-        for k in (j + 1, -j):
-            x = base - k * (2 * q + 2)
-            t = row[x] - row[x + 1]
-            out[2 * q] += t
-            if q < m:
-                x -= k
-                out[2 * q + 1] += 2 * row[x] - row[x + 1] - row[x + 2] - 2 * t
-            for s in range(2 * q + 2, min(m + q, (top + q) // j) + 1):
-                p, x0, y0 = s - 2 * q + 1, base - k * (s + 2), w - q + (1 - k) * (s + 2)
-                x1, x2, y1, y2 = x0 + k, x0 + 2 * k, y0 + k - 1, y0 + 2 * k - 2
-                out[s] += (
-                    p * row[x0] - 2 * (p - 1) * row[x1] + (p - 2) * row[x2]
-                    - cum[y0] + 2 * cum[y1] - cum[y2]
-                    + cum[x0 + 1] - 2 * cum[x1 + 1] + cum[x2 + 1]
-                )
-        j += 1
+        x = base - s - 2
+        out[s] = (s - 2 * q + 1) * (row[x] - 2 * row[x + 1] + row[x + 2])
+    # u >= 2: G_u(s) is 0 once y_u falls below the row, at (u-1)(s+2) > top-1-q
+    for u in range(2, (top - 1 - q) // (2 * q + 2) + 2):
+        g1 = g2 = zero  # G_u(s - 1), G_u(s - 2)
+        for s in range(2 * q, min(m + q, (top - 1 - q) // (u - 1)) + 1):
+            p, x = s - 2 * q + 1, base - u * (s + 2)
+            y = x + p + 1
+            g = p * (row[x] + row[y]) - 2 * (cum[y] - cum[x + 1])
+            out[s] += g - 2 * g1 + g2
+            g1, g2 = g, g1
     return {s + 1: v for s, v in enumerate(out) if v}
 
 

@@ -1,6 +1,8 @@
+import contextlib
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -32,6 +34,32 @@ def run_json(capsys, *argv):
     status, out, err = run_cli(capsys, *argv)
     assert status == 0, err
     return json.loads(out)
+
+
+@contextlib.contextmanager
+def long_int_strings():
+    """Lift Python's limit of 4,300 digits on int/str conversion (3.10.7
+    on) for this block, to parse the exact counts the CLI prints."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def run_long(capsys, parse, *argv):
+    """parse(out) of an in-process run whose output may hold integers past
+    the limit: cli.run must print them and leave the limit as it found it."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    status, out, err = run_cli(capsys, *argv)
+    assert status == 0, err
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+    with long_int_strings():
+        return parse(out)
 
 
 def run_csv(capsys, *argv):
@@ -176,15 +204,30 @@ class TestAnalyze:
             ("1", "28"), ("2", "28"), ("3", "12"), ("4", "2"),
         ]
 
+    def test_gamma_counts_past_4300_digits(self, tmp_path):
+        """Scheme C's largest counts have more than 4,300 digits from n = 14294.
+        Run as a command: its 30 MB CSV in this process would raise the peak
+        RSS that the bounded-memory probes of other tests inherit."""
+        n = 14336
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qbalance.__file__)))
+        path = tmp_path / "gamma.csv"
+        with open(path, "w") as fh:
+            argv = ["analyze", "gamma", "--scheme", "c", "-n", str(n)]
+            subprocess.run([sys.executable, "-m", "qbalance.cli", *argv], env=env, stdout=fh, check=True)
+        with open(path) as fh, long_int_strings():
+            total = sum(int(row["count"]) for row in csv.DictReader(fh))
+        assert total == math.comb(n, n // 2)
+
     def test_badwords(self, capsys):
         obj = run_json(capsys, "analyze", "badwords", "-n", "8", "-q", "2")
         assert obj["scheme_a_bad"] == 32
         assert obj["scheme_b_bad"] == 2
 
-    @pytest.mark.parametrize("n", [1024, 4096])
+    @pytest.mark.parametrize("n", [1024, 4096, 18024])
     def test_badwords_past_float_range(self, capsys, n):
-        """2^n overflows a float from n = 1024; the fractions are exact quotients."""
-        obj = run_json(capsys, "analyze", "badwords", "-n", str(n), "-q", "3")
+        """2^n overflows a float from n = 1024; the fractions are exact quotients.
+        From n = 18024 a census has more than 4,300 digits."""
+        obj = run_long(capsys, json.loads, "analyze", "badwords", "-n", str(n), "-q", "3")
         assert obj["scheme_a_bad"] == scheme_a.count_bad(n, 3)
         assert obj["scheme_b_bad"] == scheme_b.count_bad_b(n, 3)
         assert obj["scheme_a_fraction"] == obj["scheme_a_bad"] / (1 << n)

@@ -354,7 +354,7 @@ class TestGammaCounts:
         assert counts[2] == 2  # 0101, 1010
         assert counts[3] == 4
 
-    @pytest.mark.parametrize("n,q", [(4, 0), (8, 0), (8, 2), (10, 1), (12, 3)])
+    @pytest.mark.parametrize("n,q", [(4, 0), (8, 0), (8, 2), (10, 1), (12, 3), (1000, 6), (4096, 0), (4096, 17)])
     def test_total_is_binomial(self, n, q):
         counts = gamma_counts_a(n, q)
         assert sum(counts.values()) == math.comb(n, n // 2 + q)
@@ -475,6 +475,13 @@ class TestFloatShares:
     def test_good_term_large_n(self, n, q):
         exact = histogram_sum(gamma_counts_a(n, q), n)
         assert histogram_sum(_shares_a(n, q), 0) == pytest.approx(exact, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("n", [65536, 131072])
+    @pytest.mark.parametrize("q", [0, 6])
+    def test_total_past_the_exact_range(self, n, q):
+        # a dropped span or reflection pair would show in the total long before 1e-11
+        want = math.comb(n, n // 2 + q) / 2**n
+        assert sum(_shares_a(n, q).values()) == pytest.approx(want, rel=1e-11, abs=0)
 
 
 class TestAsymptote:
