@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import io
+import functools
 import json
 import math
 import random
@@ -45,11 +45,9 @@ def _emit_json(obj) -> None:
 
 
 def _emit_csv(header: List[str], rows: Iterable[Iterable[object]]) -> None:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
+    writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
-    sys.stdout.write(out.getvalue())
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +275,9 @@ def _cmd_stream_decode(args) -> int:
 # Parser
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser: built on the first `run`, reused by later in-process calls."""
     parser = argparse.ArgumentParser(prog="qbalance", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -37,40 +37,44 @@ Within a row:
   of the mask, neighbouring blocks of 2^b lanes swap places, selected by
   the precomputed mask M_b of the lanes whose syndrome has bit b clear;
 - merging paths is int addition;
-- the states of a row are its nonzero lanes, counted by OR-folding
-  each lane onto its lowest bit and taking `bit_count`.
+- the states of a row are its nonzero lanes: adding the lanes' low W-1
+  bits to all ones there carries into a lane's top bit exactly when the
+  lane is nonzero, and `bit_count` reads the top bits.
 
 No lane can overflow: a state at level L is reached by at most 4^L label
 paths, and 4^L <= 4^(m-1) = 2^(n-1) < 2^W for every level L <= m-1 (the
 final level reads single lanes and adds them as plain ints).  A level
 holds at most m groups of at most m+1 rows, and each row takes O(r)
-whole-vector operations for its two permutations and O(log n) for its
-state count, so a pass makes O((r + log n) n^3) big-int operations on
-2^r * W-bit ints, done inside the int arithmetic instead of one state at
-a time.  At r = 0 a row is one plain int and the list steps are the
-cost.
+whole-vector operations for its two permutations, so a pass makes
+O(r n^3) big-int operations on 2^r * W-bit ints, done inside the int
+arithmetic instead of one state at a time.  At r = 0 a row is one plain
+int and the list steps are the cost.  The pass counts no states:
+`TrellisReport.level_states`, which `states` and `state_count` read,
+counts them on first read, in a second pass over the levels with O(1)
+more whole-vector operations per row.
 
 Memory is dense in the syndrome: a row takes 2^r * (n+1) bits whether
 or not its lanes are reached, and two levels of rows are alive at once.
-One `build_and_count` call in a fresh process (Python 3.11, 2 shared
-x86-64 CPUs, one run each; peak RSS from getrusage, about 16 MB before
-the pass; [15,3], [21,5], [21,3] and [27,9] have the generators
-(X^n + 1)/f for f = X^3 + 1, X^5 + X + 1, X^3 + X + 1 and X^9 + 1):
+One `build_and_count` call in a fresh process, then the first read of
+its `states` (Python 3.11, 2 shared x86-64 CPUs, one run each; peak RSS
+from VmHWM, about 16 MB before the pass, and the same after the read;
+[15,3], [21,5], [21,3] and [27,9] have the generators (X^n + 1)/f for
+f = X^3 + 1, X^5 + X + 1, X^3 + X + 1 and X^9 + 1):
 
-    code                    r    time      peak RSS      states
-    [127,127] full space    0   0.017 s     16 MB        46,849
-    [63,57] Hamming         6   0.04 s      16 MB       380,751
-    [127,120] Hamming       7   1.2 s       22 MB     5,905,207
-    [63,51] BCH            12   2.4 s       42 MB    22,433,703
-    [13,1] repetition      12   0.002 s     16 MB         3,761
-    [15,3]                 12   0.006 s     16 MB        13,227
-    [15,1] repetition      14   0.017 s     18 MB        14,281
-    [17,1] repetition      16   0.08 s      29 MB        54,495
-    [21,5]                 16   0.32 s      42 MB       582,444
-    [19,1] repetition      18   0.39 s      83 MB       208,783
-    [21,3]                 18   1.0 s      116 MB       756,316
-    [27,9]                 18   3.9 s      209 MB    14,067,663
-    [21,1] repetition      20   2.0 s      339 MB       802,595
+    code                    r    build     peak RSS      states   states read
+    [127,127] full space    0   0.011 s     16 MB        46,849     0.023 s
+    [63,57] Hamming         6   0.05 s      16 MB       380,751     0.06 s
+    [127,120] Hamming       7   0.85 s      22 MB     5,905,207     1.0 s
+    [63,51] BCH            12   1.9 s       42 MB    22,433,703     2.7 s
+    [13,1] repetition      12   0.002 s     16 MB         3,761     0.003 s
+    [15,3]                 12   0.003 s     16 MB        13,227     0.005 s
+    [15,1] repetition      14   0.010 s     18 MB        14,281     0.014 s
+    [17,1] repetition      16   0.04 s      29 MB        54,495     0.07 s
+    [21,5]                 16   0.26 s      41 MB       582,444     0.35 s
+    [19,1] repetition      18   0.25 s      84 MB       208,783     0.49 s
+    [21,3]                 18   0.67 s     119 MB       756,316     1.0 s
+    [27,9]                 18   1.9 s      220 MB    14,067,663     2.8 s
+    [21,1] repetition      20   1.6 s      351 MB       802,595     2.7 s
 
 Time and memory grow about 4x per two syndrome bits and again with n, so
 r = 20 already needs over 300 MB at the shortest length it admits (the
@@ -81,8 +85,9 @@ coset-leader table); beyond that use exhaustive enumeration.
 
 from __future__ import annotations
 
+from functools import cached_property
 from operator import add
-from typing import Dict, List, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 from .cyclic_code import SYNDROME_GUARD, CyclicCode
 from .errors import CapacityError
@@ -127,14 +132,9 @@ class _Lanes:
             (width << b, _repeat((1 << (width << b)) - 1, width << (b + 1), lanes >> (b + 1)))
             for b in range(r)
         ]
-        # OR-fold steps that spread exactly one lane's W bits onto its lowest bit
-        self.fold: List[int] = []
-        span = 1
-        while span < width:
-            step = min(span, width - span)
-            self.fold.append(step)
-            span += step
-        self.single = r == 0
+        # low = the W-1 low bits of every lane, high = the top bit of every lane
+        self.low = self.ones * ((1 << (width - 1)) - 1)
+        self.high = self.ones << (width - 1)
 
     def permutation(self, mask: int) -> List[Tuple[int, int]]:
         """The swaps that move lane s to lane s ^ mask."""
@@ -147,12 +147,9 @@ class _Lanes:
         return x
 
     def nonzero(self, x: int) -> int:
-        """Number of nonzero lanes of x."""
-        if self.single:
-            return 1 if x else 0
-        for step in self.fold:
-            x |= x >> step
-        return (x & self.ones).bit_count()
+        """Number of nonzero lanes of x: adding `low` to a lane's low bits
+        carries into its top bit exactly when they are not all zero."""
+        return ((((x & self.low) + self.low) | x) & self.high).bit_count()
 
     def lane(self, x: int, s: int) -> int:
         return (x >> (s * self.width)) & self.lane_mask
@@ -162,16 +159,17 @@ class TrellisReport:
     """One forward pass: `final` maps (final weight, shift-set size) to the
     exact path count.
 
-    Also carries the derived gamma histogram, |C*|, rho and the number of
-    materialized states per level (root first, final level last).  A plain
-    class: a dataclass would add more to the import than the rest of this
-    module.
+    Also derives the gamma histogram, |C*| and rho from `final`, and the
+    number of materialized states per level (root first, final level last)
+    from a second pass over the levels, run on first read of
+    `level_states`, `states` or `state_count`.  A plain class: a dataclass
+    would add more to the import than the rest of this module.
     """
 
-    def __init__(self, final: Dict[FinalState, int], k: int, level_states: Tuple[int, ...]) -> None:
+    def __init__(self, code: CyclicCode, final: Dict[FinalState, int]) -> None:
+        self.code = code
         self.final = final
-        self.k = k
-        self.level_states = level_states
+        self.k = code.k
 
     @property
     def gamma(self) -> Dict[int, int]:
@@ -191,27 +189,30 @@ class TrellisReport:
         """Average redundancy 1 + 2^-k * sum_j j*gamma[j]*log2(j)."""
         return sum(rho_parts(1, histogram_sum(self.gamma, self.k))[0].values())
 
+    @cached_property
+    def level_states(self) -> Tuple[int, ...]:
+        """Nonzero lanes per level: the root's 1 first, len(final) last."""
+        counts = (sum(sum(map(vec.nonzero, rows)) for _, rows in groups.values()) for vec, groups in _levels(self.code))
+        return (*counts, len(self.final))
+
     @property
     def states(self) -> int:
         """Number of materialized (reachable, weight-feasible) states."""
         return sum(self.level_states)
 
 
-def build_and_count(code: CyclicCode) -> TrellisReport:
-    """One pass: the report's `final` maps (final weight, shift-set size)
-    to the exact path count.
+def _levels(code: CyclicCode) -> Iterator[Tuple[_Lanes, Dict[int, Tuple[int, List[int]]]]]:
+    """(vec, groups) at the root and after each pair level 1..m-1.
 
-    The report also carries gamma, |C*|, rho and the per-level state
-    counts, so one pass answers every question about the code.
+    `groups` maps an index (0 = not yet fixed) to (base, rows), rows[t]
+    the lane vector of weight base + t.
     """
     m = _check(code)
     h = code.parity_cols
     vec = _Lanes(code.r, code.n + 1)
     permute = vec.permute
-    # index -> (base, rows): rows[t] is the lane vector of weight base + t;
-    # index 0 = not yet fixed
     groups: Dict[int, Tuple[int, List[int]]] = {0: (0, [1])}
-    level_states = [1]
+    yield vec, groups
     for level in range(1, m):
         # (c_i, c_{i+m}) -> (weight gain, syndrome mask), first half flipped:
         # (0, h_lo), (1, h_lo ^ h_hi), (1, 0), (2, h_hi).  The lo and 0
@@ -236,9 +237,20 @@ def build_and_count(code: CyclicCode) -> TrellisReport:
         nxt[level] = (level, [rows[level - base]])
         rows[level - base] = 0
         groups = nxt
-        level_states.append(sum(sum(map(vec.nonzero, rows)) for _, rows in groups.values()))
+        yield vec, groups
 
-    h_m = h[m - 1]
+
+def build_and_count(code: CyclicCode) -> TrellisReport:
+    """One pass: the report's `final` maps (final weight, shift-set size)
+    to the exact path count.
+
+    The report also carries gamma, |C*| and rho; its per-level state
+    counts take a second pass, on first read.
+    """
+    for vec, groups in _levels(code):
+        pass  # only the last level's rows reach the final level
+    m = (code.n + 1) // 2
+    h_m = code.parity_cols[m - 1]
     final: Dict[FinalState, int] = {}
     for idx, (base, rows) in groups.items():
         for wt, x in enumerate(rows, base):
@@ -247,8 +259,7 @@ def build_and_count(code: CyclicCode) -> TrellisReport:
                 if cnt and nwt in (m - 1, m):
                     key = (nwt, idx if idx else m)
                     final[key] = final.get(key, 0) + cnt
-    level_states.append(len(final))
-    return TrellisReport(final=final, k=code.k, level_states=tuple(level_states))
+    return TrellisReport(code, final)
 
 
 def state_count(code: CyclicCode) -> int:

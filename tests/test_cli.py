@@ -293,6 +293,15 @@ class TestTrellisCommand:
         assert len(calls) == 1
 
 
+def test_in_process_runs_share_one_parser(capsys, code_file):
+    """The first `run` builds the parser; later ones reuse it, after a usage error too."""
+    cli._build_parser.cache_clear()
+    assert run_json(capsys, "trellis", "--code", code_file, "--size") == {"n": 7, "k": 3, "codebook_size": 4}
+    assert run_cli(capsys, "trellis", "--no-such-flag")[0] == 1
+    assert run_json(capsys, "trellis", "--code", code_file, "--rho") == {"n": 7, "k": 3, "rho": pytest.approx(2.25)}
+    assert cli._build_parser.cache_info().misses == 1
+
+
 class TestOracleCommand:
     def test_verify_ok(self, capsys):
         status, out, _ = run_cli(capsys, "oracle", "verify", "--scheme", "a", "-n", "8", "-q", "2")

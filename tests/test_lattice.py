@@ -20,6 +20,26 @@ from qbalance.scheme_c import rho_c_fullspace
 
 from lattice_trig import count_banded_trig
 
+# The child's peak RSS in KiB.  VmHWM starts afresh at execve; ru_maxrss,
+# the fallback where /proc is missing, keeps the high-water mark of the
+# process that started the child, so there it can read pytest's own peak.
+PEAK_RSS_KIB = (
+    "import resource\n"
+    "try:\n"
+    "    peak = next(int(line.split()[1]) for line in open('/proc/self/status') if line.startswith('VmHWM:'))\n"
+    "except (OSError, StopIteration):\n"
+    "    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+    "print(peak)\n"
+)
+
+
+def child_peak_kib(call):
+    """Peak RSS in KiB of a fresh interpreter that runs `call` after importing qbalance."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qbalance.__file__)))
+    probe = f"from qbalance import scheme_a, scheme_b, scheme_c\n{call}\n{PEAK_RSS_KIB}"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    return int(out.stdout)
+
 
 def banded_dp(start, end, band):
     """Banded path count, one column x at a time: O(steps * band height).
@@ -194,13 +214,7 @@ class TestCensusIsOneResidueClass:
 
     def test_rho_b_at_65536_in_bounded_memory(self):
         """A 2^16 binomial row holds about 200 MB; the census keeps none."""
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qbalance.__file__)))
-        probe = (
-            "import resource; from qbalance.scheme_b import rho_b; rho_b(65536, 3); "
-            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)"
-        )
-        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-        assert int(out.stdout) < 60 * 1024  # ru_maxrss is in KiB
+        assert child_peak_kib("scheme_b.rho_b(65536, 3)") < 60 * 1024
 
 
 class TestRhoReadsNoRow:
@@ -216,10 +230,4 @@ class TestRhoReadsNoRow:
     @pytest.mark.parametrize("call", ["scheme_a.rho_a_bound(65536, 0)", "scheme_c.rho_c_fullspace(65536)"])
     def test_rho_at_65536_in_bounded_memory(self, call):
         """The exact paths took 1,163 MB (A) and 434 MB (C) here."""
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qbalance.__file__)))
-        probe = (
-            f"import resource; from qbalance import scheme_a, scheme_c; {call}; "
-            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)"
-        )
-        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-        assert int(out.stdout) < 64 * 1024  # ru_maxrss is in KiB
+        assert child_peak_kib(call) < 64 * 1024

@@ -152,6 +152,28 @@ class TestPinnedCodes:
         assert report.codebook_size == sum(report.gamma.values()) == sum(report.final.values())
 
 
+class TestStatesOnDemand:
+    """The pass counts no states; `level_states` takes its own pass on first read."""
+
+    @pytest.mark.parametrize("spec", [(15, 1), GOLAY23], ids=["full15", "golay23"])
+    def test_pass_counts_no_states(self, monkeypatch, spec):
+        code = from_generator(*spec)
+        want = _dict_pass(code)
+
+        def refuse(self, x):
+            raise AssertionError("the pass counted states")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(_Lanes, "nonzero", refuse)
+            report = build_and_count(code)
+            assert report.final == want[0]
+            assert report.gamma == enumeration_gamma(code)
+            assert report.codebook_size == sum(want[0].values())
+            rho = report.rho
+        assert rho == build_and_count(code).rho
+        assert report.level_states == want[1]
+
+
 class TestLanes:
     """Lane-vector arithmetic against plain per-syndrome lists."""
 
