@@ -1,12 +1,14 @@
 import os
 import random
 import re
+from itertools import islice
 
 import pytest
 
 from qbalance.cyclic_code import (
     BLOCK_MAX_N,
     ENUMERATION_MAX_K,
+    codeword_values,
     codewords,
     contains,
     encode_systematic,
@@ -18,8 +20,10 @@ from qbalance.cyclic_code import (
     poly_divmod,
     poly_from_coeffs,
     syndrome,
+    xor_bytes,
 )
 from qbalance.errors import CapacityError
+from qbalance.scheme_c import build_balanced_code
 from qbalance.words import BitWord, cyclic_shift, weight
 
 CODES_DIR = os.path.join(os.path.dirname(__file__), "..", "perfbench", "codes")
@@ -219,9 +223,12 @@ class TestMembershipAndDistance:
             assert syndrome(hamming, both) == syndrome(hamming, a) ^ syndrome(hamming, b)
 
     def test_enumeration_guard(self):
-        big = full_space(ENUMERATION_MAX_K + 3)
-        with pytest.raises(CapacityError):
-            min_distance(big)
+        """Every enumeration stops at the guard before it builds a byte table."""
+        for enumerate_ in (lambda code: next(codewords(code)), build_balanced_code, min_distance):
+            big = full_space(ENUMERATION_MAX_K + 1)
+            with pytest.raises(CapacityError):
+                enumerate_(big)
+            assert "encode_rows" not in big.__dict__
 
 
 class TestCodeFile:
@@ -289,6 +296,19 @@ class TestByteTables:
         code = request.getfixturevalue(fixture)
         check_tables(code, range(1 << code.n), range(1 << code.k))
         assert [cw.value for cw in codewords(code)] == [_encode_reference(code, v) for v in range(1 << code.k)]
+
+    @pytest.mark.parametrize(
+        "fixture, count",
+        [*((f"full{k}", None) for k in (*range(1, 10), 16, 17)), ("simplex", None), ("golay23", None), ("bch31", 1 << 16)],
+    )
+    def test_codeword_values_in_numeral_order(self, fixture, count, request):
+        """The walk one byte row at a time against one table read per message:
+        no head row (k <= 7), no fill bit in the last byte (k = 8, 16), seven
+        fill bits (k = 9, 17), and the first 2^16 codewords of BCH[31,21]."""
+        code = full_space(int(fixture[4:])) if fixture.startswith("full") else request.getfixturevalue(fixture)
+        count = count or 1 << code.k
+        want = [xor_bytes(code.encode_rows, v, code.k) for v in range(count)]
+        assert list(islice(codeword_values(code), count)) == want
 
     @pytest.mark.parametrize("n", range(1, 16))
     def test_every_word_of_full_spaces(self, n):
