@@ -13,11 +13,9 @@ and 8.6 s.
 
 Counts are exact Python integers; binomial path counts overflow 64 bits
 long before the sizes used here, so nothing is ever done in floating
-point on the counting side.  Besides count_banded the row serves only
-Scheme B's exact |Gamma| histogram; a census steps one residue class
-and keeps none, Scheme A's histogram steps the half of its row at or
-below the centre out of it, one term per mirrored pair of reflections,
-and no rho reads a row, since every rho sums float shares.
+point on the counting side.  count_banded is the row's one reader: no
+scheme imports this module, since the censuses, the |Gamma| histograms
+and their float shares each step their own binomials.
 """
 
 from __future__ import annotations
@@ -44,9 +42,7 @@ class PathBand:
             raise ValueError(f"band requires s <= t, got s={self.s}, t={self.t}")
 
 
-# One row is kept: its readers are count_banded and gamma_counts_b, and a
-# row of length 2^16 holds about 200 MB (gamma_counts_b is guarded to
-# n <= scheme_a.HISTOGRAM_MAX_N = 2^15).
+# One row is kept, for count_banded; a row of length 2^16 holds about 200 MB.
 @lru_cache(maxsize=1)
 def _binom_row(n: int) -> Tuple[int, ...]:
     """C(n, 0), ..., C(n, n), by the multiplicative recurrence."""
@@ -62,19 +58,6 @@ def _binom(n: int, k: int) -> int:
     if k < 0 or k > n:
         return 0
     return _binom_row(n)[k]
-
-
-def _binom_class(n: int, r: int, d: int) -> int:
-    """Sum of C(n, j) over the j = r (mod d): the first half of the row is
-    stepped by the recurrence and read with its mirror, and none is kept."""
-    c, total, r = 1, 0, r % d
-    for j in range(n // 2 + 1):
-        if j % d == r:
-            total += c
-        if (n - j) % d == r and 2 * j != n:
-            total += c
-        c = c * (n - j) // (j + 1)
-    return total
 
 
 def count_banded(start: LatticePoint, end: LatticePoint, band: PathBand) -> BigCount:

@@ -31,7 +31,7 @@ holds is_bad and type_bit.
 
 The analysis counts with exact integers and sums rho over floats.  The
 bad-word census is one residue class of the binomial row C(n, .),
-stepped and not kept (.lattice).  The Gamma-size distribution is one
+stepped and not kept (_binom_class).  The Gamma-size distribution is one
 termwise reflection sum, _histogram_a, with one term per mirrored pair
 of reflections, over the half of a binomial row at or below its centre,
 stepped outwards: over the integers C(n, j) it is the exact
@@ -42,16 +42,16 @@ composed by rho_parts; the one pass gives both the analytical (log2)
 and the operational (ceil width) figure.
 
 Analysis guards.  Each exact output in a fresh process (Python 3.11,
-2 shared x86-64 CPUs, one run each, gamma_counts_a the median of 3 runs
-(7 at 2^15) at q = 0, re-measured for its pair form; peak RSS from
-getrusage, about 16 MB before the call; the censuses at q = 3):
+2 shared x86-64 CPUs, one run each; gamma_counts_a and gamma_counts_b
+the median of 3 runs at q = 0 (A 7 at 2^15), of A's pair form and B's
+stepped form; peak RSS, about 16 MB before the call; censuses at q = 3):
 
     n        gamma_counts_a  gamma_counts_b  gamma_counts_fullspace
-    2^12     0.05 s  18 MB   0.008 s  17 MB   0.016 s  17 MB
-    2^13     0.20 s  25 MB   0.027 s  22 MB   0.087 s  22 MB
-    2^14     0.64 s  54 MB   0.10 s   41 MB   0.46 s   42 MB
-    2^15     2.5 s  167 MB   0.33 s  116 MB   3.1 s   121 MB
-    2^16     9.4 s  615 MB   1.2 s   414 MB  20.7 s   434 MB
+    2^12     0.05 s  18 MB   0.005 s  16 MB   0.016 s  17 MB
+    2^13     0.20 s  25 MB   0.018 s  18 MB   0.087 s  22 MB
+    2^14     0.64 s  54 MB   0.062 s  28 MB   0.46 s   42 MB
+    2^15     2.5 s  167 MB   0.23 s   66 MB   3.1 s   121 MB
+    2^16     9.4 s  615 MB   0.92 s  215 MB  20.7 s   434 MB
 
     n        count_bad  count_bad_b  math.comb(n, n/2)  rho_a_bound(n, 0)
     2^16     0.52 s     0.52 s       0.09 s             0.19 s  18 MB
@@ -63,7 +63,7 @@ getrusage, about 16 MB before the call; the censuses at q = 3):
 Printing costs more than computing: at 2^15 the `analyze gamma --scheme
 a` CSV took 22.8 s and 402 MB in all, against 2.5 s for the histogram.
 The histograms keep a row of big integers, so their memory grows as
-n^2 (gamma_counts_a at 2^16 is _histogram_a called past the guard); the
+n^2 (at 2^16 _histogram_a and _histogram_b are called past the guard); the
 censuses and math.comb keep one binomial (16 MB throughout) and
 their time grows as n^2.  The histograms therefore raise CapacityError
 past n = HISTOGRAM_MAX_N = 2^15, and count_bad, count_bad_b and every
@@ -83,7 +83,6 @@ from itertools import accumulate
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from .errors import CapacityError, DecodeError
-from .lattice import _binom_class
 from .words import BitWord, fresh_walk, level_walk, weight
 
 
@@ -266,6 +265,19 @@ def _guard(n: int, limit: int, what: str) -> None:
         raise CapacityError(f"n={n} exceeds the {what} guard {limit}")
 
 
+def _binom_class(n: int, r: int, d: int) -> int:
+    """Sum of C(n, j) over the j = r (mod d): the first half of the row is
+    stepped by the recurrence and read with its mirror, and none is kept."""
+    c, total, r = 1, 0, r % d
+    for j in range(n // 2 + 1):
+        if j % d == r:
+            total += c
+        if (n - j) % d == r and 2 * j != n:
+            total += c
+        c = c * (n - j) // (j + 1)
+    return total
+
+
 def count_bad(n: int, q: int) -> int:
     """Exact number of length-n words with no index for x or its complement.
 
@@ -380,7 +392,7 @@ def histogram_sum(gamma: Mapping[int, float], k: int) -> Tuple[float, float]:
     costs w(i) bits, with w(i) = log2 i (analytical), or the ceil width
     rank_width(i) sent on the wire (operational).  The exact histograms
     pass their counts with k the message bits; the float shares of every
-    rho (_shares_a, scheme_b._shares_b, scheme_c.rho_c_parts) pass
+    rho (_histogram_a, scheme_b._histogram_b, scheme_c._histogram_c) pass
     gamma[i] / 2^k itself, with k = 0.
     """
     analytical = operational = 0.0

@@ -8,10 +8,9 @@ can be minimal indices at weight m+q-1, only fresh nonpositive ones at
 weight m+q.  That sign split is what makes the size distribution a plain
 difference of binomials, which in turn makes the average redundancy
 asymptotically 0.5*log2(n) + 0.526 (q = 0) analyzable.  The exact
-differences (gamma_counts_b) read the binomial row C(n-1, .) that
-.lattice builds by recurrence, and the bad-word census one residue class
-of it, not kept; rho_b's good term steps float shares of that row
-instead (_shares_b).
+differences (gamma_counts_b) and the float shares rho_b sums (_shares_b)
+are one stepped sum, _histogram_b, and the bad-word census steps one
+residue class of C(n-1, .); none keeps a binomial row.
 
 Bad words (possible only for q >= 2) are handled by Scheme A's prefix
 codec with a replacement run of 2q-2 bits: a length-(n-1) word whose
@@ -24,10 +23,9 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import Dict, List, Tuple
+from typing import Any, Dict, List, Tuple
 
 from .errors import DecodeError
-from .lattice import _binom, _binom_class
 from .scheme_a import (
     HISTOGRAM_MAX_N,
     STEPPED_MAX_N,
@@ -35,6 +33,7 @@ from .scheme_a import (
     EncodeResult,
     Parts,
     _balance,
+    _binom_class,
     _check_params,
     _classify,
     _guard,
@@ -135,14 +134,11 @@ def _branches(n: int, q: int) -> Tuple[Tuple[int, int], Tuple[int, int]]:
 
 def gamma_counts_b(n: int, q: int) -> Dict[int, int]:
     """{i: number of stripped codewords with |Gamma| = i} over both target
-    weights, for the sizes i <= m+q with a nonzero count, ascending."""
+    weights, for the sizes i <= m+q with a nonzero count, ascending:
+    _histogram_b over the integers C(n-1, a)."""
     _check_params(n, q)
     _guard(n, HISTOGRAM_MAX_N, "exact histogram")
-    out: Dict[int, int] = {}
-    for offset, first in _branches(n, q):
-        for a in range(first + offset, n + 1):
-            out[a - offset] = out.get(a - offset, 0) + _binom(n - 1, a - 1) - _binom(n - 1, a)
-    return out
+    return _histogram_b(n, q, True)
 
 
 def count_bad_b(n: int, q: int) -> int:
@@ -162,31 +158,41 @@ def count_bad_b(n: int, q: int) -> int:
 
 
 def _shares_b(n: int, q: int) -> Dict[int, float]:
-    """gamma_counts_b(n, q) divided by 2^(n-1), as floats, in O(n) float
-    operations at any n.  Each branch of _branches starts from one lgamma
-    value of C(n-1, a-1) / 2^(n-1) and steps it up in a by the exact ratio
-    C(n-1, a) / C(n-1, a-1) = (n-a)/a, until it falls below the least
-    normal float; its size-i share is C(n-1, a-1) - C(n-1, a) =
-    C(n-1, a-1) * 2(a-m)/a over 2^(n-1), and each share left out is below
-    the least normal float.  At q = 0 the two branches are one: it is
-    stepped once and each share doubled, which is exact.
+    """gamma_counts_b(n, q) divided by 2^(n-1): _histogram_b over the float
+    shares C(n-1, a) / 2^(n-1)."""
+    return _histogram_b(n, q, False)
+
+
+def _histogram_b(n: int, q: int, exact: bool) -> Dict[int, Any]:
+    """Scheme B's |Gamma| histogram over the sizes with a nonzero entry,
+    ascending, as exact counts or (exact=False) as float shares of 2^(n-1).
+
+    Each branch of _branches starts at C(n-1, a-1) for its first a, by
+    math.comb or as one lgamma value over 2^(n-1) (a correctly rounded
+    start moves rho_b(65536, 0) by 4.3e-12), and steps it up in a by the
+    ratio (n-a)/a, a share until it falls below the least normal float.
+    Its size-i entry is C(n-1, a-1) - C(n-1, a), which the shares take as
+    C(n-1, a-1) 2(a-m)/a so as not to cancel digits; every a > m, so none
+    is 0.  At q = 0 the two branches are equal: dict.fromkeys steps it once,
+    and it is counted w = 2 times, which is exact.
     """
-    m = n // 2
-    out: Dict[int, float] = {}
-    branches = _branches(n, q)
-    for offset, first in branches[:1] if q == 0 else branches:
+    m, w = n // 2, 2 if q == 0 else 1
+    least, zero = (1, 0) if exact else (sys.float_info.min, 0.0)
+    out: Dict[int, Any] = {}
+    for offset, first in dict.fromkeys(_branches(n, q)):
         start = first + offset
         if start > n:
             continue
-        c = math.exp(math.lgamma(n) - math.lgamma(start) - math.lgamma(n - start + 1) - (n - 1) * math.log(2.0))
+        if exact:
+            c = math.comb(n - 1, start - 1)
+        else:
+            c = math.exp(math.lgamma(n) - math.lgamma(start) - math.lgamma(n - start + 1) - (n - 1) * math.log(2.0))
         for a in range(start, n + 1):
-            if c < sys.float_info.min:
+            if c < least:
                 break
-            out[a - offset] = out.get(a - offset, 0.0) + c * 2 * (a - m) / a
-            c = c * (n - a) / a
-    if q == 0:
-        for i, share in out.items():
-            out[i] = share + share
+            d = c * (n - a) // a if exact else c * (n - a) / a
+            out[a - offset] = out.get(a - offset, zero) + (c - d if exact else c * 2 * (a - m) / a) * w
+            c = d
     return out
 
 

@@ -51,7 +51,7 @@ import zlib
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from .cyclic_code import CyclicCode, codeword_values, xor_bytes
 from .errors import AmbiguousBlockError, CodingError, DecodeError, StreamError
@@ -257,35 +257,34 @@ def correct_block(code: CyclicCode, received: BitWord) -> BitWord:
 
 def gamma_counts_fullspace(n: int) -> Dict[int, int]:
     """{i: number of length-(n-1) target-weight words with |Gamma| = i} for
-    i = 1..n/2, ascending: 2 Cat(i-1) C(2m-2i, m-i), twice a Catalan number
-    times a central binomial.  Both come from one list of the central
-    binomials C(2r, r), r < m, stepped by C(2r+2, r+1) = C(2r, r) 2(2r+1)/(r+1),
-    with Cat(r) = C(2r, r)/(r+1)."""
+    i = 1..n/2, ascending: _histogram_c over the integers."""
     _check_length(n)
     _guard(n, HISTOGRAM_MAX_N, "exact histogram")
+    return _histogram_c(n, True)
+
+
+def _histogram_c(n: int, exact: bool) -> Dict[int, Any]:
+    """The full-space |Gamma| histogram for i = 1..n/2, ascending, as exact
+    counts or (exact=False) as float shares of 2^(n-1).
+
+    The size-i count is 2 Cat(i-1) C(2m-2i, m-i), Cat(r) = C(2r, r)/(r+1),
+    and its share c_{i-1} c_{m-i} / i, c_r = C(2r, r)/4^r.  One list for
+    r < m is stepped from 1 by the ratio 2(2r+1)/(r+1) of C(2r, r), or
+    (2r+1)/(2r+2) of c_r.  No share cancels, and none is a big integer.
+    """
     m = n // 2
-    central = [1]
+    c = [1 if exact else 1.0] * m
     for r in range(m - 1):
-        central.append(central[r] * 2 * (2 * r + 1) // (r + 1))
-    return {i: 2 * (central[i - 1] // i) * central[m - i] for i in range(1, m + 1)}
+        c[r + 1] = c[r] * 2 * (2 * r + 1) // (r + 1) if exact else c[r] * (2 * r + 1) / (2 * r + 2)
+    return {i: 2 * (c[i - 1] // i) * c[m - i] if exact else c[i - 1] * c[m - i] / i for i in range(1, m + 1)}
 
 
 def rho_c_parts(n: int) -> Tuple[Parts, Parts]:
     """Redundancy over all of {0,1}^(n-1): 1 appended bit + mean index
     width, with log2 |Gamma| (analytical) and ceil(log2 |Gamma|) bits
-    (operational).
-
-    The mean is taken over float shares, gamma_counts_fullspace(n) over
-    2^(n-1): the size-i share is c_{i-1} c_{m-i} / i with c_r = C(2r, r)/4^r,
-    stepped from c_0 = 1 by c_{r+1} = c_r (2r+1)/(2r+2).  Every term is
-    positive, so nothing cancels, and no big integer is built at any n.
-    """
+    (operational), summed over the float shares of _histogram_c."""
     _check_length(n)
-    m = n // 2
-    c = [1.0] * m
-    for r in range(m - 1):
-        c[r + 1] = c[r] * (2 * r + 1) / (2 * r + 2)
-    return rho_parts(1, histogram_sum({i: c[i - 1] * c[m - i] / i for i in range(1, m + 1)}, 0))
+    return rho_parts(1, histogram_sum(_histogram_c(n, False), 0))
 
 
 def rho_c_fullspace(n: int) -> float:

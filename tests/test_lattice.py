@@ -9,13 +9,12 @@ from hypothesis import given, settings, strategies as st
 import qbalance
 from qbalance.lattice import (
     PathBand,
-    _binom_class,
     _binom_row,
     count_banded,
 )
 from qbalance.oracle import count_paths_brute
-from qbalance.scheme_a import count_bad, rho_a_bound
-from qbalance.scheme_b import count_bad_b, rho_b
+from qbalance.scheme_a import _binom_class, count_bad, rho_a_bound
+from qbalance.scheme_b import count_bad_b, gamma_counts_b, rho_b
 from qbalance.scheme_c import rho_c_fullspace
 
 from lattice_trig import count_banded_trig
@@ -191,7 +190,8 @@ def census_by_heights(n, q, odd):
 
 
 class TestCensusIsOneResidueClass:
-    """count_bad and count_bad_b read one residue class of a binomial row."""
+    """count_bad and count_bad_b read one residue class of a binomial row,
+    and neither they nor gamma_counts_b keep the row."""
 
     @pytest.mark.parametrize("n", range(0, 40))
     def test_binom_class(self, n):
@@ -210,11 +210,16 @@ class TestCensusIsOneResidueClass:
         _binom_row.cache_clear()
         count_bad(4096, 6)
         count_bad_b(4096, 6)
+        gamma_counts_b(4096, 6)
         assert _binom_row.cache_info().misses == 0
 
     def test_rho_b_at_65536_in_bounded_memory(self):
         """A 2^16 binomial row holds about 200 MB; the census keeps none."""
         assert child_peak_kib("scheme_b.rho_b(65536, 3)") < 60 * 1024
+
+    def test_gamma_counts_b_at_32768_in_bounded_memory(self):
+        """Read off a cached row C(n-1, .), the histogram peaked at 116 MB here; stepped, at 66 MB."""
+        assert child_peak_kib("scheme_b.gamma_counts_b(1 << 15, 0)") < 90 * 1024
 
 
 class TestRhoReadsNoRow:

@@ -210,8 +210,6 @@ class TestGammaCountB:
     @pytest.mark.parametrize("n", [6, 8, 10, 12, 14])
     @pytest.mark.parametrize("q", [0, 1, 2, 3])
     def test_matches_histogram_oracle(self, n, q):
-        if q > n // 2 - 1:
-            pytest.skip("q too large for this n")
         m = n // 2
         hist = {}
         for w in all_words(n - 1):
@@ -219,6 +217,19 @@ class TestGammaCountB:
                 size = len(gamma_set_b(w, q))
                 hist[size] = hist.get(size, 0) + 1
         assert hist == gamma_counts_b(n, q)
+
+    @pytest.mark.parametrize("ns,qs", [(range(2, 401, 2), range(7)), ([4096], (0, 2, 6))], ids=["even-n-to-400", "4096"])
+    def test_matches_closed_form(self, ns, qs):
+        # the weight-(m+q) branch, sizes 1..m-q at a = m+q+i, and the weight-(m+q-1) branch,
+        # sizes max(1, 2q)..m+q at a = m-q+i, each counting C(n-1, a-1) - C(n-1, a) from math.comb
+        for n in ns:
+            m, comb = n // 2, [math.comb(n - 1, j) for j in range(n + 1)]
+            for q in (q for q in qs if q <= m):
+                want = {}
+                for base, sizes in ((m + q, range(1, m - q + 1)), (m - q, range(max(1, 2 * q), m + q + 1))):
+                    for i in sizes:
+                        want[i] = want.get(i, 0) + comb[base + i - 1] - comb[base + i]
+                assert list(gamma_counts_b(n, q).items()) == [(i, c) for i, c in sorted(want.items()) if c], (n, q)
 
 
 class TestAnalysisParams:
