@@ -9,12 +9,11 @@ lattice-path counts, closed formulas, and a syndrome trellis, all
 cross-checked by brute-force oracles.
 """
 
-from .words import BitWord, all_words, balancing_indices, complement, cyclic_running_sum, cyclic_shift, flip_indices, flip_prefix, imbalance, running_sum, weight
+from .words import BitWord, all_words, balancing_indices, complement, cyclic_running_sum, cyclic_shift, flip_indices, flip_prefix, running_sum, weight
 from .lattice import PathBand, count_banded
 from .scheme_a import (
     Classification,
     EncodeResult,
-    classify,
     count_bad,
     decode_a,
     encode_a,
@@ -23,7 +22,6 @@ from .scheme_a import (
     rho_a_bound,
 )
 from .scheme_b import (
-    classify_b,
     count_bad_b,
     decode_b,
     encode_b,
@@ -32,7 +30,7 @@ from .scheme_b import (
     rho_b_asymptote,
     t_b,
 )
-from .cyclic_code import CyclicCode, encode_systematic, from_generator, full_space, min_distance, parse_code_file
+from .cyclic_code import CyclicCode, from_generator, full_space, min_distance, parse_code_file
 from .scheme_c import (
     StreamEncoding,
     StreamFrame,

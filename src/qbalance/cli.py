@@ -240,7 +240,7 @@ def _cmd_stream_encode(args) -> int:
         raise ValueError(f"--flip-per-block {args.flip_per_block} out of range 0..{code.n + 1}")
     enc = scheme_c.stream_encode(code, BitWord.from_str(args.input))
     if args.flip_per_block:
-        rng = random.Random(args.seed)
+        rng = random.Random(args.seed or 0)
         frames = []
         for frame in enc.frames:
             value = frame.codeword.value
@@ -344,7 +344,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="payload bits")
     p.add_argument("--out", default=None, help="container file")
     p.add_argument("--flip-per-block", type=int, default=0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None, help="flip positions (default 0)")
     p.set_defaults(func=_cmd_stream_encode)
     p = ssub.add_parser("decode")
     p.add_argument("--code", required=True)
@@ -361,6 +361,8 @@ def _reject_unused_flags(args) -> None:
         raise ValueError(f"--code is for scheme c; scheme {scheme} reads no code file")
     if scheme == "c" and args.q:
         raise ValueError(f"q={args.q}: scheme c has no imbalance parameter q")
+    if getattr(args, "seed", None) is not None and not args.flip_per_block:
+        raise ValueError("--seed places the flips of --flip-per-block; it has none to place")
     table = "--table1" if getattr(args, "table1", False) else "--table2" if getattr(args, "table2", False) else None
     if table:
         for flag, value in (("--scheme", scheme), ("-n", args.n), ("-q", args.q or None)):

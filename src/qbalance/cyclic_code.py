@@ -201,13 +201,6 @@ def full_space(n: int) -> CyclicCode:
     return from_generator(n, 1)
 
 
-def encode_systematic(code: CyclicCode, msg: BitWord) -> BitWord:
-    """Codeword whose first k positions equal msg."""
-    if msg.length != code.k:
-        raise ValueError(f"message length {msg.length} != k={code.k}")
-    return BitWord(xor_bytes(code.encode_rows, msg.value, code.k), code.n)
-
-
 def syndrome(code: CyclicCode, w: BitWord) -> int:
     if w.length != code.n:
         raise ValueError(f"word length {w.length} != n={code.n}")

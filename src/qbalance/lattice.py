@@ -26,9 +26,6 @@ from typing import Tuple
 
 LatticePoint = Tuple[int, int]
 
-# Counts are arbitrary-precision ints; exact for any n we can enumerate.
-BigCount = int
-
 
 @dataclass(frozen=True)
 class PathBand:
@@ -60,7 +57,7 @@ def _binom(n: int, k: int) -> int:
     return _binom_row(n)[k]
 
 
-def count_banded(start: LatticePoint, end: LatticePoint, band: PathBand) -> BigCount:
+def count_banded(start: LatticePoint, end: LatticePoint, band: PathBand) -> int:
     """Paths from start to end staying weakly between Y=X+s and Y=X+t.
 
     Endpoints outside the band yield 0 rather than an error so that

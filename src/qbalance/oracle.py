@@ -6,9 +6,10 @@ decode round trip, and sizes |Gamma| of each distinct codeword once
 with the receiver-side set its codec decodes by (`gamma_set_a`,
 `gamma_set_b`, `gamma_size_c`).  `definitional_gamma` checks those sets against the
 definition (minimum over all preimages), and path counts walk every
-path.  The formulas (lattice censuses, |Gamma| histograms, the trellis)
-are only compared against the walk's output, in `verify_scheme`, never
-called to build it.
+path.  The formulas (the |Gamma| histograms and bad-word censuses
+gamma_counts_a and count_bad for A, gamma_counts_b and count_bad_b for
+B, the trellis for C) are only compared against the walk's output, in
+`verify_scheme`, never called to build it.
 
 Schemes are "a", "b" and "c"; for "c", code=None means the full space
 of length n - 1.
@@ -19,7 +20,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from . import scheme_a, scheme_b, scheme_c, trellis
 from .cyclic_code import CyclicCode, codewords, contains, full_space
@@ -180,17 +181,6 @@ def definitional_gamma(
                 out.append(j)
         return out
     raise ValueError(f"unknown scheme {scheme!r}")
-
-
-def roundtrip_all(
-    scheme: str, n: Optional[int], q: int = 0, code: Optional[CyclicCode] = None
-) -> Tuple[bool, Optional[BitWord]]:
-    """decode(encode(x)) == x plus the weight invariant, every message.
-
-    Returns (True, None) or (False, first failing message).
-    """
-    witness = exhaustive_redundancy(scheme, n, q, code).counterexample
-    return witness is None, witness
 
 
 def count_paths_brute(

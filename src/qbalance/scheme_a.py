@@ -35,8 +35,8 @@ stepped and not kept (_binom_class).  The Gamma-size distribution is one
 termwise reflection sum, _histogram_a, with one term per mirrored pair
 of reflections, over the half of a binomial row at or below its centre,
 stepped outwards: over the integers C(n, j) it is the exact
-gamma_counts_a, and over the shares C(n, j)/2^n it is _shares_a, which
-rho reads.  Every scheme's rho, here and in scheme_b, scheme_c and
+gamma_counts_a, and over the shares C(n, j)/2^n (exact=False) it is
+what rho reads.  Every scheme's rho, here and in scheme_b, scheme_c and
 trellis, is one histogram_sum over its |Gamma| histogram or shares
 composed by rho_parts; the one pass gives both the analytical (log2)
 and the operational (ceil width) figure.
@@ -147,12 +147,6 @@ def _classify(v: int, n: int, q: int, targets: Iterable[int], run: int) -> Tuple
     if (v >> run).bit_count() <= (n + 1) // 2 - q:
         return Classification.TYPE0_BAD, None
     return Classification.TYPE1_BAD, None
-
-
-def classify(x: BitWord, q: int) -> Classification:
-    """Good/bad typing of a message for imbalance parameter q."""
-    _check_params(x.length, q)
-    return _classify(x.value, x.length, q, (x.length // 2 + q,), 2 * q)[0]
 
 
 def _substitute_int(v: int, n: int, cls: Classification, run: int) -> int:
@@ -301,12 +295,6 @@ def gamma_counts_a(n: int, q: int) -> Dict[int, int]:
     return _histogram_a(n, q, True)
 
 
-def _shares_a(n: int, q: int) -> Dict[int, float]:
-    """gamma_counts_a(n, q) divided by 2^n: _histogram_a over the float
-    shares C(n, j) / 2^n."""
-    return _histogram_a(n, q, False)
-
-
 def _histogram_a(n: int, q: int, exact: bool) -> Dict[int, Any]:
     """Scheme A's |Gamma| histogram over the sizes with a nonzero entry,
     ascending, as exact counts or (exact=False) as float shares of 2^n.
@@ -392,8 +380,8 @@ def histogram_sum(gamma: Mapping[int, float], k: int) -> Tuple[float, float]:
     costs w(i) bits, with w(i) = log2 i (analytical), or the ceil width
     rank_width(i) sent on the wire (operational).  The exact histograms
     pass their counts with k the message bits; the float shares of every
-    rho (_histogram_a, scheme_b._histogram_b, scheme_c._histogram_c) pass
-    gamma[i] / 2^k itself, with k = 0.
+    rho (_histogram_a, scheme_b._histogram_b and scheme_c._histogram_c,
+    each with exact=False) pass gamma[i] / 2^k itself, with k = 0.
     """
     analytical = operational = 0.0
     for i, g in gamma.items():
@@ -439,7 +427,7 @@ def rho_a_parts(n: int, q: int) -> Tuple[Parts, Parts]:
     exhaustive 4.994.
     """
     _check_params(n, q)
-    good = histogram_sum(_shares_a(n, q), 0)
+    good = histogram_sum(_histogram_a(n, q, False), 0)
     return rho_parts(0, good, q, n, count_bad(n, q), 2 * q)
 
 

@@ -8,8 +8,8 @@ can be minimal indices at weight m+q-1, only fresh nonpositive ones at
 weight m+q.  That sign split is what makes the size distribution a plain
 difference of binomials, which in turn makes the average redundancy
 asymptotically 0.5*log2(n) + 0.526 (q = 0) analyzable.  The exact
-differences (gamma_counts_b) and the float shares rho_b sums (_shares_b)
-are one stepped sum, _histogram_b, and the bad-word census steps one
+differences (gamma_counts_b) and the float shares rho_b sums are one
+stepped sum, _histogram_b, and the bad-word census steps one
 residue class of C(n-1, .); none keeps a binomial row.
 
 Bad words (possible only for q >= 2) are handled by Scheme A's prefix
@@ -29,13 +29,11 @@ from .errors import DecodeError
 from .scheme_a import (
     HISTOGRAM_MAX_N,
     STEPPED_MAX_N,
-    Classification,
     EncodeResult,
     Parts,
     _balance,
     _binom_class,
     _check_params,
-    _classify,
     _guard,
     _unbalance,
     histogram_sum,
@@ -67,12 +65,6 @@ def _targets_b(k: int, q: int) -> Dict[int, int]:
 def t_b(x: BitWord, q: int) -> List[int]:
     """All j with weight(flip_prefix(x, j)) in {m+q-1, m+q}, ascending."""
     return flip_indices(x, _targets_b(x.length, q))
-
-
-def classify_b(x: BitWord, q: int) -> Classification:
-    targets = _targets_b(x.length, q)
-    _check_params(x.length + 1, q)
-    return _classify(x.value, x.length, q, targets, _tail(q))[0]
 
 
 def gamma_set_b(c: BitWord, q: int) -> List[int]:
@@ -157,12 +149,6 @@ def count_bad_b(n: int, q: int) -> int:
     return (1 << (n - 1)) - (2 * q - 1) * _binom_class(n - 1, n // 2 + q - 1, 2 * q - 1)
 
 
-def _shares_b(n: int, q: int) -> Dict[int, float]:
-    """gamma_counts_b(n, q) divided by 2^(n-1): _histogram_b over the float
-    shares C(n-1, a) / 2^(n-1)."""
-    return _histogram_b(n, q, False)
-
-
 def _histogram_b(n: int, q: int, exact: bool) -> Dict[int, Any]:
     """Scheme B's |Gamma| histogram over the sizes with a nonzero entry,
     ascending, as exact counts or (exact=False) as float shares of 2^(n-1).
@@ -202,7 +188,7 @@ def rho_b_parts(n: int, q: int) -> Tuple[Parts, Parts]:
     the wire).
 
     The constant is 1 appended balance bit, plus 2 flag/type bits when
-    q > 0.  The good term sums the float shares of _shares_b at every n;
+    q > 0.  The good term sums the float shares of _histogram_b at every n;
     they agree with the exact binomials of gamma_counts_b to within 1e-11
     relative (7.3e-12 at worst over n <= 4096, q in {0, 2, 6}), and take
     about 2.5 ms at n = 65536, q = 0, where the big-integer binomials grow
@@ -212,7 +198,7 @@ def rho_b_parts(n: int, q: int) -> Tuple[Parts, Parts]:
     q = 2).
     """
     _check_params(n, q)
-    good = histogram_sum(_shares_b(n, q), 0)
+    good = histogram_sum(_histogram_b(n, q, False), 0)
     return rho_parts(1, good, q, n, count_bad_b(n, q), _tail(q))
 
 

@@ -76,30 +76,11 @@ class BitWord:
     def __repr__(self) -> str:
         return f"BitWord('{self}')"
 
-    def __iter__(self) -> Iterator[int]:
-        for i in range(self.length - 1, -1, -1):
-            yield (self.value >> i) & 1
-
-    def bit(self, i: int) -> int:
-        """Bit at 1-based position i (leftmost = 1)."""
-        if not 1 <= i <= self.length:
-            raise ValueError(f"position {i} out of range 1..{self.length}")
-        return (self.value >> (self.length - i)) & 1
-
     def prefix(self, j: int) -> "BitWord":
         """First j bits."""
         if not 0 <= j <= self.length:
             raise ValueError(f"prefix length {j} out of range")
         return BitWord(self.value >> (self.length - j), j)
-
-    def suffix(self, j: int) -> "BitWord":
-        """Last j bits."""
-        if not 0 <= j <= self.length:
-            raise ValueError(f"suffix length {j} out of range")
-        return BitWord(self.value & ((1 << j) - 1), j)
-
-    def concat(self, other: "BitWord") -> "BitWord":
-        return BitWord((self.value << other.length) | other.value, self.length + other.length)
 
 
 # The slot descriptors' own setters, which bypass the __setattr__ guard;
@@ -117,11 +98,6 @@ def all_words(n: int) -> Iterator[BitWord]:
 def weight(w: BitWord) -> int:
     """Number of 1 symbols."""
     return w.value.bit_count()
-
-
-def imbalance(w: BitWord) -> int:
-    """(#ones - #zeros), signed."""
-    return 2 * weight(w) - w.length
 
 
 def flip_prefix(w: BitWord, j: int) -> BitWord:

@@ -10,13 +10,13 @@ import time
 
 from qbalance.cyclic_code import (
     codewords,
-    encode_systematic,
     from_generator,
     full_space,
     poly_from_coeffs,
+    xor_bytes,
 )
 from qbalance.lattice import PathBand, count_banded
-from qbalance.oracle import census_bad_a, census_bad_b, count_paths_brute, roundtrip_all
+from qbalance.oracle import census_bad_a, census_bad_b, count_paths_brute, exhaustive_redundancy
 from qbalance.scheme_a import count_bad, gamma_counts_a, gamma_set_a, optimal_redundancy, rho_a_bound
 from qbalance.scheme_b import BETA, count_bad_b, gamma_counts_b, gamma_set_b, rho_b
 from qbalance.scheme_c import (
@@ -138,8 +138,8 @@ def test_criterion_06_oracle_equivalence():
                 checks.append(("gamma_b", n, q, gamma_counts_b(n, q) == _gamma_hist_b(n, q)))
             checks.append(("badA", n, q, count_bad(n, q) == census_bad_a(n, q)))
             checks.append(("badB", n, q, count_bad_b(n, q) == census_bad_b(n, q)))
-            checks.append(("rtA", n, q, roundtrip_all("a", n, q)[0]))
-            checks.append(("rtB", n, q, roundtrip_all("b", n, q)[0]))
+            checks.append(("rtA", n, q, exhaustive_redundancy("a", n, q).counterexample is None))
+            checks.append(("rtB", n, q, exhaustive_redundancy("b", n, q).counterexample is None))
         checks.append(("gamma_c", n, 0, gamma_counts_fullspace(n) == _gamma_hist_c(n)))
     halving = all(
         2 * count_bad_b(n, q) <= count_bad(n, q)
@@ -165,7 +165,7 @@ def test_criterion_07_scheme_c_worked_example():
     ]
     rows_ok = True
     for msg, cw, tau, block, size, prefix in table:
-        x = encode_systematic(simplex, BitWord.from_str(msg))
+        x = BitWord(xor_bytes(simplex.encode_rows, int(msg, 2), simplex.k), simplex.n)
         res = encode_c(simplex, x)
         rows_ok &= str(x) == cw
         rows_ok &= (str(res.codeword), res.tau, str(res.prefix)) == (block, tau, prefix)

@@ -421,6 +421,18 @@ class TestStreamCommands:
         assert status == 1
         assert err.startswith("error:") and "--flip-per-block" in err and "0..8" in err
 
+    @pytest.mark.parametrize("flips", [(), ("--flip-per-block", "0")])
+    def test_seed_without_flips_is_an_error(self, capsys, code_file, flips):
+        status, out, err = run_cli(
+            capsys, "stream", "encode", "--code", code_file, "--input", "0001011", "--seed", "7", *flips
+        )
+        assert (status, out) == (1, "")
+        assert err.startswith("error:") and "--seed" in err
+
+    def test_flips_without_seed_use_seed_zero(self, capsys, code_file):
+        argv = ("stream", "encode", "--code", code_file, "--input", "110100101101", "--flip-per-block", "1")
+        assert run_json(capsys, *argv) == run_json(capsys, *argv, "--seed", "0")
+
     def test_missing_code_file(self, capsys):
         status, _, err = run_cli(
             capsys, "stream", "encode", "--code", "/nonexistent", "--input", "101"

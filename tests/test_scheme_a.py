@@ -7,14 +7,13 @@ import pytest
 from qbalance import lattice, scheme_a
 from qbalance.errors import CapacityError, DecodeError
 from qbalance.lattice import PathBand
-from qbalance.oracle import census_bad_a, definitional_gamma, roundtrip_all
+from qbalance.oracle import census_bad_a, definitional_gamma, exhaustive_redundancy
 from qbalance.scheme_a import (
     HISTOGRAM_MAX_N,
     STEPPED_MAX_N,
     Classification,
     EncodeResult,
-    _shares_a,
-    classify,
+    _histogram_a,
     count_bad,
     decode_a,
     encode_a,
@@ -39,17 +38,17 @@ def W(s):
 
 class TestClassify:
     def test_worked_example(self):
-        assert classify(W("11100000"), 2) is Classification.TYPE0_GOOD
+        assert encode_a(W("11100000"), 2).classification is Classification.TYPE0_GOOD
 
     def test_bad_row(self):
-        assert classify(W("01100110"), 2) is Classification.TYPE0_BAD
+        assert encode_a(W("01100110"), 2).classification is Classification.TYPE0_BAD
 
     def test_q_zero_always_type1(self):
-        assert all(classify(w, 0) is Classification.TYPE1_GOOD for w in all_words(8))
+        assert all(encode_a(w, 0).classification is Classification.TYPE1_GOOD for w in all_words(8))
 
     def test_q_out_of_range(self):
         with pytest.raises(ValueError):
-            classify(W("0110"), 3)
+            encode_a(W("0110"), 3)
 
 
 class TestRecords:
@@ -153,8 +152,8 @@ class TestDecode:
 
     @pytest.mark.parametrize("q", [0, 1, 2])
     def test_roundtrip_exhaustive_n12(self, q):
-        ok, witness = roundtrip_all("a", 12, q)
-        assert ok, f"first failure at {witness}"
+        witness = exhaustive_redundancy("a", 12, q).counterexample
+        assert witness is None, f"first failure at {witness}"
 
     @pytest.mark.parametrize("n,q", [(32, 0), (32, 3), (64, 2), (64, 5)])
     def test_roundtrip_randomized_large_n(self, n, q):
@@ -245,7 +244,7 @@ def _reference_codec(scheme, n, q):
         else:
             low = weight(x.prefix(k - run)) <= (k + 1) // 2 - q
             cls = Classification.TYPE0_BAD if low else Classification.TYPE1_BAD
-            xh = x.prefix(k - run).concat(BitWord.from_str(("0" if low else "1") * run))
+            xh = BitWord.from_str(str(x)[: k - run] + ("0" if low else "1") * run)
             found = indices(xh)
         tau = found[0]
         c = flip_prefix(xh, tau)
@@ -256,9 +255,9 @@ def _reference_codec(scheme, n, q):
         elif not cls.is_bad:
             bits = f"0{cls.type_bit}{z}"
         else:
-            bits = f"1{cls.type_bit}{z}{x.suffix(run)}"
+            bits = f"1{cls.type_bit}{z}{str(x)[k - run :]}"
         if scheme == "b":
-            c = c.concat(BitWord(1 if weight(c) == m + q - 1 else 0, 1))
+            c = BitWord(c.value << 1 | (weight(c) == m + q - 1), n)
         return c, BitWord.from_str(bits), cls, tau
 
     def decode(c, p):
@@ -282,7 +281,7 @@ def _reference_codec(scheme, n, q):
             raise DecodeError(f"rank {rank} at bit {pos - r} out of range for |Gamma|={len(g)}")
         xh = flip_prefix(c, g[rank])
         if flag == "1":
-            xh = xh.prefix(k - run).concat(BitWord.from_str(take(run, "bad-word tail")))
+            xh = BitWord.from_str(str(xh)[: k - run] + take(run, "bad-word tail"))
         elif type_bit == "0":
             xh = complement(xh)
         if pos < len(bits):
@@ -459,13 +458,13 @@ class TestRhoBound:
 
 
 class TestFloatShares:
-    """rho_a sums _shares_a, gamma_counts_a over 2^n as floats."""
+    """rho_a sums _histogram_a's float shares, gamma_counts_a over 2^n as floats."""
 
     @pytest.mark.parametrize("n", range(2, 81, 2))
     def test_every_share_and_good_term_small_n(self, n):
         for q in range(n // 2 + 1):
             exact = gamma_counts_a(n, q)
-            shares = _shares_a(n, q)
+            shares = _histogram_a(n, q, False)
             for i in exact.keys() | shares.keys():
                 assert abs(shares.get(i, 0.0) - exact.get(i, 0) / 2**n) <= 1e-15, (n, q, i)
             assert histogram_sum(shares, 0) == pytest.approx(histogram_sum(exact, n), rel=1e-12, abs=0), q
@@ -474,14 +473,14 @@ class TestFloatShares:
     @pytest.mark.parametrize("q", [0, 2, 6])
     def test_good_term_large_n(self, n, q):
         exact = histogram_sum(gamma_counts_a(n, q), n)
-        assert histogram_sum(_shares_a(n, q), 0) == pytest.approx(exact, rel=1e-12, abs=0)
+        assert histogram_sum(_histogram_a(n, q, False), 0) == pytest.approx(exact, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("n", [65536, 131072])
     @pytest.mark.parametrize("q", [0, 6])
     def test_total_past_the_exact_range(self, n, q):
         # a dropped span or reflection pair would show in the total long before 1e-11
         want = math.comb(n, n // 2 + q) / 2**n
-        assert sum(_shares_a(n, q).values()) == pytest.approx(want, rel=1e-11, abs=0)
+        assert sum(_histogram_a(n, q, False).values()) == pytest.approx(want, rel=1e-11, abs=0)
 
 
 class TestAsymptote:

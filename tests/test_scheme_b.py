@@ -5,15 +5,14 @@ import pytest
 
 from qbalance import scheme_a, scheme_b
 from qbalance.errors import DecodeError
-from qbalance.oracle import census_bad_b, definitional_gamma, roundtrip_all
+from qbalance.oracle import census_bad_b, definitional_gamma, exhaustive_redundancy
 from qbalance.scheme_a import Classification, _substitute_int, count_bad, histogram_sum, rho_parts
 from qbalance.scheme_b import (
     BETA,
-    classify_b,
     count_bad_b,
     decode_b,
     encode_b,
-    _shares_b,
+    _histogram_b,
     gamma_counts_b,
     gamma_set_b,
     rho_b,
@@ -47,23 +46,23 @@ class TestTb:
 class TestClassifyB:
     @pytest.mark.parametrize("n,q", [(8, 0), (8, 1), (12, 0), (12, 1)])
     def test_never_bad_for_small_q(self, n, q):
-        assert not any(classify_b(w, q).is_bad for w in all_words(n - 1))
+        assert not any(encode_b(w, q).classification.is_bad for w in all_words(n - 1))
 
     def test_bad_census_n16_q3(self):
-        bad = sum(1 for w in all_words(15) if classify_b(w, 3).is_bad)
+        bad = sum(1 for w in all_words(15) if encode_b(w, 3).classification.is_bad)
         assert bad == count_bad_b(16, 3) == 2728
 
     def test_heavy_words_are_type1(self):
         n, q = 10, 2
         for w in all_words(n - 1):
             if weight(w) >= n // 2 + q - 1:
-                assert classify_b(w, q) is Classification.TYPE1_GOOD
+                assert encode_b(w, q).classification is Classification.TYPE1_GOOD
 
     @pytest.mark.parametrize("n,q", [(10, 2), (14, 3), (18, 4)])
     def test_substituted_bad_word_is_never_bad(self, n, q):
         r = 2 * q - 2
         for w in all_words(n - 1):
-            cls = classify_b(w, q)
+            cls = encode_b(w, q).classification
             if cls.is_bad:
                 replaced = BitWord(_substitute_int(w.value, w.length, cls, r), w.length)
                 assert t_b(replaced, q), (w, replaced)
@@ -110,8 +109,8 @@ class TestEncodeDecodeB:
 
     @pytest.mark.parametrize("q", [0, 1, 2, 3])
     def test_roundtrip_exhaustive_n12(self, q):
-        ok, witness = roundtrip_all("b", 12, q)
-        assert ok, f"first failure at {witness}"
+        witness = exhaustive_redundancy("b", 12, q).counterexample
+        assert witness is None, f"first failure at {witness}"
 
     def test_codeword_weight_invariant(self):
         for q in (0, 1, 2):
@@ -131,7 +130,7 @@ class TestEncodeDecodeB:
 
     def test_decode_rejects_bad_balance_bit(self):
         res = encode_b(W("0000000"), 0)
-        tampered = res.codeword.prefix(7).concat(W("0"))
+        tampered = BitWord(res.codeword.value & ~1, 8)
         with pytest.raises(DecodeError):
             decode_b(tampered, res.prefix, 8, 0)
 
@@ -168,7 +167,7 @@ class TestEncodeDecodeB:
             decode_b(W("00001111"), W(""), 8, 5)
 
     @pytest.mark.parametrize("q", [0, 2, 9])
-    @pytest.mark.parametrize("function", [encode_b, classify_b])
+    @pytest.mark.parametrize("function", [encode_b, t_b])
     def test_even_message_names_its_own_length(self, function, q):
         # the message length, checked before any n derived from it
         with pytest.raises(ValueError, match=r"^message length 4 must be odd \(n-1\)$"):
@@ -271,8 +270,8 @@ class TestCountBadB:
 
 
 def _shares_b_two_branches(n, q):
-    """_shares_b as it was at every q: both branches stepped, though at
-    q = 0 they are the same branch."""
+    """Scheme B's float shares with both branches stepped at every q,
+    though at q = 0 they are the same branch."""
     m = n // 2
     out = {}
     for offset, first in scheme_b._branches(n, q):
@@ -292,7 +291,7 @@ class TestRhoB:
     )
     def test_bit_identical_to_two_branch_loop(self, n, q):
         want = _shares_b_two_branches(n, q)
-        got = _shares_b(n, q)
+        got = _histogram_b(n, q, False)
         # the step stops at the least normal float: every share it leaves out is below it
         assert list(got) == sorted(got)
         assert all(abs(share - want[i]) <= sys.float_info.min for i, share in got.items())
@@ -307,7 +306,7 @@ class TestRhoB:
     def test_exact_and_logspace_agree(self):
         for n, q in [(64, 0), (128, 2), (256, 3), (1000, 6), (4096, 0)]:
             assert histogram_sum(gamma_counts_b(n, q), n - 1) == pytest.approx(
-                histogram_sum(_shares_b(n, q), 0), rel=1e-11
+                histogram_sum(_histogram_b(n, q, False), 0), rel=1e-11
             )
 
     def test_asymptote_constant(self):

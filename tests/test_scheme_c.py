@@ -8,7 +8,7 @@ from functools import lru_cache
 import pytest
 
 from qbalance import scheme_c
-from qbalance.cyclic_code import codewords, contains, encode_systematic, from_generator, full_space, poly_from_coeffs
+from qbalance.cyclic_code import codewords, contains, from_generator, full_space, poly_from_coeffs, xor_bytes
 from qbalance.errors import AmbiguousBlockError, CapacityError, CodingError, DecodeError, StreamError
 from qbalance.oracle import definitional_gamma
 from qbalance.scheme_a import EncodeResult, histogram_sum, rank_width, rho_parts
@@ -174,7 +174,7 @@ class TestGammaC:
 class TestEncodeDecodeC:
     def test_simplex_encoding_table(self, simplex):
         for msg, cw, tau, block, size, prefix in SIMPLEX_ENCODINGS:
-            x = encode_systematic(simplex, W(msg))
+            x = _systematic(simplex, int(msg, 2))
             assert x == W(cw)
             res = encode_c(simplex, x)
             assert (str(res.codeword), res.tau, str(res.prefix)) == (block, tau, prefix)
@@ -563,8 +563,13 @@ def _gamma_size_per_bit(c, m):
     return m
 
 
+def _systematic(code, v):
+    """The codeword whose first k positions are the k-bit message v."""
+    return BitWord(xor_bytes(code.encode_rows, v, code.k), code.n)
+
+
 def _balance_bit_reference(c):
-    return c.concat(BitWord(1 if weight(c) == (c.length + 1) // 2 - 1 else 0, 1))
+    return BitWord(c.value << 1 | (weight(c) == (c.length + 1) // 2 - 1), c.length + 1)
 
 
 def _encode_c_reference(code, x):
@@ -588,7 +593,7 @@ def _decode_c_reference(code, cprime, p):
     wt = weight(c)
     if wt not in (m - 1, m):
         raise DecodeError(f"stripped block weight {wt} outside {{{m - 1}, {m}}}")
-    if cprime.bit(code.n + 1) != (1 if wt == m - 1 else 0):
+    if cprime.value & 1 != (1 if wt == m - 1 else 0):
         raise DecodeError("appended balance bit inconsistent with block weight")
     size = _gamma_size_c_reference(c)
     r = rank_width(size)
@@ -634,7 +639,7 @@ def _stream_encode_reference(code, payload):
         take = bits[pos : pos + k - carry.length]
         pos += len(take)
         fill = k - carry.length - len(take)
-        res = _encode_c_reference(code, encode_systematic(code, W(str(carry) + take + "0" * fill)))
+        res = _encode_c_reference(code, _systematic(code, int(str(carry) + take + "0" * fill, 2)))
         frames.append(StreamFrame(codeword=res.codeword))
         carry = res.prefix
         if not pad:
@@ -745,7 +750,7 @@ def result(call, *args):
 def seeded_blocks(code, count, seed):
     """C* blocks of `count` seeded random codewords, from encode_c."""
     rng = random.Random(seed)
-    return [encode_c(code, encode_systematic(code, BitWord(rng.getrandbits(code.k), code.k))).codeword for _ in range(count)]
+    return [encode_c(code, _systematic(code, rng.getrandbits(code.k))).codeword for _ in range(count)]
 
 
 def with_errors(block, positions):
@@ -790,7 +795,7 @@ class TestAgainstReferences:
         prefixes = [BitWord(v, r) for r in range(4) for v in range(1 << r)]
         for y in all_words(code.n + 1):
             c = y.prefix(code.n)
-            clean = weight(c) in (m - 1, m) and y.bit(code.n + 1) == (weight(c) == m - 1)
+            clean = weight(c) in (m - 1, m) and y.value & 1 == (weight(c) == m - 1)
             for p in prefixes if clean else prefixes[:1]:
                 assert outcome(decode_c, code, y, p) == outcome(_decode_c_reference, code, y, p), (y, p)
 
