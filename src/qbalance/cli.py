@@ -80,11 +80,10 @@ def _cmd_encode(args) -> int:
 def _cmd_decode(args) -> int:
     c = BitWord.from_str(args.codeword)
     p = BitWord.from_str(args.prefix) if args.prefix else BitWord(0, 0)
+    n = args.n if args.n is not None else c.length
     if args.scheme == "a":
-        n = args.n if args.n is not None else c.length
         msg = scheme_a.decode_a(c, p, n, args.q)
     elif args.scheme == "b":
-        n = args.n if args.n is not None else c.length
         msg = scheme_b.decode_b(c, p, n, args.q)
     else:
         code = _load_code(args)
@@ -331,10 +330,7 @@ def _build_parser() -> argparse.ArgumentParser:
     o = sub.add_parser("oracle", help="brute-force verification")
     osub = o.add_subparsers(dest="oracle_cmd", required=True)
     p = osub.add_parser("verify")
-    p.add_argument("--scheme", choices=("a", "b", "c"), required=True)
-    p.add_argument("-n", type=int, default=None)
-    p.add_argument("-q", type=int, default=0)
-    p.add_argument("--code", default=None)
+    add_scheme_opts(p, ("a", "b", "c"))
     p.set_defaults(func=_cmd_oracle_verify)
 
     s = sub.add_parser("stream", help="prefix-chained stream codec")

@@ -50,7 +50,8 @@ class RedundancyReport:
 
 
 def _guard(k: int) -> None:
-    if 1 << k > MESSAGE_SPACE_GUARD:
+    # compared as exponents: 1 << k itself takes k/8 bytes, and overflows past k = 2^63
+    if k >= MESSAGE_SPACE_GUARD.bit_length():
         raise CapacityError(f"message space 2^{k} exceeds guard 2^22")
 
 

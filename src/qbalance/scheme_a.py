@@ -14,16 +14,15 @@ Prefix layout, bit-exact:
     q = 0:      [z]                      (every word is Type-1-good)
 
 where z is the rank of tau in Gamma(c).  Scheme B runs the same prefix
-codec (_classify, _balance, _unbalance) with its own target weights and a
-(2q-2)-bit tail.  The codec works on the words' integers and builds
-BitWords only for what it returns.  tau is one words.level_walk over
-the message's (or its complement's) integer, at the levels its target
-weights put on the running sum, which stops at its first hit; Gamma(c)
-is one words.fresh_walk; both read the word 8 bits at a time.
-_classify hands the tau it found for the message or its complement on
-to _balance (a bad word hands on None), so only a bad word's
-replacement is walked again: at most three level walks and one fresh
-walk per encode, and one fresh walk per decode.  At n = 16 the walks
+codec (_balance, _unbalance) with its own target weights and a (2q-2)-bit
+tail.  The codec works on the words' integers and builds BitWords only
+for what it returns.  tau is one words.level_walk, at the levels the
+target weights put on the running sum, which stops at its first hit;
+Gamma(c) is one words.fresh_walk; both read the word 8 bits at a time.
+_balance walks the message, then its complement, then a bad word's
+replacement, and the first walk that hits fixes the class and tau
+together: one, two or three level walks by class and one fresh walk
+per encode, and one fresh walk per decode.  At n = 16 the walks
 are under half of an encode, so the fixed per-message work is kept
 small: _unbalance reads the prefix fields off its integer with shifts,
 EncodeResult is a slotted dataclass, and each Classification member
@@ -80,7 +79,7 @@ import math
 import sys
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from .errors import CapacityError, DecodeError
 from .words import BitWord, fresh_walk, level_walk, weight
@@ -126,39 +125,6 @@ def _check_params(n: int, q: int) -> None:
         raise ValueError(f"imbalance parameter q={q} out of range 0..{n // 2}")
 
 
-def _classify(v: int, n: int, q: int, targets: Iterable[int], run: int) -> Tuple[Classification, Optional[int]]:
-    """Good/bad typing of the length-n message v under a scheme's target
-    weights and bad-word tail length.
-
-    A good word comes with the least flip index tau of the word it is
-    replaced by (v or its complement); a bad word with None.  tau is the
-    level walk at the levels weight - t, since a flip moves the weight by
-    -R_j.
-    """
-    wt = v.bit_count()
-    tau = level_walk(v, n, [wt - t for t in targets])
-    if tau is not None:
-        return Classification.TYPE1_GOOD, tau
-    tau = level_walk(v ^ ((1 << n) - 1), n, [n - wt - t for t in targets])
-    if tau is not None:
-        return Classification.TYPE0_GOOD, tau
-    # Replacing the last `run` bits by i^run restores an index; i follows
-    # the truncated weight so the replacement is provably Type-1-good.
-    if (v >> run).bit_count() <= (n + 1) // 2 - q:
-        return Classification.TYPE0_BAD, None
-    return Classification.TYPE1_BAD, None
-
-
-def _substitute_int(v: int, n: int, cls: Classification, run: int) -> int:
-    """The word a length-n message v is balanced as: v, its complement, or
-    v with its last `run` bits replaced by the run of its type bit."""
-    if cls is Classification.TYPE1_GOOD:
-        return v
-    if cls is Classification.TYPE0_GOOD:
-        return v ^ ((1 << n) - 1)
-    return (v >> run << run) | ((1 << run) - 1 if cls.type_bit else 0)
-
-
 def gamma_set_a(c: BitWord, q: int) -> List[int]:
     """Indices whose running-sum value is new, ascending; the receivable taus."""
     n = c.length
@@ -172,14 +138,30 @@ def _balance(v: int, n: int, q: int, targets: Dict[int, int], run: int):
     """The prefix scheme shared by A and B: classify, substitute, flip, rank.
 
     targets maps each codeword weight the scheme aims at to the sign of
-    its Gamma walk.  Returns (codeword, prefix, prefix length,
-    classification, tau), the words as ints.
+    its Gamma walk.  The word balanced is v (Type-1-good), its complement
+    (Type-0-good), or v with its last `run` bits replaced by the run of
+    its type bit (bad); the first level walk that hits fixes both the
+    class and tau, the least flip index, at the levels weight - t, since a
+    flip moves the weight by -R_j.  Returns (codeword, prefix, prefix
+    length, classification, tau), the words as ints.
     """
-    cls, tau = _classify(v, n, q, targets, run)
-    xh = _substitute_int(v, n, cls, run)
+
+    def walk(w: int) -> Optional[int]:
+        return level_walk(w, n, [w.bit_count() - t for t in targets])
+
+    xh, cls = v, Classification.TYPE1_GOOD
+    tau = walk(xh)
     if tau is None:
-        wt = xh.bit_count()
-        tau = level_walk(xh, n, [wt - t for t in targets])
+        xh, cls = v ^ ((1 << n) - 1), Classification.TYPE0_GOOD
+        tau = walk(xh)
+    if tau is None:
+        # Replacing the last `run` bits by i^run restores an index; i follows
+        # the truncated weight so the replacement is provably Type-1-good.
+        if (v >> run).bit_count() > (n + 1) // 2 - q:
+            xh, cls = v >> run << run | ((1 << run) - 1), Classification.TYPE1_BAD
+        else:
+            xh, cls = v >> run << run, Classification.TYPE0_BAD
+        tau = walk(xh)
     c = xh ^ (((1 << tau) - 1) << (n - tau))
     gamma = fresh_walk(c, n, targets[c.bit_count()])
     r = rank_width(len(gamma))

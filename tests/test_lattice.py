@@ -7,15 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qbalance
-from qbalance.lattice import (
-    PathBand,
-    _binom_row,
-    count_banded,
-)
+from qbalance.lattice import PathBand, count_banded
 from qbalance.oracle import count_paths_brute
-from qbalance.scheme_a import _binom_class, count_bad, rho_a_bound
-from qbalance.scheme_b import count_bad_b, gamma_counts_b, rho_b
-from qbalance.scheme_c import rho_c_fullspace
+from qbalance.scheme_a import _binom_class, count_bad
+from qbalance.scheme_b import count_bad_b
 
 from lattice_trig import count_banded_trig
 
@@ -128,16 +123,6 @@ class TestCountBandedTrig:
         assert approx == pytest.approx(exact, rel=1e-9, abs=1e-9)
 
 
-class TestBinomRow:
-    def test_small_rows_match_math_comb(self):
-        for n in range(301):
-            assert list(_binom_row(n)) == [math.comb(n, j) for j in range(n + 1)], n
-
-    @pytest.mark.parametrize("n", [1000, 4095])
-    def test_large_rows_match_math_comb(self, n):
-        assert list(_binom_row(n)) == [math.comb(n, j) for j in range(n + 1)]
-
-
 class TestBandedDP:
     """count_banded and the bad-word censuses at n ~ 2000 against banded_dp."""
 
@@ -191,7 +176,7 @@ def census_by_heights(n, q, odd):
 
 class TestCensusIsOneResidueClass:
     """count_bad and count_bad_b read one residue class of a binomial row,
-    and neither they nor gamma_counts_b keep the row."""
+    count_banded two, and none of them nor gamma_counts_b keeps the row."""
 
     @pytest.mark.parametrize("n", range(0, 40))
     def test_binom_class(self, n):
@@ -206,16 +191,14 @@ class TestCensusIsOneResidueClass:
         for q in range(n // 2 + 1):
             assert count_bad_b(n, q) == census_by_heights(n, q, odd=True), q
 
-    def test_builds_no_row(self):
-        _binom_row.cache_clear()
-        count_bad(4096, 6)
-        count_bad_b(4096, 6)
-        gamma_counts_b(4096, 6)
-        assert _binom_row.cache_info().misses == 0
-
     def test_rho_b_at_65536_in_bounded_memory(self):
         """A 2^16 binomial row holds about 200 MB; the census keeps none."""
         assert child_peak_kib("scheme_b.rho_b(65536, 3)") < 60 * 1024
+
+    def test_count_banded_at_32768_in_bounded_memory(self):
+        """Read off a cached row C(2^16, .), the count peaked at 214 MB."""
+        call = "from qbalance import lattice; lattice.count_banded((0, 0), (32768, 32768), lattice.PathBand(-3, 3))"
+        assert child_peak_kib(call) < 60 * 1024
 
     def test_gamma_counts_b_at_32768_in_bounded_memory(self):
         """Read off a cached row C(n-1, .), the histogram peaked at 116 MB here; stepped, at 66 MB."""
@@ -224,13 +207,6 @@ class TestCensusIsOneResidueClass:
 
 class TestRhoReadsNoRow:
     """Every rho sums float shares, so none builds a binomial row."""
-
-    def test_builds_no_row(self):
-        _binom_row.cache_clear()
-        rho_a_bound(4096, 6)
-        rho_b(4096, 6)
-        rho_c_fullspace(4096)
-        assert _binom_row.cache_info().misses == 0
 
     @pytest.mark.parametrize("call", ["scheme_a.rho_a_bound(65536, 0)", "scheme_c.rho_c_fullspace(65536)"])
     def test_rho_at_65536_in_bounded_memory(self, call):

@@ -27,7 +27,17 @@ from qbalance.scheme_a import (
 )
 from qbalance.scheme_b import count_bad_b, decode_b, encode_b, gamma_counts_b, gamma_set_b
 from qbalance.scheme_c import gamma_counts_fullspace
-from qbalance.words import BitWord, all_words, balancing_indices, complement, flip_prefix, level_walk, running_sum, weight
+from qbalance.words import (
+    BitWord,
+    all_words,
+    balancing_indices,
+    complement,
+    flip_prefix,
+    fresh_walk,
+    level_walk,
+    running_sum,
+    weight,
+)
 
 from lattice_trig import count_bad_trig
 
@@ -130,17 +140,23 @@ class TestEncode:
         ],
     )
     def test_index_scans_per_class(self, monkeypatch, word, q, cls, scans):
-        # a good word's index set, found while classifying, is the one tau is read from
-        calls = []
+        # the walk that hits fixes the class and tau together; Gamma(c) is walked once
+        calls, fresh = [], []
 
         def counted(value, length, levels):
             calls.append(value)
             return level_walk(value, length, levels)
 
+        def counted_fresh(value, length, sign=0):
+            fresh.append(value)
+            return fresh_walk(value, length, sign)
+
         monkeypatch.setattr(scheme_a, "level_walk", counted)
+        monkeypatch.setattr(scheme_a, "fresh_walk", counted_fresh)
         res = encode_a(W(word), q)
         assert res.classification is cls
         assert len(calls) == scans
+        assert len(fresh) == 1
 
 
 class TestDecode:

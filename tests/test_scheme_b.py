@@ -6,7 +6,7 @@ import pytest
 from qbalance import scheme_a, scheme_b
 from qbalance.errors import DecodeError
 from qbalance.oracle import census_bad_b, definitional_gamma, exhaustive_redundancy
-from qbalance.scheme_a import Classification, _substitute_int, count_bad, histogram_sum, rho_parts
+from qbalance.scheme_a import Classification, count_bad, histogram_sum, rho_parts
 from qbalance.scheme_b import (
     BETA,
     count_bad_b,
@@ -19,7 +19,7 @@ from qbalance.scheme_b import (
     rho_b_asymptote,
     t_b,
 )
-from qbalance.words import BitWord, all_words, level_walk, weight
+from qbalance.words import BitWord, all_words, fresh_walk, level_walk, weight
 
 
 def W(s):
@@ -64,7 +64,7 @@ class TestClassifyB:
         for w in all_words(n - 1):
             cls = encode_b(w, q).classification
             if cls.is_bad:
-                replaced = BitWord(_substitute_int(w.value, w.length, cls, r), w.length)
+                replaced = BitWord(w.value >> r << r | ((1 << r) - 1 if cls.type_bit else 0), w.length)
                 assert t_b(replaced, q), (w, replaced)
 
 
@@ -183,17 +183,23 @@ class TestEncodeDecodeB:
         ],
     )
     def test_index_scans_per_class(self, monkeypatch, word, q, cls, scans):
-        # a good word's index set, found while classifying, is the one tau is read from
-        calls = []
+        # the walk that hits fixes the class and tau together; Gamma(c) is walked once
+        calls, fresh = [], []
 
         def counted(value, length, levels):
             calls.append(value)
             return level_walk(value, length, levels)
 
+        def counted_fresh(value, length, sign=0):
+            fresh.append(value)
+            return fresh_walk(value, length, sign)
+
         monkeypatch.setattr(scheme_a, "level_walk", counted)
+        monkeypatch.setattr(scheme_a, "fresh_walk", counted_fresh)
         res = encode_b(W(word), q)
         assert res.classification is cls
         assert len(calls) == scans
+        assert len(fresh) == 1
 
 
 class TestGammaCountB:
