@@ -1,9 +1,12 @@
 """Command-line surface: encode/decode, table reports, trellis, verification.
 
-Single results print as JSON objects, tables as CSV.  Bit strings are
-ASCII 0/1 with the leftmost character at position 1.  Exit status: 0 on
-success, 1 on domain errors (bad flags, malformed bits, capacity
-guards), 2 when `oracle verify` finds a formula/oracle mismatch.
+Single results print as JSON objects, tables as CSV; `trellis` prints
+one JSON object of n, k, rho, |C*| and the |Gamma| histogram.  Bit
+strings are ASCII 0/1 with the leftmost character at position 1, and
+`encode`/`decode` read the block length off them or off the code file.
+Exit status: 0 on success, 1 on domain errors (bad flags, malformed
+bits, capacity guards), 2 when `oracle verify` finds a formula/oracle
+mismatch.
 """
 
 from __future__ import annotations
@@ -29,15 +32,11 @@ TABLE2_Q = 6
 
 
 def _load_code(args) -> CyclicCode:
-    """The --code file's code; a given -n must be its block length n + 1."""
+    """The --code file's code, which fixes the block length n + 1."""
     if args.code is None:
         raise ValueError("this command needs --code FILE")
     with open(args.code) as fh:
-        code = parse_code_file(fh.read())
-    n = getattr(args, "n", None)
-    if n is not None and n != code.n + 1:
-        raise ValueError(f"-n {n} does not match the code's block length {code.n + 1}")
-    return code
+        return parse_code_file(fh.read())
 
 
 def _emit_json(obj) -> None:
@@ -63,8 +62,6 @@ def _cmd_encode(args) -> int:
     else:
         code = _load_code(args)
         res = scheme_c.encode_c(code, x)
-    if args.n is not None and res.codeword.length != args.n:
-        raise ValueError(f"-n {args.n} inconsistent with codeword length {res.codeword.length}")
     _emit_json(
         {
             "scheme": args.scheme,
@@ -79,12 +76,11 @@ def _cmd_encode(args) -> int:
 
 def _cmd_decode(args) -> int:
     c = BitWord.from_str(args.codeword)
-    p = BitWord.from_str(args.prefix) if args.prefix else BitWord(0, 0)
-    n = args.n if args.n is not None else c.length
+    p = BitWord.from_str(args.prefix)
     if args.scheme == "a":
-        msg = scheme_a.decode_a(c, p, n, args.q)
+        msg = scheme_a.decode_a(c, p, c.length, args.q)
     elif args.scheme == "b":
-        msg = scheme_b.decode_b(c, p, n, args.q)
+        msg = scheme_b.decode_b(c, p, c.length, args.q)
     else:
         code = _load_code(args)
         msg = scheme_c.decode_c(code, c, p)
@@ -205,22 +201,17 @@ def _cmd_analyze_badwords(args) -> int:
 
 
 def _cmd_trellis(args) -> int:
-    if args.gamma and (args.rho or args.size):
-        raise ValueError("trellis --gamma prints the CSV alone; drop --rho and --size")
     code = _load_code(args)
     report = trellis.build_and_count(code)
-    if args.gamma:
-        _emit_csv(["i", "count"], report.gamma.items())
-        return 0
-    everything = not (args.rho or args.size)
-    result = {"n": code.n, "k": code.k}
-    if args.rho or everything:
-        result["rho"] = report.rho
-    if args.size or everything:
-        result["codebook_size"] = report.codebook_size
-    if everything:
-        result["gamma"] = report.gamma
-    _emit_json(result)
+    _emit_json(
+        {
+            "n": code.n,
+            "k": code.k,
+            "rho": report.rho,
+            "codebook_size": report.codebook_size,
+            "gamma": report.gamma,
+        }
+    )
     return 0
 
 
@@ -282,7 +273,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_scheme_opts(p, schemes):
         p.add_argument("--scheme", choices=schemes, required=True)
-        p.add_argument("-n", type=int, default=None)
         p.add_argument("-q", type=int, default=0)
         p.add_argument("--code", default=None, help="code-spec file (scheme c)")
 
@@ -322,15 +312,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("trellis", help="gamma/rho/|C*| of a cyclic code")
     p.add_argument("--code", required=True)
-    p.add_argument("--gamma", action="store_true")
-    p.add_argument("--rho", action="store_true")
-    p.add_argument("--size", action="store_true")
     p.set_defaults(func=_cmd_trellis)
 
     o = sub.add_parser("oracle", help="brute-force verification")
     osub = o.add_subparsers(dest="oracle_cmd", required=True)
     p = osub.add_parser("verify")
     add_scheme_opts(p, ("a", "b", "c"))
+    p.add_argument("-n", type=int, default=None, help="block length (schemes a and b)")
     p.set_defaults(func=_cmd_oracle_verify)
 
     s = sub.add_parser("stream", help="prefix-chained stream codec")
@@ -357,6 +345,8 @@ def _reject_unused_flags(args) -> None:
         raise ValueError(f"--code is for scheme c; scheme {scheme} reads no code file")
     if scheme == "c" and args.q:
         raise ValueError(f"q={args.q}: scheme c has no imbalance parameter q")
+    if scheme == "c" and args.command == "oracle" and args.n is not None:
+        raise ValueError(f"-n {args.n}: scheme c takes its block length from the code file")
     if getattr(args, "seed", None) is not None and not args.flip_per_block:
         raise ValueError("--seed places the flips of --flip-per-block; it has none to place")
     table = "--table1" if getattr(args, "table1", False) else "--table2" if getattr(args, "table2", False) else None

@@ -58,7 +58,7 @@ def _guard(k: int) -> None:
 def _resolve(scheme: str, n: Optional[int], q: int, code: Optional[CyclicCode]):
     """(n, q, code) as the walk uses them: Scheme C has q = 0, n = code.n + 1
     (a given n must agree), and code=None stands for the full space of
-    length n - 1."""
+    length n - 1; A's and B's n and q are checked as their codecs check them."""
     if scheme == "c":
         code = code if code is not None else full_space(n - 1)
         if n is not None and n != code.n + 1:
@@ -66,6 +66,7 @@ def _resolve(scheme: str, n: Optional[int], q: int, code: Optional[CyclicCode]):
         return code.n + 1, 0, code
     if scheme not in ("a", "b"):
         raise ValueError(f"unknown scheme {scheme!r}")
+    scheme_a._check_params(n, q)  # before the guard, which reads k from n
     return n, q, code
 
 

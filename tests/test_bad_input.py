@@ -3,10 +3,12 @@
 Every call exits 0, 1 or 2 and raises nothing, and an exit of 1 prints
 `error:` on stderr.  The argv lists are drawn from fixed seeds, a few
 dozen for each command: boundary and non-numeric -n and -q, malformed
-bit strings, damaged code files, and damaged QBS2 containers cut from a
-real simplex7 encode.  Each call stays fast: the oracle runs at n <= 12
-or past its guard, the analyses at n <= 4096 or past every guard, and
-the trellis only on codes with n - k <= 12.
+bit strings, damaged code files, damaged QBS2 containers cut from a
+real simplex7 encode, and in a few draws the options that encode, decode
+and trellis do not take.  Each call stays fast: the oracle runs at
+n <= 12 or past its guard, the analyses at n <= 4096 or past every
+guard, and the trellis only on codes with n - k <= 12.  `make_files`
+and `check` run outside pytest too, for more seeds than tier-1 draws.
 """
 
 import random
@@ -78,10 +80,9 @@ def damaged_spec(rng):
     return "\n".join(lines) + "\n"
 
 
-@pytest.fixture(scope="module")
-def files(tmp_path_factory):
-    """Paths of the good and damaged code files and of the containers."""
-    root = tmp_path_factory.mktemp("bad-input")
+def make_files(root):
+    """Paths of the good and damaged code files and of the containers,
+    written under the directory `root` (a pathlib.Path)."""
     rng = random.Random(2911)
     out = {"root": root, "codes": {}, "damaged": [], "containers": []}
     for name, (spec, k) in CODES.items():
@@ -117,6 +118,11 @@ def files(tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    return make_files(tmp_path_factory.mktemp("bad-input"))
+
+
 def code_arg(rng, files):
     """(path, k) of a good code file, or of a damaged one with k None."""
     if rng.random() < 0.6:
@@ -142,7 +148,8 @@ def draw_encode(rng, files):
         path, length = code_arg(rng, files)
         argv += ["--code", path]
     argv += ["--input", bits(rng, length if rng.random() < 0.8 else None)]
-    return options(rng, argv, number(rng, ANALYSIS_N[:12]), number(rng, SMALL_Q), given=0.3)
+    # -n is no encode option: a few draws pass it as bad input
+    return options(rng, argv, number(rng, ANALYSIS_N[:12]), number(rng, SMALL_Q), given=0.05)
 
 
 def draw_decode(rng, files):
@@ -167,7 +174,8 @@ def draw_decode(rng, files):
             prefix = prefix[: rng.randrange(len(prefix) + 1)]
     argv += ["--codeword", codeword, "--prefix", prefix]
     q = str(q) if rng.random() < 0.8 else number(rng, SMALL_Q)
-    return options(rng, argv, number(rng, ANALYSIS_N[:12]), q, given=0.3)
+    # the codeword fixes n: a few draws pass -n as bad input
+    return options(rng, argv, number(rng, ANALYSIS_N[:12]), q, given=0.05)
 
 
 def draw_analyze_redundancy(rng, files):
@@ -192,8 +200,10 @@ def draw_analyze_badwords(rng, files):
 
 def draw_trellis(rng, files):
     path, _ = code_arg(rng, files)
-    flags = [flag for flag in ("--gamma", "--rho", "--size") if rng.random() < 0.3]
-    return ["trellis", "--code", path, *flags]
+    argv = ["trellis", "--code", path]
+    if rng.random() < 0.1:  # an option trellis does not take, as bad input
+        argv.append(rng.choice(["--gamma", "--rho", "--size"]))
+    return argv
 
 
 def draw_oracle_verify(rng, files):
@@ -261,3 +271,10 @@ def test_drawn_argv_keeps_the_exit_contract(files, capsys, command):
 def test_oracle_n_past_any_message_space(capsys, scheme, n):
     # the guard built 1 << n to compare it: a MemoryError at 2^40, an OverflowError at 10^23
     assert check(capsys, ["oracle", "verify", "--scheme", scheme, "-n", str(n)]) == 1
+
+
+@pytest.mark.parametrize("scheme,n", [("a", -4), ("b", 0), ("b", 7)])
+def test_oracle_names_a_bad_block_length(capsys, scheme, n):
+    # n is checked before the guard and all_words read it; the message names the block length
+    assert cli.run(["oracle", "verify", "--scheme", scheme, "-n", str(n)]) == 1
+    assert "block length" in capsys.readouterr().err

@@ -70,9 +70,7 @@ def run_csv(capsys, *argv):
 
 class TestEncodeDecode:
     def test_scheme_a_worked_example(self, capsys):
-        obj = run_json(
-            capsys, "encode", "--scheme", "a", "-n", "8", "-q", "2", "--input", "11100000"
-        )
+        obj = run_json(capsys, "encode", "--scheme", "a", "-q", "2", "--input", "11100000")
         assert obj["codeword"] == "10011111"
         assert obj["prefix"] == "00001"
         assert obj["classification"] == "type-0-good"
@@ -87,7 +85,7 @@ class TestEncodeDecode:
     def test_scheme_a_decode(self, capsys):
         obj = run_json(
             capsys,
-            "decode", "--scheme", "a", "-n", "8", "-q", "2",
+            "decode", "--scheme", "a", "-q", "2",
             "--codeword", "10011111", "--prefix", "00001",
         )
         assert obj["message"] == "11100000"
@@ -97,7 +95,7 @@ class TestEncodeDecode:
         assert enc["codeword"] == "11100001"
         dec = run_json(
             capsys,
-            "decode", "--scheme", "b", "-n", "8", "-q", "0",
+            "decode", "--scheme", "b", "-q", "0",
             "--codeword", enc["codeword"], "--prefix", enc["prefix"],
         )
         assert dec["message"] == "0000000"
@@ -269,18 +267,7 @@ class TestTrellisCommand:
         assert obj["codebook_size"] == 4
         assert obj["gamma"] == {"1": 2, "2": 1, "4": 1}
 
-    def test_gamma_csv(self, capsys, code_file):
-        rows = run_csv(capsys, "trellis", "--code", code_file, "--gamma")
-        assert [(r["i"], r["count"]) for r in rows] == [("1", "2"), ("2", "1"), ("4", "1")]
-
-    @pytest.mark.parametrize("extra", ["--rho", "--size"])
-    def test_gamma_csv_takes_no_other_report(self, capsys, code_file, extra):
-        status, out, err = run_cli(capsys, "trellis", "--code", code_file, "--gamma", extra)
-        assert status == 1 and out == ""
-        assert err.startswith("error:") and extra in err
-
-    @pytest.mark.parametrize("flags", [(), ("--gamma",), ("--rho",), ("--size",), ("--rho", "--size")])
-    def test_one_pass_per_report(self, capsys, code_file, monkeypatch, flags):
+    def test_one_pass_per_report(self, capsys, code_file, monkeypatch):
         calls = []
         real = trellis.build_and_count
 
@@ -289,16 +276,17 @@ class TestTrellisCommand:
             return real(code)
 
         monkeypatch.setattr(trellis, "build_and_count", counted)
-        run_cli(capsys, "trellis", "--code", code_file, *flags)
+        run_cli(capsys, "trellis", "--code", code_file)
         assert len(calls) == 1
 
 
 def test_in_process_runs_share_one_parser(capsys, code_file):
     """The first `run` builds the parser; later ones reuse it, after a usage error too."""
     cli._build_parser.cache_clear()
-    assert run_json(capsys, "trellis", "--code", code_file, "--size") == {"n": 7, "k": 3, "codebook_size": 4}
+    report = {"n": 7, "k": 3, "rho": pytest.approx(2.25), "codebook_size": 4, "gamma": {"1": 2, "2": 1, "4": 1}}
+    assert run_json(capsys, "trellis", "--code", code_file) == report
     assert run_cli(capsys, "trellis", "--no-such-flag")[0] == 1
-    assert run_json(capsys, "trellis", "--code", code_file, "--rho") == {"n": 7, "k": 3, "rho": pytest.approx(2.25)}
+    assert run_json(capsys, "trellis", "--code", code_file) == report
     assert cli._build_parser.cache_info().misses == 1
 
 
@@ -355,11 +343,8 @@ def test_scheme_c_rejects_q(capsys, code_file, argv):
     "argv,flag",
     [
         pytest.param(("oracle", "verify", "--scheme", "c", "--code", None, "-n", "99"), "-n", id="verify-c-n"),
-        pytest.param(
-            ("decode", "--scheme", "c", "--code", None, "--codeword", "10101100", "--prefix", "01", "-n", "99"),
-            "-n",
-            id="decode-c-n",
-        ),
+        # the code file fixes the block length, so even the matching one is refused
+        pytest.param(("oracle", "verify", "--scheme", "c", "--code", None, "-n", "8"), "-n", id="verify-c-matching-n"),
         pytest.param(("oracle", "verify", "--scheme", "a", "-n", "8", "--code", "/nonexistent"), "--code", id="verify-a-code"),
         pytest.param(("encode", "--scheme", "a", "--input", "11100000", "--code", "/nonexistent"), "--code", id="encode-a-code"),
         pytest.param(
@@ -384,6 +369,34 @@ def test_flag_the_command_would_ignore_is_an_error(capsys, code_file, argv, flag
     status, out, err = run_cli(capsys, *argv)
     assert status == 1 and out == ""
     assert err.startswith("error:") and flag in err
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        pytest.param(("encode", "--scheme", "a", "-n", "8", "-q", "2", "--input", "11100000"), "-n", id="encode-n"),
+        pytest.param(
+            ("decode", "--scheme", "a", "-n", "8", "-q", "2", "--codeword", "10011111", "--prefix", "00001"),
+            "-n",
+            id="decode-n",
+        ),
+        pytest.param(
+            ("decode", "--scheme", "c", "--code", None, "--codeword", "10101100", "--prefix", "01", "-n", "99"),
+            "-n",
+            id="decode-c-n",
+        ),
+        pytest.param(("trellis", "--code", None, "--gamma"), "--gamma", id="trellis-gamma"),
+        pytest.param(("trellis", "--code", None, "--rho"), "--rho", id="trellis-rho"),
+        pytest.param(("trellis", "--code", None, "--size"), "--size", id="trellis-size"),
+    ],
+)
+def test_option_that_restates_the_input_is_unrecognized(capsys, code_file, argv, flag):
+    """The bit string or code file fixes n, and `trellis` prints one report:
+    argparse names the option, and `run` maps its exit 2 to 1."""
+    argv = [code_file if a is None else a for a in argv]
+    status, out, err = run_cli(capsys, *argv)
+    assert status == 1 and out == ""
+    assert "error:" in err and flag in err
 
 
 class TestStreamCommands:
