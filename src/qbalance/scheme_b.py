@@ -155,8 +155,9 @@ def _histogram_b(n: int, q: int, exact: bool) -> Dict[int, Any]:
 
     Each branch of _branches starts at C(n-1, a-1) for its first a, by
     math.comb or as one lgamma value over 2^(n-1) (a correctly rounded
-    start moves rho_b(65536, 0) by 4.3e-12), and steps it up in a by the
-    ratio (n-a)/a, a share until it falls below the least normal float.
+    start moves rho_b(65536, 0) by 4.3e-12 relative, towards the 40-digit
+    reference value), and steps it up in a by the ratio (n-a)/a, a share
+    until it falls below the least normal float.
     Its size-i entry is C(n-1, a-1) - C(n-1, a), which the shares take as
     C(n-1, a-1) 2(a-m)/a so as not to cancel digits; every a > m, so none
     is 0.  At q = 0 the two branches are equal: dict.fromkeys steps it once,
@@ -188,11 +189,13 @@ def rho_b_parts(n: int, q: int) -> Tuple[Parts, Parts]:
     the wire).
 
     The constant is 1 appended balance bit, plus 2 flag/type bits when
-    q > 0.  The good term sums the float shares of _histogram_b at every n;
-    they agree with the exact binomials of gamma_counts_b to within 1e-11
-    relative (7.3e-12 at worst over n <= 4096, q in {0, 2, 6}), and take
-    about 2.5 ms at n = 65536, q = 0, where the big-integer binomials grow
-    with n.
+    q > 0.  The good term sums the float shares of _histogram_b at every n,
+    in about 2.5 ms at n = 65536, q = 0, where the big-integer binomials
+    grow with n.  The shares carry the error of their lgamma start: against
+    a 40-digit decimal sum over gamma_counts_b, the good term at q = 0 is
+    off by 7.7e-13 relative at n = 4096 and by 1.9e-11 at n = 16384.  The
+    tests check the shares against the exact binomials to 1e-11 only for
+    n <= 4096 (7.3e-12 at worst there, q in {0, 2, 6}); see ROADMAP item 12.
     Exact at q = 0; at q > 0 it is low by the same terms as
     scheme_a.rho_a_parts (4.634 against the exhaustive 5.037 for n = 8,
     q = 2).

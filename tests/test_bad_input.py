@@ -7,8 +7,7 @@ bit strings, damaged code files, damaged QBS2 containers cut from a
 real simplex7 encode, and in a few draws the options that encode, decode
 and trellis do not take.  Each call stays fast: the oracle runs at
 n <= 12 or past its guard, the analyses at n <= 4096 or past every
-guard, and the trellis only on codes with n - k <= 12.  `make_files`
-and `check` run outside pytest too, for more seeds than tier-1 draws.
+guard, and the trellis only on codes with n - k <= 12.
 """
 
 import random
@@ -259,9 +258,13 @@ def check(capsys, argv):
     return status
 
 
-@pytest.mark.parametrize("command", sorted(DRAWS))
-def test_drawn_argv_keeps_the_exit_contract(files, capsys, command):
-    rng = random.Random(sorted(DRAWS).index(command))
+# 21 seed sets of 60 draws for each of the nine commands; the first set's ids are the bare command names
+@pytest.mark.parametrize(
+    "extra,command",
+    [pytest.param(extra, c, id=f"{c}-{extra}" if extra else c) for extra in range(21) for c in sorted(DRAWS)],
+)
+def test_drawn_argv_keeps_the_exit_contract(files, capsys, extra, command):
+    rng = random.Random(sorted(DRAWS).index(command) + extra * len(DRAWS))
     for _ in range(CALLS):
         check(capsys, DRAWS[command](rng, files))
 

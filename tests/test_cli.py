@@ -1,20 +1,35 @@
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
-import os
+import random
+import re
+import shlex
+import shutil
 import subprocess
 import sys
+import time
+from pathlib import Path
 
 import pytest
 
-import qbalance
-from qbalance import cli, oracle, scheme_a, scheme_b, trellis
+from qbalance import cli, oracle, scheme_a, scheme_b, scheme_c, trellis
 from qbalance.scheme_a import encode_a
 from qbalance.words import BitWord
 
+from fresh_process import CLI, ENV, run_fresh
+from test_scheme_c import BCH63_39_SPEC
+
 SIMPLEX_SPEC = "n = 7\nk = 3\ngenerator = 1,0,1,1,1\n"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH_CODES = ROOT / "perfbench" / "codes"
+# a valid H of the simplex code pinned by parity_row_* keys, which are unknown keys now
+STALE_H_SPEC = (
+    "n = 7\ngenerator = 1,0,1,1,1\nparity_row_1 = 1,1,0,1,0,0,0\nparity_row_2 = 0,1,1,0,1,0,0\n"
+    "parity_row_3 = 0,0,1,1,0,1,0\nparity_row_4 = 0,0,0,1,1,0,1\n"
+)
 
 
 @pytest.fixture
@@ -60,6 +75,14 @@ def run_long(capsys, parse, *argv):
     assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
     with long_int_strings():
         return parse(out)
+
+
+def run_timed(capsys, timeout, *argv):
+    """run_cli, failing when the call takes `timeout` seconds or more."""
+    start = time.perf_counter()
+    result = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < timeout, argv
+    return result
 
 
 def run_csv(capsys, *argv):
@@ -178,9 +201,7 @@ class TestAnalyze:
     @pytest.mark.parametrize("flag", ["--table1", "--table2"])
     def test_table_is_byte_identical_to_golden(self, capsys, flag):
         # the benchmark's recorded tables; criteria 01-04 check them only to +-0.005
-        path = os.path.join(os.path.dirname(__file__), "..", "perfbench", "golden.json")
-        with open(path) as fh:
-            golden = json.load(fh)["tables"][flag]
+        golden = json.loads((ROOT / "perfbench" / "golden.json").read_text())["tables"][flag]
         status, out, err = run_cli(capsys, "analyze", "redundancy", flag)
         assert status == 0, err
         assert out == golden
@@ -207,14 +228,21 @@ class TestAnalyze:
         Run as a command: its 30 MB CSV in this process would raise the peak
         RSS that the bounded-memory probes of other tests inherit."""
         n = 14336
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qbalance.__file__)))
         path = tmp_path / "gamma.csv"
         with open(path, "w") as fh:
-            argv = ["analyze", "gamma", "--scheme", "c", "-n", str(n)]
-            subprocess.run([sys.executable, "-m", "qbalance.cli", *argv], env=env, stdout=fh, check=True)
+            run_fresh(CLI, "analyze", "gamma", "--scheme", "c", "-n", str(n), stdout=fh)
         with open(path) as fh, long_int_strings():
             total = sum(int(row["count"]) for row in csv.DictReader(fh))
         assert total == math.comb(n, n // 2)
+
+    def test_gamma_csv_at_16384_in_bounded_memory(self, tmp_path):
+        """The CSV goes out row by row: built whole in a buffer first, the text took the peak to 113 MB."""
+        path = tmp_path / "gamma.csv"
+        with open(path, "w") as fh:
+            child = run_fresh(CLI, "analyze", "gamma", "--scheme", "a", "-n", "16384", stdout=fh, timeout=30)
+        assert child.peak_kib < 80 * 1024
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "f03f00c1777eeb67a4bafbc40da3a91c2912c0190b8313c38a300b333ede9b18"
 
     def test_badwords(self, capsys):
         obj = run_json(capsys, "analyze", "badwords", "-n", "8", "-q", "2")
@@ -257,6 +285,11 @@ class TestAnalyze:
     def test_scheme_b_operational(self, capsys, n, q):
         obj = run_json(capsys, "analyze", "redundancy", "--scheme", "b", "-n", str(n), "-q", str(q))
         assert obj["operational"] == sum(scheme_b.rho_b_parts(n, q)[1].values())
+        assert obj["operational"] >= obj["value"]
+
+    def test_scheme_c_operational(self, capsys):
+        obj = run_json(capsys, "analyze", "redundancy", "--scheme", "c", "-n", "16")
+        assert obj["operational"] == sum(scheme_c.rho_c_parts(16)[1].values())
         assert obj["operational"] >= obj["value"]
 
 
@@ -345,6 +378,7 @@ def test_scheme_c_rejects_q(capsys, code_file, argv):
         pytest.param(("oracle", "verify", "--scheme", "c", "--code", None, "-n", "99"), "-n", id="verify-c-n"),
         # the code file fixes the block length, so even the matching one is refused
         pytest.param(("oracle", "verify", "--scheme", "c", "--code", None, "-n", "8"), "-n", id="verify-c-matching-n"),
+        pytest.param(("oracle", "verify", "--scheme", "c", "--code", None, "-q", "1"), "q=1", id="verify-c-q"),
         pytest.param(("oracle", "verify", "--scheme", "a", "-n", "8", "--code", "/nonexistent"), "--code", id="verify-a-code"),
         pytest.param(("encode", "--scheme", "a", "--input", "11100000", "--code", "/nonexistent"), "--code", id="encode-a-code"),
         pytest.param(
@@ -461,6 +495,7 @@ class TestStreamCommands:
             "n = 7\ngenerator = 0\nparity_row_1 = 1,0,1,1,1,0,0\n",
             # past the block-length guard: once built, with a 57 MB byte table on the first encode
             "generator = 1\nn = 4096\n",
+            STALE_H_SPEC,
         ],
     )
     def test_bad_code_file_says_where(self, capsys, tmp_path, spec):
@@ -469,11 +504,134 @@ class TestStreamCommands:
         status, _, err = run_cli(capsys, "stream", "encode", "--code", str(path), "--input", "101")
         assert status == 1
         assert err.startswith("error: line ")
+        if spec == STALE_H_SPEC:
+            assert "unknown key" in err
+
+    def test_block_length_guard_fires_before_any_large_allocation(self, tmp_path):
+        """n = 65535 once needed about 11 GB of byte tables: under a 1 GB
+        address-space cap the guard must fail it first, with no traceback."""
+        path = tmp_path / "long.code"
+        path.write_text("n = 65535\ngenerator = 1\n")
+        argv = ["stream", "encode", "--code", str(path), "--input", "101"]
+        child = run_fresh(CLI, *argv, as_limit_kib=1_000_000, timeout=10, check=False)
+        assert child.status == 1
+        assert child.err.startswith("error: line 1: n: ") and "Traceback" not in child.err
+
+    @pytest.mark.parametrize(
+        "code,payload,flips",
+        [
+            # 200 fixed payload bits that encode without a flush cycle; two flips in every block
+            pytest.param(
+                "bch31",
+                "00100100000001111100010111011100000010011011010110001001001001100101010110111100"
+                "00001000011110100000001000110100000101010001100111001010111001101100110100011100"
+                "0101100000001011101011010000110100000010",
+                2,
+                id="bch31-2-flips",
+            ),
+            # 2,000 seeded payload bits that encode without a flush cycle on both codes, t flips per
+            # block; the byte tables read a 7-bit word in one byte and a 23-bit word in three
+            pytest.param("simplex7", format(random.Random(1).getrandbits(2000), "02000b"), 1, id="simplex7-1-flip"),
+            pytest.param("golay23", format(random.Random(1).getrandbits(2000), "02000b"), 3, id="golay23-3-flips"),
+            # past both guards, a clean block decodes through its zero syndrome alone
+            pytest.param("bch63_39", format(random.Random(2).getrandbits(500), "0500b"), 0, id="bch63_39-clean"),
+        ],
+    )
+    def test_round_trip_through_a_container(self, capsys, tmp_path, code, payload, flips):
+        path = tmp_path / f"{code}.code"
+        path.write_text(BCH63_39_SPEC if code == "bch63_39" else (PERFBENCH_CODES / path.name).read_text())
+        container = str(tmp_path / "s.bin")
+        argv = ["stream", "encode", "--code", str(path), "--input", payload, "--out", container]
+        status, _, err = run_timed(capsys, 10, *argv, *(("--flip-per-block", str(flips)) if flips else ()))
+        assert status == 0, err
+        status, out, err = run_timed(capsys, 10, "stream", "decode", "--code", str(path), "--in", container)
+        assert status == 0, err
+        assert json.loads(out)["payload"] == payload
 
 
 def test_cli_import_does_not_load_numpy():
     """Every CLI start pays for what `qbalance.cli` imports; numpy alone costs more than all of it."""
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qbalance.__file__)))
-    probe = "import sys, qbalance.cli; print('numpy' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert run_fresh("import sys, qbalance.cli; print('numpy' in sys.modules)").out.strip() == "False"
+
+
+def seeded_bits(k):
+    return format(random.Random(k).getrandbits(k), f"0{k}b")
+
+
+@pytest.mark.parametrize(
+    "scheme,message,classification",
+    [
+        # seeded messages, read with 0-7 zero bits filling the last 8-bit chunk: A at n = 1024
+        # (no fill) and 1026 (6 fill bits), B at n = 1024 (1 fill bit) and 1026 (7 fill bits)
+        pytest.param("a", seeded_bits(1024), None, id="a-1024"),
+        pytest.param("a", seeded_bits(1026), None, id="a-1026"),
+        pytest.param("b", seeded_bits(1023), None, id="b-1024"),
+        pytest.param("b", seeded_bits(1025), None, id="b-1026"),
+        # bad words, whose replacement tail is walked again at full length
+        pytest.param("a", "10" * 512, "type-0-bad", id="a-bad"),
+        pytest.param("b", "10" * 511 + "1", "type-1-bad", id="b-bad"),
+    ],
+)
+def test_long_word_round_trip(capsys, scheme, message, classification):
+    status, out, err = run_timed(capsys, 10, "encode", "--scheme", scheme, "-q", "2", "--input", message)
+    assert status == 0, err
+    enc = json.loads(out)
+    assert classification in (None, enc["classification"])
+    argv = ["decode", "--scheme", scheme, "-q", "2", "--codeword", enc["codeword"], "--prefix", enc["prefix"]]
+    status, out, err = run_timed(capsys, 10, *argv)
+    assert status == 0, err
+    assert json.loads(out)["message"] == message
+
+
+def readme_block(heading, lang):
+    """The first ```lang block after the line that starts with `heading` in README.md."""
+    lines = (ROOT / "README.md").read_text().splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith(heading))
+    first = next(i for i in range(start, len(lines)) if lines[i].startswith("```" + lang)) + 1
+    end = next(i for i in range(first, len(lines)) if lines[i].startswith("```"))
+    return "\n".join(lines[first:end]) + "\n"
+
+
+# {argv: sha256 of stdout} of the README's CLI block and of outputs that tests
+# otherwise check only in part; an output that changes on purpose edits the file
+GOLDEN = json.loads((ROOT / "tests" / "golden_outputs.json").read_text())
+
+
+@pytest.fixture(scope="module")
+def golden_dir(tmp_path_factory):
+    """A working directory that holds the README's simplex.code and frames.bin,
+    and perfbench's code files under perfbench/codes."""
+    root = tmp_path_factory.mktemp("golden")
+    shutil.copytree(PERFBENCH_CODES, root / "perfbench" / "codes")
+    simplex = root / "simplex.code"
+    simplex.write_text(SIMPLEX_SPEC)
+    argv = ["--code", str(simplex), "--input", "0001011", "--out", str(root / "frames.bin")]
+    assert cli.run(["stream", "encode", *argv, "--flip-per-block", "1", "--seed", "7"]) == 0
+    return root
+
+
+@pytest.mark.parametrize("command", list(GOLDEN))
+def test_output_matches_golden(capsys, monkeypatch, golden_dir, command):
+    monkeypatch.chdir(golden_dir)
+    status, out, err = run_timed(capsys, 20, *shlex.split(command))
+    assert status == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[command]
+
+
+class TestReadme:
+    def test_golden_outputs_cover_the_cli_block(self):
+        script = readme_block("## CLI", "sh").replace("\\\n", " ")
+        lines = [shlex.split(line, comments=True) for line in script.splitlines()]
+        commands = [shlex.join(argv[1:]) for argv in lines if argv[:1] == ["qbalance"]]
+        assert len(commands) == 14
+        assert set(commands) <= set(GOLDEN)
+
+    def test_cli_block_runs(self, tmp_path):
+        """Each `qbalance` line run as a module, under bash -e in an empty directory."""
+        qbalance = f"{shlex.quote(sys.executable)} -m qbalance.cli "
+        script = re.sub(r"(?m)^qbalance ", qbalance, readme_block("## CLI", "sh"))
+        proc = subprocess.run(["bash", "-e", "-c", script], cwd=tmp_path, env=ENV, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_library_block_runs(self):
+        run_fresh(readme_block("## Library quick reference", "python"))

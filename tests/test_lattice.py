@@ -1,38 +1,21 @@
+import json
 import math
-import os
-import subprocess
-import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import qbalance
 from qbalance.lattice import PathBand, count_banded
 from qbalance.oracle import count_paths_brute
 from qbalance.scheme_a import _binom_class, count_bad
 from qbalance.scheme_b import count_bad_b
 
+from fresh_process import CLI, run_fresh
 from lattice_trig import count_banded_trig
-
-# The child's peak RSS in KiB.  VmHWM starts afresh at execve; ru_maxrss,
-# the fallback where /proc is missing, keeps the high-water mark of the
-# process that started the child, so there it can read pytest's own peak.
-PEAK_RSS_KIB = (
-    "import resource\n"
-    "try:\n"
-    "    peak = next(int(line.split()[1]) for line in open('/proc/self/status') if line.startswith('VmHWM:'))\n"
-    "except (OSError, StopIteration):\n"
-    "    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
-    "print(peak)\n"
-)
 
 
 def child_peak_kib(call):
     """Peak RSS in KiB of a fresh interpreter that runs `call` after importing qbalance."""
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qbalance.__file__)))
-    probe = f"from qbalance import scheme_a, scheme_b, scheme_c\n{call}\n{PEAK_RSS_KIB}"
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-    return int(out.stdout)
+    return run_fresh(f"from qbalance import scheme_a, scheme_b, scheme_c\n{call}").peak_kib
 
 
 def banded_dp(start, end, band):
@@ -204,6 +187,36 @@ class TestCensusIsOneResidueClass:
         """Read off a cached row C(n-1, .), the histogram peaked at 116 MB here; stepped, at 66 MB."""
         assert child_peak_kib("scheme_b.gamma_counts_b(1 << 15, 0)") < 90 * 1024
 
+    def test_censuses_at_65536_in_bounded_memory(self):
+        """Both censuses at q = 3, as 8200-byte big-endian ints; a 2^16 binomial row alone holds about 200 MB."""
+        code = (
+            "import hashlib\n"
+            "from qbalance.scheme_a import count_bad\n"
+            "from qbalance.scheme_b import count_bad_b\n"
+            "for census in (count_bad, count_bad_b):\n"
+            "    print(hashlib.sha256(census(65536, 3).to_bytes(8200, 'big')).hexdigest())\n"
+        )
+        child = run_fresh(code, timeout=30)
+        assert child.out.split() == [
+            "b81f80f9bbcd7211354e72b3a39c28ff84531b199ef729c1b25ca305a72893c9",
+            "8628fa5968ee583aef5fd5b8d422c31d98b46f9090b14e950d5ab4c85ab4d23a",
+        ]
+        assert child.peak_kib < 60 * 1024
+
+    def test_equals_census_by_heights_at_65536_in_bounded_memory(self):
+        """census_by_heights(65536, 3, odd=False), one count_banded call per start
+        height; read off a cached binomial row, the same sum peaked at 214 MB."""
+        code = (
+            "from qbalance.lattice import PathBand, count_banded\n"
+            "from qbalance.scheme_a import count_bad\n"
+            "n, q, m = 65536, 3, 32768\n"
+            "band = PathBand(1 - q, q - 1)\n"
+            "print(sum(count_banded((0, y), (m + y, m), band) for y in range(1 - q, q)) == count_bad(n, q))\n"
+        )
+        child = run_fresh(code, timeout=30)
+        assert child.out == "True\n"
+        assert child.peak_kib < 60 * 1024
+
 
 class TestRhoReadsNoRow:
     """Every rho sums float shares, so none builds a binomial row."""
@@ -212,3 +225,27 @@ class TestRhoReadsNoRow:
     def test_rho_at_65536_in_bounded_memory(self, call):
         """The exact paths took 1,163 MB (A) and 434 MB (C) here."""
         assert child_peak_kib(call) < 64 * 1024
+
+    @pytest.mark.parametrize(
+        "scheme,q,want",
+        [
+            # each q = 0 value is the one the exact big-int paths (A, C) and the two-branch B loop
+            # gave; A at q = 2 and 6 as the termwise sum over single reflections gave its shares.
+            # B's is the library's current value, 4.3e-12 relative below the 40-digit reference
+            # 8.526318299989014 (ROADMAP item 12).
+            ("a", 0, 8.359073021470634),
+            ("b", 0, 8.526318299952276),
+            ("c", 0, 14.013898650403595),
+            ("a", 2, 10.359239863643877),
+            ("a", 6, 10.36039276013017),
+        ],
+    )
+    def test_cli_rho_at_65536_and_the_guard_past_it_under_1_gb(self, scheme, q, want):
+        """`analyze redundancy` under a 1 GB address-space cap: the value at
+        n = 65536, and at n = 10^6 an error from the guard before any large allocation."""
+        argv = ["analyze", "redundancy", "--scheme", scheme, "-q", str(q), "-n"]
+        got = json.loads(run_fresh(CLI, *argv, "65536", as_limit_kib=1_000_000, timeout=10).out)["value"]
+        assert abs(got - want) <= 1e-12 * want
+        child = run_fresh(CLI, *argv, "1000000", as_limit_kib=1_000_000, timeout=10, check=False)
+        assert child.status == 1
+        assert child.err.startswith("error: ") and "Traceback" not in child.err

@@ -5,7 +5,7 @@ import pytest
 
 from qbalance.cyclic_code import codewords, from_generator, full_space, poly_divmod, poly_from_coeffs
 from qbalance.errors import CapacityError
-from qbalance.scheme_c import encode_c, gamma_counts_fullspace, gamma_size_c
+from qbalance.scheme_c import encode_c, gamma_counts_fullspace, gamma_size_c, rho_c_fullspace
 from qbalance.trellis import _check, _Lanes, build_and_count, state_count
 
 # [23,12,7] Golay code, 1 + X^2 + X^4 + X^5 + X^6 + X^10 + X^11 (n - k = 11)
@@ -196,9 +196,15 @@ class TestLanes:
 
 
 class TestClosedFormEquivalence:
-    @pytest.mark.parametrize("n", [4, 8, 12, 16, 20, 24])
+    # n = 256: the [255,255] full space, n - k = 0, one plain int per weight
+    # row, 127 levels of up to 128 index groups
+    @pytest.mark.parametrize("n", [4, 8, 12, 16, 20, 24, 256])
     def test_full_space_matches_closed_form(self, n):
-        assert build_and_count(full_space(n - 1)).gamma == gamma_counts_fullspace(n)
+        start = time.perf_counter()
+        report = build_and_count(full_space(n - 1))
+        assert time.perf_counter() - start < 10
+        assert report.gamma == gamma_counts_fullspace(n)
+        assert abs(report.rho - rho_c_fullspace(n)) <= 1e-12
 
 
 class TestRho:
