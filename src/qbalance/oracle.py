@@ -56,18 +56,29 @@ def _guard(k: int) -> None:
 
 
 def _resolve(scheme: str, n: Optional[int], q: int, code: Optional[CyclicCode]):
-    """(n, q, code) as the walk uses them: Scheme C has q = 0, n = code.n + 1
-    (a given n must agree), and code=None stands for the full space of
-    length n - 1; A's and B's n and q are checked as their codecs check them."""
-    if scheme == "c":
-        code = code if code is not None else full_space(n - 1)
-        if n is not None and n != code.n + 1:
-            raise ValueError(f"n={n} does not match the code's block length {code.n + 1}")
-        return code.n + 1, 0, code
-    if scheme not in ("a", "b"):
+    """(n, q, code) as the walk uses them, each checked here, before the
+    guard, which reads k from them.  Scheme C takes no q other than 0 and
+    has n = code.n + 1 (a given n must agree); code=None stands for the
+    full space of length n - 1, with n checked as A's codec checks it.
+    A and B take no code, and their n and q are checked as their codecs
+    check them."""
+    if scheme not in ("a", "b", "c"):
         raise ValueError(f"unknown scheme {scheme!r}")
-    scheme_a._check_params(n, q)  # before the guard, which reads k from n
-    return n, q, code
+    if n is None and code is None:
+        raise ValueError(f"scheme {scheme} needs a block length n" + (" or a code" if scheme == "c" else ""))
+    if scheme != "c":
+        if code is not None:
+            raise ValueError(f"scheme {scheme} takes no code")
+        scheme_a._check_params(n, q)
+        return n, q, code
+    if q:
+        raise ValueError(f"scheme c has no imbalance parameter; q={q} must be 0")
+    if code is None:
+        scheme_a._check_length(n)
+        code = full_space(n - 1)
+    elif n is not None and n != code.n + 1:
+        raise ValueError(f"n={n} does not match the code's block length {code.n + 1}")
+    return code.n + 1, 0, code
 
 
 def _codec(scheme: str, n: int, q: int, code: Optional[CyclicCode]):

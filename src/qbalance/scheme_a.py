@@ -65,10 +65,12 @@ The histograms keep a row of big integers, so their memory grows as
 n^2 (at 2^16 _histogram_a and _histogram_b are called past the guard); the
 censuses and math.comb keep one binomial (16 MB throughout) and
 their time grows as n^2.  The histograms therefore raise CapacityError
-past n = HISTOGRAM_MAX_N = 2^15, and count_bad, count_bad_b and every
-math.comb(n, .) (optimal_redundancy and the start of _histogram_a) past
-n = STEPPED_MAX_N = 2^17, which admits every rho at n = 2^16.  The
-float sides of rho_b and rho_c_fullspace need no guard: 0.05 s and
+past n = HISTOGRAM_MAX_N = 2^15, and count_bad, count_bad_b and
+optimal_redundancy's math.comb(n, .) past n = STEPPED_MAX_N = 2^17,
+which admits every rho at n = 2^16.  The math.comb start of _histogram_a
+has no guard of its own: its callers guard it, gamma_counts_a at
+HISTOGRAM_MAX_N and rho_a_parts through count_bad, which it calls first.
+The float sides of rho_b and rho_c_fullspace need no guard: 0.05 s and
 25 MB at 2^17.
 """
 
@@ -233,7 +235,7 @@ def decode_a(c: BitWord, p: BitWord, n: int, q: int) -> BitWord:
 
 # Largest n of the exact outputs, set from the table in the module docstring.
 HISTOGRAM_MAX_N = 1 << 15  # gamma_counts_a, gamma_counts_b, gamma_counts_fullspace
-STEPPED_MAX_N = 1 << 17  # count_bad, count_bad_b, and each math.comb(n, .)
+STEPPED_MAX_N = 1 << 17  # count_bad, count_bad_b, optimal_redundancy; rho_a_parts's math.comb
 
 
 def _guard(n: int, limit: int, what: str) -> None:
@@ -317,9 +319,12 @@ def _histogram_a(n: int, q: int, exact: bool) -> Dict[int, Any]:
     in all; in O(sqrt(n) log n) float terms each share is within 4e-16 of
     N_s / 2^n, and the good term within 5e-15 relative of the exact one
     (measured at every q for n <= 200, and at q <= 17 up to n = 4096).
+
+    n and q are taken as checked, and the math.comb start as guarded, by
+    the two callers: gamma_counts_a (HISTOGRAM_MAX_N) and rho_a_parts
+    (STEPPED_MAX_N, through count_bad).
     """
     m = n // 2
-    _guard(n, STEPPED_MAX_N, "binomial")
     if exact:
         c, least, zero = math.comb(n, m), 1, 0
     else:
@@ -408,9 +413,9 @@ def rho_a_parts(n: int, q: int) -> Tuple[Parts, Parts]:
     sends log2 |Gamma|.  For n = 8, q = 2 it gives 4.422 against the
     exhaustive 4.994.
     """
-    _check_params(n, q)
+    bad = count_bad(n, q)  # first: it checks n and q, and guards _histogram_a's start
     good = histogram_sum(_histogram_a(n, q, False), 0)
-    return rho_parts(0, good, q, n, count_bad(n, q), 2 * q)
+    return rho_parts(0, good, q, n, bad, 2 * q)
 
 
 def rho_a_bound(n: int, q: int) -> float:

@@ -70,8 +70,6 @@ def t_b(x: BitWord, q: int) -> List[int]:
 def gamma_set_b(c: BitWord, q: int) -> List[int]:
     """Fresh running-sum indices restricted to the weight-determined sign."""
     n = c.length + 1
-    if n % 2:
-        raise ValueError(f"codeword length {c.length} must be odd (n-1)")
     _check_params(n, q)
     m = n // 2
     wt = weight(c)
@@ -200,9 +198,9 @@ def rho_b_parts(n: int, q: int) -> Tuple[Parts, Parts]:
     scheme_a.rho_a_parts (4.634 against the exhaustive 5.037 for n = 8,
     q = 2).
     """
-    _check_params(n, q)
+    bad = count_bad_b(n, q)  # first: it checks n and q
     good = histogram_sum(_histogram_b(n, q, False), 0)
-    return rho_parts(1, good, q, n, count_bad_b(n, q), _tail(q))
+    return rho_parts(1, good, q, n, bad, _tail(q))
 
 
 def rho_b(n: int, q: int) -> float:

@@ -25,7 +25,11 @@ Per-frame work (encode, decode, correction, streaming) runs on the
 plain int values of the words, position 1 being the top bit; BitWords
 and StreamFrames only for what a function returns.  Every syndrome and
 systematic encoding is read from the code's byte tables (xor_bytes),
-built once per code.
+built once per code.  Each codeword is checked once, where it enters:
+encode_c reads the syndrome of the word it is given, and decode_c that
+of the word it recovers.  The stream encodes its own packets, so their
+codewords are not read again; _shift, which encode_c and the stream
+share, checks nothing.
 
 Streaming chains the prefixes: frame t's shift index rides at the head
 of frame t+1's packet, so decoding runs back to front.  The final
@@ -146,11 +150,11 @@ def gamma_size_c(c: BitWord) -> int:
     return _gamma_size(c.value, m)
 
 
-def _shift(syndrome_rows, x: int, n: int) -> Tuple[int, int]:
+def _shift(x: int, n: int) -> Tuple[int, int]:
     """(tau, c) for the n-bit codeword x: its least balancing shift and the
-    half-flip c of x shifted by tau, which weighs m-1 or m."""
-    if xor_bytes(syndrome_rows, x, n):
-        raise ValueError(f"{BitWord(x, n)} is not a codeword")
+    half-flip c of x shifted by tau, which weighs m-1 or m.  x is not
+    checked here: encode_c checks the word it is given, and the stream
+    passes only codewords it has just encoded."""
     m = _half(n)
     half, mask = _half_mask(m), (1 << n) - 1
     for tau in range(n + 1):
@@ -163,7 +167,9 @@ def encode_c(code: CyclicCode, x: BitWord) -> EncodeResult:
     n = code.n
     if x.length != n:
         raise ValueError(f"word length {x.length} != code length {n}")
-    tau, c = _shift(code.syndrome_rows, x.value, n)
+    if xor_bytes(code.syndrome_rows, x.value, n):
+        raise ValueError(f"{x} is not a codeword")
+    tau, c = _shift(x.value, n)
     m = _half(n)
     prefix = BitWord(tau, rank_width(_gamma_size(c, m)))
     return EncodeResult(codeword=BitWord(_block(c, m), n + 1), prefix=prefix, classification=None, tau=tau)
@@ -318,10 +324,11 @@ def _packet_of(x: int, tau: int, n: int, k: int) -> int:
     return _rotate(x, n - tau, n) >> (n - k)
 
 
-def _tail_zero_candidates(code: CyclicCode, c: int, fill: int) -> List[int]:
+def _tail_zero_candidates(code: CyclicCode, c: int, size: int, fill: int) -> List[int]:
+    """The shifts below size = |Gamma(c)| whose packet ends in `fill` zeros."""
     n, m = code.n, _half(code.n)
     x, zeros = c ^ _half_mask(m), (1 << fill) - 1
-    return [tau for tau in range(_gamma_size(c, m)) if not _packet_of(x, tau, n, code.k) & zeros]
+    return [tau for tau in range(size) if not _packet_of(x, tau, n, code.k) & zeros]
 
 
 def stream_encode(code: CyclicCode, payload: BitWord) -> StreamEncoding:
@@ -335,7 +342,7 @@ def stream_encode(code: CyclicCode, payload: BitWord) -> StreamEncoding:
     m = _half(n)
     if rank_width(m) > k:
         raise CodingError(f"prefix can exceed packet size for k={k}; code too small")
-    encode_rows, syndrome_rows = code.encode_rows, code.syndrome_rows
+    encode_rows = code.encode_rows
     bits, left = payload.value, payload.length  # left: payload bits not yet taken
     blocks: List[int] = []
     payload_frames = final_pad = 0
@@ -354,12 +361,13 @@ def stream_encode(code: CyclicCode, payload: BitWord) -> StreamEncoding:
         left -= take
         fill = room - take
         packet = ((carry << take) | (bits >> left & ((1 << take) - 1))) << fill
-        carry, c = _shift(syndrome_rows, xor_bytes(encode_rows, packet, k), n)
-        width = rank_width(_gamma_size(c, m))
+        carry, c = _shift(xor_bytes(encode_rows, packet, k), n)
+        size = _gamma_size(c, m)
+        width = rank_width(size)
         blocks.append(_block(c, m))
         if not pad:
             payload_frames, final_pad = len(blocks), fill
-        elif len(_tail_zero_candidates(code, c, fill)) == 1:
+        elif len(_tail_zero_candidates(code, c, size, fill)) == 1:
             carry = width = 0  # the tail frame self-decodes; its own prefix is dropped
     frames = tuple(StreamFrame(codeword=BitWord(b, n + 1)) for b in blocks)
     return StreamEncoding(frames=frames, payload_frames=payload_frames, final_pad=final_pad, n=n + 1)
@@ -401,7 +409,7 @@ def stream_decode(code: CyclicCode, enc: StreamEncoding) -> BitWord:
         tau = 0
     else:
         fill = k - widths[last - 1]
-        cands = _tail_zero_candidates(code, stripped[last], fill)
+        cands = _tail_zero_candidates(code, stripped[last], sizes[last], fill)
         if len(cands) != 1:
             raise StreamError(f"terminal frame {last} is ambiguous ({len(cands)} candidates)")
         tau = cands[0]

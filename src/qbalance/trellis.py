@@ -92,19 +92,20 @@ from typing import Dict, Iterator, List, Tuple
 from .cyclic_code import SYNDROME_GUARD, CyclicCode
 from .errors import CapacityError
 from .scheme_a import histogram_sum, rho_parts
+from .scheme_c import _half
 
 FinalState = Tuple[int, int]  # (weight, index)
 
 
 def _check(code: CyclicCode) -> int:
-    if code.n % 2 == 0:
-        raise ValueError(f"code length {code.n} must be odd (2m-1)")
+    """m for the [2m-1, k] code, which the guard admits."""
+    m = _half(code.n)
     if code.r > SYNDROME_GUARD:
         raise CapacityError(
             f"n-k={code.r} exceeds trellis guard {SYNDROME_GUARD}; "
             "use exhaustive enumeration instead"
         )
-    return (code.n + 1) // 2
+    return m
 
 
 def _repeat(block: int, period: int, times: int) -> int:

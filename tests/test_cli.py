@@ -373,6 +373,22 @@ def test_scheme_c_rejects_q(capsys, code_file, argv):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(("encode", "--input", "1011100"), id="encode"),
+        pytest.param(("decode", "--codeword", "10101100", "--prefix", "01"), id="decode"),
+        pytest.param(("oracle", "verify"), id="oracle-verify"),
+    ],
+)
+def test_scheme_c_needs_a_code_file(capsys, argv):
+    """The code file fixes Scheme C's block length; without one the command
+    fails with an error naming the option."""
+    status, out, err = run_cli(capsys, *argv, "--scheme", "c")
+    assert status == 1 and out == ""
+    assert err == "error: this command needs --code FILE\n"
+
+
+@pytest.mark.parametrize(
     "argv,flag",
     [
         pytest.param(("oracle", "verify", "--scheme", "c", "--code", None, "-n", "99"), "-n", id="verify-c-n"),

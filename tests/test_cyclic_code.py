@@ -148,6 +148,19 @@ class TestConstruction:
         with pytest.raises(ValueError):
             from_generator(7, poly_from_coeffs([1, 1, 1]))  # 1+X+X^2 does not divide X^7-1
 
+    @pytest.mark.parametrize(
+        "call,kind,error",
+        [
+            (lambda code: poly_deg(0), ValueError, "zero polynomial has no degree"),
+            (lambda code: poly_divmod(0b1011, 0), ZeroDivisionError, "polynomial division by zero"),
+            (lambda code: syndrome(code, W("101110")), ValueError, "word length 6 != n=7"),
+        ],
+        ids=["degree-of-zero", "divide-by-zero", "syndrome-length"],
+    )
+    def test_rejects_undefined_input(self, simplex, call, kind, error):
+        with pytest.raises(kind, match=f"^{re.escape(error)}$"):
+            call(simplex)
+
     def test_hamming_default_parity_rows(self, hamming):
         rows = [
             [(hamming.parity_cols[i] >> j) & 1 for i in range(7)] for j in range(3)

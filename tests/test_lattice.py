@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -130,6 +131,18 @@ class TestBandedDP:
     )
     def test_count_banded(self, start, end, band):
         assert count_banded(start, end, band) == banded_dp(start, end, band) > 0
+
+    @pytest.mark.parametrize(
+        "call,error",
+        [
+            (lambda: PathBand(1, 0), "band requires s <= t, got s=1, t=0"),
+            (lambda: count_banded((0, 3), (2, 2), PathBand(-3, 3)), "negative displacement (0, 3) -> (2, 2)"),
+        ],
+        ids=["inverted-band", "negative-displacement"],
+    )
+    def test_rejects_what_is_no_path(self, call, error):
+        with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+            call()
 
     @pytest.mark.parametrize("q", [2, 3, 6])
     def test_count_bad(self, q):

@@ -1,10 +1,13 @@
 import dataclasses
 import math
+import random
+import re
+import statistics
 
 import pytest
 
 from qbalance import oracle, scheme_a, scheme_b, scheme_c, trellis, words
-from qbalance.cyclic_code import full_space
+from qbalance.cyclic_code import full_space, xor_bytes
 from qbalance.errors import CapacityError
 from qbalance.oracle import (
     census_bad_a,
@@ -127,6 +130,31 @@ def test_histogram_formula_matches_exhaustive(request, scheme, n, q, operational
     assert measured == pytest.approx(formula, rel=0, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "scheme,n,count",
+    [("a", 64, 20_000), ("a", 1024, 50_000), ("a", 4096, 5_000), ("b", 64, 20_000), ("b", 1024, 50_000),
+     ("b", 4096, 5_000), ("golay23", 0, 20_000), ("bch31", 0, 20_000)],
+)
+def test_mean_bits_sent_match_operational_rho(request, scheme, n, count):
+    """Past the exhaustive oracle, a seeded sample of messages through the
+    public encoders: the mean bits sent (the prefix, plus the appended bit
+    of B and C) is within 5 standard errors of the operational rho at
+    q = 0, so a codec that sends a bit too many on some class shows even
+    though it round-trips."""
+    rng = random.Random(n or scheme)
+    if scheme in ("a", "b"):
+        k, encode, appended = (n, encode_a, 0) if scheme == "a" else (n - 1, encode_b, 1)
+        rho = _total((rho_a_parts if scheme == "a" else rho_b_parts)(n, 0), True)
+        sent = [appended + encode(BitWord(rng.getrandbits(k), k), 0).prefix.length for _ in range(count)]
+    else:
+        code = request.getfixturevalue(scheme)
+        rho = _total(rho_parts(1, histogram_sum(trellis.build_and_count(code).gamma, code.k)), True)
+        drawn = (BitWord(xor_bytes(code.encode_rows, rng.getrandbits(code.k), code.k), code.n) for _ in range(count))
+        sent = [1 + scheme_c.encode_c(code, x).prefix.length for x in drawn]
+    z = (statistics.fmean(sent) - rho) / (statistics.stdev(sent) / math.sqrt(count))
+    assert abs(z) < 5, (statistics.fmean(sent), rho, z)
+
+
 class TestRoundtrip:
     def test_scheme_a(self):
         assert exhaustive_redundancy("a", 12, 2).counterexample is None
@@ -194,6 +222,28 @@ class TestVerify:
     def test_scheme_c_rejects_an_n_the_code_does_not_have(self, simplex):
         with pytest.raises(ValueError, match="n=99"):
             verify_scheme("c", 99, code=simplex)
+
+    @pytest.mark.parametrize(
+        "scheme,n,q,code,error",
+        [
+            ("a", None, 0, None, "scheme a needs a block length n"),
+            ("b", None, 0, None, "scheme b needs a block length n"),
+            ("c", None, 0, None, "scheme c needs a block length n or a code"),
+            ("c", 0, 0, None, "block length n=0 must be at least 2"),
+            ("c", 9, 0, None, "block length 9 must be even"),
+            ("c", None, 3, "simplex", "scheme c has no imbalance parameter; q=3 must be 0"),
+            ("a", 8, 0, "simplex", "scheme a takes no code"),
+            ("z", 8, 0, None, "unknown scheme 'z'"),
+        ],
+        ids=["a-no-n", "b-no-n", "c-no-n", "c-n0", "c-n9", "c-q3", "a-code", "unknown"],
+    )
+    @pytest.mark.parametrize("walk", [exhaustive_redundancy, verify_scheme])
+    def test_each_input_is_checked_before_the_walk(self, request, walk, scheme, n, q, code, error):
+        """What the CLI screens out is refused by the oracle itself, with the
+        input named, rather than failing inside the walk or being dropped."""
+        code = code and request.getfixturevalue(code)
+        with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+            walk(scheme, n, q, code)
 
 
 def _histogram_sources():

@@ -197,6 +197,11 @@ class TestDecode:
         with pytest.raises(DecodeError, match="trailing bits at bit 5"):
             decode_a(W("10011111"), W("000010"), 8, 2)
 
+    @pytest.mark.parametrize("decode", [decode_a, decode_b], ids=["a", "b"])
+    def test_wrong_length_codeword(self, decode):
+        with pytest.raises(ValueError, match="^codeword length 7 != 8$"):
+            decode(W("0001111"), W(""), 8, 0)
+
     def test_wrong_weight_codeword(self):
         # a corrupted codeword is malformed transmitted data, as in decode_b
         with pytest.raises(DecodeError, match="codeword weight 7 != target 6"):

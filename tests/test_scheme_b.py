@@ -82,6 +82,11 @@ class TestGammaSetB:
         with pytest.raises(ValueError):
             gamma_set_b(W("1111100"), 0)
 
+    def test_even_length_word(self):
+        # a stripped codeword has n - 1 bits, so n = 9 is the block length refused
+        with pytest.raises(ValueError, match="^block length 9 must be even$"):
+            gamma_set_b(W("11110000"), 0)
+
     @pytest.mark.parametrize("word,q", [("0", -1), ("111", 3)])
     def test_q_out_of_range(self, word, q):
         with pytest.raises(ValueError, match="out of range"):

@@ -196,7 +196,7 @@ class TestEncodeDecodeC:
         assert decode_c(simplex, W("10101100"), W("10")) == W("0111001")
 
     def test_non_codeword_rejected(self, simplex):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^1111111 is not a codeword$"):
             encode_c(simplex, W("1111111"))
 
     def test_decode_rejects_out_of_range_shift(self, simplex):
@@ -457,14 +457,47 @@ class TestStream:
         with pytest.raises(AmbiguousBlockError, match="^frame 1: "):
             stream_decode(simplex, dataclasses.replace(enc, frames=tuple(frames)))
 
+    def test_foreign_block_names_frame(self, bch15):
+        """A C* block in place of frame 1 decodes cleanly on its own, but the
+        shift index frame 2 carries for it is out of its |Gamma| = 3."""
+        enc = stream_encode(bch15, W("1" * 20))
+        frames = list(enc.frames)
+        frames[1] = StreamFrame(codeword=W("0111110000111000"))
+        assert frames[1].codeword in build_balanced_code(bch15)
+        with pytest.raises(StreamError, match="^frame 1: shift index 3 out of range$"):
+            stream_decode(bch15, dataclasses.replace(enc, frames=tuple(frames)))
+
+    def test_code_too_small_for_its_prefix(self):
+        repetition7 = from_generator(7, (1 << 7) - 1)  # k = 1, and |Gamma| up to 4 needs 2 bits
+        with pytest.raises(CodingError, match="^prefix can exceed packet size for k=1; code too small$"):
+            stream_encode(repetition7, W("1"))
+
+    def test_encode_reads_no_syndrome(self, golay23, monkeypatch):
+        """The stream builds each codeword from the byte table, so it reads no
+        syndrome of it; encode_c, which takes its word from outside, does."""
+        reads = []
+
+        def counting(rows, value, width):
+            reads.append(rows is golay23.syndrome_rows)
+            return xor_bytes(rows, value, width)
+
+        monkeypatch.setattr(scheme_c, "xor_bytes", counting)
+        payload = BitWord(random.Random(23).getrandbits(500), 500)
+        enc = stream_encode(golay23, payload)
+        assert reads and not any(reads)
+        encode_c(golay23, _systematic(golay23, 1))
+        assert reads[-1] is True
+        monkeypatch.undo()
+        assert stream_decode(golay23, enc) == payload
+
     def test_flush_cycle_stops_at_repeated_carry(self, bch15, monkeypatch):
         """A pad frame depends only on the prefix it carries, so a cycling flush
         stops within the 2^(w+1) - 2 nonempty prefixes of at most w bits."""
         calls = []
         real = scheme_c._shift
 
-        def counting(rows, x, n):
-            tau, c = real(rows, x, n)
+        def counting(x, n):
+            tau, c = real(x, n)
             calls.append(rank_width(gamma_size_c(BitWord(c, n))))
             return tau, c
 

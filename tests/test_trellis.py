@@ -223,6 +223,11 @@ class TestRho:
 
 
 class TestScaling:
+    def test_even_length_code_rejected(self):
+        parity8 = from_generator(8, poly_from_coeffs([1, 1]))  # X + 1 divides X^8 - 1
+        with pytest.raises(ValueError, match="^length 8 is even; cyclic balancing needs 2m-1$"):
+            build_and_count(parity8)
+
     def test_capacity_guard_at_20(self):
         repetition21 = from_generator(21, (1 << 21) - 1)  # n - k = 20
         with pytest.raises(CapacityError):

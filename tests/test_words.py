@@ -60,6 +60,11 @@ class TestBitWord:
         with pytest.raises(ValueError, match=f"^{text}$"):
             BitWord(value, length)
 
+    @pytest.mark.parametrize("j", [-1, 5])
+    def test_prefix_out_of_range(self, j):
+        with pytest.raises(ValueError, match=f"^prefix length {j} out of range$"):
+            W("0110").prefix(j)
+
 
 class TestWeight:
     def test_weight_six_target(self):

@@ -1,13 +1,16 @@
 """Count the code lines of Python files: lines that hold a token other than a
-comment and are not part of a docstring.
+comment and are not part of a docstring.  A directory stands for the *.py
+files directly in it.
 
     python tools/code_lines.py src/qbalance/*.py
+    python tools/code_lines.py src/qbalance
 """
 
 import ast
 import io
 import sys
 import tokenize
+from pathlib import Path
 
 SKIP = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER}
 
@@ -26,7 +29,8 @@ def code_lines(src):
     return len(code - docs)
 
 
-def main(paths):
+def main(args):
+    paths = [p for arg in args for p in (sorted(Path(arg).glob("*.py")) if Path(arg).is_dir() else [arg])]
     total = 0
     for path in paths:
         with open(path) as fh:
