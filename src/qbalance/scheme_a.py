@@ -43,7 +43,8 @@ and the operational (ceil width) figure.
 Analysis guards.  Each exact output in a fresh process (Python 3.11,
 2 shared x86-64 CPUs, one run each; gamma_counts_a and gamma_counts_b
 the median of 3 runs at q = 0 (A 7 at 2^15), of A's pair form and B's
-stepped form; peak RSS, about 16 MB before the call; censuses at q = 3):
+stepped form; rho_a_bound the median of 5, from _centre_share; peak
+RSS, about 16 MB before the call; censuses at q = 3):
 
     n        gamma_counts_a  gamma_counts_b  gamma_counts_fullspace
     2^12     0.05 s  18 MB   0.005 s  16 MB   0.016 s  17 MB
@@ -53,8 +54,8 @@ stepped form; peak RSS, about 16 MB before the call; censuses at q = 3):
     2^16     9.4 s  615 MB   0.92 s  215 MB  20.7 s   434 MB
 
     n        count_bad  count_bad_b  math.comb(n, n/2)  rho_a_bound(n, 0)
-    2^16     0.52 s     0.52 s       0.09 s             0.19 s  18 MB
-    2^17     2.0 s      2.1 s        0.27 s             0.48 s  19 MB
+    2^16     0.52 s     0.52 s       0.09 s             0.06 s  17 MB
+    2^17     2.0 s      2.1 s        0.27 s             0.07 s  18 MB
     2^18     8.4 s      8.4 s        0.99 s
     2^19     33 s       35 s         4.0 s
     10^6     over 60 s               11.9 s
@@ -67,11 +68,10 @@ censuses and math.comb keep one binomial (16 MB throughout) and
 their time grows as n^2.  The histograms therefore raise CapacityError
 past n = HISTOGRAM_MAX_N = 2^15, and count_bad, count_bad_b and
 optimal_redundancy's math.comb(n, .) past n = STEPPED_MAX_N = 2^17,
-which admits every rho at n = 2^16.  The math.comb start of _histogram_a
-has no guard of its own: its callers guard it, gamma_counts_a at
-HISTOGRAM_MAX_N and rho_a_parts through count_bad, which it calls first.
-The float sides of rho_b and rho_c_fullspace need no guard: 0.05 s and
-25 MB at 2^17.
+which admits every rho at n = 2^16.  The float sides of rho_a_bound,
+rho_b and rho_c_fullspace need no guard of their own: the share rows of
+A and B start at _centre_share, which forms no big integer, and rho_b
+and rho_c_fullspace take 0.05 s and 25 MB at 2^17.
 """
 
 from __future__ import annotations
@@ -235,7 +235,7 @@ def decode_a(c: BitWord, p: BitWord, n: int, q: int) -> BitWord:
 
 # Largest n of the exact outputs, set from the table in the module docstring.
 HISTOGRAM_MAX_N = 1 << 15  # gamma_counts_a, gamma_counts_b, gamma_counts_fullspace
-STEPPED_MAX_N = 1 << 17  # count_bad, count_bad_b, optimal_redundancy; rho_a_parts's math.comb
+STEPPED_MAX_N = 1 << 17  # count_bad, count_bad_b, optimal_redundancy
 
 
 def _guard(n: int, limit: int, what: str) -> None:
@@ -268,6 +268,22 @@ def count_bad(n: int, q: int) -> int:
     if q <= 1:
         return 0
     return (1 << n) - 2 * q * _binom_class(n, n // 2 + q, 2 * q)
+
+
+# B_2k / (2k (2k - 1)) for k = 1..7, the Stirling series of ln z! (Abramowitz & Stegun 6.1.40)
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156)
+
+
+def _centre_share(n: int) -> float:
+    """C(n, m)/2^n for even n = 2m: math.comb below n = 64, and above it
+    exp(f(n) - 2 f(m)) / sqrt(pi m), where f(z) is ln z! less z ln z - z +
+    ln(2 pi z)/2, summed as its 7-term Stirling series, so no big integer
+    is formed.  Within 2 ulps of the correctly rounded share at every even
+    n in 64..5000 and at n = 2^7..2^17."""
+    if n < 64:
+        return math.comb(n, n // 2) / (1 << n)
+    f_n, f_m = (sum(c / z ** (2 * k + 1) for k, c in enumerate(_STIRLING)) for z in (n, n // 2))
+    return math.exp(f_n - 2 * f_m) / math.sqrt(math.pi * n / 2)
 
 
 def gamma_counts_a(n: int, q: int) -> Dict[int, int]:
@@ -311,24 +327,25 @@ def _histogram_a(n: int, q: int, exact: bool) -> Dict[int, Any]:
     the spans that reach one.
 
     The row, C(n, j) or its share C(n, j)/2^n, starts at its centre,
-    math.comb(n, m) or that over 2^n correctly rounded, and is stepped
-    outwards until an entry is 0 or a share falls below the least normal
-    float, which leaves about sqrt(354 n) shares (stepped on through
-    subnormals, a share sticks at 5e-324 until the step ratio falls below
-    1/2, at m/3).  Over the integers every step is exact, O(n log n) terms
-    in all; in O(sqrt(n) log n) float terms each share is within 4e-16 of
-    N_s / 2^n, and the good term within 5e-15 relative of the exact one
-    (measured at every q for n <= 200, and at q <= 17 up to n = 4096).
+    math.comb(n, m) or _centre_share(n), and is stepped outwards until an
+    entry is 0 or a share falls below the least normal float, which leaves
+    about sqrt(354 n) shares (stepped on through subnormals, a share sticks
+    at 5e-324 until the step ratio falls below 1/2, at m/3).  Over the
+    integers every step is exact, O(n log n) terms in all; in
+    O(sqrt(n) log n) float terms each share is within 4e-16 of N_s / 2^n
+    (at every q for n <= 200, and at q <= 17 up to n = 4096), and the good
+    term within 3e-15 relative of a 40-digit decimal sum over the exact
+    counts (tests/rho_reference.py; on that grid, and at q in {0, 2, 6} up
+    to n = 16384).
 
-    n and q are taken as checked, and the math.comb start as guarded, by
-    the two callers: gamma_counts_a (HISTOGRAM_MAX_N) and rho_a_parts
-    (STEPPED_MAX_N, through count_bad).
+    n and q are taken as checked by the two callers, gamma_counts_a and
+    rho_a_parts; gamma_counts_a guards the exact row (HISTOGRAM_MAX_N).
     """
     m = n // 2
     if exact:
         c, least, zero = math.comb(n, m), 1, 0
     else:
-        c, least, zero = math.comb(n, m) / (1 << n), sys.float_info.min, 0.0
+        c, least, zero = _centre_share(n), sys.float_info.min, 0.0
     half = []
     while c >= least:
         d = len(half)
@@ -413,7 +430,7 @@ def rho_a_parts(n: int, q: int) -> Tuple[Parts, Parts]:
     sends log2 |Gamma|.  For n = 8, q = 2 it gives 4.422 against the
     exhaustive 4.994.
     """
-    bad = count_bad(n, q)  # first: it checks n and q, and guards _histogram_a's start
+    bad = count_bad(n, q)  # first: it checks n and q
     good = histogram_sum(_histogram_a(n, q, False), 0)
     return rho_parts(0, good, q, n, bad, 2 * q)
 

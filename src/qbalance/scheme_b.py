@@ -10,7 +10,10 @@ difference of binomials, which in turn makes the average redundancy
 asymptotically 0.5*log2(n) + 0.526 (q = 0) analyzable.  The exact
 differences (gamma_counts_b) and the float shares rho_b sums are one
 stepped sum, _histogram_b, and the bad-word census steps one
-residue class of C(n-1, .); none keeps a binomial row.
+residue class of C(n-1, .); none keeps a binomial row.  Both branches
+step out of the centre of Scheme A's row, C(n-1, m-1) = C(n, m)/2, so
+the float shares start at scheme_a._centre_share and rho_b's good term
+is within 3e-15 relative of a 40-digit reference for n <= 16384.
 
 Bad words (possible only for q >= 2) are handled by Scheme A's prefix
 codec with a replacement run of 2q-2 bits: a length-(n-1) word whose
@@ -33,6 +36,7 @@ from .scheme_a import (
     Parts,
     _balance,
     _binom_class,
+    _centre_share,
     _check_params,
     _guard,
     _unbalance,
@@ -106,22 +110,6 @@ def decode_b(cprime: BitWord, p: BitWord, n: int, q: int) -> BitWord:
 # Census and redundancy analysis
 
 
-def _branches(n: int, q: int) -> Tuple[Tuple[int, int], Tuple[int, int]]:
-    """The two (offset, first) branches of the |Gamma| histogram: size
-    i = a - offset, for a from first + offset to n, counts
-    C(n-1, a-1) - C(n-1, a) stripped codewords.
-
-    The weight-(m+q) branch (offset m+q) covers 1 <= i <= m-q, the
-    weight-(m+q-1) branch (offset m-q) max(1, 2q) <= i <= m+q; the
-    printed statement's outer branches are swapped relative to its own
-    proof, and the oracle histogram confirms this orientation.  The
-    weight-(m+q) branch goes first: its sizes all precede the sizes the
-    other branch adds, so the keys come out ascending.
-    """
-    m = n // 2
-    return (m + q, 1), (m - q, max(1, 2 * q))
-
-
 def gamma_counts_b(n: int, q: int) -> Dict[int, int]:
     """{i: number of stripped codewords with |Gamma| = i} over both target
     weights, for the sizes i <= m+q with a nonzero count, ascending:
@@ -151,28 +139,35 @@ def _histogram_b(n: int, q: int, exact: bool) -> Dict[int, Any]:
     """Scheme B's |Gamma| histogram over the sizes with a nonzero entry,
     ascending, as exact counts or (exact=False) as float shares of 2^(n-1).
 
-    Each branch of _branches starts at C(n-1, a-1) for its first a, by
-    math.comb or as one lgamma value over 2^(n-1) (a correctly rounded
-    start moves rho_b(65536, 0) by 4.3e-12 relative, towards the 40-digit
-    reference value), and steps it up in a by the ratio (n-a)/a, a share
-    until it falls below the least normal float.
-    Its size-i entry is C(n-1, a-1) - C(n-1, a), which the shares take as
+    It has two branches, each with an offset: size i = a - offset, for a
+    from the branch's first a up to n, counts C(n-1, a-1) - C(n-1, a)
+    stripped codewords.  Each branch starts at the row's centre a = m,
+    where C(n-1, m-1) = C(n, m)/2, so at math.comb(n, m) // 2 or, as a
+    share of 2^(n-1), at scheme_a._centre_share(n); it steps up in a by
+    the ratio (n-a)/a, at most q + 1 times to its first a and then a share
+    at a time until the share falls below the least normal float.  Its
+    size-i entry is C(n-1, a-1) - C(n-1, a), which the shares take as
     C(n-1, a-1) 2(a-m)/a so as not to cancel digits; every a > m, so none
-    is 0.  At q = 0 the two branches are equal: dict.fromkeys steps it once,
-    and it is counted w = 2 times, which is exact.
+    is 0.  Against a 40-digit decimal sum over the exact counts
+    (tests/rho_reference.py) the good term of the shares is within
+    3e-15 relative for n <= 16384 at q in {0, 2, 6}.  At q = 0 the two
+    branches are equal: dict.fromkeys steps it once, and it is counted
+    w = 2 times, which is exact.
     """
     m, w = n // 2, 2 if q == 0 else 1
-    least, zero = (1, 0) if exact else (sys.float_info.min, 0.0)
+    centre, least, zero = (math.comb(n, m) // 2, 1, 0) if exact else (_centre_share(n), sys.float_info.min, 0.0)
     out: Dict[int, Any] = {}
-    for offset, first in dict.fromkeys(_branches(n, q)):
-        start = first + offset
-        if start > n:
-            continue
-        if exact:
-            c = math.comb(n - 1, start - 1)
-        else:
-            c = math.exp(math.lgamma(n) - math.lgamma(start) - math.lgamma(n - start + 1) - (n - 1) * math.log(2.0))
-        for a in range(start, n + 1):
+    # (offset, first size): the weight-(m+q) branch covers 1 <= i <= m-q, the
+    # weight-(m+q-1) branch max(1, 2q) <= i <= m+q.  The printed statement's
+    # outer branches are swapped relative to its own proof, and the oracle
+    # histogram confirms this orientation.  The weight-(m+q) branch goes
+    # first: its sizes all precede the sizes the other branch adds, so the
+    # keys come out ascending.
+    for offset, first in dict.fromkeys(((m + q, 1), (m - q, max(1, 2 * q)))):
+        c = centre
+        for a in range(m, first + offset):
+            c = c * (n - a) // a if exact else c * (n - a) / a
+        for a in range(first + offset, n + 1):
             if c < least:
                 break
             d = c * (n - a) // a if exact else c * (n - a) / a
@@ -188,12 +183,10 @@ def rho_b_parts(n: int, q: int) -> Tuple[Parts, Parts]:
 
     The constant is 1 appended balance bit, plus 2 flag/type bits when
     q > 0.  The good term sums the float shares of _histogram_b at every n,
-    in about 2.5 ms at n = 65536, q = 0, where the big-integer binomials
-    grow with n.  The shares carry the error of their lgamma start: against
-    a 40-digit decimal sum over gamma_counts_b, the good term at q = 0 is
-    off by 7.7e-13 relative at n = 4096 and by 1.9e-11 at n = 16384.  The
-    tests check the shares against the exact binomials to 1e-11 only for
-    n <= 4096 (7.3e-12 at worst there, q in {0, 2, 6}); see ROADMAP item 12.
+    in about 1.8 ms at n = 65536, q = 0, where the big-integer binomials
+    grow with n.  Against a 40-digit decimal sum over gamma_counts_b
+    (tests/rho_reference.py) the good term is within 3e-15 relative for
+    n <= 16384 at q in {0, 2, 6}, and rho_b(65536, 0) within 1e-15.
     Exact at q = 0; at q > 0 it is low by the same terms as
     scheme_a.rho_a_parts (4.634 against the exhaustive 5.037 for n = 8,
     q = 2).

