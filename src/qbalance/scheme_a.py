@@ -29,16 +29,16 @@ EncodeResult is a slotted dataclass, and each Classification member
 holds is_bad and type_bit.
 
 The analysis counts with exact integers and sums rho over floats.  The
-bad-word census is one residue class of the binomial row C(n, .),
-stepped and not kept (_binom_class).  The Gamma-size distribution is one
-termwise reflection sum, _histogram_a, with one term per mirrored pair
-of reflections, over the half of a binomial row at or below its centre,
-stepped outwards: over the integers C(n, j) it is the exact
-gamma_counts_a, and over the shares C(n, j)/2^n (exact=False) it is
-what rho reads.  Every scheme's rho, here and in scheme_b, scheme_c and
-trellis, is one histogram_sum over its |Gamma| histogram or shares
-composed by rho_parts; the one pass gives both the analytical (log2)
-and the operational (ceil width) figure.
+bad-word census of A and of B, _census, is one residue class of the
+binomial row C(n, .) or C(n-1, .), stepped and not kept (_binom_class).
+The Gamma-size distribution is one termwise reflection sum, _histogram_a,
+with one term per mirrored pair of reflections, over the half of a
+binomial row at or below its centre, stepped outwards: over the integers
+C(n, j) it is the exact gamma_counts_a, and over the shares C(n, j)/2^n
+(exact=False) it is what rho reads.  Every scheme's rho, here and in
+scheme_b, scheme_c and trellis, is one histogram_sum over its |Gamma|
+histogram or shares composed by rho_parts; the one pass gives both the
+analytical (log2) and the operational (ceil width) figure.
 
 Analysis guards.  Each exact output in a fresh process (Python 3.11,
 2 shared x86-64 CPUs, one run each; gamma_counts_a and gamma_counts_b
@@ -60,8 +60,10 @@ RSS, about 16 MB before the call; censuses at q = 3):
     2^19     33 s       35 s         4.0 s
     10^6     over 60 s               11.9 s
 
-Printing costs more than computing: at 2^15 the `analyze gamma --scheme
-a` CSV took 22.8 s and 402 MB in all, against 2.5 s for the histogram.
+Printing costs more than computing: at 2^15 `analyze gamma --scheme a`
+takes 12.8 s in a fresh process, against 2.5 s for the histogram, most of
+it turning counts of up to 9,900 digits into decimal text; its 168 MB
+peak is the histogram's.
 The histograms keep a row of big integers, so their memory grows as
 n^2 (at 2^16 _histogram_a and _histogram_b are called past the guard); the
 censuses and math.comb keep one binomial (16 MB throughout) and
@@ -256,6 +258,22 @@ def _binom_class(n: int, r: int, d: int) -> int:
     return total
 
 
+def _census(n: int, q: int, appended: int) -> int:
+    """Bad-word census of A (appended = 0) and of scheme_b (appended = 1),
+    whose messages have N = n - appended bits: the paths confined to a
+    strip of d = 2q - appended heights, whose reflection sums (ruin in a
+    strip, Feller vol. 1, XIV.5) telescope to 2^N - d * (sum of C(N, j)
+    over j = n/2 + q - appended mod d); 0 for q <= 1.  It checks n and q
+    and guards the stepped row for count_bad and count_bad_b.
+    """
+    _check_params(n, q)
+    _guard(n, STEPPED_MAX_N, "bad-word census")
+    if q <= 1:
+        return 0
+    d = 2 * q - appended
+    return (1 << (n - appended)) - d * _binom_class(n - appended, n // 2 + q - appended, d)
+
+
 def count_bad(n: int, q: int) -> int:
     """Exact number of length-n words with no index for x or its complement.
 
@@ -263,11 +281,7 @@ def count_bad(n: int, q: int) -> int:
     the band [1-q, q-1].  Their reflection sums telescope to
     2^n - 2q * (sum of C(n, j) over j = m+q mod 2q).
     """
-    _check_params(n, q)
-    _guard(n, STEPPED_MAX_N, "bad-word census")
-    if q <= 1:
-        return 0
-    return (1 << n) - 2 * q * _binom_class(n, n // 2 + q, 2 * q)
+    return _census(n, q, 0)
 
 
 # B_2k / (2k (2k - 1)) for k = 1..7, the Stirling series of ln z! (Abramowitz & Stegun 6.1.40)
@@ -298,6 +312,9 @@ def gamma_counts_a(n: int, q: int) -> Dict[int, int]:
 def _histogram_a(n: int, q: int, exact: bool) -> Dict[int, Any]:
     """Scheme A's |Gamma| histogram over the sizes with a nonzero entry,
     ascending, as exact counts or (exact=False) as float shares of 2^n.
+    Every size is at least 2q + 1 and never 1: no word of length n >= 2
+    has |Gamma| = 1, so the span s = 0 is left out, where the shares
+    leave a residue of about 1e-17.
 
     |Gamma(c)| is 1 plus the range r = max - min of the running sum of c,
     a lattice bridge from (0, q) to (m+q, m).  A bridge of range r lies in
@@ -336,7 +353,12 @@ def _histogram_a(n: int, q: int, exact: bool) -> Dict[int, Any]:
     (at every q for n <= 200, and at q <= 17 up to n = 4096), and the good
     term within 3e-15 relative of a 40-digit decimal sum over the exact
     counts (tests/rho_reference.py; on that grid, and at q in {0, 2, 6} up
-    to n = 16384).
+    to n = 16384).  So where the exact share is below that bound a share
+    can be a tiny negative: 87 are at n <= 200, at sizes 2 to 4 with
+    q <= 1, down to -2.0e-16 (n = 154, q = 0, size 3).  They stay, as
+    dropping them moves rho_a_bound(65536, 0) by 1.5e-13 relative.  out
+    holds the spans up to min(m, top) + q, the last one any term reads,
+    so past the row's reach it keeps no zeros.
 
     n and q are taken as checked by the two callers, gamma_counts_a and
     rho_a_parts; gamma_counts_a guards the exact row (HISTOGRAM_MAX_N).
@@ -357,9 +379,9 @@ def _histogram_a(n: int, q: int, exact: bool) -> Dict[int, Any]:
     w = 3 * top + 2
     row = [zero] * (w - top + 1) + half[::-1]
     cum = list(accumulate(row, initial=zero))
-    out = [zero] * (m + q + 1)
+    out = [zero] * (min(m, top) + q + 1)
     base = w + q  # index of C(n, m + q)
-    for s in range(2 * q, min(m, top) + q + 1):
+    for s in range(2 * q, len(out)):
         x = base - s - 2
         out[s] = (s - 2 * q + 1) * (row[x] - 2 * row[x + 1] + row[x + 2])
     # u >= 2: G_u(s) is 0 once y_u falls below the row, at (u-1)(s+2) > top-1-q
@@ -371,7 +393,7 @@ def _histogram_a(n: int, q: int, exact: bool) -> Dict[int, Any]:
             g = p * (row[x] + row[y]) - 2 * (cum[y] - cum[x + 1])
             out[s] += g - 2 * g1 + g2
             g1, g2 = g, g1
-    return {s + 1: v for s, v in enumerate(out) if v}
+    return {s + 1: v for s, v in enumerate(out) if s and v}
 
 
 def histogram_sum(gamma: Mapping[int, float], k: int) -> Tuple[float, float]:

@@ -9,11 +9,12 @@ weight m+q.  That sign split is what makes the size distribution a plain
 difference of binomials, which in turn makes the average redundancy
 asymptotically 0.5*log2(n) + 0.526 (q = 0) analyzable.  The exact
 differences (gamma_counts_b) and the float shares rho_b sums are one
-stepped sum, _histogram_b, and the bad-word census steps one
-residue class of C(n-1, .); none keeps a binomial row.  Both branches
-step out of the centre of Scheme A's row, C(n-1, m-1) = C(n, m)/2, so
-the float shares start at scheme_a._centre_share and rho_b's good term
-is within 3e-15 relative of a 40-digit reference for n <= 16384.
+stepped sum, _histogram_b, and the bad-word census is Scheme A's,
+scheme_a._census, one bit shorter; none keeps a binomial row.  Both
+branches step out of the centre of Scheme A's row, C(n-1, m-1) =
+C(n, m)/2, so the float shares start at scheme_a._centre_share and
+rho_b's good term is within 3e-15 relative of a 40-digit reference for
+n <= 16384.
 
 Bad words (possible only for q >= 2) are handled by Scheme A's prefix
 codec with a replacement run of 2q-2 bits: a length-(n-1) word whose
@@ -31,11 +32,10 @@ from typing import Any, Dict, List, Tuple
 from .errors import DecodeError
 from .scheme_a import (
     HISTOGRAM_MAX_N,
-    STEPPED_MAX_N,
     EncodeResult,
     Parts,
     _balance,
-    _binom_class,
+    _census,
     _centre_share,
     _check_params,
     _guard,
@@ -128,11 +128,7 @@ def count_bad_b(n: int, q: int) -> int:
     reflection sums telescope, to 2^(n-1) - (2q-1) * (sum of C(n-1, j)
     over j = m+q-1 mod 2q-1).
     """
-    _check_params(n, q)
-    _guard(n, STEPPED_MAX_N, "bad-word census")
-    if q <= 1:
-        return 0
-    return (1 << (n - 1)) - (2 * q - 1) * _binom_class(n - 1, n // 2 + q - 1, 2 * q - 1)
+    return _census(n, q, 1)
 
 
 def _histogram_b(n: int, q: int, exact: bool) -> Dict[int, Any]:

@@ -481,13 +481,15 @@ class TestRhoBound:
 class TestFloatShares:
     """rho_a sums _histogram_a's float shares, gamma_counts_a over 2^n as floats."""
 
-    @pytest.mark.parametrize("n", range(2, 81, 2))
+    @pytest.mark.parametrize("n", range(2, 201, 2))
     def test_every_share_and_good_term_small_n(self, n):
         for q in range(n // 2 + 1):
             exact = gamma_counts_a(n, q)
             shares = _histogram_a(n, q, False)
-            for i in exact.keys() | shares.keys():
-                assert abs(shares.get(i, 0.0) - exact.get(i, 0) / 2**n) <= 1e-15, (n, q, i)
+            # no size without a codeword, though a share may be a tiny negative
+            assert shares.keys() <= exact.keys(), (n, q, shares.keys() - exact.keys())
+            for i in exact.keys():
+                assert abs(shares.get(i, 0.0) - exact[i] / 2**n) <= 4e-16, (n, q, i)
             assert histogram_sum(shares, 0) == pytest.approx(histogram_sum(exact, n), rel=1e-12, abs=0), q
 
     @pytest.mark.parametrize("n", [256, 1000, 1024, 4096])

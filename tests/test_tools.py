@@ -1,5 +1,6 @@
 """The repository's own tools."""
 
+import ast
 import runpy
 from decimal import Decimal
 from pathlib import Path
@@ -26,3 +27,11 @@ def test_rho_reference_prints_reference_library_and_error(capsys):
     assert want == rho_reference["rho_reference"]("b", 64, 2)
     assert got == rho_reference["rho_b"](64, 2)
     assert float(lines[2].split()[-1]) <= 1e-14
+
+
+def test_every_python_file_parses_as_the_oldest_supported_python():
+    # pyproject's requires-python = ">=3.10"; no newer grammar (except*, PEP 695, nested-quote f-strings)
+    files = [p for d in ("src", "tests", "tools") for p in sorted((ROOT / d).rglob("*.py"))]
+    assert len(files) > 10
+    for path in files:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
