@@ -47,6 +47,7 @@ class RedundancyReport:
     operational: float  # mean redundancy with the ceil bit widths actually sent
     bad_words: int
     counterexample: Optional[BitWord] = None  # first message with a wrong weight or round trip
+    code: Optional[CyclicCode] = None  # scheme c's code as walked (the full space for code=None)
 
 
 def _guard(k: int) -> None:
@@ -167,6 +168,7 @@ def exhaustive_redundancy(
         operational=op_total / (1 << k),
         bad_words=bad,
         counterexample=counterexample,
+        code=code,
     )
 
 
@@ -238,25 +240,26 @@ def census_bad_b(n: int, q: int) -> int:
     return _census_bad(n - 1, q, scheme_b.t_b)
 
 
-# scheme -> (n, q, code) -> the formulas' (|Gamma| histogram, bad-word count)
+# scheme -> the walk's report -> the formulas' (|Gamma| histogram, bad-word count)
 _FORMULAS = {
-    "a": lambda n, q, code: (scheme_a.gamma_counts_a(n, q), scheme_a.count_bad(n, q)),
-    "b": lambda n, q, code: (scheme_b.gamma_counts_b(n, q), scheme_b.count_bad_b(n, q)),
-    "c": lambda n, q, code: (trellis.build_and_count(code).gamma, 0),  # Scheme C has no bad words
+    "a": lambda r: (scheme_a.gamma_counts_a(r.n, r.q), scheme_a.count_bad(r.n, r.q)),
+    "b": lambda r: (scheme_b.gamma_counts_b(r.n, r.q), scheme_b.count_bad_b(r.n, r.q)),
+    "c": lambda r: (trellis.build_and_count(r.code).gamma, 0),  # Scheme C has no bad words
 }
 
 
 def verify_scheme(
     scheme: str, n: Optional[int], q: int = 0, code: Optional[CyclicCode] = None
 ) -> Dict[str, object]:
-    """One walk, checked against the formulas; CLI `oracle verify`."""
-    n, q, code = _resolve(scheme, n, q, code)
+    """One walk, checked against the formulas; CLI `oracle verify`.  The
+    walk resolves (n, q, code) once, and the formulas read them from its
+    report."""
     report = exhaustive_redundancy(scheme, n, q, code)
-    gamma, bad_words = _FORMULAS[scheme](n, q, code)
+    gamma, bad_words = _FORMULAS[scheme](report)
     out: Dict[str, object] = {
         "scheme": scheme,
-        "n": n,
-        "q": q,
+        "n": report.n,
+        "q": report.q,
         "roundtrip": report.counterexample is None,
         "counterexample": None if report.counterexample is None else str(report.counterexample),
         "gamma_match": gamma == report.gamma,

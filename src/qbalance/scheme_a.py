@@ -30,7 +30,9 @@ holds is_bad and type_bit.
 
 The analysis counts with exact integers and sums rho over floats.  The
 bad-word census of A and of B, _census, is one residue class of the
-binomial row C(n, .) or C(n-1, .), stepped and not kept (_binom_class).
+binomial row C(n, .) or C(n-1, .), stepped and not kept (_binom_class);
+rho reads its bad share instead in closed float form, a sum of q - 1
+cosine powers within 3e-13 relative, so no rho forms a big integer.
 The Gamma-size distribution is one termwise reflection sum, _histogram_a,
 with one term per mirrored pair of reflections, over the half of a
 binomial row at or below its centre, stepped outwards: over the integers
@@ -72,8 +74,10 @@ past n = HISTOGRAM_MAX_N = 2^15, and count_bad, count_bad_b and
 optimal_redundancy's math.comb(n, .) past n = STEPPED_MAX_N = 2^17,
 which admits every rho at n = 2^16.  The float sides of rho_a_bound,
 rho_b and rho_c_fullspace need no guard of their own: the share rows of
-A and B start at _centre_share, which forms no big integer, and rho_b
-and rho_c_fullspace take 0.05 s and 25 MB at 2^17.
+A and B start at _centre_share and the bad share is _census's float
+form, none of which forms a big integer; rho_b(2^17, 3) takes 4 ms and
+rho_c_fullspace 0.05 s and 25 MB at 2^17.  That float form still keeps
+the census's guard, so rho_a_bound and rho_b stop past 2^17 too.
 """
 
 from __future__ import annotations
@@ -258,20 +262,37 @@ def _binom_class(n: int, r: int, d: int) -> int:
     return total
 
 
-def _census(n: int, q: int, appended: int) -> int:
+def _census(n: int, q: int, appended: int, exact: bool):
     """Bad-word census of A (appended = 0) and of scheme_b (appended = 1),
     whose messages have N = n - appended bits: the paths confined to a
     strip of d = 2q - appended heights, whose reflection sums (ruin in a
     strip, Feller vol. 1, XIV.5) telescope to 2^N - d * (sum of C(N, j)
-    over j = n/2 + q - appended mod d); 0 for q <= 1.  It checks n and q
-    and guards the stepped row for count_bad and count_bad_b.
+    over j = r = n/2 + q - appended mod d), the exact count; 0 for q <= 1.
+
+    With exact=False it is the bad share count / 2^N in closed form, the
+    float rho reads: the roots-of-unity filter turns the residue class into
+    -(sum over k = 1..d-1 of cos^N(pi k/d) cos(pi k (N - 2r)/d)), and
+    N - 2r = -d, so the terms k and d - k are equal and the share is
+    2 * (sum over k = 1..ceil(d/2)-1 of (-1)^(k+1) cos^N(pi k/d)), each
+    power taken as exp(N log1p(-2 sin^2(pi k/2d))); a plain cos(.)**N
+    moved rho_b by up to 2.2e-14 (n = 512, q = 20).  It forms no big
+    integer.  Over A and B at every even n in 4..198 and n in {256, 512,
+    1000, 1024, 2048, 4096, 16384}, 2 <= q <= min(40, n/2), it is within
+    2.41e-13 relative of the exact share wherever that is a normal float
+    (bound 3e-13; the error grows with |log share|, so the worst are the
+    least normal shares), and below 1e-300 wherever it underflows.  Both
+    instances check n and q, guard n (STEPPED_MAX_N), then give 0 or 0.0
+    for q <= 1.
     """
     _check_params(n, q)
     _guard(n, STEPPED_MAX_N, "bad-word census")
     if q <= 1:
-        return 0
-    d = 2 * q - appended
-    return (1 << (n - appended)) - d * _binom_class(n - appended, n // 2 + q - appended, d)
+        return 0 if exact else 0.0
+    big_n, d = n - appended, 2 * q - appended
+    if exact:
+        return (1 << big_n) - d * _binom_class(big_n, n // 2 + q - appended, d)
+    x = math.pi / (2 * d)  # the angle pi k/2d is k x
+    return -2 * sum((-1) ** k * math.exp(big_n * math.log1p(-2 * math.sin(k * x) ** 2)) for k in range(1, (d + 1) // 2))
 
 
 def count_bad(n: int, q: int) -> int:
@@ -281,7 +302,7 @@ def count_bad(n: int, q: int) -> int:
     the band [1-q, q-1].  Their reflection sums telescope to
     2^n - 2q * (sum of C(n, j) over j = m+q mod 2q).
     """
-    return _census(n, q, 0)
+    return _census(n, q, 0, True)
 
 
 # B_2k / (2k (2k - 1)) for k = 1..7, the Stirling series of ln z! (Abramowitz & Stegun 6.1.40)
@@ -397,8 +418,8 @@ def _histogram_a(n: int, q: int, exact: bool) -> Dict[int, Any]:
 
 
 def histogram_sum(gamma: Mapping[int, float], k: int) -> Tuple[float, float]:
-    """(analytical, operational) sums of i * w(i) * gamma[i] / 2^k, i >= 2,
-    over a |Gamma| histogram gamma, in one loop.
+    """(analytical, operational) sums of i * w(i) * gamma[i] / 2^k over a
+    |Gamma| histogram gamma, in one loop; size 1 adds 0, as w(1) = 0.
 
     gamma is a {size: count} dict with ascending sizes, as every histogram
     source returns it: gamma[i] counts the codewords with |Gamma| = i
@@ -411,10 +432,9 @@ def histogram_sum(gamma: Mapping[int, float], k: int) -> Tuple[float, float]:
     """
     analytical = operational = 0.0
     for i, g in gamma.items():
-        if i >= 2 and g:
-            share = g / (1 << k)
-            analytical += i * math.log2(i) * share
-            operational += i * rank_width(i) * share
+        share = g / (1 << k)
+        analytical += i * math.log2(i) * share
+        operational += i * rank_width(i) * share
     return analytical, operational
 
 
@@ -422,7 +442,7 @@ Parts = Dict[str, float]  # {"flag", "good", "bad"} bits of one rho
 
 
 def rho_parts(
-    appended: int, good: Tuple[float, float], q: int = 0, n: int = 0, bad_words: int = 0, tail: int = 0
+    appended: int, good: Tuple[float, float], q: int = 0, n: int = 0, bad: float = 0.0, tail: int = 0
 ) -> Tuple[Parts, Parts]:
     """Redundancy in bits split into {"flag", "good", "bad"}, whose sum is
     rho, once with real log2 index widths (analytical) and once with the
@@ -430,14 +450,12 @@ def rho_parts(
 
     flag is the bits appended to every codeword (A 0, B and C 1) plus the
     flag and type bits when q > 0; good is a histogram_sum pair.  With
-    q > 0 each of the bad_words messages (of n - appended bits) also
-    sends its tail and an index of log2 n, or ceil(log2 n), bits.
+    q > 0, bad is the share of the messages (of n - appended bits) that
+    are bad, a float; each of them also sends its tail and an index of
+    log2 n, or ceil(log2 n), bits.  At q = 0 the bad term is 0.0.
     """
-    if q == 0:
-        return tuple({"flag": float(appended), "good": g, "bad": 0.0} for g in good)
-    bad = bad_words / (1 << (n - appended))
-    widths = (math.log2(n), rank_width(n))
-    return tuple({"flag": appended + 2.0, "good": g, "bad": bad * (tail + w)} for g, w in zip(good, widths))
+    flag, widths = (appended + 2.0, (math.log2(n), rank_width(n))) if q else (float(appended), (0, 0))
+    return tuple({"flag": flag, "good": g, "bad": bad * (tail + w)} for g, w in zip(good, widths))
 
 
 def rho_a_parts(n: int, q: int) -> Tuple[Parts, Parts]:
@@ -450,9 +468,10 @@ def rho_a_parts(n: int, q: int) -> Tuple[Parts, Parts]:
     preimages of each codeword, so each Type-0-good word's log2 |Gamma|
     bits are left out, and each bad word is charged log2 n where it
     sends log2 |Gamma|.  For n = 8, q = 2 it gives 4.422 against the
-    exhaustive 4.994.
+    exhaustive 4.994.  The bad share is _census's float form, within 3e-13
+    relative of count_bad(n, q) / 2^n, so no big integer is formed.
     """
-    bad = count_bad(n, q)  # first: it checks n and q
+    bad = _census(n, q, 0, False)  # first: it checks n and q
     good = histogram_sum(_histogram_a(n, q, False), 0)
     return rho_parts(0, good, q, n, bad, 2 * q)
 

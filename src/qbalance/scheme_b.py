@@ -10,11 +10,11 @@ difference of binomials, which in turn makes the average redundancy
 asymptotically 0.5*log2(n) + 0.526 (q = 0) analyzable.  The exact
 differences (gamma_counts_b) and the float shares rho_b sums are one
 stepped sum, _histogram_b, and the bad-word census is Scheme A's,
-scheme_a._census, one bit shorter; none keeps a binomial row.  Both
-branches step out of the centre of Scheme A's row, C(n-1, m-1) =
-C(n, m)/2, so the float shares start at scheme_a._centre_share and
-rho_b's good term is within 3e-15 relative of a 40-digit reference for
-n <= 16384.
+scheme_a._census, one bit shorter, whose closed float share is what
+rho_b reads; none keeps a binomial row.  Both branches step out of the
+centre of Scheme A's row, C(n-1, m-1) = C(n, m)/2, so the float shares
+start at scheme_a._centre_share and rho_b's good term is within 3e-15
+relative of a 40-digit reference for n <= 16384.
 
 Bad words (possible only for q >= 2) are handled by Scheme A's prefix
 codec with a replacement run of 2q-2 bits: a length-(n-1) word whose
@@ -128,7 +128,7 @@ def count_bad_b(n: int, q: int) -> int:
     reflection sums telescope, to 2^(n-1) - (2q-1) * (sum of C(n-1, j)
     over j = m+q-1 mod 2q-1).
     """
-    return _census(n, q, 1)
+    return _census(n, q, 1, True)
 
 
 def _histogram_b(n: int, q: int, exact: bool) -> Dict[int, Any]:
@@ -185,9 +185,10 @@ def rho_b_parts(n: int, q: int) -> Tuple[Parts, Parts]:
     n <= 16384 at q in {0, 2, 6}, and rho_b(65536, 0) within 1e-15.
     Exact at q = 0; at q > 0 it is low by the same terms as
     scheme_a.rho_a_parts (4.634 against the exhaustive 5.037 for n = 8,
-    q = 2).
+    q = 2).  The bad share is scheme_a._census's float form, within 3e-13
+    relative of count_bad_b(n, q) / 2^(n-1), so no big integer is formed.
     """
-    bad = count_bad_b(n, q)  # first: it checks n and q
+    bad = _census(n, q, 1, False)  # first: it checks n and q
     good = histogram_sum(_histogram_b(n, q, False), 0)
     return rho_parts(1, good, q, n, bad, _tail(q))
 

@@ -191,12 +191,18 @@ class TestAnalyze:
         assert status == 1 and out == ""
         assert err.startswith("error: n=") and "guard" in err
 
-    def test_table2_counts_each_census_once(self, capsys, monkeypatch):
+    def test_table2_and_rho_take_no_census(self, capsys, monkeypatch):
+        """rho reads the bad-word share in closed float form, so Table 2 (q = 6)
+        and rho_a_bound and rho_b at q >= 2 step no residue class of a row."""
         calls = []
-        real = scheme_a.count_bad
-        monkeypatch.setattr(scheme_a, "count_bad", lambda n, q: calls.append(n) or real(n, q))
+        for module, name in [(scheme_a, "count_bad"), (scheme_b, "count_bad_b"), (scheme_a, "_binom_class")]:
+            monkeypatch.setattr(module, name, lambda *args, name=name: calls.append((name, args)))
         rows = run_csv(capsys, "analyze", "redundancy", "--table2")
-        assert calls == [int(r["n"]) for r in rows]
+        assert [r["n"] for r in rows] == ["16", "32", "64", "128", "256", "512", "1000"]
+        for n, q in [(8, 2), (64, 3), (1000, 6), (65536, 3)]:
+            scheme_a.rho_a_bound(n, q)
+            scheme_b.rho_b(n, q)
+        assert calls == []
 
     @pytest.mark.parametrize("flag", ["--table1", "--table2"])
     def test_table_is_byte_identical_to_golden(self, capsys, flag):

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import math
+import sys
 
 import pytest
 
@@ -13,6 +14,7 @@ from qbalance.scheme_a import (
     STEPPED_MAX_N,
     Classification,
     EncodeResult,
+    _census,
     _histogram_a,
     count_bad,
     decode_a,
@@ -357,6 +359,22 @@ class TestCountBad:
     @pytest.mark.parametrize("n,q", [(8, 2), (12, 3), (20, 4), (64, 6)])
     def test_trig_form_agrees(self, n, q):
         assert count_bad_trig(n, q) == pytest.approx(count_bad(n, q), rel=1e-9)
+
+    @pytest.mark.parametrize("n", list(range(4, 199, 2)) + [256, 512, 1000, 1024, 2048, 4096, 16384])
+    def test_float_share_within_its_bound(self, n):
+        """The closed float share rho reads against the exact census over 2^N,
+        for A (N = n) and B (N = n - 1): within the _census docstring's 3e-13
+        relative where the exact share is a normal float, below 1e-300 where
+        it underflows, and 0.0 at q <= 1."""
+        for q in range(min(40, n // 2) + 1):
+            for appended in (0, 1):
+                want = _census(n, q, appended, True) / (1 << (n - appended))
+                got = _census(n, q, appended, False)
+                assert type(got) is float
+                if want >= sys.float_info.min:
+                    assert abs(got - want) <= 3e-13 * want, (q, appended)
+                else:
+                    assert 0.0 <= got < 1e-300, (q, appended)
 
     def test_upper_bound(self):
         # 4(q-1)^2/q * (2 cos(pi/2q))^n dominates the census for q >= 2

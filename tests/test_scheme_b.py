@@ -294,7 +294,7 @@ class TestRhoB:
         assert list(got) == sorted(got)
         assert all(abs(share - want[i]) <= 1e-14 * want[i] + sys.float_info.min for i, share in got.items())
         assert all(want[i] < sys.float_info.min for i in want.keys() - got.keys())
-        parts = rho_parts(1, histogram_sum(want, 0), q, n, count_bad_b(n, q), max(0, 2 * q - 2))
+        parts = rho_parts(1, histogram_sum(want, 0), q, n, count_bad_b(n, q) / (1 << (n - 1)), max(0, 2 * q - 2))
         assert rho_b(n, q) == pytest.approx(sum(parts[0].values()), rel=1e-14)
 
     def test_table_small_n(self):
