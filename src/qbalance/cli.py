@@ -4,6 +4,9 @@ Single results print as JSON objects, tables as CSV; `trellis` prints
 one JSON object of n, k, rho, |C*| and the |Gamma| histogram.  Bit
 strings are ASCII 0/1 with the leftmost character at position 1, and
 `encode`/`decode` read the block length off them or off the code file.
+Every command that takes --scheme reads the scheme's row of
+`oracle.SCHEMES`, the one place where a scheme's codec, |Gamma| sizer,
+formulas and rho are bound.
 Exit status: 0 on success, 1 on domain errors (bad flags, malformed
 bits, capacity guards), 2 when `oracle verify` finds a formula/oracle
 mismatch.
@@ -39,6 +42,11 @@ def _load_code(args) -> CyclicCode:
         return parse_code_file(fh.read())
 
 
+def _code(args) -> Optional[CyclicCode]:
+    """Scheme C's code; schemes A and B read none."""
+    return _load_code(args) if args.scheme == "c" else None
+
+
 def _emit_json(obj) -> None:
     print(json.dumps(obj, indent=2))
 
@@ -55,13 +63,7 @@ def _emit_csv(header: List[str], rows: Iterable[Iterable[object]]) -> None:
 
 def _cmd_encode(args) -> int:
     x = BitWord.from_str(args.input)
-    if args.scheme == "a":
-        res = scheme_a.encode_a(x, args.q)
-    elif args.scheme == "b":
-        res = scheme_b.encode_b(x, args.q)
-    else:
-        code = _load_code(args)
-        res = scheme_c.encode_c(code, x)
+    res = oracle.SCHEMES[args.scheme].encode(x, args.q, _code(args))
     _emit_json(
         {
             "scheme": args.scheme,
@@ -77,13 +79,7 @@ def _cmd_encode(args) -> int:
 def _cmd_decode(args) -> int:
     c = BitWord.from_str(args.codeword)
     p = BitWord.from_str(args.prefix)
-    if args.scheme == "a":
-        msg = scheme_a.decode_a(c, p, c.length, args.q)
-    elif args.scheme == "b":
-        msg = scheme_b.decode_b(c, p, c.length, args.q)
-    else:
-        code = _load_code(args)
-        msg = scheme_c.decode_c(code, c, p)
+    msg = oracle.SCHEMES[args.scheme].decode(c, p, args.q, _code(args))
     _emit_json({"scheme": args.scheme, "message": str(msg)})
     return 0
 
@@ -151,12 +147,7 @@ def _cmd_analyze_redundancy(args) -> int:
     if scheme == "optimal":
         _emit_json({"scheme": "optimal", "n": n, "q": q, "value": optimal})
         return 0
-    if scheme == "a":
-        parts, ceil = scheme_a.rho_a_parts(n, q)
-    elif scheme == "b":
-        parts, ceil = scheme_b.rho_b_parts(n, q)
-    else:  # scheme c over the full space
-        parts, ceil = scheme_c.rho_c_parts(n)
+    parts, ceil = oracle.SCHEMES[scheme].rho(n, q)  # scheme c over the full space
     _emit_json(
         {
             "scheme": scheme,
@@ -173,30 +164,19 @@ def _cmd_analyze_redundancy(args) -> int:
 
 
 def _cmd_analyze_gamma(args) -> int:
-    n, q = args.n, args.q
-    gamma = {
-        "a": lambda: scheme_a.gamma_counts_a(n, q),
-        "b": lambda: scheme_b.gamma_counts_b(n, q),
-        "c": lambda: scheme_c.gamma_counts_fullspace(n),
-    }[args.scheme]()
+    gamma = oracle.SCHEMES[args.scheme].gamma(args.n, args.q, None)  # scheme c over the full space
     _emit_csv(["i", "count"], gamma.items())
     return 0
 
 
 def _cmd_analyze_badwords(args) -> int:
     n, q = args.n, args.q
-    d_a = scheme_a.count_bad(n, q)
-    d_b = scheme_b.count_bad_b(n, q)
-    _emit_json(
-        {
-            "n": n,
-            "q": q,
-            "scheme_a_bad": d_a,
-            "scheme_a_fraction": d_a / (1 << n),
-            "scheme_b_bad": d_b,
-            "scheme_b_fraction": d_b / (1 << (n - 1)),
-        }
-    )
+    out = {"n": n, "q": q}
+    for scheme in "ab":
+        row = oracle.SCHEMES[scheme]
+        out[f"scheme_{scheme}_bad"] = bad = row.bad(n, q)
+        out[f"scheme_{scheme}_fraction"] = bad / (1 << (n - row.appended))
+    _emit_json(out)
     return 0
 
 
@@ -216,7 +196,7 @@ def _cmd_trellis(args) -> int:
 
 
 def _cmd_oracle_verify(args) -> int:
-    code = _load_code(args) if args.scheme == "c" else None
+    code = _code(args)
     if code is None and args.n is None:
         raise ValueError(f"oracle verify --scheme {args.scheme} needs -n")
     result = oracle.verify_scheme(args.scheme, args.n, args.q, code)

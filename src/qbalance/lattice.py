@@ -8,9 +8,10 @@ alternating reflection sum.
 The reflections repeat with a period, so the sum reads two residue
 classes of one binomial row C(n, .), each stepped by
 scheme_a._binom_class, the step that the bad-word censuses take, and
-not kept: no module caches a row.  A call at n = 65536 takes about
-0.8 s and peaks at 16 MB of RSS in a fresh process (Python 3.11, 2
-shared x86-64 CPUs).
+not kept: no module caches a row.  Its time grows as n^2: a call takes
+0.6 s at n = 2^16 and 2.4 s at 2^17, peaking at 15 MB of RSS in a fresh
+process (Python 3.11, 2 shared x86-64 CPUs), so past the same step's
+guard, scheme_a.STEPPED_MAX_N = 2^17, it raises CapacityError.
 
 Counts are exact Python integers; binomial path counts overflow 64 bits
 long before the sizes used here, so nothing is ever done in floating
@@ -22,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple
 
-from .scheme_a import _binom_class
+from .scheme_a import STEPPED_MAX_N, _binom_class, _guard
 
 LatticePoint = Tuple[int, int]
 
@@ -43,7 +44,8 @@ def count_banded(start: LatticePoint, end: LatticePoint, band: PathBand) -> int:
     """Paths from start to end staying weakly between Y=X+s and Y=X+t.
 
     Endpoints outside the band yield 0 rather than an error so that
-    inclusion-exclusion callers need no case analysis.  Reflections in
+    inclusion-exclusion callers need no case analysis; past n =
+    STEPPED_MAX_N steps it raises CapacityError.  Reflections in
     the lines Y = X + s - 1 and Y = X + t + 1 repeat with period
     dh = t - s + 2, so the count of the n-step paths, dx of them ->, is
     the sum over all k of C(n, dx - k*dh) - C(n, c - b + 1 + t - k*dh):
@@ -58,5 +60,6 @@ def count_banded(start: LatticePoint, end: LatticePoint, band: PathBand) -> int:
     if not (band.s <= b - a <= band.t and band.s <= d - c <= band.t):
         return 0
     n = dx + dy
+    _guard(n, STEPPED_MAX_N, "path count")
     dh = band.t - band.s + 2
     return _binom_class(n, dx, dh) - _binom_class(n, c - b + 1 + band.t, dh)

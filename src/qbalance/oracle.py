@@ -1,9 +1,12 @@
 """Brute-force ground truth for every closed formula at small sizes.
 
+`SCHEMES` is the one place where each scheme's codec, |Gamma| sizer,
+formulas and rho are bound: one `Scheme` row each for "a", "b" and "c",
+read by the walk here and by every CLI command that takes --scheme.
 `exhaustive_redundancy` is the one walk over a scheme's message space:
-it encodes every message once, checks the codeword weight and the
-decode round trip, and sizes |Gamma| of each distinct codeword once
-with the receiver-side set its codec decodes by (`gamma_set_a`,
+it encodes every message once, checks the codeword length and weight
+and the decode round trip, and sizes |Gamma| of each distinct codeword
+once with the receiver-side set its codec decodes by (`gamma_set_a`,
 `gamma_set_b`, `gamma_size_c`).  `definitional_gamma` checks those sets against the
 definition (minimum over all preimages), and path counts walk every
 path.  The formulas (the |Gamma| histograms and bad-word censuses
@@ -20,7 +23,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from . import scheme_a, scheme_b, scheme_c, trellis
 from .cyclic_code import CyclicCode, codewords, contains, full_space
@@ -56,14 +59,74 @@ def _guard(k: int) -> None:
         raise CapacityError(f"message space 2^{k} exceeds guard 2^22")
 
 
-def _resolve(scheme: str, n: Optional[int], q: int, code: Optional[CyclicCode]):
-    """(n, q, code) as the walk uses them, each checked here, before the
-    guard, which reads k from them.  Scheme C takes no q other than 0 and
-    has n = code.n + 1 (a given n must agree); code=None stands for the
-    full space of length n - 1, with n checked as A's codec checks it.
-    A and B take no code, and their n and q are checked as their codecs
-    check them."""
-    if scheme not in ("a", "b", "c"):
+class Scheme(NamedTuple):
+    """One scheme's row: Knuth's prefix flip with a Gamma(c)-ranked prefix.
+
+    appended: the bits appended to every codeword; tail(q): the bits a
+    bad word adds to its prefix; encode(x, q, code) -> EncodeResult;
+    decode(codeword, prefix, q, code) -> message; size(codeword, q):
+    |Gamma| of an emitted codeword; gamma(n, q, code): the exact |Gamma|
+    histogram (for scheme c the trellis of the code, or the full-space
+    closed form for code=None); bad(n, q): the exact bad-word census;
+    rho(n, q): the (analytical, operational) parts of rho.  Each callable
+    looks its function up on the scheme module when called, so a patched
+    or traced module attribute is the one that runs.
+    """
+
+    appended: int
+    tail: Callable[[int], int]
+    encode: Callable[..., Any]
+    decode: Callable[..., BitWord]
+    size: Callable[[BitWord, int], int]
+    gamma: Callable[..., Dict[int, int]]
+    bad: Callable[[int, int], int]
+    rho: Callable[[int, int], Any]
+
+
+SCHEMES: Dict[str, Scheme] = {
+    "a": Scheme(
+        0,
+        lambda q: 2 * q,
+        lambda x, q, code: scheme_a.encode_a(x, q),
+        lambda c, p, q, code: scheme_a.decode_a(c, p, c.length, q),
+        lambda c, q: len(scheme_a.gamma_set_a(c, q)),
+        lambda n, q, code: scheme_a.gamma_counts_a(n, q),
+        lambda n, q: scheme_a.count_bad(n, q),
+        lambda n, q: scheme_a.rho_a_parts(n, q),
+    ),
+    "b": Scheme(
+        1,
+        lambda q: 2 * q - 2,
+        lambda x, q, code: scheme_b.encode_b(x, q),
+        lambda c, p, q, code: scheme_b.decode_b(c, p, c.length, q),
+        lambda c, q: len(scheme_b.gamma_set_b(c.prefix(c.length - 1), q)),
+        lambda n, q, code: scheme_b.gamma_counts_b(n, q),
+        lambda n, q: scheme_b.count_bad_b(n, q),
+        lambda n, q: scheme_b.rho_b_parts(n, q),
+    ),
+    "c": Scheme(
+        1,
+        lambda q: 0,
+        lambda x, q, code: scheme_c.encode_c(code, x),
+        lambda c, p, q, code: scheme_c.decode_c(code, c, p),
+        lambda c, q: scheme_c.gamma_size_c(c.prefix(c.length - 1)),
+        lambda n, q, code: scheme_c.gamma_counts_fullspace(n) if code is None else trellis.build_and_count(code).gamma,
+        lambda n, q: 0,  # Scheme C has no bad words
+        lambda n, q: scheme_c.rho_c_parts(n),
+    ),
+}
+
+
+def resolve(
+    scheme: str, n: Optional[int], q: int, code: Optional[CyclicCode]
+) -> Tuple[Scheme, int, int, Optional[CyclicCode]]:
+    """The scheme's row, and (n, q, code) as the walk uses them, each
+    checked here, before the guard, which reads k from them.  Scheme C
+    takes no q other than 0 and has n = code.n + 1 (a given n must agree);
+    code=None stands for the full space of length n - 1, with n checked
+    as A's codec checks it.  A and B take no code, and their n and q are
+    checked as their codecs check them."""
+    if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
     if n is None and code is None:
         raise ValueError(f"scheme {scheme} needs a block length n" + (" or a code" if scheme == "c" else ""))
@@ -71,54 +134,14 @@ def _resolve(scheme: str, n: Optional[int], q: int, code: Optional[CyclicCode]):
         if code is not None:
             raise ValueError(f"scheme {scheme} takes no code")
         scheme_a._check_params(n, q)
-        return n, q, code
-    if q:
+    elif q:
         raise ValueError(f"scheme c has no imbalance parameter; q={q} must be 0")
-    if code is None:
+    elif code is None:
         scheme_a._check_length(n)
         code = full_space(n - 1)
     elif n is not None and n != code.n + 1:
         raise ValueError(f"n={n} does not match the code's block length {code.n + 1}")
-    return code.n + 1, 0, code
-
-
-def _codec(scheme: str, n: int, q: int, code: Optional[CyclicCode]):
-    """One scheme's row of the oracle table, for resolved (n, q, code).
-
-    Returns (k, messages, encode, decode, size, appended, tail): the 2^k
-    messages, encode(x) -> EncodeResult, decode(res) -> message,
-    size(res) = |Gamma| of the emitted codeword, the bits appended to
-    every codeword, and the tail bits a bad word adds to its prefix.
-    """
-    if scheme == "a":
-        return (
-            n,
-            all_words(n),
-            lambda x: scheme_a.encode_a(x, q),
-            lambda res: scheme_a.decode_a(res.codeword, res.prefix, n, q),
-            lambda res: len(scheme_a.gamma_set_a(res.codeword, q)),
-            0,
-            2 * q,
-        )
-    if scheme == "b":
-        return (
-            n - 1,
-            all_words(n - 1),
-            lambda x: scheme_b.encode_b(x, q),
-            lambda res: scheme_b.decode_b(res.codeword, res.prefix, n, q),
-            lambda res: len(scheme_b.gamma_set_b(res.codeword.prefix(n - 1), q)),
-            1,
-            2 * q - 2,
-        )
-    return (
-        code.k,
-        codewords(code),
-        lambda x: scheme_c.encode_c(code, x),
-        lambda res: scheme_c.decode_c(code, res.codeword, res.prefix),
-        lambda res: scheme_c.gamma_size_c(res.codeword.prefix(code.n)),
-        1,
-        0,
-    )
+    return SCHEMES[scheme], n if code is None else code.n + 1, q, code
 
 
 def exhaustive_redundancy(
@@ -127,30 +150,32 @@ def exhaustive_redundancy(
     """Encode every message once: round trip, weight, and exact redundancy.
 
     The walk stops at the first message whose codeword has the wrong
-    weight or does not decode back to it, and names it in
-    `counterexample`; the weight is checked first, so a |Gamma| set never
-    sees a wrong-weight word.  Analytical counts log2 |Gamma| per codeword
-    plus the scheme's constant bits; operational counts the emitted
-    prefix lengths.
+    length or weight or does not decode back to it, and names it in
+    `counterexample`; length and weight are checked first, so a |Gamma|
+    set never sees a wrong-weight word.  Analytical counts log2 |Gamma|
+    per codeword plus the scheme's constant bits; operational counts the
+    emitted prefix lengths.
     """
-    n, q, code = _resolve(scheme, n, q, code)
-    k, messages, encode, decode, size_of, appended, tail = _codec(scheme, n, q, code)
+    row, n, q, code = resolve(scheme, n, q, code)
+    k = n - row.appended if code is None else code.k
     _guard(k)
+    encode, decode, size_of, appended, tail = row.encode, row.decode, row.size, row.appended, row.tail(q)
     target = n // 2 + q
     gamma_by_cw: Dict[int, int] = {}  # keyed by the codeword's integer: every codeword has length n
     op_total = 0
     an_total = 0.0
     bad = 0
     counterexample = None
-    for x in messages:
-        res = encode(x)
-        cw = res.codeword.value
-        if cw.bit_count() != target or decode(res) != x:
+    for x in all_words(k) if code is None else codewords(code):
+        res = encode(x, q, code)
+        c = res.codeword
+        cw = c.value
+        if c.length != n or cw.bit_count() != target or decode(c, res.prefix, q, code) != x:
             counterexample = x
             break
         size = gamma_by_cw.get(cw)
         if size is None:  # |Gamma| depends only on the codeword
-            size = gamma_by_cw[cw] = size_of(res)
+            size = gamma_by_cw[cw] = size_of(c, q)
         op_total += appended + res.prefix.length
         an = appended + math.log2(size)
         if q > 0:
@@ -177,25 +202,22 @@ def definitional_gamma(
 ) -> List[int]:
     """Gamma(c) straight from its definition: which indices are minimal
     for some preimage, bypassing all running-sum characterizations."""
-    if scheme in ("a", "b"):
-        indices = balancing_indices if scheme == "a" else scheme_b.t_b
-        out = []
-        for j in range(c.length + 1):
-            t = indices(flip_prefix(c, j), q)
-            if t and t[0] == j:
-                out.append(j)
-        return out
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    out = []
     if scheme == "c":
         code = code if code is not None else full_space(c.length)
-        out = []
         for j in range(c.length):
             x = cyclic_shift(scheme_c.flip_c(c), -j)
-            if not contains(code, x):
-                continue
-            if next(scheme_c.balancing_shifts(x), None) == j:
+            if contains(code, x) and next(scheme_c.balancing_shifts(x), None) == j:
                 out.append(j)
         return out
-    raise ValueError(f"unknown scheme {scheme!r}")
+    indices = balancing_indices if scheme == "a" else scheme_b.t_b
+    for j in range(c.length + 1):
+        t = indices(flip_prefix(c, j), q)
+        if t and t[0] == j:
+            out.append(j)
+    return out
 
 
 def count_paths_brute(
@@ -240,22 +262,15 @@ def census_bad_b(n: int, q: int) -> int:
     return _census_bad(n - 1, q, scheme_b.t_b)
 
 
-# scheme -> the walk's report -> the formulas' (|Gamma| histogram, bad-word count)
-_FORMULAS = {
-    "a": lambda r: (scheme_a.gamma_counts_a(r.n, r.q), scheme_a.count_bad(r.n, r.q)),
-    "b": lambda r: (scheme_b.gamma_counts_b(r.n, r.q), scheme_b.count_bad_b(r.n, r.q)),
-    "c": lambda r: (trellis.build_and_count(r.code).gamma, 0),  # Scheme C has no bad words
-}
-
-
 def verify_scheme(
     scheme: str, n: Optional[int], q: int = 0, code: Optional[CyclicCode] = None
 ) -> Dict[str, object]:
-    """One walk, checked against the formulas; CLI `oracle verify`.  The
-    walk resolves (n, q, code) once, and the formulas read them from its
-    report."""
+    """One walk, checked against the formulas of the scheme's row; CLI
+    `oracle verify`.  The walk resolves (n, q, code) once, and the
+    formulas read them from its report."""
     report = exhaustive_redundancy(scheme, n, q, code)
-    gamma, bad_words = _FORMULAS[scheme](report)
+    row = SCHEMES[scheme]
+    gamma, bad_words = row.gamma(report.n, report.q, report.code), row.bad(report.n, report.q)
     out: Dict[str, object] = {
         "scheme": scheme,
         "n": report.n,

@@ -241,7 +241,7 @@ def decode_a(c: BitWord, p: BitWord, n: int, q: int) -> BitWord:
 
 # Largest n of the exact outputs, set from the table in the module docstring.
 HISTOGRAM_MAX_N = 1 << 15  # gamma_counts_a, gamma_counts_b, gamma_counts_fullspace
-STEPPED_MAX_N = 1 << 17  # count_bad, count_bad_b, optimal_redundancy
+STEPPED_MAX_N = 1 << 17  # count_bad, count_bad_b, optimal_redundancy, lattice.count_banded
 
 
 def _guard(n: int, limit: int, what: str) -> None:

@@ -198,6 +198,8 @@ def rho_b(n: int, q: int) -> float:
 
 
 def rho_b_asymptote(n: int, q: int) -> float:
-    """Limit line 0.5*log2 n + 0.526 (q=0) or + 2.526 (q>0)."""
+    """Limit line 0.5*log2 n + 0.526 (q=0) or + 2.526 (q>0), for the
+    (n, q) that scheme B's codec takes."""
+    _check_params(n, q)
     constant = (1.0 if q == 0 else 3.0) + BETA
     return 0.5 * math.log2(n) + constant

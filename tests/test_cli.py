@@ -605,6 +605,33 @@ def test_long_word_round_trip(capsys, scheme, message, classification):
     assert json.loads(out)["message"] == message
 
 
+@pytest.mark.parametrize(
+    "module,name,argv",
+    [
+        pytest.param(scheme_b, "encode_b", ("encode", "--scheme", "b", "-q", "2", "--input", "1110000"), id="encode-b"),
+        pytest.param(
+            scheme_c,
+            "decode_c",
+            ("decode", "--scheme", "c", "--code", None, "--codeword", "10101100", "--prefix", "10"),
+            id="decode-c",
+        ),
+        pytest.param(
+            scheme_c, "gamma_counts_fullspace", ("analyze", "gamma", "--scheme", "c", "-n", "8"), id="gamma-c"
+        ),
+    ],
+)
+def test_scheme_table_calls_the_module_attribute(capsys, monkeypatch, code_file, module, name, argv):
+    """oracle.SCHEMES looks each function up on its scheme module when called,
+    so the CLI runs a patched (or traced) attribute, once; a table bound at
+    import would run the original."""
+    calls = []
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: calls.append(args) or real(*args))
+    status, _, err = run_cli(capsys, *[code_file if a is None else a for a in argv])
+    assert status == 0, err
+    assert len(calls) == 1
+
+
 def readme_block(heading, lang):
     """The first ```lang block after the line that starts with `heading` in README.md."""
     lines = (ROOT / "README.md").read_text().splitlines()

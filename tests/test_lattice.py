@@ -1,10 +1,12 @@
 import json
 import math
 import re
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qbalance.errors import CapacityError
 from qbalance.lattice import PathBand, count_banded
 from qbalance.oracle import count_paths_brute
 from qbalance.scheme_a import _binom_class, count_bad
@@ -73,6 +75,18 @@ class TestCountBanded:
     def test_degenerate_band_no_moves_possible(self):
         assert count_banded((0, 0), (2, 2), PathBand(0, 0)) == 0
         assert count_banded_trig((0, 0), (2, 2), PathBand(0, 0)) == 0.0
+
+    def test_guard_past_stepped_max_n(self):
+        """Past scheme_a.STEPPED_MAX_N steps the count raises at once (at
+        n = 2*10^6 it ran past 30 s); the displacement and band are read
+        first, so an endpoint outside the band still gives 0."""
+        start = time.perf_counter()
+        with pytest.raises(CapacityError, match=r"^n=131074 exceeds the path count guard 131072$"):
+            count_banded((0, 0), (65537, 65537), PathBand(-3, 3))
+        assert time.perf_counter() - start < 0.1
+        assert count_banded((0, 0), (10**6, 10**6 + 50), PathBand(-3, 3)) == 0
+        with pytest.raises(ValueError, match="negative displacement"):
+            count_banded((0, 0), (-1, 10**6), PathBand(-3, 3))
 
     def test_exhaustive_small_instances(self):
         # every band/endpoint combination with at most 10 steps

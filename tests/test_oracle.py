@@ -327,6 +327,23 @@ class TestVerifyCatchesBrokenCodec:
         assert len(calls) == sum(gamma.values())  # one per distinct codeword: 28 for A
 
 
+@pytest.mark.parametrize("scheme,broken", [("a", BROKEN), ("b", BROKEN.prefix(7))], ids=["a", "b"])
+def test_wrong_length_codeword_is_a_counterexample(monkeypatch, scheme, broken):
+    """Each row's decode reads n off the codeword, so the walk checks the
+    length itself: a longer codeword of the right weight is named."""
+
+    def longer(args, res):
+        if args[0] != broken:
+            return res
+        return dataclasses.replace(res, codeword=BitWord(res.codeword.value, res.codeword.length + 2))
+
+    module, encoder = (scheme_a, "encode_a") if scheme == "a" else (scheme_b, "encode_b")
+    _break(monkeypatch, module, encoder, longer)
+    result = verify_scheme(scheme, 8, 2)
+    assert result["roundtrip"] is False and result["ok"] is False
+    assert result["counterexample"] == str(broken)
+
+
 class TestBrutePathCounts:
     def test_free(self):
         assert count_paths_brute((0, 0), (3, 3)) == 20

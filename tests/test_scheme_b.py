@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 
 import pytest
@@ -262,6 +263,15 @@ class TestAnalysisParams:
         for call in (lambda: gamma_counts_b(n, 0), lambda: count_bad_b(n, 0), lambda: rho_b(n, 0)):
             with pytest.raises(ValueError, match=f"n={n} must be at least 2"):
                 call()
+
+    @pytest.mark.parametrize(
+        "n,q,error",
+        [(64, -3, "q=-3 out of range 0..32"), (7, 0, "block length 7 must be even"), (0, 0, "n=0 must be at least 2")],
+    )
+    def test_asymptote_checks_its_input(self, n, q, error):
+        # it once returned 5.526 for q = -3 and 1.930 for n = 7, and failed with "math domain error" at n = 0
+        with pytest.raises(ValueError, match=re.escape(error)):
+            rho_b_asymptote(n, q)
 
 
 class TestCountBadB:
