@@ -16,20 +16,18 @@ unset.  Acceptance requires weight in {m-1, m} and zero syndrome; the
 final running sum is weight-determined and carries no information.
 
 Lane vectors.  States are grouped by index, and within an index group
-by weight: an index maps to (base, rows), rows[t] holding the counts of
-all 2^r syndromes (r = n-k) at weight base + t as one Python int of 2^r
-lanes, lane s at bits [s*W, (s+1)*W) holding the count of syndrome s,
-with W = n+1 bits per lane.  The level's four edges add 0, 1, 1 and 2 to
-the weight and flip the syndrome by h_lo, h_lo ^ h_hi, 0 and h_hi, so a
-level is one edge step per row of every group:
+by weight: a group is (base, rows), rows[t] holding the counts of all
+2^r syndromes (r = n-k) at weight base + t as one Python int of 2^r
+lanes, lane s at bits [s*W, (s+1)*W) holding the count of syndrome s.
+The level's four edges add 0, 1, 1 and 2 to the weight and flip the
+syndrome by h_lo, h_lo ^ h_hi, 0 and h_hi, so a level is one edge step,
+`_step`, over the rows of a group:
 
 - p = the rows permuted by h_lo, plus the rows one weight up: the gain-0
   edge and the unpermuted gain-1 edge;
 - the lo^hi and hi edges are exactly p, one weight up and permuted by
   h_hi, so the next rows are p plus p permuted by h_hi one weight up;
-- the rows are trimmed to the weights max(0, 2L-m)..m that can still end
-  at m-1 or m, and the index-0 group's row at weight L, whose running
-  sum has just hit zero, moves out as the one-row group of index L.
+- the rows are trimmed to the weights the caller names.
 
 Within a row:
 
@@ -39,55 +37,96 @@ Within a row:
 - merging paths is int addition;
 - the states of a row are its nonzero lanes: adding the lanes' low W-1
   bits to all ones there carries into a lane's top bit exactly when the
-  lane is nonzero, and `bit_count` reads the top bits.
+  lane is nonzero, and `bit_count` reads the top bits;
+- a row reads as its lanes in one `to_bytes`: a memoryview cast at
+  W = 8, 16, 32 or 64 bits, W/8-byte slices past that, so the read is
+  linear in the row's size.
 
-No lane can overflow: a state at level L is reached by at most 4^L label
-paths, and 4^L <= 4^(m-1) = 2^(n-1) < 2^W for every level L <= m-1 (the
-final level reads single lanes and adds them as plain ints).  A level
-holds at most m groups of at most m+1 rows, and each row takes O(r)
-whole-vector operations for its two permutations, so a pass makes
-O(r n^3) big-int operations on 2^r * W-bit ints, done inside the int
-arithmetic instead of one state at a time.  At r = 0 a row is one plain
-int and the list steps are the cost.  The pass counts no states:
+Forward and backward.  A path's index is the level of its first zero,
+and it never changes the edges the path takes after it.  So
+`build_and_count` joins two passes of the same step:
+
+- forward, it steps only the index-0 group, the paths with no zero yet,
+  over the weights max(0, 2L-m)..m that can still end at m-1 or m.  Its
+  row at weight L has just hit zero at level L: that row, hit_L, is kept
+  and zeroed in the group.  After level m-1 the group is index m, whose
+  lanes h_m and 0 the last bit c_m = 0 or 1 accepts;
+- backward, it steps a completion table D_L, rows indexed by the weight
+  g still to gain, lane s counting the ways that levels L+1..m gain g
+  and flip the syndrome by s, so cancel it.  D_{m-1} is {g = 0: lane
+  h_m, g = 1: lane 0}, and D_{L-1}(g, s) = sum over level L's edges of
+  D_L(g - gain, s ^ mask), which is the forward step over rows indexed
+  by g, trimmed to the gains max(0, m-2L+2)..m-1 that a hit still needs;
+- final[(f, L)] = sum over s of hit_L(s) * D_L(f - L, s), f in {m-1, m}.
+
+Only the m-1 hit rows and one level of the current pass's rows are
+alive at once.  The census pass, `_levels`, still walks every state: it
+steps every index group of every level, up to m groups, with the same
+step and moves each level's hit row out as a group of its own.
 `TrellisReport.level_states`, which `states` and `state_count` read,
-counts them on first read, in a second pass over the levels with O(1)
-more whole-vector operations per row.
+runs it on first read, with O(1) more whole-vector operations per row.
 
-Memory is dense in the syndrome: a row takes 2^r * (n+1) bits whether
-or not its lanes are reached, and two levels of rows are alive at once.
+Lane width.  No lane can overflow at W = n+1 bits: a state at level L
+is reached by at most 4^L label paths, a completion after level L is
+one of at most 2 * 4^(m-1-L), and both are at most 2^n.  The split reads
+lanes, so its W is n+1 rounded up to 8, 16, 32 or 64 bits, and past 64
+bits to whole bytes (`_width`): 32 bits for Golay[23,12], 64 for the
+[63,k] codes and 128 for the [127,k] ones.  The census reads no lane
+and keeps W = n+1.
+
+Cost.  A level of either split pass holds at most m+1 rows, and each
+row takes O(r) whole-vector operations for its two permutations, so the
+split makes O(r n^2) big-int operations on 2^r * W-bit ints, plus 2(m-1)
+inner products over 2^r lanes; the census, with up to m groups a level,
+makes O(r n^3).  At r = 0 a row is one plain int and the list steps are
+the cost.  Memory is dense in the syndrome: a row takes 2^r * W bits
+whether or not its lanes are reached.  Against the earlier build, which
+stepped every index group, the split gains most where the groups were
+many: 5.6x on BCH[63,51] (0.90 s, 42 MB before) and 90x on the
+[1023,1023] full space (2.3 s).  Where they were few, on the repetition
+codes at r >= 14, its wider lanes and its inner products of 2^r lanes
+make it up to 2.3x slower (0.12 s before on [19,1], 0.65 s on [21,1]).
+
 One `build_and_count` call in a fresh process, then the first read of
 its `states` (Python 3.11, 2 shared x86-64 CPUs, one run each; peak RSS
-from VmHWM, about 16 MB before the pass, and the same after the read;
-[15,3], [21,5], [21,3] and [27,9] have the generators (X^n + 1)/f for
-f = X^3 + 1, X^5 + X + 1, X^3 + X + 1 and X^9 + 1):
+from VmHWM, about 15 MB before the pass; [15,3], [21,5], [21,3] and
+[27,9] have the generators (X^n + 1)/f for f = X^3 + 1, X^5 + X + 1,
+X^3 + X + 1 and X^9 + 1; "-": not read):
 
-    code                    r    build     peak RSS      states   states read
-    [127,127] full space    0   0.011 s     16 MB        46,849     0.023 s
-    [63,57] Hamming         6   0.05 s      16 MB       380,751     0.06 s
-    [127,120] Hamming       7   0.85 s      22 MB     5,905,207     1.0 s
-    [63,51] BCH            12   1.9 s       42 MB    22,433,703     2.7 s
-    [13,1] repetition      12   0.002 s     16 MB         3,761     0.003 s
-    [15,3]                 12   0.003 s     16 MB        13,227     0.005 s
-    [15,1] repetition      14   0.010 s     18 MB        14,281     0.014 s
-    [17,1] repetition      16   0.04 s      29 MB        54,495     0.07 s
-    [21,5]                 16   0.26 s      41 MB       582,444     0.35 s
-    [19,1] repetition      18   0.25 s      84 MB       208,783     0.49 s
-    [21,3]                 18   0.67 s     119 MB       756,316     1.0 s
-    [27,9]                 18   1.9 s      220 MB    14,067,663     2.8 s
-    [21,1] repetition      20   1.6 s      351 MB       802,595     2.7 s
+    code                    r    build     peak RSS      states    states read  peak RSS
+    [127,127] full space    0   0.8 ms      16 MB        46,849     0.013 s      16 MB
+    [63,57] Hamming         6   3.1 ms      15 MB       380,751     0.019 s      15 MB
+    [127,120] Hamming       7   0.039 s     16 MB     5,905,207     0.45 s       21 MB
+    [63,51] BCH            12   0.16 s      21 MB    22,433,703     1.0 s        41 MB
+    [13,1] repetition      12   1.8 ms      15 MB         3,761     0.001 s      15 MB
+    [15,3]                 12   2.2 ms      15 MB        13,227     0.002 s      15 MB
+    [15,1] repetition      14   8.0 ms      17 MB        14,281     0.005 s      17 MB
+    [17,1] repetition      16   0.051 s     31 MB        54,495     0.029 s      31 MB
+    [21,5]                 16   0.093 s     33 MB       582,444     0.12 s       39 MB
+    [19,1] repetition      18   0.26 s      88 MB       208,783     0.18 s       88 MB
+    [21,3]                 18   0.41 s      95 MB       756,316     0.46 s      109 MB
+    [27,9]                 18   0.49 s     112 MB    14,067,663     1.2 s       196 MB
+    [21,1] repetition      20   1.25 s     315 MB       802,595     1.1 s       335 MB
+    [1023,1023] full space  0   0.026 s     16 MB    22,566,913     6.6 s        39 MB
+    [2047,2047] full space  0   0.11 s      18 MB             -         -           -
+    [4095,4095] full space  0   0.58 s      29 MB             -         -           -
 
-Time and memory grow about 4x per two syndrome bits and again with n, so
-r = 20 already needs over 300 MB at the shortest length it admits (the
-last row ran with the guard lifted).  Builds are therefore guarded to
+Build time and memory grow about 4x per two syndrome bits, so r = 20
+already needs over 300 MB at the shortest length it admits (the [21,1]
+row ran with the guard lifted).  Builds are therefore guarded to
 n-k <= 18 (cyclic_code.SYNDROME_GUARD, which also bounds each code's
-coset-leader table); beyond that use exhaustive enumeration.
+coset-leader table); beyond that use exhaustive enumeration.  Only n - k
+is guarded: at r = 0 the build grows about 4-5x per doubling of n, to
+0.58 s at the longest code `cyclic_code.BLOCK_MAX_N` admits, n = 4095,
+where the census would take minutes.
 """
 
 from __future__ import annotations
 
+import sys
 from functools import cached_property
-from operator import add
-from typing import Dict, Iterator, List, Tuple
+from operator import add, mul
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from .cyclic_code import SYNDROME_GUARD, CyclicCode
 from .errors import CapacityError
@@ -95,6 +134,7 @@ from .scheme_a import histogram_sum, rho_parts
 from .scheme_c import _half
 
 FinalState = Tuple[int, int]  # (weight, index)
+_FORMATS = {8: "B", 16: "H", 32: "I", 64: "Q"}  # memoryview casts of one lane
 
 
 def _check(code: CyclicCode) -> int:
@@ -106,6 +146,12 @@ def _check(code: CyclicCode) -> int:
             "use exhaustive enumeration instead"
         )
     return m
+
+
+def _width(n: int) -> int:
+    """Lane width for counts below 2^(n+1): 8, 16, 32 or 64 bits, past 64
+    the n+1 bits rounded up to whole bytes, so that a row reads as lanes."""
+    return max(8, 1 << n.bit_length()) if n < 64 else -(-(n + 1) // 8) * 8
 
 
 def _repeat(block: int, period: int, times: int) -> int:
@@ -126,6 +172,7 @@ class _Lanes:
     def __init__(self, r: int, width: int) -> None:
         lanes = 1 << r
         self.width = width
+        self.size = (width << r) // 8  # bytes of a row, for whole-byte widths
         self.ones = _repeat(1, width, lanes)  # lowest bit of every lane
         self.lane_mask = (1 << width) - 1
         # swaps[b] = (shift, M_b): blocks of 2^b lanes, M_b = lanes with bit b clear
@@ -155,14 +202,26 @@ class _Lanes:
     def lane(self, x: int, s: int) -> int:
         return (x >> (s * self.width)) & self.lane_mask
 
+    def lanes(self, x: int) -> Sequence[int]:
+        """Every lane of x, for a width of whole bytes, in memory order: a
+        big-endian machine reverses it, which `dot` does not see."""
+        data = x.to_bytes(self.size, sys.byteorder)
+        if self.width in _FORMATS:
+            return memoryview(data).cast(_FORMATS[self.width])
+        step = self.width // 8
+        return [int.from_bytes(data[i : i + step], sys.byteorder) for i in range(0, self.size, step)]
+
+    def dot(self, a: Sequence[int], x: int) -> int:
+        """Sum over s of a[s] * lane s of x, for `a` read by `lanes`."""
+        return sum(map(mul, a, self.lanes(x)))
+
 
 class TrellisReport:
-    """One forward pass: `final` maps (final weight, shift-set size) to the
-    exact path count.
+    """`final` maps (final weight, shift-set size) to the exact path count.
 
     Also derives the gamma histogram, |C*| and rho from `final`, and the
     number of materialized states per level (root first, final level last)
-    from a second pass over the levels, run on first read of
+    from the census pass over the levels, run on first read of
     `level_states`, `states` or `state_count`.  A plain class: a dataclass
     would add more to the import than the rest of this module.
     """
@@ -202,65 +261,85 @@ class TrellisReport:
         return sum(self.level_states)
 
 
+def _step(permute, lo: list, hi: list, base: int, rows: List[int], low: int, high: int) -> Tuple[int, List[int]]:
+    """One level's four edges, from the rows of weights base.. to the rows
+    of weights low..high.
+
+    The lo and 0 edges make p; the lo^hi and hi edges are p itself, one
+    weight up and permuted by hi.
+    """
+    # Row t = cut..end-1 is p[t] plus p[t-1] permuted by hi, where p[t] is
+    # row t permuted by lo plus row t-1; p below cut - 1 reaches no kept row.
+    cut, end = max(low - base, 0), high + 1 - base
+    s = max(cut - 1, 0)
+    a = [permute(v, lo) for v in rows[s:]] if lo else rows[s:]
+    p = [0] * s + list(map(add, a + [0], ([0] + rows)[s:]))
+    up = [permute(v, hi) for v in p[s : end - 1]] if hi else p[s : end - 1]  # up[j] joins row s+1+j
+    return base + cut, list(map(add, p[cut:end] + [0], up if cut else [0] + up))
+
+
+def _edges(code: CyclicCode, width: int) -> Tuple[int, _Lanes, List[Tuple[list, list]]]:
+    """m, lanes of `width` bits and each pair level's (lo, hi) permutations.
+
+    (c_i, c_{i+m}) -> (weight gain, syndrome mask), first half flipped:
+    (0, h_lo), (1, h_lo ^ h_hi), (1, 0), (2, h_hi).
+    """
+    m = _check(code)
+    h = code.parity_cols
+    vec = _Lanes(code.r, width)
+    return m, vec, [(vec.permutation(h[level - 1]), vec.permutation(h[level + m - 1])) for level in range(1, m)]
+
+
 def _levels(code: CyclicCode) -> Iterator[Tuple[_Lanes, Dict[int, Tuple[int, List[int]]]]]:
-    """(vec, groups) at the root and after each pair level 1..m-1.
+    """The census pass: (vec, groups) at the root and after each pair
+    level 1..m-1.
 
     `groups` maps an index (0 = not yet fixed) to (base, rows), rows[t]
     the lane vector of weight base + t.
     """
-    m = _check(code)
-    h = code.parity_cols
-    vec = _Lanes(code.r, code.n + 1)
-    permute = vec.permute
+    m, vec, edges = _edges(code, code.n + 1)  # the census reads no lane, so needs no whole bytes
     groups: Dict[int, Tuple[int, List[int]]] = {0: (0, [1])}
     yield vec, groups
-    for level in range(1, m):
-        # (c_i, c_{i+m}) -> (weight gain, syndrome mask), first half flipped:
-        # (0, h_lo), (1, h_lo ^ h_hi), (1, 0), (2, h_hi).  The lo and 0
-        # edges make p; the lo^hi and hi edges are p itself, one weight up
-        # and permuted by hi.
-        lo = vec.permutation(h[level - 1])
-        hi = vec.permutation(h[level + m - 1])
+    for level, (lo, hi) in enumerate(edges, 1):
         low = max(0, 2 * level - m)  # lightest feasible weight after this level
-        nxt: Dict[int, Tuple[int, List[int]]] = {}
-        for idx, (base, rows) in groups.items():
-            # Rows t = cut..end-1 (weights low..m) are kept.  Row t is p[t]
-            # plus p[t-1] permuted by hi, where p[t] is row t permuted by lo
-            # plus row t-1; p below cut - 1 reaches no kept row.
-            cut, end = max(low - base, 0), m + 1 - base
-            s = max(cut - 1, 0)
-            a = [permute(v, lo) for v in rows[s:]] if lo else rows[s:]
-            p = [0] * s + list(map(add, a + [0], ([0] + rows)[s:]))
-            up = [permute(v, hi) for v in p[s : end - 1]] if hi else p[s : end - 1]  # up[j] joins row s+1+j
-            nxt[idx] = (base + cut, list(map(add, p[cut:end] + [0], up if cut else [0] + up)))
+        groups = {idx: _step(vec.permute, lo, hi, base, rows, low, m) for idx, (base, rows) in groups.items()}
         # the index-0 row at weight `level` has just hit a zero running sum
-        base, rows = nxt[0]
-        nxt[level] = (level, [rows[level - base]])
+        base, rows = groups[0]
+        groups[level] = (level, [rows[level - base]])
         rows[level - base] = 0
-        groups = nxt
         yield vec, groups
 
 
 def build_and_count(code: CyclicCode) -> TrellisReport:
-    """One pass: the report's `final` maps (final weight, shift-set size)
+    """Forward over the paths with no zero yet, then backward over the
+    completions: the report's `final` maps (final weight, shift-set size)
     to the exact path count.
 
     The report also carries gamma, |C*| and rho; its per-level state
-    counts take a second pass, on first read.
+    counts take the census pass, on first read.
     """
-    for vec, groups in _levels(code):
-        pass  # only the last level's rows reach the final level
-    m = (code.n + 1) // 2
+    m, vec, edges = _edges(code, _width(code.n))
+    base, rows = 0, [1]
+    hits = []  # hits[L-1]: the weight-L row whose running sum first hits zero at level L
+    for level, (lo, hi) in enumerate(edges, 1):
+        base, rows = _step(vec.permute, lo, hi, base, rows, max(0, 2 * level - m), m)
+        hits.append(rows[level - base])
+        rows[level - base] = 0
     h_m = code.parity_cols[m - 1]
-    final: Dict[FinalState, int] = {}
-    for idx, (base, rows) in groups.items():
-        for wt, x in enumerate(rows, base):
-            # c_m = 0 leaves the syndrome h_m to cancel; c_m = 1 needs syndrome 0
-            for nwt, cnt in ((wt, vec.lane(x, h_m)), (wt + 1, vec.lane(x, 0))):
-                if cnt and nwt in (m - 1, m):
-                    key = (nwt, idx if idx else m)
-                    final[key] = final.get(key, 0) + cnt
-    return TrellisReport(code, final)
+    at = dict(enumerate(rows, base))  # index m: no zero before the last bit
+    # c_m = 0 leaves the syndrome h_m to cancel; c_m = 1 needs syndrome 0
+    final = {(f, m): vec.lane(at.get(f, 0), h_m) + vec.lane(at.get(f - 1, 0), 0) for f in (m - 1, m)}
+    # rows[g] now counts, per syndrome s, the completions after level L that
+    # gain weight base + g and cancel s; after level m-1 that is the last bit
+    base, rows = 0, [1 << (h_m * vec.width), 1]
+    for level in range(m - 1, 0, -1):
+        hit = vec.lanes(hits.pop())
+        for f in (m - 1, m):
+            final[f, level] = vec.dot(hit, rows[f - level - base])
+        lo, hi = edges[level - 1]
+        # the same step, read backwards: gain g before level L is g - gain after it
+        base, rows = _step(vec.permute, lo, hi, base, rows, max(0, m - 2 * level + 2), m - 1)
+    return TrellisReport(code, {key: cnt for key, cnt in final.items() if cnt})
 
 
 def state_count(code: CyclicCode) -> int:

@@ -46,6 +46,12 @@ def hamming63():
 
 
 @pytest.fixture(scope="session")
+def hamming127():
+    """[127,120,3] Hamming code generated by the primitive 1 + X + X^7."""
+    return from_generator(127, poly_from_coeffs([1, 1, 0, 0, 0, 0, 0, 1]))
+
+
+@pytest.fixture(scope="session")
 def bch63():
     """[63,51,5] BCH code: (1 + X + X^6)(1 + X + X^2 + X^4 + X^6), the minimal
     polynomials of alpha and alpha^3, multiplied out."""

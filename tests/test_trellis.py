@@ -1,3 +1,6 @@
+import hashlib
+import json
+import math
 import random
 import time
 
@@ -6,7 +9,9 @@ import pytest
 from qbalance.cyclic_code import codewords, from_generator, full_space, poly_divmod, poly_from_coeffs
 from qbalance.errors import CapacityError
 from qbalance.scheme_c import encode_c, gamma_counts_fullspace, gamma_size_c, rho_c_fullspace
-from qbalance.trellis import _check, _Lanes, build_and_count, state_count
+from qbalance.trellis import _check, _Lanes, _width, build_and_count, state_count
+
+from fresh_process import CLI, run_fresh
 
 # [23,12,7] Golay code, 1 + X^2 + X^4 + X^5 + X^6 + X^10 + X^11 (n - k = 11)
 GOLAY23 = (23, poly_from_coeffs([1, 0, 1, 0, 1, 1, 1, 0, 0, 0, 1, 1]))
@@ -130,6 +135,22 @@ class TestAgainstEnumeration:
         assert merged == report.gamma
 
 
+class TestBeyondEnumeration:
+    """Codes with k > 24, past what enumeration reaches, against the
+    earlier pass that stepped one index group per level of the first zero."""
+
+    # sha256 of repr(sorted(final.items())), recorded with that pass
+    FINAL_SHA256 = {
+        "bch63": "f4c08b613193635314b70f9a5034cd7d39a3c940795b7186820956a6c85187a0",
+        "hamming127": "1157c5d5c3053977bfb548da165831606bef24e5d596561cb7cdfafcf2288424",
+    }
+
+    @pytest.mark.parametrize("name", FINAL_SHA256)
+    def test_final_matches_all_groups_pass(self, request, name):
+        final = build_and_count(request.getfixturevalue(name)).final
+        assert hashlib.sha256(repr(sorted(final.items())).encode()).hexdigest() == self.FINAL_SHA256[name]
+
+
 class TestPinnedCodes:
     def test_golay23(self):
         report = build_and_count(from_generator(*GOLAY23))
@@ -194,11 +215,29 @@ class TestLanes:
             assert lanes.nonzero(moved) == sum(1 for c in counts if c)
             assert [lanes.lane(moved, s) for s in range(1 << r)] == [counts[s ^ mask] for s in range(1 << r)]
 
+    @pytest.mark.parametrize("width", [8, 16, 32, 64, 128])
+    @pytest.mark.parametrize("r", range(6))
+    def test_dot_is_the_sum_of_lane_products(self, r, width):
+        rng = random.Random(r * 1000 + width)
+        lanes = _Lanes(r, width)
+        top = (1 << width) - 1
+        count = 1 << r
+        cases = [([0] * count, [top] * count), ([top] * count, [top] * count)]
+        for _ in range(20):
+            cases.append(tuple([rng.choice((0, 1, top, rng.getrandbits(width))) for _ in range(count)] for _ in "ab"))
+        for a, b in cases:
+            want = sum(x * y for x, y in zip(a, b))
+            assert lanes.dot(lanes.lanes(self.pack(a, width)), self.pack(b, width)) == want
+
+    @pytest.mark.parametrize("n,width", [(1, 8), (7, 8), (15, 16), (23, 32), (31, 32), (63, 64), (65, 72), (127, 128), (4095, 4096)])
+    def test_width_holds_every_count_in_whole_bytes(self, n, width):
+        assert _width(n) == width
+
 
 class TestClosedFormEquivalence:
-    # n = 256: the [255,255] full space, n - k = 0, one plain int per weight
-    # row, 127 levels of up to 128 index groups
-    @pytest.mark.parametrize("n", [4, 8, 12, 16, 20, 24, 256])
+    # n = 256 and 1024: the [255,255] and [1023,1023] full spaces, n - k = 0,
+    # one plain int per weight row
+    @pytest.mark.parametrize("n", [4, 8, 12, 16, 20, 24, 256, 1024])
     def test_full_space_matches_closed_form(self, n):
         start = time.perf_counter()
         report = build_and_count(full_space(n - 1))
@@ -253,17 +292,41 @@ class TestScaling:
         assert counts[1] <= 16 * counts[0]
         assert counts[2] <= 16 * counts[1]
 
-    def test_build_time_tracks_state_count(self):
+    def test_census_time_tracks_state_count(self):
+        """The census pass still walks every state, so its time follows their count."""
         sizes = (256, 512)
         times = []
         states = []
         for n in sizes:
-            code = full_space(n - 1)
+            report = build_and_count(full_space(n - 1))
             start = time.perf_counter()
-            report = build_and_count(code)
-            times.append(time.perf_counter() - start)
             states.append(report.states)
-        if times[0] < 0.02:
-            pytest.skip("too fast to measure reliably")
+            times.append(time.perf_counter() - start)
         # doubling n: state count grows ~8x (< n^4 bound); allow 4x noise on top
         assert times[1] <= 4 * (states[1] / states[0]) * times[0]
+
+    def test_build_time_grows_at_most_cubically(self):
+        """The split build steps O(n^2) rows of n-bit ints on the full space
+        (26 ms at n = 1024 and 0.59 s at 4096 on a 2-CPU x86-64 host); the
+        pass over every index group took 2.3 s at 1024 alone."""
+        times = []
+        for n in (1024, 4096):
+            code = full_space(n - 1)
+            start = time.perf_counter()
+            build_and_count(code)
+            times.append(time.perf_counter() - start)
+        assert times[1] < 10
+        assert times[1] <= 4**3 * times[0]
+
+    def test_full_space_cli_at_block_max_in_bounded_time_and_memory(self, tmp_path):
+        """`trellis --code` on the longest code file `BLOCK_MAX_N` admits:
+        the pass over every index group ran for over a minute."""
+        path = tmp_path / "full4095.code"
+        path.write_text("n = 4095\nk = 4095\ngenerator = 1\n")
+        start = time.perf_counter()
+        child = run_fresh(CLI, "trellis", "--code", str(path), timeout=20)
+        assert time.perf_counter() - start < 10
+        assert child.peak_kib < 128 * 1024
+        report = json.loads(child.out)
+        # the receivable blocks are the words of weight 2047 or 2048
+        assert (report["n"], report["codebook_size"]) == (4095, math.comb(4096, 2048))
