@@ -29,7 +29,15 @@ built once per code.  Each codeword is checked once, where it enters:
 encode_c reads the syndrome of the word it is given, and decode_c that
 of the word it recovers.  The stream encodes its own packets, so their
 codewords are not read again; _shift, which encode_c and the stream
-share, checks nothing.
+share, checks nothing.  A frame is a pure function of its packet, and a
+decoded block of the received block, so each stream call works each
+distinct packet (stream_encode) and each distinct received block
+(stream_decode) once, in a dict that lives for that call only.  The gain
+rests on repeats: packets repeat when 2^k is small next to the frame
+count: a 256-bit stream runs to about 145 frames over at most 8
+distinct packets on the [7,3] simplex code, and to about 17 frames over
+2^21 possible packets on BCH[31,21], where nothing repeats.  A repeated
+bad block raises again, naming its first frame.
 
 Streaming chains the prefixes: frame t's shift index rides at the head
 of frame t+1's packet, so decoding runs back to front.  The final
@@ -150,13 +158,13 @@ def gamma_size_c(c: BitWord) -> int:
     return _gamma_size(c.value, m)
 
 
-def _shift(x: int, n: int) -> Tuple[int, int]:
+def _shift(x: int, n: int, half: int) -> Tuple[int, int]:
     """(tau, c) for the n-bit codeword x: its least balancing shift and the
-    half-flip c of x shifted by tau, which weighs m-1 or m.  x is not
-    checked here: encode_c checks the word it is given, and the stream
-    passes only codewords it has just encoded."""
-    m = _half(n)
-    half, mask = _half_mask(m), (1 << n) - 1
+    half-flip c of x shifted by tau, which weighs m-1 or m.  Neither x nor
+    n is checked here, and half = _half_mask(m) comes from the caller:
+    encode_c checks the word it is given, and the stream passes only
+    codewords it has just encoded."""
+    m, mask = (n + 1) // 2, (1 << n) - 1
     for tau in range(n + 1):
         c = (((x >> tau) | (x << (n - tau))) & mask) ^ half
         if m - 1 <= c.bit_count() <= m:
@@ -169,8 +177,8 @@ def encode_c(code: CyclicCode, x: BitWord) -> EncodeResult:
         raise ValueError(f"word length {x.length} != code length {n}")
     if xor_bytes(code.syndrome_rows, x.value, n):
         raise ValueError(f"{x} is not a codeword")
-    tau, c = _shift(x.value, n)
     m = _half(n)
+    tau, c = _shift(x.value, n, _half_mask(m))
     prefix = BitWord(tau, rank_width(_gamma_size(c, m)))
     return EncodeResult(codeword=BitWord(_block(c, m), n + 1), prefix=prefix, classification=None, tau=tau)
 
@@ -213,9 +221,10 @@ def build_balanced_code(code: CyclicCode) -> Tuple[BitWord, ...]:
     return tuple(BitWord(b, 2 * m) for b in blocks)
 
 
-def _nearest(code: CyclicCode, received: BitWord) -> int:
-    """The C* block nearest the received block: syndrome decoding within
-    radius t, the scan of C* beyond it.
+def _nearest(code: CyclicCode, y: int, half: int) -> int:
+    """The C* block nearest the received (n+1)-bit block y: syndrome
+    decoding within radius t, the scan of C* beyond it.  The caller checks
+    the length of y and the parity of n, and passes half = _half_mask(m).
 
     Stripped of its balance bit and with its first half flipped back, a C*
     block is a codeword.  So the received block is stripped and flipped
@@ -229,12 +238,10 @@ def _nearest(code: CyclicCode, received: BitWord) -> int:
     lexicographic scan of C*, which needs k <= 24, returns the nearest
     block or raises AmbiguousBlockError when two are equally near.
     """
-    n, y = code.n, received.value
-    if received.length != n + 1:
-        raise ValueError(f"block length {received.length} != {n + 1}")
-    m, c = _half(n), y >> 1
+    n = code.n
+    m, c = (n + 1) // 2, y >> 1
     leaders, t = code.coset_leaders
-    e = leaders.get(xor_bytes(code.syndrome_rows, c ^ _half_mask(m), n))
+    e = leaders.get(xor_bytes(code.syndrome_rows, c ^ half, n))
     if e is not None:
         block = _block(c ^ e, m)
         if block is not None and (block ^ y).bit_count() <= t:
@@ -247,14 +254,16 @@ def _nearest(code: CyclicCode, received: BitWord) -> int:
         elif dist == best_dist:
             ties += 1
     if ties > 1:
-        raise AmbiguousBlockError(f"{ties} codebook words at distance {best_dist} from {received}")
+        raise AmbiguousBlockError(f"{ties} codebook words at distance {best_dist} from {BitWord(y, n + 1)}")
     return best
 
 
 def correct_block(code: CyclicCode, received: BitWord) -> BitWord:
     """Nearest word of C*: syndrome decoding within radius t, the scan of C*
     beyond it, which raises AmbiguousBlockError on a tie (see _nearest)."""
-    return BitWord(_nearest(code, received), code.n + 1)
+    if received.length != code.n + 1:
+        raise ValueError(f"block length {received.length} != {code.n + 1}")
+    return BitWord(_nearest(code, received.value, _half_mask(_half(code.n))), code.n + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -342,8 +351,9 @@ def stream_encode(code: CyclicCode, payload: BitWord) -> StreamEncoding:
     m = _half(n)
     if rank_width(m) > k:
         raise CodingError(f"prefix can exceed packet size for k={k}; code too small")
-    encode_rows = code.encode_rows
+    encode_rows, half = code.encode_rows, _half_mask(m)
     bits, left = payload.value, payload.length  # left: payload bits not yet taken
+    frame_of: Dict[int, Tuple[int, int, int, int]] = {}  # packet -> (tau, |Gamma(c)|, its width, block)
     blocks: List[int] = []
     payload_frames = final_pad = 0
     carry = width = 0  # the carried prefix, as (value, width)
@@ -361,13 +371,15 @@ def stream_encode(code: CyclicCode, payload: BitWord) -> StreamEncoding:
         left -= take
         fill = room - take
         packet = ((carry << take) | (bits >> left & ((1 << take) - 1))) << fill
-        carry, c = _shift(xor_bytes(encode_rows, packet, k), n)
-        size = _gamma_size(c, m)
-        width = rank_width(size)
-        blocks.append(_block(c, m))
+        if packet not in frame_of:
+            tau, c = _shift(xor_bytes(encode_rows, packet, k), n, half)
+            size = _gamma_size(c, m)
+            frame_of[packet] = (tau, size, rank_width(size), _block(c, m))
+        carry, size, width, block = frame_of[packet]
+        blocks.append(block)
         if not pad:
             payload_frames, final_pad = len(blocks), fill
-        elif len(_tail_zero_candidates(code, c, size, fill)) == 1:
+        elif len(_tail_zero_candidates(code, block >> 1, size, fill)) == 1:
             carry = width = 0  # the tail frame self-decodes; its own prefix is dropped
     frames = tuple(StreamFrame(codeword=BitWord(b, n + 1)) for b in blocks)
     return StreamEncoding(frames=frames, payload_frames=payload_frames, final_pad=final_pad, n=n + 1)
@@ -384,19 +396,27 @@ def stream_decode(code: CyclicCode, enc: StreamEncoding) -> BitWord:
         return BitWord(0, 0)
     m = _half(n)
     half = _half_mask(m)
-    stripped = []
+    seen: Dict[int, Tuple[int, int, int]] = {}  # received block -> (its nearest C* block stripped, |Gamma|, width)
+    hits = []
     for t, frame in enumerate(enc.frames):
-        try:
-            stripped.append(_nearest(code, frame.codeword) >> 1)
-        except DecodeError as exc:
-            raise type(exc)(f"frame {t}: {exc}") from exc
+        received = frame.codeword
+        if received.length != n + 1:
+            raise ValueError(f"block length {received.length} != {n + 1}")
+        y = received.value
+        if y not in seen:
+            try:
+                c = _nearest(code, y, half) >> 1
+            except DecodeError as exc:
+                raise type(exc)(f"frame {t}: {exc}") from exc
+            size = _gamma_size(c, m)
+            seen[y] = (c, size, rank_width(size))
+        hits.append(seen[y])
+    stripped, sizes, widths = zip(*hits)
     k = code.k
     total = len(stripped)
     if enc.payload_frames > total or enc.payload_frames < 1:
         raise StreamError("payload frame count inconsistent with container")
 
-    sizes = [_gamma_size(c, m) for c in stripped]
-    widths = [rank_width(s) for s in sizes]
     room = k - (widths[enc.payload_frames - 2] if enc.payload_frames > 1 else 0)
     if enc.final_pad >= room:  # the last payload frame takes at least one fresh bit
         raise StreamError(f"header final_pad {enc.final_pad} >= {room} fresh bits of the last payload frame")

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import random
+import re
 import time
 from functools import lru_cache
 from pathlib import Path
@@ -490,37 +491,24 @@ class TestStream:
         monkeypatch.undo()
         assert stream_decode(golay23, enc) == payload
 
-    def test_flush_cycle_stops_at_repeated_carry(self, bch15, monkeypatch):
+    def test_flush_cycle_stops_at_repeated_carry(self, bch15):
         """A pad frame depends only on the prefix it carries, so a cycling flush
         stops within the 2^(w+1) - 2 nonempty prefixes of at most w bits."""
-        calls = []
-        real = scheme_c._shift
-
-        def counting(x, n):
-            tau, c = real(x, n)
-            calls.append(rank_width(gamma_size_c(BitWord(c, n))))
-            return tau, c
-
-        monkeypatch.setattr(scheme_c, "_shift", counting)
         rng = random.Random(3)
         for _ in range(50):
             payload = BitWord(rng.getrandbits(64), 64)
-            calls.clear()
             try:
                 stream_encode(bch15, payload)
             except CodingError as exc:
-                assert "flush" in str(exc)
+                error = str(exc)
                 break
         else:
             pytest.fail("no payload hit the flush cycle")
-        # Replay the prefix chain: payload frames are the calls made until every payload bit is taken.
-        consumed = payload_frames = carry = 0
-        while consumed < payload.length:
-            consumed += bch15.k - carry
-            carry = calls[payload_frames]
-            payload_frames += 1
+        pads = re.fullmatch(r"stream flush cycles: carried prefix [01]+ repeats after (\d+) pad frames", error)
+        assert pads, error
         w = rank_width(8)
-        assert 0 < len(calls) - payload_frames <= 2 ** (w + 1) - 2
+        assert 0 < int(pads.group(1)) <= 2 ** (w + 1) - 2
+        assert result(_stream_encode_reference, bch15, payload) == (CodingError, error)
 
 
 class TestContainer:
@@ -1046,3 +1034,60 @@ class TestStreamAgainstReference:
                 assert got == payload or i >= 2, (payload, i)
                 kinds.add("payload" if got == payload else "error" if isinstance(got, tuple) else "other")
         assert {"payload", "error"} <= kinds, kinds
+
+
+@pytest.fixture(scope="module")
+def bch15_reciprocal():
+    """The reciprocal of bch15, generated by 1 + X + X^2 + X^4 + X^8: another
+    [15,7,5] code, with 6 of its 48 C* blocks in bch15's C*."""
+    return from_generator(15, poly_from_coeffs([1, 1, 1, 0, 1, 0, 0, 0, 1]))
+
+
+class TestStreamMemo:
+    """A stream call works each distinct packet and each distinct received
+    block once, and keeps nothing past the call."""
+
+    def test_each_distinct_packet_and_block_is_worked_once(self, simplex, monkeypatch):
+        shifted, nearest = [], []
+        real_shift, real_nearest = scheme_c._shift, scheme_c._nearest
+        monkeypatch.setattr(scheme_c, "_shift", lambda x, n, half: shifted.append(x) or real_shift(x, n, half))
+        monkeypatch.setattr(scheme_c, "_nearest", lambda code, y, half: nearest.append(y) or real_nearest(code, y, half))
+        rng = random.Random(256)
+        payload = BitWord(rng.getrandbits(256), 256)
+        enc = stream_encode(simplex, payload)
+        # one codeword per distinct packet, and at most 2^k packets
+        assert len(shifted) == len(set(shifted)) <= 2**simplex.k < len(enc.frames)
+        assert enc == _stream_encode_reference(simplex, payload)
+        for noisy in (enc, with_block_errors(enc, 1, rng)):
+            nearest.clear()
+            got = stream_decode(simplex, noisy)
+            assert sorted(nearest) == sorted({f.codeword.value for f in noisy.frames}) != []
+            assert len(nearest) < len(noisy.frames)
+            assert got == payload == _stream_decode_reference(simplex, noisy)
+        frames = list(enc.frames)
+        frames[1] = frames[3] = StreamFrame(codeword=W("00110000"))  # equidistant from two C* words
+        with pytest.raises(AmbiguousBlockError, match="^frame 1: "):
+            stream_decode(simplex, dataclasses.replace(enc, frames=tuple(frames)))
+        frames[1] = frames[3] = StreamFrame(codeword=BitWord(enc.frames[0].codeword.value, 9))  # a seen value
+        with pytest.raises(ValueError, match="^block length 9 != 8$"):
+            stream_decode(simplex, dataclasses.replace(enc, frames=tuple(frames)))
+
+    def test_no_state_crosses_calls_or_codes(self, bch15, bch15_reciprocal):
+        """bch15's received blocks include clean blocks of a bch15_reciprocal
+        stream that lie within radius 2 of the bch15 block sent, so a value
+        received on both codes decodes to a different block on each."""
+        codes = (bch15, bch15_reciprocal)
+        sent = {code: next(pair for pair in encodable_payloads(code, 8, seed=15) if pair[0].length >= 60) for code in codes}
+        theirs = sorted({f.codeword.value for f in sent[bch15_reciprocal][1].frames})
+        frames = []
+        for f in sent[bch15][1].frames:
+            near = [y for y in theirs if 0 < (y ^ f.codeword.value).bit_count() <= 2]
+            frames.append(StreamFrame(codeword=BitWord(near[0], 16)) if near else f)
+        received = {bch15: dataclasses.replace(sent[bch15][1], frames=tuple(frames)), bch15_reciprocal: sent[bch15_reciprocal][1]}
+        shared = {f.codeword.value for f in frames} & set(theirs)
+        assert any(correct_block(bch15, BitWord(y, 16)) != BitWord(y, 16) for y in shared)
+        for order in (codes + codes[:1], codes[::-1] + codes[1:]):
+            for code in order:
+                payload, enc = sent[code]
+                assert stream_encode(code, payload) == enc
+                assert stream_decode(code, received[code]) == payload
