@@ -48,7 +48,7 @@ stream encode peaks at 57 MB of RSS at n = 4095 and 170 MB at 8191.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import chain, combinations
 from typing import Dict, Iterator, List, Sequence, Tuple
 
@@ -228,7 +228,6 @@ def codewords(code: CyclicCode) -> Iterator[BitWord]:
     return (BitWord(v, code.n) for v in codeword_values(code))
 
 
-@lru_cache(maxsize=None)
 def min_distance(code: CyclicCode) -> int:
     """Exhaustive minimum nonzero codeword weight."""
     best = min(filter(None, map(int.bit_count, codeword_values(code))), default=0)

@@ -34,10 +34,7 @@ Within a row:
 - the edge syn -> syn ^ mask is a lane permutation: for each set bit b
   of the mask, neighbouring blocks of 2^b lanes swap places, selected by
   the precomputed mask M_b of the lanes whose syndrome has bit b clear;
-- merging paths is int addition;
-- the states of a row are its nonzero lanes: adding the lanes' low W-1
-  bits to all ones there carries into a lane's top bit exactly when the
-  lane is nonzero, and `bit_count` reads the top bits;
+- merging paths is int addition (OR in the census, below);
 - a row reads as its lanes in one `to_bytes`: a memoryview cast at
   W = 8, 16, 32 or 64 bits, W/8-byte slices past that, so the read is
   linear in the row's size.
@@ -60,55 +57,59 @@ and it never changes the edges the path takes after it.  So
 - final[(f, L)] = sum over s of hit_L(s) * D_L(f - L, s), f in {m-1, m}.
 
 Only the m-1 hit rows and one level of the current pass's rows are
-alive at once.  The census pass, `_levels`, still walks every state: it
-steps every index group of every level, up to m groups, with the same
-step and moves each level's hit row out as a group of its own.
-`TrellisReport.level_states`, which `states` and `state_count` read,
-runs it on first read, with O(1) more whole-vector operations per row.
+alive at once.
+
+Census.  A state is materialized when some path reaches it, that is
+when its count is nonzero, so the census pass, `_levels`, steps
+reachability in place of counts: lanes of one bit, bit s of a row set
+when syndrome s is reached, merged by OR through the same `_step`.  It
+steps every index group of every level, up to m groups, and moves each
+level's hit row out as a group of its own; the states of a row are its
+set bits, `int.bit_count`.  `TrellisReport.level_states`, which
+`states` and `state_count` read, runs it on first read.
 
 Lane width.  No lane can overflow at W = n+1 bits: a state at level L
 is reached by at most 4^L label paths, a completion after level L is
 one of at most 2 * 4^(m-1-L), and both are at most 2^n.  The split reads
 lanes, so its W is n+1 rounded up to 8, 16, 32 or 64 bits, and past 64
 bits to whole bytes (`_width`): 32 bits for Golay[23,12], 64 for the
-[63,k] codes and 128 for the [127,k] ones.  The census reads no lane
-and keeps W = n+1.
+[63,k] codes and 128 for the [127,k] ones.  The census holds no count,
+so its lanes are 1 bit wide.
 
 Cost.  A level of either split pass holds at most m+1 rows, and each
 row takes O(r) whole-vector operations for its two permutations, so the
 split makes O(r n^2) big-int operations on 2^r * W-bit ints, plus 2(m-1)
 inner products over 2^r lanes; the census, with up to m groups a level,
-makes O(r n^3).  At r = 0 a row is one plain int and the list steps are
-the cost.  Memory is dense in the syndrome: a row takes 2^r * W bits
-whether or not its lanes are reached.  Against the earlier build, which
-stepped every index group, the split gains most where the groups were
-many: 5.6x on BCH[63,51] (0.90 s, 42 MB before) and 90x on the
-[1023,1023] full space (2.3 s).  Where they were few, on the repetition
-codes at r >= 14, its wider lanes and its inner products of 2^r lanes
-make it up to 2.3x slower (0.12 s before on [19,1], 0.65 s on [21,1]).
+makes O(r n^3) on 2^r-bit ints.  At r = 0 a row is one plain int and
+the list steps are the cost.  Memory is dense in the syndrome: a row
+takes 2^r * W bits whether or not its lanes are reached.
 
 One `build_and_count` call in a fresh process, then the first read of
-its `states` (Python 3.11, 2 shared x86-64 CPUs, one run each; peak RSS
-from VmHWM, about 15 MB before the pass; [15,3], [21,5], [21,3] and
-[27,9] have the generators (X^n + 1)/f for f = X^3 + 1, X^5 + X + 1,
-X^3 + X + 1 and X^9 + 1; "-": not read):
+its `states` (Python 3.11, 2 shared x86-64 CPUs; peak RSS from VmHWM,
+about 15 MB before the pass; [15,3], [21,5], [21,3] and [27,9] have the
+generators (X^n + 1)/f for f = X^3 + 1, X^5 + X + 1, X^3 + X + 1 and
+X^9 + 1; "-": not read).  The build columns are one run each; the two
+states columns are the best of three (one run at n = 2047), measured
+later on the same kind of host, when builds ran 1.5-2.5x slower than
+their column shows.  The census raises no peak by more than 5 MB over
+the build's:
 
     code                    r    build     peak RSS      states    states read  peak RSS
-    [127,127] full space    0   0.8 ms      16 MB        46,849     0.013 s      16 MB
-    [63,57] Hamming         6   3.1 ms      15 MB       380,751     0.019 s      15 MB
-    [127,120] Hamming       7   0.039 s     16 MB     5,905,207     0.45 s       21 MB
-    [63,51] BCH            12   0.16 s      21 MB    22,433,703     1.0 s        41 MB
-    [13,1] repetition      12   1.8 ms      15 MB         3,761     0.001 s      15 MB
-    [15,3]                 12   2.2 ms      15 MB        13,227     0.002 s      15 MB
-    [15,1] repetition      14   8.0 ms      17 MB        14,281     0.005 s      17 MB
-    [17,1] repetition      16   0.051 s     31 MB        54,495     0.029 s      31 MB
-    [21,5]                 16   0.093 s     33 MB       582,444     0.12 s       39 MB
-    [19,1] repetition      18   0.26 s      88 MB       208,783     0.18 s       88 MB
-    [21,3]                 18   0.41 s      95 MB       756,316     0.46 s      109 MB
-    [27,9]                 18   0.49 s     112 MB    14,067,663     1.2 s       196 MB
-    [21,1] repetition      20   1.25 s     315 MB       802,595     1.1 s       335 MB
-    [1023,1023] full space  0   0.026 s     16 MB    22,566,913     6.6 s        39 MB
-    [2047,2047] full space  0   0.11 s      18 MB             -         -           -
+    [127,127] full space    0   0.8 ms      16 MB        46,849     0.010 s      16 MB
+    [63,57] Hamming         6   3.1 ms      15 MB       380,751     0.010 s      16 MB
+    [127,120] Hamming       7   0.039 s     16 MB     5,905,207     0.098 s      16 MB
+    [63,51] BCH            12   0.16 s      21 MB    22,433,703     0.041 s      22 MB
+    [13,1] repetition      12   1.8 ms      15 MB         3,761    < 1 ms        16 MB
+    [15,3]                 12   2.2 ms      15 MB        13,227     0.001 s      16 MB
+    [15,1] repetition      14   8.0 ms      17 MB        14,281     0.001 s      17 MB
+    [17,1] repetition      16   0.051 s     31 MB        54,495     0.002 s      31 MB
+    [21,5]                 16   0.093 s     33 MB       582,444     0.008 s      34 MB
+    [19,1] repetition      18   0.26 s      88 MB       208,783     0.010 s      82 MB
+    [21,3]                 18   0.41 s      95 MB       756,316     0.024 s      91 MB
+    [27,9]                 18   0.49 s     112 MB    14,067,663     0.046 s     111 MB
+    [21,1] repetition      20   1.25 s     315 MB       802,595     0.042 s     306 MB
+    [1023,1023] full space  0   0.026 s     16 MB    22,566,913     3.3 s        18 MB
+    [2047,2047] full space  0   0.11 s      18 MB   179,744,769    33 s          24 MB
     [4095,4095] full space  0   0.58 s      29 MB             -         -           -
 
 Build time and memory grow about 4x per two syndrome bits, so r = 20
@@ -118,14 +119,15 @@ n-k <= 18 (cyclic_code.SYNDROME_GUARD, which also bounds each code's
 coset-leader table); beyond that use exhaustive enumeration.  Only n - k
 is guarded: at r = 0 the build grows about 4-5x per doubling of n, to
 0.58 s at the longest code `cyclic_code.BLOCK_MAX_N` admits, n = 4095,
-where the census would take minutes.
+where the census, growing about 6-8x per doubling of n, would take
+minutes.
 """
 
 from __future__ import annotations
 
 import sys
 from functools import cached_property
-from operator import add, mul
+from operator import add, mul, or_
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 from .cyclic_code import SYNDROME_GUARD, CyclicCode
@@ -173,16 +175,12 @@ class _Lanes:
         lanes = 1 << r
         self.width = width
         self.size = (width << r) // 8  # bytes of a row, for whole-byte widths
-        self.ones = _repeat(1, width, lanes)  # lowest bit of every lane
         self.lane_mask = (1 << width) - 1
         # swaps[b] = (shift, M_b): blocks of 2^b lanes, M_b = lanes with bit b clear
         self.swaps = [
             (width << b, _repeat((1 << (width << b)) - 1, width << (b + 1), lanes >> (b + 1)))
             for b in range(r)
         ]
-        # low = the W-1 low bits of every lane, high = the top bit of every lane
-        self.low = self.ones * ((1 << (width - 1)) - 1)
-        self.high = self.ones << (width - 1)
 
     def permutation(self, mask: int) -> List[Tuple[int, int]]:
         """The swaps that move lane s to lane s ^ mask."""
@@ -193,11 +191,6 @@ class _Lanes:
         for shift, keep in swaps:
             x = ((x & keep) << shift) | ((x >> shift) & keep)
         return x
-
-    def nonzero(self, x: int) -> int:
-        """Number of nonzero lanes of x: adding `low` to a lane's low bits
-        carries into its top bit exactly when they are not all zero."""
-        return ((((x & self.low) + self.low) | x) & self.high).bit_count()
 
     def lane(self, x: int, s: int) -> int:
         return (x >> (s * self.width)) & self.lane_mask
@@ -251,8 +244,9 @@ class TrellisReport:
 
     @cached_property
     def level_states(self) -> Tuple[int, ...]:
-        """Nonzero lanes per level: the root's 1 first, len(final) last."""
-        counts = (sum(sum(map(vec.nonzero, rows)) for _, rows in groups.values()) for vec, groups in _levels(self.code))
+        """Reachable states per level, the set bits of the census pass's
+        rows: the root's 1 first, len(final) last."""
+        counts = (sum(row.bit_count() for _, rows in groups.values() for row in rows) for groups in _levels(self.code))
         return (*counts, len(self.final))
 
     @property
@@ -261,9 +255,10 @@ class TrellisReport:
         return sum(self.level_states)
 
 
-def _step(permute, lo: list, hi: list, base: int, rows: List[int], low: int, high: int) -> Tuple[int, List[int]]:
+def _step(permute, lo: list, hi: list, base: int, rows: List[int], low: int, high: int, join) -> Tuple[int, List[int]]:
     """One level's four edges, from the rows of weights base.. to the rows
-    of weights low..high.
+    of weights low..high, merging paths by `join`: `add` for path counts,
+    `or_` for reachability.
 
     The lo and 0 edges make p; the lo^hi and hi edges are p itself, one
     weight up and permuted by hi.
@@ -273,9 +268,9 @@ def _step(permute, lo: list, hi: list, base: int, rows: List[int], low: int, hig
     cut, end = max(low - base, 0), high + 1 - base
     s = max(cut - 1, 0)
     a = [permute(v, lo) for v in rows[s:]] if lo else rows[s:]
-    p = [0] * s + list(map(add, a + [0], ([0] + rows)[s:]))
+    p = [0] * s + list(map(join, a + [0], ([0] + rows)[s:]))
     up = [permute(v, hi) for v in p[s : end - 1]] if hi else p[s : end - 1]  # up[j] joins row s+1+j
-    return base + cut, list(map(add, p[cut:end] + [0], up if cut else [0] + up))
+    return base + cut, list(map(join, p[cut:end] + [0], up if cut else [0] + up))
 
 
 def _edges(code: CyclicCode, width: int) -> Tuple[int, _Lanes, List[Tuple[list, list]]]:
@@ -290,24 +285,25 @@ def _edges(code: CyclicCode, width: int) -> Tuple[int, _Lanes, List[Tuple[list, 
     return m, vec, [(vec.permutation(h[level - 1]), vec.permutation(h[level + m - 1])) for level in range(1, m)]
 
 
-def _levels(code: CyclicCode) -> Iterator[Tuple[_Lanes, Dict[int, Tuple[int, List[int]]]]]:
-    """The census pass: (vec, groups) at the root and after each pair
-    level 1..m-1.
+def _levels(code: CyclicCode) -> Iterator[Dict[int, Tuple[int, List[int]]]]:
+    """The census pass: the groups at the root and after each pair level
+    1..m-1.
 
     `groups` maps an index (0 = not yet fixed) to (base, rows), rows[t]
-    the lane vector of weight base + t.
+    the 1-bit lanes of weight base + t, bit s set when syndrome s is
+    reachable.
     """
-    m, vec, edges = _edges(code, code.n + 1)  # the census reads no lane, so needs no whole bytes
+    m, vec, edges = _edges(code, 1)
     groups: Dict[int, Tuple[int, List[int]]] = {0: (0, [1])}
-    yield vec, groups
+    yield groups
     for level, (lo, hi) in enumerate(edges, 1):
         low = max(0, 2 * level - m)  # lightest feasible weight after this level
-        groups = {idx: _step(vec.permute, lo, hi, base, rows, low, m) for idx, (base, rows) in groups.items()}
+        groups = {idx: _step(vec.permute, lo, hi, base, rows, low, m, or_) for idx, (base, rows) in groups.items()}
         # the index-0 row at weight `level` has just hit a zero running sum
         base, rows = groups[0]
         groups[level] = (level, [rows[level - base]])
         rows[level - base] = 0
-        yield vec, groups
+        yield groups
 
 
 def build_and_count(code: CyclicCode) -> TrellisReport:
@@ -322,7 +318,7 @@ def build_and_count(code: CyclicCode) -> TrellisReport:
     base, rows = 0, [1]
     hits = []  # hits[L-1]: the weight-L row whose running sum first hits zero at level L
     for level, (lo, hi) in enumerate(edges, 1):
-        base, rows = _step(vec.permute, lo, hi, base, rows, max(0, 2 * level - m), m)
+        base, rows = _step(vec.permute, lo, hi, base, rows, max(0, 2 * level - m), m, add)
         hits.append(rows[level - base])
         rows[level - base] = 0
     h_m = code.parity_cols[m - 1]
@@ -338,7 +334,7 @@ def build_and_count(code: CyclicCode) -> TrellisReport:
             final[f, level] = vec.dot(hit, rows[f - level - base])
         lo, hi = edges[level - 1]
         # the same step, read backwards: gain g before level L is g - gain after it
-        base, rows = _step(vec.permute, lo, hi, base, rows, max(0, m - 2 * level + 2), m - 1)
+        base, rows = _step(vec.permute, lo, hi, base, rows, max(0, m - 2 * level + 2), m - 1, add)
     return TrellisReport(code, {key: cnt for key, cnt in final.items() if cnt})
 
 

@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from qbalance import trellis
 from qbalance.cyclic_code import codewords, from_generator, full_space, poly_divmod, poly_from_coeffs
 from qbalance.errors import CapacityError
 from qbalance.scheme_c import encode_c, gamma_counts_fullspace, gamma_size_c, rho_c_fullspace
@@ -29,13 +30,25 @@ BCH31_GAMMA = {
 BCH31_SIZE = 586848
 BCH31_STATES = 584629
 
+# prints the seconds that the build and the census of BCH[63,51] take
+BCH63_CENSUS = """\
+import time
+from qbalance.cyclic_code import from_generator, poly_from_coeffs
+from qbalance.trellis import build_and_count
+code = from_generator(63, poly_from_coeffs([1, 0, 0, 1, 1, 1, 0, 0, 1, 0, 1, 0, 1]))
+start = time.perf_counter()
+build_and_count(code).states
+print(time.perf_counter() - start)
+"""
+
 
 def _dict_pass(code):
     """(final, level_states) from the earlier pass: one dict entry per
-    (weight, index) group, four dict updates per entry and level."""
+    (weight, index) group, four dict updates per entry and level, its
+    states counted as the nonzero path counts among the lanes."""
     m = _check(code)
     h = code.parity_cols
-    vec = _Lanes(code.r, code.n + 1)
+    vec = _Lanes(code.r, _width(code.n))
     permute = vec.permute
     states = {(0, 0): 1}
     level_states = [1]
@@ -57,7 +70,7 @@ def _dict_pass(code):
             for key, y in via_hi.items():
                 nxt[key] = nxt.get(key, 0) + permute(y, hi)
         states = nxt
-        level_states.append(sum(vec.nonzero(x) for x in states.values()))
+        level_states.append(sum(len(lanes) - list(lanes).count(0) for lanes in map(vec.lanes, states.values())))
     h_m = h[m - 1]
     final = {}
     for (wt, idx), x in states.items():
@@ -137,18 +150,33 @@ class TestAgainstEnumeration:
 
 class TestBeyondEnumeration:
     """Codes with k > 24, past what enumeration reaches, against the
-    earlier pass that stepped one index group per level of the first zero."""
+    earlier passes: `final` against the one that stepped one index group
+    per level of the first zero, `level_states` against the census that
+    stepped path counts."""
 
     # sha256 of repr(sorted(final.items())), recorded with that pass
     FINAL_SHA256 = {
         "bch63": "f4c08b613193635314b70f9a5034cd7d39a3c940795b7186820956a6c85187a0",
         "hamming127": "1157c5d5c3053977bfb548da165831606bef24e5d596561cb7cdfafcf2288424",
     }
+    # sha256 of repr(level_states), recorded with that census
+    LEVEL_STATES_SHA256 = {
+        "bch63": "98a780e3d383816736aef1e82d72d8b41487deb1cabda8919749ac7c76f49e66",
+        "hamming127": "c5ed8040e7807541d48a77d77e1e31afac0097d48e82aff6656466cb6cb8cfa5",
+    }
 
-    @pytest.mark.parametrize("name", FINAL_SHA256)
-    def test_final_matches_all_groups_pass(self, request, name):
-        final = build_and_count(request.getfixturevalue(name)).final
-        assert hashlib.sha256(repr(sorted(final.items())).encode()).hexdigest() == self.FINAL_SHA256[name]
+    @pytest.fixture(scope="class", params=FINAL_SHA256)
+    def pinned(self, request):
+        """(name, report), one build per code for both pins."""
+        return request.param, build_and_count(request.getfixturevalue(request.param))
+
+    def test_final_matches_all_groups_pass(self, pinned):
+        name, report = pinned
+        assert hashlib.sha256(repr(sorted(report.final.items())).encode()).hexdigest() == self.FINAL_SHA256[name]
+
+    def test_census_matches_path_count_census(self, pinned):
+        name, report = pinned
+        assert hashlib.sha256(repr(report.level_states).encode()).hexdigest() == self.LEVEL_STATES_SHA256[name]
 
 
 class TestPinnedCodes:
@@ -181,11 +209,11 @@ class TestStatesOnDemand:
         code = from_generator(*spec)
         want = _dict_pass(code)
 
-        def refuse(self, x):
-            raise AssertionError("the pass counted states")
+        def refuse(code):
+            raise AssertionError("the pass ran the census")
 
         with monkeypatch.context() as patch:
-            patch.setattr(_Lanes, "nonzero", refuse)
+            patch.setattr(trellis, "_levels", refuse)
             report = build_and_count(code)
             assert report.final == want[0]
             assert report.gamma == enumeration_gamma(code)
@@ -212,7 +240,6 @@ class TestLanes:
             mask = rng.getrandbits(r) if r else 0
             moved = lanes.permute(self.pack(counts, width), lanes.permutation(mask))
             assert moved == self.pack([counts[s ^ mask] for s in range(1 << r)], width)
-            assert lanes.nonzero(moved) == sum(1 for c in counts if c)
             assert [lanes.lane(moved, s) for s in range(1 << r)] == [counts[s ^ mask] for s in range(1 << r)]
 
     @pytest.mark.parametrize("width", [8, 16, 32, 64, 128])
@@ -317,6 +344,13 @@ class TestScaling:
             times.append(time.perf_counter() - start)
         assert times[1] < 10
         assert times[1] <= 4**3 * times[0]
+
+    def test_census_of_bch63_in_bounded_time_and_memory(self):
+        """Build and census of BCH[63,51] in a fresh process; the census that
+        stepped path counts took about 2 s and 42 MB there."""
+        child = run_fresh(BCH63_CENSUS, timeout=20)
+        assert float(child.out) < 1
+        assert child.peak_kib < 32 * 1024
 
     def test_full_space_cli_at_block_max_in_bounded_time_and_memory(self, tmp_path):
         """`trellis --code` on the longest code file `BLOCK_MAX_N` admits:
