@@ -72,12 +72,13 @@ censuses and math.comb keep one binomial (16 MB throughout) and
 their time grows as n^2.  The histograms therefore raise CapacityError
 past n = HISTOGRAM_MAX_N = 2^15, and count_bad, count_bad_b and
 optimal_redundancy's math.comb(n, .) past n = STEPPED_MAX_N = 2^17,
-which admits every rho at n = 2^16.  The float sides of rho_a_bound,
-rho_b and rho_c_fullspace need no guard of their own: the share rows of
-A and B start at _centre_share and the bad share is _census's float
-form, none of which forms a big integer; rho_b(2^17, 3) takes 4 ms and
-rho_c_fullspace 0.05 s and 25 MB at 2^17.  That float form still keeps
-the census's guard, so rho_a_bound and rho_b stop past 2^17 too.
+which admits every rho at n = 2^16.  The float sides of rho_a_bound and
+rho_b need no guard of their own: the share rows of A and B start at
+_centre_share and the bad share is _census's float form, none of which
+forms a big integer; rho_b(2^17, 3) takes 4 ms.  That float form still
+keeps the census's guard, so rho_a_bound and rho_b stop past 2^17 too.
+rho_c_fullspace holds n/2 floats (0.05 s and 25 MB at 2^17) and has its
+own guard, scheme_c.RHO_C_MAX_N = 2^22.
 """
 
 from __future__ import annotations

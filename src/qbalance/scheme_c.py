@@ -23,7 +23,10 @@ scans it in about 40 ms.  correct_block and the stream both call it.
 
 Per-frame work (encode, decode, correction, streaming) runs on the
 plain int values of the words, position 1 being the top bit; BitWords
-and StreamFrames only for what a function returns.  Every syndrome and
+are built only for what a function returns, and stream_encode and
+unpack_stream build one StreamFrame per distinct block in each call,
+shared by every frame that carries that block (frames are frozen, so
+only `is` can tell).  Every syndrome and
 systematic encoding is read from the code's byte tables (xor_bytes),
 built once per code.  Each codeword is checked once, where it enters:
 encode_c reads the syndrome of the word it is given, and decode_c that
@@ -46,6 +49,13 @@ into zero-filled pad frames until the tail frame is self-decodable (its
 shift index is the unique candidate whose decoded packet ends in the
 known zero fill).  A pad frame depends only on the prefix it carries, so
 the flush fails as soon as a carried prefix repeats.
+
+rho_c_fullspace(n) and rho_c_parts(n) hold a list and a dict of n/2
+floats, so they raise CapacityError past n = RHO_C_MAX_N = 2^22, where
+they take about 1.3 s and 305 MB (medians of three fresh processes,
+peak VmHWM): 0.08 s and 34 MB at 2^18, 0.33 s and 88 MB at 2^20,
+0.64 s and 160 MB at 2^21, 2.8 s and 593 MB at 2^23; unguarded, 2^26
+raised MemoryError under a 1 GB address-space cap.
 
 The QBS2 container is the magic b"QBS2", then the header fields (block
 length n, total frames, payload frames, final pad) twice, each copy
@@ -269,6 +279,8 @@ def correct_block(code: CyclicCode, received: BitWord) -> BitWord:
 # ---------------------------------------------------------------------------
 # Full-space distribution (no code constraint)
 
+RHO_C_MAX_N = 1 << 22  # rho_c_parts and rho_c_fullspace; see the module docstring
+
 
 def gamma_counts_fullspace(n: int) -> Dict[int, int]:
     """{i: number of length-(n-1) target-weight words with |Gamma| = i} for
@@ -297,8 +309,10 @@ def _histogram_c(n: int, exact: bool) -> Dict[int, Any]:
 def rho_c_parts(n: int) -> Tuple[Parts, Parts]:
     """Redundancy over all of {0,1}^(n-1): 1 appended bit + mean index
     width, with log2 |Gamma| (analytical) and ceil(log2 |Gamma|) bits
-    (operational), summed over the float shares of _histogram_c."""
+    (operational), summed over the float shares of _histogram_c, whose
+    list and dict of n/2 floats set the guard RHO_C_MAX_N."""
     _check_length(n)
+    _guard(n, RHO_C_MAX_N, "rho_C share list")
     return rho_parts(1, histogram_sum(_histogram_c(n, False), 0))
 
 
@@ -326,6 +340,13 @@ class StreamEncoding:
     payload_frames: int
     final_pad: int
     n: int
+
+
+def _frames(blocks: List[int], length: int) -> Tuple[StreamFrame, ...]:
+    """The frames of the length-bit blocks: one StreamFrame per distinct
+    block, shared by every position that carries it."""
+    shared = {b: StreamFrame(codeword=BitWord(b, length)) for b in set(blocks)}
+    return tuple(map(shared.__getitem__, blocks))
 
 
 def _packet_of(x: int, tau: int, n: int, k: int) -> int:
@@ -381,8 +402,7 @@ def stream_encode(code: CyclicCode, payload: BitWord) -> StreamEncoding:
             payload_frames, final_pad = len(blocks), fill
         elif len(_tail_zero_candidates(code, block >> 1, size, fill)) == 1:
             carry = width = 0  # the tail frame self-decodes; its own prefix is dropped
-    frames = tuple(StreamFrame(codeword=BitWord(b, n + 1)) for b in blocks)
-    return StreamEncoding(frames=frames, payload_frames=payload_frames, final_pad=final_pad, n=n + 1)
+    return StreamEncoding(frames=_frames(blocks, n + 1), payload_frames=payload_frames, final_pad=final_pad, n=n + 1)
 
 
 def stream_decode(code: CyclicCode, enc: StreamEncoding) -> BitWord:
@@ -488,6 +508,5 @@ def unpack_stream(blob: bytes) -> StreamEncoding:
     body = blob[4 + 2 * _COPY :]
     if len(body) != total * nbytes:
         raise StreamError(f"container body is {len(body)} bytes, header says {total} blocks of {nbytes}")
-    values = (int.from_bytes(body[i : i + nbytes], "big") >> (8 * nbytes - n) for i in range(0, len(body), nbytes))
-    frames = tuple(StreamFrame(codeword=BitWord(v, n)) for v in values)
-    return StreamEncoding(frames=frames, payload_frames=payload_frames, final_pad=final_pad, n=n)
+    values = [int.from_bytes(body[i : i + nbytes], "big") >> (8 * nbytes - n) for i in range(0, len(body), nbytes)]
+    return StreamEncoding(frames=_frames(values, n), payload_frames=payload_frames, final_pad=final_pad, n=n)

@@ -91,8 +91,9 @@ generators (X^n + 1)/f for f = X^3 + 1, X^5 + X + 1, X^3 + X + 1 and
 X^9 + 1; "-": not read).  The build columns are one run each; the two
 states columns are the best of three (one run at n = 2047), measured
 later on the same kind of host, when builds ran 1.5-2.5x slower than
-their column shows.  The census raises no peak by more than 5 MB over
-the build's:
+their column shows; the [1023,1023] and [2047,2047] states, past
+CENSUS_MAX_N, were read before that guard.  The census raises no peak
+by more than 5 MB over the build's:
 
     code                    r    build     peak RSS      states    states read  peak RSS
     [127,127] full space    0   0.8 ms      16 MB        46,849     0.010 s      16 MB
@@ -116,11 +117,26 @@ Build time and memory grow about 4x per two syndrome bits, so r = 20
 already needs over 300 MB at the shortest length it admits (the [21,1]
 row ran with the guard lifted).  Builds are therefore guarded to
 n-k <= 18 (cyclic_code.SYNDROME_GUARD, which also bounds each code's
-coset-leader table); beyond that use exhaustive enumeration.  Only n - k
-is guarded: at r = 0 the build grows about 4-5x per doubling of n, to
-0.58 s at the longest code `cyclic_code.BLOCK_MAX_N` admits, n = 4095,
-where the census, growing about 6-8x per doubling of n, would take
-minutes.
+coset-leader table); beyond that use exhaustive enumeration.  The build
+guards only n - k: at r = 0 it grows about 4-5x per doubling of n, to
+0.58 s at the longest code `cyclic_code.BLOCK_MAX_N` admits, n = 4095.
+
+The census grows about 7x per doubling of n, and with r: it steps about
+m^3 rows, each of r + 1 whole-int operations or so.  Census alone,
+median of three fresh processes on a later host than the table's
+(one run at n = 511, r = 9):
+
+    n       r = 0 (full space)    Hamming, r = log2(n+1)
+    127     0.009 s               0.071 s (r = 7)
+    255     0.063 s               0.63 s  (r = 8; build 0.78 s)
+    511     0.43 s                5.7 s   (r = 9; build 12.8 s)
+    1023    2.9 s
+    2047    33 s (the table's host)
+
+So `level_states` raises CapacityError past n = CENSUS_MAX_N = 511.
+At that edge the census takes 0.43 s on the full space and 5.7 s at
+r = 9, after a longer build; at n = 1023 it takes 2.9 s at r = 0 and,
+by the m^3 (r + 1) estimate, about 45 s at r = 10.
 """
 
 from __future__ import annotations
@@ -132,9 +148,10 @@ from typing import Dict, Iterator, List, Sequence, Tuple
 
 from .cyclic_code import SYNDROME_GUARD, CyclicCode
 from .errors import CapacityError
-from .scheme_a import histogram_sum, rho_parts
+from .scheme_a import _guard, histogram_sum, rho_parts
 from .scheme_c import _half
 
+CENSUS_MAX_N = 511  # level_states, states and state_count; see the module docstring
 FinalState = Tuple[int, int]  # (weight, index)
 _FORMATS = {8: "B", 16: "H", 32: "I", 64: "Q"}  # memoryview casts of one lane
 
@@ -245,7 +262,9 @@ class TrellisReport:
     @cached_property
     def level_states(self) -> Tuple[int, ...]:
         """Reachable states per level, the set bits of the census pass's
-        rows: the root's 1 first, len(final) last."""
+        rows: the root's 1 first, len(final) last; CapacityError past
+        n = CENSUS_MAX_N."""
+        _guard(self.code.n, CENSUS_MAX_N, "trellis state census")
         counts = (sum(row.bit_count() for _, rows in groups.values() for row in rows) for groups in _levels(self.code))
         return (*counts, len(self.final))
 

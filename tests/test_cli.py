@@ -498,6 +498,15 @@ class TestStreamCommands:
         assert (status, out) == (1, "")
         assert err.startswith("error:") and "--seed" in err
 
+    def test_flips_stay_per_frame(self, capsys, code_file):
+        """The encoder shares one frame object between the frames that
+        carry the same block; a flip lands in its own frame only."""
+        argv = ("stream", "encode", "--code", code_file, "--input", format(random.Random(12).getrandbits(64), "064b"))
+        sent = run_json(capsys, *argv)["frames"]
+        noisy = run_json(capsys, *argv, "--flip-per-block", "1")["frames"]
+        assert len(set(sent)) < len(sent) == len(noisy)
+        assert [(int(a, 2) ^ int(b, 2)).bit_count() for a, b in zip(sent, noisy)] == [1] * len(sent)
+
     def test_flips_without_seed_use_seed_zero(self, capsys, code_file):
         argv = ("stream", "encode", "--code", code_file, "--input", "110100101101", "--flip-per-block", "1")
         assert run_json(capsys, *argv) == run_json(capsys, *argv, "--seed", "0")

@@ -45,6 +45,20 @@ from qbalance.words import BitWord, all_words, cyclic_running_sum, cyclic_shift,
 
 from fresh_process import run_fresh
 
+# prints rho_C at its guard and the seconds it took, then the error past it
+RHO_C_EDGE = """\
+import time
+from qbalance.errors import CapacityError
+from qbalance.scheme_c import RHO_C_MAX_N, rho_c_fullspace
+start = time.perf_counter()
+print(repr(rho_c_fullspace(RHO_C_MAX_N)), time.perf_counter() - start)
+for n in (RHO_C_MAX_N + 2, 1 << 26, 1 << 40):
+    try:
+        rho_c_fullspace(n)
+    except CapacityError as exc:
+        print(exc)
+"""
+
 SIMPLEX_ENCODINGS = [
     # message, codeword, tau, balanced block, |Gamma|, prefix
     ("000", "0000000", 0, "11110000", 1, ""),
@@ -353,6 +367,16 @@ class TestFullspaceDistribution:
         for call in (lambda: rho_c_fullspace(n), lambda: gamma_counts_fullspace(n)):
             with pytest.raises(ValueError, match=f"n={n} must be at least 2"):
                 call()
+
+    def test_rho_guard_at_its_edge_under_1_gb(self):
+        """rho_C holds n/2 floats: 1.3 s and 305 MB at the guard, 2^22;
+        unguarded, 2^26 raised MemoryError under this cap."""
+        child = run_fresh(RHO_C_EDGE, timeout=60, as_limit_kib=1 << 20)
+        edge, *past = child.out.splitlines()
+        value, seconds = edge.split()
+        assert float(value) == 20.001739732996977 and float(seconds) < 10
+        assert past == [f"n={n} exceeds the rho_C share list guard 4194304" for n in (2**22 + 2, 2**26, 2**40)]
+        assert child.peak_kib < 400 * 1024
 
     def test_rho_table_values(self):
         assert rho_c_fullspace(16) == pytest.approx(2.81, abs=0.01)
@@ -1071,6 +1095,19 @@ class TestStreamMemo:
         frames[1] = frames[3] = StreamFrame(codeword=BitWord(enc.frames[0].codeword.value, 9))  # a seen value
         with pytest.raises(ValueError, match="^block length 9 != 8$"):
             stream_decode(simplex, dataclasses.replace(enc, frames=tuple(frames)))
+
+    def test_one_frame_object_per_distinct_block(self, simplex):
+        payload = BitWord(random.Random(257).getrandbits(256), 256)
+        enc = stream_encode(simplex, payload)
+        assert enc == _stream_encode_reference(simplex, payload)
+        back = unpack_stream(pack_stream(enc))
+        assert back == enc
+        for frames in (enc.frames, back.frames):
+            distinct = {f.codeword.value for f in frames}
+            assert len({id(f) for f in frames}) == len(distinct) < len(frames)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                frames[0].codeword = BitWord(0, 8)
+        assert stream_decode(simplex, back) == payload
 
     def test_no_state_crosses_calls_or_codes(self, bch15, bch15_reciprocal):
         """bch15's received blocks include clean blocks of a bch15_reciprocal

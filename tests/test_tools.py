@@ -35,3 +35,16 @@ def test_every_python_file_parses_as_the_oldest_supported_python():
     assert len(files) > 10
     for path in files:
         ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
+
+
+def test_stream_times_prints_each_step_per_code(capsys):
+    stream_times = runpy.run_path(str(ROOT / "tools" / "stream_times.py"))
+    codes = ROOT / "perfbench" / "codes"
+    stream_times["main"]([str(codes / "simplex7.code"), str(codes / "golay23.code")])
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[:2] for line in lines] == [["simplex7", "[7,3]"], ["golay23", "[23,12]"]]
+    for line in lines:
+        cells = line.split("per frame: ")[1].split(" (")[0].split(", ")
+        steps = dict(cell.rsplit(" ", 1) for cell in cells)
+        assert list(steps) == ["encode", "unpack", "decode", "decode t flips"]
+        assert all(float(us) > 0 for us in steps.values())

@@ -3,16 +3,19 @@ import json
 import math
 import random
 import time
+from pathlib import Path
 
 import pytest
 
 from qbalance import trellis
-from qbalance.cyclic_code import codewords, from_generator, full_space, poly_divmod, poly_from_coeffs
+from qbalance.cyclic_code import codewords, from_generator, full_space, parse_code_file, poly_divmod, poly_from_coeffs
 from qbalance.errors import CapacityError
 from qbalance.scheme_c import encode_c, gamma_counts_fullspace, gamma_size_c, rho_c_fullspace
 from qbalance.trellis import _check, _Lanes, _width, build_and_count, state_count
 
 from fresh_process import CLI, run_fresh
+
+PERFBENCH_CODES = Path(__file__).resolve().parents[1] / "perfbench" / "codes"
 
 # [23,12,7] Golay code, 1 + X^2 + X^4 + X^5 + X^6 + X^10 + X^11 (n - k = 11)
 GOLAY23 = (23, poly_from_coeffs([1, 0, 1, 0, 1, 1, 1, 0, 0, 0, 1, 1]))
@@ -39,6 +42,26 @@ code = from_generator(63, poly_from_coeffs([1, 0, 0, 1, 1, 1, 0, 0, 1, 0, 1, 0, 
 start = time.perf_counter()
 build_and_count(code).states
 print(time.perf_counter() - start)
+"""
+
+# prints the census at the guard's edge and its seconds, then the error past
+# the edge and on the longest code BLOCK_MAX_N admits, and the seconds each
+# census read took to raise
+CENSUS_EDGE = """\
+import time
+from qbalance.cyclic_code import BLOCK_MAX_N, full_space
+from qbalance.errors import CapacityError
+from qbalance.trellis import CENSUS_MAX_N, build_and_count
+report = build_and_count(full_space(CENSUS_MAX_N))
+start = time.perf_counter()
+print(report.states, time.perf_counter() - start)
+for n in (CENSUS_MAX_N + 2, BLOCK_MAX_N):
+    report = build_and_count(full_space(n))
+    start = time.perf_counter()
+    try:
+        report.states
+    except CapacityError as exc:
+        print(exc, time.perf_counter() - start, sep=", ")
 """
 
 
@@ -351,6 +374,24 @@ class TestScaling:
         child = run_fresh(BCH63_CENSUS, timeout=20)
         assert float(child.out) < 1
         assert child.peak_kib < 32 * 1024
+
+    def test_census_guard_at_its_edge(self):
+        """The census grows as about n^3 (0.43 s at n = 511 and 2.9 s at
+        1023 on the full space); past CENSUS_MAX_N it raises before it
+        steps a level.  perfbench's largest census, full127, stays far
+        below, at about 1/50 of the edge's time."""
+        longest = max(parse_code_file(path.read_text()).n for path in PERFBENCH_CODES.glob("*.code"))
+        assert (longest, trellis.CENSUS_MAX_N) == (127, 511)
+        child = run_fresh(CENSUS_EDGE, timeout=30)
+        edge, *past = child.out.splitlines()
+        states, seconds = edge.split()
+        assert int(states) == 2845697 and float(seconds) < 5
+        assert [line.rpartition(", ")[0] for line in past] == [
+            "n=513 exceeds the trellis state census guard 511",
+            "n=4095 exceeds the trellis state census guard 511",
+        ]
+        assert all(float(line.rpartition(", ")[2]) < 0.01 for line in past)
+        assert child.peak_kib < 48 * 1024
 
     def test_full_space_cli_at_block_max_in_bounded_time_and_memory(self, tmp_path):
         """`trellis --code` on the longest code file `BLOCK_MAX_N` admits:
