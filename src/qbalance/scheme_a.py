@@ -19,11 +19,12 @@ tail.  The codec works on the words' integers and builds BitWords only
 for what it returns.  tau is one words.level_walk, at the levels the
 target weights put on the running sum, which stops at its first hit;
 Gamma(c) is one words.fresh_walk; both read the word 8 bits at a time.
-_balance walks the message, then its complement, then a bad word's
-replacement, and the first walk that hits fixes the class and tau
-together: one, two or three level walks by class and one fresh walk
-per encode, and one fresh walk per decode.  At n = 16 the walks
-are under half of an encode, so the fixed per-message work is kept
+_balance walks the complement only when a mirrored level lies in the
+range of the running sum R that a miss on the message reports (the
+complement's is -R), and a bad word's replacement otherwise: 1 / 2 / 2
+level walks per Type-1-good / Type-0-good / bad word and one fresh walk
+per encode, and one fresh walk per decode.  At n = 16 the walks are at
+most about half of an encode, so the fixed per-message work is kept
 small: _unbalance reads the prefix fields off its integer with shifts,
 EncodeResult is a slotted dataclass, and each Classification member
 holds is_bad and type_bit.
@@ -149,28 +150,29 @@ def _balance(v: int, n: int, q: int, targets: Dict[int, int], run: int):
     targets maps each codeword weight the scheme aims at to the sign of
     its Gamma walk.  The word balanced is v (Type-1-good), its complement
     (Type-0-good), or v with its last `run` bits replaced by the run of
-    its type bit (bad); the first level walk that hits fixes both the
-    class and tau, the least flip index, at the levels weight - t, since a
-    flip moves the weight by -R_j.  Returns (codeword, prefix, prefix
-    length, classification, tau), the words as ints.
+    its type bit (bad); the level walk that hits fixes both the class
+    and tau, the least flip index.  A walk that misses v reports the
+    range of its running sum R, and the complement's is -R, so its walk
+    is taken only when a mirrored level t + v.bit_count() - n lies in
+    that range.  Returns (codeword, prefix, prefix length,
+    classification, tau), the words as ints.
     """
-
-    def walk(w: int) -> Optional[int]:
-        return level_walk(w, n, [w.bit_count() - t for t in targets])
-
     xh, cls = v, Classification.TYPE1_GOOD
-    tau = walk(xh)
-    if tau is None:
-        xh, cls = v ^ ((1 << n) - 1), Classification.TYPE0_GOOD
-        tau = walk(xh)
-    if tau is None:
-        # Replacing the last `run` bits by i^run restores an index; i follows
-        # the truncated weight so the replacement is provably Type-1-good.
-        if (v >> run).bit_count() > (n + 1) // 2 - q:
-            xh, cls = v >> run << run | ((1 << run) - 1), Classification.TYPE1_BAD
+    tau = level_walk(v, n, targets)
+    if tau.__class__ is tuple:
+        (low, high), shift = tau, v.bit_count() - n
+        for t in targets:
+            if low <= t + shift <= high:
+                xh, cls = v ^ ((1 << n) - 1), Classification.TYPE0_GOOD
+                break
         else:
-            xh, cls = v >> run << run, Classification.TYPE0_BAD
-        tau = walk(xh)
+            # Replacing the last `run` bits by i^run restores an index; i follows
+            # the truncated weight so the replacement is provably Type-1-good.
+            if (v >> run).bit_count() > (n + 1) // 2 - q:
+                xh, cls = v >> run << run | ((1 << run) - 1), Classification.TYPE1_BAD
+            else:
+                xh, cls = v >> run << run, Classification.TYPE0_BAD
+        tau = level_walk(xh, n, targets)
     c = xh ^ (((1 << tau) - 1) << (n - tau))
     gamma = fresh_walk(c, n, targets[c.bit_count()])
     r = rank_width(len(gamma))

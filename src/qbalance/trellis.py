@@ -117,9 +117,33 @@ Build time and memory grow about 4x per two syndrome bits, so r = 20
 already needs over 300 MB at the shortest length it admits (the [21,1]
 row ran with the guard lifted).  Builds are therefore guarded to
 n-k <= 18 (cyclic_code.SYNDROME_GUARD, which also bounds each code's
-coset-leader table); beyond that use exhaustive enumeration.  The build
-guards only n - k: at r = 0 it grows about 4-5x per doubling of n, to
-0.58 s at the longest code `cyclic_code.BLOCK_MAX_N` admits, n = 4095.
+coset-leader table); beyond that use exhaustive enumeration.
+
+They also grow with n: at r > 0 the build's time follows its estimated
+work m^2 (r + 1) 2^r W, at 0.6-1.2e-10 s per unit, and its peak RSS
+grows as about 6 m 2^r W / 8 bytes.  One `build_and_count` in a fresh
+process each, on the same kind of host (generators: products of
+irreducible factors of X^n + 1; [63,48] is (1 + X + X^6)(1 + X^3 +
+X^6)(1 + X + X^3), best and worst of three):
+
+    code         r    work        build       peak RSS
+    [31,21]     10    9.2e7       0.015 s     16 MB
+    [127,119]    8    1.2e9       0.15 s      17 MB
+    [63,51]     12    3.5e9       0.22 s      22 MB
+    [63,50]     13    7.5e9       0.66 s      28 MB
+    [31,15]     16    9.1e9       0.57 s      44 MB
+    [255,247]    8    9.7e9       0.65 s      21 MB
+    [255,246]    9    2.1e10      1.6 s       27 MB
+    [63,48]     15    2^35        2.1-3.0 s   68 MB
+    [127,113]   14    1.3e11     12.7 s      117 MB
+    [511,502]    9    1.7e11     14.5 s       64 MB
+    [63,45]     18    3.3e11     35 s        434 MB
+
+So `build_and_count` raises CapacityError past that work, BUILD_MAX_WORK
+= 2^35: it admits builds of up to about 3 s and, by the table above,
+120 MB ([27,9]: 3.1e10), and the full space at every n that
+`cyclic_code.BLOCK_MAX_N` admits (2^34 at n = 4095, 0.58 s), and refuses
+[511,493], which both n guards admit, at 1.7e14 (about 26 GB).
 
 The census grows about 7x per doubling of n, and with r: it steps about
 m^3 rows, each of r + 1 whole-int operations or so.  Census alone,
@@ -152,6 +176,7 @@ from .scheme_a import _guard, histogram_sum, rho_parts
 from .scheme_c import _half
 
 CENSUS_MAX_N = 511  # level_states, states and state_count; see the module docstring
+BUILD_MAX_WORK = 1 << 35  # build_and_count's m^2 (r + 1) 2^r W; see the module docstring
 FinalState = Tuple[int, int]  # (weight, index)
 _FORMATS = {8: "B", 16: "H", 32: "I", 64: "Q"}  # memoryview casts of one lane
 
@@ -333,7 +358,15 @@ def build_and_count(code: CyclicCode) -> TrellisReport:
     The report also carries gamma, |C*| and rho; its per-level state
     counts take the census pass, on first read.
     """
-    m, vec, edges = _edges(code, _width(code.n))
+    width = _width(code.n)
+    m = _check(code)
+    work = m * m * (code.r + 1) * width << code.r
+    if work > BUILD_MAX_WORK:
+        raise CapacityError(
+            f"[{code.n},{code.k}] trellis build work {work} exceeds guard {BUILD_MAX_WORK}; "
+            "use exhaustive enumeration instead"
+        )
+    m, vec, edges = _edges(code, width)
     base, rows = 0, [1]
     hits = []  # hits[L-1]: the weight-L row whose running sum first hits zero at level L
     for level, (lo, hi) in enumerate(edges, 1):

@@ -11,19 +11,19 @@ pair where the textual string is read as a binary numeral.
 
 Complementing the first j bits moves the weight by -R_j, where R is the
 running sum, so the indices whose flip lands on a target weight form a
-level set of the running sum.  An encoder sends only the least of them,
-tau, which level_walk returns.  The whole sets (flip_indices, Scheme A's
-balancing_indices, Scheme B's t_b) are per-bit references read off
-running_sum, sharing no walk with the codec the oracle checks them
-against.  The receiver-side sets Gamma(c) are the indices of new
-running-sum extremes (fresh_walk).  Both walks read the word's integer
-8 bits at a time through one lazily built 256-row table (Sarwate's
-table-driven CRC idea, applied to prefix sums), skip every chunk whose
-[min, max] window of sums cannot hold a level or a new extreme, and read
-positions only from the others.  A length that is not a multiple of 8
-is read with zero bits filling the last chunk, and what the fill adds
-is dropped.  running_sum and cyclic_running_sum stay as per-bit
-references.
+level set of R.  An encoder sends only the least of them, tau, which
+level_walk returns, or on a miss the range of R: R moves by +/-1, so it
+takes every value in the range, and the complement's is -R.  The whole
+sets (flip_indices, Scheme A's balancing_indices, Scheme B's t_b) are
+per-bit references read off running_sum, sharing no walk with the codec
+the oracle checks them against.  The receiver-side sets Gamma(c) are the
+indices of new running-sum extremes (fresh_walk).  Both walks read the
+word's integer 8 bits at a time through one lazily built 256-row table
+(Sarwate's table-driven CRC idea, applied to prefix sums), skip every
+chunk whose [min, max] window of sums cannot hold a level or a new
+extreme, and read positions only from the others; a last chunk shorter
+than 8 bits is filled, and nothing the fill adds is kept.  running_sum
+and cyclic_running_sum stay as per-bit references.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import accumulate
 from operator import add
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 
 class BitWord:
@@ -183,30 +183,47 @@ def _chunk_table() -> Tuple[Tuple[tuple, ...], Tuple[Tuple[int, ...], ...]]:
     return tuple(rows), offsets
 
 
-def level_walk(value: int, length: int, levels) -> Optional[int]:
-    """The least j in 0..length whose running sum R_j is in levels, or None.
+def level_walk(value: int, length: int, targets) -> int | Tuple[int, int]:
+    """The least j in 0..length whose prefix flip lands on a weight in
+    targets, or on a miss the range (min, max) of R_0..R_length.
 
-    value is a word's integer, as BitWord.value; levels a few ints.  The
-    walk skips each chunk whose window of sums holds no level and stops at
-    the first chunk with a hit, which is no hit if it lies past length.
+    value is a word's integer, as BitWord.value; targets a few ints.  A
+    flip of the first j bits has weight wt - R_j, so the walk skips each
+    chunk whose window of sums holds no level wt - t, stops at the first
+    chunk with a hit, and keeps the windows' min and max.  A last chunk
+    shorter than 8 bits is filled by retracing the last step back and
+    forth, so the fill adds no value of R that an earlier position lacks.
     """
-    if 0 in levels:
+    wt = value.bit_count()
+    if wt in targets:
         return 0
     rows = _chunk_table()[0]
-    low, high = min(levels), max(levels)
-    base = j = 0
-    for b in (value << (-length & 7)).to_bytes((length + 7) >> 3, "big"):
+    low = high = None  # the least and greatest level; min and max cost more on a few targets
+    for t in targets:
+        if low is None or wt - t < low:
+            low = wt - t
+        if high is None or wt - t > high:
+            high = wt - t
+    fill = -length & 7  # the fill bits alternate, starting against the last real bit
+    padded = (value << fill | (0x55 if value & 1 else 0xAA) >> 8 - fill) if fill else value
+    base = j = floor = ceil = 0
+    for b in padded.to_bytes((length + 7) >> 3, "big"):
         lo, hi, net, hits, _, _ = rows[b]
-        if base + lo <= high and base + hi >= low:
+        lo += base
+        hi += base
+        if lo <= high and hi >= low:
             mask = 0
-            for level in levels:
-                mask |= hits.get(level - base, 0)
+            for t in targets:
+                mask |= hits.get(wt - base - t, 0)
             if mask:
-                j += (mask & -mask).bit_length()
-                return j if j <= length else None
+                return j + (mask & -mask).bit_length()
+        if lo < floor:
+            floor = lo
+        if hi > ceil:
+            ceil = hi
         base += net
         j += 8
-    return None
+    return floor, ceil
 
 
 def fresh_walk(value: int, length: int, sign: int = 0) -> List[int]:

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import math
+import random
 import sys
 
 import pytest
@@ -138,27 +139,34 @@ class TestEncode:
             ("0110100111010001", 0, Classification.TYPE1_GOOD, 1),
             ("01100000", 2, Classification.TYPE1_GOOD, 1),
             ("11100000", 2, Classification.TYPE0_GOOD, 2),
-            ("01100110", 2, Classification.TYPE0_BAD, 3),
+            ("01100110", 2, Classification.TYPE0_BAD, 2),
+            ("10110011", 2, Classification.TYPE1_BAD, 2),
         ],
     )
     def test_index_scans_per_class(self, monkeypatch, word, q, cls, scans):
-        # the walk that hits fixes the class and tau together; Gamma(c) is walked once
+        # the walk that hits fixes the class and tau together, a missed message's
+        # running-sum range decides whether its complement is walked at all, and
+        # Gamma(c) is walked once; a decode walks Gamma(c) once and no level
         calls, fresh = [], []
 
-        def counted(value, length, levels):
+        def counted(value, length, targets):
             calls.append(value)
-            return level_walk(value, length, levels)
+            return level_walk(value, length, targets)
 
         def counted_fresh(value, length, sign=0):
             fresh.append(value)
             return fresh_walk(value, length, sign)
 
         monkeypatch.setattr(scheme_a, "level_walk", counted)
-        monkeypatch.setattr(scheme_a, "fresh_walk", counted_fresh)
+        for module in (scheme_a,):
+            monkeypatch.setattr(module, "fresh_walk", counted_fresh)
         res = encode_a(W(word), q)
         assert res.classification is cls
         assert len(calls) == scans
         assert len(fresh) == 1
+        assert decode_a(res.codeword, res.prefix, len(word), q) == W(word)
+        assert len(calls) == scans
+        assert len(fresh) == 2
 
 
 class TestDecode:
@@ -175,8 +183,6 @@ class TestDecode:
 
     @pytest.mark.parametrize("n,q", [(32, 0), (32, 3), (64, 2), (64, 5)])
     def test_roundtrip_randomized_large_n(self, n, q):
-        import random
-
         rng = random.Random(n * 100 + q)
         for _ in range(300):
             x = BitWord(rng.getrandbits(n), n)
@@ -341,6 +347,24 @@ def test_codec_matches_per_bit_reference(scheme, n):
         for c, v, length in received:
             p = BitWord(v, length)
             assert _outcome(decode, c, p, n, q) == _outcome(ref_decode, c, p), (q, c, p)
+
+
+@pytest.mark.parametrize("n", [16, 18, 22, 64, 66, 1026])
+@pytest.mark.parametrize("scheme", ["a", "b"])
+def test_seeded_codec_matches_per_bit_reference(scheme, n):
+    """Where bad words dominate (short n, q = 3 and 6) or the last chunk is
+    partial (n not a multiple of 8; every B message), codeword, prefix,
+    class, tau and decode equal the per-bit reference on seeded words."""
+    encode, decode = (encode_a, decode_a) if scheme == "a" else (encode_b, decode_b)
+    for q in (0, 1, 2, 3, 6):
+        k, ref_encode, ref_decode = _reference_codec(scheme, n, q)
+        rng = random.Random(n * 10 + q)
+        for _ in range(40):
+            x = BitWord(rng.getrandbits(k), k)
+            res = encode(x, q)
+            c, p, cls, tau = ref_encode(x)
+            assert (res.codeword, res.prefix, res.classification, res.tau) == (c, p, cls, tau), (q, x)
+            assert decode(c, p, n, q) == ref_decode(c, p) == x, (q, x)
 
 
 class TestCountBad:

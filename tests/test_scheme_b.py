@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from qbalance import scheme_a
+from qbalance import scheme_a, scheme_b
 from qbalance.errors import DecodeError
 from qbalance.oracle import census_bad_b, definitional_gamma, exhaustive_redundancy
 from qbalance.scheme_a import Classification, count_bad, histogram_sum, rho_parts
@@ -185,27 +185,34 @@ class TestEncodeDecodeB:
             ("0000000", 0, Classification.TYPE1_GOOD, 1),
             ("1111100", 2, Classification.TYPE1_GOOD, 1),
             ("0111000", 2, Classification.TYPE0_GOOD, 2),
-            ("0101010", 2, Classification.TYPE0_BAD, 3),
+            ("0101010", 2, Classification.TYPE0_BAD, 2),
+            ("1010101", 2, Classification.TYPE1_BAD, 2),
         ],
     )
     def test_index_scans_per_class(self, monkeypatch, word, q, cls, scans):
-        # the walk that hits fixes the class and tau together; Gamma(c) is walked once
+        # the walk that hits fixes the class and tau together, a missed message's
+        # running-sum range decides whether its complement is walked at all, and
+        # Gamma(c) is walked once; a decode walks Gamma(c) once and no level
         calls, fresh = [], []
 
-        def counted(value, length, levels):
+        def counted(value, length, targets):
             calls.append(value)
-            return level_walk(value, length, levels)
+            return level_walk(value, length, targets)
 
         def counted_fresh(value, length, sign=0):
             fresh.append(value)
             return fresh_walk(value, length, sign)
 
         monkeypatch.setattr(scheme_a, "level_walk", counted)
-        monkeypatch.setattr(scheme_a, "fresh_walk", counted_fresh)
+        for module in (scheme_a, scheme_b):
+            monkeypatch.setattr(module, "fresh_walk", counted_fresh)
         res = encode_b(W(word), q)
         assert res.classification is cls
         assert len(calls) == scans
         assert len(fresh) == 1
+        assert decode_b(res.codeword, res.prefix, len(word) + 1, q) == W(word)
+        assert len(calls) == scans
+        assert len(fresh) == 2
 
 
 class TestGammaCountB:

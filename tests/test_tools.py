@@ -48,3 +48,15 @@ def test_stream_times_prints_each_step_per_code(capsys):
         steps = dict(cell.rsplit(" ", 1) for cell in cells)
         assert list(steps) == ["encode", "unpack", "decode", "decode t flips"]
         assert all(float(us) > 0 for us in steps.values())
+
+
+def test_codec_times_prints_encode_and_decode_per_cell(capsys):
+    codec_times = runpy.run_path(str(ROOT / "tools" / "codec_times.py"))
+    codec_times["main"]([])
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[:2] for line in lines] == [[s, f"q={q}"] for s in "AB" for q in (0, 2, 6)]
+    for line in lines:
+        assert line.split(": ")[0].endswith("at n = 16 / 64 / 256 / 1024")
+        steps = dict(cell.split(" ", 1) for cell in line.split(": ", 1)[1].split(" (")[0].split(", "))
+        assert list(steps) == ["encode", "decode"]
+        assert all(len(us.split(" / ")) == 4 and all(float(u) > 0 for u in us.split(" / ")) for us in steps.values())

@@ -44,6 +44,33 @@ build_and_count(code).states
 print(time.perf_counter() - start)
 """
 
+# [63,48] at the build guard's edge, (1 + X + X^6)(1 + X^3 + X^6)(1 + X + X^3),
+# and [63,47], one factor 1 + X past it
+EDGE_63_48 = poly_from_coeffs([1, 0, 1, 0, 1, 1, 1, 0, 1, 1, 0, 0, 0, 1, 0, 1])
+PAST_63_47 = poly_from_coeffs([1, 1, 1, 1, 1, 0, 0, 1, 1, 0, 1, 0, 0, 1, 1, 1, 1])
+# Hamming[511,502], 1 + X^4 + X^9, and [511,493], times 1 + X^5 + X^9
+HAMMING511 = poly_from_coeffs([1, 0, 0, 0, 1, 0, 0, 0, 0, 1])
+PAST_511_493 = poly_from_coeffs([1, 0, 0, 0, 1, 1, 0, 0, 0, 1, 0, 0, 0, 1, 1, 0, 0, 0, 1])
+
+# prints |C*| of the build at the guard's edge and its seconds, then the error
+# and the seconds to raise on each code past it, given as n and generator
+BUILD_EDGE = """\
+import sys, time
+from qbalance.cyclic_code import from_generator
+from qbalance.errors import CapacityError
+from qbalance.trellis import build_and_count
+start = time.perf_counter()
+report = build_and_count(from_generator(63, int(sys.argv[1])))
+print(report.codebook_size, time.perf_counter() - start)
+for n, g in zip(sys.argv[2::2], sys.argv[3::2]):
+    code = from_generator(int(n), int(g))
+    start = time.perf_counter()
+    try:
+        build_and_count(code)
+    except CapacityError as exc:
+        print(exc, time.perf_counter() - start, sep=", ")
+"""
+
 # prints the census at the guard's edge and its seconds, then the error past
 # the edge and on the longest code BLOCK_MAX_N admits, and the seconds each
 # census read took to raise
@@ -392,6 +419,33 @@ class TestScaling:
         ]
         assert all(float(line.rpartition(", ")[2]) < 0.01 for line in past)
         assert child.peak_kib < 48 * 1024
+
+    def test_build_guard_at_its_edge(self, tmp_path):
+        """The build's work m^2 (r + 1) 2^r W is 2^35 on [63,48], which
+        builds in about 3 s and 68 MB; past BUILD_MAX_WORK, on [63,47],
+        Hamming[511,502] (a 14 s build) and [511,493] (about 26 GB), it
+        raises before it steps a level, and `trellis --code` exits 1.
+        Every code under perfbench/codes builds, far below the edge."""
+        assert trellis.BUILD_MAX_WORK == 1 << 35
+        for path in PERFBENCH_CODES.glob("*.code"):
+            build_and_count(parse_code_file(path.read_text()))
+        past = [63, PAST_63_47, 511, HAMMING511, 511, PAST_511_493]
+        child = run_fresh(BUILD_EDGE, str(EDGE_63_48), *map(str, past), timeout=60, as_limit_kib=1 << 20)
+        edge, *refused = child.out.splitlines()
+        size, seconds = edge.split()
+        assert int(size) == 55927260877128 and float(seconds) < 15
+        assert [line.rpartition(", ")[0] for line in refused] == [
+            f"[63,47] trellis build work {17 << 32} exceeds guard {1 << 35}; use exhaustive enumeration instead",
+            f"[511,502] trellis build work {10 << 34} exceeds guard {1 << 35}; use exhaustive enumeration instead",
+            f"[511,493] trellis build work {19 << 43} exceeds guard {1 << 35}; use exhaustive enumeration instead",
+        ]
+        assert all(float(line.rpartition(", ")[2]) < 0.01 for line in refused)
+        assert child.peak_kib < 128 * 1024
+        path = tmp_path / "past63_47.code"
+        path.write_text(f"n = 63\nk = 47\ngenerator = {','.join(str(PAST_63_47 >> i & 1) for i in range(17))}\n")
+        child = run_fresh(CLI, "trellis", "--code", str(path), timeout=20, as_limit_kib=1 << 20, check=False)
+        assert (child.status, child.out) == (1, "")
+        assert child.err.startswith("error: [63,47] trellis build work")
 
     def test_full_space_cli_at_block_max_in_bounded_time_and_memory(self, tmp_path):
         """`trellis --code` on the longest code file `BLOCK_MAX_N` admits:

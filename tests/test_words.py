@@ -233,8 +233,11 @@ def check_walks(w):
     sums = running_sum(w)
     for sign in (-1, 0, 1):
         assert fresh_walk(w.value, w.length, sign) == fresh_reference(sums, sign), (w, sign)
+    wt = weight(w)
     for levels in level_sets(sums):
-        assert level_walk(w.value, w.length, levels) == next((j for j, r in enumerate(sums) if r in levels), None), (w, levels)
+        # a flip of the first j bits lands on weight wt - R_j; a miss reports the range of R
+        want = next((j for j, r in enumerate(sums) if r in levels), (min(sums), max(sums)))
+        assert level_walk(w.value, w.length, {wt - level for level in levels}) == want, (w, levels)
 
 
 class TestChunkWalks:
@@ -246,7 +249,8 @@ class TestChunkWalks:
         for w in all_words(n):
             check_walks(w)
 
-    @pytest.mark.parametrize("n", [17, 63, 64, 250, 1023, 1024, 4096])
+    # every fill width 0-7 of the last chunk, on short and long words
+    @pytest.mark.parametrize("n", [17, 63, 64, 250, 251, 252, 253, 254, 1021, 1022, 1023, 1024, 1026, 4096])
     def test_seeded_words(self, n):
         rng = random.Random(n)
         for _ in range(40):
