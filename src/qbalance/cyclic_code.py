@@ -49,7 +49,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, combinations
+from itertools import chain
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 from .errors import CapacityError
@@ -129,19 +129,24 @@ class CyclicCode:
         repeated syndrome, so it computes at most 2^(n-k)+1 of them.  A repeat
         at weight w means two patterns of weight <= w differ by a codeword, so
         d <= 2w; none below it means d >= 2w-1.  Hence t = w-1 = floor((d-1)/2),
-        found without enumerating a codeword.
+        found without enumerating a codeword.  Each weight-w pattern is a
+        weight-(w-1) one with one more position set past its last, so its
+        syndrome is one XOR of a parity column onto that pattern's.
         """
         if self.r > SYNDROME_GUARD:
             return {0: 0}, 0
-        n, rows = self.n, self.syndrome_rows
-        leaders: Dict[int, int] = {}
-        for w in range(n + 1):
-            for pos in combinations(range(n), w):
-                e = sum(1 << (n - 1 - p) for p in pos)
-                syn = xor_bytes(rows, e, n)
-                if syn in leaders:
-                    return {s: x for s, x in leaders.items() if x.bit_count() < w}, w - 1
-                leaders[syn] = e
+        n, cols = self.n, self.parity_cols
+        leaders: Dict[int, int] = {0: 0}
+        layer = [(0, 0, 0)]  # (pattern, syndrome, first free position) of each pattern of weight w - 1
+        for w in range(1, n + 1):
+            below, layer = layer, []
+            for e, syn, start in below:
+                for p in range(start, n):
+                    x, s = e | 1 << (n - 1 - p), syn ^ cols[p]
+                    if s in leaders:
+                        return {s: x for s, x in leaders.items() if x.bit_count() < w}, w - 1
+                    leaders[s] = x
+                    layer.append((x, s, p + 1))
         return leaders, n
 
 

@@ -73,13 +73,29 @@ censuses and math.comb keep one binomial (16 MB throughout) and
 their time grows as n^2.  The histograms therefore raise CapacityError
 past n = HISTOGRAM_MAX_N = 2^15, and count_bad, count_bad_b and
 optimal_redundancy's math.comb(n, .) past n = STEPPED_MAX_N = 2^17,
-which admits every rho at n = 2^16.  The float sides of rho_a_bound and
-rho_b need no guard of their own: the share rows of A and B start at
-_centre_share and the bad share is _census's float form, none of which
-forms a big integer; rho_b(2^17, 3) takes 4 ms.  That float form still
-keeps the census's guard, so rho_a_bound and rho_b stop past 2^17 too.
-rho_c_fullspace holds n/2 floats (0.05 s and 25 MB at 2^17) and has its
-own guard, scheme_c.RHO_C_MAX_N = 2^22.
+which admits every rho at n = 2^16.
+
+The float rho forms no big integer: the share rows of A and B start at
+_centre_share, the bad share is _census's float form, and each share is
+summed as it is stepped (histogram_sum over a stream of pairs), so no
+rho builds a dict.  rho_c_fullspace holds n/4 floats, the lower half of
+its row of n/2.  The three share one guard, RHO_MAX_N = 2^24, set from
+this curve (one fresh process each; q = 0 and 6; peak VmHWM):
+
+    n      rho_a_bound          rho_b                 rho_c_fullspace
+    2^17   0.03  0.02 s  17 MB  0.003 0.005 s  16 MB  0.03 s   17 MB
+    2^18   0.04  0.03 s  18 MB  0.004 0.009 s  16 MB  0.06 s   18 MB
+    2^19   0.05  0.04 s  19 MB  0.006 0.010 s  16 MB  0.11 s   21 MB
+    2^20   0.07  0.07 s  20 MB  0.008 0.015 s  16 MB  0.24 s   26 MB
+    2^21   0.13  0.08 s  22 MB  0.011 0.020 s  16 MB  0.47 s   36 MB
+    2^22   0.17  0.12 s  25 MB  0.015 0.032 s  16 MB  0.91 s   56 MB
+    2^23   0.25  0.21 s  28 MB  0.023 0.047 s  16 MB  1.8 s    96 MB
+    2^24   0.35  0.24 s  33 MB  0.044 0.049 s  16 MB  3.7 s   176 MB
+
+rho_c_fullspace sets it, at about twice the time and memory per
+doubling.  At the largest q = n/2 the census's q - 1 cosine terms and
+B's q + 1 steps to its first share lead instead: rho_a_bound 1.3 s and
+rho_b 1.5 s at 2^22, 5.2 s (96 MB) and 6.5 s at 2^24.
 """
 
 from __future__ import annotations
@@ -89,7 +105,7 @@ import math
 import sys
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .errors import CapacityError, DecodeError
 from .words import BitWord, fresh_walk, level_walk, weight
@@ -245,6 +261,7 @@ def decode_a(c: BitWord, p: BitWord, n: int, q: int) -> BitWord:
 # Largest n of the exact outputs, set from the table in the module docstring.
 HISTOGRAM_MAX_N = 1 << 15  # gamma_counts_a, gamma_counts_b, gamma_counts_fullspace
 STEPPED_MAX_N = 1 << 17  # count_bad, count_bad_b, optimal_redundancy, lattice.count_banded
+RHO_MAX_N = 1 << 24  # the float rho of A, B and C: rho_a_parts, scheme_b.rho_b_parts, scheme_c.rho_c_parts
 
 
 def _guard(n: int, limit: int, what: str) -> None:
@@ -284,11 +301,12 @@ def _census(n: int, q: int, appended: int, exact: bool):
     2.41e-13 relative of the exact share wherever that is a normal float
     (bound 3e-13; the error grows with |log share|, so the worst are the
     least normal shares), and below 1e-300 wherever it underflows.  Both
-    instances check n and q, guard n (STEPPED_MAX_N), then give 0 or 0.0
-    for q <= 1.
+    instances check n and q, guard n, the exact one by STEPPED_MAX_N and
+    the float one by the guard of the rho that reads it, RHO_MAX_N, then
+    give 0 or 0.0 for q <= 1.
     """
     _check_params(n, q)
-    _guard(n, STEPPED_MAX_N, "bad-word census")
+    _guard(n, *((STEPPED_MAX_N, "bad-word census") if exact else (RHO_MAX_N, "float rho")))
     if q <= 1:
         return 0 if exact else 0.0
     big_n, d = n - appended, 2 * q - appended
@@ -330,12 +348,13 @@ def gamma_counts_a(n: int, q: int) -> Dict[int, int]:
     integers C(n, j)."""
     _check_params(n, q)
     _guard(n, HISTOGRAM_MAX_N, "exact histogram")
-    return _histogram_a(n, q, True)
+    return dict(_histogram_a(n, q, True))
 
 
-def _histogram_a(n: int, q: int, exact: bool) -> Dict[int, Any]:
-    """Scheme A's |Gamma| histogram over the sizes with a nonzero entry,
-    ascending, as exact counts or (exact=False) as float shares of 2^n.
+def _histogram_a(n: int, q: int, exact: bool) -> Iterator[Tuple[int, Any]]:
+    """Scheme A's |Gamma| histogram as (size, entry) pairs over the sizes
+    with a nonzero entry, ascending, as exact counts or (exact=False) as
+    float shares of 2^n.
     Every size is at least 2q + 1 and never 1: no word of length n >= 2
     has |Gamma| = 1, so the span s = 0 is left out, where the shares
     leave a residue of about 1e-17.
@@ -417,27 +436,29 @@ def _histogram_a(n: int, q: int, exact: bool) -> Dict[int, Any]:
             g = p * (row[x] + row[y]) - 2 * (cum[y] - cum[x + 1])
             out[s] += g - 2 * g1 + g2
             g1, g2 = g, g1
-    return {s + 1: v for s, v in enumerate(out) if s and v}
+    return ((s + 1, v) for s, v in enumerate(out) if s and v)
 
 
-def histogram_sum(gamma: Mapping[int, float], k: int) -> Tuple[float, float]:
-    """(analytical, operational) sums of i * w(i) * gamma[i] / 2^k over a
-    |Gamma| histogram gamma, in one loop; size 1 adds 0, as w(1) = 0.
+def histogram_sum(pairs: Iterable[Tuple[int, Any]], k: int) -> Tuple[float, float]:
+    """(analytical, operational) sums of i * w(i) * g / 2^k over the (i, g)
+    pairs of a |Gamma| histogram, in one loop; size 1 adds 0, as w(1) = 0.
 
-    gamma is a {size: count} dict with ascending sizes, as every histogram
-    source returns it: gamma[i] counts the codewords with |Gamma| = i
-    among the outputs for 2^k messages; each has i preimages whose index
-    costs w(i) bits, with w(i) = log2 i (analytical), or the ceil width
-    rank_width(i) sent on the wire (operational).  The exact histograms
-    pass their counts with k the message bits; the float shares of every
-    rho (_histogram_a, scheme_b._histogram_b and scheme_c._histogram_c,
-    each with exact=False) pass gamma[i] / 2^k itself, with k = 0.
+    pairs come in ascending size, from a {size: count} dict's items() or
+    streamed by a histogram source: g counts the codewords with
+    |Gamma| = i among the outputs for 2^k messages; each has i preimages
+    whose index costs w(i) bits, with w(i) = log2 i (analytical), or the
+    ceil width rank_width(i) sent on the wire (operational).  The exact
+    histograms pass their counts with k the message bits; the float
+    shares of every rho (_histogram_a, scheme_b._histogram_b and
+    scheme_c._histogram_c, each with exact=False) pass g / 2^k itself,
+    with k = 0, and are summed as they are stepped, never kept.
     """
     analytical = operational = 0.0
-    for i, g in gamma.items():
-        share = g / (1 << k)
-        analytical += i * math.log2(i) * share
-        operational += i * rank_width(i) * share
+    scale, log2 = 1 << k, math.log2
+    for i, g in pairs:
+        share = g / scale
+        analytical += i * log2(i) * share
+        operational += i * (i - 1).bit_length() * share
     return analytical, operational
 
 
@@ -475,8 +496,7 @@ def rho_a_parts(n: int, q: int) -> Tuple[Parts, Parts]:
     relative of count_bad(n, q) / 2^n, so no big integer is formed.
     """
     bad = _census(n, q, 0, False)  # first: it checks n and q
-    good = histogram_sum(_histogram_a(n, q, False), 0)
-    return rho_parts(0, good, q, n, bad, 2 * q)
+    return rho_parts(0, histogram_sum(_histogram_a(n, q, False), 0), q, n, bad, 2 * q)
 
 
 def rho_a_bound(n: int, q: int) -> float:

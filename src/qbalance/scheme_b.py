@@ -27,7 +27,8 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import Any, Dict, List, Tuple
+from itertools import chain, islice, zip_longest
+from typing import Any, Dict, Iterator, List, Tuple
 
 from .errors import DecodeError
 from .scheme_a import (
@@ -116,7 +117,7 @@ def gamma_counts_b(n: int, q: int) -> Dict[int, int]:
     _histogram_b over the integers C(n-1, a)."""
     _check_params(n, q)
     _guard(n, HISTOGRAM_MAX_N, "exact histogram")
-    return _histogram_b(n, q, True)
+    return dict(_histogram_b(n, q, True))
 
 
 def count_bad_b(n: int, q: int) -> int:
@@ -131,9 +132,10 @@ def count_bad_b(n: int, q: int) -> int:
     return _census(n, q, 1, True)
 
 
-def _histogram_b(n: int, q: int, exact: bool) -> Dict[int, Any]:
-    """Scheme B's |Gamma| histogram over the sizes with a nonzero entry,
-    ascending, as exact counts or (exact=False) as float shares of 2^(n-1).
+def _histogram_b(n: int, q: int, exact: bool) -> Iterator[Tuple[int, Any]]:
+    """Scheme B's |Gamma| histogram as (size, entry) pairs over the sizes
+    with a nonzero entry, ascending, as exact counts or (exact=False) as
+    float shares of 2^(n-1).
 
     It has two branches, each with an offset: size i = a - offset, for a
     from the branch's first a up to n, counts C(n-1, a-1) - C(n-1, a)
@@ -146,30 +148,36 @@ def _histogram_b(n: int, q: int, exact: bool) -> Dict[int, Any]:
     C(n-1, a-1) 2(a-m)/a so as not to cancel digits; every a > m, so none
     is 0.  Against a 40-digit decimal sum over the exact counts
     (tests/rho_reference.py) the good term of the shares is within
-    3e-15 relative for n <= 16384 at q in {0, 2, 6}.  At q = 0 the two
-    branches are equal: dict.fromkeys steps it once, and it is counted
-    w = 2 times, which is exact.
+    3e-15 relative for n <= 16384 at q in {0, 2, 6}.  The two branches
+    are streamed in lockstep by size, and a size both reach gets the
+    weight-(m+q) branch's entry plus the other's.  At q = 0 they are
+    equal: one is stepped, and counted w = 2 times, which is exact.
     """
-    m, w = n // 2, 2 if q == 0 else 1
+    m = n // 2
     centre, least, zero = (math.comb(n, m) // 2, 1, 0) if exact else (_centre_share(n), sys.float_info.min, 0.0)
-    out: Dict[int, Any] = {}
-    # (offset, first size): the weight-(m+q) branch covers 1 <= i <= m-q, the
-    # weight-(m+q-1) branch max(1, 2q) <= i <= m+q.  The printed statement's
-    # outer branches are swapped relative to its own proof, and the oracle
-    # histogram confirms this orientation.  The weight-(m+q) branch goes
-    # first: its sizes all precede the sizes the other branch adds, so the
-    # keys come out ascending.
-    for offset, first in dict.fromkeys(((m + q, 1), (m - q, max(1, 2 * q)))):
+
+    def branch(first: int, offset: int, w: int) -> Iterator[Tuple[int, Any]]:
+        """(a - offset, w entries) for a from first up, stepped from the centre."""
         c = centre
-        for a in range(m, first + offset):
+        for a in range(m, first):
             c = c * (n - a) // a if exact else c * (n - a) / a
-        for a in range(first + offset, n + 1):
+        for a in range(first, n + 1):
             if c < least:
-                break
+                return
             d = c * (n - a) // a if exact else c * (n - a) / a
-            out[a - offset] = out.get(a - offset, zero) + (c - d if exact else c * 2 * (a - m) / a) * w
+            yield a - offset, (c - d if exact else c * 2 * (a - m) / a) * w
             c = d
-    return out
+
+    if q == 0:
+        return branch(m + 1, m, 2)
+    # The weight-(m+q) branch covers 1 <= i <= m-q, the weight-(m+q-1) branch
+    # 2q <= i <= m+q.  The printed statement's outer branches are swapped
+    # relative to its own proof, and the oracle histogram confirms this
+    # orientation.  The first ends first, as its a is 2q further from the
+    # centre at every size, on the same stepped row.
+    low = branch(m + q + 1, m + q, 1)
+    both = zip_longest(branch(m + q, m - q, 1), low, fillvalue=(0, zero))
+    return chain(islice(low, 2 * q - 1), ((i, u + v) for (i, v), (_, u) in both))
 
 
 def rho_b_parts(n: int, q: int) -> Tuple[Parts, Parts]:
@@ -189,8 +197,7 @@ def rho_b_parts(n: int, q: int) -> Tuple[Parts, Parts]:
     relative of count_bad_b(n, q) / 2^(n-1), so no big integer is formed.
     """
     bad = _census(n, q, 1, False)  # first: it checks n and q
-    good = histogram_sum(_histogram_b(n, q, False), 0)
-    return rho_parts(1, good, q, n, bad, _tail(q))
+    return rho_parts(1, histogram_sum(_histogram_b(n, q, False), 0), q, n, bad, _tail(q))
 
 
 def rho_b(n: int, q: int) -> float:

@@ -50,12 +50,10 @@ shift index is the unique candidate whose decoded packet ends in the
 known zero fill).  A pad frame depends only on the prefix it carries, so
 the flush fails as soon as a carried prefix repeats.
 
-rho_c_fullspace(n) and rho_c_parts(n) hold a list and a dict of n/2
-floats, so they raise CapacityError past n = RHO_C_MAX_N = 2^22, where
-they take about 1.3 s and 305 MB (medians of three fresh processes,
-peak VmHWM): 0.08 s and 34 MB at 2^18, 0.33 s and 88 MB at 2^20,
-0.64 s and 160 MB at 2^21, 2.8 s and 593 MB at 2^23; unguarded, 2^26
-raised MemoryError under a 1 GB address-space cap.
+rho_c_fullspace(n) and rho_c_parts(n) sum each share as it is stepped
+and keep only the lower half of the row, n/4 floats: 0.91 s and 56 MB at
+n = 2^22.  They raise CapacityError past the float rho guard
+scheme_a.RHO_MAX_N = 2^24 (3.7 s, 176 MB), whose curve is in scheme_a.
 
 The QBS2 container is the magic b"QBS2", then the header fields (block
 length n, total frames, payload frames, final pad) twice, each copy
@@ -72,12 +70,12 @@ import struct
 import zlib
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, chain, islice
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from .cyclic_code import CyclicCode, codeword_values, xor_bytes
 from .errors import AmbiguousBlockError, CodingError, DecodeError, StreamError
-from .scheme_a import HISTOGRAM_MAX_N, EncodeResult, Parts, _check_length, _guard, histogram_sum, rank_width, rho_parts
+from .scheme_a import HISTOGRAM_MAX_N, RHO_MAX_N, EncodeResult, Parts, _check_length, _guard, histogram_sum, rank_width, rho_parts
 from .words import BitWord, flip_prefix, weight
 
 
@@ -279,40 +277,49 @@ def correct_block(code: CyclicCode, received: BitWord) -> BitWord:
 # ---------------------------------------------------------------------------
 # Full-space distribution (no code constraint)
 
-RHO_C_MAX_N = 1 << 22  # rho_c_parts and rho_c_fullspace; see the module docstring
-
 
 def gamma_counts_fullspace(n: int) -> Dict[int, int]:
     """{i: number of length-(n-1) target-weight words with |Gamma| = i} for
     i = 1..n/2, ascending: _histogram_c over the integers."""
     _check_length(n)
     _guard(n, HISTOGRAM_MAX_N, "exact histogram")
-    return _histogram_c(n, True)
+    return dict(_histogram_c(n, True))
 
 
-def _histogram_c(n: int, exact: bool) -> Dict[int, Any]:
-    """The full-space |Gamma| histogram for i = 1..n/2, ascending, as exact
-    counts or (exact=False) as float shares of 2^(n-1).
+def _histogram_c(n: int, exact: bool) -> Iterator[Tuple[int, Any]]:
+    """The full-space |Gamma| histogram as (size, entry) pairs for
+    i = 1..n/2, ascending, as exact counts or (exact=False) as float
+    shares of 2^(n-1).
 
     The size-i count is 2 Cat(i-1) C(2m-2i, m-i), Cat(r) = C(2r, r)/(r+1),
-    and its share c_{i-1} c_{m-i} / i, c_r = C(2r, r)/4^r.  One list for
-    r < m is stepped from 1 by the ratio 2(2r+1)/(r+1) of C(2r, r), or
-    (2r+1)/(2r+2) of c_r.  No share cancels, and none is a big integer.
+    that is 2 p_i / i with p_i = C(2i-2, i-1) C(2m-2i, m-i), and its share
+    p_i / i with p_i = c_{i-1} c_{m-i}, c_r = C(2r, r)/4^r.  The row c_r
+    (or C(2r, r)) is stepped from 1 by the ratio (2r+1)/(2r+2) (or
+    2(2r+1)/(r+1)), and only its lower half, r < ceil(m/2), is kept: each
+    c_r of the upper half is multiplied onto its partner c_{m-1-r} as it
+    is stepped, so the kept half ends as the products, and p_i = p_{m+1-i}
+    serves both sizes (IEEE multiplication commutes).  No share cancels,
+    and none is a big integer; the float pass holds m/2 floats.
     """
-    m = n // 2
-    c = [1 if exact else 1.0] * m
-    for r in range(m - 1):
-        c[r + 1] = c[r] * 2 * (2 * r + 1) // (r + 1) if exact else c[r] * (2 * r + 1) / (2 * r + 2)
-    return {i: 2 * (c[i - 1] // i) * c[m - i] if exact else c[i - 1] * c[m - i] / i for i in range(1, m + 1)}
+    m, h = n // 2, (n // 2 + 1) // 2
+    half, c = [], (1 if exact else 1.0)
+    for r in range(m):
+        if r < h:
+            half.append(c)
+        if r >= m - h:  # c_r onto its partner c_{m-1-r}; a middle one onto itself
+            half[m - 1 - r] *= c
+        c = c * 2 * (2 * r + 1) // (r + 1) if exact else c * (2 * r + 1) / (2 * r + 2)
+    for i, p in chain(enumerate(half, 1), zip(range(h + 1, m + 1), islice(reversed(half), m % 2, None))):
+        yield i, 2 * p // i if exact else p / i
 
 
 def rho_c_parts(n: int) -> Tuple[Parts, Parts]:
     """Redundancy over all of {0,1}^(n-1): 1 appended bit + mean index
     width, with log2 |Gamma| (analytical) and ceil(log2 |Gamma|) bits
-    (operational), summed over the float shares of _histogram_c, whose
-    list and dict of n/2 floats set the guard RHO_C_MAX_N."""
+    (operational), summed over the float shares of _histogram_c as they
+    are stepped; its half row of m/2 floats sets RHO_MAX_N's memory."""
     _check_length(n)
-    _guard(n, RHO_C_MAX_N, "rho_C share list")
+    _guard(n, RHO_MAX_N, "float rho")
     return rho_parts(1, histogram_sum(_histogram_c(n, False), 0))
 
 

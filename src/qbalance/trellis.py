@@ -282,7 +282,7 @@ class TrellisReport:
     @property
     def rho(self) -> float:
         """Average redundancy 1 + 2^-k * sum_j j*gamma[j]*log2(j)."""
-        return sum(rho_parts(1, histogram_sum(self.gamma, self.k))[0].values())
+        return sum(rho_parts(1, histogram_sum(self.gamma.items(), self.k))[0].values())
 
     @cached_property
     def level_states(self) -> Tuple[int, ...]:

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import accumulate
-from operator import add
+from operator import add, or_
 from typing import Dict, Iterator, List, Tuple
 
 
@@ -175,8 +175,8 @@ def _chunk_table() -> Tuple[Tuple[tuple, ...], Tuple[Tuple[int, ...], ...]]:
         for k, s in enumerate(sums):
             hits[s] = hits.get(s, 0) | 1 << k
         first = {s: mask & -mask for s, mask in hits.items()}
-        ups = tuple(sum(first.get(s, 0) for s in range(t + 1, 9)) for t in range(8))
-        downs = tuple(sum(first.get(-s, 0) for s in range(t + 1, 9)) for t in range(8))
+        # running ORs of the first hits past each level, from t = 7 down
+        ups, downs = (tuple(accumulate([first.get(s, 0) for s in range(8 * d, 0, -d)], or_))[::-1] for d in (1, -1))
         ups, downs = (shared.setdefault(masks, masks) for masks in (ups, downs))
         rows.append((min(sums), max(sums), sums[-1], hits, ups, downs))
     offsets = tuple(tuple(k + 1 for k in range(8) if m >> k & 1) for m in range(256))

@@ -1,7 +1,8 @@
+import glob
 import os
 import random
 import re
-from itertools import islice
+from itertools import combinations, islice
 
 import pytest
 
@@ -19,6 +20,7 @@ from qbalance.cyclic_code import (
     poly_divmod,
     poly_from_coeffs,
     syndrome,
+    SYNDROME_GUARD,
     xor_bytes,
 )
 from qbalance.errors import CapacityError
@@ -342,3 +344,40 @@ class TestByteTables:
         check_tables(code, words, messages)
         if fixture.startswith("parity"):
             assert all(syndrome(code, BitWord(v, code.n)) == v.bit_count() % 2 for v in words)
+
+
+def _coset_leaders_by_combinations(code):
+    """The coset-leader table as it was first built: every pattern of each
+    weight from itertools.combinations, its syndrome read through the byte
+    table, until the first repeated syndrome."""
+    if code.r > SYNDROME_GUARD:
+        return {0: 0}, 0
+    n, leaders = code.n, {}
+    for w in range(n + 1):
+        for pos in combinations(range(n), w):
+            e = sum(1 << (n - 1 - p) for p in pos)
+            syn = xor_bytes(code.syndrome_rows, e, n)
+            if syn in leaders:
+                return {s: x for s, x in leaders.items() if x.bit_count() < w}, w - 1
+            leaders[syn] = e
+    return leaders, n
+
+
+class TestCosetLeaders:
+    @pytest.mark.parametrize(
+        "fixture",
+        [*sorted(glob.glob(os.path.join(CODES_DIR, "*.code"))), "simplex", "hamming", "hamming15", "bch15", "golay23",
+         "bch31", "hamming63", "hamming127", "bch63"],
+        ids=lambda f: os.path.basename(f),
+    )
+    def test_equals_the_table_by_combinations(self, fixture, request):
+        """The table grown one position per weight is the combinations table:
+        the same patterns, inserted in the same order, and the same radius."""
+        if os.sep in fixture:
+            with open(fixture) as f:
+                code = parse_code_file(f.read())
+        else:
+            code = request.getfixturevalue(fixture)
+        leaders, t = code.coset_leaders
+        want, want_t = _coset_leaders_by_combinations(code)
+        assert t == want_t and list(leaders.items()) == list(want.items())

@@ -123,7 +123,7 @@ def test_histogram_formula_matches_exhaustive(request, scheme, n, q, operational
         code = request.getfixturevalue(scheme)
         report = exhaustive_redundancy("c", code.n + 1, code=code)
         counted = trellis.build_and_count(code)
-        formula = _total(rho_parts(1, histogram_sum(counted.gamma, counted.k)), operational)
+        formula = _total(rho_parts(1, histogram_sum(counted.gamma.items(), counted.k)), operational)
         if not operational:
             assert formula == counted.rho
     measured = report.operational if operational else report.analytical
@@ -148,7 +148,7 @@ def test_mean_bits_sent_match_operational_rho(request, scheme, n, count):
         sent = [appended + encode(BitWord(rng.getrandbits(k), k), 0).prefix.length for _ in range(count)]
     else:
         code = request.getfixturevalue(scheme)
-        rho = _total(rho_parts(1, histogram_sum(trellis.build_and_count(code).gamma, code.k)), True)
+        rho = _total(rho_parts(1, histogram_sum(trellis.build_and_count(code).gamma.items(), code.k)), True)
         drawn = (BitWord(xor_bytes(code.encode_rows, rng.getrandbits(code.k), code.k), code.n) for _ in range(count))
         sent = [1 + scheme_c.encode_c(code, x).prefix.length for x in drawn]
     z = (statistics.fmean(sent) - rho) / (statistics.stdev(sent) / math.sqrt(count))

@@ -2,6 +2,7 @@
 |Gamma| histograms, and the centre share that the float rows of A and B
 start from."""
 
+import hashlib
 import math
 from decimal import Decimal
 from pathlib import Path
@@ -10,8 +11,9 @@ import pytest
 
 from qbalance import trellis
 from qbalance.cyclic_code import parse_code_file
-from qbalance.scheme_a import _centre_share, rho_a_bound
-from qbalance.scheme_b import rho_b
+from qbalance.scheme_a import _centre_share, rho_a_bound, rho_a_parts
+from qbalance.scheme_b import rho_b, rho_b_parts
+from qbalance.scheme_c import rho_c_parts
 
 from rho_reference import LIBRARY, reference, rho_reference
 
@@ -57,3 +59,20 @@ def test_float_rho_makes_no_big_binomial(rho, monkeypatch):
     monkeypatch.setattr(math, "comb", lambda *args: calls.append(args) or comb(*args))
     rho(65536, 0)
     assert calls == []
+
+
+# sha256 of the repr of every rho_*_parts pair below, as the dict-building
+# sums gave it before the shares were streamed: the streamed sums are
+# bit-identical to them
+RHO_PARTS_SHA256 = "51c1595aa31328b5072b2c4838c830bfd48a3a5ca6b8d1b16880b16649b0f5f8"
+
+
+def test_every_float_rho_parts_is_pinned_bit_for_bit():
+    lines = []
+    for n in [*range(2, 201, 2), 256, 512, 1000, 1024, 4096, 16384, 65536]:
+        lines.append(f"c {n} {rho_c_parts(n)!r}")
+        for q in (0, 1, 2, 6):
+            if q <= n // 2:
+                lines.append(f"a {n} {q} {rho_a_parts(n, q)!r}")
+                lines.append(f"b {n} {q} {rho_b_parts(n, q)!r}")
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == RHO_PARTS_SHA256

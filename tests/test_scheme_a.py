@@ -12,6 +12,7 @@ from qbalance.lattice import PathBand
 from qbalance.oracle import census_bad_a, definitional_gamma, exhaustive_redundancy
 from qbalance.scheme_a import (
     HISTOGRAM_MAX_N,
+    RHO_MAX_N,
     STEPPED_MAX_N,
     Classification,
     EncodeResult,
@@ -42,6 +43,7 @@ from qbalance.words import (
     weight,
 )
 
+from fresh_process import run_fresh
 from lattice_trig import count_bad_trig
 
 
@@ -527,17 +529,17 @@ class TestFloatShares:
     def test_every_share_and_good_term_small_n(self, n):
         for q in range(n // 2 + 1):
             exact = gamma_counts_a(n, q)
-            shares = _histogram_a(n, q, False)
+            shares = dict(_histogram_a(n, q, False))
             # no size without a codeword, though a share may be a tiny negative
             assert shares.keys() <= exact.keys(), (n, q, shares.keys() - exact.keys())
             for i in exact.keys():
                 assert abs(shares.get(i, 0.0) - exact[i] / 2**n) <= 4e-16, (n, q, i)
-            assert histogram_sum(shares, 0) == pytest.approx(histogram_sum(exact, n), rel=1e-12, abs=0), q
+            assert histogram_sum(shares.items(), 0) == pytest.approx(histogram_sum(exact.items(), n), rel=1e-12, abs=0), q
 
     @pytest.mark.parametrize("n", [256, 1000, 1024, 4096])
     @pytest.mark.parametrize("q", [0, 2, 6])
     def test_good_term_large_n(self, n, q):
-        exact = histogram_sum(gamma_counts_a(n, q), n)
+        exact = histogram_sum(gamma_counts_a(n, q).items(), n)
         assert histogram_sum(_histogram_a(n, q, False), 0) == pytest.approx(exact, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("n", [65536, 131072])
@@ -545,7 +547,7 @@ class TestFloatShares:
     def test_total_past_the_exact_range(self, n, q):
         # a dropped span or reflection pair would show in the total long before 1e-11
         want = math.comb(n, n // 2 + q) / 2**n
-        assert sum(_histogram_a(n, q, False).values()) == pytest.approx(want, rel=1e-11, abs=0)
+        assert sum(dict(_histogram_a(n, q, False)).values()) == pytest.approx(want, rel=1e-11, abs=0)
 
 
 class TestAsymptote:
@@ -562,6 +564,25 @@ class TestAsymptote:
         assert all(a > b for a, b in zip(gaps, gaps[1:])), gaps
 
 
+
+# prints rho_a_bound and rho_b at the float guard (q = 0 and 6), each
+# followed by its errors past it (q = 0, 1 and 6), blank-line separated
+RHO_EDGE = """\
+from qbalance.errors import CapacityError
+from qbalance.scheme_a import RHO_MAX_N, rho_a_bound
+from qbalance.scheme_b import rho_b
+for rho in (rho_a_bound, rho_b):
+    print(repr(rho(RHO_MAX_N, 0)), repr(rho(RHO_MAX_N, 6)), end="\\n\\n")
+    for n in (RHO_MAX_N + 2, 1 << 26, 1 << 40):
+        for q in (0, 1, 6):
+            try:
+                rho(n, q)
+            except CapacityError as exc:
+                print(exc)
+    print()
+"""
+
+
 class TestAnalysisGuards:
     @pytest.mark.parametrize(
         "call",
@@ -572,13 +593,26 @@ class TestAnalysisGuards:
             lambda: count_bad(STEPPED_MAX_N + 2, 3),
             lambda: count_bad_b(STEPPED_MAX_N + 2, 3),
             lambda: optimal_redundancy(STEPPED_MAX_N + 2),
-            lambda: rho_a_bound(STEPPED_MAX_N + 2, 0),
+            lambda: rho_a_bound(RHO_MAX_N + 2, 0),
         ],
         ids=["gamma_a", "gamma_b", "gamma_c", "bad_a", "bad_b", "optimal", "rho_a"],
     )
     def test_past_the_guard(self, call):
         with pytest.raises(CapacityError, match="guard"):
             call()
+
+    def test_float_rho_guard_at_its_edge_under_1_gb(self):
+        """rho_a_bound and rho_b run at the float guard, 2^24, at q = 0 and 6
+        (0.35 s and 0.04 s, 33 MB), and are refused past it, also at q <= 1,
+        where the float census computes nothing, and where the exact census
+        guard, STEPPED_MAX_N, would have refused them."""
+        child = run_fresh(RHO_EDGE, timeout=60, as_limit_kib=1 << 20)
+        a, past_a, b, past_b = child.out.strip().split("\n\n")
+        assert a.split() == ["12.359068148637768", "14.359074248784346"]
+        assert b.split() == ["12.52632193792259", "14.526328109480833"]
+        want = [f"n={n} exceeds the float rho guard 16777216" for n in (2**24 + 2, 2**26, 2**40) for _ in (0, 1, 6)]
+        assert past_a.splitlines() == want and past_b.splitlines() == want
+        assert child.peak_kib < 64 * 1024
 
     def test_rho_admits_benchmark_sizes(self):
         # rho_b(65536, 0) is a benchmark point, and every rho command takes n = 65536;

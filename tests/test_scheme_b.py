@@ -304,14 +304,14 @@ class TestRhoB:
     def test_bit_identical_to_two_branch_loop(self, n, q):
         """The float shares against the correctly rounded exact ones, C(n-1, a-1) - C(n-1, a)
         over 2^(n-1); past the histogram guard from the exact branch of _histogram_b itself."""
-        counts = _histogram_b(n, q, True) if n > scheme_a.HISTOGRAM_MAX_N else gamma_counts_b(n, q)
+        counts = dict(_histogram_b(n, q, True)) if n > scheme_a.HISTOGRAM_MAX_N else gamma_counts_b(n, q)
         want = {i: g / (1 << (n - 1)) for i, g in counts.items()}
-        got = _histogram_b(n, q, False)
+        got = dict(_histogram_b(n, q, False))
         # the step stops at the least normal float: every share it leaves out is below it
         assert list(got) == sorted(got)
         assert all(abs(share - want[i]) <= 1e-14 * want[i] + sys.float_info.min for i, share in got.items())
         assert all(want[i] < sys.float_info.min for i in want.keys() - got.keys())
-        parts = rho_parts(1, histogram_sum(want, 0), q, n, count_bad_b(n, q) / (1 << (n - 1)), max(0, 2 * q - 2))
+        parts = rho_parts(1, histogram_sum(want.items(), 0), q, n, count_bad_b(n, q) / (1 << (n - 1)), max(0, 2 * q - 2))
         assert rho_b(n, q) == pytest.approx(sum(parts[0].values()), rel=1e-14)
 
     def test_table_small_n(self):
@@ -320,7 +320,7 @@ class TestRhoB:
 
     def test_exact_and_logspace_agree(self):
         for n, q in [(64, 0), (128, 2), (256, 3), (1000, 6), (4096, 0)]:
-            assert histogram_sum(gamma_counts_b(n, q), n - 1) == pytest.approx(
+            assert histogram_sum(gamma_counts_b(n, q).items(), n - 1) == pytest.approx(
                 histogram_sum(_histogram_b(n, q, False), 0), rel=1e-11
             )
 

@@ -45,14 +45,15 @@ from qbalance.words import BitWord, all_words, cyclic_running_sum, cyclic_shift,
 
 from fresh_process import run_fresh
 
-# prints rho_C at its guard and the seconds it took, then the error past it
+# prints rho_C at the float guard and the seconds it took, then the error past it
 RHO_C_EDGE = """\
 import time
 from qbalance.errors import CapacityError
-from qbalance.scheme_c import RHO_C_MAX_N, rho_c_fullspace
+from qbalance.scheme_a import RHO_MAX_N
+from qbalance.scheme_c import rho_c_fullspace
 start = time.perf_counter()
-print(repr(rho_c_fullspace(RHO_C_MAX_N)), time.perf_counter() - start)
-for n in (RHO_C_MAX_N + 2, 1 << 26, 1 << 40):
+print(repr(rho_c_fullspace(RHO_MAX_N)), time.perf_counter() - start)
+for n in (RHO_MAX_N + 2, 1 << 26, 1 << 40):
     try:
         rho_c_fullspace(n)
     except CapacityError as exc:
@@ -359,7 +360,7 @@ class TestFullspaceDistribution:
         for n in range(top - 510, top + 1, 2):
             m = n // 2
             exact = {i: 2 * catalan[i - 1] * central[m - i] for i in range(1, m + 1)}
-            for got, want in zip(rho_c_parts(n), rho_parts(1, histogram_sum(exact, n - 1))):
+            for got, want in zip(rho_c_parts(n), rho_parts(1, histogram_sum(exact.items(), n - 1))):
                 assert got["good"] == pytest.approx(want["good"], rel=1e-12, abs=0), n
 
     @pytest.mark.parametrize("n", [0, 1, -4])
@@ -369,14 +370,21 @@ class TestFullspaceDistribution:
                 call()
 
     def test_rho_guard_at_its_edge_under_1_gb(self):
-        """rho_C holds n/2 floats: 1.3 s and 305 MB at the guard, 2^22;
-        unguarded, 2^26 raised MemoryError under this cap."""
+        """rho_C holds n/4 floats, half its row: 3.7 s and 176 MB at the float
+        guard, 2^24, and a clean error past it."""
         child = run_fresh(RHO_C_EDGE, timeout=60, as_limit_kib=1 << 20)
         edge, *past = child.out.splitlines()
         value, seconds = edge.split()
-        assert float(value) == 20.001739732996977 and float(seconds) < 10
-        assert past == [f"n={n} exceeds the rho_C share list guard 4194304" for n in (2**22 + 2, 2**26, 2**40)]
-        assert child.peak_kib < 400 * 1024
+        assert float(value) == 22.000869952452383 and float(seconds) < 10
+        assert past == [f"n={n} exceeds the float rho guard 16777216" for n in (2**24 + 2, 2**26, 2**40)]
+        assert child.peak_kib < 256 * 1024
+
+    def test_rho_at_2_22_holds_half_a_row(self):
+        """rho_C keeps half its row, n/4 floats: 0.9 s and 56 MB at 2^22 in a
+        fresh process."""
+        child = run_fresh("from qbalance.scheme_c import rho_c_fullspace\nprint(repr(rho_c_fullspace(1 << 22)))\n", timeout=60)
+        assert float(child.out) == 20.001739732996977
+        assert child.peak_kib < 64 * 1024
 
     def test_rho_table_values(self):
         assert rho_c_fullspace(16) == pytest.approx(2.81, abs=0.01)

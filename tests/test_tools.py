@@ -60,3 +60,17 @@ def test_codec_times_prints_encode_and_decode_per_cell(capsys):
         steps = dict(cell.split(" ", 1) for cell in line.split(": ", 1)[1].split(" (")[0].split(", "))
         assert list(steps) == ["encode", "decode"]
         assert all(len(us.split(" / ")) == 4 and all(float(u) > 0 for u in us.split(" / ")) for us in steps.values())
+
+
+def test_rho_times_prints_each_rho_and_the_batch(capsys):
+    rho_times = runpy.run_path(str(ROOT / "tools" / "rho_times.py"))
+    rho_times["main"]([])
+    *rows, batch = capsys.readouterr().out.splitlines()
+    labels = ["rho_a_bound q=0", "rho_a_bound q=6", "rho_b q=0", "rho_b q=6", "rho_c_fullspace"]
+    assert [row.split(" us per call")[0] for row in rows] == labels
+    for row in rows:
+        assert row.split(": ")[0].endswith("at n = " + " / ".join(f"2^{e}" for e in range(8, 17)))
+        cells = row.split(": ", 1)[1].split(" (")[0].split(" / ")
+        assert len(cells) == 9 and all(float(us) > 0 for us in cells)
+    cells = dict(cell.rsplit(" ", 1) for cell in batch.split(": ", 1)[1].split(" (best")[0].split("; "))
+    assert list(cells) == ["rho_c_fullspace(4096)", "rho_b(65536, 0)"] and all(float(us) > 0 for us in cells.values())

@@ -1,10 +1,12 @@
 import random
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, strategies as st
 
 from qbalance.words import (
     BitWord,
+    _chunk_table,
     all_words,
     balancing_indices,
     complement,
@@ -261,3 +263,25 @@ class TestChunkWalks:
         for n in (9, 24, 31, 100):
             for w in (BitWord((1 << n) - 1, n), BitWord(0, n), BitWord(((1 << n) - 1) >> (n // 2), n)):
                 check_walks(w)
+
+
+def _chunk_rows_by_sums():
+    """The chunk rows as they were first built: ups[t] and downs[t] each a
+    sum of the first-hit masks over every level past t."""
+    rows = []
+    for b in range(256):
+        sums = tuple(accumulate(1 if b >> (7 - k) & 1 else -1 for k in range(8)))
+        hits = {}
+        for k, s in enumerate(sums):
+            hits[s] = hits.get(s, 0) | 1 << k
+        first = {s: mask & -mask for s, mask in hits.items()}
+        ups = tuple(sum(first.get(s, 0) for s in range(t + 1, 9)) for t in range(8))
+        downs = tuple(sum(first.get(-s, 0) for s in range(t + 1, 9)) for t in range(8))
+        rows.append((min(sums), max(sums), sums[-1], hits, ups, downs))
+    return tuple(rows)
+
+
+def test_chunk_table_equals_the_table_by_sums():
+    rows, offsets = _chunk_table()
+    assert repr(rows) == repr(_chunk_rows_by_sums())
+    assert offsets == tuple(tuple(k + 1 for k in range(8) if m >> k & 1) for m in range(256))
