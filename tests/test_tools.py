@@ -74,3 +74,17 @@ def test_rho_times_prints_each_rho_and_the_batch(capsys):
         assert len(cells) == 9 and all(float(us) > 0 for us in cells)
     cells = dict(cell.rsplit(" ", 1) for cell in batch.split(": ", 1)[1].split(" (best")[0].split("; "))
     assert list(cells) == ["rho_c_fullspace(4096)", "rho_b(65536, 0)"] and all(float(us) > 0 for us in cells.values())
+
+
+def test_trellis_times_prints_each_build(capsys):
+    trellis_times = runpy.run_path(str(ROOT / "tools" / "trellis_times.py"))
+    trellis_times["main"]([])
+    (line,) = capsys.readouterr().out.splitlines()
+    assert line.startswith("trellis build ms per call: ") and line.endswith(" (best of 5 runs of 20 ms or one build)")
+    cells = line.split(": ", 1)[1].split(" (best")[0].split("; ")
+    names = [cell.split()[:2] for cell in cells]
+    assert names == [
+        ["bch15", "[15,7]"], ["bch31", "[31,21]"], ["full127", "[127,127]"],
+        ["golay23", "[23,12]"], ["simplex7", "[7,3]"], ["bch63", "[63,51]"],
+    ]
+    assert all(float(cell.split()[2]) > 0 for cell in cells)

@@ -52,6 +52,16 @@ PAST_63_47 = poly_from_coeffs([1, 1, 1, 1, 1, 0, 0, 1, 1, 0, 1, 0, 0, 1, 1, 1, 1
 HAMMING511 = poly_from_coeffs([1, 0, 0, 0, 1, 0, 0, 0, 0, 1])
 PAST_511_493 = poly_from_coeffs([1, 0, 0, 0, 1, 1, 0, 0, 0, 1, 0, 0, 0, 1, 1, 0, 0, 0, 1])
 
+# [27,9], 1 + X^9 + X^18 (n - k = 18): prints |C*| and the build's seconds
+BUILD_27_9 = """\
+import time
+from qbalance.cyclic_code import from_generator
+from qbalance.trellis import build_and_count
+start = time.perf_counter()
+report = build_and_count(from_generator(27, 1 | 1 << 9 | 1 << 18))
+print(report.codebook_size, time.perf_counter() - start)
+"""
+
 # prints |C*| of the build at the guard's edge and its seconds, then the error
 # and the seconds to raise on each code past it, given as n and generator
 BUILD_EDGE = """\
@@ -152,6 +162,26 @@ def test_row_lists_match_dict_pass(spec):
     code = from_generator(*spec)
     report = build_and_count(code)
     assert (report.final, report.level_states) == _dict_pass(code)
+
+
+# sha256 over every generator g | X^n + 1 with odd 3 <= n <= 31 and n - k <= 14,
+# in ascending n, then g, of repr((n, g, sorted(final.items()))), recorded
+# with every lane _width(n) bits wide
+DIVISOR_CODES_SHA256 = "98361323feac80195915bbb58b27c436c2152e724adc785d900feb45fe776cd9"
+
+
+def test_final_of_every_divisor_code_is_pinned():
+    """The per-level lane widths leave every count of the 178 codes as it
+    was; narrower lanes would carry into the next one."""
+    digest, count = hashlib.sha256(), 0
+    for n in range(3, 32, 2):
+        for g in range(1, 1 << (min(14, n - 1) + 1), 2):
+            if poly_divmod((1 << n) | 1, g)[1] == 0:
+                final = build_and_count(from_generator(n, g)).final
+                digest.update(repr((n, g, sorted(final.items()))).encode())
+                count += 1
+    assert count == 178
+    assert digest.hexdigest() == DIVISOR_CODES_SHA256
 
 
 def enumeration_gamma(code):
@@ -306,6 +336,14 @@ class TestLanes:
             want = sum(x * y for x, y in zip(a, b))
             assert lanes.dot(lanes.lanes(self.pack(a, width)), self.pack(b, width)) == want
 
+    @pytest.mark.parametrize("narrow,wide", [(8, 16), (8, 64), (16, 32), (32, 64), (64, 72), (72, 128)])
+    @pytest.mark.parametrize("r", [1, 3, 5])
+    def test_widen_keeps_every_lane(self, r, narrow, wide):
+        rng = random.Random(r * 1000 + narrow * 10 + wide)
+        for _ in range(20):
+            counts = [rng.choice((0, 1, (1 << narrow) - 1, rng.getrandbits(narrow))) for _ in range(1 << r)]
+            assert _Lanes(r, wide).widen(self.pack(counts, narrow), _Lanes(r, narrow)) == self.pack(counts, wide)
+
     @pytest.mark.parametrize("n,width", [(1, 8), (7, 8), (15, 16), (23, 32), (31, 32), (63, 64), (65, 72), (127, 128), (4095, 4096)])
     def test_width_holds_every_count_in_whole_bytes(self, n, width):
         assert _width(n) == width
@@ -401,6 +439,15 @@ class TestScaling:
         child = run_fresh(BCH63_CENSUS, timeout=20)
         assert float(child.out) < 1
         assert child.peak_kib < 32 * 1024
+
+    def test_build_of_27_9_in_bounded_memory(self):
+        """[27,9] at n - k = 18: lanes of _width(|P| - rank H_P) bits per
+        level peak at about 49 MB in a fresh process, where lanes of
+        _width(n) = 32 bits at every level peaked at 112 MB."""
+        child = run_fresh(BUILD_27_9, timeout=30)
+        size, seconds = child.out.split()
+        assert int(size) == 252 and float(seconds) < 10
+        assert child.peak_kib < 80 * 1024
 
     def test_census_guard_at_its_edge(self):
         """The census grows as about n^3 (0.43 s at n = 511 and 2.9 s at
