@@ -7,21 +7,23 @@ strings are ASCII 0/1 with the leftmost character at position 1, and
 Every command that takes --scheme reads the scheme's row of
 `oracle.SCHEMES`, the one place where a scheme's codec, |Gamma| sizer,
 formulas and rho are bound.
-Exit status: 0 on success, 1 on domain errors (bad flags, malformed
-bits, capacity guards), 2 when `oracle verify` finds a formula/oracle
-mismatch.
+argv is read from one command table, `COMMANDS`, which maps each
+command path to its handler, its help and its options; `-h`/`--help`
+prints that help at every level, `--name=value` reads as `--name value`,
+and option names are written in full.
+Exit status: 0 on success (and after help), 1 on domain errors (bad
+flags, malformed bits, capacity guards), 2 when `oracle verify` finds a
+formula/oracle mismatch.
 """
 
 from __future__ import annotations
 
-import argparse
-import csv
 import dataclasses
-import functools
 import json
 import math
 import random
 import sys
+from types import SimpleNamespace
 from typing import Iterable, List, Optional
 
 from . import oracle, scheme_a, scheme_b, scheme_c, trellis
@@ -52,9 +54,8 @@ def _emit_json(obj) -> None:
 
 
 def _emit_csv(header: List[str], rows: Iterable[Iterable[object]]) -> None:
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+    for row in [header, *rows]:
+        print(",".join(map(str, row)))
 
 
 # ---------------------------------------------------------------------------
@@ -242,80 +243,91 @@ def _cmd_stream_decode(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Parser
+# Command table
+
+# command path -> (handler, one-line help, {option: (kind, default[, help])});
+# a kind is int, str, bool for a flag, or a tuple of choices, and a default
+# of ... marks a required option.  A path whose handler is None groups the
+# commands below it.  A command's flags name alternatives: it takes one at most.
+_SCHEME = {"--scheme": (("a", "b", "c"), ...), "-q": (int, 0)}
+_CODEC = {**_SCHEME, "--code": (str, None, "code-spec file (scheme c)")}
+_CODE = {"--code": (str, ..., "code-spec file")}
+COMMANDS = {
+    ("encode",): (_cmd_encode, "encode one message", {**_CODEC, "--input": (str, ..., "message bits")}),
+    ("decode",): (_cmd_decode, "decode a codeword+prefix", {**_CODEC, "--codeword": (str, ...), "--prefix": (str, "")}),
+    ("analyze",): (None, "redundancy tables and censuses", {}),
+    ("analyze", "redundancy"): (_cmd_analyze_redundancy, "rho of one scheme as JSON, or Table 1 or 2 as CSV", {
+        "--scheme": (("a", "b", "c", "optimal"), None, "default b"), "-n": (int, None), "-q": (int, 0),
+        "--table1": (bool, False, "balanced comparison table (q=0)"), "--table2": (bool, False, "q=6 comparison table"),
+    }),
+    ("analyze", "gamma"): (_cmd_analyze_gamma, "|Gamma| histogram as CSV", {**_SCHEME, "-n": (int, ...)}),
+    ("analyze", "badwords"): (_cmd_analyze_badwords, "bad-word census of A, B", {"-n": (int, ...), "-q": (int, ...)}),
+    ("trellis",): (_cmd_trellis, "gamma/rho/|C*| of a cyclic code", _CODE),
+    ("oracle",): (None, "brute-force verification", {}),
+    ("oracle", "verify"): (_cmd_oracle_verify, "check formulas", {**_CODEC, "-n": (int, None, "block length (a, b)")}),
+    ("stream",): (None, "prefix-chained stream codec", {}),
+    ("stream", "encode"): (_cmd_stream_encode, "encode a payload into frames", {
+        **_CODE, "--input": (str, ..., "payload bits"), "--out": (str, None, "container file"),
+        "--flip-per-block": (int, 0), "--seed": (int, None, "flip positions (default 0)"),
+    }),
+    ("stream", "decode"): (_cmd_stream_decode, "decode a container", {**_CODE, "--in": (str, ..., "container file")}),
+}
 
 
-@functools.lru_cache(maxsize=1)
-def _build_parser() -> argparse.ArgumentParser:
-    """The one parser: built on the first `run`, reused by later in-process calls."""
-    parser = argparse.ArgumentParser(prog="qbalance", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
+def _cmd_help(args) -> int:
+    """Print the help of the command at args.path, the root's at ()."""
+    handler, text, options = COMMANDS.get(args.path, (None, "variable-length balancing codecs and reports", {}))
+    rows = [(key[-1], COMMANDS[key][1]) for key in COMMANDS if key[:-1] == args.path] + [("-h, --help", "this help")]
+    for name, (kind, default, *note) in options.items():
+        meta = " {" + ",".join(kind) + "}" if isinstance(kind, tuple) else {int: " N", str: " TEXT", bool: ""}[kind]
+        if default is not None and kind is not bool:
+            note.append("(required)" if default is ... else f"(default {default!r})")
+        rows.append((name + meta, " ".join(note)))
+    title = f"usage: {' '.join(('qbalance', *args.path))} {'[options]' if handler else 'COMMAND [options]'}\n\n{text}\n"
+    print("\n".join([title, *(f"  {left:<28}{right}".rstrip() for left, right in rows)]))
+    return 0
 
-    def add_scheme_opts(p, schemes):
-        p.add_argument("--scheme", choices=schemes, required=True)
-        p.add_argument("-q", type=int, default=0)
-        p.add_argument("--code", default=None, help="code-spec file (scheme c)")
 
-    p = sub.add_parser("encode", help="encode one message")
-    add_scheme_opts(p, ("a", "b", "c"))
-    p.add_argument("--input", required=True, help="message bits")
-    p.set_defaults(func=_cmd_encode)
+def _read_argv(argv: List[str]) -> SimpleNamespace:
+    """The handler and option values that argv names, read from COMMANDS;
+    the help of the deepest command named when -h or --help follows it.
 
-    p = sub.add_parser("decode", help="decode one codeword+prefix pair")
-    add_scheme_opts(p, ("a", "b", "c"))
-    p.add_argument("--codeword", required=True)
-    p.add_argument("--prefix", default="")
-    p.set_defaults(func=_cmd_decode)
-
-    analyze = sub.add_parser("analyze", help="redundancy tables and censuses")
-    asub = analyze.add_subparsers(dest="analysis", required=True)
-
-    p = asub.add_parser("redundancy")
-    p.add_argument("--scheme", choices=("a", "b", "c", "optimal"), default=None, help="default b")
-    p.add_argument("-n", type=int, default=None)
-    p.add_argument("-q", type=int, default=0)
-    tables = p.add_mutually_exclusive_group()
-    tables.add_argument("--table1", action="store_true", help="balanced comparison table (q=0)")
-    tables.add_argument("--table2", action="store_true", help="q=6 comparison table")
-    p.set_defaults(func=_cmd_analyze_redundancy)
-
-    p = asub.add_parser("gamma")
-    p.add_argument("--scheme", choices=("a", "b", "c"), required=True)
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("-q", type=int, default=0)
-    p.set_defaults(func=_cmd_analyze_gamma)
-
-    p = asub.add_parser("badwords")
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("-q", type=int, required=True)
-    p.set_defaults(func=_cmd_analyze_badwords)
-
-    p = sub.add_parser("trellis", help="gamma/rho/|C*| of a cyclic code")
-    p.add_argument("--code", required=True)
-    p.set_defaults(func=_cmd_trellis)
-
-    o = sub.add_parser("oracle", help="brute-force verification")
-    osub = o.add_subparsers(dest="oracle_cmd", required=True)
-    p = osub.add_parser("verify")
-    add_scheme_opts(p, ("a", "b", "c"))
-    p.add_argument("-n", type=int, default=None, help="block length (schemes a and b)")
-    p.set_defaults(func=_cmd_oracle_verify)
-
-    s = sub.add_parser("stream", help="prefix-chained stream codec")
-    ssub = s.add_subparsers(dest="stream_cmd", required=True)
-    p = ssub.add_parser("encode")
-    p.add_argument("--code", required=True)
-    p.add_argument("--input", required=True, help="payload bits")
-    p.add_argument("--out", default=None, help="container file")
-    p.add_argument("--flip-per-block", type=int, default=0)
-    p.add_argument("--seed", type=int, default=None, help="flip positions (default 0)")
-    p.set_defaults(func=_cmd_stream_encode)
-    p = ssub.add_parser("decode")
-    p.add_argument("--code", required=True)
-    p.add_argument("--in", dest="infile", required=True, help="container file")
-    p.set_defaults(func=_cmd_stream_decode)
-
-    return parser
+    An option's value is the next token, which may not start with "-"
+    unless a digit follows, or follows "=" in the option's own token.  The
+    last of a repeated option wins; every name is written in full.
+    """
+    path, rest = (), list(argv)
+    while rest and (*path, rest[0]) in COMMANDS:
+        path += (rest.pop(0),)
+    if "-h" in rest or "--help" in rest:
+        return SimpleNamespace(func=_cmd_help, path=path)
+    prog = " ".join(("qbalance", *path))
+    handler, _, options = COMMANDS.get(path, (None, "", {}))
+    if handler is None and not rest:
+        raise ValueError(f"{prog} needs a command: {', '.join(key[-1] for key in COMMANDS if key[:-1] == path)}")
+    given = {name: spec[1] for name, spec in options.items()}  # the defaults, ... where required
+    while rest:
+        name, eq, value = (token := rest.pop(0)).partition("=")
+        kind = options.get(name, (None,))[0]
+        if kind is None or (kind is bool and eq):
+            raise ValueError(f"{prog}: unrecognized argument {token!r}")
+        if kind is not bool and not eq:
+            if not rest or (rest[0][:1] == "-" and not rest[0][1:2].isdecimal()):
+                raise ValueError(f"{name} needs a value")
+            value = rest.pop(0)
+        try:
+            given[name] = True if kind is bool else int(value) if kind is int else value
+        except ValueError as exc:
+            raise ValueError(f"{name}: {exc}") from None
+        if isinstance(kind, tuple) and value not in kind:
+            raise ValueError(f"{name} {value!r}: choose from {', '.join(kind)}")
+    missing = [name for name, value in given.items() if value is ...]
+    flags = [name for name, value in given.items() if value is True]
+    if missing or len(flags) > 1:
+        raise ValueError(f"{prog} needs {', '.join(missing)}" if missing else f"{flags[0]} excludes {flags[1]}")
+    # `in` is a keyword, so --in is read as args.infile
+    args = {"infile" if name == "--in" else name.strip("-").replace("-", "_"): value for name, value in given.items()}
+    return SimpleNamespace(command=path[0], func=handler, **args)
 
 
 def _reject_unused_flags(args) -> None:
@@ -337,17 +349,11 @@ def _reject_unused_flags(args) -> None:
 
 
 def run(argv: Optional[List[str]] = None) -> int:
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors; the contract reserves 2 for
-        # verification failures, so remap.
-        return 0 if exc.code == 0 else 1
     # the exact counts run past the 4,300 digits that str(int) takes by
     # default (Python 3.10.7+); the old limit comes back for in-process callers
     digits = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
     try:
+        args = _read_argv(sys.argv[1:] if argv is None else argv)
         if digits is not None:
             sys.set_int_max_str_digits(0)
         _reject_unused_flags(args)

@@ -7,7 +7,10 @@ bit strings, damaged code files, damaged QBS2 containers cut from a
 real simplex7 encode, and in a few draws the options that encode, decode
 and trellis do not take.  Each call stays fast: the oracle runs at
 n <= 12 or past its guard, the analyses at n <= 4096 or past every
-guard, and the trellis only on codes with n - k <= 12.
+guard, and the trellis only on codes with n - k <= 12.  A group of its
+own reshapes such draws by the rules of the argv reader: a help flag
+anywhere, `--name=value`, a trailing option with no value, `--`, an
+unknown or partial command path, an abbreviated long option.
 """
 
 import random
@@ -267,6 +270,69 @@ def test_drawn_argv_keeps_the_exit_contract(files, capsys, extra, command):
     rng = random.Random(sorted(DRAWS).index(command) + extra * len(DRAWS))
     for _ in range(CALLS):
         check(capsys, DRAWS[command](rng, files))
+
+
+VALUE_OPTIONS = "--scheme -n -q --code --input --codeword --prefix --out --flip-per-block --seed --in".split()
+LONG_OPTIONS = [name for name in VALUE_OPTIONS + ["--table1", "--table2"] if name.startswith("--")]
+
+
+def reshape(rng, argv):
+    """argv, drawn for some command, reshaped by one rule of the parser:
+    (new argv, the exit status it must give, or None for argv's own)."""
+    shape = rng.choice(["help", "equals", "trailing", "dashdash", "path", "abbreviation"])
+    at = rng.randint(0, len(argv))
+    longs = [i for i, token in enumerate(argv) if token in LONG_OPTIONS]
+    if shape == "help":  # anywhere: the help of the deepest command named
+        return argv[:at] + [rng.choice(["-h", "--help"])] + argv[at:], 0
+    if shape == "equals":  # --name=value reads as --name value
+        out, i = [], 0
+        while i < len(argv):
+            joined = argv[i] in VALUE_OPTIONS and i + 1 < len(argv) and rng.random() < 0.7
+            out.append(f"{argv[i]}={argv[i + 1]}" if joined else argv[i])
+            i += 2 if joined else 1
+        return out, None
+    if shape == "dashdash":  # no positional follows "--"
+        return argv[:at] + ["--"] + argv[at:], 1
+    if shape == "path":  # an unknown or partial command path
+        depth = 2 if argv[0] in ("analyze", "oracle", "stream") else 1
+        word = argv[depth - 1]
+        broken = rng.choice([word[: rng.randrange(len(word))], word + "s", word.upper(), "bogus", None])
+        return argv[: depth - 1] + ([] if broken is None else [broken]) + argv[depth:], 1
+    if shape == "abbreviation" and longs:  # a unique prefix is no longer a name
+        i = rng.choice(longs)
+        cuts = [argv[i][:k] for k in range(3, len(argv[i])) if argv[i][:k] not in VALUE_OPTIONS]
+        return argv[:i] + [rng.choice(cuts)] + argv[i + 1 :], 1
+    return argv + [rng.choice(VALUE_OPTIONS)], 1  # trailing, or an abbreviation with no long option: no value
+
+
+def outcome(capsys, argv):
+    """One call under check's contract; returns its exit status and stdout."""
+    try:
+        status = cli.run(argv)
+    except Exception as exc:  # the contract allows no exception out of run
+        pytest.fail(f"{argv!r} raised {exc!r}")
+    out, err = capsys.readouterr()
+    assert status in (0, 1, 2), (argv, status)
+    assert status != 1 or "error:" in err, (argv, err)
+    return status, out
+
+
+# a group of its own, so that the seeded draws above stay as they are: each
+# call reshapes a draw of a random command, and the help, "--", path and
+# no-value shapes fix the exit status whatever the draw was
+@pytest.mark.parametrize("seed", range(8))
+def test_parser_shapes_keep_the_exit_contract(files, capsys, seed):
+    rng = random.Random(10_000 + seed)
+    for _ in range(CALLS):
+        argv = DRAWS[rng.choice(sorted(DRAWS))](rng, files)
+        shaped, want = reshape(rng, argv)
+        status, out = outcome(capsys, shaped)
+        if want is None:
+            assert (status, out) == outcome(capsys, argv), (shaped, argv)
+        else:
+            assert status == want, (shaped, status)
+        if want == 0:
+            assert out.startswith("usage: qbalance"), (shaped, out)
 
 
 @pytest.mark.parametrize("scheme", ["a", "b"])

@@ -320,13 +320,107 @@ class TestTrellisCommand:
 
 
 def test_in_process_runs_share_one_parser(capsys, code_file):
-    """The first `run` builds the parser; later ones reuse it, after a usage error too."""
-    cli._build_parser.cache_clear()
+    """A usage error between two in-process reports leaves the second as the first."""
     report = {"n": 7, "k": 3, "rho": pytest.approx(2.25), "codebook_size": 4, "gamma": {"1": 2, "2": 1, "4": 1}}
     assert run_json(capsys, "trellis", "--code", code_file) == report
     assert run_cli(capsys, "trellis", "--no-such-flag")[0] == 1
     assert run_json(capsys, "trellis", "--code", code_file) == report
-    assert cli._build_parser.cache_info().misses == 1
+
+
+# each level of the command table -> the commands or options its help names
+HELP_NAMES = {
+    (): ["encode", "decode", "analyze", "trellis", "oracle", "stream"],
+    ("encode",): ["--scheme", "-q", "--code", "--input"],
+    ("decode",): ["--scheme", "-q", "--code", "--codeword", "--prefix"],
+    ("analyze",): ["redundancy", "gamma", "badwords"],
+    ("analyze", "redundancy"): ["--scheme", "-n", "-q", "--table1", "--table2"],
+    ("analyze", "gamma"): ["--scheme", "-n", "-q"],
+    ("analyze", "badwords"): ["-n", "-q"],
+    ("trellis",): ["--code"],
+    ("oracle",): ["verify"],
+    ("oracle", "verify"): ["--scheme", "-q", "--code", "-n"],
+    ("stream",): ["encode", "decode"],
+    ("stream", "encode"): ["--code", "--input", "--out", "--flip-per-block", "--seed"],
+    ("stream", "decode"): ["--code", "--in"],
+}
+
+
+class TestGrammar:
+    def test_help_covers_every_level(self):
+        assert set(HELP_NAMES) == {(), *cli.COMMANDS}
+
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    @pytest.mark.parametrize("path", list(HELP_NAMES), ids=lambda path: "-".join(path) or "root")
+    def test_help_names_each_command_or_option(self, capsys, path, flag):
+        status, out, err = run_cli(capsys, *path, flag)
+        assert (status, err) == (0, "")
+        assert out.startswith("usage: " + " ".join(("qbalance", *path)))
+        firsts = [line.split()[0] for line in out.splitlines() if line.startswith("  ")]
+        assert sorted(firsts) == sorted(HELP_NAMES[path] + ["-h,"])
+
+    def test_help_wins_over_a_bad_option(self, capsys):
+        status, out, _ = run_cli(capsys, "analyze", "gamma", "--scheme", "d", "--help")
+        assert status == 0 and out.startswith("usage: qbalance analyze gamma [options]")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("analyze", "redundancy", "--scheme", "a", "-n", "16", "-q", "2"),
+            ("encode", "--scheme", "b", "-q", "2", "--input", "1110000"),
+            ("decode", "--scheme", "a", "-q", "2", "--codeword", "10011111", "--prefix", "00001"),
+            ("analyze", "gamma", "--scheme", "b", "-n", "8", "-q", "-1"),
+        ],
+        ids=["redundancy", "encode", "decode", "negative-value"],
+    )
+    def test_equals_form_prints_the_same(self, capsys, argv):
+        spaced = run_cli(capsys, *argv)
+        at = 2 if argv[0] == "analyze" else 1
+        joined = [*argv[:at], *(f"{name}={value}" for name, value in zip(argv[at::2], argv[at + 1 :: 2]))]
+        assert run_cli(capsys, *joined) == spaced
+
+    def test_empty_value_after_equals(self, capsys):
+        argv = ("decode", "--scheme", "b", "-q", "0", "--codeword", "11100001")
+        assert run_cli(capsys, *argv, "--prefix=") == run_cli(capsys, *argv, "--prefix", "")
+
+    @pytest.mark.parametrize(
+        "argv,token",
+        [
+            pytest.param((), "encode, decode, analyze", id="bare"),
+            pytest.param(("bogus",), "'bogus'", id="unknown"),
+            pytest.param(("anal", "redundancy", "--table1"), "'anal'", id="partial-command"),
+            pytest.param(("analyze",), "redundancy, gamma, badwords", id="group-only"),
+            pytest.param(("analyze", "red", "--table1"), "'red'", id="partial-leaf"),
+            pytest.param(("stream", "--code", "x.code"), "'--code'", id="options-after-group"),
+            pytest.param(("analyze", "gamma", "--scheme", "a", "-n"), "-n needs a value", id="no-value-at-end"),
+            pytest.param(("analyze", "gamma", "--scheme", "-n", "8"), "--scheme needs a value", id="option-for-value"),
+            pytest.param(("analyze", "gamma", "--scheme", "a", "-n", "--"), "-n needs a value", id="dashdash-value"),
+            pytest.param(("trellis", "--code", "x.code", "--input", "01"), "'--input'", id="other-leaf"),
+            pytest.param(("analyze", "badwords", "-n", "8", "--scheme", "a"), "'--scheme'", id="other-leaf-2"),
+            pytest.param(("encode", "--scheme", "a", "--inp", "11100000"), "'--inp'", id="abbreviation"),
+            pytest.param(("analyze", "redundancy", "--table1=yes"), "'--table1=yes'", id="flag-with-value"),
+            pytest.param(("analyze", "redundancy", "-n", "eight"), "'eight'", id="not-an-int"),
+            pytest.param(("analyze", "redundancy", "--scheme", "d", "-n", "8"), "'d'", id="bad-choice"),
+            pytest.param(("analyze", "redundancy", "--table2", "--table1"), "--table1", id="two-tables"),
+            pytest.param(("encode", "--input", "1110"), "--scheme", id="required"),
+            pytest.param(("analyze", "gamma", "--", "--scheme", "a", "-n", "8"), "'--'", id="dashdash"),
+        ],
+    )
+    def test_usage_error_names_the_token(self, capsys, argv, token):
+        status, out, err = run_cli(capsys, *argv)
+        assert (status, out) == (1, "")
+        assert err.startswith("error: ") and token in err and err.count("\n") == 1
+
+    def test_last_repeat_wins(self, capsys):
+        obj = run_json(capsys, "analyze", "redundancy", "--scheme", "c", "-n", "8", "--scheme", "a", "-n=16", "-q", "2")
+        assert (obj["scheme"], obj["n"], obj["q"]) == ("a", 16, 2)
+        assert run_cli(capsys, "analyze", "redundancy", "--table1", "--table1") == run_cli(
+            capsys, "analyze", "redundancy", "--table1"
+        )
+
+    def test_ints_read_as_int_reads_them(self, capsys):
+        """Spaces, underscores, a sign and other decimal digits, as argparse's type=int took them."""
+        for n in (" 8 ", "+8", "0_8", "\u0668"):
+            assert run_json(capsys, "analyze", "redundancy", "--scheme", "a", "-n", n)["n"] == 8
 
 
 class TestOracleCommand:
@@ -448,7 +542,7 @@ def test_flag_the_command_would_ignore_is_an_error(capsys, code_file, argv, flag
 )
 def test_option_that_restates_the_input_is_unrecognized(capsys, code_file, argv, flag):
     """The bit string or code file fixes n, and `trellis` prints one report:
-    argparse names the option, and `run` maps its exit 2 to 1."""
+    an option the command does not take exits 1 with its name."""
     argv = [code_file if a is None else a for a in argv]
     status, out, err = run_cli(capsys, *argv)
     assert status == 1 and out == ""
@@ -578,6 +672,20 @@ class TestStreamCommands:
         status, out, err = run_timed(capsys, 10, "stream", "decode", "--code", str(path), "--in", container)
         assert status == 0, err
         assert json.loads(out)["payload"] == payload
+
+
+def test_tables_load_no_argument_parser():
+    """Every CLI start pays for what it imports: the tables need no argument
+    parser library, no gettext or locale, and no csv."""
+    probe = "import sys\nprint(' '.join(sorted(sys.modules)))\n"
+    bare = set(run_fresh(probe).out.split())
+    tables = (
+        "import contextlib, io\nfrom qbalance import cli\nwith contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert [cli.run(['analyze', 'redundancy', flag]) for flag in ('--table1', '--table2')] == [0, 0]\n"
+    )
+    added = set(run_fresh(tables + probe).out.split()) - bare
+    assert "qbalance.cli" in added
+    assert not added & {"argparse", "gettext", "locale", "csv"}
 
 
 def test_cli_import_does_not_load_numpy():

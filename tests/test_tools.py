@@ -88,3 +88,16 @@ def test_trellis_times_prints_each_build(capsys):
         ["golay23", "[23,12]"], ["simplex7", "[7,3]"], ["bch63", "[63,51]"],
     ]
     assert all(float(cell.split()[2]) > 0 for cell in cells)
+
+
+def test_cli_times_prints_import_parse_and_run(capsys):
+    cli_times = runpy.run_path(str(ROOT / "tools" / "cli_times.py"))
+    cli_times["main"]([])
+    (line,) = capsys.readouterr().out.splitlines()
+    assert line.startswith("cli ms in a fresh process: import ") and line.endswith(" (median of 5 processes each)")
+    first, *cells = line.split(": ", 1)[1].split(" (median")[0].split("; ")
+    assert float(first.split()[1]) > 0
+    assert [cell.rsplit(" parse ", 1)[0] for cell in cells] == ["--table1", "--table2", "trellis simplex7"]
+    for cell in cells:
+        parse, run = cell.rsplit(" parse ", 1)[1].split(" run ")
+        assert float(parse) > 0 and float(run) > 0
