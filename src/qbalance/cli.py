@@ -198,8 +198,6 @@ def _cmd_trellis(args) -> int:
 
 def _cmd_oracle_verify(args) -> int:
     code = _code(args)
-    if code is None and args.n is None:
-        raise ValueError(f"oracle verify --scheme {args.scheme} needs -n")
     result = oracle.verify_scheme(args.scheme, args.n, args.q, code)
     _emit_json(result)
     return 0 if result["ok"] else 2

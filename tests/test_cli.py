@@ -440,11 +440,20 @@ class TestOracleCommand:
         assert list(c) == list(a)
         assert c["q"] == 0 and c["bad_match"] is True and c["n"] == 8
 
-    @pytest.mark.parametrize("scheme", ["a", "b"])
-    def test_verify_without_n_is_a_domain_error(self, capsys, scheme):
-        status, _, err = run_cli(capsys, "oracle", "verify", "--scheme", scheme)
-        assert status == 1
-        assert err.startswith("error:") and "-n" in err
+    @pytest.mark.parametrize(
+        "scheme,q",
+        [
+            pytest.param("a", (), id="a"),
+            pytest.param("b", (), id="b"),
+            pytest.param("a", ("-q", "2"), id="a-q2"),
+            pytest.param("b", ("-q", "2"), id="b-q2"),
+        ],
+    )
+    def test_verify_without_n_is_a_domain_error(self, capsys, scheme, q):
+        """oracle.resolve refuses the missing n, before it reads q."""
+        status, out, err = run_cli(capsys, "oracle", "verify", "--scheme", scheme, *q)
+        assert status == 1 and out == ""
+        assert err == f"error: scheme {scheme} needs a block length n\n"
 
     def test_verify_failure_exits_2(self, capsys, monkeypatch):
         monkeypatch.setattr(

@@ -37,67 +37,33 @@ def test_every_python_file_parses_as_the_oldest_supported_python():
         ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
 
 
-def test_stream_times_prints_each_step_per_code(capsys):
-    stream_times = runpy.run_path(str(ROOT / "tools" / "stream_times.py"))
-    codes = ROOT / "perfbench" / "codes"
-    stream_times["main"]([str(codes / "simplex7.code"), str(codes / "golay23.code")])
-    lines = capsys.readouterr().out.splitlines()
-    assert [line.split()[:2] for line in lines] == [["simplex7", "[7,3]"], ["golay23", "[23,12]"]]
+def test_layer_times_prints_each_layer_row_with_positive_cells(capsys):
+    tool = runpy.run_path(str(ROOT / "tools" / "layer_times.py"))
+    tool["main"]()
+    rules, blank, columns, rule, *lines = capsys.readouterr().out.splitlines()
+    assert rules.startswith(f"In-process cells: best of {tool['REPEAT']} timeit runs of ")
+    assert rules.endswith(f"median of {tool['PROCESSES']} new interpreters.")
+    assert (blank, columns, rule) == ("", "| layer | row | unit | cells |", "|---|---|---|---|")
+    table = {}
     for line in lines:
-        cells = line.split("per frame: ")[1].split(" (")[0].split(", ")
-        steps = dict(cell.rsplit(" ", 1) for cell in cells)
-        assert list(steps) == ["encode", "unpack", "decode", "decode t flips"]
-        assert all(float(us) > 0 for us in steps.values())
-
-
-def test_codec_times_prints_encode_and_decode_per_cell(capsys):
-    codec_times = runpy.run_path(str(ROOT / "tools" / "codec_times.py"))
-    codec_times["main"]([])
-    lines = capsys.readouterr().out.splitlines()
-    assert [line.split()[:2] for line in lines] == [[s, f"q={q}"] for s in "AB" for q in (0, 2, 6)]
-    for line in lines:
-        assert line.split(": ")[0].endswith("at n = 16 / 64 / 256 / 1024")
-        steps = dict(cell.split(" ", 1) for cell in line.split(": ", 1)[1].split(" (")[0].split(", "))
-        assert list(steps) == ["encode", "decode"]
-        assert all(len(us.split(" / ")) == 4 and all(float(u) > 0 for u in us.split(" / ")) for us in steps.values())
-
-
-def test_rho_times_prints_each_rho_and_the_batch(capsys):
-    rho_times = runpy.run_path(str(ROOT / "tools" / "rho_times.py"))
-    rho_times["main"]([])
-    *rows, batch = capsys.readouterr().out.splitlines()
-    labels = ["rho_a_bound q=0", "rho_a_bound q=6", "rho_b q=0", "rho_b q=6", "rho_c_fullspace"]
-    assert [row.split(" us per call")[0] for row in rows] == labels
-    for row in rows:
-        assert row.split(": ")[0].endswith("at n = " + " / ".join(f"2^{e}" for e in range(8, 17)))
-        cells = row.split(": ", 1)[1].split(" (")[0].split(" / ")
-        assert len(cells) == 9 and all(float(us) > 0 for us in cells)
-    cells = dict(cell.rsplit(" ", 1) for cell in batch.split(": ", 1)[1].split(" (best")[0].split("; "))
-    assert list(cells) == ["rho_c_fullspace(4096)", "rho_b(65536, 0)"] and all(float(us) > 0 for us in cells.values())
-
-
-def test_trellis_times_prints_each_build(capsys):
-    trellis_times = runpy.run_path(str(ROOT / "tools" / "trellis_times.py"))
-    trellis_times["main"]([])
-    (line,) = capsys.readouterr().out.splitlines()
-    assert line.startswith("trellis build ms per call: ") and line.endswith(" (best of 5 runs of 20 ms or one build)")
-    cells = line.split(": ", 1)[1].split(" (best")[0].split("; ")
-    names = [cell.split()[:2] for cell in cells]
-    assert names == [
-        ["bch15", "[15,7]"], ["bch31", "[31,21]"], ["full127", "[127,127]"],
-        ["golay23", "[23,12]"], ["simplex7", "[7,3]"], ["bch63", "[63,51]"],
+        layer, label, unit, cells = line.strip("| ").split(" | ")
+        cells = dict(cell.rsplit(" ", 1) for cell in cells.split("; "))
+        assert all(float(value) > 0 for value in cells.values()), line
+        table.setdefault(layer, []).append((label, unit, list(cells)))
+    assert list(table) == ["codec", "rho", "stream", "trellis", "compile", "cli"]
+    ns = [f"n={n}" for n in (16, 64, 256, 1024)]
+    assert table["codec"] == [
+        (f"{s} q={q} {step}", "us per message", ns) for s in "AB" for q in (0, 2, 6) for step in ("encode", "decode")
     ]
-    assert all(float(cell.split()[2]) > 0 for cell in cells)
-
-
-def test_cli_times_prints_import_parse_and_run(capsys):
-    cli_times = runpy.run_path(str(ROOT / "tools" / "cli_times.py"))
-    cli_times["main"]([])
-    (line,) = capsys.readouterr().out.splitlines()
-    assert line.startswith("cli ms in a fresh process: import ") and line.endswith(" (median of 5 processes each)")
-    first, *cells = line.split(": ", 1)[1].split(" (median")[0].split("; ")
-    assert float(first.split()[1]) > 0
-    assert [cell.rsplit(" parse ", 1)[0] for cell in cells] == ["--table1", "--table2", "trellis simplex7"]
-    for cell in cells:
-        parse, run = cell.rsplit(" parse ", 1)[1].split(" run ")
-        assert float(parse) > 0 and float(run) > 0
+    # the paper-tables batch's rho_c_fullspace(4096) and rho_b(65536, 0) are the cells n=2^12 and n=2^16
+    rhos = ["rho_a_bound q=0", "rho_a_bound q=6", "rho_b q=0", "rho_b q=6", "rho_c_fullspace"]
+    assert table["rho"] == [(label, "us per call", [f"n=2^{e}" for e in range(8, 17)]) for label in rhos]
+    codes = ["simplex7 [7,3] t=1", "bch15 [15,7] t=2", "golay23 [23,12] t=3", "bch31 [31,21] t=2"]
+    steps = ["encode", "unpack", "decode", "decode t flips"]
+    assert table["stream"] == [(label, "us per frame", steps) for label in codes]
+    builds = ["bch15 [15,7]", "bch31 [31,21]", "full127 [127,127]", "golay23 [23,12]", "simplex7 [7,3]", "bch63 [63,51]"]
+    assert table["trellis"] == [("build_and_count", "ms per build", builds)]
+    modules = len(list((ROOT / "src" / "qbalance").glob("*.py")))
+    assert table["compile"] == [("src/qbalance", "ms per call", [f"{modules} modules"])]
+    jobs = ["--table1", "--table2", "trellis simplex7"]
+    assert table["cli"] == [(label, "ms per process", ["import", "parse", "run"]) for label in jobs]
