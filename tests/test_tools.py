@@ -1,9 +1,13 @@
 """The repository's own tools."""
 
 import ast
+import contextlib
+import io
 import runpy
 from decimal import Decimal
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -37,33 +41,59 @@ def test_every_python_file_parses_as_the_oldest_supported_python():
         ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
 
 
-def test_layer_times_prints_each_layer_row_with_positive_cells(capsys):
+@pytest.fixture(scope="module")
+def layer_times():
+    """One in-process run of tools/layer_times.py: the tool's globals, its heading
+    lines and its rows as {layer: [(label, unit, cell names)]}, every cell > 0."""
     tool = runpy.run_path(str(ROOT / "tools" / "layer_times.py"))
-    tool["main"]()
-    rules, blank, columns, rule, *lines = capsys.readouterr().out.splitlines()
-    assert rules.startswith(f"In-process cells: best of {tool['REPEAT']} timeit runs of ")
-    assert rules.endswith(f"median of {tool['PROCESSES']} new interpreters.")
-    assert (blank, columns, rule) == ("", "| layer | row | unit | cells |", "|---|---|---|---|")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        tool["main"]()
+    lines = out.getvalue().splitlines()
+    heading, lines = lines[:4], lines[4:]
     table = {}
     for line in lines:
         layer, label, unit, cells = line.strip("| ").split(" | ")
         cells = dict(cell.rsplit(" ", 1) for cell in cells.split("; "))
         assert all(float(value) > 0 for value in cells.values()), line
         table.setdefault(layer, []).append((label, unit, list(cells)))
+    return tool, heading, table
+
+
+def test_layer_times_prints_each_layer_row_with_positive_cells(layer_times):
+    tool, (rules, blank, columns, rule), table = layer_times
+    assert rules.startswith(f"In-process cells: best of {tool['REPEAT']} timeit runs of ")
+    assert rules.endswith(f"median of {tool['PROCESSES']} new interpreters.")
+    assert (blank, columns, rule) == ("", "| layer | row | unit | cells |", "|---|---|---|---|")
     assert list(table) == ["codec", "rho", "stream", "trellis", "compile", "cli"]
-    ns = [f"n={n}" for n in (16, 64, 256, 1024)]
-    assert table["codec"] == [
-        (f"{s} q={q} {step}", "us per message", ns) for s in "AB" for q in (0, 2, 6) for step in ("encode", "decode")
-    ]
-    # the paper-tables batch's rho_c_fullspace(4096) and rho_b(65536, 0) are the cells n=2^12 and n=2^16
-    rhos = ["rho_a_bound q=0", "rho_a_bound q=6", "rho_b q=0", "rho_b q=6", "rho_c_fullspace"]
-    assert table["rho"] == [(label, "us per call", [f"n=2^{e}" for e in range(8, 17)]) for label in rhos]
-    codes = ["simplex7 [7,3] t=1", "bch15 [15,7] t=2", "golay23 [23,12] t=3", "bch31 [31,21] t=2"]
-    steps = ["encode", "unpack", "decode", "decode t flips"]
-    assert table["stream"] == [(label, "us per frame", steps) for label in codes]
-    builds = ["bch15 [15,7]", "bch31 [31,21]", "full127 [127,127]", "golay23 [23,12]", "simplex7 [7,3]", "bch63 [63,51]"]
-    assert table["trellis"] == [("build_and_count", "ms per build", builds)]
     modules = len(list((ROOT / "src" / "qbalance").glob("*.py")))
     assert table["compile"] == [("src/qbalance", "ms per call", [f"{modules} modules"])]
+
+
+def test_codec_times_prints_encode_and_decode_per_cell(layer_times):
+    ns = [f"n={n}" for n in (16, 64, 256, 1024)]
+    assert layer_times[2]["codec"] == [
+        (f"{s} q={q} {step}", "us per message", ns) for s in "AB" for q in (0, 2, 6) for step in ("encode", "decode")
+    ]
+
+
+def test_rho_times_prints_each_rho_and_the_batch(layer_times):
+    # the paper-tables batch's rho_c_fullspace(4096) and rho_b(65536, 0) are the cells n=2^12 and n=2^16
+    rhos = ["rho_a_bound q=0", "rho_a_bound q=6", "rho_b q=0", "rho_b q=6", "rho_c_fullspace"]
+    assert layer_times[2]["rho"] == [(label, "us per call", [f"n=2^{e}" for e in range(8, 17)]) for label in rhos]
+
+
+def test_stream_times_prints_each_step_per_code(layer_times):
+    codes = ["simplex7 [7,3] t=1", "bch15 [15,7] t=2", "golay23 [23,12] t=3", "bch31 [31,21] t=2"]
+    steps = ["encode", "unpack", "decode", "decode t flips"]
+    assert layer_times[2]["stream"] == [(label, "us per frame", steps) for label in codes]
+
+
+def test_trellis_times_prints_each_build(layer_times):
+    builds = ["bch15 [15,7]", "bch31 [31,21]", "full127 [127,127]", "golay23 [23,12]", "simplex7 [7,3]", "bch63 [63,51]"]
+    assert layer_times[2]["trellis"] == [("build_and_count", "ms per build", builds)]
+
+
+def test_cli_times_prints_import_parse_and_run(layer_times):
     jobs = ["--table1", "--table2", "trellis simplex7"]
-    assert table["cli"] == [(label, "ms per process", ["import", "parse", "run"]) for label in jobs]
+    assert layer_times[2]["cli"] == [(label, "ms per process", ["import", "parse", "run"]) for label in jobs]
