@@ -33,14 +33,17 @@ encode_c reads the syndrome of the word it is given, and decode_c that
 of the word it recovers.  The stream encodes its own packets, so their
 codewords are not read again; _shift, which encode_c and the stream
 share, checks nothing.  A frame is a pure function of its packet, and a
-decoded block of the received block, so each stream call works each
-distinct packet (stream_encode) and each distinct received block
-(stream_decode) once, in a dict that lives for that call only.  The gain
-rests on repeats: packets repeat when 2^k is small next to the frame
-count: a 256-bit stream runs to about 145 frames over at most 8
-distinct packets on the [7,3] simplex code, and to about 17 frames over
-2^21 possible packets on BCH[31,21], where nothing repeats.  A repeated
-bad block raises again, naming its first frame.
+decoded block of the received block, so the stream keeps both in the
+code's own memos (CyclicCode.stream_memo), read and filled by every
+stream_encode and stream_decode call on that code object: over all its
+calls the code works each distinct packet and each distinct received
+block once, until a memo holds STREAM_MEMO_MAX entries, past which
+nothing more is stored.  The gain rests on repeats: packets repeat when
+2^k is small next to the frames streamed: a 256-bit stream runs to about
+145 frames over at most 8 distinct packets on the [7,3] simplex code,
+BCH[15,7] has 128 packets in all, and BCH[31,21] 2^21, where nothing
+repeats.  An exception is never stored, so a repeated bad block raises
+again on every call, naming its first frame.
 
 Streaming chains the prefixes: frame t's shift index rides at the head
 of frame t+1's packet, so decoding runs back to front.  The final
@@ -73,7 +76,7 @@ from functools import lru_cache
 from itertools import accumulate, chain, islice
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-from .cyclic_code import CyclicCode, codeword_values, xor_bytes
+from .cyclic_code import STREAM_MEMO_MAX, CyclicCode, codeword_values, xor_bytes
 from .errors import AmbiguousBlockError, CodingError, DecodeError, StreamError
 from .scheme_a import HISTOGRAM_MAX_N, RHO_MAX_N, EncodeResult, Parts, _check_length, _guard, histogram_sum, rank_width, rho_parts
 from .words import BitWord, flip_prefix, weight
@@ -381,7 +384,7 @@ def stream_encode(code: CyclicCode, payload: BitWord) -> StreamEncoding:
         raise CodingError(f"prefix can exceed packet size for k={k}; code too small")
     encode_rows, half = code.encode_rows, _half_mask(m)
     bits, left = payload.value, payload.length  # left: payload bits not yet taken
-    frame_of: Dict[int, Tuple[int, int, int, int]] = {}  # packet -> (tau, |Gamma(c)|, its width, block)
+    frame_of = code.stream_memo[0]  # packet -> (tau, |Gamma(c)|, its width, block)
     blocks: List[int] = []
     payload_frames = final_pad = 0
     carry = width = 0  # the carried prefix, as (value, width)
@@ -399,11 +402,14 @@ def stream_encode(code: CyclicCode, payload: BitWord) -> StreamEncoding:
         left -= take
         fill = room - take
         packet = ((carry << take) | (bits >> left & ((1 << take) - 1))) << fill
-        if packet not in frame_of:
+        frame = frame_of.get(packet)
+        if frame is None:
             tau, c = _shift(xor_bytes(encode_rows, packet, k), n, half)
             size = _gamma_size(c, m)
-            frame_of[packet] = (tau, size, rank_width(size), _block(c, m))
-        carry, size, width, block = frame_of[packet]
+            frame = tau, size, rank_width(size), _block(c, m)
+            if len(frame_of) < STREAM_MEMO_MAX:
+                frame_of[packet] = frame
+        carry, size, width, block = frame
         blocks.append(block)
         if not pad:
             payload_frames, final_pad = len(blocks), fill
@@ -423,21 +429,24 @@ def stream_decode(code: CyclicCode, enc: StreamEncoding) -> BitWord:
         return BitWord(0, 0)
     m = _half(n)
     half = _half_mask(m)
-    seen: Dict[int, Tuple[int, int, int]] = {}  # received block -> (its nearest C* block stripped, |Gamma|, width)
+    seen = code.stream_memo[1]  # received block -> (its nearest C* block stripped, |Gamma|, width)
     hits = []
     for t, frame in enumerate(enc.frames):
         received = frame.codeword
         if received.length != n + 1:
             raise ValueError(f"block length {received.length} != {n + 1}")
         y = received.value
-        if y not in seen:
+        hit = seen.get(y)
+        if hit is None:
             try:
                 c = _nearest(code, y, half) >> 1
             except DecodeError as exc:
                 raise type(exc)(f"frame {t}: {exc}") from exc
             size = _gamma_size(c, m)
-            seen[y] = (c, size, rank_width(size))
-        hits.append(seen[y])
+            hit = c, size, rank_width(size)
+            if len(seen) < STREAM_MEMO_MAX:
+                seen[y] = hit
+        hits.append(hit)
     stripped, sizes, widths = zip(*hits)
     k = code.k
     total = len(stripped)

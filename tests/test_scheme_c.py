@@ -95,6 +95,13 @@ def full9():
     return full_space(9)
 
 
+def own_copy(code):
+    """A new object of the same code, whose stream memos start empty: a test
+    that counts the work of a stream call must not read a session fixture's
+    memo, which earlier tests have filled."""
+    return from_generator(code.n, code.generator)
+
+
 def encodable_payloads(code, count, seed=8):
     """`count` seeded random payloads whose flush closes, with their encodings."""
     rng = random.Random(seed)
@@ -508,20 +515,20 @@ class TestStream:
     def test_encode_reads_no_syndrome(self, golay23, monkeypatch):
         """The stream builds each codeword from the byte table, so it reads no
         syndrome of it; encode_c, which takes its word from outside, does."""
-        reads = []
+        code, reads = own_copy(golay23), []
 
         def counting(rows, value, width):
-            reads.append(rows is golay23.syndrome_rows)
+            reads.append(rows is code.syndrome_rows)
             return xor_bytes(rows, value, width)
 
         monkeypatch.setattr(scheme_c, "xor_bytes", counting)
         payload = BitWord(random.Random(23).getrandbits(500), 500)
-        enc = stream_encode(golay23, payload)
+        enc = stream_encode(code, payload)
         assert reads and not any(reads)
-        encode_c(golay23, _systematic(golay23, 1))
+        encode_c(code, _systematic(code, 1))
         assert reads[-1] is True
         monkeypatch.undo()
-        assert stream_decode(golay23, enc) == payload
+        assert stream_decode(code, enc) == payload
 
     def test_flush_cycle_stops_at_repeated_carry(self, bch15):
         """A pad frame depends only on the prefix it carries, so a cycling flush
@@ -939,17 +946,17 @@ class TestSyndromeCorrection:
             correct_block(hamming63, with_errors(block, [0, 1]))
 
     def test_bch31_stream_with_two_errors_per_block(self, bch31, monkeypatch):
-        calls = []
+        calls, code = [], own_copy(bch31)
         real = scheme_c.build_balanced_code
         monkeypatch.setattr(scheme_c, "build_balanced_code", lambda code: calls.append(code) or real(code))
         rng = random.Random(31)
         payload = BitWord(rng.getrandbits(600), 600)
         start = time.perf_counter()
-        enc = stream_encode(bch31, payload)
+        enc = stream_encode(code, payload)
         frames = tuple(
             dataclasses.replace(f, codeword=with_errors(f.codeword, rng.sample(range(32), 2))) for f in enc.frames
         )
-        assert stream_decode(bch31, dataclasses.replace(enc, frames=frames)) == payload
+        assert stream_decode(code, dataclasses.replace(enc, frames=frames)) == payload
         elapsed = time.perf_counter() - start
         assert calls == []
         assert elapsed < 10, elapsed  # the C* enumeration alone takes about 0.8 s, at a 73 MB peak
@@ -1037,11 +1044,13 @@ class TestStreamAgainstReference:
         assert code.coset_leaders[1] == t
         if name == "bch31":
             # C* of BCH[31,21] takes about 0.8 s and 73 MB to enumerate; past the radius both decoders
-            # reach the scan.
+            # reach the scan.  A new code object, so that no block is decoded from a memo entry that a
+            # real scan filled.
             def no_scan(code):
                 raise AmbiguousBlockError("C* scan")
 
             monkeypatch.setattr(scheme_c, "build_balanced_code", no_scan)
+            code = own_copy(code)
         rng = random.Random(t)
         kinds = set()
         for payload in differential_payloads(seed=code.n):
@@ -1076,33 +1085,92 @@ def bch15_reciprocal():
 
 
 class TestStreamMemo:
-    """A stream call works each distinct packet and each distinct received
-    block once, and keeps nothing past the call."""
+    """Each stream call reads and fills its code's memos, so over all calls on
+    one code object each distinct packet and each distinct received block is
+    worked once, up to STREAM_MEMO_MAX entries per memo."""
 
     def test_each_distinct_packet_and_block_is_worked_once(self, simplex, monkeypatch):
+        code = own_copy(simplex)
         shifted, nearest = [], []
         real_shift, real_nearest = scheme_c._shift, scheme_c._nearest
         monkeypatch.setattr(scheme_c, "_shift", lambda x, n, half: shifted.append(x) or real_shift(x, n, half))
         monkeypatch.setattr(scheme_c, "_nearest", lambda code, y, half: nearest.append(y) or real_nearest(code, y, half))
         rng = random.Random(256)
-        payload = BitWord(rng.getrandbits(256), 256)
-        enc = stream_encode(simplex, payload)
-        # one codeword per distinct packet, and at most 2^k packets
-        assert len(shifted) == len(set(shifted)) <= 2**simplex.k < len(enc.frames)
-        assert enc == _stream_encode_reference(simplex, payload)
-        for noisy in (enc, with_block_errors(enc, 1, rng)):
-            nearest.clear()
-            got = stream_decode(simplex, noisy)
-            assert sorted(nearest) == sorted({f.codeword.value for f in noisy.frames}) != []
-            assert len(nearest) < len(noisy.frames)
-            assert got == payload == _stream_decode_reference(simplex, noisy)
+        payloads = [BitWord(rng.getrandbits(256), 256) for _ in range(2)]
+        encs = [stream_encode(code, payload) for payload in payloads]
+        # one codeword per distinct packet over both calls, and at most 2^k packets
+        assert len(shifted) == len(set(shifted)) <= 2**code.k < len(encs[0].frames)
+        received = encs + [with_block_errors(enc, 1, rng) for enc in encs]
+        decoded = [stream_decode(code, enc) for enc in received]
+        blocks = {f.codeword.value for enc in received for f in enc.frames}
+        assert sorted(nearest) == sorted(blocks) != []
+        assert len(nearest) < sum(len(enc.frames) for enc in received)
+        shifted.clear()
+        nearest.clear()
+        assert [stream_encode(code, payload) for payload in payloads] == encs
+        assert [stream_decode(code, enc) for enc in received] == decoded
+        assert shifted == nearest == []  # a repeat of the same payloads works nothing
+        assert decoded == payloads * 2
+        for payload, enc in zip(payloads, encs):
+            assert enc == _stream_encode_reference(simplex, payload)
+        assert decoded == [_stream_decode_reference(simplex, enc) for enc in received]
+
+    def test_memo_stops_at_its_bound(self, monkeypatch):
+        """On the full space no packet and no block repeats, so the memos fill
+        to the bound; past it nothing is stored and the frames do not change."""
+        code, cap = full_space(127), 5
+        monkeypatch.setattr(scheme_c, "STREAM_MEMO_MAX", cap)
+        rng = random.Random(127)
+        payloads = [BitWord(rng.getrandbits(length), length) for length in (900, 1100, 1300)]
+        encs, memos = [], []
+        for payload in payloads:
+            encs.append(stream_encode(code, payload))
+            assert stream_decode(code, encs[-1]) == payload
+            memos.append(tuple(map(dict, code.stream_memo)))
+        assert sum(len(enc.frames) for enc in encs) > 3 * cap
+        assert all(len(memo) == cap for memo in memos[0])
+        assert memos[0] == memos[1] == memos[2]  # the first cap entries, not the latest
+        assert [stream_encode(code, payload) for payload in payloads] == encs
+        assert [stream_decode(code, enc) for enc in encs] == payloads
+        assert tuple(map(dict, code.stream_memo)) == memos[0]
+        for payload, enc in zip(payloads, encs):
+            assert enc == _stream_encode_reference(code, payload)
+            assert _stream_decode_reference(code, enc) == payload
+
+    def test_bad_block_raises_on_every_call_and_is_not_stored(self, simplex):
+        """A warm memo still meets an ambiguous block with the same `frame t:`
+        error on a second call, and a block of the wrong length with the same
+        length error, even when its value is stored; neither is stored."""
+        code = own_copy(simplex)
+        payload = BitWord(random.Random(256).getrandbits(256), 256)
+        enc = stream_encode(code, payload)
+        assert stream_decode(code, enc) == payload
         frames = list(enc.frames)
         frames[1] = frames[3] = StreamFrame(codeword=W("00110000"))  # equidistant from two C* words
-        with pytest.raises(AmbiguousBlockError, match="^frame 1: "):
-            stream_decode(simplex, dataclasses.replace(enc, frames=tuple(frames)))
-        frames[1] = frames[3] = StreamFrame(codeword=BitWord(enc.frames[0].codeword.value, 9))  # a seen value
-        with pytest.raises(ValueError, match="^block length 9 != 8$"):
-            stream_decode(simplex, dataclasses.replace(enc, frames=tuple(frames)))
+        ambiguous = dataclasses.replace(enc, frames=tuple(frames))
+        frames[1] = frames[3] = StreamFrame(codeword=BitWord(enc.frames[0].codeword.value, 9))  # a stored value
+        too_long = dataclasses.replace(enc, frames=tuple(frames))
+        assert enc.frames[0].codeword.value in code.stream_memo[1]
+        stored = dict(code.stream_memo[1])
+        errors = []
+        for bad in (ambiguous, too_long) * 2:
+            with pytest.raises((AmbiguousBlockError, ValueError)) as exc:
+                stream_decode(code, bad)
+            errors.append((exc.type, str(exc.value)))
+            assert code.stream_memo[1] == stored
+        assert errors[:2] == errors[2:]
+        assert errors[0][0] is AmbiguousBlockError and errors[0][1].startswith("frame 1: 2 codebook words at distance")
+        assert errors[1] == (ValueError, "block length 9 != 8")
+        assert result(_stream_decode_reference, code, ambiguous) == errors[0]
+
+    def test_memo_is_not_part_of_the_code(self, simplex):
+        """==, hash, repr and build_balanced_code's cache key ignore the memos."""
+        warm, cold = own_copy(simplex), own_copy(simplex)
+        payload = BitWord(random.Random(7).getrandbits(64), 64)
+        assert stream_decode(warm, stream_encode(warm, payload)) == payload
+        assert all(warm.stream_memo) and not any(cold.stream_memo)
+        assert warm == cold and hash(warm) == hash(cold) and repr(warm) == repr(cold)
+        assert build_balanced_code(warm) is build_balanced_code(cold)
 
     def test_one_frame_object_per_distinct_block(self, simplex):
         payload = BitWord(random.Random(257).getrandbits(256), 256)
@@ -1117,10 +1185,11 @@ class TestStreamMemo:
                 frames[0].codeword = BitWord(0, 8)
         assert stream_decode(simplex, back) == payload
 
-    def test_no_state_crosses_calls_or_codes(self, bch15, bch15_reciprocal):
+    def test_no_state_crosses_codes(self, bch15, bch15_reciprocal):
         """bch15's received blocks include clean blocks of a bch15_reciprocal
         stream that lie within radius 2 of the bch15 block sent, so a value
-        received on both codes decodes to a different block on each."""
+        received on both codes decodes to a different block on each, from
+        each code's own memo on the repeated calls."""
         codes = (bch15, bch15_reciprocal)
         sent = {code: next(pair for pair in encodable_payloads(code, 8, seed=15) if pair[0].length >= 60) for code in codes}
         theirs = sorted({f.codeword.value for f in sent[bch15_reciprocal][1].frames})
