@@ -27,9 +27,9 @@ per-bit loop they replace is kept in the tests as the reference.
 Each code also owns its coset-leader table (coset_leaders): the error
 pattern of every syndrome up to the radius floor((d-1)/2), found by
 rising weight without enumerating a codeword.  It holds at most
-2^(n-k)+1 patterns, so it is guarded to n-k <= SYNDROME_GUARD, the bound
-the syndrome trellis shares; past it the table holds only the zero
-pattern, at radius 0, which still names every codeword.
+2^(n-k)+1 patterns, so it is guarded to n-k <= SYNDROME_GUARD; past it
+the table holds only the zero pattern, at radius 0, which still names
+every codeword.
 
 Enumeration (codeword_values) reads no table per codeword: it XORs the
 head byte rows once per message prefix, then that base onto each entry
@@ -47,16 +47,17 @@ stream encode peaks at 57 MB of RSS at n = 4095 and 170 MB at 8191.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, count
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 from .errors import CapacityError
 from .words import BitWord
 
 ENUMERATION_MAX_K = 24
-SYNDROME_GUARD = 18  # n-k bound of the coset-leader table and the trellis
+SYNDROME_GUARD = 18  # n-k bound of the coset-leader table
 STREAM_MEMO_MAX = 1 << 14  # entries per dict of CyclicCode.stream_memo
 BLOCK_MAX_N = 4095  # the largest 2^j - 1 whose full-space stream encode stays under 64 MB
 
@@ -121,25 +122,27 @@ class CyclicCode:
         return _byte_table(self.parity_cols)
 
     @cached_property
-    def stream_memo(self) -> Tuple[Dict[int, Tuple[int, ...]], Dict[int, Tuple[int, ...]]]:
+    def stream_memo(self) -> Tuple[OrderedDict[int, Tuple[int, ...]], OrderedDict[int, Tuple[int, ...]]]:
         """scheme_c's stream memos, filled by every stream call on this code:
         {packet: (tau, |Gamma(c)|, its width, block)} for stream_encode and
         {received block: (its nearest C* block stripped, |Gamma|, width)} for
         stream_decode.  Each is a pure function of its key, so an entry holds
         for every later call; an exception is never stored.
 
-        Insertion stops at STREAM_MEMO_MAX = 2^14 entries per dict, which
-        holds every packet of a code with k <= 14 (all 4,096 of Golay[23,12])
+        Each dict keeps the newest STREAM_MEMO_MAX = 2^14 entries: an insert
+        at the cap first drops the oldest, so a memo filled with blocks that
+        never repeat (noisy ones) still takes in the next ones.  2^14 holds
+        every packet of a code with k <= 14 (all 4,096 of Golay[23,12])
         and every block within radius 2 of BCH[15,7]'s 48 C* blocks (6,576).
         Measured with tracemalloc on BCH[31,21] streams, where nothing repeats
-        (Python 3.11.7; keys, values and the dict together), the encode memo
-        holds 2^10 entries in 0.18 MB, 2^12 in 0.71 MB, 2^14 in 2.8 MB and
-        2^16 in 11.6 MB (173-177 bytes an entry), and the decode memo 966 in
-        0.13 MB, 3,548 in 0.49 MB, 13,640 in 1.9 MB and 49,788 in 7.4 MB
-        (134-149 bytes): at the cap a code holds about 5 MB of memo.
-        Neither dict takes part in ==, hash or repr.
+        (Python 3.11.7; keys, values and the OrderedDict together), the
+        encode memo holds 2^10 entries in 0.23 MB, 2^12 in 0.91 MB and 2^14
+        in 3.6 MB (221 bytes an entry), and the decode memo 2^10 in 0.19 MB,
+        2^12 in 0.74 MB and 2^14 in 2.9 MB (180 bytes): at the cap a code
+        holds about 6.5 MB of memo, 48 bytes an entry more than a plain dict
+        would, for its order.  Neither dict takes part in ==, hash or repr.
         """
-        return {}, {}
+        return OrderedDict(), OrderedDict()
 
     @cached_property
     def coset_leaders(self) -> Tuple[Dict[int, int], int]:
@@ -160,7 +163,7 @@ class CyclicCode:
         n, cols = self.n, self.parity_cols
         leaders: Dict[int, int] = {0: 0}
         layer = [(0, 0, 0)]  # (pattern, syndrome, first free position) of each pattern of weight w - 1
-        for w in range(1, n + 1):
+        for w in count(1):  # k >= 1, so some two patterns share a syndrome
             below, layer = layer, []
             for e, syn, start in below:
                 for p in range(start, n):
@@ -169,7 +172,6 @@ class CyclicCode:
                         return {s: x for s, x in leaders.items() if x.bit_count() < w}, w - 1
                     leaders[s] = x
                     layer.append((x, s, p + 1))
-        return leaders, n
 
 
 def _byte_table(vectors: Sequence[int]) -> Tuple[Tuple[int, ...], ...]:
@@ -257,10 +259,7 @@ def codewords(code: CyclicCode) -> Iterator[BitWord]:
 
 def min_distance(code: CyclicCode) -> int:
     """Exhaustive minimum nonzero codeword weight."""
-    best = min(filter(None, map(int.bit_count, codeword_values(code))), default=0)
-    if not best:
-        raise ValueError("code has no nonzero codeword")
-    return best
+    return min(filter(None, map(int.bit_count, codeword_values(code))))
 
 
 def parse_code_file(text: str) -> CyclicCode:

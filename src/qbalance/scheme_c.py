@@ -37,13 +37,14 @@ decoded block of the received block, so the stream keeps both in the
 code's own memos (CyclicCode.stream_memo), read and filled by every
 stream_encode and stream_decode call on that code object: over all its
 calls the code works each distinct packet and each distinct received
-block once, until a memo holds STREAM_MEMO_MAX entries, past which
-nothing more is stored.  The gain rests on repeats: packets repeat when
-2^k is small next to the frames streamed: a 256-bit stream runs to about
-145 frames over at most 8 distinct packets on the [7,3] simplex code,
-BCH[15,7] has 128 packets in all, and BCH[31,21] 2^21, where nothing
-repeats.  An exception is never stored, so a repeated bad block raises
-again on every call, naming its first frame.
+block once while it stays among the newest STREAM_MEMO_MAX entries of
+its memo, which drops its oldest entry to take in a new one at the cap.
+The gain rests on repeats: packets repeat when 2^k is small next to the
+frames streamed: a 256-bit stream runs to about 145 frames over at most
+8 distinct packets on the [7,3] simplex code, BCH[15,7] has 128 packets
+in all, and BCH[31,21] 2^21, where nothing repeats.  An exception is
+never stored, so a repeated bad block raises again on every call,
+naming its first frame.
 
 Streaming chains the prefixes: frame t's shift index rides at the head
 of frame t+1's packet, so decoding runs back to front.  The final
@@ -385,6 +386,7 @@ def stream_encode(code: CyclicCode, payload: BitWord) -> StreamEncoding:
     encode_rows, half = code.encode_rows, _half_mask(m)
     bits, left = payload.value, payload.length  # left: payload bits not yet taken
     frame_of = code.stream_memo[0]  # packet -> (tau, |Gamma(c)|, its width, block)
+    frame_get = frame_of.get  # bound once: an OrderedDict's .get is slower to look up than a dict's
     blocks: List[int] = []
     payload_frames = final_pad = 0
     carry = width = 0  # the carried prefix, as (value, width)
@@ -402,13 +404,14 @@ def stream_encode(code: CyclicCode, payload: BitWord) -> StreamEncoding:
         left -= take
         fill = room - take
         packet = ((carry << take) | (bits >> left & ((1 << take) - 1))) << fill
-        frame = frame_of.get(packet)
+        frame = frame_get(packet)
         if frame is None:
             tau, c = _shift(xor_bytes(encode_rows, packet, k), n, half)
             size = _gamma_size(c, m)
             frame = tau, size, rank_width(size), _block(c, m)
-            if len(frame_of) < STREAM_MEMO_MAX:
-                frame_of[packet] = frame
+            if len(frame_of) >= STREAM_MEMO_MAX:
+                frame_of.popitem(last=False)
+            frame_of[packet] = frame
         carry, size, width, block = frame
         blocks.append(block)
         if not pad:
@@ -430,13 +433,14 @@ def stream_decode(code: CyclicCode, enc: StreamEncoding) -> BitWord:
     m = _half(n)
     half = _half_mask(m)
     seen = code.stream_memo[1]  # received block -> (its nearest C* block stripped, |Gamma|, width)
+    seen_get = seen.get
     hits = []
     for t, frame in enumerate(enc.frames):
         received = frame.codeword
         if received.length != n + 1:
-            raise ValueError(f"block length {received.length} != {n + 1}")
+            raise ValueError(f"frame {t}: block length {received.length} != {n + 1}")
         y = received.value
-        hit = seen.get(y)
+        hit = seen_get(y)
         if hit is None:
             try:
                 c = _nearest(code, y, half) >> 1
@@ -444,8 +448,9 @@ def stream_decode(code: CyclicCode, enc: StreamEncoding) -> BitWord:
                 raise type(exc)(f"frame {t}: {exc}") from exc
             size = _gamma_size(c, m)
             hit = c, size, rank_width(size)
-            if len(seen) < STREAM_MEMO_MAX:
-                seen[y] = hit
+            if len(seen) >= STREAM_MEMO_MAX:
+                seen.popitem(last=False)
+            seen[y] = hit
         hits.append(hit)
     stripped, sizes, widths = zip(*hits)
     k = code.k

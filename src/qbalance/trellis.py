@@ -125,10 +125,8 @@ on an earlier host:
 
 Build time grows about 4-5x per two syndrome bits, and memory about
 3x with the lanes sized per level (4x at _width(n)), so r = 20 needs
-94 MB at the shortest length it admits (the [21,1] row ran with the
-guard lifted).  Builds are guarded to n-k <= 18
-(cyclic_code.SYNDROME_GUARD, which also bounds each code's coset-leader
-table); beyond that use exhaustive enumeration.
+94 MB even at its shortest length, n = 21 (the [21,1] row ran with the
+work guard below lifted).
 
 They also grow with n: at r > 0 the build's time follows its estimated
 work m^2 (r + 1) 2^r W, W = _width(n), at 0.5-1.1e-10 s per unit with
@@ -156,7 +154,10 @@ So `build_and_count` raises CapacityError past that work, BUILD_MAX_WORK
 codes: builds of up to about 1 s and 50 MB ([63,48] at its edge; [27,9]:
 3.1e10), the full space at every n that `cyclic_code.BLOCK_MAX_N` admits
 (2^34 at n = 4095, 0.81 s), and not [511,493], which both n guards
-admit, at 1.7e14 (about 26 GB at W = _width(n)).
+admit, at 1.7e14 (about 26 GB at W = _width(n)).  The same guard bounds
+r: at every odd n <= BLOCK_MAX_N the work of r = 19 is past it, the
+least being 4.1e10 on [21,2], and the work grows with r, so every code
+with n - k > 18 is refused; use exhaustive enumeration for those.
 
 The census grows about 7x per doubling of n, and with r: it steps about
 m^3 rows, each of r + 1 whole-int operations or so.  Census alone,
@@ -173,7 +174,9 @@ median of three fresh processes on an earlier host than the tables'
 So `level_states` raises CapacityError past n = CENSUS_MAX_N = 511.
 At that edge the census takes 0.43 s on the full space and 5.7 s at
 r = 9, after a longer build; at n = 1023 it takes 2.9 s at r = 0 and,
-by the m^3 (r + 1) estimate, about 45 s at r = 10.
+by the m^3 (r + 1) estimate, about 45 s at r = 10.  It has no guard on
+r of its own: it runs only on a report that `build_and_count` returned,
+so the build's work guard has already bounded r.
 """
 
 from __future__ import annotations
@@ -184,7 +187,7 @@ from itertools import chain
 from operator import add, mul, or_
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
-from .cyclic_code import SYNDROME_GUARD, CyclicCode
+from .cyclic_code import CyclicCode
 from .errors import CapacityError
 from .scheme_a import _guard, histogram_sum, rho_parts
 from .scheme_c import _half
@@ -193,17 +196,6 @@ CENSUS_MAX_N = 511  # level_states, states and state_count; see the module docst
 BUILD_MAX_WORK = 1 << 35  # build_and_count's m^2 (r + 1) 2^r W; see the module docstring
 FinalState = Tuple[int, int]  # (weight, index)
 _FORMATS = {8: "B", 16: "H", 32: "I", 64: "Q"}  # memoryview casts of one lane
-
-
-def _check(code: CyclicCode) -> int:
-    """m for the [2m-1, k] code, which the guard admits."""
-    m = _half(code.n)
-    if code.r > SYNDROME_GUARD:
-        raise CapacityError(
-            f"n-k={code.r} exceeds trellis guard {SYNDROME_GUARD}; "
-            "use exhaustive enumeration instead"
-        )
-    return m
 
 
 def _width(n: int) -> int:
@@ -289,9 +281,7 @@ class TrellisReport:
     """
 
     def __init__(self, code: CyclicCode, final: Dict[FinalState, int]) -> None:
-        self.code = code
-        self.final = final
-        self.k = code.k
+        self.code, self.final = code, final
 
     @property
     def gamma(self) -> Dict[int, int]:
@@ -309,7 +299,7 @@ class TrellisReport:
     @property
     def rho(self) -> float:
         """Average redundancy 1 + 2^-k * sum_j j*gamma[j]*log2(j)."""
-        return sum(rho_parts(1, histogram_sum(self.gamma.items(), self.k))[0].values())
+        return sum(rho_parts(1, histogram_sum(self.gamma.items(), self.code.k))[0].values())
 
     @cached_property
     def level_states(self) -> Tuple[int, ...]:
@@ -326,7 +316,7 @@ class TrellisReport:
         return sum(self.level_states)
 
 
-def _widths(r: int, cols: Iterable[int]) -> List[int]:
+def _widths(cols: Iterable[int]) -> List[int]:
     """_width(|P| - rank H_P) for each prefix P of the parity columns
     `cols`, the empty one first: one incremental GF(2) rank, its basis
     kept by leading bit."""
@@ -341,7 +331,7 @@ def _widths(r: int, cols: Iterable[int]) -> List[int]:
     return out
 
 
-def _step(permute, lo: list, hi: list, base: int, rows: List[int], low: int, high: int, join) -> Tuple[int, List[int]]:
+def _step(lo: list, hi: list, base: int, rows: List[int], low: int, high: int, join) -> Tuple[int, List[int]]:
     """One level's four edges, from the rows of weights base.. to the rows
     of weights low..high, merging paths by `join`: `add` for path counts,
     `or_` for reachability.
@@ -351,24 +341,13 @@ def _step(permute, lo: list, hi: list, base: int, rows: List[int], low: int, hig
     """
     # Row t = cut..end-1 is p[t] plus p[t-1] permuted by hi, where p[t] is
     # row t permuted by lo plus row t-1; p below cut - 1 reaches no kept row.
+    permute = _Lanes.permute
     cut, end = max(low - base, 0), high + 1 - base
     s = max(cut - 1, 0)
     a = [permute(v, lo) for v in rows[s:]] if lo else rows[s:]
     p = [0] * s + list(map(join, a + [0], ([0] + rows)[s:]))
     up = [permute(v, hi) for v in p[s : end - 1]] if hi else p[s : end - 1]  # up[j] joins row s+1+j
     return base + cut, list(map(join, p[cut:end] + [0], up if cut else [0] + up))
-
-
-def _edges(code: CyclicCode, width: int) -> Tuple[int, _Lanes, List[Tuple[list, list]]]:
-    """m, lanes of `width` bits and each pair level's (lo, hi) permutations.
-
-    (c_i, c_{i+m}) -> (weight gain, syndrome mask), first half flipped:
-    (0, h_lo), (1, h_lo ^ h_hi), (1, 0), (2, h_hi).
-    """
-    m = _check(code)
-    h = code.parity_cols
-    vec = _Lanes(code.r, width)
-    return m, vec, [(vec.permutation(h[level - 1]), vec.permutation(h[level + m - 1])) for level in range(1, m)]
 
 
 def _levels(code: CyclicCode) -> Iterator[Dict[int, Tuple[int, List[int]]]]:
@@ -379,12 +358,13 @@ def _levels(code: CyclicCode) -> Iterator[Dict[int, Tuple[int, List[int]]]]:
     the 1-bit lanes of weight base + t, bit s set when syndrome s is
     reachable.
     """
-    m, vec, edges = _edges(code, 1)
+    m, h, vec = _half(code.n), code.parity_cols, _Lanes(code.r, 1)
     groups: Dict[int, Tuple[int, List[int]]] = {0: (0, [1])}
     yield groups
-    for level, (lo, hi) in enumerate(edges, 1):
+    for level in range(1, m):
+        lo, hi = vec.permutation(h[level - 1]), vec.permutation(h[level + m - 1])
         low = max(0, 2 * level - m)  # lightest feasible weight after this level
-        groups = {idx: _step(vec.permute, lo, hi, base, rows, low, m, or_) for idx, (base, rows) in groups.items()}
+        groups = {idx: _step(lo, hi, base, rows, low, m, or_) for idx, (base, rows) in groups.items()}
         # the index-0 row at weight `level` has just hit a zero running sum
         base, rows = groups[0]
         groups[level] = (level, [rows[level - base]])
@@ -400,7 +380,7 @@ def build_and_count(code: CyclicCode) -> TrellisReport:
     The report also carries gamma, |C*| and rho; its per-level state
     counts take the census pass, on first read.
     """
-    m = _check(code)
+    m = _half(code.n)
     work = m * m * (code.r + 1) * _width(code.n) << code.r
     if work > BUILD_MAX_WORK:
         raise CapacityError(
@@ -415,8 +395,8 @@ def build_and_count(code: CyclicCode) -> TrellisReport:
     # where a row is one lane (r = 0), _width(k) serves every level.
     ups = downs = [top] * m
     if code.r and top > _width(0):
-        ups = _widths(code.r, chain(*zip(h[: m - 1], h[m:])))[::2]
-        downs = _widths(code.r, chain([h_m], *zip(h[m - 2 : 0 : -1], h[2 * m - 2 : m : -1])))[1::2]
+        ups = _widths(chain(*zip(h[: m - 1], h[m:])))[::2]
+        downs = _widths(chain([h_m], *zip(h[m - 2 : 0 : -1], h[2 * m - 2 : m : -1])))[1::2]
     lanes = {width: _Lanes(code.r, width) for width in {*ups, *downs}}
     # each pair level's lanes and (lo, hi) permutations, forward
     edges = [(vec, vec.permutation(lo), vec.permutation(hi)) for vec, lo, hi in zip(map(lanes.get, ups[1:]), h, h[m:])]
@@ -425,7 +405,7 @@ def build_and_count(code: CyclicCode) -> TrellisReport:
     for level, (new, lo, hi) in enumerate(edges, 1):
         if new is not vec:
             rows, vec = [new.widen(x, vec) for x in rows], new
-        base, rows = _step(vec.permute, lo, hi, base, rows, max(0, 2 * level - m), m, add)
+        base, rows = _step(lo, hi, base, rows, max(0, 2 * level - m), m, add)
         hits.append(rows[level - base])
         rows[level - base] = 0
     at = dict(enumerate(rows, base))  # index m: no zero before the last bit
@@ -447,7 +427,7 @@ def build_and_count(code: CyclicCode) -> TrellisReport:
             if hit_vec is not vec:  # level L's permutations at D_{L-1}'s lanes
                 lo, hi = vec.permutation(h[level - 1]), vec.permutation(h[level + m - 1])
             # the same step, read backwards: gain g before level L is g - gain after it
-            base, rows = _step(vec.permute, lo, hi, base, rows, max(0, m - 2 * level + 2), m - 1, add)
+            base, rows = _step(lo, hi, base, rows, max(0, m - 2 * level + 2), m - 1, add)
     return TrellisReport(code, {key: cnt for key, cnt in final.items() if cnt})
 
 

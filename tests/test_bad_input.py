@@ -7,10 +7,11 @@ bit strings, damaged code files, damaged QBS2 containers cut from a
 real simplex7 encode, and in a few draws the options that encode, decode
 and trellis do not take.  Each call stays fast: the oracle runs at
 n <= 12 or past its guard, the analyses at n <= 4096 or past every
-guard, and the trellis only on codes with n - k <= 12.  A group of its
-own reshapes such draws by the rules of the argv reader: a help flag
-anywhere, `--name=value`, a trailing option with no value, `--`, an
-unknown or partial command path, an abbreviated long option.
+guard, and the trellis on codes with n - k <= 12 or past its work
+guard, at n - k = 19 and 20.  A group of its own reshapes such draws
+by the rules of the argv reader: a help flag anywhere, `--name=value`,
+a trailing option with no value, `--`, an unknown or partial command
+path, an abbreviated long option.
 """
 
 import random
@@ -23,12 +24,15 @@ from qbalance.scheme_a import encode_a
 from qbalance.scheme_b import encode_b
 from qbalance.words import BitWord
 
-# name -> (spec, k); every n - k is at most 12
+# name -> (spec, k); n - k is at most 12, or 19 and 20, past the trellis's work guard
 CODES = {
     "simplex7": ("# [7,3,4] simplex\nn = 7\nk = 3\ngenerator = 1,0,1,1,1\n", 3),
     "hamming7": ("n = 7\ngenerator = 1,1,0,1\n", 4),
     "bch15": ("n = 15\nk = 7\ngenerator = 1,0,0,0,1,0,1,1,1\n", 7),
     "golay23": ("n = 23\ngenerator = 1,0,1,0,1,1,1,0,0,0,1,1\n", 12),
+    # (X^21 + 1)/(X^2 + X + 1) and the [21,1] repetition code
+    "code21_2": ("n = 21\nk = 2\ngenerator = " + ",".join("110" * 6 + "11") + "\n", 2),
+    "repetition21": ("n = 21\ngenerator = " + ",".join("1" * 21) + "\n", 1),
 }
 
 NOT_NUMBERS = ["", "x", "1.5", "0x10", "1e3", "-", "--", "+", "nan", "٣", " 8 ", "8_0", "9" * 30 + "x"]

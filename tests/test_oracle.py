@@ -123,7 +123,7 @@ def test_histogram_formula_matches_exhaustive(request, scheme, n, q, operational
         code = request.getfixturevalue(scheme)
         report = exhaustive_redundancy("c", code.n + 1, code=code)
         counted = trellis.build_and_count(code)
-        formula = _total(rho_parts(1, histogram_sum(counted.gamma.items(), counted.k)), operational)
+        formula = _total(rho_parts(1, histogram_sum(counted.gamma.items(), counted.code.k)), operational)
         if not operational:
             assert formula == counted.rho
     measured = report.operational if operational else report.analytical

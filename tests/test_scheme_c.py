@@ -760,7 +760,9 @@ def _stream_decode_reference(code, enc):
     stripped = []
     for t, frame in enumerate(enc.frames):
         cw = frame.codeword
-        if cw.length != n + 1 or not _in_book_reference(code, cw):
+        if cw.length != n + 1:
+            raise ValueError(f"frame {t}: block length {cw.length} != {n + 1}")
+        if not _in_book_reference(code, cw):
             try:
                 cw = correct_block(code, cw)
             except DecodeError as exc:
@@ -1087,7 +1089,8 @@ def bch15_reciprocal():
 class TestStreamMemo:
     """Each stream call reads and fills its code's memos, so over all calls on
     one code object each distinct packet and each distinct received block is
-    worked once, up to STREAM_MEMO_MAX entries per memo."""
+    worked once while it is among the newest STREAM_MEMO_MAX entries of its
+    memo."""
 
     def test_each_distinct_packet_and_block_is_worked_once(self, simplex, monkeypatch):
         code = own_copy(simplex)
@@ -1117,22 +1120,28 @@ class TestStreamMemo:
 
     def test_memo_stops_at_its_bound(self, monkeypatch):
         """On the full space no packet and no block repeats, so the memos fill
-        to the bound; past it nothing is stored and the frames do not change."""
+        to the bound; past it each keeps the latest cap entries, and the
+        frames do not change."""
         code, cap = full_space(127), 5
         monkeypatch.setattr(scheme_c, "STREAM_MEMO_MAX", cap)
         rng = random.Random(127)
         payloads = [BitWord(rng.getrandbits(length), length) for length in (900, 1100, 1300)]
-        encs, memos = [], []
+        encs = []
+
+        def latest(enc):
+            """The blocks of enc's last cap frames, as each memo holds them."""
+            frame_of, seen = code.stream_memo
+            blocks = [f.codeword.value for f in enc.frames[-cap:]]
+            return [block for *_, block in frame_of.values()] == list(seen) == blocks
+
         for payload in payloads:
             encs.append(stream_encode(code, payload))
             assert stream_decode(code, encs[-1]) == payload
-            memos.append(tuple(map(dict, code.stream_memo)))
-        assert sum(len(enc.frames) for enc in encs) > 3 * cap
-        assert all(len(memo) == cap for memo in memos[0])
-        assert memos[0] == memos[1] == memos[2]  # the first cap entries, not the latest
+            assert latest(encs[-1])
+        assert min(len(enc.frames) for enc in encs) > cap
         assert [stream_encode(code, payload) for payload in payloads] == encs
         assert [stream_decode(code, enc) for enc in encs] == payloads
-        assert tuple(map(dict, code.stream_memo)) == memos[0]
+        assert latest(encs[-1])
         for payload, enc in zip(payloads, encs):
             assert enc == _stream_encode_reference(code, payload)
             assert _stream_decode_reference(code, enc) == payload
@@ -1160,8 +1169,32 @@ class TestStreamMemo:
             assert code.stream_memo[1] == stored
         assert errors[:2] == errors[2:]
         assert errors[0][0] is AmbiguousBlockError and errors[0][1].startswith("frame 1: 2 codebook words at distance")
-        assert errors[1] == (ValueError, "block length 9 != 8")
+        assert errors[1] == (ValueError, "frame 1: block length 9 != 8")
         assert result(_stream_decode_reference, code, ambiguous) == errors[0]
+        assert result(_stream_decode_reference, code, too_long) == errors[1]
+
+    def test_memo_full_of_noisy_blocks_takes_in_clean_ones(self, golay23, monkeypatch):
+        """A decode memo at its cap, filled with blocks 3 flips off their C*
+        block that never repeat, still takes in the blocks of a clean
+        stream, so its second decode is all hits."""
+        code, cap = own_copy(golay23), 64
+        monkeypatch.setattr(scheme_c, "STREAM_MEMO_MAX", cap)
+        rng = random.Random(23)
+        noisy = [stream_encode(code, BitWord(rng.getrandbits(256), 256)) for _ in range(4)]
+        for enc in noisy:
+            stream_decode(code, with_block_errors(enc, 3, rng))
+        assert len(code.stream_memo[1]) == cap
+        payload = BitWord(rng.getrandbits(256), 256)
+        clean = stream_encode(code, payload)
+        assert len({f.codeword.value for f in clean.frames}) <= cap
+        nearest = []
+        real_nearest = scheme_c._nearest
+        monkeypatch.setattr(scheme_c, "_nearest", lambda code, y, half: nearest.append(y) or real_nearest(code, y, half))
+        assert stream_decode(code, clean) == payload
+        assert nearest
+        nearest.clear()
+        assert stream_decode(code, clean) == payload
+        assert nearest == []
 
     def test_memo_is_not_part_of_the_code(self, simplex):
         """==, hash, repr and build_balanced_code's cache key ignore the memos."""

@@ -8,10 +8,18 @@ from pathlib import Path
 import pytest
 
 from qbalance import trellis
-from qbalance.cyclic_code import codewords, from_generator, full_space, parse_code_file, poly_divmod, poly_from_coeffs
+from qbalance.cyclic_code import (
+    BLOCK_MAX_N,
+    codewords,
+    from_generator,
+    full_space,
+    parse_code_file,
+    poly_divmod,
+    poly_from_coeffs,
+)
 from qbalance.errors import CapacityError
-from qbalance.scheme_c import encode_c, gamma_counts_fullspace, gamma_size_c, rho_c_fullspace
-from qbalance.trellis import _check, _Lanes, _width, build_and_count, state_count
+from qbalance.scheme_c import _half, encode_c, gamma_counts_fullspace, gamma_size_c, rho_c_fullspace
+from qbalance.trellis import _Lanes, _width, build_and_count, state_count
 
 from fresh_process import CLI, run_fresh
 
@@ -106,7 +114,7 @@ def _dict_pass(code):
     """(final, level_states) from the earlier pass: one dict entry per
     (weight, index) group, four dict updates per entry and level, its
     states counted as the nonzero path counts among the lanes."""
-    m = _check(code)
+    m = _half(code.n)
     h = code.parity_cols
     vec = _Lanes(code.r, _width(code.n))
     permute = vec.permute
@@ -384,8 +392,60 @@ class TestScaling:
 
     def test_capacity_guard_at_20(self):
         repetition21 = from_generator(21, (1 << 21) - 1)  # n - k = 20
-        with pytest.raises(CapacityError):
+        work = 11 * 11 * 21 * 32 << 20
+        with pytest.raises(CapacityError, match=rf"^\[21,1\] trellis build work {work} exceeds guard {1 << 35}; "):
             build_and_count(repetition21)
+
+    def test_capacity_guard_at_19(self):
+        """(X^21 + 1)/(X^2 + X + 1), an [21,2] code at n - k = 19: the
+        least work of any r >= 19, past the work guard."""
+        g, rem = poly_divmod((1 << 21) | 1, 0b111)
+        assert rem == 0
+        code = from_generator(21, g)
+        assert code.k == 2
+        with pytest.raises(CapacityError) as exc:
+            build_and_count(code)
+        assert str(exc.value) == (
+            "[21,2] trellis build work 40600862720 exceeds guard 34359738368; use exhaustive enumeration instead"
+        )
+
+    def test_work_guard_refuses_every_r_past_18(self):
+        """At every odd n that from_generator admits, build_and_count refuses
+        from the same least n - k as under the rule it replaced, n - k > 18
+        or the work past 2^35: the work guard alone refuses every r >= 19 at
+        every length.  No code is built: a code's shape stands in for it, and
+        reading its parity columns, the first step past the guard, means
+        admitted."""
+
+        class Admitted(Exception):
+            pass
+
+        class Shape:
+            def __init__(self, n, r):
+                self.n, self.k, self.r = n, n - r, r
+
+            @property
+            def parity_cols(self):
+                raise Admitted
+
+        def refused(n, r):
+            try:
+                build_and_count(Shape(n, r))
+            except CapacityError:
+                return True
+            except Admitted:
+                return False
+
+        least = {}  # n -> the least refused r of 0..n-1 (k >= 1), or None
+        for n in range(1, BLOCK_MAX_N + 1, 2):
+            m, width = _half(n), _width(n)
+            before = next((r for r in range(n) if r > 18 or m * m * (r + 1) * width << r > 1 << 35), None)
+            least[n] = next((r for r in range(n) if refused(n, r)), None)
+            assert least[n] == before, n
+            assert least[n] is None or refused(n, n - 1)
+        assert [n for n, r in least.items() if r is None] == list(range(1, 21, 2))
+        # [27,9] at r = 18 builds (test_build_of_27_9_in_bounded_memory); from n = 29 the work refuses r = 18
+        assert (least[21], least[27], least[29], least[4095]) == (19, 19, 18, 1)
 
     def test_capacity_guard(self):
         g, rem = poly_divmod((1 << 31) | 1, poly_from_coeffs([1, 0, 1, 0, 0, 1]))
