@@ -16,18 +16,20 @@ Prefix layout, bit-exact:
 where z is the rank of tau in Gamma(c).  Scheme B runs the same prefix
 codec (_balance, _unbalance) with its own target weights and a (2q-2)-bit
 tail.  The codec works on the words' integers and builds BitWords only
-for what it returns.  tau is one words.level_walk, at the levels the
-target weights put on the running sum, which stops at its first hit;
-Gamma(c) is one words.fresh_walk; both read the word 8 bits at a time.
-_balance walks the complement only when a mirrored level lies in the
-range of the running sum R that a miss on the message reports (the
-complement's is -R), and a bad word's replacement otherwise: 1 / 2 / 2
-level walks per Type-1-good / Type-0-good / bad word and one fresh walk
-per encode, and one fresh walk per decode.  At n = 16 the walks are at
-most about half of an encode, so the fixed per-message work is kept
-small: _unbalance reads the prefix fields off its integer with shifts,
-EncodeResult is a slotted dataclass, and each Classification member
-holds is_bad and type_bit.
+for what it returns.  The encoder needs two integers of Gamma(c), its
+size and tau's rank, and one words.level_walk, at the levels the target
+weights put on the running sum, returns both with tau; the decoder needs
+|Gamma(c)| and Gamma(c)[rank], one words.select_walk; both read the word
+8 bits at a time, and neither lists Gamma(c) (words.fresh_walk, which
+does, serves gamma_set_a and gamma_set_b alone).  _balance walks the
+complement only when a mirrored level lies in the range of the running
+sum R that a miss on the message reports (the complement's is -R), and a
+bad word's replacement otherwise: 1 / 2 / 2 level walks per Type-1-good
+/ Type-0-good / bad word per encode, and one select walk per decode.
+At n = 16 the walks are about 40-45% of an encode and of a decode, so
+the fixed per-message work is kept small: _unbalance reads the prefix
+fields off its integer with shifts, EncodeResult is a slotted dataclass,
+and each Classification member holds is_bad and type_bit.
 
 The analysis counts with exact integers and sums rho over floats.  The
 bad-word census of A and of B, _census, is one residue class of the
@@ -115,7 +117,7 @@ from itertools import accumulate, takewhile
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .errors import CapacityError, DecodeError
-from .words import BitWord, fresh_walk, level_walk, weight
+from .words import BitWord, fresh_walk, level_walk, select_walk, weight
 
 
 class Classification(enum.Enum):
@@ -173,17 +175,17 @@ def _balance(v: int, n: int, q: int, targets: Dict[int, int], run: int):
     targets maps each codeword weight the scheme aims at to the sign of
     its Gamma walk.  The word balanced is v (Type-1-good), its complement
     (Type-0-good), or v with its last `run` bits replaced by the run of
-    its type bit (bad); the level walk that hits fixes both the class
-    and tau, the least flip index.  A walk that misses v reports the
-    range of its running sum R, and the complement's is -R, so its walk
-    is taken only when a mirrored level t + v.bit_count() - n lies in
-    that range.  Returns (codeword, prefix, prefix length,
+    its type bit (bad); the level walk that hits fixes the class, tau,
+    the least flip index, and |Gamma(c)| and tau's rank in it.  A walk
+    that misses v reports the range of its running sum R, and the
+    complement's is -R, so its walk is taken only when a mirrored level
+    t + v.bit_count() - n lies in that range.  Returns (codeword, prefix, prefix length,
     classification, tau), the words as ints.
     """
     xh, cls = v, Classification.TYPE1_GOOD
-    tau = level_walk(v, n, targets)
-    if tau.__class__ is tuple:
-        (low, high), shift = tau, v.bit_count() - n
+    hit = level_walk(v, n, targets)
+    if len(hit) == 2:
+        (low, high), shift = hit, v.bit_count() - n
         for t in targets:
             if low <= t + shift <= high:
                 xh, cls = v ^ ((1 << n) - 1), Classification.TYPE0_GOOD
@@ -195,11 +197,10 @@ def _balance(v: int, n: int, q: int, targets: Dict[int, int], run: int):
                 xh, cls = v >> run << run | ((1 << run) - 1), Classification.TYPE1_BAD
             else:
                 xh, cls = v >> run << run, Classification.TYPE0_BAD
-        tau = level_walk(xh, n, targets)
+        hit = level_walk(xh, n, targets)
+    tau, size, z = hit
     c = xh ^ (((1 << tau) - 1) << (n - tau))
-    gamma = fresh_walk(c, n, targets[c.bit_count()])
-    r = rank_width(len(gamma))
-    z = gamma.index(tau)
+    r = rank_width(size)
     if q == 0:
         return c, z, r, cls, tau
     prefix = (cls.is_bad << 1 | cls.type_bit) << r | z
@@ -208,10 +209,14 @@ def _balance(v: int, n: int, q: int, targets: Dict[int, int], run: int):
     return c, prefix, r + 2, cls, tau
 
 
-def _unbalance(c: int, n: int, p: BitWord, gamma: List[int], q: int, run: int) -> int:
-    """Invert _balance on the length-n codeword c given Gamma(c); with q = 0
-    the prefix is a bare rank read as flag 0, type 1.  Every DecodeError
-    names the field and its bit; `left` counts the bits not yet read."""
+def _unbalance(c: int, n: int, p: BitWord, sign: int, q: int, run: int) -> int:
+    """Invert _balance on the length-n codeword c, whose Gamma walk has the
+    given sign; with q = 0 the prefix is a bare rank read as flag 0, type 1.
+    Every DecodeError names the field and its bit; `left` counts the bits
+    not yet read.  A well-formed prefix ends with its rank and tail, so the
+    rank is read on the width that leaves, and one select walk gives |Gamma|
+    and the index at that rank; a prefix whose width differs from
+    rank_width(|Gamma|) fails one of the checks below, before tau is used."""
     bits, length = p.value, p.length
     if q == 0:
         flag, type_bit, left = 0, 1, length
@@ -220,7 +225,8 @@ def _unbalance(c: int, n: int, p: BitWord, gamma: List[int], q: int, run: int) -
         raise DecodeError(f"prefix too short: {name} at bit {pos} needs 1 bits, {length - pos} left")
     else:
         flag, type_bit, left = bits >> (length - 1), bits >> (length - 2) & 1, length - 2
-    size = len(gamma)
+    # the rank is the bits between the type bit and the tail; another width fails a check below
+    size, tau = select_walk(c, n, sign, bits >> run * flag & (1 << left >> run * flag) - 1)
     r = rank_width(size)
     if left < r:
         raise DecodeError(f"prefix too short: rank at bit {length - left} needs {r} bits, {left} left")
@@ -228,18 +234,16 @@ def _unbalance(c: int, n: int, p: BitWord, gamma: List[int], q: int, run: int) -
     rank = bits >> left & ((1 << r) - 1)
     if rank >= size:
         raise DecodeError(f"rank {rank} at bit {length - left - r} out of range for |Gamma|={size}")
-    tau = gamma[rank]
-    xh = c ^ (((1 << tau) - 1) << (n - tau))
     if flag:
         if left < run:
             raise DecodeError(f"prefix too short: bad-word tail at bit {length - left} needs {run} bits, {left} left")
         left -= run
-        xh = (xh >> run << run) | bits >> left & ((1 << run) - 1)
-    elif not type_bit:
-        xh ^= (1 << n) - 1
     if left:
         raise DecodeError(f"trailing bits at bit {length - left}: {left} after the prefix")
-    return xh
+    xh = c ^ (((1 << tau) - 1) << (n - tau))
+    if flag:
+        return (xh >> run << run) | bits & ((1 << run) - 1)
+    return xh if type_bit else xh ^ ((1 << n) - 1)
 
 
 def encode_a(x: BitWord, q: int) -> EncodeResult:
@@ -258,7 +262,7 @@ def decode_a(c: BitWord, p: BitWord, n: int, q: int) -> BitWord:
     wt = c.value.bit_count()
     if wt != n // 2 + q:
         raise DecodeError(f"codeword weight {wt} != target {n // 2 + q}")
-    return BitWord(_unbalance(c.value, n, p, fresh_walk(c.value, n, 0), q, 2 * q), n)
+    return BitWord(_unbalance(c.value, n, p, 0, q, 2 * q), n)
 
 
 # ---------------------------------------------------------------------------

@@ -103,8 +103,7 @@ def decode_b(cprime: BitWord, p: BitWord, n: int, q: int) -> BitWord:
         raise DecodeError(f"stripped codeword weight {wt} outside target pair")
     if cprime.value & 1 != (sign > 0):
         raise DecodeError("appended balance bit inconsistent with codeword weight")
-    gamma = fresh_walk(c, n - 1, sign)
-    return BitWord(_unbalance(c, n - 1, p, gamma, q, _tail(q)), n - 1)
+    return BitWord(_unbalance(c, n - 1, p, sign, q, _tail(q)), n - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -11,19 +11,25 @@ pair where the textual string is read as a binary numeral.
 
 Complementing the first j bits moves the weight by -R_j, where R is the
 running sum, so the indices whose flip lands on a target weight form a
-level set of R.  An encoder sends only the least of them, tau, which
-level_walk returns, or on a miss the range of R: R moves by +/-1, so it
-takes every value in the range, and the complement's is -R.  The whole
-sets (flip_indices, Scheme A's balancing_indices, Scheme B's t_b) are
-per-bit references read off running_sum, sharing no walk with the codec
-the oracle checks them against.  The receiver-side sets Gamma(c) are the
-indices of new running-sum extremes (fresh_walk).  Both walks read the
-word's integer 8 bits at a time through one lazily built 256-row table
-(Sarwate's table-driven CRC idea, applied to prefix sums), skip every
-chunk whose [min, max] window of sums cannot hold a level or a new
-extreme, and read positions only from the others; a last chunk shorter
-than 8 bits is filled, and nothing the fill adds is kept.  running_sum
-and cyclic_running_sum stay as per-bit references.
+level set of R.  An encoder sends only the least of them, tau, as its
+rank in the receiver-side set Gamma(c), the indices of new running-sum
+extremes of the flipped word c.  Both are integers read off one walk of
+the message, level_walk: c's running sum is -R up to tau and R - 2 R_tau
+from it on, so |Gamma(c)| and tau's rank follow from the extremes of R
+before and from tau.  On a miss level_walk returns the range of R: R
+moves by +/-1, so it takes every value in the range, and the
+complement's is -R.  A decoder needs |Gamma(c)| and Gamma(c)[rank], one
+select_walk that counts new extremes by popcount; fresh_walk lists
+Gamma(c) for the oracle alone.  The whole sets (flip_indices, Scheme A's
+balancing_indices, Scheme B's t_b) are per-bit references read off
+running_sum, sharing no walk with the codec the oracle checks them
+against.  The three walks read the word's integer 8 bits at a time
+through one lazily built 256-row table (Sarwate's table-driven CRC idea,
+applied to prefix sums), skip every chunk whose [min, max] window of
+sums cannot hold a level or a new extreme, and read positions only from
+the others; a last chunk shorter than 8 bits is filled by retracing its
+last step, which adds no new value of R.  running_sum and
+cyclic_running_sum stay as per-bit references.
 """
 
 from __future__ import annotations
@@ -134,7 +140,7 @@ def _steps(w: BitWord) -> Iterator[int]:
 def running_sum(w: BitWord) -> List[int]:
     """R_0 = 0, R_i = R_{i-1} +/- 1 per bit i (1 -> +1); final entry = imbalance.
 
-    Per-bit reference for level_walk and fresh_walk, which read 8 bits at a time.
+    Per-bit reference for level_walk, select_walk and fresh_walk, which read 8 bits at a time.
     """
     return list(accumulate(_steps(w), initial=0))
 
@@ -158,17 +164,19 @@ def _chunk_table() -> Tuple[Tuple[tuple, ...], Tuple[Tuple[int, ...], ...]]:
     """(rows, offsets), built on first use.
 
     rows[b] describes the 8-bit chunk b read left to right as (lo, hi,
-    net, hits, ups, downs): lo and hi are the min and max of its 8 prefix
-    sums, net the last one.  The other fields are position masks, bit k-1
-    standing for the chunk's k-th bit: hits[r] marks the sums equal to r;
-    ups[t] the sums that set a new maximum when the maximum so far is t
-    (0 <= t < 8), downs[t] a new minimum when the minimum so far is -t.
-    Steps are +/-1, so ups[t] is the first hit of each sum above t, and
-    downs[t] of each sum below -t.  offsets[mask] lists the positions k
-    of a mask, ascending.
+    net, hits, ups, downs, parts): lo and hi are the min and max of its 8
+    prefix sums, net the last one.  hits, ups and downs are position
+    masks, bit k-1 standing for the chunk's k-th bit: hits[r] marks the
+    sums equal to r; ups[t] the sums that set a new maximum when the
+    maximum so far is t (0 <= t < 8), downs[t] a new minimum when the
+    minimum so far is -t.  Steps are +/-1, so ups[t] is the first hit of
+    each sum above t, and downs[t] of each sum below -t.  parts[k-1]
+    splits the sums 0, s_1, .., s_8 at the k-th bit into (min, max) of
+    those before it, then of those from it on.  offsets[mask] lists the
+    positions k of a mask, ascending.
     """
     rows = []
-    shared: Dict[tuple, tuple] = {}  # equal mask tuples are stored once
+    shared: Dict[tuple, tuple] = {}  # equal tuples are stored once
     for b in range(256):
         sums = tuple(accumulate(1 if b >> (7 - k) & 1 else -1 for k in range(8)))
         hits: Dict[int, int] = {}
@@ -178,52 +186,79 @@ def _chunk_table() -> Tuple[Tuple[tuple, ...], Tuple[Tuple[int, ...], ...]]:
         # running ORs of the first hits past each level, from t = 7 down
         ups, downs = (tuple(accumulate([first.get(s, 0) for s in range(8 * d, 0, -d)], or_))[::-1] for d in (1, -1))
         ups, downs = (shared.setdefault(masks, masks) for masks in (ups, downs))
-        rows.append((min(sums), max(sums), sums[-1], hits, ups, downs))
+        pre, post = (list(zip(accumulate(s, min), accumulate(s, max))) for s in ((0, *sums), (*sums[::-1], 0)))
+        parts = tuple(shared.setdefault(p + s, p + s) for p, s in zip(pre, post[7::-1]))
+        rows.append((min(sums), max(sums), sums[-1], hits, ups, downs, parts))
     offsets = tuple(tuple(k + 1 for k in range(8) if m >> k & 1) for m in range(256))
     return tuple(rows), offsets
 
 
-def level_walk(value: int, length: int, targets) -> int | Tuple[int, int]:
-    """The least j in 0..length whose prefix flip lands on a weight in
-    targets, or on a miss the range (min, max) of R_0..R_length.
+def level_walk(value: int, length: int, targets: Dict[int, int]) -> Tuple[int, ...]:
+    """On a hit (tau, |Gamma(c)|, z): tau the least j in 0..length whose
+    prefix flip lands on a weight in targets, c that flip, Gamma(c) its
+    fresh_walk with the sign targets[weight of c], and z the number of
+    Gamma(c)'s indices below tau, which is tau's rank in it whenever tau is
+    one of them (in A's and B's codecs it always is).  On a miss the range
+    (min, max) of R_0..R_length.
 
-    value is a word's integer, as BitWord.value; targets a few ints.  A
-    flip of the first j bits has weight wt - R_j, so the walk skips each
-    chunk whose window of sums holds no level wt - t, stops at the first
-    chunk with a hit, and keeps the windows' min and max.  A last chunk
-    shorter than 8 bits is filled by retracing the last step back and
-    forth, so the fill adds no value of R that an earlier position lacks.
+    value is a word's integer, as BitWord.value; targets maps a few
+    weights to signs.  A flip of the first j bits has weight wt - R_j, so
+    the walk skips each chunk whose window of sums holds no level wt - t,
+    and keeps the windows' min and max, [floor, ceil].  c's running sum is
+    -R_i up to tau and R_i - 2 R_tau from it on, so the chunk of the hit is
+    split by its parts: R before tau joins [floor, ceil], and R from tau on
+    starts [low, high], which the later chunks widen.  Gamma(c) is the
+    range of c's sums, or its nonnegative or nonpositive half, and z counts
+    its values before tau.  A last chunk shorter than 8 bits is filled by
+    retracing the last step back and forth, so the fill adds no value of R
+    that an earlier position lacks.
     """
     wt = value.bit_count()
-    if wt in targets:
-        return 0
     rows = _chunk_table()[0]
-    low = high = None  # the least and greatest level; min and max cost more on a few targets
-    for t in targets:
-        if low is None or wt - t < low:
-            low = wt - t
-        if high is None or wt - t > high:
-            high = wt - t
     fill = -length & 7  # the fill bits alternate, starting against the last real bit
     padded = (value << fill | (0x55 if value & 1 else 0xAA) >> 8 - fill) if fill else value
-    base = j = floor = ceil = 0
-    for b in padded.to_bytes((length + 7) >> 3, "big"):
-        lo, hi, net, hits, _, _ = rows[b]
-        lo += base
-        hi += base
-        if lo <= high and hi >= low:
-            mask = 0
-            for t in targets:
-                mask |= hits.get(wt - base - t, 0)
-            if mask:
-                return j + (mask & -mask).bit_length()
-        if lo < floor:
-            floor = lo
-        if hi > ceil:
-            ceil = hi
-        base += net
-        j += 8
-    return floor, ceil
+    data = iter(padded.to_bytes((length + 7) >> 3, "big"))
+    base = j = tau = floor = ceil = low = high = 0
+    if wt not in targets:
+        low = high = None  # the least and greatest level; min and max cost more on a few targets
+        for t in targets:
+            if low is None or wt - t < low:
+                low = wt - t
+            if high is None or wt - t > high:
+                high = wt - t
+        for b in data:
+            lo, hi, net, hits, _, _, parts = rows[b]
+            lo += base
+            hi += base
+            if lo <= high and hi >= low:
+                mask = 0
+                for t in targets:
+                    mask |= hits.get(wt - base - t, 0)
+                if mask:
+                    k = (mask & -mask).bit_length()
+                    tau, (lo, hi, low, high) = j + k, parts[k - 1]
+                    floor = floor if floor < base + lo else base + lo
+                    ceil = ceil if ceil > base + hi else base + hi
+                    low, high, base = base + low, base + high, base + net
+                    break
+            if lo < floor:
+                floor = lo
+            if hi > ceil:
+                ceil = hi
+            base += net
+            j += 8
+        else:
+            return floor, ceil
+    for b in data:
+        lo, hi, net, _, _, _, _ = rows[b]
+        low, high, base = base + lo if base + lo < low else low, base + hi if base + hi > high else high, base + net
+    r = 2 * (value >> length - tau).bit_count() - tau  # R_tau
+    if tau == length:  # the fill past length is not c's
+        low = high = r
+    sign, low, high = targets[wt - r], low - 2 * r, high - 2 * r  # c's sums from tau on
+    top = (high if high > -floor else -floor) if sign >= 0 else 0
+    bottom = (low if low < -ceil else -ceil) if sign <= 0 else 0
+    return tau, top - bottom + 1, 1 + (-floor if sign >= 0 else 0) + (ceil if sign <= 0 else 0) if tau else 0
 
 
 def fresh_walk(value: int, length: int, sign: int = 0) -> List[int]:
@@ -234,18 +269,16 @@ def fresh_walk(value: int, length: int, sign: int = 0) -> List[int]:
     values (the new maxima), sign < 0 only nonpositive ones (the new
     minima); the extreme the filter drops starts out of reach, at
     +/-8 * ceil(length / 8).  A chunk that sets no kept extreme is
-    skipped; the extremes in the fill bits past length are dropped at
-    the end.
+    skipped, and the fill past length sets none.
     """
     rows, offsets = _chunk_table()
-    data = (value << (-length & 7)).to_bytes((length + 7) >> 3, "big")
-    reach = 8 * len(data)
-    top = 0 if sign >= 0 else reach
-    bottom = 0 if sign <= 0 else -reach
+    fill = -length & 7  # as level_walk's
+    padded = (value << fill | (0x55 if value & 1 else 0xAA) >> 8 - fill) if fill else value
+    top, bottom = (0 if sign >= 0 else length + fill), (0 if sign <= 0 else -length - fill)
     out = [0]
     base = j = 0
-    for b in data:
-        lo, hi, net, _, ups, downs = rows[b]
+    for b in padded.to_bytes((length + 7) >> 3, "big"):
+        lo, hi, net, _, ups, downs, _ = rows[b]
         mask = 0
         if base + hi > top:
             mask, top = ups[top - base], base + hi
@@ -254,11 +287,35 @@ def fresh_walk(value: int, length: int, sign: int = 0) -> List[int]:
         if mask:
             for k in offsets[mask]:
                 out.append(j + k)
-        base += net
-        j += 8
-    while out[-1] > length:
-        out.pop()
+        base, j = base + net, j + 8
     return out
+
+
+def select_walk(value: int, length: int, sign: int, rank: int) -> Tuple[int, int | None]:
+    """(len(gamma), gamma[rank]) for gamma = fresh_walk(value, length, sign),
+    without the list: each chunk's new extremes are counted by popcount and
+    read by position only in the chunk that holds the rank, and the fill
+    past length, as level_walk's, sets no new extreme.  gamma[rank] is None
+    when rank is out of range."""
+    rows, offsets = _chunk_table()
+    fill = -length & 7
+    padded = (value << fill | (0x55 if value & 1 else 0xAA) >> 8 - fill) if fill else value
+    top, bottom = (0 if sign >= 0 else length + fill), (0 if sign <= 0 else -length - fill)
+    size, index, base, j = 1, 0 if rank == 0 else None, 0, 0
+    for b in padded.to_bytes((length + 7) >> 3, "big"):
+        lo, hi, net, _, ups, downs, _ = rows[b]
+        mask = 0
+        if base + hi > top:
+            mask, top = ups[top - base], base + hi
+        if base + lo < bottom:
+            mask, bottom = mask | downs[base - bottom], base + lo
+        if mask:
+            count = mask.bit_count()
+            if 0 <= rank - size < count:
+                index = j + offsets[mask][rank - size]
+            size += count
+        base, j = base + net, j + 8
+    return size, index
 
 
 def flip_indices(w: BitWord, targets) -> List[int]:

@@ -40,6 +40,7 @@ from qbalance.words import (
     fresh_walk,
     level_walk,
     running_sum,
+    select_walk,
     weight,
 )
 
@@ -146,29 +147,26 @@ class TestEncode:
         ],
     )
     def test_index_scans_per_class(self, monkeypatch, word, q, cls, scans):
-        # the walk that hits fixes the class and tau together, a missed message's
-        # running-sum range decides whether its complement is walked at all, and
-        # Gamma(c) is walked once; a decode walks Gamma(c) once and no level
-        calls, fresh = [], []
+        # the level walk that hits fixes the class, tau, |Gamma(c)| and tau's rank together,
+        # and a missed message's running-sum range decides whether its complement is walked
+        # at all; a decode selects Gamma(c)[rank] in one walk; neither walks Gamma(c) as a list
+        calls = {"level": 0, "fresh": 0, "select": 0}
 
-        def counted(value, length, targets):
-            calls.append(value)
-            return level_walk(value, length, targets)
+        def counted(name, walk):
+            def counting(*args):
+                calls[name] += 1
+                return walk(*args)
+            return counting
 
-        def counted_fresh(value, length, sign=0):
-            fresh.append(value)
-            return fresh_walk(value, length, sign)
-
-        monkeypatch.setattr(scheme_a, "level_walk", counted)
+        monkeypatch.setattr(scheme_a, "level_walk", counted("level", level_walk))
+        monkeypatch.setattr(scheme_a, "select_walk", counted("select", select_walk))
         for module in (scheme_a,):
-            monkeypatch.setattr(module, "fresh_walk", counted_fresh)
+            monkeypatch.setattr(module, "fresh_walk", counted("fresh", fresh_walk))
         res = encode_a(W(word), q)
         assert res.classification is cls
-        assert len(calls) == scans
-        assert len(fresh) == 1
+        assert calls == {"level": scans, "fresh": 0, "select": 0}
         assert decode_a(res.codeword, res.prefix, len(word), q) == W(word)
-        assert len(calls) == scans
-        assert len(fresh) == 2
+        assert calls == {"level": scans, "fresh": 0, "select": 1}
 
 
 class TestDecode:

@@ -20,7 +20,7 @@ from qbalance.scheme_b import (
     rho_b_asymptote,
     t_b,
 )
-from qbalance.words import BitWord, all_words, fresh_walk, level_walk, weight
+from qbalance.words import BitWord, all_words, fresh_walk, level_walk, select_walk, weight
 
 
 def W(s):
@@ -190,29 +190,26 @@ class TestEncodeDecodeB:
         ],
     )
     def test_index_scans_per_class(self, monkeypatch, word, q, cls, scans):
-        # the walk that hits fixes the class and tau together, a missed message's
-        # running-sum range decides whether its complement is walked at all, and
-        # Gamma(c) is walked once; a decode walks Gamma(c) once and no level
-        calls, fresh = [], []
+        # the level walk that hits fixes the class, tau, |Gamma(c)| and tau's rank together,
+        # and a missed message's running-sum range decides whether its complement is walked
+        # at all; a decode selects Gamma(c)[rank] in one walk; neither walks Gamma(c) as a list
+        calls = {"level": 0, "fresh": 0, "select": 0}
 
-        def counted(value, length, targets):
-            calls.append(value)
-            return level_walk(value, length, targets)
+        def counted(name, walk):
+            def counting(*args):
+                calls[name] += 1
+                return walk(*args)
+            return counting
 
-        def counted_fresh(value, length, sign=0):
-            fresh.append(value)
-            return fresh_walk(value, length, sign)
-
-        monkeypatch.setattr(scheme_a, "level_walk", counted)
+        monkeypatch.setattr(scheme_a, "level_walk", counted("level", level_walk))
+        monkeypatch.setattr(scheme_a, "select_walk", counted("select", select_walk))
         for module in (scheme_a, scheme_b):
-            monkeypatch.setattr(module, "fresh_walk", counted_fresh)
+            monkeypatch.setattr(module, "fresh_walk", counted("fresh", fresh_walk))
         res = encode_b(W(word), q)
         assert res.classification is cls
-        assert len(calls) == scans
-        assert len(fresh) == 1
+        assert calls == {"level": scans, "fresh": 0, "select": 0}
         assert decode_b(res.codeword, res.prefix, len(word) + 1, q) == W(word)
-        assert len(calls) == scans
-        assert len(fresh) == 2
+        assert calls == {"level": scans, "fresh": 0, "select": 1}
 
 
 class TestGammaCountB:

@@ -65,9 +65,15 @@ def test_layer_times_prints_each_layer_row_with_positive_cells(layer_times):
     assert rules.startswith(f"In-process cells: best of {tool['REPEAT']} timeit runs of ")
     assert rules.endswith(f"median of {tool['PROCESSES']} new interpreters.")
     assert (blank, columns, rule) == ("", "| layer | row | unit | cells |", "|---|---|---|---|")
-    assert list(table) == ["codec", "rho", "stream", "trellis", "compile", "cli"]
+    assert list(table) == ["walks", "codec", "rho", "stream", "trellis", "compile", "cli"]
     modules = len(list((ROOT / "src" / "qbalance").glob("*.py")))
     assert table["compile"] == [("src/qbalance", "ms per call", [f"{modules} modules"])]
+
+
+def test_walk_times_prints_each_walk_per_length(layer_times):
+    ns = [f"n={n}" for n in (16, 64, 256, 1024)]
+    walks = ["level_walk hit", "select_walk", "fresh_walk"]
+    assert layer_times[2]["walks"] == [(walk, "us per call", ns) for walk in walks]
 
 
 def test_codec_times_prints_encode_and_decode_per_cell(layer_times):

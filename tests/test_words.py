@@ -1,4 +1,5 @@
 import random
+from bisect import bisect_left
 from itertools import accumulate
 
 import pytest
@@ -17,6 +18,7 @@ from qbalance.words import (
     fresh_walk,
     level_walk,
     running_sum,
+    select_walk,
     weight,
 )
 
@@ -231,15 +233,42 @@ def level_sets(sums):
     return [(0,), (end,), (lo,), (hi,), (lo - 1,), (hi + 9,), (end - 1, end), (lo, hi), (lo - 2, lo - 1), (lo - 1, hi + 1)]
 
 
+def sign_maps(levels):
+    """Each sign on every level, and for two levels each mixed pair, as B's targets have."""
+    maps = [dict.fromkeys(levels, sign) for sign in (-1, 0, 1)]
+    if len(levels) == 2:
+        maps += [dict(zip(levels, signs)) for signs in ((1, -1), (-1, 1))]
+    return maps
+
+
 def check_walks(w):
+    """Every walk of w against the per-bit references; returns the hit taus."""
     sums = running_sum(w)
+    n, wt, taus = w.length, weight(w), set()
+    flipped = {}  # (tau, sign): Gamma of the first tau bits' flip, per bit
     for sign in (-1, 0, 1):
-        assert fresh_walk(w.value, w.length, sign) == fresh_reference(sums, sign), (w, sign)
-    wt = weight(w)
+        gamma = fresh_reference(sums, sign)
+        assert fresh_walk(w.value, n, sign) == gamma, (w, sign)
+        for rank in range(len(gamma) + 2):
+            want = (len(gamma), gamma[rank] if rank < len(gamma) else None)
+            assert select_walk(w.value, n, sign, rank) == want, (w, sign, rank)
     for levels in level_sets(sums):
         # a flip of the first j bits lands on weight wt - R_j; a miss reports the range of R
-        want = next((j for j, r in enumerate(sums) if r in levels), (min(sums), max(sums)))
-        assert level_walk(w.value, w.length, {wt - level for level in levels}) == want, (w, levels)
+        tau = next((j for j, r in enumerate(sums) if r in levels), None)
+        for signs in sign_maps(levels) if tau is not None else [dict.fromkeys(levels, 0)]:
+            targets = {wt - level: sign for level, sign in signs.items()}
+            if tau is None:
+                want = (min(sums), max(sums))
+            else:
+                # Gamma of the flipped word, walked with its weight's sign, and the count below tau
+                key = (tau, signs[sums[tau]])
+                if key not in flipped:
+                    flipped[key] = fresh_reference(running_sum(flip_prefix(w, tau)), key[1])
+                gamma = flipped[key]
+                want = (tau, len(gamma), bisect_left(gamma, tau))
+                taus.add(tau)
+            assert level_walk(w.value, n, targets) == want, (w, signs)
+    return taus
 
 
 class TestChunkWalks:
@@ -248,8 +277,10 @@ class TestChunkWalks:
     @pytest.mark.parametrize("n", range(17))
     def test_every_word(self, n):
         # odd lengths, and every length not a multiple of 8, start on a short chunk
+        taus = set()
         for w in all_words(n):
-            check_walks(w)
+            taus |= check_walks(w)
+        assert {0, n} <= taus  # hits at both ends of the word
 
     # every fill width 0-7 of the last chunk, on short and long words
     @pytest.mark.parametrize("n", [17, 63, 64, 250, 251, 252, 253, 254, 1021, 1022, 1023, 1024, 1026, 4096])
@@ -267,7 +298,8 @@ class TestChunkWalks:
 
 def _chunk_rows_by_sums():
     """The chunk rows as they were first built: ups[t] and downs[t] each a
-    sum of the first-hit masks over every level past t."""
+    sum of the first-hit masks over every level past t, and each part a
+    plain min and max over the sums before and from a bit."""
     rows = []
     for b in range(256):
         sums = tuple(accumulate(1 if b >> (7 - k) & 1 else -1 for k in range(8)))
@@ -277,7 +309,9 @@ def _chunk_rows_by_sums():
         first = {s: mask & -mask for s, mask in hits.items()}
         ups = tuple(sum(first.get(s, 0) for s in range(t + 1, 9)) for t in range(8))
         downs = tuple(sum(first.get(-s, 0) for s in range(t + 1, 9)) for t in range(8))
-        rows.append((min(sums), max(sums), sums[-1], hits, ups, downs))
+        full = (0, *sums)
+        parts = tuple((min(full[:k]), max(full[:k]), min(full[k:]), max(full[k:])) for k in range(1, 9))
+        rows.append((min(sums), max(sums), sums[-1], hits, ups, downs, parts))
     return tuple(rows)
 
 
