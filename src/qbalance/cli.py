@@ -5,8 +5,8 @@ one JSON object of n, k, rho, |C*| and the |Gamma| histogram.  Bit
 strings are ASCII 0/1 with the leftmost character at position 1, and
 `encode`/`decode` read the block length off them or off the code file.
 Every command that takes --scheme reads the scheme's row of
-`oracle.SCHEMES`, the one place where a scheme's codec, |Gamma| sizer,
-formulas and rho are bound.
+`oracle.SCHEMES`, the one place where a scheme's codec, formulas and rho
+are bound.
 argv is read from one command table, `COMMANDS`, which maps each
 command path to its handler, its help and its options; `-h`/`--help`
 prints that help at every level, `--name=value` reads as `--name value`,

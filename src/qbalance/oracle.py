@@ -1,18 +1,22 @@
 """Brute-force ground truth for every closed formula at small sizes.
 
-`SCHEMES` is the one place where each scheme's codec, |Gamma| sizer,
-formulas and rho are bound: one `Scheme` row each for "a", "b" and "c",
-read by the walk here and by every CLI command that takes --scheme.
+`SCHEMES` is the one place where each scheme's codec, formulas and rho
+are bound: one `Scheme` row each for "a", "b" and "c", read by the walk
+here and by every CLI command that takes --scheme.
 `exhaustive_redundancy` is the one walk over a scheme's message space:
 it encodes every message once, checks the codeword length and weight
-and the decode round trip, and sizes |Gamma| of each distinct codeword
-once with the receiver-side set its codec decodes by (`gamma_set_a`,
-`gamma_set_b`, `gamma_size_c`).  `definitional_gamma` checks those sets against the
-definition (minimum over all preimages), and path counts walk every
-path.  The formulas (the |Gamma| histograms and bad-word censuses
-gamma_counts_a and count_bad for A, gamma_counts_b and count_bad_b for
-B, the trellis for C) are only compared against the walk's output, in
-`verify_scheme`, never called to build it.
+and the decode round trip, and counts |Gamma(c)| by its definition:
+tau is in Gamma(c) when c's preimage at tau (c with its first tau bits
+flipped; for C, with its half flipped back and rotated back by tau) has
+tau as its least index.  Such a preimage is a message the encoder sends
+to c as Type-1-good (for C, any message), so |Gamma(c)| is the number of
+c's Type-1-good preimages, and the walk runs no Gamma set.
+`definitional_gamma` checks the receiver-side sets (`gamma_set_a`,
+`gamma_set_b`, `gamma_size_c`) against the same definition, and path
+counts walk every path.  The formulas (the |Gamma| histograms and
+bad-word censuses gamma_counts_a and count_bad for A, gamma_counts_b and
+count_bad_b for B, the trellis for C) are only compared against the
+walk's output, in `verify_scheme`, never called to build it.
 
 Schemes are "a", "b" and "c"; for "c", code=None means the full space
 of length n - 1.
@@ -64,20 +68,18 @@ class Scheme(NamedTuple):
 
     appended: the bits appended to every codeword; tail(q): the bits a
     bad word adds to its prefix; encode(x, q, code) -> EncodeResult;
-    decode(codeword, prefix, q, code) -> message; size(codeword, q):
-    |Gamma| of an emitted codeword; gamma(n, q, code): the exact |Gamma|
-    histogram (for scheme c the trellis of the code, or the full-space
-    closed form for code=None); bad(n, q): the exact bad-word census;
-    rho(n, q): the (analytical, operational) parts of rho.  Each callable
-    looks its function up on the scheme module when called, so a patched
-    or traced module attribute is the one that runs.
+    decode(codeword, prefix, q, code) -> message; gamma(n, q, code): the
+    exact |Gamma| histogram (for scheme c the trellis of the code, or the
+    full-space closed form for code=None); bad(n, q): the exact bad-word
+    census; rho(n, q): the (analytical, operational) parts of rho.  Each
+    callable looks its function up on the scheme module when called, so a
+    patched or traced module attribute is the one that runs.
     """
 
     appended: int
     tail: Callable[[int], int]
     encode: Callable[..., Any]
     decode: Callable[..., BitWord]
-    size: Callable[[BitWord, int], int]
     gamma: Callable[..., Dict[int, int]]
     bad: Callable[[int, int], int]
     rho: Callable[[int, int], Any]
@@ -89,17 +91,15 @@ SCHEMES: Dict[str, Scheme] = {
         lambda q: 2 * q,
         lambda x, q, code: scheme_a.encode_a(x, q),
         lambda c, p, q, code: scheme_a.decode_a(c, p, c.length, q),
-        lambda c, q: len(scheme_a.gamma_set_a(c, q)),
         lambda n, q, code: scheme_a.gamma_counts_a(n, q),
         lambda n, q: scheme_a.count_bad(n, q),
         lambda n, q: scheme_a.rho_a_parts(n, q),
     ),
     "b": Scheme(
         1,
-        lambda q: 2 * q - 2,
+        lambda q: scheme_b._tail(q),
         lambda x, q, code: scheme_b.encode_b(x, q),
         lambda c, p, q, code: scheme_b.decode_b(c, p, c.length, q),
-        lambda c, q: len(scheme_b.gamma_set_b(c.prefix(c.length - 1), q)),
         lambda n, q, code: scheme_b.gamma_counts_b(n, q),
         lambda n, q: scheme_b.count_bad_b(n, q),
         lambda n, q: scheme_b.rho_b_parts(n, q),
@@ -109,7 +109,6 @@ SCHEMES: Dict[str, Scheme] = {
         lambda q: 0,
         lambda x, q, code: scheme_c.encode_c(code, x),
         lambda c, p, q, code: scheme_c.decode_c(code, c, p),
-        lambda c, q: scheme_c.gamma_size_c(c.prefix(c.length - 1)),
         lambda n, q, code: scheme_c.gamma_counts_fullspace(n) if code is None else trellis.build_and_count(code).gamma,
         lambda n, q: 0,  # Scheme C has no bad words
         lambda n, q: scheme_c.rho_c_parts(n),
@@ -151,20 +150,23 @@ def exhaustive_redundancy(
 
     The walk stops at the first message whose codeword has the wrong
     length or weight or does not decode back to it, and names it in
-    `counterexample`; length and weight are checked first, so a |Gamma|
-    set never sees a wrong-weight word.  Analytical counts log2 |Gamma|
-    per codeword plus the scheme's constant bits; operational counts the
-    emitted prefix lengths.
+    `counterexample`.  Per codeword it keeps the messages sent to it and
+    its Type-1-good count, |Gamma(c)|.  Analytical counts log2 |Gamma|
+    per message plus the scheme's integer bits (appended, flag and type
+    bit, bad-word tail), the log terms added once per codeword after the
+    walk; operational counts the emitted prefix lengths.  A codeword with
+    no Type-1-good preimage counted, which only a stopped walk leaves,
+    adds no log term and no histogram entry.
     """
     row, n, q, code = resolve(scheme, n, q, code)
     k = n - row.appended if code is None else code.k
     _guard(k)
-    encode, decode, size_of, appended, tail = row.encode, row.decode, row.size, row.appended, row.tail(q)
+    encode, decode = row.encode, row.decode
     target = n // 2 + q
-    gamma_by_cw: Dict[int, int] = {}  # keyed by the codeword's integer: every codeword has length n
-    op_total = 0
-    an_total = 0.0
-    bad = 0
+    good = scheme_a.Classification.TYPE1_GOOD
+    sent: Dict[int, int] = {}  # keyed by the codeword's integer: every codeword has length n
+    gamma: Dict[int, int] = {}
+    prefix_bits = bad = 0
     counterexample = None
     for x in all_words(k) if code is None else codewords(code):
         res = encode(x, q, code)
@@ -173,24 +175,23 @@ def exhaustive_redundancy(
         if c.length != n or cw.bit_count() != target or decode(c, res.prefix, q, code) != x:
             counterexample = x
             break
-        size = gamma_by_cw.get(cw)
-        if size is None:  # |Gamma| depends only on the codeword
-            size = gamma_by_cw[cw] = size_of(c, q)
-        op_total += appended + res.prefix.length
-        an = appended + math.log2(size)
-        if q > 0:
-            an += 2.0
-            if res.classification.is_bad:
-                an += tail
-                bad += 1
-        an_total += an
+        sent[cw] = sent.get(cw, 0) + 1
+        cls = res.classification
+        if cls is good or cls is None:
+            gamma[cw] = gamma.get(cw, 0) + 1
+        elif cls.is_bad:
+            bad += 1
+        prefix_bits += res.prefix.length
+    walked = sum(sent.values())
+    bits = (row.appended + (2 if q else 0)) * walked + row.tail(q) * bad
+    logs = sum(sent[cw] * math.log2(size) for cw, size in gamma.items())
     return RedundancyReport(
         scheme=scheme,
         n=n,
         q=q,
-        gamma=dict(sorted(Counter(gamma_by_cw.values()).items())),
-        analytical=an_total / (1 << k),
-        operational=op_total / (1 << k),
+        gamma=dict(sorted(Counter(gamma.values()).items())),
+        analytical=(bits + logs) / (1 << k),
+        operational=(row.appended * walked + prefix_bits) / (1 << k),
         bad_words=bad,
         counterexample=counterexample,
         code=code,

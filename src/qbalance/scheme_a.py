@@ -20,11 +20,12 @@ for what it returns.  The encoder needs two integers of Gamma(c), its
 size and tau's rank, and one words.level_walk, at the levels the target
 weights put on the running sum, returns both with tau; the decoder needs
 |Gamma(c)| and Gamma(c)[rank], one words.select_walk; both read the word
-8 bits at a time, and neither lists Gamma(c) (words.fresh_walk, which
-does, serves gamma_set_a and gamma_set_b alone).  _balance walks the
-complement only when a mirrored level lies in the range of the running
-sum R that a miss on the message reports (the complement's is -R), and a
-bad word's replacement otherwise: 1 / 2 / 2 level walks per Type-1-good
+8 bits at a time, and neither lists Gamma(c).  gamma_set_a and
+gamma_set_b list it, as per-bit references over words.fresh_indices that
+no codec path calls.  _balance walks the complement only when a mirrored
+level lies in the range of the running sum R that a miss on the message
+reports (the complement's is -R), and a bad word's replacement
+otherwise: 1 / 2 / 2 level walks per Type-1-good
 / Type-0-good / bad word per encode, and one select walk per decode.
 At n = 16 the walks are about 40-45% of an encode and of a decode, so
 the fixed per-message work is kept small: _unbalance reads the prefix
@@ -117,7 +118,7 @@ from itertools import accumulate, takewhile
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .errors import CapacityError, DecodeError
-from .words import BitWord, fresh_walk, level_walk, select_walk, weight
+from .words import BitWord, fresh_indices, level_walk, select_walk, weight
 
 
 class Classification(enum.Enum):
@@ -161,12 +162,13 @@ def _check_params(n: int, q: int) -> None:
 
 
 def gamma_set_a(c: BitWord, q: int) -> List[int]:
-    """Indices whose running-sum value is new, ascending; the receivable taus."""
+    """Indices whose running-sum value is new, ascending; the receivable
+    taus.  A per-bit reference: the codec reads Gamma(c) off its walks."""
     n = c.length
     _check_params(n, q)
     if weight(c) != n // 2 + q:
         raise ValueError(f"weight {weight(c)} != target {n // 2 + q}")
-    return fresh_walk(c.value, n)
+    return fresh_indices(c)
 
 
 def _balance(v: int, n: int, q: int, targets: Dict[int, int], run: int):

@@ -44,7 +44,7 @@ from .scheme_a import (
     histogram_sum,
     rho_parts,
 )
-from .words import BitWord, flip_indices, fresh_walk, weight
+from .words import BitWord, flip_indices, fresh_indices, weight
 
 EULER_MASCHERONI = 0.5772156649015329
 
@@ -73,7 +73,8 @@ def t_b(x: BitWord, q: int) -> List[int]:
 
 
 def gamma_set_b(c: BitWord, q: int) -> List[int]:
-    """Fresh running-sum indices restricted to the weight-determined sign."""
+    """Fresh running-sum indices restricted to the weight-determined sign;
+    a per-bit reference, as gamma_set_a."""
     n = c.length + 1
     _check_params(n, q)
     m = n // 2
@@ -81,7 +82,7 @@ def gamma_set_b(c: BitWord, q: int) -> List[int]:
     sign = _targets_b(c.length, q).get(wt)
     if sign is None:
         raise ValueError(f"weight {wt} not in target pair {{{m + q - 1}, {m + q}}}")
-    return fresh_walk(c.value, c.length, sign)
+    return fresh_indices(c, sign)
 
 
 def encode_b(x: BitWord, q: int) -> EncodeResult:

@@ -7,7 +7,10 @@ codewords, every output lives in a fixed coset of the code, so the
 distinct outputs C* form a balanced codebook with minimum distance
 2*ceil(d/2).  The shift index tau is transmitted on
 ceil(log2 |Gamma(c)|) bits, where Gamma(c) is always a contiguous range
-{0..size-1} read off the cyclic running sum of c.
+{0..size-1} read off the cyclic running sum of c.  The codec reads its
+size with _gamma_size, four bit pairs per table row; gamma_size_c is
+the per-bit reference over words.cyclic_running_sum, which no codec
+path calls.
 
 Correction is one corrector, syndrome (standard-array) decoding with a
 scan behind it.  Stripped of its balance bit and with its first half
@@ -80,7 +83,7 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple
 from .cyclic_code import STREAM_MEMO_MAX, CyclicCode, codeword_values, xor_bytes
 from .errors import AmbiguousBlockError, CodingError, DecodeError, StreamError
 from .scheme_a import HISTOGRAM_MAX_N, RHO_MAX_N, EncodeResult, Parts, _check_length, _guard, histogram_sum, rank_width, rho_parts
-from .words import BitWord, flip_prefix, weight
+from .words import BitWord, cyclic_running_sum, flip_prefix, weight
 
 
 def _half(length: int) -> int:
@@ -163,11 +166,12 @@ def balancing_shifts(x: BitWord) -> Iterator[int]:
 
 
 def gamma_size_c(c: BitWord) -> int:
-    """|Gamma(c)|: index of the first zero in CR_1..CR_{m-1}, else m."""
+    """|Gamma(c)|: index of the first zero in CR_1..CR_{m-1}, else m; the
+    per-bit reference of _gamma_size."""
     m = _half(c.length)
     if weight(c) not in (m - 1, m):
         raise ValueError(f"weight {weight(c)} not in {{{m - 1}, {m}}}")
-    return _gamma_size(c.value, m)
+    return next((i for i, r in enumerate(cyclic_running_sum(c)) if i and not r), m)
 
 
 def _shift(x: int, n: int, half: int) -> Tuple[int, int]:

@@ -19,11 +19,11 @@ from it on, so |Gamma(c)| and tau's rank follow from the extremes of R
 before and from tau.  On a miss level_walk returns the range of R: R
 moves by +/-1, so it takes every value in the range, and the
 complement's is -R.  A decoder needs |Gamma(c)| and Gamma(c)[rank], one
-select_walk that counts new extremes by popcount; fresh_walk lists
-Gamma(c) for the oracle alone.  The whole sets (flip_indices, Scheme A's
-balancing_indices, Scheme B's t_b) are per-bit references read off
-running_sum, sharing no walk with the codec the oracle checks them
-against.  The three walks read the word's integer 8 bits at a time
+select_walk that counts new extremes by popcount.  The whole sets
+(flip_indices, Scheme A's balancing_indices, Scheme B's t_b, and
+fresh_indices, Gamma(c) itself) are per-bit references read off
+running_sum, sharing no walk with the codec.  The two walks, which only
+the codecs call, read the word's integer 8 bits at a time
 through one lazily built 256-row table (Sarwate's table-driven CRC idea,
 applied to prefix sums), skip every chunk whose [min, max] window of
 sums cannot hold a level or a new extreme, and read positions only from
@@ -140,7 +140,7 @@ def _steps(w: BitWord) -> Iterator[int]:
 def running_sum(w: BitWord) -> List[int]:
     """R_0 = 0, R_i = R_{i-1} +/- 1 per bit i (1 -> +1); final entry = imbalance.
 
-    Per-bit reference for level_walk, select_walk and fresh_walk, which read 8 bits at a time.
+    Per-bit reference for level_walk and select_walk, which read 8 bits at a time.
     """
     return list(accumulate(_steps(w), initial=0))
 
@@ -196,7 +196,7 @@ def _chunk_table() -> Tuple[Tuple[tuple, ...], Tuple[Tuple[int, ...], ...]]:
 def level_walk(value: int, length: int, targets: Dict[int, int]) -> Tuple[int, ...]:
     """On a hit (tau, |Gamma(c)|, z): tau the least j in 0..length whose
     prefix flip lands on a weight in targets, c that flip, Gamma(c) its
-    fresh_walk with the sign targets[weight of c], and z the number of
+    fresh_indices with the sign targets[weight of c], and z the number of
     Gamma(c)'s indices below tau, which is tau's rank in it whenever tau is
     one of them (in A's and B's codecs it always is).  On a miss the range
     (min, max) of R_0..R_length.
@@ -261,44 +261,17 @@ def level_walk(value: int, length: int, targets: Dict[int, int]) -> Tuple[int, .
     return tau, top - bottom + 1, 1 + (-floor if sign >= 0 else 0) + (ceil if sign <= 0 else 0) if tau else 0
 
 
-def fresh_walk(value: int, length: int, sign: int = 0) -> List[int]:
-    """Indices whose running-sum value is new, ascending.
-
+def select_walk(value: int, length: int, sign: int, rank: int) -> Tuple[int, int | None]:
+    """(len(gamma), gamma[rank]) for gamma = fresh_indices(BitWord(value,
+    length), sign), without the list: each chunk's new extremes are counted
+    by popcount and read by position only in the chunk that holds the rank.
     The values seen so far form a range, so a value is new exactly when it
-    is a new maximum or minimum.  sign > 0 keeps only nonnegative new
-    values (the new maxima), sign < 0 only nonpositive ones (the new
-    minima); the extreme the filter drops starts out of reach, at
-    +/-8 * ceil(length / 8).  A chunk that sets no kept extreme is
-    skipped, and the fill past length sets none.
-    """
+    is a new maximum or minimum, and the extreme that sign drops starts out
+    of reach, at +/-8 * ceil(length / 8).  A chunk that sets no kept
+    extreme is skipped, and the fill past length, as level_walk's, sets
+    none.  gamma[rank] is None when rank is out of range."""
     rows, offsets = _chunk_table()
     fill = -length & 7  # as level_walk's
-    padded = (value << fill | (0x55 if value & 1 else 0xAA) >> 8 - fill) if fill else value
-    top, bottom = (0 if sign >= 0 else length + fill), (0 if sign <= 0 else -length - fill)
-    out = [0]
-    base = j = 0
-    for b in padded.to_bytes((length + 7) >> 3, "big"):
-        lo, hi, net, _, ups, downs, _ = rows[b]
-        mask = 0
-        if base + hi > top:
-            mask, top = ups[top - base], base + hi
-        if base + lo < bottom:
-            mask, bottom = mask | downs[base - bottom], base + lo
-        if mask:
-            for k in offsets[mask]:
-                out.append(j + k)
-        base, j = base + net, j + 8
-    return out
-
-
-def select_walk(value: int, length: int, sign: int, rank: int) -> Tuple[int, int | None]:
-    """(len(gamma), gamma[rank]) for gamma = fresh_walk(value, length, sign),
-    without the list: each chunk's new extremes are counted by popcount and
-    read by position only in the chunk that holds the rank, and the fill
-    past length, as level_walk's, sets no new extreme.  gamma[rank] is None
-    when rank is out of range."""
-    rows, offsets = _chunk_table()
-    fill = -length & 7
     padded = (value << fill | (0x55 if value & 1 else 0xAA) >> 8 - fill) if fill else value
     top, bottom = (0 if sign >= 0 else length + fill), (0 if sign <= 0 else -length - fill)
     size, index, base, j = 1, 0 if rank == 0 else None, 0, 0
@@ -316,6 +289,28 @@ def select_walk(value: int, length: int, sign: int, rank: int) -> Tuple[int, int
             size += count
         base, j = base + net, j + 8
     return size, index
+
+
+def fresh_indices(w: BitWord, sign: int = 0) -> List[int]:
+    """Gamma(w): the indices whose running-sum value is new, ascending.
+
+    sign > 0 keeps only the nonnegative new values (the new maxima),
+    sign < 0 only the nonpositive ones (the new minima); index 0, whose
+    value 0 is new, is always kept.  A per-bit reference, read off
+    running_sum.
+    """
+    out = [0]
+    lo = hi = 0
+    for i, r in enumerate(running_sum(w)):
+        if r > hi:
+            hi = r
+            if sign >= 0:
+                out.append(i)
+        elif r < lo:
+            lo = r
+            if sign <= 0:
+                out.append(i)
+    return out
 
 
 def flip_indices(w: BitWord, targets) -> List[int]:

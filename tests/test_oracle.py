@@ -65,6 +65,24 @@ class TestExhaustiveRedundancy:
         with pytest.raises(CapacityError):
             exhaustive_redundancy("a", 30, 0)
 
+    @pytest.mark.parametrize("scheme,n,q", [("a", 12, 6), ("a", 14, 7), ("b", 14, 3)])
+    def test_analytical_within_2e_13_of_fsum(self, scheme, n, q):
+        """The log2 |Gamma| terms are summed once per codeword, not once per
+        message, so the mean stays within 2e-13 of an exactly rounded sum."""
+        k = n if scheme == "a" else n - 1
+        encode, gamma_set = (encode_a, gamma_set_a) if scheme == "a" else (encode_b, gamma_set_b)
+        tail = 2 * q if scheme == "a" else 2 * q - 2  # B's bad words need q >= 2
+        sizes, terms = {}, []
+        for x in all_words(k):
+            res = encode(x, q)
+            c = res.codeword.prefix(k)  # B's codeword without its balance bit
+            if c not in sizes:
+                sizes[c] = len(gamma_set(c, q))
+            bits = (scheme == "b") + (2 if q else 0) + (tail if res.classification.is_bad else 0)
+            terms.append(bits + math.log2(sizes[c]))
+        want = math.fsum(terms) / (1 << k)
+        assert abs(exhaustive_redundancy(scheme, n, q).analytical - want) <= 2e-13
+
 
 def _estimate_gap(scheme, n, q, operational):
     """What the A/B estimates leave out of the mean at q > 0, in bits per message.
@@ -176,28 +194,27 @@ class TestDefinitionalGamma:
 
     @pytest.mark.parametrize("scheme", ["a", "b"])
     def test_references_share_no_walk_with_the_codec(self, monkeypatch, scheme):
-        """With the 8-bit chunk walks broken, the definitional Gamma sets and the
-        bad-word censuses still run and agree with the codec's, n <= 10, every q."""
+        """With the 8-bit chunk walks broken, the receiver-side and the
+        definitional Gamma sets and the bad-word census still run, and agree
+        with each other and with the formula, n <= 10, every q."""
         if scheme == "a":
             gamma_set, count, census, k = gamma_set_a, count_bad, census_bad_a, 0
         else:
             gamma_set, count, census, k = gamma_set_b, count_bad_b, census_bad_b, 1
-        want = {}
-        for n in range(2, 11, 2):
-            for q in range(n // 2 + 1):
-                weights = (n // 2 + q - k, n // 2 + q)
-                gammas = {c: gamma_set(c, q) for c in all_words(n - k) if weight(c) in weights}
-                want[n, q] = count(n, q), gammas
+        want = {(n, q): count(n, q) for n in range(2, 11, 2) for q in range(n // 2 + 1)}
 
         def broken(*args):
             raise AssertionError("a reference reached an 8-bit chunk walk")
 
-        monkeypatch.setattr(words, "level_walk", broken)
-        monkeypatch.setattr(words, "fresh_walk", broken)
-        for (n, q), (bad, gammas) in want.items():
+        for module in (words, scheme_a):  # the codec binds the walks by name
+            monkeypatch.setattr(module, "level_walk", broken)
+            monkeypatch.setattr(module, "select_walk", broken)
+        for (n, q), bad in want.items():
             assert census(n, q) == bad, (n, q)
-            for c, gamma in gammas.items():
-                assert definitional_gamma(scheme, c, q) == gamma, (c, q)
+            weights = (n // 2 + q - k, n // 2 + q)
+            for c in all_words(n - k):
+                if weight(c) in weights:
+                    assert definitional_gamma(scheme, c, q) == gamma_set(c, q), (c, q)
 
 
 class TestVerify:
@@ -317,14 +334,21 @@ class TestVerifyCatchesBrokenCodec:
         assert {args[0] for args in calls["encode"]} == set(all_words(k))
         assert len(calls["encode"]) == len(calls["decode"]) == 1 << k
 
-    @pytest.mark.parametrize("scheme", ["a", "b"])
-    def test_one_gamma_walk_per_codeword(self, monkeypatch, scheme):
-        module, sizer = (scheme_a, "gamma_set_a") if scheme == "a" else (scheme_b, "gamma_set_b")
-        calls = []
-        _break(monkeypatch, module, sizer, lambda args, res: calls.append(args) or res)
-        assert verify_scheme(scheme, 8, 2)["ok"]  # so the walk's histogram is the formula's
-        gamma = scheme_a.gamma_counts_a(8, 2) if scheme == "a" else scheme_b.gamma_counts_b(8, 2)
-        assert len(calls) == sum(gamma.values())  # one per distinct codeword: 28 for A
+    @pytest.mark.parametrize(
+        "scheme,n,q,code", [("a", 8, 2, None), ("b", 8, 2, None), ("c", None, 0, "simplex")], ids=["a", "b", "c"]
+    )
+    def test_walk_sizes_gamma_without_a_gamma_set(self, monkeypatch, request, scheme, n, q, code):
+        """The walk counts |Gamma(c)| as c's Type-1-good preimages, so with every
+        receiver-side Gamma set broken it still verifies against the formulas."""
+
+        def broken(*args):
+            raise AssertionError("the walk reached a Gamma set")
+
+        sets = ((scheme_a, "gamma_set_a"), (scheme_b, "gamma_set_b"), (scheme_c, "gamma_size_c"), (words, "fresh_indices"))
+        for module, name in sets:
+            monkeypatch.setattr(module, name, broken)
+        result = verify_scheme(scheme, n, q, code and request.getfixturevalue(code))
+        assert result["gamma_match"] and result["ok"]  # the walk's histogram is the formula's
 
 
 @pytest.mark.parametrize("scheme,broken", [("a", BROKEN), ("b", BROKEN.prefix(7))], ids=["a", "b"])

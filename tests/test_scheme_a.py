@@ -37,7 +37,6 @@ from qbalance.words import (
     balancing_indices,
     complement,
     flip_prefix,
-    fresh_walk,
     level_walk,
     running_sum,
     select_walk,
@@ -150,7 +149,7 @@ class TestEncode:
         # the level walk that hits fixes the class, tau, |Gamma(c)| and tau's rank together,
         # and a missed message's running-sum range decides whether its complement is walked
         # at all; a decode selects Gamma(c)[rank] in one walk; neither walks Gamma(c) as a list
-        calls = {"level": 0, "fresh": 0, "select": 0}
+        calls = {"level": 0, "select": 0}
 
         def counted(name, walk):
             def counting(*args):
@@ -160,13 +159,11 @@ class TestEncode:
 
         monkeypatch.setattr(scheme_a, "level_walk", counted("level", level_walk))
         monkeypatch.setattr(scheme_a, "select_walk", counted("select", select_walk))
-        for module in (scheme_a,):
-            monkeypatch.setattr(module, "fresh_walk", counted("fresh", fresh_walk))
         res = encode_a(W(word), q)
         assert res.classification is cls
-        assert calls == {"level": scans, "fresh": 0, "select": 0}
+        assert calls == {"level": scans, "select": 0}
         assert decode_a(res.codeword, res.prefix, len(word), q) == W(word)
-        assert calls == {"level": scans, "fresh": 0, "select": 1}
+        assert calls == {"level": scans, "select": 1}
 
 
 class TestDecode:

@@ -20,7 +20,7 @@ from qbalance.scheme_b import (
     rho_b_asymptote,
     t_b,
 )
-from qbalance.words import BitWord, all_words, fresh_walk, level_walk, select_walk, weight
+from qbalance.words import BitWord, all_words, level_walk, select_walk, weight
 
 
 def W(s):
@@ -193,7 +193,7 @@ class TestEncodeDecodeB:
         # the level walk that hits fixes the class, tau, |Gamma(c)| and tau's rank together,
         # and a missed message's running-sum range decides whether its complement is walked
         # at all; a decode selects Gamma(c)[rank] in one walk; neither walks Gamma(c) as a list
-        calls = {"level": 0, "fresh": 0, "select": 0}
+        calls = {"level": 0, "select": 0}
 
         def counted(name, walk):
             def counting(*args):
@@ -203,13 +203,11 @@ class TestEncodeDecodeB:
 
         monkeypatch.setattr(scheme_a, "level_walk", counted("level", level_walk))
         monkeypatch.setattr(scheme_a, "select_walk", counted("select", select_walk))
-        for module in (scheme_a, scheme_b):
-            monkeypatch.setattr(module, "fresh_walk", counted("fresh", fresh_walk))
         res = encode_b(W(word), q)
         assert res.classification is cls
-        assert calls == {"level": scans, "fresh": 0, "select": 0}
+        assert calls == {"level": scans, "select": 0}
         assert decode_b(res.codeword, res.prefix, len(word) + 1, q) == W(word)
-        assert calls == {"level": scans, "fresh": 0, "select": 1}
+        assert calls == {"level": scans, "select": 1}
 
 
 class TestGammaCountB:

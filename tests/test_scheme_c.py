@@ -41,7 +41,7 @@ from qbalance.scheme_c import (
     stream_encode,
     unpack_stream,
 )
-from qbalance.words import BitWord, all_words, cyclic_running_sum, cyclic_shift, flip_prefix, weight
+from qbalance.words import BitWord, all_words, cyclic_shift, flip_prefix, weight
 
 from fresh_process import run_fresh
 
@@ -635,17 +635,6 @@ def _shifts_reference(x):
     return (j for j in range(x.length + 1) if weight(flip_prefix(cyclic_shift(x, j), m)) in (m - 1, m))
 
 
-def _gamma_size_c_reference(c):
-    m = (c.length + 1) // 2
-    if weight(c) not in (m - 1, m):
-        raise ValueError(f"weight {weight(c)} not in {{{m - 1}, {m}}}")
-    cr = cyclic_running_sum(c)
-    for i in range(1, m):
-        if cr[i] == 0:
-            return i
-    return m
-
-
 def _gamma_size_per_bit(c, m):
     """|Gamma| of the (2m-1)-bit int c, one bit pair (i, i+m) at a time."""
     run = 0
@@ -673,7 +662,7 @@ def _encode_c_reference(code, x):
     tau = next(_shifts_reference(x))
     c = flip_c(cyclic_shift(x, tau))
     cprime = _balance_bit_reference(c)
-    r = rank_width(_gamma_size_c_reference(c))
+    r = rank_width(gamma_size_c(c))
     prefix = BitWord.from_str(format(tau, f"0{r}b") if r else "")
     return EncodeResult(codeword=cprime, prefix=prefix, classification=None, tau=tau)
 
@@ -688,7 +677,7 @@ def _decode_c_reference(code, cprime, p):
         raise DecodeError(f"stripped block weight {wt} outside {{{m - 1}, {m}}}")
     if cprime.value & 1 != (1 if wt == m - 1 else 0):
         raise DecodeError("appended balance bit inconsistent with block weight")
-    size = _gamma_size_c_reference(c)
+    size = gamma_size_c(c)
     r = rank_width(size)
     if p.length != r:
         raise DecodeError(f"prefix length {p.length} != expected {r}")
@@ -707,7 +696,7 @@ def _packet_reference(code, c, tau):
 
 
 def _tail_candidates_reference(code, c, fill):
-    packets = (_packet_reference(code, c, tau) for tau in range(_gamma_size_c_reference(c)))
+    packets = (_packet_reference(code, c, tau) for tau in range(gamma_size_c(c)))
     return [tau for tau, packet in enumerate(packets) if not packet[code.k - fill :].strip("0")]
 
 
@@ -771,7 +760,7 @@ def _stream_decode_reference(code, enc):
     total = len(stripped)
     if enc.payload_frames > total or enc.payload_frames < 1:
         raise StreamError("payload frame count inconsistent with container")
-    sizes = [_gamma_size_c_reference(c) for c in stripped]
+    sizes = [gamma_size_c(c) for c in stripped]
     widths = [rank_width(size) for size in sizes]
     room = k - (widths[enc.payload_frames - 2] if enc.payload_frames > 1 else 0)
     if enc.final_pad >= room:
@@ -908,14 +897,18 @@ class TestAgainstReferences:
             res, want = encode_c(code, x), _encode_c_reference(code, x)
             assert res == want, x
             block = res.codeword.prefix(code.n)
-            assert gamma_size_c(block) == _gamma_size_c_reference(block)
+            assert scheme_c._gamma_size(block.value, (code.n + 1) // 2) == gamma_size_c(block)
             assert decode_c(code, res.codeword, res.prefix) == _decode_c_reference(code, res.codeword, res.prefix) == x
         assert build_balanced_code(code) == _book_reference(code)
 
     @pytest.mark.parametrize("length", [7, 9, 11, 13, 15])
     def test_gamma_size_every_word(self, length):
+        m = (length + 1) // 2
         for w in all_words(length):
-            assert outcome(gamma_size_c, w) == outcome(_gamma_size_c_reference, w), w
+            if weight(w) in (m - 1, m):
+                assert scheme_c._gamma_size(w.value, m) == gamma_size_c(w), w
+            else:
+                assert result(gamma_size_c, w) == (ValueError, f"weight {weight(w)} not in {{{m - 1}, {m}}}"), w
 
 
 class TestSyndromeCorrection:

@@ -72,7 +72,7 @@ def test_layer_times_prints_each_layer_row_with_positive_cells(layer_times):
 
 def test_walk_times_prints_each_walk_per_length(layer_times):
     ns = [f"n={n}" for n in (16, 64, 256, 1024)]
-    walks = ["level_walk hit", "select_walk", "fresh_walk"]
+    walks = ["level_walk hit", "select_walk"]
     assert layer_times[2]["walks"] == [(walk, "us per call", ns) for walk in walks]
 
 

@@ -15,7 +15,7 @@ from qbalance.words import (
     cyclic_shift,
     flip_indices,
     flip_prefix,
-    fresh_walk,
+    fresh_indices,
     level_walk,
     running_sum,
     select_walk,
@@ -211,22 +211,6 @@ class TestFlipIndices:
                 assert flip_indices(w, ts) == [j for j, wt in enumerate(flipped) if wt in ts]
 
 
-def fresh_reference(sums, sign):
-    """Indices of new running-sum extremes, one step at a time."""
-    out = [0]
-    lo = hi = 0
-    for i, v in enumerate(sums):
-        if v > hi:
-            hi = v
-            if sign >= 0:
-                out.append(i)
-        elif v < lo:
-            lo = v
-            if sign <= 0:
-                out.append(i)
-    return out
-
-
 def level_sets(sums):
     """One- and two-value level sets on and off the path of sums."""
     lo, hi, end = min(sums), max(sums), sums[-1]
@@ -247,8 +231,7 @@ def check_walks(w):
     n, wt, taus = w.length, weight(w), set()
     flipped = {}  # (tau, sign): Gamma of the first tau bits' flip, per bit
     for sign in (-1, 0, 1):
-        gamma = fresh_reference(sums, sign)
-        assert fresh_walk(w.value, n, sign) == gamma, (w, sign)
+        gamma = fresh_indices(w, sign)
         for rank in range(len(gamma) + 2):
             want = (len(gamma), gamma[rank] if rank < len(gamma) else None)
             assert select_walk(w.value, n, sign, rank) == want, (w, sign, rank)
@@ -263,7 +246,7 @@ def check_walks(w):
                 # Gamma of the flipped word, walked with its weight's sign, and the count below tau
                 key = (tau, signs[sums[tau]])
                 if key not in flipped:
-                    flipped[key] = fresh_reference(running_sum(flip_prefix(w, tau)), key[1])
+                    flipped[key] = fresh_indices(flip_prefix(w, tau), key[1])
                 gamma = flipped[key]
                 want = (tau, len(gamma), bisect_left(gamma, tau))
                 taus.add(tau)

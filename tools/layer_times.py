@@ -35,7 +35,7 @@ from qbalance.scheme_a import decode_a, encode_a, rho_a_bound  # noqa: E402
 from qbalance.scheme_b import decode_b, encode_b, rho_b  # noqa: E402
 from qbalance.scheme_c import StreamFrame, pack_stream, rho_c_fullspace, stream_decode, stream_encode, unpack_stream  # noqa: E402
 from qbalance.trellis import build_and_count  # noqa: E402
-from qbalance.words import BitWord, fresh_walk, level_walk, select_walk  # noqa: E402
+from qbalance.words import BitWord, level_walk, select_walk  # noqa: E402
 
 REPEAT, FILL_S, PROCESSES = 10, 0.005, 5
 MESSAGES, PAYLOADS, PAYLOAD_BITS = 64, 64, 256
@@ -69,16 +69,14 @@ def walks():
     """The running-sum walks on 64 words from random.Random(n): level_walk on
     each word x at the weight n/2, where every word has a hit (Scheme A's
     encode at q = 0), and on its codeword c, the flip of x at that hit,
-    select_walk at its rank (the decode) and fresh_walk (the oracle's
-    Gamma set)."""
-    cells = {"level_walk hit": {}, "select_walk": {}, "fresh_walk": {}}
+    select_walk at its rank (the decode)."""
+    cells = {"level_walk hit": {}, "select_walk": {}}
     for n in (16, 64, 256, 1024):
         rng, targets = random.Random(n), {n // 2: 0}
         xs = [rng.getrandbits(n) for _ in range(MESSAGES)]
         sent = [(x ^ ((1 << tau) - 1) << n - tau, z) for x in xs for tau, _, z in [level_walk(x, n, targets)]]
         cells["level_walk hit"][f"n={n}"] = best(lambda: [level_walk(x, n, targets) for x in xs], MESSAGES) * 1e6
         cells["select_walk"][f"n={n}"] = best(lambda: [select_walk(c, n, 0, z) for c, z in sent], MESSAGES) * 1e6
-        cells["fresh_walk"][f"n={n}"] = best(lambda: [fresh_walk(c, n) for c, _ in sent], MESSAGES) * 1e6
     for label, row in cells.items():
         yield label, row, "us per call"
 
