@@ -113,7 +113,7 @@ def _table2_rows() -> List[List[object]]:
             [
                 n,
                 f"{prior:.2f}",
-                *(f"{sum(p.values()):.2f}" for p in parts),
+                *(f"{scheme_a.left_sum(p.values()):.2f}" for p in parts),
                 f"{scheme_a.optimal_redundancy(n, q):.2f}",
             ]
         )
@@ -154,9 +154,9 @@ def _cmd_analyze_redundancy(args) -> int:
             "scheme": scheme,
             "n": n,
             "q": q,
-            "value": sum(parts.values()),
+            "value": scheme_a.left_sum(parts.values()),
             "decomposition": parts,
-            "operational": sum(ceil.values()),
+            "operational": scheme_a.left_sum(ceil.values()),
             "optimal": optimal,
             "convention": "analytical",
         }

@@ -184,7 +184,7 @@ def exhaustive_redundancy(
         prefix_bits += res.prefix.length
     walked = sum(sent.values())
     bits = (row.appended + (2 if q else 0)) * walked + row.tail(q) * bad
-    logs = sum(sent[cw] * math.log2(size) for cw, size in gamma.items())
+    logs = scheme_a.left_sum(sent[cw] * math.log2(size) for cw, size in gamma.items())
     return RedundancyReport(
         scheme=scheme,
         n=n,

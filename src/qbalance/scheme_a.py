@@ -83,29 +83,32 @@ _centre_share, the bad share is _census's float form, and each share is
 summed as it is stepped (histogram_sum over a stream of pairs), so no
 rho builds a dict.  rho_c_fullspace holds n/4 floats, the lower half of
 its row of n/2.  The three share one guard, RHO_MAX_N = 2^24, set from
-this curve (one fresh process each; q = 0 and 6; peak VmHWM):
+this curve (one fresh process each; q = 0 and 6; peak VmHWM).  The rho_b
+column is measured with its stop (scheme_b.rho_b_parts), as the median of
+3 fresh processes timing the call alone, VmHWM read after it:
 
     n      rho_a_bound          rho_b                 rho_c_fullspace
-    2^17   0.03  0.02 s  17 MB  0.003 0.005 s  16 MB  0.03 s   17 MB
-    2^18   0.04  0.03 s  18 MB  0.004 0.009 s  16 MB  0.06 s   18 MB
-    2^19   0.05  0.04 s  19 MB  0.006 0.010 s  16 MB  0.11 s   21 MB
-    2^20   0.07  0.07 s  20 MB  0.008 0.015 s  16 MB  0.24 s   26 MB
-    2^21   0.13  0.08 s  22 MB  0.011 0.020 s  16 MB  0.47 s   36 MB
-    2^22   0.17  0.12 s  25 MB  0.015 0.032 s  16 MB  0.91 s   56 MB
-    2^23   0.25  0.21 s  28 MB  0.023 0.047 s  16 MB  1.8 s    96 MB
-    2^24   0.35  0.24 s  33 MB  0.044 0.049 s  16 MB  3.7 s   176 MB
+    2^17   0.03  0.02 s  17 MB  0.003 0.004 s  15 MB  0.03 s   17 MB
+    2^18   0.04  0.03 s  18 MB  0.004 0.006 s  15 MB  0.06 s   18 MB
+    2^19   0.05  0.04 s  19 MB  0.005 0.009 s  15 MB  0.11 s   21 MB
+    2^20   0.07  0.07 s  20 MB  0.007 0.011 s  15 MB  0.24 s   26 MB
+    2^21   0.13  0.08 s  22 MB  0.010 0.014 s  15 MB  0.47 s   36 MB
+    2^22   0.17  0.12 s  25 MB  0.011 0.023 s  15 MB  0.91 s   56 MB
+    2^23   0.25  0.21 s  28 MB  0.022 0.034 s  15 MB  1.8 s    96 MB
+    2^24   0.35  0.24 s  33 MB  0.023 0.045 s  15 MB  3.7 s   176 MB
 
 rho_c_fullspace sets it, at about twice the time and memory per
 doubling.  At the largest q = n/2, B's q + 1 steps to its first share
 lead instead; the census stops at its first cosine power that is 0.0
 (at 2^22, 25,165 of its 2,097,151 terms are not), which cut rho_a_bound
-from 1.36 to 0.21 s at 2^22 and from 6.8 to 0.90 s at 2^24 (q = n/2):
+from 1.36 to 0.21 s at 2^22 and from 6.8 to 0.90 s at 2^24 (q = n/2);
+rho_b by the same recipe as above:
 
     n      rho_a_bound      rho_b
-    2^18   0.03 s  19 MB    0.05 s  16 MB
-    2^20   0.09 s  23 MB    0.18 s  16 MB
-    2^22   0.21 s  39 MB    0.54 s  16 MB
-    2^24   0.90 s  96 MB    2.3 s   16 MB
+    2^18   0.03 s  19 MB    0.04 s  15 MB
+    2^20   0.09 s  23 MB    0.15 s  15 MB
+    2^22   0.21 s  39 MB    0.62 s  15 MB
+    2^24   0.90 s  96 MB    2.7 s   15 MB
 """
 
 from __future__ import annotations
@@ -114,7 +117,9 @@ import enum
 import math
 import sys
 from dataclasses import dataclass
+from functools import reduce
 from itertools import accumulate, takewhile
+from operator import add
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .errors import CapacityError, DecodeError
@@ -277,6 +282,16 @@ STEPPED_MAX_N = 1 << 17  # count_bad, count_bad_b, optimal_redundancy, lattice.c
 RHO_MAX_N = 1 << 24  # the float rho of A, B and C: rho_a_parts, scheme_b.rho_b_parts, scheme_c.rho_c_parts
 
 
+def left_sum(values: Iterable[Any], start: Any = 0) -> Any:
+    """sum(values, start), added left to right with one rounding per term.
+    From Python 3.12 the builtin sum() compensates float rounding
+    (gh-100425), so its bits depend on the version; every float sum whose
+    bits are pinned (tests/test_rho_reference.py's RHO_PARTS_SHA256,
+    tests/golden_outputs.json) is taken here, with the same bits on every
+    Python."""
+    return reduce(add, values, start)
+
+
 def _guard(n: int, limit: int, what: str) -> None:
     if n > limit:
         raise CapacityError(f"n={n} exceeds the {what} guard {limit}")
@@ -328,7 +343,7 @@ def _census(n: int, q: int, appended: int, exact: bool):
     x = math.pi / (2 * d)  # the angle pi k/2d is k x
     # the powers fall strictly in k, so past the first 0.0 every one is 0.0
     powers = (math.exp(big_n * math.log1p(-2 * math.sin(k * x) ** 2)) for k in range(1, (d + 1) // 2))
-    return -2 * sum(((-1) ** k * power for k, power in enumerate(takewhile(bool, powers), 1)), 0.0)
+    return -2 * left_sum(((-1) ** k * power for k, power in enumerate(takewhile(bool, powers), 1)), 0.0)
 
 
 def count_bad(n: int, q: int) -> int:
@@ -353,7 +368,7 @@ def _centre_share(n: int) -> float:
     n in 64..5000 and at n = 2^7..2^17."""
     if n < 64:
         return math.comb(n, n // 2) / (1 << n)
-    f_n, f_m = (sum(c / z ** (2 * k + 1) for k, c in enumerate(_STIRLING)) for z in (n, n // 2))
+    f_n, f_m = (left_sum(c / z ** (2 * k + 1) for k, c in enumerate(_STIRLING)) for z in (n, n // 2))
     return math.exp(f_n - 2 * f_m) / math.sqrt(math.pi * n / 2)
 
 
@@ -517,7 +532,7 @@ def rho_a_parts(n: int, q: int) -> Tuple[Parts, Parts]:
 def rho_a_bound(n: int, q: int) -> float:
     """Scheme A's analytical redundancy estimate in bits; exact at q = 0,
     low at q > 0 (see rho_a_parts)."""
-    return sum(rho_a_parts(n, q)[0].values())
+    return left_sum(rho_a_parts(n, q)[0].values())
 
 
 def optimal_redundancy(n: int, q: int = 0) -> float:

@@ -82,7 +82,7 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from .cyclic_code import STREAM_MEMO_MAX, CyclicCode, codeword_values, xor_bytes
 from .errors import AmbiguousBlockError, CodingError, DecodeError, StreamError
-from .scheme_a import HISTOGRAM_MAX_N, RHO_MAX_N, EncodeResult, Parts, _check_length, _guard, histogram_sum, rank_width, rho_parts
+from .scheme_a import HISTOGRAM_MAX_N, RHO_MAX_N, EncodeResult, Parts, _check_length, _guard, histogram_sum, left_sum, rank_width, rho_parts
 from .words import BitWord, cyclic_running_sum, flip_prefix, weight
 
 
@@ -333,7 +333,7 @@ def rho_c_parts(n: int) -> Tuple[Parts, Parts]:
 
 def rho_c_fullspace(n: int) -> float:
     """Average redundancy over all of {0,1}^(n-1): 1 + mean log2 |Gamma|."""
-    return sum(rho_c_parts(n)[0].values())
+    return left_sum(rho_c_parts(n)[0].values())
 
 
 # ---------------------------------------------------------------------------

@@ -189,7 +189,7 @@ from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from .cyclic_code import CyclicCode
 from .errors import CapacityError
-from .scheme_a import _guard, histogram_sum, rho_parts
+from .scheme_a import _guard, histogram_sum, left_sum, rho_parts
 from .scheme_c import _half
 
 CENSUS_MAX_N = 511  # level_states, states and state_count; see the module docstring
@@ -299,7 +299,7 @@ class TrellisReport:
     @property
     def rho(self) -> float:
         """Average redundancy 1 + 2^-k * sum_j j*gamma[j]*log2(j)."""
-        return sum(rho_parts(1, histogram_sum(self.gamma.items(), self.code.k))[0].values())
+        return left_sum(rho_parts(1, histogram_sum(self.gamma.items(), self.code.k))[0].values())
 
     @cached_property
     def level_states(self) -> Tuple[int, ...]:

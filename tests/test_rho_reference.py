@@ -11,7 +11,7 @@ import pytest
 
 from qbalance import trellis
 from qbalance.cyclic_code import parse_code_file
-from qbalance.scheme_a import _centre_share, rho_a_bound, rho_a_parts
+from qbalance.scheme_a import _centre_share, left_sum, rho_a_bound, rho_a_parts
 from qbalance.scheme_b import rho_b, rho_b_parts
 from qbalance.scheme_c import rho_c_parts
 
@@ -76,3 +76,10 @@ def test_every_float_rho_parts_is_pinned_bit_for_bit():
                 lines.append(f"a {n} {q} {rho_a_parts(n, q)!r}")
                 lines.append(f"b {n} {q} {rho_b_parts(n, q)!r}")
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == RHO_PARTS_SHA256
+
+
+def test_pinned_sums_add_left_to_right():
+    # the builtin sum() compensates float rounding from Python 3.12 on, and gives 1.0 for both
+    assert left_sum([1e16, 1.0, -1e16]) == 0.0
+    assert left_sum([0.1] * 10) == 0.9999999999999999
+    assert left_sum([1, 2, 3]) == 6 and left_sum([], 0.0) == 0.0

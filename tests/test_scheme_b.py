@@ -18,6 +18,7 @@ from qbalance.scheme_b import (
     gamma_set_b,
     rho_b,
     rho_b_asymptote,
+    rho_b_parts,
     t_b,
 )
 from qbalance.words import BitWord, all_words, level_walk, select_walk, weight
@@ -308,6 +309,34 @@ class TestRhoB:
         assert all(want[i] < sys.float_info.min for i in want.keys() - got.keys())
         parts = rho_parts(1, histogram_sum(want.items(), 0), q, n, count_bad_b(n, q) / (1 << (n - 1)), max(0, 2 * q - 2))
         assert rho_b(n, q) == pytest.approx(sum(parts[0].values()), rel=1e-14)
+
+    # every even n in 2..400 at q <= min(n/2, 12), and larger n at five q: 2,569 points
+    STOP_GRID = [(n, q) for n in range(2, 401, 2) for q in range(min(n // 2, 12) + 1)] + [
+        (n, q) for n in (1000, 1024, 4096, 16384, 65536, 1 << 18, 1 << 20) for q in (0, 1, 2, 6, 40)
+    ]
+    # large q: below size 2q only the weight-(m+q) branch has begun, and the other's first
+    # share, at size 2q, exceeds the shares before it, so a stop there would drop it
+    LARGE_Q = [(n, q) for n in (64, 256, 1000, 4096, 65536) for q in (n // 8, n // 4, n // 3, n // 2 - 3, n // 2 - 1, n // 2)]
+
+    def test_stop_is_bit_identical_to_the_whole_stream(self):
+        assert len(self.STOP_GRID) == 2569
+        for n, q in self.STOP_GRID + self.LARGE_Q:
+            bad = scheme_a._census(n, q, 1, False)
+            whole = rho_parts(1, histogram_sum(_histogram_b(n, q, False), 0), q, n, bad, scheme_b._tail(q))
+            assert repr(rho_b_parts(n, q)) == repr(whole), (n, q)
+
+    def test_stop_reads_under_a_third_of_the_stream(self, monkeypatch):
+        histogram, drawn = scheme_b._histogram_b, []
+
+        def counting(*args):
+            for pair in histogram(*args):
+                drawn.append(pair)
+                yield pair
+
+        monkeypatch.setattr(scheme_b, "_histogram_b", counting)
+        rho_b_parts(65536, 0)
+        assert sum(1 for _ in histogram(65536, 0, False)) == 4790
+        assert 0 < len(drawn) <= 1500
 
     def test_table_small_n(self):
         assert rho_b(8, 0) == pytest.approx(2.01, abs=0.01)
